@@ -9,6 +9,7 @@ the root.  ``cylinder_interval`` ties a string sigma to the closed interval
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import AmbiguousExpansionError, DomainError, SchemaError
 
@@ -31,6 +32,12 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def over_common_denominator(values) -> tuple[int, list[int]]:
+    """(d, nums) with values[i] == nums[i] / d, d the lcm of the denominators."""
+    den = lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
 def require_unit(q: Fraction, what: str = "value") -> Fraction:
     if not ZERO <= q <= ONE:
         raise DomainError(f"{what} {q} outside [0,1]")
@@ -51,7 +58,7 @@ def dyadic_point(mantissa: int, exponent: int) -> Fraction:
 
 
 def validate_bits(sigma: str) -> str:
-    if not isinstance(sigma, str) or any(ch not in "01" for ch in sigma):
+    if not isinstance(sigma, str) or sigma.strip("01"):
         raise SchemaError(f"bit string must consist of '0'/'1', got {sigma!r}")
     return sigma
 
@@ -69,8 +76,8 @@ def bit_value(sigma: str) -> Fraction:
 
 
 def cylinder_bounds(sigma: str) -> tuple[Fraction, Fraction]:
-    lo = bit_value(sigma)
-    return lo, lo + Fraction(1, 1 << len(sigma))
+    k, scale = (int(sigma, 2) if sigma else 0), 1 << len(sigma)
+    return Fraction(k, scale), Fraction(k + 1, scale)
 
 
 def children(sigma: str) -> tuple[str, str]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable
 
 from .bits import ONE, ZERO
@@ -45,9 +46,13 @@ class PointFunctionOracle:
         if not self.in_domain(q):
             raise DomainError(f"{q} outside the domain of oracle {self.name!r}")
         key = (q, n)
-        if key not in self._memo:
-            self._memo[key] = Fraction(self.sampler(q, n))
-        return self._memo[key]
+        v = self._memo.get(key)
+        if v is None:
+            v = self.sampler(q, n)
+            if not isinstance(v, Fraction):
+                v = Fraction(v)
+            self._memo[key] = v
+        return v
 
 
 def oracle_from_exact(fn, lipschitz=None, name: str = "", domain="all") -> PointFunctionOracle:
@@ -403,6 +408,22 @@ class ExtensionBudget:
     max_stage: int | None = None
 
 
+def _floor_ceil(x: Fraction, scale: int) -> tuple[int, int]:
+    """Floor and ceiling of x * scale."""
+    q, r = divmod(x.numerator * scale, x.denominator)
+    return q, q + (r > 0)
+
+
+def _inner_grid(part: Interval, scale: int) -> range:
+    """Indices k with part.lo < k / scale < part.hi."""
+    return range(_floor_ceil(part.lo, scale)[0] + 1, _floor_ceil(part.hi, scale)[1])
+
+
+def _on_grid(part: Interval, depth: int) -> bool:
+    """Both endpoints of the part lie on the 2^-depth grid."""
+    return all((1 << depth) % x.denominator == 0 for x in (part.lo, part.hi))
+
+
 class MonotoneExtension:
     """Nondecreasing extension of h from a stage-enumerated closed class.
 
@@ -416,6 +437,12 @@ class MonotoneExtension:
     gap is reported.  Queries snap down to the internal grid, so outputs are
     exactly nondecreasing and C-grid points (depth <= grid_depth) are exact
     queries.
+
+    Each class point is sampled once per build: grid points keyed by their
+    index, part endpoints off the grid by value.  The F/G rows are integer
+    numerators over one denominator, the lcm of the samples, the margin and
+    the two bounds; a candidate enters the F row at its ceiling grid index and
+    the G row at its floor grid index.
     """
 
     def __init__(
@@ -439,10 +466,10 @@ class MonotoneExtension:
         self.h, self.enum, self.n = h, enum, n
         self.grid_depth, self.precision = gd, prec
         self.epsilon = Fraction(1, 1 << n)
-        self._margin = lip * Fraction(1, 1 << gd) + Fraction(1, 1 << prec)
+        margin = lip * Fraction(1, 1 << gd) + Fraction(1, 1 << prec)
         mid = h.sample(Fraction(1, 2), 2)
-        self._hi_bound = mid + lip + 1
-        self._lo_bound = mid - lip - 1
+        hi_bound = mid + lip + 1
+        lo_bound = mid - lip - 1
         final = min(len(enum), max_stage)
         self.stages = []
         step = 1
@@ -451,51 +478,115 @@ class MonotoneExtension:
             step *= 2
         self.stages.append(final)
         self.stages = sorted(set(self.stages))
+        classes = [enum.stage_class(t) for t in self.stages]
+
         size = (1 << gd) + 1
-        self._grid = [Fraction(k, 1 << gd) for k in range(size)]
-        self._f_rows = [[self._hi_bound] * size]  # sup side starts high
-        self._g_rows = [[self._lo_bound] * size]  # inf side starts low
-        for t in self.stages:
-            f_row, g_row = self._stage_rows(enum.stage_class(t))
-            prev_f, prev_g = self._f_rows[-1], self._g_rows[-1]
-            self._f_rows.append([min(u, v) for u, v in zip(prev_f, f_row)])
-            self._g_rows.append([max(u, v) for u, v in zip(prev_g, g_row)])
-        self._check_monotone_on_class(enum.stage_class(self.stages[-1]))
+        grid_vals: list[Fraction | None] = [None] * size
+        off_vals: dict[Fraction, Fraction] = {}
+        for c_set in classes:
+            self._sample_class(c_set, grid_vals, off_vals)
+        # the monotonicity check also reads the refined grid of off-grid parts
+        for part in classes[-1]:
+            if not _on_grid(part, gd):
+                for q in _refined_grid(part.lo, part.hi, Fraction(1, 1 << gd)):
+                    if q not in off_vals:
+                        off_vals[q] = h.sample(q, prec)
 
-    def _stage_rows(self, c_set: IntervalSet) -> tuple[list, list]:
-        gd, prec = self.grid_depth, self.precision
-        cands: list[Fraction] = []
+        dens = {v.denominator for v in grid_vals if v is not None}
+        dens.update(v.denominator for v in off_vals.values())
+        den = lcm(margin.denominator, hi_bound.denominator, lo_bound.denominator, *dens)
+
+        def scaled(v: Fraction) -> int:
+            return v.numerator * (den // v.denominator)
+
+        self._den = den
+        grid_ints = [None if v is None else scaled(v) for v in grid_vals]
+        off_ints = {x: scaled(v) for x, v in off_vals.items()}
+        self._check_monotone_on_class(classes[-1], grid_ints, off_ints)
+        margin, hi_bound, lo_bound = scaled(margin), scaled(hi_bound), scaled(lo_bound)
+        self._f_rows = [[hi_bound] * size]  # sup side starts high
+        self._g_rows = [[lo_bound] * size]  # inf side starts low
+        # the value depends on x only through its grid index
+        self._values: list[Fraction | None] = [None] * size
+        for c_set in classes:
+            f_best, g_best = self._stage_buckets(c_set, grid_ints, off_ints)
+            f_row, g_row = [], []
+            # F: running max of the candidates at or left of each grid point
+            # plus the margin, never above the previous stage's row
+            running = None
+            for prev, v in zip(self._f_rows[-1], f_best):
+                if v is not None and (running is None or v > running):
+                    running = v
+                f_row.append(min(prev, lo_bound if running is None else running + margin))
+            # G: running min from the right minus the margin, never below
+            running = None
+            for prev, v in zip(reversed(self._g_rows[-1]), reversed(g_best)):
+                if v is not None and (running is None or v < running):
+                    running = v
+                g_row.append(max(prev, hi_bound if running is None else running - margin))
+            g_row.reverse()
+            self._f_rows.append(f_row)
+            self._g_rows.append(g_row)
+
+    def _sample_class(self, c_set: IntervalSet, grid_vals: list, off_vals: dict) -> None:
+        """Sample h at each candidate of the class not sampled yet: part
+        endpoints and the grid points strictly inside the parts."""
+        scale, prec = 1 << self.grid_depth, self.precision
+
+        def sample_end(x: Fraction) -> None:
+            k, up = _floor_ceil(x, scale)
+            if k == up:
+                if grid_vals[k] is None:
+                    grid_vals[k] = self.h.sample(x, prec)
+            elif x not in off_vals:
+                off_vals[x] = self.h.sample(x, prec)
+
         for part in c_set:
-            cands.append(part.lo)
-            cands.extend(
-                q for q in _dyadic_points(part.lo, part.hi, gd) if q != part.lo and q != part.hi
-            )
+            sample_end(part.lo)
+            for k in _inner_grid(part, scale):
+                if grid_vals[k] is None:
+                    grid_vals[k] = self.h.sample(Fraction(k, scale), prec)
             if part.hi != part.lo:
-                cands.append(part.hi)
-        samples = [self.h.sample(q, prec) for q in cands]
-        f_row, g_row = [], []
-        j, running = 0, None
-        for x in self._grid:
-            while j < len(cands) and cands[j] <= x:
-                running = samples[j] if running is None else max(running, samples[j])
-                j += 1
-            f_row.append(self._lo_bound if running is None else running + self._margin)
-        j, running = len(cands) - 1, None
-        for x in reversed(self._grid):
-            while j >= 0 and cands[j] >= x:
-                running = samples[j] if running is None else min(running, samples[j])
-                j -= 1
-            g_row.append(self._hi_bound if running is None else running - self._margin)
-        g_row.reverse()
-        return f_row, g_row
+                sample_end(part.hi)
 
-    def _check_monotone_on_class(self, c_set: IntervalSet) -> None:
-        slack = Fraction(1, 1 << (self.precision - 1))
+    def _stage_buckets(self, c_set: IntervalSet, grid_ints: list, off_ints: dict):
+        """Per grid index, the max (F side) and min (G side) integer sample of
+        the candidates placed there; None where there is none."""
+        scale = 1 << self.grid_depth
+        f_best = [None] * (scale + 1)
+        for part in c_set:
+            inner = _inner_grid(part, scale)
+            f_best[inner.start:inner.stop] = grid_ints[inner.start:inner.stop]
+        g_best = f_best.copy()
+        for part in c_set:
+            for x in (part.lo, part.hi):
+                k, up = _floor_ceil(x, scale)
+                v = grid_ints[k] if k == up else off_ints[x]
+                if f_best[up] is None or v > f_best[up]:
+                    f_best[up] = v
+                if g_best[k] is None or v < g_best[k]:
+                    g_best[k] = v
+        return f_best, g_best
+
+    def _check_monotone_on_class(
+        self, c_set: IntervalSet, grid_ints: list, off_ints: dict
+    ) -> None:
+        """h must stay within 2^-(precision-1) of nondecreasing along the
+        refined grid of each part, which on a grid-aligned part is the internal
+        grid itself; samples are integers over the row denominator."""
+        scale = 1 << self.grid_depth
         run_q = run_max = None
         for part in c_set:
-            for q in _refined_grid(part.lo, part.hi, Fraction(1, 1 << self.grid_depth)):
-                v = self.h.sample(q, self.precision)
-                if run_max is not None and v < run_max - slack:
+            if _on_grid(part, self.grid_depth):
+                ks = range(_floor_ceil(part.lo, scale)[0], _floor_ceil(part.hi, scale)[0] + 1)
+                points = ((Fraction(k, scale), grid_ints[k]) for k in ks)
+            else:
+                points = (
+                    (q, off_ints[q])
+                    for q in _refined_grid(part.lo, part.hi, Fraction(1, scale))
+                )
+            for q, v in points:
+                if run_max is not None and (run_max - v) << (self.precision - 1) > self._den:
                     raise DomainError(
                         f"h is not nondecreasing on the class: h({run_q}) > h({q})"
                     )
@@ -504,26 +595,33 @@ class MonotoneExtension:
 
     def value(self, x: Fraction) -> Fraction:
         x = Fraction(x)
-        if not ZERO <= x <= ONE:
+        if not 0 <= x.numerator <= x.denominator:
             raise DomainError(f"{x} outside [0,1]")
-        i = (x * (1 << self.grid_depth)).numerator // (
-            x * (1 << self.grid_depth)
-        ).denominator
-        i = min(i, len(self._grid) - 1)
+        i = (x.numerator << self.grid_depth) // x.denominator
+        v = self._values[i]
+        if v is not None:
+            return v
+        den = self._den
         prev_f = prev_g = None
-        for k in range(len(self._f_rows)):
-            f_v, g_v = self._f_rows[k][i], self._g_rows[k][i]
+        for f_row, g_row in zip(self._f_rows, self._g_rows):
+            f_v, g_v = f_row[i], g_row[i]
             if f_v <= g_v:
-                # crossed between stage k-1 and k: solve the linear crossing
-                rise = (prev_f - prev_g) + (g_v - f_v)
-                lam = (prev_f - prev_g) / rise
-                return prev_f + lam * (f_v - prev_f)
+                # crossed between this stage and the previous one: solve the
+                # linear crossing
+                gap = prev_f - prev_g
+                rise = gap + (g_v - f_v)
+                v = Fraction(prev_f * rise + gap * (f_v - prev_f), rise * den)
+                break
             prev_f, prev_g = f_v, g_v
-        if prev_f - prev_g < self.epsilon:
-            return prev_f
-        raise BudgetExhausted(
-            f"envelope gap never closed at {x}", achieved=prev_f - prev_g
-        )
+        else:
+            if (prev_f - prev_g) << self.n >= den:
+                raise BudgetExhausted(
+                    f"envelope gap never closed at {x}",
+                    achieved=Fraction(prev_f - prev_g, den),
+                )
+            v = Fraction(prev_f, den)
+        self._values[i] = v
+        return v
 
 
 def monotone_extension(

@@ -17,7 +17,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .bits import parse_rational
+from .bits import ONE, ZERO, parse_rational
 from .calculus import MonotoneExtension, piecewise_linear_oracle
 from .counterexample import build_counterexample, default_enumeration, verify_denjoy_failure
 from .density import brute_force_low_density_oracle, low_density_open_set
@@ -54,9 +54,6 @@ from .randomness import (
 )
 from .report import SCHEMA_VERSION, Check, Report, check_rows, to_csv_bytes, to_json_bytes
 from .suite import DEFAULT_SEED, denjoy_check_rows, run_all
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def _holes(doc, key: str = "holes") -> tuple[Interval, ...]:

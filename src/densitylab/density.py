@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .bits import ONE, ZERO, require_unit
+from .bits import ONE, ZERO, over_common_denominator, require_unit
 from .errors import DomainError
 from .intervals import Interval, IntervalSet, canonicalize, relative_measure
 
@@ -287,7 +287,9 @@ def brute_force_low_density_oracle(
 
     Candidate endpoints: the 2^-grid_depth grid, the part endpoints of C, and
     any caller-supplied extra points.  Verdicts come from direct prefix-mass
-    comparisons, independent of the fat-interval route.
+    comparisons, independent of the fat-interval route: with eps = p/q and
+    every point and mass an integer over one common denominator, [G_i, G_j]
+    qualifies iff q (M_j - M_i) <= p (G_j - G_i).
     """
     points = {Fraction(k, 1 << grid_depth) for k in range((1 << grid_depth) + 1)}
     for p in c.parts:
@@ -295,29 +297,31 @@ def brute_force_low_density_oracle(
         points.add(p.hi)
     points.update(require_unit(x, "oracle grid point") for x in extra_points)
     grid = sorted(points)
+    # every part endpoint is a grid point, so the masses share the grid's
+    # denominator
+    _, ints = over_common_denominator(grid)
+    index = dict(zip(grid, ints))
+    parts = [(index[p.lo], index[p.hi]) for p in c.parts]
 
-    masses: list[Fraction] = []
-    acc = ZERO
+    masses: list[int] = []
+    acc = 0
     pi = 0
-    parts = c.parts
-    for g in grid:
-        while pi < len(parts) and parts[pi].hi <= g:
-            acc += parts[pi].length
+    for g in ints:
+        while pi < len(parts) and parts[pi][1] <= g:
+            acc += parts[pi][1] - parts[pi][0]
             pi += 1
         cur = acc
-        if pi < len(parts) and parts[pi].lo < g:
-            cur += g - parts[pi].lo
+        if pi < len(parts) and parts[pi][0] < g:
+            cur += g - parts[pi][0]
         masses.append(cur)
 
+    p, q = eps.numerator, eps.denominator
     covered: list[Interval] = []
     n = len(grid)
     for i in range(n - 1):
-        top = None
-        gi, mi = grid[i], masses[i]
+        gi, mi = ints[i], masses[i]
         for j in range(n - 1, i, -1):
-            if masses[j] - mi <= eps * (grid[j] - gi):
-                top = grid[j]
+            if q * (masses[j] - mi) <= p * (ints[j] - gi):
+                covered.append(Interval(grid[i], grid[j]))
                 break
-        if top is not None:
-            covered.append(Interval(gi, top))
     return canonicalize(covered)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable
 
 from .bits import (
@@ -23,6 +24,7 @@ from .bits import (
     cylinder_bounds,
     format_rational,
     is_prefix,
+    over_common_denominator,
     parse_rational,
     validate_bits,
 )
@@ -48,9 +50,13 @@ class Martingale:
         self._adapter = adapter
 
     def value(self, tau: str) -> Fraction:
-        if tau not in self._memo:
-            self._memo[tau] = Fraction(self._evaluator(validate_bits(tau)))
-        return self._memo[tau]
+        v = self._memo.get(tau)
+        if v is None:
+            v = self._evaluator(validate_bits(tau))
+            if not isinstance(v, Fraction):
+                v = Fraction(v)
+            self._memo[tau] = v
+        return v
 
     def __call__(self, tau: str) -> Fraction:
         return self.value(tau)
@@ -82,13 +88,23 @@ def with_floor_adapter(m: Martingale) -> Martingale:
 
 
 def fairness_violations(m: Martingale, depth: int, base: str = "") -> list[str]:
-    """Strings sigma (with base <= sigma, |sigma| < base+depth) breaking fairness."""
-    bad = []
-    for k in range(depth):
-        for suffix in all_strings(k):
-            sigma = base + suffix
-            if m.value(sigma) * 2 != m.value(sigma + "0") + m.value(sigma + "1"):
+    """Strings sigma (with base <= sigma, |sigma| < base+depth) breaking fairness.
+
+    Checked level by level, each string evaluated once; 2 M(sigma) ==
+    M(sigma0) + M(sigma1) is compared on integers cross-multiplied over the
+    three denominators.
+    """
+    bad: list[str] = []
+    sigmas = [base]
+    values = [m.value(base)] if depth > 0 else []
+    for _ in range(depth):
+        kids = [sigma + b for sigma in sigmas for b in "01"]
+        kid_values = [m.value(tau) for tau in kids]
+        for sigma, a, b, c in zip(sigmas, values, kid_values[::2], kid_values[1::2]):
+            bd, cd = b.denominator, c.denominator
+            if 2 * a.numerator * bd * cd != a.denominator * (b.numerator * cd + c.numerator * bd):
                 bad.append(sigma)
+        sigmas, values = kids, kid_values
     return bad
 
 
@@ -169,7 +185,12 @@ def slope_martingale(g, depth: int) -> Martingale:
         if len(tau) > depth:
             raise DomainError(f"slope oracle only certified to depth {depth}")
         lo, hi = cylinder_bounds(tau)
-        return (fn(hi) - fn(lo)) / (hi - lo)
+        a, b = fn(hi), fn(lo)
+        # (a - b) / (hi - lo) with hi - lo = 2^-|tau|, built as one Fraction
+        return Fraction(
+            (a.numerator * b.denominator - b.numerator * a.denominator) << len(tau),
+            a.denominator * b.denominator,
+        )
 
     m = Martingale(evaluator, nonnegative=False, description=f"slope martingale to depth {depth}")
     m.valid_depth = depth
@@ -186,19 +207,18 @@ def martingale_to_function(m: Martingale, tau0: str, depth: int) -> PiecewiseLin
     validate_bits(tau0)
     if depth < len(tau0):
         raise DomainError(f"depth {depth} shallower than |tau0| = {len(tau0)}")
-    lo, _hi = cylinder_bounds(tau0)
-    step = Fraction(1, 1 << depth)
-    xs = [lo]
-    ys = [ZERO]
-    acc = ZERO
+    leaves = []
     for suffix in all_strings(depth - len(tau0)):
         v = m.value(tau0 + suffix)
         if v < 0:
             raise DomainError(f"negative martingale value {v} at {tau0 + suffix!r}")
-        acc += v * step
-        xs.append(xs[-1] + step)
-        ys.append(acc)
-    return PiecewiseLinear(tuple(xs), tuple(ys))
+        leaves.append(v)
+    # prefix sums of the leaf values as integers over their common denominator
+    den, nums = over_common_denominator(leaves)
+    ys = (ZERO, *(Fraction(s, den << depth) for s in accumulate(nums)))
+    k0 = int(tau0, 2) << (depth - len(tau0)) if tau0 else 0
+    xs = tuple(Fraction(k0 + k, 1 << depth) for k in range(len(leaves) + 1))
+    return PiecewiseLinear(xs, ys)
 
 
 def combine_scaled(m: Martingale, n: Martingale, sigma: str, delta: Fraction) -> Martingale:
@@ -209,8 +229,18 @@ def combine_scaled(m: Martingale, n: Martingale, sigma: str, delta: Fraction) ->
     if n.value("") != 1:
         raise DomainError(f"N must start with capital 1, got {n.value('')}")
     scale = Fraction(1, 1 << len(sigma)) * delta
+    sn, sd = scale.numerator, scale.denominator
+
+    def evaluator(tau: str) -> Fraction:
+        a, b = m.value(tau), n.value(tau)
+        # a + scale * b, built as one Fraction
+        return Fraction(
+            a.numerator * sd * b.denominator + sn * b.numerator * a.denominator,
+            a.denominator * sd * b.denominator,
+        )
+
     return Martingale(
-        lambda tau: m.value(tau) + scale * n.value(tau),
+        evaluator,
         nonnegative=m.nonnegative and n.nonnegative,
         description=f"combined at {sigma!r} with delta {delta}",
     )
@@ -245,12 +275,22 @@ def cap_at(m: Martingale, q: Fraction) -> Martingale:
     cap is fair and never exceeds its pre-cap value there.
     """
 
+    cap = q + 1
+    # prefix -> M at its first prefix above the cap, or None if there is none
+    first_above: dict[str, Fraction | None] = {}
+
     def evaluator(tau: str) -> Fraction:
-        for i in range(len(tau) + 1):
-            v = m.value(tau[:i])
-            if v > q + 1:
-                return v
-        return m.value(tau)
+        i = len(tau)
+        while i >= 0 and tau[:i] not in first_above:
+            i -= 1
+        got = first_above[tau[:i]] if i >= 0 else None
+        for j in range(i + 1, len(tau) + 1):
+            if got is None:
+                v = m.value(tau[:j])
+                if v > cap:
+                    got = v
+            first_above[tau[:j]] = got
+        return m.value(tau) if got is None else got
 
     return Martingale(
         evaluator, nonnegative=m.nonnegative, description=f"capped above {q}+1"

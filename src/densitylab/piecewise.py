@@ -1,4 +1,9 @@
-"""Exact piecewise-linear functions on a rational breakpoint grid."""
+"""Exact piecewise-linear functions on a rational breakpoint grid.
+
+Breakpoints and values are also kept as integer numerators over one shared
+denominator each, so a lookup is an integer bisect and an interpolation
+builds a single Fraction.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +11,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bits import format_rational, parse_rational
+from .bits import format_rational, over_common_denominator, parse_rational
 from .errors import DomainError
 
 
@@ -20,8 +25,15 @@ class PiecewiseLinear:
     def __post_init__(self):
         if len(self.xs) != len(self.ys) or len(self.xs) < 2:
             raise DomainError("need at least two breakpoints with matching values")
-        if any(a >= b for a, b in zip(self.xs, self.xs[1:])):
+        xden, ks = over_common_denominator(self.xs)
+        if any(a >= b for a, b in zip(ks, ks[1:])):
             raise DomainError("breakpoints must be strictly increasing")
+        yden, js = over_common_denominator(self.ys)
+        # xs[i] == ks[i] / xden and ys[i] == js[i] / yden
+        object.__setattr__(self, "_xden", xden)
+        object.__setattr__(self, "_ks", ks)
+        object.__setattr__(self, "_yden", yden)
+        object.__setattr__(self, "_js", js)
 
     @property
     def lo(self) -> Fraction:
@@ -32,16 +44,21 @@ class PiecewiseLinear:
         return self.xs[-1]
 
     def value(self, x: Fraction) -> Fraction:
-        if not self.lo <= x <= self.hi:
+        ks = self._ks
+        # x * xden == q + r / x.denominator with 0 <= r < x.denominator
+        scaled = x.numerator * self._xden
+        q, r = divmod(scaled, x.denominator)
+        if q < ks[0] or q > ks[-1] or (q == ks[-1] and r):
             raise DomainError(f"{x} outside domain [{self.lo}, {self.hi}]")
-        i = bisect_right(self.xs, x)
-        if i == len(self.xs):
-            return self.ys[-1]
-        if self.xs[i - 1] == x:
+        i = bisect_right(ks, q)
+        if ks[i - 1] == q and not r:
             return self.ys[i - 1]
-        x0, x1 = self.xs[i - 1], self.xs[i]
-        y0, y1 = self.ys[i - 1], self.ys[i]
-        return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+        k0, j0 = ks[i - 1], self._js[i - 1]
+        span = (ks[i] - k0) * x.denominator
+        return Fraction(
+            j0 * span + (self._js[i] - j0) * (scaled - k0 * x.denominator),
+            self._yden * span,
+        )
 
     def __call__(self, x: Fraction) -> Fraction:
         return self.value(x)

@@ -148,7 +148,8 @@ def minimal_porous_extensions(
         if level == completion and not truncated:
             # shrinkage of the qualifying value regions past the last
             # activation level makes this a checked no-op
-            assert not fresh, "qualifying region grew past completion depth"
+            if fresh:
+                raise RuntimeError("qualifying region grew past completion depth")
         for a, b in fresh:
             found.extend(_string_at(j, level) for j in range(a, b + 1))
         covered = _merge_ranges(covered + fresh)

@@ -270,7 +270,7 @@ def difference_test_from_porosity(ptest) -> CylinderDifferenceTest:
                 raise BudgetExhausted(
                     f"porosity test has only {ptest.levels} levels, component {n} "
                     f"needs decay^k <= 2^-{n}",
-                    achieved=float(power),
+                    achieved=power,
                 )
         return k
 

@@ -270,3 +270,47 @@ def test_monotone_extension_budget_exhaustion_reported():
     with pytest.raises(BudgetExhausted) as err:
         monotone_extension(identity_oracle(), enum, F(1, 8), 8, tight)
     assert err.value.achieved is not None and err.value.achieved >= F(1, 1 << 8)
+
+
+# Holes with denominators 3, 5 and 10 put part endpoints off the internal
+# 2^-10 grid.  The values were computed with the Fraction-row implementation
+# that the integer rows replaced; they pin the extension exactly.
+OFF_GRID_H = piecewise_linear_oracle(PiecewiseLinear(
+    (F(0), F(1, 4), F(1, 2), F(3, 4), F(1)),
+    (F(0), F(1, 8), F(1, 8), F(5, 8), F(3, 4)),
+))
+OFF_GRID_ENUM = enumeration((F(1, 3), F(2, 5)), (F(3, 5), F(2, 3)), (F(1, 10), F(1, 6)))
+
+
+def test_monotone_extension_off_grid_endpoints_pinned():
+    ext = MonotoneExtension(OFF_GRID_H, OFF_GRID_ENUM, 6)
+    assert (ext.grid_depth, ext.stages) == (10, [1, 2, 3])
+    expected = {
+        F(0): F(3, 1024),
+        F(1, 10): F(27, 512),
+        F(1, 7): F(18475, 262144),
+        F(1, 6): F(21007, 262144),
+        F(1, 3): F(131, 1024),
+        F(7, 20): F(131, 1024),
+        F(2, 5): F(131, 1024),
+        F(3, 5): F(335, 1024),
+        F(5, 8): F(1539, 4096),
+        F(2, 3): F(119055, 262144),
+        F(1): F(771, 1024),
+    }
+    assert {x: ext.value(x) for x in expected} == expected
+    first = MonotoneExtension(OFF_GRID_H, OFF_GRID_ENUM, 6, ExtensionBudget(max_stage=1))
+    assert first.value(F(1, 7)) == F(19, 256)
+    assert first.value(F(2, 3)) == F(471, 1024)
+
+
+def test_monotone_extension_off_grid_exhaustion_pinned():
+    ext = MonotoneExtension(OFF_GRID_H, OFF_GRID_ENUM, 6, ExtensionBudget(precision=5))
+    assert ext.value(F(5, 8)) == F(785, 2048)
+    with pytest.raises(BudgetExhausted) as err:
+        ext.value(F(1, 7))
+    assert type(err.value.achieved) is F
+    assert err.value.achieved == F(127, 3840)
+    with pytest.raises(BudgetExhausted) as err:
+        ext.value(F(1, 2))
+    assert err.value.achieved == F(17, 256)

@@ -12,7 +12,15 @@ from densitylab.density import (
     window_density,
 )
 from densitylab.errors import DomainError
-from densitylab.intervals import EMPTY_SET, FULL_SET, IntervalSet, interval
+from densitylab.instances import COVERING_EPSILONS
+from densitylab.intervals import (
+    EMPTY_SET,
+    FULL_SET,
+    Interval,
+    IntervalSet,
+    canonicalize,
+    interval,
+)
 
 C_ONE_HOLE = FULL_SET.subtract_open([interval(F(1, 4), F(1, 2))])
 C_SPEC = IntervalSet((interval(F(0), F(1, 4)), interval(F(1, 2), F(1))))
@@ -137,3 +145,41 @@ def test_fat_cover_matches_oracle_property(holes, eps):
     extras = [x for i in fc.fat_intervals for x in (i.lo, i.hi)]
     oracle = brute_force_low_density_oracle(c, eps, 6, extras)
     assert oracle.drop_degenerate() == fc.U.drop_degenerate()
+
+
+def reference_oracle(c, eps, grid_depth, extra_points):
+    """The prefix-mass scan in Fraction arithmetic, masses measured directly."""
+    points = {F(k, 1 << grid_depth) for k in range((1 << grid_depth) + 1)}
+    points.update(x for p in c.parts for x in (p.lo, p.hi))
+    points.update(extra_points)
+    grid = sorted(points)
+    masses = [c.intersect_interval(interval(0, g)).measure for g in grid]
+    covered = []
+    for i in range(len(grid) - 1):
+        for j in range(len(grid) - 1, i, -1):
+            if masses[j] - masses[i] <= eps * (grid[j] - grid[i]):
+                covered.append(Interval(grid[i], grid[j]))
+                break
+    return canonicalize(covered)
+
+
+unit_points = st.builds(
+    lambda d, k: F(k % (d + 1), d), st.sampled_from([3, 5, 7, 12, 60]), st.integers(0, 60)
+)
+mixed_holes = st.lists(
+    st.tuples(unit_points, unit_points)
+    .filter(lambda p: p[0] != p[1])
+    .map(lambda p: Interval(min(p), max(p))),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(hole_lists, mixed_holes), st.lists(unit_points, max_size=4))
+def test_oracle_matches_fraction_scan(holes, extras):
+    c = FULL_SET.subtract_open(holes)
+    for eps in COVERING_EPSILONS:
+        assert brute_force_low_density_oracle(c, eps, 4, extras) == reference_oracle(
+            c, eps, 4, extras
+        )

@@ -380,3 +380,35 @@ def test_fairness_violation_reporting():
     lumpy = Martingale(lambda tau: F(len(tau) + 1), nonnegative=True)
     assert fairness_violations(lumpy, 2) == ["", "0", "1"]
     assert not verify_fairness(lumpy, 2)
+
+
+def test_fairness_flags_unfair_node_with_mixed_signs_and_denominators():
+    table = {
+        "": F(-1, 3),
+        "0": F(1, 5), "1": F(-13, 15),  # fair: 1/5 - 13/15 = -2/3
+        "00": F(2, 7), "01": F(3, 35),  # unfair: 2 (1/5) = 14/35, not 13/35
+        "10": F(-7, 6), "11": F(-17, 30),  # fair: -35/30 - 17/30 = -26/15
+    }
+    m = Martingale(lambda tau: table[tau[:2]], nonnegative=False)
+    assert fairness_violations(m, 4) == ["0"]
+    assert fairness_violations(m, 4, base="1") == []
+    assert fairness_violations(m, 1, base="0") == ["0"]
+    assert fairness_violations(m, 0) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.builds(F, st.integers(-40, 40), st.sampled_from([1, 2, 3, 5, 7, 9, 16])),
+        min_size=15,
+        max_size=15,
+    )
+)
+def test_fairness_matches_fraction_identity(values):
+    strings = [s for k in range(4) for s in all_strings(k)]
+    table = dict(zip(strings, values))
+    m = Martingale(lambda tau: table[tau[:3]], nonnegative=False)
+    expected = [
+        s for s in strings[:7] if 2 * table[s] != table[s + "0"] + table[s + "1"]
+    ]
+    assert fairness_violations(m, 4) == expected

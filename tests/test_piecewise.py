@@ -1,0 +1,83 @@
+"""PiecewiseLinear against a Fraction bisect reference."""
+
+from bisect import bisect_right
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from densitylab.errors import DomainError
+from densitylab.piecewise import PiecewiseLinear
+
+
+def reference_value(xs, ys, x):
+    """Linear interpolation by a bisect over the Fraction breakpoints."""
+    if not xs[0] <= x <= xs[-1]:
+        raise DomainError(f"{x} outside domain")
+    i = bisect_right(xs, x)
+    if i == len(xs):
+        return ys[-1]
+    if xs[i - 1] == x:
+        return ys[i - 1]
+    x0, x1, y0, y1 = xs[i - 1], xs[i], ys[i - 1], ys[i]
+    return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+
+
+denominators = st.sampled_from([1, 2, 3, 5, 7, 12, 16, 30, 1024])
+rationals = st.builds(F, st.integers(-60, 60), denominators)
+positive = st.builds(F, st.integers(1, 20), denominators)
+
+
+@st.composite
+def functions(draw):
+    if draw(st.booleans()):  # uniform breakpoints
+        start, step = draw(rationals), draw(positive)
+        xs = [start + k * step for k in range(draw(st.integers(2, 12)))]
+    else:
+        xs = sorted(set(draw(st.lists(rationals, min_size=2, max_size=12))))
+        if len(xs) < 2:
+            xs.append(xs[0] + 1)
+    ys = draw(st.lists(rationals, min_size=len(xs), max_size=len(xs)))
+    return tuple(xs), tuple(ys)
+
+
+@settings(max_examples=200, deadline=None)
+@given(functions(), st.lists(rationals, max_size=10))
+def test_value_matches_fraction_bisect(fn, extra):
+    xs, ys = fn
+    g = PiecewiseLinear(xs, ys)
+    mids = [(a + b) / 2 for a, b in zip(xs, xs[1:])]
+    thirds = [a + (b - a) / 3 for a, b in zip(xs, xs[1:])]
+    queries = list(xs) + mids + thirds + [x for x in extra if xs[0] <= x <= xs[-1]]
+    for x in queries:
+        got = g.value(x)
+        assert got == reference_value(xs, ys, x)
+        assert isinstance(got, F)
+    for x in [xs[0] - F(1, 7), xs[-1] + F(1, 1024)] + [
+        x for x in extra if not xs[0] <= x <= xs[-1]
+    ]:
+        with pytest.raises(DomainError):
+            g.value(x)
+
+
+def test_value_on_and_off_breakpoints():
+    g = PiecewiseLinear((F(0), F(1, 3), F(3, 5), F(1)), (F(1, 2), F(-1, 7), F(2), F(2)))
+    assert g.value(F(0)) == F(1, 2)
+    assert g.value(F(1)) == 2
+    assert g.value(F(1, 3)) == F(-1, 7)
+    assert g.value(F(1, 6)) == (F(1, 2) + F(-1, 7)) / 2
+    assert g.value(F(7, 15)) == F(-1, 7) + (2 + F(1, 7)) / 2
+    assert g.value(F(4, 5)) == 2
+    for x in (F(-1, 3), F(16, 15), F(-1, 1 << 40), 1 + F(1, 1 << 40)):
+        with pytest.raises(DomainError):
+            g.value(x)
+
+
+def test_rejects_unsorted_or_short_breakpoints():
+    with pytest.raises(DomainError):
+        PiecewiseLinear((F(0), F(1, 3), F(1, 3)), (F(0), F(1), F(2)))
+    with pytest.raises(DomainError):
+        PiecewiseLinear((F(1, 2), F(1, 3)), (F(0), F(1)))
+    with pytest.raises(DomainError):
+        PiecewiseLinear((F(0),), (F(0),))

@@ -146,8 +146,11 @@ def test_difference_test_from_porosity_reindexes():
     assert dt.component_strings(1) == ("10",)
     recs = dt.certify()
     assert all(ok for *_r, ok in recs)
-    with pytest.raises(BudgetExhausted):
+    with pytest.raises(BudgetExhausted) as err:
         dt.component_strings(50)  # needs more porosity levels than built
+    # the search gives up at level levels + 1, reporting the exact bound there
+    assert type(err.value.achieved) is F
+    assert err.value.achieved == pt.decay ** (pt.levels + 1)
 
 
 WORDS = ("0100", "011", "010100", "01011", "01010100", "0101011",
