@@ -37,7 +37,10 @@ class PointFunctionOracle:
         self.exact = exact
         self.lipschitz = None if lipschitz is None else Fraction(lipschitz)
         self.name = name
-        self._memo: dict[tuple[Fraction, int], Fraction] = {}
+        # the function itself, when the oracle samples a PiecewiseLinear
+        self.piecewise: PiecewiseLinear | None = None
+        # keyed by integers, so a lookup never hashes a Fraction
+        self._memo: dict[tuple[int, int, int], Fraction] = {}
 
     def in_domain(self, q: Fraction) -> bool:
         return self.domain == "all" or q in self.domain
@@ -45,7 +48,7 @@ class PointFunctionOracle:
     def sample(self, q: Fraction, n: int) -> Fraction:
         if not self.in_domain(q):
             raise DomainError(f"{q} outside the domain of oracle {self.name!r}")
-        key = (q, n)
+        key = (q.numerator, q.denominator, n)
         v = self._memo.get(key)
         if v is None:
             v = self.sampler(q, n)
@@ -85,7 +88,9 @@ def polynomial_oracle(coeffs) -> PointFunctionOracle:
 
 
 def piecewise_linear_oracle(pl: PiecewiseLinear, name: str = "piecewise") -> PointFunctionOracle:
-    return oracle_from_exact(pl.value, lipschitz=pl.lipschitz_bound(), name=name)
+    oracle = oracle_from_exact(pl.value, lipschitz=pl.lipschitz_bound(), name=name)
+    oracle.piecewise = pl
+    return oracle
 
 
 def rounded_oracle(base: PointFunctionOracle, name: str = "") -> PointFunctionOracle:
@@ -436,7 +441,10 @@ class MonotoneExtension:
     final F is returned once its gap to G is below 2^-n, else the achieved
     gap is reported.  Queries snap down to the internal grid, so outputs are
     exactly nondecreasing and C-grid points (depth <= grid_depth) are exact
-    queries.
+    queries.  ``grid_values(depth)`` answers every query k / 2^depth at once:
+    it maps each point to its internal grid index and solves each index once,
+    through the same memoised crossing as ``value``, so both return the same
+    values and stop with the same BudgetExhausted at the same first point.
 
     Each class point is sampled once per build: grid points keyed by their
     index, part endpoints off the grid by value.  The F/G rows are integer
@@ -598,6 +606,19 @@ class MonotoneExtension:
         if not 0 <= x.numerator <= x.denominator:
             raise DomainError(f"{x} outside [0,1]")
         i = (x.numerator << self.grid_depth) // x.denominator
+        return self._value_at(i, x.numerator, x.denominator)
+
+    def grid_values(self, depth: int) -> list[Fraction]:
+        """value(k / 2^depth) for k = 0..2^depth; grid points that share an
+        internal grid index share one value object."""
+        if depth < 0:
+            raise DomainError(f"grid depth {depth} is negative")
+        gd, scale = self.grid_depth, 1 << depth
+        return [self._value_at((k << gd) >> depth, k, scale) for k in range(scale + 1)]
+
+    def _value_at(self, i: int, x_num: int, x_den: int) -> Fraction:
+        """The value at internal grid index i, memoised; x_num / x_den is
+        the query point named if the envelope gap never closed there."""
         v = self._values[i]
         if v is not None:
             return v
@@ -616,12 +637,41 @@ class MonotoneExtension:
         else:
             if (prev_f - prev_g) << self.n >= den:
                 raise BudgetExhausted(
-                    f"envelope gap never closed at {x}",
+                    f"envelope gap never closed at {Fraction(x_num, x_den)}",
                     achieved=Fraction(prev_f - prev_g, den),
                 )
             v = Fraction(prev_f, den)
         self._values[i] = v
         return v
+
+
+def extension_grid_check(ext: MonotoneExtension, depth: int) -> tuple[int, Fraction]:
+    """(drops, worst) on the 2^-depth grid: how often the extension decreases
+    from one grid point to the next, and its largest |value - h| over the grid
+    points of the final class.
+
+    h must be a ``piecewise_linear_oracle``; its grid values come as integers
+    over one denominator, so |value - h| is compared by cross-multiplication
+    and one Fraction is built at the end.
+    """
+    pl = ext.h.piecewise
+    if pl is None:
+        raise DomainError("the extension grid check needs a piecewise-linear h")
+    vals = ext.grid_values(depth)
+    drops = sum(1 for a, b in zip(vals, vals[1:]) if a is not b and a > b)
+    den, hs = pl.grid_numerators(depth)
+    # the worst |value - h| is worst_num / (worst_den * den)
+    worst_num, worst_den = 0, 1
+    v = None
+    for ks in ext.enum.final_class().grid_ranges(depth):
+        for k in ks:
+            if vals[k] is not v:  # runs of grid points share one value
+                v = vals[k]
+                p, q = v.numerator * den, v.denominator
+            d = abs(p - hs[k] * q)
+            if d * worst_den > worst_num * q:
+                worst_num, worst_den = d, q
+    return drops, Fraction(worst_num, worst_den * den)
 
 
 def monotone_extension(

@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from .bits import ONE, ZERO, parse_rational
-from .calculus import MonotoneExtension, piecewise_linear_oracle
+from .calculus import MonotoneExtension, extension_grid_check, piecewise_linear_oracle
 from .counterexample import build_counterexample, default_enumeration, verify_denjoy_failure
 from .density import brute_force_low_density_oracle, low_density_open_set
 from .errors import BudgetExhausted, DomainError, SchemaError
@@ -268,28 +268,25 @@ def run_extend(args, doc) -> Report:
         raise SchemaError("extend instance must be an object")
     enum = StagedOpenEnumeration(_holes(doc))
     h = piecewise_linear_oracle(PiecewiseLinear.from_json(_require(doc, "h")))
-    n = int(doc.get("n", 10))
+    n = doc.get("n", 10)
+    if type(n) is not int or n < 0:
+        raise SchemaError(f"'n' must be a non-negative integer, got {n!r}")
     grid_depth = args.depth if args.depth is not None else 12
+    if grid_depth < 0:
+        raise SchemaError(f"--depth must be at least 0, got {grid_depth}")
     rep.meta["n"] = n
     rep.meta["grid_depth"] = grid_depth
     ext = MonotoneExtension(h, enum, n)
-    grid = [Fraction(k, 1 << grid_depth) for k in range((1 << grid_depth) + 1)]
     try:
-        vals = [ext.value(x) for x in grid]
+        drops, worst = extension_grid_check(ext, grid_depth)
     except BudgetExhausted as exc:
         rep.budget_exhausted.append(f"extension query: {exc}")
         return rep
-    drops = sum(1 for i in range(len(vals) - 1) if vals[i] > vals[i + 1])
     rep.checks.append(Check(
         f"decreases across the 2^-{grid_depth} grid == 0", Fraction(drops),
         ZERO, drops == 0,
     ))
-    cls = enum.final_class()
     tol = 2 * Fraction(1, 1 << n)
-    worst = ZERO
-    for x, v in zip(grid, vals):
-        if cls.contains_point(x):
-            worst = max(worst, abs(v - h.exact(x)))
     rep.checks.append(Check(
         f"worst disagreement with h on class grid points <= 2 2^-{n}",
         worst, tol, worst <= tol,

@@ -118,7 +118,8 @@ def lower_density_estimate(
         value = relative_measure(c, w)
         if best is None or value < best:
             best, witness = value, w
-    assert best is not None and witness is not None
+    if best is None:
+        raise RuntimeError("density estimate saw no nondegenerate window")
     return DensityEstimate(best, witness, mode, scale_depth, len(seen))
 
 

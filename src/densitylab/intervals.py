@@ -10,6 +10,7 @@ arithmetic is exact, so null boundaries never change a verdict.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -85,6 +86,8 @@ class IntervalSet:
                     f"parts not canonical: {prev} then {part} (gap must be positive)"
                 )
             prev = part
+        # sorted part starts, for bisecting a point into its one candidate part
+        object.__setattr__(self, "_los", tuple(p.lo for p in self.parts))
 
     def __iter__(self) -> Iterator[Interval]:
         return iter(self.parts)
@@ -97,7 +100,18 @@ class IntervalSet:
         return sum((p.length for p in self.parts), ZERO)
 
     def contains_point(self, x: Fraction) -> bool:
-        return any(p.contains(x) for p in self.parts)
+        i = bisect_right(self._los, x)
+        return i > 0 and x <= self.parts[i - 1].hi
+
+    def grid_ranges(self, depth: int) -> list[range]:
+        """Per part, the indices k with k / 2^depth in the part:
+        ceil(lo 2^depth) .. floor(hi 2^depth), empty when none is."""
+        scale = 1 << depth
+        return [
+            range(-(-p.lo.numerator * scale // p.lo.denominator),
+                  p.hi.numerator * scale // p.hi.denominator + 1)
+            for p in self.parts
+        ]
 
     def meets_open(self, u: Fraction, v: Fraction) -> bool:
         """Does the set intersect the open interval (u,v)?"""

@@ -482,7 +482,8 @@ def savings_extension(cond: Condition, eps: Fraction, search_depth: int) -> Savi
                     if m.value(tau + b) < q:
                         nxt.append(tau + b)
         frontier = nxt
-    assert d_hat is not None
+    if d_hat is None:
+        raise RuntimeError(f"subtree search below {sigma!r} visited no string")
     if reach_min is None or best_tau is None:
         raise BudgetExhausted(
             f"no extension of {sigma!r} stays below q = {q}", achieved=None

@@ -2,7 +2,8 @@
 
 Breakpoints and values are also kept as integer numerators over one shared
 denominator each, so a lookup is an integer bisect and an interpolation
-builds a single Fraction.
+builds a single Fraction; a whole dyadic grid is evaluated segment by
+segment in integers.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .bits import format_rational, over_common_denominator, parse_rational
 from .errors import DomainError
@@ -49,7 +51,7 @@ class PiecewiseLinear:
         scaled = x.numerator * self._xden
         q, r = divmod(scaled, x.denominator)
         if q < ks[0] or q > ks[-1] or (q == ks[-1] and r):
-            raise DomainError(f"{x} outside domain [{self.lo}, {self.hi}]")
+            raise self._outside(x)
         i = bisect_right(ks, q)
         if ks[i - 1] == q and not r:
             return self.ys[i - 1]
@@ -60,8 +62,41 @@ class PiecewiseLinear:
             self._yden * span,
         )
 
+    def grid_numerators(self, depth: int) -> tuple[int, list[int]]:
+        """(d, nums) with nums[k] / d == value(k / 2^depth) for k = 0..2^depth.
+
+        Each segment contributes an arithmetic progression in k over the
+        denominator yden * 2^depth * lcm of the breakpoint gaps.  A domain
+        short of [0,1] raises the DomainError ``value`` raises at the first
+        grid point outside it.
+        """
+        ks, js, xden = self._ks, self._js, self._xden
+        scale = 1 << depth
+        if ks[0] > 0:
+            raise self._outside(Fraction(0))
+        if ks[-1] < xden:
+            raise self._outside(Fraction(max(ks[-1] * scale // xden + 1, 0), scale))
+        gaps = [k1 - k0 for k0, k1 in zip(ks, ks[1:])]
+        den = self._yden * scale * lcm(*gaps)
+        nums: list[int] = []
+        for i, gap in enumerate(gaps):
+            first, last = len(nums), min(ks[i + 1] * scale // xden, scale)
+            if last < first:
+                continue
+            # value(k / scale) * den == (j0 scale gap + dj (k xden - k0 scale)) m
+            # with m = den / (yden scale gap): a progression in k
+            m = den // (self._yden * scale * gap)
+            k0, j0, dj = ks[i], js[i], js[i + 1] - js[i]
+            start = (j0 * scale * gap + dj * (first * xden - k0 * scale)) * m
+            step = dj * xden * m
+            nums.extend(start + step * j for j in range(last - first + 1))
+        return den, nums
+
     def __call__(self, x: Fraction) -> Fraction:
         return self.value(x)
+
+    def _outside(self, x: Fraction) -> DomainError:
+        return DomainError(f"{x} outside domain [{self.lo}, {self.hi}]")
 
     def slope(self, a: Fraction, b: Fraction) -> Fraction:
         if not a < b:

@@ -129,14 +129,16 @@ class TestFamily:
         return comp.union_at(len(comp.items))
 
     def final_class(self) -> IntervalSet:
-        assert self.closed_enum is not None
+        if self.closed_enum is None:
+            raise RuntimeError(f"{self.kind} test has no closed part")
         return self.closed_enum.final_class()
 
     def measure_records(self) -> list[tuple[str, Fraction, Fraction, bool]]:
         recs = []
         if self.kind == "solovay":
             total = sum((it.length for c in self.components for it in c.items), Fraction(0))
-            assert self.budget is not None
+            if self.budget is None:
+                raise RuntimeError("solovay test has no declared budget")
             recs.append(("solovay total item length", total, self.budget, total <= self.budget))
             return recs
         for n in range(len(self.components)):

@@ -16,6 +16,7 @@ from fractions import Fraction
 from .bits import ONE, ZERO, all_strings
 from .calculus import (
     MonotoneExtension,
+    extension_grid_check,
     identity_oracle,
     interval_extremum,
     piecewise_linear_oracle,
@@ -438,20 +439,12 @@ def criterion_extension(seed: int) -> CriterionOutcome:
     out = CriterionOutcome(9, "monotone extension")
     n = 10
     tol = 2 * Fraction(1, 1 << n)
-    grid = [Fraction(k, 1 << 12) for k in range((1 << 12) + 1)]
     for index in range(20):
         h, enum = extension_instance(seed, index)
-        ext = MonotoneExtension(h, enum, n)
-        vals = [ext.value(x) for x in grid]
-        drops = sum(1 for i in range(len(vals) - 1) if vals[i] > vals[i + 1])
+        drops, worst = extension_grid_check(MonotoneExtension(h, enum, n), 12)
         _count_check(
             out, f"instance {index}: decreases across the 2^-12 grid", drops
         )
-        cls = enum.final_class()
-        worst = ZERO
-        for x, v in zip(grid, vals):
-            if cls.contains_point(x):
-                worst = max(worst, abs(v - h.exact(x)))
         out.checks.append(
             Check(
                 f"instance {index}: worst disagreement with h on class grid "

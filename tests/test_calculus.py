@@ -15,6 +15,7 @@ from densitylab.calculus import (
     denjoy_classify,
     e_violation,
     envelope,
+    extension_grid_check,
     identity_oracle,
     interval_extremum,
     monotone_extension,
@@ -29,6 +30,7 @@ from densitylab.calculus import (
     sup_function,
 )
 from densitylab.errors import BudgetExhausted, DomainError
+from densitylab.instances import extension_instance
 from densitylab.intervals import IntervalSet, enumeration, interval
 from densitylab.piecewise import PiecewiseLinear
 
@@ -314,3 +316,75 @@ def test_monotone_extension_off_grid_exhaustion_pinned():
     with pytest.raises(BudgetExhausted) as err:
         ext.value(F(1, 2))
     assert err.value.achieved == F(17, 256)
+
+
+def per_point_values(ext, depth):
+    """The reference for grid_values: one value query per grid point."""
+    return [ext.value(F(k, 1 << depth)) for k in range((1 << depth) + 1)]
+
+
+def per_point_grid_check(ext, depth):
+    """The reference for extension_grid_check: per-point queries, a
+    contains_point scan and Fraction arithmetic."""
+    vals = per_point_values(ext, depth)
+    drops = sum(1 for a, b in zip(vals, vals[1:]) if a > b)
+    cls = ext.enum.final_class()
+    worst = F(0)
+    for k, v in enumerate(vals):
+        x = F(k, 1 << depth)
+        if cls.contains_point(x):
+            worst = max(worst, abs(v - ext.h.exact(x)))
+    return drops, worst
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 50), st.integers(0, 19), st.integers(2, 6), st.integers(-4, 3))
+def test_grid_values_match_per_point_values(seed, index, n, offset):
+    h, enum = extension_instance(seed, index)
+    ext = MonotoneExtension(h, enum, n)
+    depth = max(ext.grid_depth + offset, 0)
+    got = ext.grid_values(depth)
+    assert got == per_point_values(MonotoneExtension(h, enum, n), depth)
+    assert all(type(v) is F for v in got)
+
+
+@pytest.mark.parametrize("depth", [4, 9, 10, 11, 12])
+def test_grid_values_exhaustion_matches_per_point(depth):
+    budget = ExtensionBudget(precision=5)
+    with pytest.raises(BudgetExhausted) as expected:
+        per_point_values(MonotoneExtension(OFF_GRID_H, OFF_GRID_ENUM, 6, budget), depth)
+    with pytest.raises(BudgetExhausted) as got:
+        MonotoneExtension(OFF_GRID_H, OFF_GRID_ENUM, 6, budget).grid_values(depth)
+    assert str(got.value) == str(expected.value)
+    assert got.value.achieved == expected.value.achieved
+
+
+def test_grid_check_matches_per_point_loop_on_battery_instances():
+    for index in range(20):
+        h, enum = extension_instance(1, index)
+        got = extension_grid_check(MonotoneExtension(h, enum, 10), 12)
+        assert got == per_point_grid_check(MonotoneExtension(h, enum, 10), 12)
+
+
+def test_grid_check_matches_per_point_loop_on_extend_documents():
+    # the first extension_instance(1, i) with 2, 4 and 6 holes, checked on
+    # the 2^-16 grid as the extend command does
+    found = {}
+    index = 0
+    while len(found) < 3:
+        h, enum = extension_instance(1, index)
+        if len(enum.items) in (2, 4, 6):
+            found.setdefault(len(enum.items), (h, enum))
+        index += 1
+    for h, enum in found.values():
+        got = extension_grid_check(MonotoneExtension(h, enum, 10), 16)
+        assert got == per_point_grid_check(MonotoneExtension(h, enum, 10), 16)
+
+
+def test_grid_check_needs_a_piecewise_h():
+    ext = MonotoneExtension(identity_oracle(), enumeration(), 6)
+    with pytest.raises(DomainError):
+        extension_grid_check(ext, 6)
+    line = piecewise_linear_oracle(PiecewiseLinear((F(0), F(1)), (F(0), F(1))))
+    ext = MonotoneExtension(line, enumeration((F(1, 4), F(1, 2))), 6)
+    assert extension_grid_check(ext, 8) == per_point_grid_check(ext, 8)

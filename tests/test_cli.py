@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from densitylab.cli import main
 
 
@@ -137,3 +139,17 @@ def test_extend_depth_flag_sets_the_evaluation_grid(tmp_path):
     doc = json.loads(blob)
     assert doc["meta"]["grid_depth"] == 6
     assert doc["all_hold"] is True
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["--depth", "-1"], None),
+    ([], {"holes": [], "h": {"xs": ["0", "1"], "ys": ["0", "1"]}, "n": -2}),
+    ([], {"holes": [], "h": {"xs": ["0", "1"], "ys": ["0", "1"]}, "n": "abc"}),
+])
+def test_extend_rejects_bad_grid_parameters(tmp_path, capfd, argv, doc):
+    if doc is not None:
+        argv = [*argv, "--instance", write_instance(tmp_path, doc)]
+    code, blob = run(tmp_path, "extend", *argv)
+    assert code == 2
+    assert blob == b""
+    assert json.loads(capfd.readouterr().err)["kind"] == "SchemaError"

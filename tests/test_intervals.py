@@ -128,3 +128,26 @@ def test_stage_classes_are_nested(holes):
         assert cur.intersect(prev) == cur  # antitone chain
         prev = cur
     assert prev.measure + w.union_at(len(holes)).measure == 1
+
+
+# degenerate parts [a, a] arise as retained hole endpoints
+parts_with_points = st.lists(
+    st.one_of(raw_intervals, endpoints.map(lambda q: interval(q, q))), max_size=8
+).map(canonicalize)
+
+
+@given(parts_with_points, st.lists(endpoints, max_size=6))
+def test_contains_point_matches_a_scan_of_the_parts(s, extra):
+    ends = [x for p in s.parts for x in (p.lo, p.hi)]
+    mids = [(a + b) / 2 for a, b in zip(ends, ends[1:])]
+    for x in ends + mids + extra + [F(0), F(1)]:
+        assert s.contains_point(x) == any(p.contains(x) for p in s.parts)
+
+
+@given(parts_with_points, st.integers(0, 8))
+def test_grid_ranges_are_the_grid_points_inside(s, depth):
+    scale = 1 << depth
+    ranges = s.grid_ranges(depth)
+    assert len(ranges) == len(s.parts)
+    got = [k for r in ranges for k in r]
+    assert got == [k for k in range(scale + 1) if s.contains_point(F(k, scale))]

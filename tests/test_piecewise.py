@@ -81,3 +81,39 @@ def test_rejects_unsorted_or_short_breakpoints():
         PiecewiseLinear((F(1, 2), F(1, 3)), (F(0), F(1)))
     with pytest.raises(DomainError):
         PiecewiseLinear((F(0),), (F(0),))
+
+
+@settings(max_examples=200, deadline=None)
+@given(functions(), st.integers(0, 6))
+def test_grid_numerators_match_value(fn, depth):
+    xs, ys = fn
+    g = PiecewiseLinear(xs, ys)
+    scale = 1 << depth
+    try:
+        expected = [g.value(F(k, scale)) for k in range(scale + 1)]
+    except DomainError as exc:
+        # a domain short of [0,1]: the first grid point outside it is named
+        with pytest.raises(DomainError) as err:
+            g.grid_numerators(depth)
+        assert str(err.value) == str(exc)
+        return
+    den, nums = g.grid_numerators(depth)
+    assert [F(v, den) for v in nums] == expected
+
+
+def test_grid_numerators_dyadic_and_non_dyadic_breakpoints():
+    thirds = PiecewiseLinear((F(-1, 3), F(1, 3), F(5, 7), F(4, 3)),
+                             (F(1, 2), F(-1, 7), F(2), F(3, 5)))
+    dyadic = PiecewiseLinear(tuple(F(k, 8) for k in range(9)),
+                             tuple(F(k * k, 64) for k in range(9)))
+    for g in (thirds, dyadic):
+        for depth in (0, 3, 9):
+            den, nums = g.grid_numerators(depth)
+            assert [F(v, den) for v in nums] == [
+                g.value(F(k, 1 << depth)) for k in range((1 << depth) + 1)
+            ]
+    short = PiecewiseLinear((F(0), F(3, 5)), (F(0), F(1)))
+    with pytest.raises(DomainError, match="5/8 outside domain"):
+        short.grid_numerators(3)
+    with pytest.raises(DomainError, match="^0 outside domain"):
+        PiecewiseLinear((F(1, 9), F(1)), (F(0), F(1))).grid_numerators(3)
