@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .errors import AmbiguousExpansionError, DomainError, SchemaError
+from .errors import DomainError, SchemaError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -50,13 +50,6 @@ def is_dyadic(q: Fraction) -> bool:
     return d & (d - 1) == 0
 
 
-def dyadic_point(mantissa: int, exponent: int) -> Fraction:
-    """The rational mantissa * 2^-exponent."""
-    if exponent < 0:
-        raise DomainError(f"negative exponent {exponent}")
-    return Fraction(mantissa, 1 << exponent)
-
-
 def validate_bits(sigma: str) -> str:
     if not isinstance(sigma, str) or sigma.strip("01"):
         raise SchemaError(f"bit string must consist of '0'/'1', got {sigma!r}")
@@ -68,64 +61,9 @@ def is_prefix(sigma: str, tau: str) -> bool:
     return tau.startswith(sigma)
 
 
-def bit_value(sigma: str) -> Fraction:
-    """0.sigma as an exact rational."""
-    if not sigma:
-        return ZERO
-    return Fraction(int(sigma, 2), 1 << len(sigma))
-
-
 def cylinder_bounds(sigma: str) -> tuple[Fraction, Fraction]:
     k, scale = (int(sigma, 2) if sigma else 0), 1 << len(sigma)
     return Fraction(k, scale), Fraction(k + 1, scale)
-
-
-def children(sigma: str) -> tuple[str, str]:
-    return sigma + "0", sigma + "1"
-
-
-def binary_prefix(x: Fraction, n: int, expansion: str | None = None) -> str:
-    """First n bits of the binary expansion of x in [0,1].
-
-    Interior dyadic rationals have two expansions; the caller must pick
-    "lower" (eventually all ones) or "upper" (eventually all zeros).
-    0 and 1 each have a single expansion and need no choice.
-    """
-    require_unit(x, "x")
-    if n < 0:
-        raise DomainError(f"negative prefix length {n}")
-    if expansion not in (None, "lower", "upper"):
-        raise SchemaError(f"expansion must be 'lower' or 'upper', got {expansion!r}")
-    if is_dyadic(x) and ZERO < x < ONE and expansion is None:
-        raise AmbiguousExpansionError(
-            f"{x} is an interior dyadic; select expansion='lower' or 'upper'"
-        )
-    take_upper = expansion != "lower"
-    bits = []
-    y = x
-    for _ in range(n):
-        y = 2 * y
-        if y > ONE or (y == ONE and take_upper):
-            bits.append("1")
-            y -= ONE
-        else:
-            bits.append("0")
-        # once y hits an endpoint the remaining bits are forced
-        if y == ONE and not take_upper:
-            # lower expansion of a dyadic: y stays pinned at 1, emitting ones
-            bits.extend("1" * (n - len(bits)))
-            break
-        if y == ZERO:
-            bits.extend("0" * (n - len(bits)))
-            break
-    return "".join(bits)
-
-
-def prefix_of_point(x: Fraction, n: int) -> str:
-    """Length-n prefix for a non-dyadic x (unique expansion)."""
-    if is_dyadic(x) and ZERO < x < ONE:
-        raise AmbiguousExpansionError(f"{x} is dyadic; use binary_prefix with a side")
-    return binary_prefix(x, n)
 
 
 def all_strings(length: int) -> list[str]:

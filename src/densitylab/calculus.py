@@ -1,11 +1,11 @@
-"""Point-function oracles, slopes, pseudo-derivatives, envelopes, extension.
+"""Point-function oracles, slopes, pseudo-derivatives, monotone extension.
 
 Oracles answer (q, n) queries with |answer - f(q)| <= 2^-n.  Builtins carry
 an exact evaluator alongside the sampler, so slope computations on them are
-exact; rounded oracles exercise the approximation accounting.  A declared
-Lipschitz constant stands in for a modulus of continuity: extrema and
-envelopes are computed by modulus-driven grid refinement with explicit error
-margins, never by assuming where the extremum sits.
+exact; an oracle without one is sampled and its error accounted for.  A
+declared Lipschitz constant stands in for a modulus of continuity: extrema
+are computed by modulus-driven grid refinement with explicit error margins,
+never by assuming where the extremum sits.
 """
 
 from __future__ import annotations
@@ -91,23 +91,6 @@ def piecewise_linear_oracle(pl: PiecewiseLinear, name: str = "piecewise") -> Poi
     oracle = oracle_from_exact(pl.value, lipschitz=pl.lipschitz_bound(), name=name)
     oracle.piecewise = pl
     return oracle
-
-
-def rounded_oracle(base: PointFunctionOracle, name: str = "") -> PointFunctionOracle:
-    """Floor the base oracle's exact values to the 2^-n grid (error < 2^-n)."""
-    if base.exact is None:
-        raise DomainError("rounding wrapper needs an exact base")
-
-    def sampler(q: Fraction, n: int) -> Fraction:
-        v = base.exact(q) * (1 << n)
-        return Fraction(v.numerator // v.denominator, 1 << n)
-
-    return PointFunctionOracle(
-        sampler,
-        domain=base.domain,
-        lipschitz=base.lipschitz,
-        name=name or f"rounded {base.name}",
-    )
 
 
 @dataclass(frozen=True)
@@ -211,121 +194,6 @@ def pseudo_derivative_estimate(
     return DerivativeEstimate(side, best, witness, h, grid_depth)
 
 
-@dataclass(frozen=True)
-class DenjoyReport:
-    verdict: str
-    curves: tuple[tuple[Fraction, Fraction, Fraction], ...]  # (scale, upper, lower)
-
-
-def denjoy_classify(
-    f: PointFunctionOracle,
-    x: Fraction,
-    scales,
-    grid_depth: int,
-    gap: Fraction,
-    blowup: Fraction,
-) -> DenjoyReport:
-    """Derivative-like, denjoy-bad, or inconclusive, from both estimate curves."""
-    scales = [Fraction(s) for s in scales]
-    if not scales or any(s <= 0 for s in scales) or any(
-        scales[i] <= scales[i + 1] for i in range(len(scales) - 1)
-    ):
-        raise DomainError("scales must be positive and strictly decreasing")
-    curves = []
-    for s in scales:
-        up = pseudo_derivative_estimate(f, x, s, grid_depth, "upper").value
-        lo = pseudo_derivative_estimate(f, x, s, grid_depth, "lower").value
-        curves.append((s, up, lo))
-    _, up, lo = curves[-1]
-    if up - lo <= gap:
-        verdict = "derivative-like"
-    elif up >= blowup and lo <= -blowup:
-        verdict = "denjoy-bad"
-    else:
-        verdict = "inconclusive"
-    return DenjoyReport(verdict, tuple(curves))
-
-
-def slope_threshold_witness(
-    f: PointFunctionOracle, z: Fraction, p: Fraction, t: Fraction, grid_depth: int
-) -> tuple[Fraction, Fraction] | None:
-    """A straddling pair with certified slope < p and width <= t, if any."""
-    z, p, t = Fraction(z), Fraction(p), Fraction(t)
-    if t <= 0:
-        raise DomainError("width bound t must be positive")
-    cands = _straddling_candidates(f, z, z - t, z + t, grid_depth)
-    prec = grid_depth + 2
-    adjust = ZERO if f.exact is not None else Fraction(1, 1 << prec)
-    for a in (c for c in cands if c <= z):
-        for b in (c for c in cands if c >= z):
-            if not ZERO < b - a <= t:
-                continue
-            if slope(f, a, b, prec).value + adjust < p:
-                return (a, b)
-    return None
-
-
-def E_membership(
-    f: PointFunctionOracle,
-    x: Fraction,
-    n: int,
-    r: Fraction,
-    s: Fraction,
-    grid_depth: int,
-) -> bool:
-    """First-approximant slope condition S_f(a,b)_0 > -n+1 over all grid pairs.
-
-    Quantifies over r <= a <= x <= b <= s with a < b from the depth-bounded
-    grid augmented by the interval endpoints; a depth-bounded certificate of
-    membership in the stage-approximated E_{n,r,s}.
-    """
-    return e_violation(f, x, n, r, s, grid_depth) is None
-
-
-def e_violation(
-    f: PointFunctionOracle,
-    x: Fraction,
-    n: int,
-    r: Fraction,
-    s: Fraction,
-    grid_depth: int,
-) -> tuple[Fraction, Fraction] | None:
-    """The witness pair behind an E_membership failure, or None."""
-    r, s, x = Fraction(r), Fraction(s), Fraction(x)
-    if not r < s:
-        raise DomainError("need r < s")
-    if not r <= x <= s:
-        raise DomainError("x must lie in [r, s]")
-    pts = set(_dyadic_points(r, s, grid_depth)) | {r, s}
-    if f.domain != "all":
-        pts = {p for p in f.domain if r <= p <= s}
-    cands = sorted(p for p in pts if f.in_domain(p))
-    threshold = Fraction(1 - n)
-    for a in (c for c in cands if c <= x):
-        for b in (c for c in cands if c >= x):
-            if a == b:
-                continue
-            if slope(f, a, b, 0).value <= threshold:
-                return (a, b)
-    return None
-
-
-def sup_function(
-    f: PointFunctionOracle, r: Fraction, x: Fraction, n: int, grid_depth: int
-) -> Fraction:
-    """f_*(x) = max of f(a)_n over grid points a in [r, x]."""
-    r, x = Fraction(r), Fraction(x)
-    if r > x:
-        raise DomainError("need r <= x")
-    pts = set(_dyadic_points(r, x, grid_depth)) | {r, x}
-    if f.domain != "all":
-        pts = {p for p in f.domain if r <= p <= x}
-    cands = [p for p in pts if f.in_domain(p)]
-    if not cands:
-        raise DomainError(f"no domain points in [{r}, {x}]")
-    return max(f.sample(a, n) for a in cands)
-
-
 def _refined_grid(lo: Fraction, hi: Fraction, max_step: Fraction) -> list[Fraction]:
     if lo == hi or max_step <= 0:
         return [lo] if lo == hi else [lo, hi]
@@ -354,56 +222,6 @@ def interval_extremum(
     step = Fraction(1, 1 << n) / p.lipschitz
     values = [p.sample(q, n + 1) for q in _refined_grid(a, b, step)]
     return max(values) if which == "sup" else min(values)
-
-
-def envelope(
-    h: PointFunctionOracle,
-    c_set: IntervalSet,
-    a: Fraction,
-    b: Fraction,
-    n: int,
-    which: str,
-) -> Fraction:
-    """One-sided certified extremum of h over C intersected with [a,b].
-
-    lower_inf returns a value at or below the true infimum (and within
-    2^-n+1 of it); upper_sup symmetrically from above.  Inf over a shrinking
-    stage class rises, sup falls: the sides match the semicomputability the
-    construction needs.
-    """
-    a, b = Fraction(a), Fraction(b)
-    if which not in ("lower_inf", "upper_sup"):
-        raise DomainError(f"which must be lower_inf or upper_sup, got {which!r}")
-    if h.lipschitz is None:
-        raise DomainError("envelope needs a declared modulus")
-    window = c_set.intersect_interval(Interval(min(a, b), max(a, b)))
-    if not window:
-        raise DomainError(f"C does not meet [{a}, {b}]")
-    step = (
-        Fraction(1, 1 << (n + 1)) / h.lipschitz if h.lipschitz > 0 else ZERO
-    )
-    margin = h.lipschitz * step / 2 + Fraction(1, 1 << (n + 1))
-    values = []
-    for part in window:
-        values.extend(h.sample(q, n + 1) for q in _refined_grid(part.lo, part.hi, step))
-    if which == "lower_inf":
-        return min(values) - margin
-    return max(values) + margin
-
-
-def smooth_approximant(a: Fraction, b: Fraction, s: int, x: Fraction) -> Fraction:
-    """The rational bump s min(|x-a|,|x-b|)/(1 + s min(...)), 0 off [a,b].
-
-    Nondecreasing in s at fixed x, valued in [0,1), tending to the indicator
-    of (a,b) as s grows.
-    """
-    a, b, x = Fraction(a), Fraction(b), Fraction(x)
-    if not a < b:
-        raise DomainError("need a < b")
-    if x <= a or x >= b:
-        return ZERO
-    m = s * min(x - a, b - x)
-    return m / (1 + m)
 
 
 @dataclass(frozen=True)
@@ -673,12 +491,3 @@ def extension_grid_check(ext: MonotoneExtension, depth: int) -> tuple[int, Fract
                 worst_num, worst_den = d, q
     return drops, Fraction(worst_num, worst_den * den)
 
-
-def monotone_extension(
-    h: PointFunctionOracle,
-    enum: StagedOpenEnumeration,
-    x: Fraction,
-    n: int,
-    budget: ExtensionBudget | None = None,
-) -> Fraction:
-    return MonotoneExtension(h, enum, n, budget).value(x)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from .bits import ONE, ZERO, parse_rational
 from .calculus import MonotoneExtension, extension_grid_check, piecewise_linear_oracle
 from .counterexample import build_counterexample, default_enumeration, verify_denjoy_failure
-from .density import brute_force_low_density_oracle, low_density_open_set
+from .density import low_density_open_set, oracle_difference
 from .errors import BudgetExhausted, DomainError, SchemaError
 from .instances import (
     COVERING_EPSILONS,
@@ -50,7 +50,7 @@ from .randomness import (
     DominationScenario,
     build_domination_tests,
     build_escape_sets,
-    least_density_drop,
+    least_drop_h,
 )
 from .report import SCHEMA_VERSION, Check, Report, check_rows, to_csv_bytes, to_json_bytes
 from .suite import DEFAULT_SEED, denjoy_check_rows, run_all
@@ -67,6 +67,15 @@ def _require(doc: dict, key: str):
     if key not in doc:
         raise SchemaError(f"instance is missing required field '{key}'")
     return doc[key]
+
+
+def _int_field(doc: dict, key: str, default: int) -> int:
+    """An optional field that must be a JSON integer >= 0; strings, floats
+    and booleans are refused, not coerced."""
+    v = doc.get(key, default)
+    if type(v) is not int or v < 0:
+        raise SchemaError(f"'{key}' must be a non-negative integer, got {v!r}")
+    return v
 
 
 def _as_docs(payload) -> list[dict]:
@@ -97,7 +106,7 @@ def run_covering(args, doc) -> Report:
         for e_text in eps_list:
             eps = parse_rational(e_text)
             fc = low_density_open_set(c, eps)
-            rep.extend(check_rows(fc.inequalities()), f"instance {i} eps {eps}")
+            rep.checks.extend(check_rows(fc.inequalities(), f"instance {i} eps {eps}"))
     return rep
 
 
@@ -118,15 +127,12 @@ def run_density(args, doc) -> Report:
         eps = parse_rational(d.get("epsilon", "1/2"))
         fc = low_density_open_set(c, eps)
         prefix = f"instance {i}"
-        rep.extend(check_rows(fc.inequalities()), prefix)
-        extras = [x for iv in fc.fat_intervals for x in (iv.lo, iv.hi)]
-        oracle = brute_force_low_density_oracle(c, eps, grid_depth, extras)
-        a, b = fc.U.drop_degenerate(), oracle.drop_degenerate()
-        diff = a.subtract(b).measure + b.subtract(a).measure
+        rep.checks.extend(check_rows(fc.inequalities(), prefix))
+        diff, equal = oracle_difference(fc, grid_depth)
         rep.checks.append(Check(
             f"{prefix}: U equals the prefix-mass oracle after boundary "
             "normalization, symmetric difference",
-            diff, ZERO, a == b,
+            diff, ZERO, equal,
         ))
     return rep
 
@@ -146,8 +152,8 @@ def run_porosity(args, doc) -> Report:
         stages = args.stages if args.stages is not None else int(d.get("stages", 200))
         pt = porosity_test(enum, c, levels, stages)
         prefix = f"instance {i} (c={c}, levels={levels})"
-        rep.extend(check_rows(pt.node_records), f"{prefix}: node")
-        rep.extend(check_rows(pt.bound_checks()), prefix)
+        rep.checks.extend(check_rows(pt.node_records, f"{prefix}: node"))
+        rep.checks.extend(check_rows(pt.bound_checks(), prefix))
         rep.checks.append(Check(
             f"{prefix}: antichain and stage-nesting verified during construction",
             ONE, ONE, True,
@@ -184,30 +190,24 @@ def run_tests(args, doc) -> Report:
         dt = CylinderDifferenceTest(inst.enum, inst.component_fn())
         esc = build_escape_sets(dt, inst.r, inst.m_max, inst.z)
         prefix = f"escape {i} (r={inst.r}, m_max={inst.m_max}, verdict {esc.verdict})"
-        rep.extend(check_rows(esc.records), prefix)
-        rep.extend(check_rows(dt.certify()), f"{prefix}: component cap")
+        rep.checks.extend(check_rows(esc.records, prefix))
+        rep.checks.extend(check_rows(dt.certify(), f"{prefix}: component cap"))
     for i, d in enumerate(doc.get("domination", [])):
         words = tuple(str(w) for w in _require(d, "words"))
         scenario = DominationScenario(
             words, parse_rational(_require(d, "z")),
-            parse_rational(_require(d, "eps")), int(d.get("depth", 12)),
+            parse_rational(_require(d, "eps")), _int_field(d, "depth", 12),
         )
-        case = int(d.get("case", 1))
-        n_blocks = int(d.get("n_blocks", 2))
+        case = _int_field(d, "case", 1)
+        n_blocks = _int_field(d, "n_blocks", 2)
         prefix = f"domination {i} (case {case})"
         try:
-            if case == 1:
-                h = lambda s: least_density_drop(scenario, s)  # noqa: E731
-            else:
-                chain = [least_density_drop(scenario, 0)]
-                for _ in range(n_blocks):
-                    chain.append(least_density_drop(scenario, chain[-1]))
-                h = chain.__getitem__
+            h = least_drop_h(scenario, case, n_blocks)
             dom = build_domination_tests(scenario, h, case, n_blocks)
         except BudgetExhausted as exc:
             rep.budget_exhausted.append(f"{prefix}: {exc}")
             continue
-        rep.extend(check_rows(dom.records), prefix)
+        rep.checks.extend(check_rows(dom.records, prefix))
     return rep
 
 
@@ -250,7 +250,7 @@ def run_martingale(args, doc) -> Report:
         eps_claim = (ext.s - ext.reachable_min) / (q - ext.reachable_min)
         recs = claim5_density_records(m, ext.tau, q, ext.s, eps_claim,
                                       window_depth, window_depth)
-        rep.extend(check_rows(recs), "window")
+        rep.checks.extend(check_rows(recs, "window"))
     return rep
 
 
@@ -268,9 +268,7 @@ def run_extend(args, doc) -> Report:
         raise SchemaError("extend instance must be an object")
     enum = StagedOpenEnumeration(_holes(doc))
     h = piecewise_linear_oracle(PiecewiseLinear.from_json(_require(doc, "h")))
-    n = doc.get("n", 10)
-    if type(n) is not int or n < 0:
-        raise SchemaError(f"'n' must be a non-negative integer, got {n!r}")
+    n = _int_field(doc, "n", 10)
     grid_depth = args.depth if args.depth is not None else 12
     if grid_depth < 0:
         raise SchemaError(f"--depth must be at least 0, got {grid_depth}")
@@ -305,13 +303,13 @@ def run_counterexample(args, doc) -> Report:
     if args.stages is not None:
         items = items[: args.stages]
     policy = str(doc.get("overlap_policy", "reject"))
-    k_max = args.depth if args.depth is not None else int(doc.get("k_max", 16))
+    k_max = args.depth if args.depth is not None else _int_field(doc, "k_max", 16)
     plan, trace, oracle = build_counterexample(items, policy)
     failure = verify_denjoy_failure(plan, trace, oracle, k_max)
     rep.meta["plan"] = plan.to_json()
     rep.meta["trace"] = trace.to_json()
     rep.meta["k_max"] = k_max
-    rep.extend(denjoy_check_rows(failure))
+    rep.checks.extend(denjoy_check_rows(failure))
     return rep
 
 
@@ -326,7 +324,7 @@ def run_verify_all(args, doc) -> Report:
             f"criterion {outcome.number}: {outcome.title}, violations",
             Fraction(failures), ZERO, outcome.passed,
         ))
-        rep.extend(outcome.checks, f"[{outcome.number}]")
+        rep.checks.extend(check_rows(outcome.checks, f"[{outcome.number}]"))
         rep.budget_exhausted.extend(
             f"criterion {outcome.number}: {note}" for note in outcome.notes
         )

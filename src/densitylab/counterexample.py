@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .calculus import PointFunctionOracle
-from .errors import DomainError, EnumerationOverlapError, SchemaError
-from .bits import ONE, ZERO, format_rational, parse_rational
+from .errors import DomainError, EnumerationOverlapError
+from .bits import ONE, ZERO, format_rational
 from .intervals import Interval, IntervalSet
 from .roottwo import QuadValue, half_power, sqrt2_power
 
@@ -84,18 +84,6 @@ class SpikeStage:
             out["anchor"] = format_rational(self.anchor)
         return out
 
-    @staticmethod
-    def from_json(obj: dict) -> "SpikeStage":
-        if obj.get("kind") == "flat":
-            return SpikeStage(Interval.from_json(obj["interval"]), "flat")
-        return SpikeStage(
-            Interval.from_json(obj["interval"]),
-            "spike",
-            int(obj["height_exponent"]),
-            Interval.from_json(obj["source"]),
-            parse_rational(obj["anchor"]),
-        )
-
 
 @dataclass(frozen=True)
 class SpikePlan:
@@ -104,9 +92,6 @@ class SpikePlan:
     @property
     def spike_stages(self) -> tuple[SpikeStage, ...]:
         return tuple(s for s in self.stages if s.kind == "spike")
-
-    def realized_exponents(self) -> tuple[int, ...]:
-        return tuple(sorted({s.height_exponent for s in self.spike_stages}))
 
     def max_slope(self):
         """Exact Lipschitz constant: max over spikes of 2 v / |I_s|."""
@@ -128,10 +113,6 @@ class SpikePlan:
     def to_json(self) -> dict:
         return {"stages": [s.to_json() for s in self.stages]}
 
-    @staticmethod
-    def from_json(obj: dict) -> "SpikePlan":
-        return SpikePlan(tuple(SpikeStage.from_json(s) for s in obj["stages"]))
-
 
 @dataclass(frozen=True)
 class AlphaTrace:
@@ -150,10 +131,6 @@ class AlphaTrace:
 
     def to_json(self) -> dict:
         return {"alphas": [format_rational(a) for a in self.alphas]}
-
-    @staticmethod
-    def from_json(obj: dict) -> "AlphaTrace":
-        return AlphaTrace(tuple(parse_rational(a) for a in obj["alphas"]))
 
 
 def leftmost_uncovered(cover: IntervalSet) -> Fraction:
@@ -254,17 +231,6 @@ def oracle_from_plan(plan: SpikePlan, name: str = "denjoy-counterexample") -> Po
     )
 
 
-def oracle_descriptor(plan: SpikePlan, name: str = "denjoy-counterexample") -> dict:
-    """JSON descriptor from which oracle_from_plan reconstructs f."""
-    return {"oracle": "spike-plan", "name": name, "plan": plan.to_json()}
-
-
-def oracle_from_descriptor(desc: dict) -> PointFunctionOracle:
-    if desc.get("oracle") != "spike-plan":
-        raise SchemaError(f"not a spike-plan descriptor: {desc.get('oracle')!r}")
-    return oracle_from_plan(SpikePlan.from_json(desc["plan"]), desc.get("name", ""))
-
-
 def default_enumeration() -> list[Interval]:
     """Eighteen intervals marching on 196607/196608, realizing heights 1..17.
 
@@ -291,18 +257,6 @@ class SlopeCertificate:
     holds: bool
     note: str = ""
 
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "x_k": format_rational(self.x_k),
-            "q": format_rational(self.q),
-            "b_k": format_rational(self.b_k),
-            "slope": _value_json(self.slope),
-            "threshold": _value_json(self.threshold),
-            "holds": self.holds,
-            "note": self.note,
-        }
-
 
 @dataclass(frozen=True)
 class ZeroWitness:
@@ -310,14 +264,6 @@ class ZeroWitness:
     a: Fraction
     b: Fraction
     slope_is_zero: bool
-
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "a": format_rational(self.a),
-            "b": format_rational(self.b),
-            "slope_is_zero": self.slope_is_zero,
-        }
 
 
 @dataclass(frozen=True)
@@ -327,15 +273,6 @@ class TailBound:
     tail_sum: object  # exact sum of group sup-norms past the prefix
     series_bound: object  # closed-form sum_{n > m} 2^(-n/2)
     holds: bool
-
-    def to_json(self) -> dict:
-        return {
-            "prefix_groups": self.prefix_groups,
-            "tail_sup": _value_json(self.tail_sup),
-            "tail_sum": _value_json(self.tail_sum),
-            "series_bound": _value_json(self.series_bound),
-            "holds": self.holds,
-        }
 
 
 @dataclass(frozen=True)
@@ -353,39 +290,6 @@ class DenjoyFailureReport:
     tail_bounds: tuple[TailBound, ...]
     lipschitz: Fraction
     limit_claim: str  # finite-stage disclaimer; never an infinity claim
-
-    @property
-    def all_hold(self) -> bool:
-        return (
-            all(c.holds for c in self.certificates)
-            and all(w.slope_is_zero for w in self.zero_witnesses)
-            and self.straddle_ok
-            and all(t.holds for t in self.tail_bounds)
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "alpha_final": format_rational(self.alpha_final),
-            "certificates": [c.to_json() for c in self.certificates],
-            "unrealized": list(self.unrealized),
-            "zero_witnesses": [w.to_json() for w in self.zero_witnesses],
-            "straddle_bound": format_rational(self.straddle_bound),
-            "straddle_max": None if self.straddle_max is None else _value_json(self.straddle_max),
-            "straddle_ok": self.straddle_ok,
-            "upper_estimate": _value_json(self.upper_estimate),
-            "lower_estimate": _value_json(self.lower_estimate),
-            "groups": [list(g) for g in self.groups],
-            "tail_bounds": [t.to_json() for t in self.tail_bounds],
-            "lipschitz": format_rational(self.lipschitz),
-            "limit_claim": self.limit_claim,
-            "all_hold": self.all_hold,
-        }
-
-
-def _value_json(v) -> dict:
-    if isinstance(v, QuadValue):
-        return v.to_json()
-    return QuadValue(Fraction(v), ZERO).to_json()
 
 
 def _plan_zeros(plan: SpikePlan, alpha_final: Fraction) -> list[Fraction]:
@@ -411,6 +315,9 @@ def verify_denjoy_failure(
     if k_max < 0:
         raise DomainError("k_max must be nonnegative")
     alpha = trace.final
+    if alpha == ONE:
+        # the upper-side estimates need points to the right of alpha
+        raise DomainError("the stages cover [0,1]: no point lies to the right of alpha = 1")
     by_exponent: dict[int, SpikeStage] = {}
     for s in plan.spike_stages:  # keep the last spike per exponent: nearest alpha
         by_exponent[s.height_exponent] = s
@@ -458,12 +365,9 @@ def verify_denjoy_failure(
     for k in range(1, k_max + 1):
         half = Fraction(1, 1 << (k + 1))
         a_cands = [z for z in zeros if alpha - z <= half]
-        b = min(alpha + half, ONE)
-        if a_cands and b == a_cands[-1] and len(a_cands) > 1:
-            a_cands.pop()
-        if not a_cands or b == a_cands[-1]:
-            continue  # alpha = 1 with no distinct zero nearby; nothing to witness
-        a = a_cands[-1]
+        if not a_cands:
+            continue
+        a, b = a_cands[-1], min(alpha + half, ONE)
         s = (f.exact(b) - f.exact(a)) / (b - a)
         zero_witnesses.append(ZeroWitness(k, a, b, s == 0))
 
@@ -478,7 +382,7 @@ def verify_denjoy_failure(
                 (iv.lo + 3 * iv.hi) / 4,
             ) if p <= alpha
         )
-    rights = {ONE} if alpha < ONE else set()
+    rights = {ONE}
     gap = ONE - alpha
     for j in range(1, min(k_max, 20) + 1):
         b = alpha + gap / (1 << j)

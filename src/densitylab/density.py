@@ -1,4 +1,4 @@
-"""Window densities and the fat-interval low-density covering.
+"""Lower-density estimates and the fat-interval low-density covering.
 
 Everything is exact.  The covering route turns each maximal complement gap
 [a_i, b_i] of an effectively closed C into at most two anchored intervals by
@@ -24,21 +24,6 @@ from .errors import DomainError
 from .intervals import Interval, IntervalSet, canonicalize, relative_measure
 
 Half = Fraction(1, 2)
-
-
-@dataclass(frozen=True)
-class WindowDensity:
-    value: Fraction
-    window: Interval
-
-
-def window_density(c: IntervalSet, z: Fraction, gamma: Fraction, delta: Fraction) -> WindowDensity:
-    """Relative measure of C in [z - gamma, z + delta] clipped to [0,1]."""
-    require_unit(z, "z")
-    if gamma <= 0 or delta <= 0:
-        raise DomainError(f"window radii must be positive, got {gamma}, {delta}")
-    window = Interval(max(ZERO, z - gamma), min(ONE, z + delta))
-    return WindowDensity(relative_measure(c, window), window)
 
 
 def dyadic_intervals_containing(z: Fraction, n: int) -> list[Interval]:
@@ -326,3 +311,14 @@ def brute_force_low_density_oracle(
                 covered.append(Interval(grid[i], grid[j]))
                 break
     return canonicalize(covered)
+
+
+def oracle_difference(fc: FatCover, grid_depth: int) -> tuple[Fraction, bool]:
+    """(diff, equal) between the cover's U and the prefix-mass oracle on the
+    2^-grid_depth grid plus the fat-interval endpoints, degenerate parts
+    dropped from both: the measure of their symmetric difference, and
+    whether the two sets are equal."""
+    extras = [x for iv in fc.fat_intervals for x in (iv.lo, iv.hi)]
+    oracle = brute_force_low_density_oracle(fc.class_set, fc.epsilon, grid_depth, extras)
+    a, b = fc.U.drop_degenerate(), oracle.drop_degenerate()
+    return a.subtract(b).measure + b.subtract(a).measure, a == b

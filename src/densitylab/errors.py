@@ -24,10 +24,6 @@ class StageError(DomainError):
     """Stage index beyond the enumeration."""
 
 
-class AmbiguousExpansionError(DomainError):
-    """Binary expansion requested for an interior dyadic without a side choice."""
-
-
 class EnumerationOverlapError(DomainError):
     """Enumerated intervals overlap beyond shared endpoints and no repair was asked."""
 

@@ -48,11 +48,6 @@ def battery_rng(seed: int, battery: str, index: int = 0) -> random.Random:
     return random.Random(f"{seed}:{battery}:{index}")
 
 
-def random_unit_fraction(rng: random.Random, max_denominator: int) -> Fraction:
-    q = rng.randint(1, max_denominator)
-    return Fraction(rng.randint(0, q), q)
-
-
 def random_holes(
     rng: random.Random, count: int, max_denominator: int, width_divisor: int = 8
 ) -> tuple[Interval, ...]:

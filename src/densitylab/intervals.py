@@ -45,9 +45,6 @@ class Interval:
     def contains(self, x: Fraction) -> bool:
         return self.lo <= x <= self.hi
 
-    def intersects(self, other: "Interval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
     def intersection(self, other: "Interval") -> "Interval | None":
         lo = max(self.lo, other.lo)
         hi = min(self.hi, other.hi)
@@ -120,16 +117,9 @@ class IntervalSet:
         return any(p.meets_open(u, v) for p in self.parts)
 
     def complement(self) -> "IntervalSet":
-        """Closed representation of [0,1] minus the set (boundaries are null)."""
-        pieces: list[Interval] = []
-        cursor = ZERO
-        for part in self.parts:
-            if part.lo > cursor:
-                pieces.append(Interval(cursor, part.lo))
-            cursor = max(cursor, part.hi)
-        if cursor < ONE:
-            pieces.append(Interval(cursor, ONE))
-        return canonicalize(pieces)
+        """Closed representation of [0,1] minus the set (boundaries are null);
+        canonicalize merges two gaps that touch at a degenerate part."""
+        return canonicalize(self.gaps())
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
         pieces = []
@@ -188,8 +178,6 @@ class IntervalSet:
             cursor = max(cursor, part.hi)
         if cursor < ONE:
             out.append(Interval(cursor, ONE))
-        if not self.parts:
-            return [Interval(ZERO, ONE)]
         return out
 
     def drop_degenerate(self) -> "IntervalSet":
@@ -197,12 +185,6 @@ class IntervalSet:
 
     def to_json(self) -> list[list[str]]:
         return [p.to_json() for p in self.parts]
-
-    @staticmethod
-    def from_json(obj) -> "IntervalSet":
-        if not isinstance(obj, list):
-            raise SchemaError(f"interval set must be a list, got {obj!r}")
-        return canonicalize([Interval.from_json(item) for item in obj])
 
 
 EMPTY_SET = IntervalSet(())

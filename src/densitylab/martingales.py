@@ -28,7 +28,7 @@ from .bits import (
     parse_rational,
     validate_bits,
 )
-from .errors import BudgetExhausted, DomainError
+from .errors import BudgetExhausted, DomainError, SchemaError
 from .intervals import Interval, canonicalize
 from .piecewise import PiecewiseLinear
 
@@ -108,10 +108,6 @@ def fairness_violations(m: Martingale, depth: int, base: str = "") -> list[str]:
     return bad
 
 
-def verify_fairness(m: Martingale, depth: int, base: str = "") -> bool:
-    return not fairness_violations(m, depth, base)
-
-
 def negativity_witnesses(m: Martingale, depth: int, base: str = "") -> list[str]:
     return [
         base + s
@@ -158,11 +154,13 @@ class TableMartingale(Martingale):
         }
 
     @classmethod
-    def from_json(cls, payload: dict) -> "TableMartingale":
-        return cls(
-            {s: parse_rational(v) for s, v in payload["values"].items()},
-            int(payload["depth"]),
-        )
+    def from_json(cls, payload) -> "TableMartingale":
+        if not isinstance(payload, dict) or not isinstance(payload.get("values"), dict):
+            raise SchemaError("martingale must be an object with a 'values' table")
+        depth = payload.get("depth")
+        if type(depth) is not int or depth < 0:
+            raise SchemaError(f"martingale 'depth' must be a non-negative integer, got {depth!r}")
+        return cls({s: parse_rational(v) for s, v in payload["values"].items()}, depth)
 
 
 def slope_martingale(g, depth: int) -> Martingale:
@@ -386,23 +384,6 @@ class Condition:
         v = self.martingale.value(self.sigma)
         if v >= self.q:
             raise DomainError(f"invalid condition: M({self.sigma!r}) = {v} >= q = {self.q}")
-
-    def to_json(self) -> dict:
-        if not isinstance(self.martingale, TableMartingale):
-            raise DomainError("only table martingales serialize")
-        return {
-            "sigma": self.sigma,
-            "q": format_rational(self.q),
-            "martingale": self.martingale.to_json(),
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "Condition":
-        return cls(
-            payload["sigma"],
-            TableMartingale.from_json(payload["martingale"]),
-            parse_rational(payload["q"]),
-        )
 
 
 def condition_extension_violations(c2: Condition, c1: Condition, depth: int) -> list[str]:

@@ -98,11 +98,6 @@ class PiecewiseLinear:
     def _outside(self, x: Fraction) -> DomainError:
         return DomainError(f"{x} outside domain [{self.lo}, {self.hi}]")
 
-    def slope(self, a: Fraction, b: Fraction) -> Fraction:
-        if not a < b:
-            raise DomainError(f"slope needs a < b, got {a}, {b}")
-        return (self.value(b) - self.value(a)) / (b - a)
-
     def is_nondecreasing(self) -> bool:
         return all(y0 <= y1 for y0, y1 in zip(self.ys, self.ys[1:]))
 
@@ -111,9 +106,6 @@ class PiecewiseLinear:
             abs(y1 - y0) / (x1 - x0)
             for x0, x1, y0, y1 in zip(self.xs, self.xs[1:], self.ys, self.ys[1:])
         )
-
-    def breakpoint_pairs(self) -> list[tuple[Fraction, Fraction]]:
-        return list(zip(self.xs, self.ys))
 
     def to_json(self) -> dict:
         return {

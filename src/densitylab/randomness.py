@@ -1,4 +1,4 @@
-"""Test families, truncated enumerations, escape sets, and domination tests.
+"""Test families, escape sets, and domination tests.
 
 A component of a test is a staged enumeration of open intervals; its union at
 the final stage is what the measure bounds talk about.  Escape sets need
@@ -45,56 +45,6 @@ def cylinder_items(s: IntervalSet) -> list[str]:
             out.append(format(int(idx), f"0{k}b") if k else "")
             a += Fraction(1, 1 << k)
     return out
-
-
-def cylinder_of_interval(item: Interval) -> str:
-    """The bit string whose cylinder is exactly this interval."""
-    width = item.hi - item.lo
-    if width <= 0 or not is_dyadic(item.lo) or not is_dyadic(width):
-        raise DomainError(f"{item.to_json()} is not a dyadic cylinder")
-    k = width.denominator.bit_length() - 1
-    if width != Fraction(1, 1 << k) or (item.lo * (1 << k)).denominator != 1:
-        raise DomainError(f"{item.to_json()} is not a dyadic cylinder")
-    return format(int(item.lo * (1 << k)), f"0{k}b") if k else ""
-
-
-def strings_of_enumeration(enum: StagedOpenEnumeration) -> tuple[str, ...]:
-    """Items as cylinder strings, in enumeration order; must be prefix-free."""
-    strings = tuple(cylinder_of_interval(item) for item in enum.items)
-    if not is_antichain(strings) or len(set(strings)) != len(strings):
-        raise EnumerationOverlapError("component items are not prefix-free cylinders")
-    return strings
-
-
-@dataclass(frozen=True)
-class Truncation:
-    """Largest-by-replay initial selection whose union stays within budget."""
-
-    kept_indices: tuple[int, ...]
-    union: IntervalSet
-    epsilon: Fraction
-    dropped: tuple[int, ...]
-
-    @property
-    def measure(self) -> Fraction:
-        return self.union.measure
-
-
-def truncated_enumeration(enum: StagedOpenEnumeration, eps: Fraction) -> Truncation:
-    """Replay the items in order, keeping one iff the union still fits eps."""
-    if eps < 0:
-        raise DomainError(f"negative budget {eps}")
-    kept: list[int] = []
-    dropped: list[int] = []
-    union = EMPTY_SET
-    for i, item in enumerate(enum.items):
-        cand = union.union(IntervalSet((item,)))
-        if cand.measure <= eps:
-            kept.append(i)
-            union = cand
-        else:
-            dropped.append(i)
-    return Truncation(tuple(kept), union, eps, tuple(dropped))
 
 
 @dataclass(frozen=True)
@@ -464,6 +414,18 @@ def least_density_drop(scenario: DominationScenario, s: int) -> int:
         f"no window [{s},t) drops the density below {scenario.eps} "
         f"within {len(scenario.words)} words"
     )
+
+
+def least_drop_h(scenario: DominationScenario, case: int, n_blocks: int) -> Callable[[int], int]:
+    """The h that drives build_domination_tests from g = least_density_drop:
+    g itself in case 1, the g-iteration from 0 (n_blocks + 1 values, computed
+    here) in case 2."""
+    if case == 1:
+        return lambda s: least_density_drop(scenario, s)
+    chain = [least_density_drop(scenario, 0)]
+    for _ in range(n_blocks):
+        chain.append(least_density_drop(scenario, chain[-1]))
+    return chain.__getitem__
 
 
 @dataclass(frozen=True)

@@ -36,9 +36,16 @@ class Check:
     note: str = ""
 
 
-def check_rows(rows) -> list[Check]:
-    """Adapt the modules' (name, lhs, rhs, ok) tuples."""
-    return [Check(name, lhs, rhs, bool(ok)) for name, lhs, rhs, ok in rows]
+def check_rows(rows, prefix: str = "") -> list[Check]:
+    """Checks from the modules' (name, lhs, rhs, ok) tuples or from Checks,
+    which keep their note; a prefix is put before each name as "prefix: "."""
+    out = []
+    for row in rows:
+        c = row if isinstance(row, Check) else Check(*row[:3], bool(row[3]))
+        if prefix:
+            c = Check(f"{prefix}: {c.name}", c.lhs, c.rhs, c.ok, c.note)
+        out.append(c)
+    return out
 
 
 def render_value(v) -> object:
@@ -68,13 +75,6 @@ class Report:
     checks: list[Check] = field(default_factory=list)
     budget_exhausted: list[str] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
-
-    def extend(self, rows, prefix: str = "") -> None:
-        for row in rows:
-            c = row if isinstance(row, Check) else Check(*row[:3], bool(row[3]))
-            if prefix:
-                c = Check(f"{prefix}: {c.name}", c.lhs, c.rhs, c.ok, c.note)
-            self.checks.append(c)
 
     def all_hold(self) -> bool:
         return all(c.ok for c in self.checks)

@@ -28,7 +28,11 @@ from .counterexample import (
     default_enumeration,
     verify_denjoy_failure,
 )
-from .density import brute_force_low_density_oracle, low_density_open_set
+from .density import (
+    brute_force_low_density_oracle,
+    low_density_open_set,
+    oracle_difference,
+)
 from .errors import BudgetExhausted
 from .instances import (
     COVERING_EPSILONS,
@@ -60,7 +64,7 @@ from .randomness import (
     CylinderDifferenceTest,
     build_domination_tests,
     build_escape_sets,
-    least_density_drop,
+    least_drop_h,
 )
 from .report import Check, check_rows
 from .roottwo import QuadValue
@@ -83,62 +87,50 @@ class CriterionOutcome:
     def violations(self) -> list[Check]:
         return [c for c in self.checks if not c.ok]
 
-    def add(self, rows, prefix: str = "") -> None:
-        for row in rows:
-            c = row if isinstance(row, Check) else Check(*row[:3], bool(row[3]))
-            if prefix:
-                c = Check(f"{prefix}: {c.name}", c.lhs, c.rhs, c.ok, c.note)
-            self.checks.append(c)
+
+def _count_check(name: str, count: int) -> Check:
+    return Check(f"{name} == 0", Fraction(count), ZERO, count == 0)
 
 
-def _count_check(out, name: str, count: int) -> None:
-    out.checks.append(Check(f"{name} == 0", Fraction(count), ZERO, count == 0))
-
-
-def criterion_covering(seed: int) -> CriterionOutcome:
+def criterion_covering(seed: int) -> list[Check]:
     """200 instances x 3 thresholds: both covering bounds, exact."""
-    out = CriterionOutcome(1, "covering bounds")
+    checks: list[Check] = []
     for index in range(200):
         c = covering_instance(seed, index)
         for eps in COVERING_EPSILONS:
             fc = low_density_open_set(c, eps)
-            out.add(check_rows(fc.inequalities()), f"instance {index} eps {eps}")
-    return out
+            checks.extend(check_rows(fc.inequalities(), f"instance {index} eps {eps}"))
+    return checks
 
 
-def criterion_oracle_match(seed: int) -> CriterionOutcome:
+def criterion_oracle_match(seed: int) -> list[Check]:
     """50 instances: fat-interval U equals the prefix-mass oracle exactly."""
-    out = CriterionOutcome(2, "U-oracle equivalence")
+    checks: list[Check] = []
     for index in range(50):
         c, eps = oracle_match_instance(seed, index)
-        fc = low_density_open_set(c, eps)
-        extras = [x for i in fc.fat_intervals for x in (i.lo, i.hi)]
-        oracle = brute_force_low_density_oracle(c, eps, 8, extras)
-        a = fc.U.drop_degenerate()
-        b = oracle.drop_degenerate()
-        diff = a.subtract(b).measure + b.subtract(a).measure
-        out.checks.append(
+        diff, equal = oracle_difference(low_density_open_set(c, eps), 8)
+        checks.append(
             Check(
                 f"instance {index}: U equals the oracle after boundary "
                 f"normalization (eps {eps}), symmetric difference",
                 diff,
                 ZERO,
-                a == b,
+                equal,
             )
         )
-    return out
+    return checks
 
 
-def criterion_porosity(seed: int) -> CriterionOutcome:
+def criterion_porosity(seed: int) -> list[Check]:
     """50 enumerations: per-node and per-level decay bounds, exact."""
-    out = CriterionOutcome(3, "porosity bounds")
+    checks: list[Check] = []
     for index in range(50):
         enum, c, levels = porosity_instance(seed, index)
         pt = porosity_test(enum, c, levels, 200)
         prefix = f"instance {index} (c={c}, levels={levels})"
-        out.add(check_rows(pt.bound_checks()), prefix)
+        checks.extend(check_rows(pt.bound_checks(), prefix))
         bad = [r for r in pt.node_records if not r[3]]
-        out.checks.append(
+        checks.append(
             Check(
                 f"{prefix}: all {len(pt.node_records)} per-node bounds hold, "
                 "violations",
@@ -149,8 +141,8 @@ def criterion_porosity(seed: int) -> CriterionOutcome:
         )
         if pt.node_records:
             worst = max(pt.node_records, key=lambda r: r[1] / r[2])
-            out.add(check_rows([worst]), f"{prefix}: tightest node")
-        out.checks.append(
+            checks.extend(check_rows([worst], f"{prefix}: tightest node"))
+        checks.append(
             Check(
                 f"{prefix}: antichain and stage-nesting verified during "
                 "construction",
@@ -159,21 +151,21 @@ def criterion_porosity(seed: int) -> CriterionOutcome:
                 True,
             )
         )
-    return out
+    return checks
 
 
-def criterion_escape(seed: int) -> CriterionOutcome:
+def criterion_escape(seed: int) -> list[Check]:
     """30 difference tests: box decay, escape certificates, component caps."""
-    out = CriterionOutcome(4, "escape sets")
+    checks: list[Check] = []
     for index in range(30):
         inst = escape_instance(seed, index)
         dt = CylinderDifferenceTest(inst.enum, inst.component_fn())
         esc = build_escape_sets(dt, inst.r, inst.m_max, inst.z)
         prefix = f"instance {index} (r={inst.r}, m_max={inst.m_max})"
-        out.add(check_rows(esc.records), prefix)
-        out.add(check_rows(dt.certify()), f"{prefix}: component cap")
+        checks.extend(check_rows(esc.records, prefix))
+        checks.extend(check_rows(dt.certify(), f"{prefix}: component cap"))
         agrees = esc.verdict == inst.flavor
-        out.checks.append(
+        checks.append(
             Check(
                 f"{prefix}: verdict matches the constructed dynamics "
                 f"({inst.flavor})",
@@ -182,24 +174,18 @@ def criterion_escape(seed: int) -> CriterionOutcome:
                 agrees,
             )
         )
-    return out
+    return checks
 
 
-def criterion_domination(seed: int) -> CriterionOutcome:
+def criterion_domination(seed: int) -> list[Check]:
     """12 scenarios: Solovay budget plus independently recomputed captures."""
-    out = CriterionOutcome(5, "domination tests")
+    checks: list[Check] = []
     for index in range(12):
         scenario, case, n_blocks = domination_instance(seed, index)
-        if case == 1:
-            h = lambda s: least_density_drop(scenario, s)  # noqa: E731
-        else:
-            chain = [least_density_drop(scenario, 0)]
-            for _ in range(n_blocks):
-                chain.append(least_density_drop(scenario, chain[-1]))
-            h = chain.__getitem__
+        h = least_drop_h(scenario, case, n_blocks)
         dom = build_domination_tests(scenario, h, case, n_blocks)
         prefix = f"instance {index} (case {case})"
-        out.add(check_rows(dom.records), prefix)
+        checks.extend(check_rows(dom.records, prefix))
         for i, (block, want, got) in enumerate(
             zip(dom.blocks, dom.expected_capture, dom.captured)
         ):
@@ -213,7 +199,7 @@ def criterion_domination(seed: int) -> CriterionOutcome:
             member = brute_force_low_density_oracle(
                 cls, scenario.eps, 6, extras
             ).contains_point(scenario.z)
-            out.checks.append(
+            checks.append(
                 Check(
                     f"{prefix}: block {i} capture recomputed from prefix masses",
                     Fraction(int(member)),
@@ -221,7 +207,7 @@ def criterion_domination(seed: int) -> CriterionOutcome:
                     member,
                 )
             )
-            out.checks.append(
+            checks.append(
                 Check(
                     f"{prefix}: block {i} driver flag agrees with recomputation",
                     Fraction(int(got)),
@@ -229,7 +215,7 @@ def criterion_domination(seed: int) -> CriterionOutcome:
                     got == member,
                 )
             )
-    return out
+    return checks
 
 
 def _roundtrip_mismatches(m, depth: int) -> int:
@@ -243,9 +229,9 @@ def _roundtrip_mismatches(m, depth: int) -> int:
     )
 
 
-def criterion_martingale_algebra(seed: int) -> CriterionOutcome:
+def criterion_martingale_algebra(seed: int) -> list[Check]:
     """Fairness, round-trip identity, and closure under combine/cap; depth 16."""
-    out = CriterionOutcome(6, "martingale algebra")
+    checks: list[Check] = []
     t3 = random_fair_table(battery_rng(seed, "martingale-table", 0), 3)
     t4 = random_fair_table(battery_rng(seed, "martingale-table", 1), 4)
     t5 = random_fair_table(battery_rng(seed, "martingale-table", 2), 5)
@@ -261,24 +247,25 @@ def criterion_martingale_algebra(seed: int) -> CriterionOutcome:
     ]
     for label, m in constructed:
         bad = fairness_violations(m, 16)
-        _count_check(out, f"{label}: fairness violations to depth 16", len(bad))
+        checks.append(
+            _count_check(f"{label}: fairness violations to depth 16", len(bad))
+        )
     for label, m in (("random table depth 3", t3), ("random table depth 4", t4)):
-        _count_check(
-            out,
+        checks.append(_count_check(
             f"{label}: round-trip slope(integral) mismatches to depth 16",
             _roundtrip_mismatches(m, 16),
-        )
-    return out
+        ))
+    return checks
 
 
-def criterion_forcing(seed: int) -> CriterionOutcome:
+def criterion_forcing(seed: int) -> list[Check]:
     """Forcing chains extend at depth 12; savings gap and window density exact."""
-    out = CriterionOutcome(7, "forcing mechanics")
+    checks: list[Check] = []
     for index in range(10):
         cond, steps, chain = forcing_instance(seed, index)
         prefix = f"chain {index}"
         for step in chain:
-            out.checks.append(
+            checks.append(
                 Check(
                     f"{prefix}: {step.kind} step extends its predecessor "
                     "(depth 12)",
@@ -292,7 +279,7 @@ def criterion_forcing(seed: int) -> CriterionOutcome:
                 d_hat = step.payload["d_hat"]
                 lhs = step.payload["s"] - d_hat
                 rhs = eps * (cond.q - d_hat)
-                out.checks.append(
+                checks.append(
                     Check(f"{prefix}: s - d_hat <= eps (q - d_hat)", lhs, rhs,
                           lhs <= rhs)
                 )
@@ -301,20 +288,20 @@ def criterion_forcing(seed: int) -> CriterionOutcome:
         m, q = cond.martingale, cond.q
         prefix = f"savings {index}"
         ok = condition_extends(ext.condition, cond, 12)
-        out.checks.append(
+        checks.append(
             Check(f"{prefix}: extension is a forcing extension (depth 12)",
                   Fraction(int(ok)), ONE, ok)
         )
         lhs = ext.s - ext.d_hat
         rhs = eps0 * (q - ext.d_hat)
-        out.checks.append(
+        checks.append(
             Check(f"{prefix}: s - d_hat <= eps (q - d_hat)", lhs, rhs, lhs <= rhs)
         )
         v = m.value(ext.tau)
-        out.checks.append(
+        checks.append(
             Check(f"{prefix}: M(tau) < r", v, ext.r, v < ext.r)
         )
-        out.checks.append(
+        checks.append(
             Check(f"{prefix}: r < s < q", ext.r, ext.s, ext.r < ext.s < q)
         )
         # the decomposition bound: windows of slope < s have relative
@@ -323,7 +310,7 @@ def criterion_forcing(seed: int) -> CriterionOutcome:
         # bounds every deeper leaf as well
         eps_claim = (ext.s - ext.reachable_min) / (q - ext.reachable_min)
         recs = claim5_density_records(m, ext.tau, q, ext.s, eps_claim, 10, 10)
-        out.checks.append(
+        checks.append(
             Check(
                 f"{prefix}: low-slope windows examined (depth <= 10)",
                 Fraction(len(recs)),
@@ -331,8 +318,8 @@ def criterion_forcing(seed: int) -> CriterionOutcome:
                 len(recs) >= 1,
             )
         )
-        out.add(check_rows(recs), prefix)
-    return out
+        checks.extend(check_rows(recs, prefix))
+    return checks
 
 
 def denjoy_check_rows(rep) -> list[Check]:
@@ -422,30 +409,30 @@ def denjoy_check_rows(rep) -> list[Check]:
     return rows
 
 
-def criterion_counterexample(seed: int) -> CriterionOutcome:
+def criterion_counterexample(seed: int) -> list[Check]:
     """Default spike plan: per-scale slope certificates, no limit claim."""
-    out = CriterionOutcome(8, "counterexample certificates")
     plan, trace, oracle = build_counterexample(default_enumeration())
     rep = verify_denjoy_failure(plan, trace, oracle, 16)
     realized = {c.k for c in rep.certificates}
     missing = [k for k in range(2, 17, 2) if k not in realized]
-    _count_check(out, "even scales k <= 16 missing a certificate", len(missing))
-    out.add(denjoy_check_rows(rep))
-    return out
+    return [
+        _count_check("even scales k <= 16 missing a certificate", len(missing)),
+        *denjoy_check_rows(rep),
+    ]
 
 
-def criterion_extension(seed: int) -> CriterionOutcome:
+def criterion_extension(seed: int) -> list[Check]:
     """20 instances: monotone on the 2^-12 grid, close to h on the class."""
-    out = CriterionOutcome(9, "monotone extension")
+    checks: list[Check] = []
     n = 10
     tol = 2 * Fraction(1, 1 << n)
     for index in range(20):
         h, enum = extension_instance(seed, index)
         drops, worst = extension_grid_check(MonotoneExtension(h, enum, n), 12)
-        _count_check(
-            out, f"instance {index}: decreases across the 2^-12 grid", drops
+        checks.append(
+            _count_check(f"instance {index}: decreases across the 2^-12 grid", drops)
         )
-        out.checks.append(
+        checks.append(
             Check(
                 f"instance {index}: worst disagreement with h on class grid "
                 "points <= 2 2^-10",
@@ -454,16 +441,16 @@ def criterion_extension(seed: int) -> CriterionOutcome:
                 worst <= tol,
             )
         )
-    return out
+    return checks
 
 
-def criterion_calculus(seed: int) -> CriterionOutcome:
+def criterion_calculus(seed: int) -> list[Check]:
     """Estimate ordering, sign on monotone oracles, golden extrema."""
-    out = CriterionOutcome(10, "calculus sanity")
+    checks: list[Check] = []
     for i, (p, a, b, which, target) in enumerate(golden_extremum_cases()):
         v = interval_extremum(p, a, b, 10, which)
         err = abs(v - target)
-        out.checks.append(
+        checks.append(
             Check(
                 f"golden case {i}: {which} over [{a},{b}] within 2^-10 of "
                 f"{target}",
@@ -493,7 +480,7 @@ def criterion_calculus(seed: int) -> CriterionOutcome:
                                                 "upper").value
                 lo = pseudo_derivative_estimate(f, x, Fraction(1, 4), depth,
                                                 "lower").value
-                out.checks.append(
+                checks.append(
                     Check(
                         f"{label} at {x}, grid depth {depth}: lower estimate "
                         "<= upper estimate",
@@ -507,7 +494,7 @@ def criterion_calculus(seed: int) -> CriterionOutcome:
         for x in (Fraction(1, 3), Fraction(5, 8)):
             lo = pseudo_derivative_estimate(f, x, Fraction(1, 4), 6,
                                             "lower").value
-            out.checks.append(
+            checks.append(
                 Check(
                     f"nondecreasing {label} at {x}: lower estimate >= 0",
                     ZERO,
@@ -515,7 +502,7 @@ def criterion_calculus(seed: int) -> CriterionOutcome:
                     lo >= 0,
                 )
             )
-    return out
+    return checks
 
 
 CRITERIA = (
@@ -533,16 +520,14 @@ CRITERIA = (
 
 
 def run_criterion(number: int, seed: int = DEFAULT_SEED) -> CriterionOutcome:
-    for num, _title, fn in CRITERIA:
+    for num, title, fn in CRITERIA:
         if num == number:
+            out = CriterionOutcome(num, title)
             start = time.perf_counter()
             try:
-                out = fn(seed)
+                out.checks = fn(seed)
             except BudgetExhausted as exc:
-                out = CriterionOutcome(num, _title)
-                out.checks.append(
-                    Check(f"battery aborted: {exc}", ZERO, ONE, False)
-                )
+                out.checks = [Check(f"battery aborted: {exc}", ZERO, ONE, False)]
                 out.notes.append(str(exc))
             out.seconds = time.perf_counter() - start
             return out

@@ -1,29 +1,17 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from densitylab.bits import (
     all_strings,
-    binary_prefix,
-    bit_value,
-    children,
     cylinder_bounds,
-    dyadic_point,
     format_rational,
     is_antichain,
     is_dyadic,
-    is_prefix,
     parse_rational,
-    prefix_of_point,
     validate_bits,
 )
-from densitylab.errors import AmbiguousExpansionError, DomainError, SchemaError
-
-unit_fractions = st.builds(
-    lambda n, d: F(n, d), st.integers(0, 512), st.integers(1, 512)
-).filter(lambda q: 0 <= q <= 1)
+from densitylab.errors import SchemaError
 
 
 def test_parse_format_roundtrip():
@@ -43,57 +31,16 @@ def test_is_dyadic():
     assert not is_dyadic(F(1, 3)) and not is_dyadic(F(5, 6))
 
 
-def test_dyadic_point():
-    assert dyadic_point(3, 2) == F(3, 4)
-    with pytest.raises(DomainError):
-        dyadic_point(1, -1)
-
-
 def test_bit_value_and_bounds():
-    assert bit_value("") == 0
-    assert bit_value("10") == F(1, 2)
+    assert cylinder_bounds("") == (F(0), F(1))
+    assert cylinder_bounds("10") == (F(1, 2), F(3, 4))
     assert cylinder_bounds("101") == (F(5, 8), F(3, 4))
-    assert children("1") == ("10", "11")
 
 
 def test_validate_bits():
     assert validate_bits("0101") == "0101"
     with pytest.raises(SchemaError):
         validate_bits("01201")
-
-
-def test_binary_prefix_known_values():
-    assert binary_prefix(F(1, 3), 4) == "0101"
-    assert binary_prefix(F(1, 2), 2, "lower") == "01"
-    assert binary_prefix(F(1, 2), 2, "upper") == "10"
-    assert binary_prefix(F(0), 3) == "000"
-    assert binary_prefix(F(1), 3) == "111"
-
-
-def test_binary_prefix_requires_side_for_interior_dyadics():
-    with pytest.raises(AmbiguousExpansionError):
-        binary_prefix(F(3, 8), 5)
-    with pytest.raises(AmbiguousExpansionError):
-        prefix_of_point(F(3, 8), 5)
-
-
-@given(unit_fractions, st.integers(0, 12))
-def test_binary_prefix_contains_point(x, n):
-    side = "lower" if is_dyadic(x) and 0 < x < 1 else None
-    sigma = binary_prefix(x, n, side)
-    lo, hi = cylinder_bounds(sigma)
-    assert len(sigma) == n
-    if side == "lower":
-        # lower expansion: x is the right endpoint or interior
-        assert lo < x <= hi or (n == 0 and lo <= x <= hi)
-    else:
-        assert lo <= x <= hi
-
-
-@given(unit_fractions, st.integers(0, 10), st.integers(1, 4))
-def test_binary_prefix_extension_is_prefix(x, n, k):
-    side = "lower" if is_dyadic(x) and 0 < x < 1 else None
-    assert is_prefix(binary_prefix(x, n, side), binary_prefix(x, n + k, side))
 
 
 def test_all_strings():

@@ -1,4 +1,4 @@
-"""Oracles, slopes, pseudo-derivatives, envelopes, monotone extension."""
+"""Oracles, slopes, pseudo-derivatives, monotone extension."""
 
 from fractions import Fraction as F
 
@@ -7,31 +7,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from densitylab.calculus import (
-    DenjoyReport,
-    E_membership,
     ExtensionBudget,
     MonotoneExtension,
+    PointFunctionOracle,
     constant_oracle,
-    denjoy_classify,
-    e_violation,
-    envelope,
     extension_grid_check,
     identity_oracle,
     interval_extremum,
-    monotone_extension,
     oracle_from_exact,
     piecewise_linear_oracle,
     polynomial_oracle,
     pseudo_derivative_estimate,
-    rounded_oracle,
     slope,
-    slope_threshold_witness,
-    smooth_approximant,
-    sup_function,
 )
 from densitylab.errors import BudgetExhausted, DomainError
 from densitylab.instances import extension_instance
-from densitylab.intervals import IntervalSet, enumeration, interval
+from densitylab.intervals import enumeration
 from densitylab.piecewise import PiecewiseLinear
 
 VEE = PiecewiseLinear((F(0), F(1, 2), F(1)), (F(1, 2), F(0), F(1, 2)))  # |x - 1/2|
@@ -52,8 +43,12 @@ def test_slope_rejects_equal_endpoints_and_bad_domain():
 
 
 def test_slope_error_bound_on_rounded_oracle():
-    base = polynomial_oracle([0, 0, 1])
-    noisy = rounded_oracle(base)
+    # x^2 floored to the 2^-n grid: a sampled oracle with no exact evaluator
+    def floored_square(q, n):
+        v = q * q * (1 << n)
+        return F(v.numerator // v.denominator, 1 << n)
+
+    noisy = PointFunctionOracle(floored_square, lipschitz=2)
     s = slope(noisy, F(1, 4), F(3, 4), 6)
     assert abs(s.value - 1) <= F(1, 64)
     assert s.error_bound <= F(1, 64)
@@ -109,71 +104,6 @@ def test_nondecreasing_oracle_lower_estimate_nonnegative():
         assert est.value >= 0
 
 
-def test_denjoy_classify_identity_and_vee():
-    scales = [F(1, 4), F(1, 8), F(1, 16)]
-    report = denjoy_classify(identity_oracle(), F(1, 3), scales, 6, F(0), F(4))
-    assert isinstance(report, DenjoyReport)
-    assert report.verdict == "derivative-like"
-    assert all(up == lo == 1 for (_, up, lo) in report.curves)
-    vee = piecewise_linear_oracle(VEE)
-    report = denjoy_classify(vee, F(1, 2), scales, 6, F(1, 8), F(4))
-    assert report.verdict == "inconclusive"
-    assert report.curves[-1][1] == 1 and report.curves[-1][2] == -1
-    with pytest.raises(DomainError):
-        denjoy_classify(vee, F(1, 2), [F(1, 8), F(1, 4)], 6, F(1), F(2))
-
-
-def test_slope_threshold_witness_identity():
-    f = identity_oracle()
-    assert slope_threshold_witness(f, F(1, 2), F(2), F(1, 8), 6) is not None
-    assert slope_threshold_witness(f, F(1, 2), F(1), F(1, 8), 6) is None
-
-
-def test_e_membership_nondecreasing_and_dip():
-    f = identity_oracle()
-    assert E_membership(f, F(1, 2), 2, F(0), F(1), 5)
-    # a dip of slope -5 around 1/2 defeats n = 2 (threshold -1)
-    dip = PiecewiseLinear(
-        (F(0), F(7, 16), F(9, 16), F(1)),
-        (F(0), F(7, 16), F(7, 16) - F(5, 8), F(7, 16) - F(5, 8)),
-    )
-    g = piecewise_linear_oracle(dip)
-    assert not E_membership(g, F(1, 2), 2, F(0), F(1), 5)
-    pair = e_violation(g, F(1, 2), 2, F(0), F(1), 5)
-    assert pair is not None and pair[0] <= F(1, 2) <= pair[1]
-    # n large enough clears any bounded-slope oracle
-    assert E_membership(g, F(1, 2), 9, F(0), F(1), 5)
-
-
-def test_e_membership_antitone_in_interval():
-    dip = PiecewiseLinear(
-        (F(0), F(7, 16), F(9, 16), F(1)),
-        (F(0), F(7, 16), F(7, 16) - F(5, 8), F(7, 16) - F(5, 8)),
-    )
-    g = piecewise_linear_oracle(dip)
-    for r, s, r2, s2 in [(F(0), F(1), F(1, 4), F(3, 4)), (F(1, 4), F(3, 4), F(3, 8), F(5, 8))]:
-        if E_membership(g, F(1, 2), 2, r, s, 4):
-            assert E_membership(g, F(1, 2), 2, r2, s2, 4)
-
-
-def test_sup_function_examples():
-    f = identity_oracle()
-    assert sup_function(f, F(0), F(5, 8), 6, 6) == F(5, 8)
-    hump = piecewise_linear_oracle(
-        PiecewiseLinear((F(0), F(1, 4), F(1, 2)), (F(-1, 4), F(0), F(-1, 4)))
-    )
-    assert sup_function(hump, F(0), F(1, 2), 6, 6) == 0
-    assert sup_function(constant_oracle(F(3, 7)), F(1, 8), F(1, 2), 6, 4) == F(3, 7)
-
-
-def test_sup_function_nondecreasing_in_x():
-    hump = piecewise_linear_oracle(
-        PiecewiseLinear((F(0), F(1, 4), F(1)), (F(0), F(1), F(0)))
-    )
-    vals = [sup_function(hump, F(0), F(k, 16), 8, 6) for k in range(17)]
-    assert all(vals[i] <= vals[i + 1] for i in range(16))
-
-
 def test_interval_extremum_golden_cases():
     n = 8
     tol = F(1, 1 << n)
@@ -185,37 +115,6 @@ def test_interval_extremum_golden_cases():
         interval_extremum(
             oracle_from_exact(lambda q: q), F(0), F(1), n, "sup"
         )
-
-
-def test_envelope_sides_and_reduction():
-    n = 6
-    p = polynomial_oracle([0, 1, -1])
-    full = IntervalSet((interval(0, 1),))
-    sup_env = envelope(p, full, F(0), F(1), n, "upper_sup")
-    sup_ext = interval_extremum(p, F(0), F(1), n, "sup")
-    assert sup_env >= F(1, 4)  # certified from above
-    assert abs(sup_env - sup_ext) <= F(1, 1 << (n - 1))
-    inf_env = envelope(p, full, F(0), F(1), n, "lower_inf")
-    assert inf_env <= 0
-    assert abs(inf_env - 0) <= F(1, 1 << (n - 1))
-    # excluding the maximizer pulls the sup down
-    holed = IntervalSet((interval(0, F(1, 4)), interval(F(3, 4), 1)))
-    assert envelope(p, holed, F(0), F(1), n, "upper_sup") < sup_env
-    # single-point class
-    point = IntervalSet((interval(F(1, 3), F(1, 3)),))
-    assert abs(envelope(p, point, F(0), F(1), n, "upper_sup") - F(2, 9)) <= F(1, 1 << n)
-    with pytest.raises(DomainError):
-        envelope(p, point, F(1, 2), F(1), n, "lower_inf")
-
-
-def test_smooth_approximant_formula():
-    assert smooth_approximant(F(0), F(1), 2, F(1, 2)) == F(1, 2)
-    assert smooth_approximant(F(0), F(1), 1, F(1, 2)) == F(1, 3)
-    assert smooth_approximant(F(0), F(1), 2, F(0)) == 0
-    assert smooth_approximant(F(0), F(1), 5, F(2)) == 0
-    vals = [smooth_approximant(F(1, 4), F(3, 4), s, F(3, 8)) for s in range(8)]
-    assert all(vals[i] <= vals[i + 1] for i in range(7))
-    assert all(0 <= v < 1 for v in vals)
 
 
 def test_monotone_extension_trivial_class():
@@ -270,7 +169,7 @@ def test_monotone_extension_budget_exhaustion_reported():
     enum = enumeration((F(1, 4), F(1, 2)))
     tight = ExtensionBudget(grid_depth=4, precision=4)
     with pytest.raises(BudgetExhausted) as err:
-        monotone_extension(identity_oracle(), enum, F(1, 8), 8, tight)
+        MonotoneExtension(identity_oracle(), enum, 8, tight).value(F(1, 8))
     assert err.value.achieved is not None and err.value.achieved >= F(1, 1 << 8)
 
 

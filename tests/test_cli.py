@@ -153,3 +153,21 @@ def test_extend_rejects_bad_grid_parameters(tmp_path, capfd, argv, doc):
     assert code == 2
     assert blob == b""
     assert json.loads(capfd.readouterr().err)["kind"] == "SchemaError"
+
+
+DOMINATION = {"words": ["1"], "z": "1/3", "eps": "2/3"}
+
+
+@pytest.mark.parametrize("command, doc, kind", [
+    ("tests", {"domination": [{**DOMINATION, "depth": "abc"}]}, "SchemaError"),
+    ("tests", {"domination": [{**DOMINATION, "case": "1"}]}, "SchemaError"),
+    ("tests", {"domination": [{**DOMINATION, "n_blocks": 1.5}]}, "SchemaError"),
+    ("counterexample", {"intervals": [["0", "1/2"]], "k_max": "16"}, "SchemaError"),
+    ("martingale", {"martingale": {"depth": 1}, "q": "2"}, "SchemaError"),
+    ("counterexample", {"intervals": [["0", "1"]]}, "DomainError"),
+], ids=["depth", "case", "n_blocks", "k_max", "table", "full-cover"])
+def test_bad_documents_exit_2_with_json_on_stderr(tmp_path, capfd, command, doc, kind):
+    code, blob = run(tmp_path, command, "--instance", write_instance(tmp_path, doc))
+    assert code == 2
+    assert blob == b""
+    assert json.loads(capfd.readouterr().err)["kind"] == kind

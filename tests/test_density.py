@@ -9,7 +9,6 @@ from densitylab.density import (
     dyadic_intervals_containing,
     low_density_open_set,
     lower_density_estimate,
-    window_density,
 )
 from densitylab.errors import DomainError
 from densitylab.instances import COVERING_EPSILONS
@@ -24,20 +23,6 @@ from densitylab.intervals import (
 
 C_ONE_HOLE = FULL_SET.subtract_open([interval(F(1, 4), F(1, 2))])
 C_SPEC = IntervalSet((interval(F(0), F(1, 4)), interval(F(1, 2), F(1))))
-
-
-def test_window_density_clips_and_measures():
-    wd = window_density(C_SPEC, F(1, 2), F(1, 4), F(1, 4))
-    assert wd.window.to_json() == ["1/4", "3/4"]
-    assert wd.value == F(1, 2)
-    wd = window_density(C_SPEC, F(0), F(1, 2), F(1, 8))
-    assert wd.window.to_json() == ["0/1", "1/8"]
-    assert wd.value == 1
-
-
-def test_window_density_rejects_bad_radii():
-    with pytest.raises(DomainError):
-        window_density(C_SPEC, F(1, 2), F(0), F(1, 4))
 
 
 def test_dyadic_intervals_containing_boundary_gives_both():

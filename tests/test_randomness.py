@@ -13,12 +13,9 @@ from densitylab.randomness import (
     build_escape_sets,
     capture_check,
     cylinder_items,
-    cylinder_of_interval,
     density_difference_test,
     difference_test_from_porosity,
     least_density_drop,
-    strings_of_enumeration,
-    truncated_enumeration,
 )
 
 PINCH = enumeration((F(1, 4), F(1, 3)), (F(1, 3), F(1, 2)))
@@ -30,29 +27,6 @@ def test_cylinder_items_decomposition():
     assert cylinder_items(IntervalSet(())) == []
     with pytest.raises(DomainError):
         cylinder_items(IntervalSet((interval(F(1, 3), F(1, 2)),)))
-
-
-def test_cylinder_of_interval():
-    assert cylinder_of_interval(interval(F(5, 8), F(3, 4))) == "101"
-    assert cylinder_of_interval(interval(F(0), F(1))) == ""
-    with pytest.raises(DomainError):
-        cylinder_of_interval(interval(F(1, 8), F(3, 8)))
-
-
-def test_strings_of_enumeration_rejects_overlap():
-    good = enumeration((F(0), F(1, 4)), (F(1, 2), F(3, 4)))
-    assert strings_of_enumeration(good) == ("00", "10")
-    bad = enumeration((F(0), F(1, 2)), (F(0), F(1, 4)))
-    with pytest.raises(EnumerationOverlapError):
-        strings_of_enumeration(bad)
-
-
-def test_truncation_replay_keeps_later_fitting_items():
-    e = enumeration((F(0), F(1, 4)), (F(1, 2), F(5, 8)), (F(3, 4), F(1)))
-    tr = truncated_enumeration(e, F(3, 8))
-    assert tr.kept_indices == (0, 1)
-    assert tr.dropped == (2,)
-    assert tr.measure == F(3, 8)
 
 
 def test_density_difference_test_bounds_and_marks():

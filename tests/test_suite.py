@@ -5,7 +5,7 @@ from densitylab.counterexample import (
     default_enumeration,
     verify_denjoy_failure,
 )
-from densitylab.report import Check
+from densitylab.report import Check, check_rows
 from densitylab.suite import CRITERIA, CriterionOutcome, denjoy_check_rows, run_criterion
 
 
@@ -17,9 +17,12 @@ def test_criteria_table_covers_all_ten():
 
 def test_outcome_accumulates_tuples_and_checks():
     out = CriterionOutcome(1, "demo")
-    out.add([("a <= b", F(1), F(2), True)])
-    out.add([Check("c <= d", F(3), F(2), False)], prefix="inner")
+    out.checks.extend(check_rows([("a <= b", F(1), F(2), True)]))
+    out.checks.extend(
+        check_rows([Check("c <= d", F(3), F(2), False, note="tight")], prefix="inner")
+    )
     assert not out.passed
+    assert out.checks[1] == Check("inner: c <= d", F(3), F(2), False, note="tight")
     assert [c.name for c in out.violations()] == ["inner: c <= d"]
     assert out.checks[0].name == "a <= b"
 
