@@ -299,7 +299,8 @@ def run_counterexample(args, doc) -> Report:
                "overlap_policy": "reject"}
     if not isinstance(doc, dict):
         raise SchemaError("counterexample instance must be an object")
-    items = [Interval.from_json(i) for i in _require(doc, "intervals")]
+    _require(doc, "intervals")
+    items = _holes(doc, "intervals")
     if args.stages is not None:
         items = items[: args.stages]
     policy = str(doc.get("overlap_policy", "reject"))

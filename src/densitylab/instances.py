@@ -166,13 +166,21 @@ class EscapeInstance:
             return EscapeInstance(
                 StagedOpenEnumeration.from_json({"holes": obj.get("holes", [])}),
                 comps,
-                int(obj["r"]),
-                int(obj["m_max"]),
+                _json_int(obj, "r"),
+                _json_int(obj, "m_max"),
                 parse_rational(obj["z"]),
                 str(obj.get("flavor", "custom")),
             )
         except KeyError as exc:
             raise SchemaError(f"escape instance missing field {exc}") from None
+
+
+def _json_int(obj: dict, key: str) -> int:
+    """A JSON integer field; strings, floats and booleans are refused."""
+    v = obj[key]
+    if type(v) is not int:
+        raise SchemaError(f"escape instance field '{key}' must be an integer, got {v!r}")
+    return v
 
 
 def escape_instance(seed: int, index: int) -> EscapeInstance:

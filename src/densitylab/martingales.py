@@ -9,6 +9,14 @@ The approximation adapter realizes the index-n Cauchy approximant M(t)_n with
 |M(t)_n - M(t)| <= 2^-n; the default adapter is the exact value itself, and
 floor_adapter gives a genuinely rounded one so the index-0 tests exercise the
 approximation path.
+
+Whole levels come as integer rows: ``Martingale.level(base, k)`` returns
+(d, nums) with nums[i] / d the value at base + s for the i-th string s of
+length k in lexicographic order.  Fairness and integration read these rows
+only.  The base class builds a row from ``value`` string by string; table
+martingales, ``combine_scaled``, ``cap_at`` and the slope martingale of a
+PiecewiseLinear on [0,1] build theirs from their operands' rows, without a
+Fraction per string.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from math import lcm
 from typing import Callable
 
 from .bits import (
@@ -33,8 +42,16 @@ from .intervals import Interval, canonicalize
 from .piecewise import PiecewiseLinear
 
 
+Row = tuple[int, list[int]]
+
+
 class Martingale:
-    """Evaluator plus optional approximation adapter, memoized, immutable."""
+    """Evaluator plus optional approximation adapter, memoized, immutable.
+
+    A construction that can build whole levels in integers passes that
+    kernel as ``rows``: rows(base, k) must equal what ``level`` builds from
+    ``value``, and raise what ``value`` raises.
+    """
 
     def __init__(
         self,
@@ -42,12 +59,14 @@ class Martingale:
         adapter: Callable[[str, int], Fraction] | None = None,
         nonnegative: bool = True,
         description: str = "",
+        rows: Callable[[str, int], Row] | None = None,
     ):
         self._evaluator = evaluator
         self._memo: dict[str, Fraction] = {}
         self.nonnegative = nonnegative
         self.description = description
         self._adapter = adapter
+        self._rows = rows
 
     def value(self, tau: str) -> Fraction:
         v = self._memo.get(tau)
@@ -57,6 +76,16 @@ class Martingale:
                 v = Fraction(v)
             self._memo[tau] = v
         return v
+
+    def level(self, base: str, k: int) -> Row:
+        """(d, nums) with nums[i] / d == value(base + s), s the i-th string of
+        length k in lexicographic order; d > 0."""
+        validate_bits(base)
+        if k < 0:
+            raise DomainError(f"negative length {k}")
+        if self._rows is not None:
+            return self._rows(base, k)
+        return over_common_denominator([self.value(base + s) for s in all_strings(k)])
 
     def __call__(self, tau: str) -> Fraction:
         return self.value(tau)
@@ -90,21 +119,23 @@ def with_floor_adapter(m: Martingale) -> Martingale:
 def fairness_violations(m: Martingale, depth: int, base: str = "") -> list[str]:
     """Strings sigma (with base <= sigma, |sigma| < base+depth) breaking fairness.
 
-    Checked level by level, each string evaluated once; 2 M(sigma) ==
-    M(sigma0) + M(sigma1) is compared on integers cross-multiplied over the
-    three denominators.
+    Checked on consecutive integer rows of ``Martingale.level``: with the
+    parent row over d and the child row over e, node i is fair iff
+    2 A[i] e == d (B[2i] + B[2i+1]).  Only a bad node gets its string built.
     """
     bad: list[str] = []
-    sigmas = [base]
-    values = [m.value(base)] if depth > 0 else []
-    for _ in range(depth):
-        kids = [sigma + b for sigma in sigmas for b in "01"]
-        kid_values = [m.value(tau) for tau in kids]
-        for sigma, a, b, c in zip(sigmas, values, kid_values[::2], kid_values[1::2]):
-            bd, cd = b.denominator, c.denominator
-            if 2 * a.numerator * bd * cd != a.denominator * (b.numerator * cd + c.numerator * bd):
-                bad.append(sigma)
-        sigmas, values = kids, kid_values
+    if depth <= 0:
+        return bad
+    d, parents = m.level(base, 0)
+    for k in range(depth):
+        e, kids = m.level(base, k + 1)
+        e2 = 2 * e
+        bad.extend(
+            base + (format(i, f"0{k}b") if k else "")
+            for i, (a, b, c) in enumerate(zip(parents, kids[::2], kids[1::2]))
+            if a * e2 != d * (b + c)
+        )
+        d, parents = e, kids
     return bad
 
 
@@ -145,7 +176,24 @@ class TableMartingale(Martingale):
             lambda tau: self.table[tau if len(tau) <= depth else tau[:depth]],
             nonnegative=nonnegative,
             description=f"table martingale, depth {depth}",
+            rows=self._table_rows,
         )
+        # row j of the table: its 2^j values over one denominator
+        self._levels = [
+            over_common_denominator([self.table[s] for s in all_strings(j)])
+            for j in range(depth + 1)
+        ]
+
+    def _table_rows(self, base: str, k: int) -> Row:
+        # past the table's depth each entry repeats for every extension
+        n, d = len(base), min(len(base) + k, self.depth)
+        den, row = self._levels[d]
+        if n >= d:
+            return den, [row[int(base[:d], 2) if d else 0]] * (1 << k)
+        start = int(base, 2) << (d - n) if base else 0
+        part = row[start : start + (1 << (d - n))]
+        repeat = 1 << (n + k - d)
+        return den, part if repeat == 1 else [v for v in part for _ in range(repeat)]
 
     def to_json(self) -> dict:
         return {
@@ -168,7 +216,9 @@ def slope_martingale(g, depth: int) -> Martingale:
 
     g may be a PiecewiseLinear, any exact callable on rationals, or an oracle
     exposing one as .exact; an oracle without exact dyadic values cannot
-    support an exact slope martingale and is rejected.
+    support an exact slope martingale and is rejected.  For a PiecewiseLinear
+    whose domain covers [0,1], levels are differences of one
+    ``grid_numerators(depth)`` row (2^depth + 1 integers, built on first use).
     """
     if isinstance(g, PiecewiseLinear):
         fn = g.value
@@ -179,9 +229,11 @@ def slope_martingale(g, depth: int) -> Martingale:
         if fn is None:
             raise DomainError("slope martingale needs exact dyadic evaluations")
 
+    too_deep = f"slope oracle only certified to depth {depth}"
+
     def evaluator(tau: str) -> Fraction:
         if len(tau) > depth:
-            raise DomainError(f"slope oracle only certified to depth {depth}")
+            raise DomainError(too_deep)
         lo, hi = cylinder_bounds(tau)
         a, b = fn(hi), fn(lo)
         # (a - b) / (hi - lo) with hi - lo = 2^-|tau|, built as one Fraction
@@ -190,7 +242,29 @@ def slope_martingale(g, depth: int) -> Martingale:
             a.denominator * b.denominator,
         )
 
-    m = Martingale(evaluator, nonnegative=False, description=f"slope martingale to depth {depth}")
+    rows = None
+    if isinstance(g, PiecewiseLinear) and g.lo <= 0 and g.hi >= 1:
+        grid: list[Row] = []
+
+        def rows(base: str, k: int) -> Row:
+            n = len(base) + k
+            if n > depth:
+                raise DomainError(too_deep)
+            if not grid:
+                grid.append(g.grid_numerators(depth))
+            den, row = grid[0]
+            # Cyl(base + s) spans 2^(depth - n) grid steps; its slope is the
+            # rise over them times 2^n
+            start = int(base, 2) << (depth - len(base)) if base else 0
+            ends = row[start : start + (1 << (depth - len(base))) + 1 : 1 << (depth - n)]
+            return den, [(b - a) << n for a, b in zip(ends, ends[1:])]
+
+    m = Martingale(
+        evaluator,
+        nonnegative=False,
+        description=f"slope martingale to depth {depth}",
+        rows=rows,
+    )
     m.valid_depth = depth
     return m
 
@@ -205,18 +279,19 @@ def martingale_to_function(m: Martingale, tau0: str, depth: int) -> PiecewiseLin
     validate_bits(tau0)
     if depth < len(tau0):
         raise DomainError(f"depth {depth} shallower than |tau0| = {len(tau0)}")
-    leaves = []
-    for suffix in all_strings(depth - len(tau0)):
-        v = m.value(tau0 + suffix)
-        if v < 0:
-            raise DomainError(f"negative martingale value {v} at {tau0 + suffix!r}")
-        leaves.append(v)
-    # prefix sums of the leaf values as integers over their common denominator
-    den, nums = over_common_denominator(leaves)
-    ys = (ZERO, *(Fraction(s, den << depth) for s in accumulate(nums)))
-    k0 = int(tau0, 2) << (depth - len(tau0)) if tau0 else 0
-    xs = tuple(Fraction(k0 + k, 1 << depth) for k in range(len(leaves) + 1))
-    return PiecewiseLinear(xs, ys)
+    k = depth - len(tau0)
+    den, leaves = m.level(tau0, k)
+    if min(leaves) < 0:
+        i = next(i for i, v in enumerate(leaves) if v < 0)
+        suffix = format(i, f"0{k}b") if k else ""
+        raise DomainError(
+            f"negative martingale value {Fraction(leaves[i], den)} at {tau0 + suffix!r}"
+        )
+    # breakpoints on the 2^-depth grid; values the prefix sums of the leaves
+    k0 = int(tau0, 2) << k if tau0 else 0
+    return PiecewiseLinear.from_numerators(
+        1 << depth, list(range(k0, k0 + len(leaves) + 1)), den << depth, [0, *accumulate(leaves)]
+    )
 
 
 def combine_scaled(m: Martingale, n: Martingale, sigma: str, delta: Fraction) -> Martingale:
@@ -237,10 +312,18 @@ def combine_scaled(m: Martingale, n: Martingale, sigma: str, delta: Fraction) ->
             a.denominator * sd * b.denominator,
         )
 
+    def rows(base: str, k: int) -> Row:
+        (da, a), (db, b) = m.level(base, k), n.level(base, k)
+        # a / da + scale * b / db over den = lcm(da, sd db)
+        den = lcm(da, sd * db)
+        fa, fb = den // da, sn * (den // (sd * db))
+        return den, [x * fa + y * fb for x, y in zip(a, b)]
+
     return Martingale(
         evaluator,
         nonnegative=m.nonnegative and n.nonnegative,
         description=f"combined at {sigma!r} with delta {delta}",
+        rows=rows,
     )
 
 
@@ -277,7 +360,7 @@ def cap_at(m: Martingale, q: Fraction) -> Martingale:
     # prefix -> M at its first prefix above the cap, or None if there is none
     first_above: dict[str, Fraction | None] = {}
 
-    def evaluator(tau: str) -> Fraction:
+    def frozen(tau: str) -> Fraction | None:
         i = len(tau)
         while i >= 0 and tau[:i] not in first_above:
             i -= 1
@@ -288,10 +371,41 @@ def cap_at(m: Martingale, q: Fraction) -> Martingale:
                 if v > cap:
                     got = v
             first_above[tau[:j]] = got
+        return got
+
+    def evaluator(tau: str) -> Fraction:
+        got = frozen(tau)
         return m.value(tau) if got is None else got
 
+    def rows(base: str, k: int) -> Row:
+        got = frozen(base)
+        if got is not None:
+            return got.denominator, [got.numerator] * (1 << k)
+        # each node above the cap with no such prefix freezes its subtree,
+        # a range of the level-k row; held marks the frozen nodes of a level
+        firsts: list[tuple[int, int, int, int]] = []  # (level, index, num, den)
+        held = bytearray(1)
+        for j in range(k + 1):
+            e, row = m.level(base, j)
+            t = cap.numerator * e // cap.denominator  # x / e > cap iff x > t
+            for i in [i for i, x in enumerate(row) if x > t and not held[i]]:
+                firsts.append((j, i, row[i], e))
+                held[i] = 1
+            if j < k:
+                kids = bytearray(2 * len(held))
+                kids[::2] = kids[1::2] = held
+                held = kids
+        den = lcm(e, *(d for *_, d in firsts))
+        vals = row if den == e else [x * (den // e) for x in row]
+        for j, i, v, d in firsts:
+            vals[i << (k - j) : (i + 1) << (k - j)] = [v * (den // d)] * (1 << (k - j))
+        return den, vals
+
     return Martingale(
-        evaluator, nonnegative=m.nonnegative, description=f"capped above {q}+1"
+        evaluator,
+        nonnegative=m.nonnegative,
+        description=f"capped above {q}+1",
+        rows=rows,
     )
 
 

@@ -1,6 +1,6 @@
 """Exact piecewise-linear functions on a rational breakpoint grid.
 
-Breakpoints and values are also kept as integer numerators over one shared
+Breakpoints and values are kept as integer numerators over one shared
 denominator each, so a lookup is an integer bisect and an interpolation
 builds a single Fraction; a whole dyadic grid is evaluated segment by
 segment in integers.
@@ -9,41 +9,59 @@ segment in integers.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .bits import format_rational, over_common_denominator, parse_rational
-from .errors import DomainError
+from .errors import DomainError, SchemaError
 
 
-@dataclass(frozen=True)
 class PiecewiseLinear:
-    """Breakpoints with values, linearly interpolated in between, exact."""
+    """Breakpoints with values, linearly interpolated in between, exact.
 
-    xs: tuple[Fraction, ...]
-    ys: tuple[Fraction, ...]
+    Kept as integer rows: xs[i] == ks[i] / xden and ys[i] == js[i] / yden.
+    """
 
-    def __post_init__(self):
-        if len(self.xs) != len(self.ys) or len(self.xs) < 2:
+    def __init__(self, xs, ys):
+        self._set_rows(*over_common_denominator(xs), *over_common_denominator(ys))
+        self.xs, self.ys = tuple(xs), tuple(ys)
+
+    @classmethod
+    def from_numerators(
+        cls, xden: int, ks: list[int], yden: int, js: list[int]
+    ) -> "PiecewiseLinear":
+        """The function with breakpoints ks[i] / xden and values js[i] / yden.
+
+        Denominators must be positive; no Fraction is built until xs or ys
+        is read.
+        """
+        g = cls.__new__(cls)
+        g._set_rows(xden, ks, yden, js)
+        return g
+
+    def _set_rows(self, xden: int, ks: list[int], yden: int, js: list[int]) -> None:
+        if len(ks) != len(js) or len(ks) < 2:
             raise DomainError("need at least two breakpoints with matching values")
-        xden, ks = over_common_denominator(self.xs)
         if any(a >= b for a, b in zip(ks, ks[1:])):
             raise DomainError("breakpoints must be strictly increasing")
-        yden, js = over_common_denominator(self.ys)
-        # xs[i] == ks[i] / xden and ys[i] == js[i] / yden
-        object.__setattr__(self, "_xden", xden)
-        object.__setattr__(self, "_ks", ks)
-        object.__setattr__(self, "_yden", yden)
-        object.__setattr__(self, "_js", js)
+        self._xden, self._ks, self._yden, self._js = xden, ks, yden, js
+
+    @cached_property
+    def xs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(k, self._xden) for k in self._ks)
+
+    @cached_property
+    def ys(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(j, self._yden) for j in self._js)
 
     @property
     def lo(self) -> Fraction:
-        return self.xs[0]
+        return Fraction(self._ks[0], self._xden)
 
     @property
     def hi(self) -> Fraction:
-        return self.xs[-1]
+        return Fraction(self._ks[-1], self._xden)
 
     def value(self, x: Fraction) -> Fraction:
         ks = self._ks
@@ -76,6 +94,9 @@ class PiecewiseLinear:
             raise self._outside(Fraction(0))
         if ks[-1] < xden:
             raise self._outside(Fraction(max(ks[-1] * scale // xden + 1, 0), scale))
+        if xden == scale and ks[0] == 0 and ks[-1] == scale and len(ks) == scale + 1:
+            # the breakpoints are exactly the grid points
+            return self._yden, list(js)
         gaps = [k1 - k0 for k0, k1 in zip(ks, ks[1:])]
         den = self._yden * scale * lcm(*gaps)
         nums: list[int] = []
@@ -114,7 +135,13 @@ class PiecewiseLinear:
         }
 
     @classmethod
-    def from_json(cls, payload: dict) -> "PiecewiseLinear":
+    def from_json(cls, payload) -> "PiecewiseLinear":
+        if not isinstance(payload, dict) or not all(
+            isinstance(payload.get(key), list) for key in ("xs", "ys")
+        ):
+            raise SchemaError(
+                "piecewise-linear function must be an object with lists 'xs' and 'ys'"
+            )
         return cls(
             tuple(parse_rational(x) for x in payload["xs"]),
             tuple(parse_rational(y) for y in payload["ys"]),

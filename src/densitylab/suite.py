@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .bits import ONE, ZERO, all_strings
+from .bits import ONE, ZERO
 from .calculus import (
     MonotoneExtension,
     extension_grid_check,
@@ -221,12 +221,11 @@ def criterion_domination(seed: int) -> list[Check]:
 def _roundtrip_mismatches(m, depth: int) -> int:
     g = martingale_to_function(m, "", depth)
     sm = slope_martingale(g, depth)
-    return sum(
-        1
-        for k in range(depth + 1)
-        for s in all_strings(k)
-        if sm.value(s) != m.value(s)
-    )
+    mismatches = 0
+    for k in range(depth + 1):
+        (d, back), (e, orig) = sm.level("", k), m.level("", k)
+        mismatches += sum(1 for x, y in zip(back, orig) if x * e != y * d)
+    return mismatches
 
 
 def criterion_martingale_algebra(seed: int) -> list[Check]:

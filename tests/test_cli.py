@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import densitylab
 from densitylab.cli import main
 
 
@@ -165,9 +170,26 @@ DOMINATION = {"words": ["1"], "z": "1/3", "eps": "2/3"}
     ("counterexample", {"intervals": [["0", "1/2"]], "k_max": "16"}, "SchemaError"),
     ("martingale", {"martingale": {"depth": 1}, "q": "2"}, "SchemaError"),
     ("counterexample", {"intervals": [["0", "1"]]}, "DomainError"),
-], ids=["depth", "case", "n_blocks", "k_max", "table", "full-cover"])
+    ("tests", {"escape": [{"components": {}, "r": "abc", "m_max": 1, "z": "1/3"}]},
+     "SchemaError"),
+    ("extend", {"h": {}}, "SchemaError"),
+    ("counterexample", {"intervals": 5}, "SchemaError"),
+], ids=["depth", "case", "n_blocks", "k_max", "table", "full-cover", "escape-r", "h-xs",
+        "intervals"])
 def test_bad_documents_exit_2_with_json_on_stderr(tmp_path, capfd, command, doc, kind):
     code, blob = run(tmp_path, command, "--instance", write_instance(tmp_path, doc))
     assert code == 2
     assert blob == b""
     assert json.loads(capfd.readouterr().err)["kind"] == kind
+
+
+def test_martingale_report_is_the_same_with_asserts_stripped(tmp_path):
+    # python -O removes every assert; no check may depend on one
+    _, plain = run(tmp_path, "martingale", "--seed", "1", "--json")
+    src = str(Path(densitylab.__file__).resolve().parent.parent)
+    stripped = subprocess.run(
+        [sys.executable, "-O", "-m", "densitylab.cli", "martingale", "--seed", "1", "--json"],
+        capture_output=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert stripped.returncode == 0, stripped.stderr.decode()
+    assert stripped.stdout == plain

@@ -3,9 +3,10 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from densitylab import suite
 from densitylab.bits import all_strings
 from densitylab.errors import BudgetExhausted, DomainError
 from densitylab.martingales import (
@@ -406,3 +407,128 @@ def test_fairness_matches_fraction_identity(values):
         s for s in strings[:7] if 2 * table[s] != table[s + "0"] + table[s + "1"]
     ]
     assert fairness_violations(m, 4) == expected
+
+
+# Level rows against the per-string evaluators they replace.
+
+
+def per_string_row(m: Martingale, base: str, k: int) -> list[F]:
+    return [m.value(base + s) for s in all_strings(k)]
+
+
+def level_row(m: Martingale, base: str, k: int) -> list[F]:
+    den, nums = m.level(base, k)
+    assert den > 0
+    return [F(v, den) for v in nums]
+
+
+def outcome(row, m, base, k):
+    try:
+        return row(m, base, k)
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+@st.composite
+def unit_tables(draw, depth: int = 2):
+    """Fair tables with starting capital 1, as combine_scaled needs."""
+    leaves = [draw(st.integers(1, 64)) for _ in range(1 << depth)]
+    mean = F(sum(leaves), len(leaves))
+    return table_from_leaves({s: v / mean for s, v in zip(all_strings(depth), leaves)})
+
+
+@st.composite
+def piecewise_on_unit_interval(draw):
+    """Breakpoints 0, 1 and a few non-dyadic ones; values of either sign."""
+    inner = draw(st.sets(st.builds(F, st.integers(1, 20), st.just(21)), max_size=5))
+    xs = [F(0), *sorted(inner), F(1)]
+    ys = [draw(st.builds(F, st.integers(-40, 40), st.sampled_from([1, 3, 5, 7])))
+          for _ in xs]
+    return PiecewiseLinear(xs, ys)
+
+
+@st.composite
+def kernel_martingales(draw):
+    kind = draw(st.sampled_from(["table", "combine", "cap", "slope", "generic"]))
+    if kind == "table":
+        return draw(fair_tables())
+    if kind == "combine":
+        sigma = draw(st.text("01", max_size=3))
+        delta = draw(st.builds(F, st.integers(1, 9), st.integers(1, 9)))
+        return combine_scaled(draw(fair_tables()), draw(unit_tables()), sigma, delta)
+    if kind == "cap":
+        m = draw(fair_tables())
+        # q + 1 below M("") freezes the root; otherwise nodes freeze deeper
+        q = draw(st.one_of(st.just(m("") - 2), st.builds(F, st.integers(-16, 64), st.just(16))))
+        return cap_at(m, q)
+    if kind == "slope":
+        return slope_martingale(draw(piecewise_on_unit_interval()), draw(st.integers(0, 6)))
+    a, b, c = draw(st.integers(-9, 9)), draw(st.integers(-9, 9)), draw(st.integers(1, 9))
+    return Martingale(lambda tau: F(a * len(tau) + b * int("0" + tau, 2), c), nonnegative=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_martingales(), st.text("01", max_size=4), st.integers(0, 4))
+@example(cap_at(savings_instance(), F(-1)), "", 4)  # frozen at the root
+@example(cap_at(savings_instance(), F(0)), "", 4)  # frozen at "1"
+@example(cap_at(savings_instance(), F(1)), "1", 3)  # frozen at "10"
+@example(cap_at(savings_instance(), F(1)), "100", 2)  # below "10"
+def test_level_rows_match_the_per_string_values(m, base, k):
+    assert outcome(level_row, m, base, k) == outcome(per_string_row, m, base, k)
+
+
+def test_level_past_the_certified_depth_raises_the_evaluators_error():
+    g = PiecewiseLinear((F(0), F(1, 3), F(1)), (F(0), F(-1), F(2)))
+    m = slope_martingale(g, 4)
+    assert level_row(m, "01", 2) == per_string_row(m, "01", 2)
+    with pytest.raises(DomainError) as per_string:
+        m.value("01010")
+    with pytest.raises(DomainError) as whole:
+        m.level("01", 3)
+    assert str(whole.value) == str(per_string.value) == "slope oracle only certified to depth 4"
+    with pytest.raises(DomainError, match="certified to depth 4"):
+        fairness_violations(m, 5)
+
+
+def reference_fairness(m: Martingale, depth: int, base: str = "") -> list[str]:
+    """Fairness checked string by string on Fractions."""
+    return [
+        base + s
+        for k in range(depth)
+        for s in all_strings(k)
+        if 2 * m(base + s) != m(base + s + "0") + m(base + s + "1")
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.builds(F, st.integers(-40, 40), st.sampled_from([1, 2, 3, 5, 7, 9, 16])),
+        min_size=15,
+        max_size=15,
+    ),
+    unit_tables(),
+    st.builds(F, st.integers(-8, 40), st.just(8)),
+    st.text("01", max_size=2),
+)
+def test_fairness_of_unfair_constructions_matches_per_string_reference(values, n, q, base):
+    strings = [s for k in range(4) for s in all_strings(k)]
+    table = dict(zip(strings, values))
+    unfair = Martingale(lambda tau: table[tau[:3]], nonnegative=False)
+    for m in (unfair, combine_scaled(unfair, n, "0", F(1, 3)), cap_at(unfair, q)):
+        assert fairness_violations(m, 5, base) == reference_fairness(m, 5, base)
+
+
+def test_round_trip_count_sees_a_perturbed_integral(monkeypatch):
+    m = savings_instance()
+    assert suite._roundtrip_mismatches(m, 6) == 0
+    integrate = suite.martingale_to_function
+
+    def bumped(m, tau0, depth):
+        g = integrate(m, tau0, depth)
+        ys = list(g.ys)
+        ys[4] += F(1, 1 << 20)  # g(4/64) moves: two slopes each at depths 6, 5 and 4
+        return PiecewiseLinear(g.xs, ys)
+
+    monkeypatch.setattr(suite, "martingale_to_function", bumped)
+    assert suite._roundtrip_mismatches(m, 6) == 6

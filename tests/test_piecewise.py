@@ -81,6 +81,20 @@ def test_rejects_unsorted_or_short_breakpoints():
         PiecewiseLinear((F(1, 2), F(1, 3)), (F(0), F(1)))
     with pytest.raises(DomainError):
         PiecewiseLinear((F(0),), (F(0),))
+    with pytest.raises(DomainError):
+        PiecewiseLinear.from_numerators(3, [0, 1, 1], 7, [0, 1, 2])
+    with pytest.raises(DomainError):
+        PiecewiseLinear.from_numerators(3, [0, 1], 7, [0, 1, 2])
+
+
+def test_from_numerators_matches_the_fraction_constructor():
+    rows = PiecewiseLinear.from_numerators(6, [-2, 1, 3, 6], 14, [7, -2, 28, 28])
+    fractions = PiecewiseLinear((F(-1, 3), F(1, 6), F(1, 2), F(1)),
+                                (F(1, 2), F(-1, 7), F(2), F(2)))
+    assert rows.xs == fractions.xs and rows.ys == fractions.ys
+    for x in (F(-1, 3), F(0), F(1, 6), F(2, 7), F(1, 2), F(1)):
+        assert rows.value(x) == fractions.value(x)
+    assert rows.grid_numerators(3)[1] == fractions.grid_numerators(3)[1]
 
 
 @settings(max_examples=200, deadline=None)
