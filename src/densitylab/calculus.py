@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import gt, mul
 from typing import Callable
 
 from .bits import ONE, ZERO
@@ -264,11 +265,20 @@ class MonotoneExtension:
     through the same memoised crossing as ``value``, so both return the same
     values and stop with the same BudgetExhausted at the same first point.
 
-    Each class point is sampled once per build: grid points keyed by their
-    index, part endpoints off the grid by value.  The F/G rows are integer
-    numerators over one denominator, the lcm of the samples, the margin and
-    the two bounds; a candidate enters the F row at its ceiling grid index and
-    the G row at its floor grid index.
+    h must be a ``piecewise_linear_oracle`` defined on all of [0,1].  Every
+    internal grid sample comes from one ``grid_numerators(grid_depth)`` row;
+    only part endpoints off the grid, and the refined grid of off-grid parts
+    that the monotonicity check reads, are evaluated one point at a time.
+    The F/G rows are integer numerators over one denominator, the lcm of the
+    row's, the off-grid samples', the margin's and the two bounds'.  A
+    candidate enters the F row at its ceiling grid index and the G row at its
+    floor grid index.  Each stage's F row is one sweep of the running max of
+    its candidates, clipped to the previous stage's row, and its G row one
+    sweep of the running min from the right; the two bounds stand in for
+    "no candidate yet", so the sweeps test no None.  The value at each
+    internal grid index is solved once, to an integer pair p / q: ``value``
+    and ``grid_values`` build their memoised Fractions from it, and
+    ``extension_grid_check`` compares pairs in integers.
     """
 
     def __init__(
@@ -278,8 +288,9 @@ class MonotoneExtension:
         n: int,
         budget: ExtensionBudget | None = None,
     ):
-        if h.lipschitz is None:
-            raise DomainError("monotone extension needs a declared modulus")
+        pl = h.piecewise
+        if pl is None:
+            raise DomainError("monotone extension needs a piecewise-linear h")
         budget = budget or ExtensionBudget()
         lip = h.lipschitz
         gd = budget.grid_depth
@@ -292,8 +303,16 @@ class MonotoneExtension:
         self.h, self.enum, self.n = h, enum, n
         self.grid_depth, self.precision = gd, prec
         self.epsilon = Fraction(1, 1 << n)
+        # every internal grid sample, from one row; a domain short of [0,1]
+        # raises here, at the first grid point outside it
+        row_den, row = pl.grid_numerators(gd)
         margin = lip * Fraction(1, 1 << gd) + Fraction(1, 1 << prec)
-        mid = h.sample(Fraction(1, 2), 2)
+        mid = pl.value(Fraction(1, 2))
+        # Every sample is h(x) for some x in [0,1], so it lies within lip / 2
+        # of h(1/2) == mid, while the bounds lie lip + 1 away from mid: no
+        # sample + margin is ever at or below lo_bound, and no sample - margin
+        # at or above hi_bound.  So the bounds serve as the "no candidate yet"
+        # entries of the running max and min, which a real sample always beats.
         hi_bound = mid + lip + 1
         lo_bound = mid - lip - 1
         final = min(len(enum), max_stage)
@@ -306,118 +325,108 @@ class MonotoneExtension:
         self.stages = sorted(set(self.stages))
         classes = [enum.stage_class(t) for t in self.stages]
 
-        size = (1 << gd) + 1
-        grid_vals: list[Fraction | None] = [None] * size
+        scale = 1 << gd
+        size = scale + 1
         off_vals: dict[Fraction, Fraction] = {}
         for c_set in classes:
-            self._sample_class(c_set, grid_vals, off_vals)
+            for part in c_set:
+                for x in (part.lo, part.hi):
+                    if scale % x.denominator and x not in off_vals:
+                        off_vals[x] = pl.value(x)
         # the monotonicity check also reads the refined grid of off-grid parts
         for part in classes[-1]:
             if not _on_grid(part, gd):
-                for q in _refined_grid(part.lo, part.hi, Fraction(1, 1 << gd)):
+                for q in _refined_grid(part.lo, part.hi, Fraction(1, scale)):
                     if q not in off_vals:
-                        off_vals[q] = h.sample(q, prec)
+                        off_vals[q] = pl.value(q)
 
-        dens = {v.denominator for v in grid_vals if v is not None}
-        dens.update(v.denominator for v in off_vals.values())
-        den = lcm(margin.denominator, hi_bound.denominator, lo_bound.denominator, *dens)
+        dens = {v.denominator for v in off_vals.values()}
+        den = lcm(row_den, margin.denominator, hi_bound.denominator, lo_bound.denominator,
+                  *dens)
 
         def scaled(v: Fraction) -> int:
             return v.numerator * (den // v.denominator)
 
         self._den = den
-        grid_ints = [None if v is None else scaled(v) for v in grid_vals]
+        unit = den // row_den
+        row = [v * unit for v in row]
         off_ints = {x: scaled(v) for x, v in off_vals.items()}
-        self._check_monotone_on_class(classes[-1], grid_ints, off_ints)
+        self._check_monotone_on_class(classes[-1], row, off_ints)
         margin, hi_bound, lo_bound = scaled(margin), scaled(hi_bound), scaled(lo_bound)
+        # each grid sample as it enters the F side (+ margin) and the G side
+        # (- margin)
+        f_cands = [v + margin for v in row]
+        g_cands = [v - margin for v in row]
         self._f_rows = [[hi_bound] * size]  # sup side starts high
         self._g_rows = [[lo_bound] * size]  # inf side starts low
-        # the value depends on x only through its grid index
-        self._values: list[Fraction | None] = [None] * size
         for c_set in classes:
-            f_best, g_best = self._stage_buckets(c_set, grid_ints, off_ints)
-            f_row, g_row = [], []
-            # F: running max of the candidates at or left of each grid point
-            # plus the margin, never above the previous stage's row
-            running = None
+            # per grid index the best candidate placed there, or the bound
+            f_best, g_best = [lo_bound] * size, [hi_bound] * size
+            for part in c_set:
+                inner = _inner_grid(part, scale)
+                f_best[inner.start:inner.stop] = f_cands[inner.start:inner.stop]
+                g_best[inner.start:inner.stop] = g_cands[inner.start:inner.stop]
+            for part in c_set:
+                for x in (part.lo, part.hi):
+                    k, up = _floor_ceil(x, scale)
+                    v = row[k] if k == up else off_ints[x]
+                    f_best[up] = max(f_best[up], v + margin)
+                    g_best[k] = min(g_best[k], v - margin)
+            # F: running max from the left, never above the previous stage's
+            # row; G: running min from the right, never below it
+            f_row, run = [], lo_bound
             for prev, v in zip(self._f_rows[-1], f_best):
-                if v is not None and (running is None or v > running):
-                    running = v
-                f_row.append(min(prev, lo_bound if running is None else running + margin))
-            # G: running min from the right minus the margin, never below
-            running = None
+                if v > run:
+                    run = v
+                f_row.append(prev if prev < run else run)
+            g_row, run = [], hi_bound
             for prev, v in zip(reversed(self._g_rows[-1]), reversed(g_best)):
-                if v is not None and (running is None or v < running):
-                    running = v
-                g_row.append(max(prev, hi_bound if running is None else running - margin))
+                if v < run:
+                    run = v
+                g_row.append(prev if prev > run else run)
             g_row.reverse()
             self._f_rows.append(f_row)
             self._g_rows.append(g_row)
+        # the value depends on x only through its grid index
+        self._pairs: list[tuple[int, int] | None] = [None] * size
+        self._values: list[Fraction | None] = [None] * size
 
-    def _sample_class(self, c_set: IntervalSet, grid_vals: list, off_vals: dict) -> None:
-        """Sample h at each candidate of the class not sampled yet: part
-        endpoints and the grid points strictly inside the parts."""
-        scale, prec = 1 << self.grid_depth, self.precision
-
-        def sample_end(x: Fraction) -> None:
-            k, up = _floor_ceil(x, scale)
-            if k == up:
-                if grid_vals[k] is None:
-                    grid_vals[k] = self.h.sample(x, prec)
-            elif x not in off_vals:
-                off_vals[x] = self.h.sample(x, prec)
-
-        for part in c_set:
-            sample_end(part.lo)
-            for k in _inner_grid(part, scale):
-                if grid_vals[k] is None:
-                    grid_vals[k] = self.h.sample(Fraction(k, scale), prec)
-            if part.hi != part.lo:
-                sample_end(part.hi)
-
-    def _stage_buckets(self, c_set: IntervalSet, grid_ints: list, off_ints: dict):
-        """Per grid index, the max (F side) and min (G side) integer sample of
-        the candidates placed there; None where there is none."""
-        scale = 1 << self.grid_depth
-        f_best = [None] * (scale + 1)
-        for part in c_set:
-            inner = _inner_grid(part, scale)
-            f_best[inner.start:inner.stop] = grid_ints[inner.start:inner.stop]
-        g_best = f_best.copy()
-        for part in c_set:
-            for x in (part.lo, part.hi):
-                k, up = _floor_ceil(x, scale)
-                v = grid_ints[k] if k == up else off_ints[x]
-                if f_best[up] is None or v > f_best[up]:
-                    f_best[up] = v
-                if g_best[k] is None or v < g_best[k]:
-                    g_best[k] = v
-        return f_best, g_best
-
-    def _check_monotone_on_class(
-        self, c_set: IntervalSet, grid_ints: list, off_ints: dict
-    ) -> None:
+    def _check_monotone_on_class(self, c_set: IntervalSet, row: list, off_ints: dict) -> None:
         """h must stay within 2^-(precision-1) of nondecreasing along the
         refined grid of each part, which on a grid-aligned part is the internal
-        grid itself; samples are integers over the row denominator."""
+        grid itself.  The samples, integers over the row denominator, are
+        checked in one sweep of the running max; Fractions are built only to
+        name the two points of a failure."""
         scale = 1 << self.grid_depth
-        run_q = run_max = None
+        segments: list = []  # per part: its grid indices, or its refined grid
+        samples: list[int] = []
         for part in c_set:
             if _on_grid(part, self.grid_depth):
                 ks = range(_floor_ceil(part.lo, scale)[0], _floor_ceil(part.hi, scale)[0] + 1)
-                points = ((Fraction(k, scale), grid_ints[k]) for k in ks)
+                samples += row[ks.start:ks.stop]
             else:
-                points = (
-                    (q, off_ints[q])
-                    for q in _refined_grid(part.lo, part.hi, Fraction(1, scale))
+                ks = _refined_grid(part.lo, part.hi, Fraction(1, scale))
+                samples += [off_ints[q] for q in ks]
+            segments.append(ks)
+        if len(samples) < 2:
+            return
+        # a drop d fails when d << (precision - 1) > den, that is when d > tol
+        tol = self._den >> (self.precision - 1)
+
+        def point(pos: int) -> Fraction:
+            for ks in segments:
+                if pos < len(ks):
+                    return ks[pos] if isinstance(ks, list) else Fraction(ks[pos], scale)
+                pos -= len(ks)
+
+        peak, top = samples[0], 0  # the running max and where it was first reached
+        for j, v in enumerate(samples):
+            if peak - v > tol:
+                raise DomainError(
+                    f"h is not nondecreasing on the class: h({point(top)}) > h({point(j)})"
                 )
-            for q, v in points:
-                if run_max is not None and (run_max - v) << (self.precision - 1) > self._den:
-                    raise DomainError(
-                        f"h is not nondecreasing on the class: h({run_q}) > h({q})"
-                    )
-                if run_max is None or v > run_max:
-                    run_q, run_max = q, v
+            if v > peak:
+                peak, top = v, j
 
     def value(self, x: Fraction) -> Fraction:
         x = Fraction(x)
@@ -435,32 +444,42 @@ class MonotoneExtension:
         return [self._value_at((k << gd) >> depth, k, scale) for k in range(scale + 1)]
 
     def _value_at(self, i: int, x_num: int, x_den: int) -> Fraction:
-        """The value at internal grid index i, memoised; x_num / x_den is
-        the query point named if the envelope gap never closed there."""
+        """The value at internal grid index i, memoised as one Fraction."""
         v = self._values[i]
-        if v is not None:
-            return v
+        if v is None:
+            v = self._values[i] = Fraction(*self._pair(i, x_num, x_den))
+        return v
+
+    def _pair(self, i: int, x_num: int, x_den: int) -> tuple[int, int]:
+        """(p, q) with q > 0 and p / q the value at internal grid index i,
+        memoised; x_num / x_den is the query point named if the envelope gap
+        never closed there."""
+        pair = self._pairs[i]
+        if pair is not None:
+            return pair
         den = self._den
-        prev_f = prev_g = None
-        for f_row, g_row in zip(self._f_rows, self._g_rows):
-            f_v, g_v = f_row[i], g_row[i]
-            if f_v <= g_v:
-                # crossed between this stage and the previous one: solve the
-                # linear crossing
-                gap = prev_f - prev_g
-                rise = gap + (g_v - f_v)
-                v = Fraction(prev_f * rise + gap * (f_v - prev_f), rise * den)
-                break
-            prev_f, prev_g = f_v, g_v
-        else:
-            if (prev_f - prev_g) << self.n >= den:
+        f_v, g_v = self._f_rows[-1][i], self._g_rows[-1][i]
+        if f_v > g_v:
+            # F falls and G rises along the stages, so F - G never rises: the
+            # curves did not cross at any stage
+            if (f_v - g_v) << self.n >= den:
                 raise BudgetExhausted(
                     f"envelope gap never closed at {Fraction(x_num, x_den)}",
-                    achieved=Fraction(prev_f - prev_g, den),
+                    achieved=Fraction(f_v - g_v, den),
                 )
-            v = Fraction(prev_f, den)
-        self._values[i] = v
-        return v
+            pair = (f_v, den)
+        else:
+            # they crossed between the first stage with F <= G and the one
+            # before it (stage 0 has F > G): solve the linear crossing
+            t = next(t for t, (f_row, g_row) in enumerate(zip(self._f_rows, self._g_rows))
+                     if f_row[i] <= g_row[i])
+            prev_f, prev_g = self._f_rows[t - 1][i], self._g_rows[t - 1][i]
+            f_v, g_v = self._f_rows[t][i], self._g_rows[t][i]
+            gap = prev_f - prev_g
+            rise = gap + (g_v - f_v)
+            pair = (prev_f * rise + gap * (f_v - prev_f), rise * den)
+        self._pairs[i] = pair
+        return pair
 
 
 def extension_grid_check(ext: MonotoneExtension, depth: int) -> tuple[int, Fraction]:
@@ -468,26 +487,47 @@ def extension_grid_check(ext: MonotoneExtension, depth: int) -> tuple[int, Fract
     from one grid point to the next, and its largest |value - h| over the grid
     points of the final class.
 
-    h must be a ``piecewise_linear_oracle``; its grid values come as integers
-    over one denominator, so |value - h| is compared by cross-multiplication
-    and one Fraction is built at the end.
+    Query k lies on internal grid index (k << grid_depth) >> depth.  Each
+    index reached is solved once, in increasing order, so an exhausted budget
+    names the same first point as ``grid_values(depth)``.  Drops are counted
+    once per pair of neighbouring indices, by cross-multiplying their value
+    pairs.  On a grid at least as fine as the internal one, the query points
+    sharing an index form a run with one value p / q, and the worst
+    |p - y q| over the run's h numerators y is reached at their least or
+    greatest, because it is convex in y; on a coarser grid each point is its
+    own run.  One Fraction is built, at the end.
     """
-    pl = ext.h.piecewise
-    if pl is None:
-        raise DomainError("the extension grid check needs a piecewise-linear h")
-    vals = ext.grid_values(depth)
-    drops = sum(1 for a, b in zip(vals, vals[1:]) if a is not b and a > b)
-    den, hs = pl.grid_numerators(depth)
-    # the worst |value - h| is worst_num / (worst_den * den)
-    worst_num, worst_den = 0, 1
-    v = None
+    if depth < 0:
+        raise DomainError(f"grid depth {depth} is negative")
+    gd = ext.grid_depth
+    scale, shift = 1 << gd, depth - gd
+    pairs = [ext._pair(i, i, scale) for i in range(0, scale + 1, 1 << max(-shift, 0))]
+    ps = [p for p, _ in pairs]
+    qs = [q for _, q in pairs]
+    # p_a / q_a > p_b / q_b between neighbours a, b
+    drops = sum(map(gt, map(mul, ps, qs[1:]), map(mul, ps[1:], qs)))
+    den, hs = ext.h.piecewise.grid_numerators(depth)
+    # the worst |value - h| is worst_d / (worst_q * den)
+    worst_d, worst_q = 0, 1
     for ks in ext.enum.final_class().grid_ranges(depth):
-        for k in ks:
-            if vals[k] is not v:  # runs of grid points share one value
-                v = vals[k]
-                p, q = v.numerator * den, v.denominator
-            d = abs(p - hs[k] * q)
-            if d * worst_den > worst_num * q:
-                worst_num, worst_den = d, q
-    return drops, Fraction(worst_num, worst_den * den)
-
+        k = ks.start
+        while k < ks.stop:
+            # pairs[j] belongs to the index of query points k .. end - 1
+            if shift >= 0:
+                j = k >> shift
+                end = min(ks.stop, (j + 1) << shift)
+                run = hs[k:end]
+                lo_h, hi_h = min(run), max(run)
+            else:
+                j, end = k, k + 1
+                lo_h = hi_h = hs[k]
+            p, q = pairs[j]
+            p *= den
+            # the larger of |p - lo_h q| and |p - hi_h q|, as lo_h <= hi_h
+            d = p - lo_h * q
+            if hi_h * q - p > d:
+                d = hi_h * q - p
+            if d * worst_q > worst_d * q:
+                worst_d, worst_q = d, q
+            k = end
+    return drops, Fraction(worst_d, worst_q * den)

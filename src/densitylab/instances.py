@@ -159,10 +159,7 @@ class EscapeInstance:
         if not isinstance(obj, dict):
             raise SchemaError("escape instance must be an object")
         try:
-            comps = {
-                int(n): tuple(validate_bits(w) for w in ws)
-                for n, ws in obj["components"].items()
-            }
+            comps = _components(obj["components"])
             return EscapeInstance(
                 StagedOpenEnumeration.from_json({"holes": obj.get("holes", [])}),
                 comps,
@@ -173,6 +170,22 @@ class EscapeInstance:
             )
         except KeyError as exc:
             raise SchemaError(f"escape instance missing field {exc}") from None
+
+
+def _components(raw) -> dict[int, tuple[str, ...]]:
+    """The component table: an object from integer keys to lists of bit strings."""
+    if not isinstance(raw, dict):
+        raise SchemaError(f"escape instance 'components' must be an object, got {raw!r}")
+    comps = {}
+    for n, ws in raw.items():
+        try:
+            key = int(n)
+        except ValueError:
+            raise SchemaError(f"escape component key must be an integer, got {n!r}") from None
+        if not isinstance(ws, list):
+            raise SchemaError(f"escape component {n} must be a list of bit strings")
+        comps[key] = tuple(validate_bits(w) for w in ws)
+    return comps
 
 
 def _json_int(obj: dict, key: str) -> int:

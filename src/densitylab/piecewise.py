@@ -109,8 +109,8 @@ class PiecewiseLinear:
             m = den // (self._yden * scale * gap)
             k0, j0, dj = ks[i], js[i], js[i + 1] - js[i]
             start = (j0 * scale * gap + dj * (first * xden - k0 * scale)) * m
-            step = dj * xden * m
-            nums.extend(start + step * j for j in range(last - first + 1))
+            step, count = dj * xden * m, last - first + 1
+            nums.extend(range(start, start + step * count, step) if step else [start] * count)
         return den, nums
 
     def __call__(self, x: Fraction) -> Fraction:

@@ -28,6 +28,11 @@ from densitylab.piecewise import PiecewiseLinear
 VEE = PiecewiseLinear((F(0), F(1, 2), F(1)), (F(1, 2), F(0), F(1, 2)))  # |x - 1/2|
 
 
+def line_oracle():
+    """The identity on [0,1] as a piecewise-linear oracle, Lipschitz bound 1."""
+    return piecewise_linear_oracle(PiecewiseLinear((F(0), F(1)), (F(0), F(1))))
+
+
 def test_slope_exact_samples():
     assert slope(identity_oracle(), F(1, 4), F(3, 4), 8).value == 1
     assert slope(polynomial_oracle([0, 0, 1]), F(0), F(1), 8).value == 1
@@ -118,7 +123,7 @@ def test_interval_extremum_golden_cases():
 
 
 def test_monotone_extension_trivial_class():
-    ext = MonotoneExtension(identity_oracle(), enumeration(), 8)
+    ext = MonotoneExtension(line_oracle(), enumeration(), 8)
     for k in range(0, 17):
         x = F(k, 16)
         assert abs(ext.value(x) - x) <= F(1, 1 << 7)
@@ -127,7 +132,7 @@ def test_monotone_extension_trivial_class():
 def test_monotone_extension_one_hole_identity():
     n = 8
     enum = enumeration((F(1, 4), F(1, 2)))
-    ext = MonotoneExtension(identity_oracle(), enum, n)
+    ext = MonotoneExtension(line_oracle(), enum, n)
     grid = [F(k, 1 << 10) for k in range(0, (1 << 10) + 1)]
     vals = [ext.value(x) for x in grid]
     assert all(vals[i] <= vals[i + 1] for i in range(len(vals) - 1))
@@ -169,7 +174,7 @@ def test_monotone_extension_budget_exhaustion_reported():
     enum = enumeration((F(1, 4), F(1, 2)))
     tight = ExtensionBudget(grid_depth=4, precision=4)
     with pytest.raises(BudgetExhausted) as err:
-        MonotoneExtension(identity_oracle(), enum, 8, tight).value(F(1, 8))
+        MonotoneExtension(line_oracle(), enum, 8, tight).value(F(1, 8))
     assert err.value.achieved is not None and err.value.achieved >= F(1, 1 << 8)
 
 
@@ -281,9 +286,47 @@ def test_grid_check_matches_per_point_loop_on_extend_documents():
 
 
 def test_grid_check_needs_a_piecewise_h():
-    ext = MonotoneExtension(identity_oracle(), enumeration(), 6)
+    # the build samples h from one grid_numerators row, so it needs h itself
     with pytest.raises(DomainError):
-        extension_grid_check(ext, 6)
-    line = piecewise_linear_oracle(PiecewiseLinear((F(0), F(1)), (F(0), F(1))))
-    ext = MonotoneExtension(line, enumeration((F(1, 4), F(1, 2))), 6)
+        MonotoneExtension(identity_oracle(), enumeration(), 6)
+    ext = MonotoneExtension(line_oracle(), enumeration((F(1, 4), F(1, 2))), 6)
     assert extension_grid_check(ext, 8) == per_point_grid_check(ext, 8)
+
+
+def outcome(check, ext, depth):
+    """check(ext, depth), or the message and achieved gap it stopped with."""
+    try:
+        return check(ext, depth)
+    except BudgetExhausted as exc:
+        return str(exc), exc.achieved
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 50), st.integers(0, 19), st.integers(2, 10), st.integers(-4, 4))
+def test_grid_check_matches_per_point_loop(seed, index, n, offset):
+    # offsets below 0 take the strided path, 0 and above the run path
+    h, enum = extension_instance(seed, index)
+    ext = MonotoneExtension(h, enum, n)
+    depth = max(ext.grid_depth + offset, 0)
+    assert outcome(extension_grid_check, ext, depth) == outcome(
+        per_point_grid_check, MonotoneExtension(h, enum, n), depth
+    )
+
+
+@pytest.mark.parametrize("offset", [-2, 0, 3])
+def test_grid_check_counts_a_planted_dip_like_the_per_point_loop(offset):
+    # a built extension never decreases and stays above h along each run of
+    # query points, so plant one internal index whose value sits 1/8 below h:
+    # the check must count the drop into it and take the worst at the run's
+    # right end, as the per-point loop does
+    h, enum = extension_instance(1, 0)
+    ext = MonotoneExtension(h, enum, 10)
+    gd = ext.grid_depth
+    i = next(i for i in range(1 << (gd - 1), 1 << gd, 1 << 4)
+             if enum.final_class().contains_point(F(i + 1, 1 << gd)))
+    dip = h.exact(F(i, 1 << gd)) - F(1, 8)
+    ext._pairs[i] = (dip.numerator, dip.denominator)
+    depth = gd + offset
+    drops, worst = extension_grid_check(ext, depth)
+    assert (drops, worst) == per_point_grid_check(ext, depth)
+    assert drops == 1 and worst >= F(1, 8)

@@ -174,8 +174,14 @@ DOMINATION = {"words": ["1"], "z": "1/3", "eps": "2/3"}
      "SchemaError"),
     ("extend", {"h": {}}, "SchemaError"),
     ("counterexample", {"intervals": 5}, "SchemaError"),
+    ("tests", {"escape": [{"components": {"x": []}, "r": 0, "m_max": 1, "z": "1/3"}]},
+     "SchemaError"),
+    ("tests", {"escape": [{"components": [], "r": 0, "m_max": 1, "z": "1/3"}]},
+     "SchemaError"),
+    ("extend", {"holes": [], "h": {"xs": ["0", "3/4"], "ys": ["0", "3/4"]}},
+     "DomainError"),
 ], ids=["depth", "case", "n_blocks", "k_max", "table", "full-cover", "escape-r", "h-xs",
-        "intervals"])
+        "intervals", "escape-key", "escape-components", "h-domain"])
 def test_bad_documents_exit_2_with_json_on_stderr(tmp_path, capfd, command, doc, kind):
     code, blob = run(tmp_path, command, "--instance", write_instance(tmp_path, doc))
     assert code == 2
@@ -183,12 +189,16 @@ def test_bad_documents_exit_2_with_json_on_stderr(tmp_path, capfd, command, doc,
     assert json.loads(capfd.readouterr().err)["kind"] == kind
 
 
-def test_martingale_report_is_the_same_with_asserts_stripped(tmp_path):
+@pytest.mark.parametrize("argv", [
+    ["martingale", "--seed", "1", "--json"],
+    ["extend", "--seed", "1", "--depth", "16", "--json"],
+], ids=["martingale", "extend"])
+def test_martingale_report_is_the_same_with_asserts_stripped(tmp_path, argv):
     # python -O removes every assert; no check may depend on one
-    _, plain = run(tmp_path, "martingale", "--seed", "1", "--json")
+    _, plain = run(tmp_path, *argv)
     src = str(Path(densitylab.__file__).resolve().parent.parent)
     stripped = subprocess.run(
-        [sys.executable, "-O", "-m", "densitylab.cli", "martingale", "--seed", "1", "--json"],
+        [sys.executable, "-O", "-m", "densitylab.cli", *argv],
         capture_output=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": src}, timeout=120,
     )
     assert stripped.returncode == 0, stripped.stderr.decode()
