@@ -299,6 +299,8 @@ class MonotoneExtension:
             while lip * Fraction(1, 1 << gd) > Fraction(1, 1 << (n + 3)):
                 gd += 1
         prec = budget.precision if budget.precision is not None else n + 4
+        if prec < 1:
+            raise DomainError(f"extension precision must be at least 1, got {prec}")
         max_stage = budget.max_stage if budget.max_stage is not None else len(enum)
         self.h, self.enum, self.n = h, enum, n
         self.grid_depth, self.precision = gd, prec

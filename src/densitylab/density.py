@@ -11,19 +11,29 @@ endpoints, with slope 0 in gaps and 1 inside parts), then keeps the maximal
 intervals of the family and chains them left to right.  The union U of the
 family is returned closed; the set of the covering lemma (strict inequality,
 open windows) differs from it only on a null set of boundary points.
+
+Both the estimate and the cover read the class through one integer mass row:
+the part endpoints as integer numerators over one denominator, each with the
+mass of C on [0, endpoint], so lambda(C cap [0, x]) is one bisect away.  The
+estimate puts z and its radii over the same denominator, compares window
+densities by cross-multiplication, and builds one Fraction estimate and one
+witness Interval.  The cover cuts [0, b] and [a, 1] at the part endpoints,
+takes slope 1 or 0 from whether a piece lies inside a part, solves each
+piece's condition with eps = p/q in integers, and builds one Fraction per
+returned endpoint.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from math import lcm
+from typing import Iterator, Sequence
 
 from .bits import ONE, ZERO, over_common_denominator, require_unit
 from .errors import DomainError
-from .intervals import Interval, IntervalSet, canonicalize, relative_measure
-
-Half = Fraction(1, 2)
+from .intervals import Interval, IntervalSet, canonicalize
 
 
 def dyadic_intervals_containing(z: Fraction, n: int) -> list[Interval]:
@@ -49,25 +59,48 @@ class DensityEstimate:
     family_size: int
 
 
-def _general_windows(c: IntervalSet, z: Fraction, scale_depth: int) -> list[Interval]:
-    radii = [Fraction(1, 1 << k) for k in range(scale_depth + 1)]
-    left = list(radii)
-    right = list(radii)
-    for part in c.parts:
-        for e in (part.lo, part.hi):
-            d = z - e
-            if ZERO < d <= Half:
-                left.append(d)
-            d = e - z
-            if ZERO < d <= Half:
-                right.append(d)
-    windows = []
-    for g in sorted(set(left)):
-        for d in sorted(set(right)):
-            windows.append(Interval(max(ZERO, z - g), min(ONE, z + d)))
-    for n in range(scale_depth + 1):
-        windows.extend(dyadic_intervals_containing(z, n))
-    return windows
+class _MassRow:
+    """The parts of a class as integers over one denominator ``den``, flattened
+    to ``ends`` = [lo_0, hi_0, lo_1, hi_1, ...], with ``masses[i]`` the mass of
+    the class on [0, ends[i]], also over ``den``.  ``den`` is the lcm of the
+    endpoints' denominators and of ``extra``'s."""
+
+    def __init__(self, c: IntervalSet, extra: Sequence[Fraction] = ()):
+        ends = [x for p in c.parts for x in (p.lo, p.hi)]
+        self.den = lcm(*(x.denominator for x in ends), *(x.denominator for x in extra))
+        self.ends = [self.scaled(x) for x in ends]
+        self.masses: list[int] = []
+        acc = 0
+        for lo, hi in zip(self.ends[::2], self.ends[1::2]):
+            self.masses += (acc, acc + hi - lo)
+            acc += hi - lo
+
+    def scaled(self, x: Fraction) -> int:
+        return x.numerator * (self.den // x.denominator)
+
+    def mass(self, x: int) -> int:
+        """The mass of the class on [0, x / den], over den."""
+        i = bisect_right(self.ends, x)
+        if i == 0:
+            return 0
+        # an odd count of ends at or before x leaves x inside a part
+        return self.masses[i - 1] + (x - self.ends[i - 1] if i & 1 else 0)
+
+    def pieces(self, lo: int, hi: int) -> Iterator[tuple[int, int, bool]]:
+        """[lo, hi] cut at the part endpoints, left to right: (u, v, inside)
+        per piece, inside when the piece lies in a part (mass slope 1), not
+        in a gap (slope 0).  A piece is inside exactly when the next end
+        after u is a part's hi, which sits at an odd index of ends."""
+        ends = self.ends
+        i = bisect_right(ends, lo)
+        u = lo
+        while i < len(ends) and ends[i] < hi:
+            if ends[i] > u:
+                yield u, ends[i], i & 1 == 1
+                u = ends[i]
+            i += 1
+        if u < hi:
+            yield u, hi, i & 1 == 1
 
 
 def lower_density_estimate(
@@ -80,96 +113,75 @@ def lower_density_estimate(
     the basic dyadic intervals through z (so the dyadic estimate can never
     fall below the general one).  mode "dyadic" uses basic dyadic intervals
     of depth <= scale_depth only.  Both are upper bounds on the true lower
-    density that shrink as scale_depth grows.
+    density that shrink as scale_depth grows.  The first window of least
+    density, in the order listed, is the witness.
     """
     require_unit(z, "z")
     if scale_depth < 0:
         raise DomainError(f"negative scale_depth {scale_depth}")
-    if mode == "general":
-        windows = _general_windows(c, z, scale_depth)
-    elif mode == "dyadic":
-        windows = []
-        for n in range(scale_depth + 1):
-            windows.extend(dyadic_intervals_containing(z, n))
-    else:
+    if mode not in ("general", "dyadic"):
         raise DomainError(f"unknown mode {mode!r}")
-    best: Fraction | None = None
-    witness: Interval | None = None
-    seen = set()
-    for w in windows:
-        if w.is_degenerate or (w.lo, w.hi) in seen:
-            continue
-        seen.add((w.lo, w.hi))
-        value = relative_measure(c, w)
-        if best is None or value < best:
-            best, witness = value, w
-    if best is None:
-        raise RuntimeError("density estimate saw no nondegenerate window")
-    return DensityEstimate(best, witness, mode, scale_depth, len(seen))
+    row = _MassRow(c, (z, Fraction(1, 1 << scale_depth)))
+    den, zi = row.den, row.scaled(z)
+    windows: list[tuple[int, int]] = []
+    if mode == "general":
+        radii = [den >> k for k in range(scale_depth + 1)]
+        left = set(radii)
+        left.update(zi - e for e in row.ends if 0 < 2 * (zi - e) <= den)
+        right = set(radii)
+        right.update(e - zi for e in row.ends if 0 < 2 * (e - zi) <= den)
+        his = [min(den, zi + d) for d in sorted(right)]
+        windows += [(max(0, zi - g), hi) for g in sorted(left) for hi in his]
+    for n in range(scale_depth + 1):
+        windows += [
+            (row.scaled(w.lo), row.scaled(w.hi))
+            for w in dyadic_intervals_containing(z, n)
+        ]
+    # every window holds z and reaches a positive distance past it on a side
+    # inside [0, 1], so none is degenerate
+    mass = {x: row.mass(x) for w in windows for x in w}
+    best_m, best_len, witness = 1, 0, windows[0]  # 1/0: no window yet
+    for lo, hi in windows:
+        m, length = mass[hi] - mass[lo], hi - lo
+        if m * best_len < best_m * length:
+            best_m, best_len, witness = m, length, (lo, hi)
+    return DensityEstimate(
+        Fraction(best_m, best_len),
+        Interval(Fraction(witness[0], den), Fraction(witness[1], den)),
+        mode,
+        scale_depth,
+        len(set(windows)),
+    )
 
 
-def _segments(points: list[Fraction]) -> list[tuple[Fraction, Fraction]]:
-    pts = sorted(set(points))
-    return [(pts[i], pts[i + 1]) for i in range(len(pts) - 1)]
+def _extend_left(row: _MassRow, b: int, p: int, q: int) -> Fraction:
+    """Least x in [0, b] with lambda(C cap [x, b]) <= (p/q) (b - x)."""
+    rest = row.mass(b)  # the mass of C on [0, b]
+    for u, v, inside in row.pieces(0, b):
+        mv = rest - row.mass(v)  # the mass of C on [v, b]
+        if inside:
+            # mass(x) = mv + (v - x) qualifies iff x >= x* = num / (q - p)
+            num = q * (mv + v) - p * b
+            if num <= v * (q - p):
+                return Fraction(max(num, u * (q - p)), (q - p) * row.den)
+        elif p * (b - u) >= q * mv:  # constant mass, qualifies iff at u
+            return Fraction(u, row.den)
+    return Fraction(b, row.den)  # only for b == 0: x = b always qualifies
 
 
-def _breakpoints(c: IntervalSet, lo: Fraction, hi: Fraction) -> list[Fraction]:
-    pts = [lo, hi]
-    for p in c.parts:
-        for e in (p.lo, p.hi):
-            if lo < e < hi:
-                pts.append(e)
-    return pts
-
-
-def _extend_left(c: IntervalSet, b: Fraction, eps: Fraction) -> Fraction:
-    """Minimal x with lambda(C cap [x, b]) <= eps (b - x)."""
-    segs = _segments(_breakpoints(c, ZERO, b))
-    # suffix masses of C on [x, b], affine per segment
-    mass_at: dict[Fraction, Fraction] = {b: ZERO}
-    slopes: list[Fraction] = []
-    for u, v in reversed(segs):
-        mid = (u + v) / 2
-        s = ONE if c.contains_point(mid) else ZERO
-        slopes.append(s)
-        mass_at[u] = mass_at[v] + s * (v - u)
-    slopes.reverse()
-    for (u, v), s in zip(segs, slopes):
-        mv = mass_at[v]
-        if s == ONE:
-            # mass(x) = mv + (v - x); qualifies iff x >= x_star
-            x_star = (mv + v - eps * b) / (ONE - eps)
-            lo = max(u, x_star)
-            if lo <= v and mv + (v - lo) <= eps * (b - lo):
-                return lo
-        else:
-            # mass constant: qualifies iff eps*(b - x) >= mv
-            if eps * (b - u) >= mv:
-                return u
-    return b  # unreachable for a genuine gap: x = a_i always qualifies
-
-
-def _extend_right(c: IntervalSet, a: Fraction, eps: Fraction) -> Fraction:
-    """Maximal x with lambda(C cap [a, x]) <= eps (x - a)."""
-    segs = _segments(_breakpoints(c, a, ONE))
-    mass_at: dict[Fraction, Fraction] = {a: ZERO}
-    seg_slopes: list[Fraction] = []
-    for u, v in segs:
-        mid = (u + v) / 2
-        s = ONE if c.contains_point(mid) else ZERO
-        seg_slopes.append(s)
-        mass_at[v] = mass_at[u] + s * (v - u)
-    for (u, v), s in reversed(list(zip(segs, seg_slopes))):
-        mu = mass_at[u]
-        if s == ONE:
-            x_star = (u - mu - eps * a) / (ONE - eps)
-            hi = min(v, x_star)
-            if hi >= u and mu + (hi - u) <= eps * (hi - a):
-                return hi
-        else:
-            if eps * (v - a) >= mu:
-                return v
-    return a
+def _extend_right(row: _MassRow, a: int, p: int, q: int) -> Fraction:
+    """Greatest x in [a, 1] with lambda(C cap [a, x]) <= (p/q) (x - a)."""
+    base = row.mass(a)
+    for u, v, inside in reversed(list(row.pieces(a, row.den))):
+        mu = row.mass(u) - base  # the mass of C on [a, u]
+        if inside:
+            # mass(x) = mu + (x - u) qualifies iff x <= x* = num / (q - p)
+            num = q * (u - mu) - p * a
+            if num >= u * (q - p):
+                return Fraction(min(num, v * (q - p)), (q - p) * row.den)
+        elif p * (v - a) >= q * mu:
+            return Fraction(v, row.den)
+    return Fraction(a, row.den)
 
 
 def _maximal(intervals: list[Interval]) -> list[Interval]:
@@ -209,11 +221,13 @@ class FatCover:
         return 2 * (ONE - self.class_set.measure) / (ONE - self.epsilon)
 
     def inequalities(self) -> list[tuple[str, Fraction, Fraction, bool]]:
+        overlap, overlap_bound = self.overlap_measure, self.overlap_bound
+        size, size_bound = self.size_measure, self.size_bound
         return [
-            ("overlap lambda(C cap U) <= 2 eps", self.overlap_measure,
-             self.overlap_bound, self.overlap_measure <= self.overlap_bound),
-            ("size lambda(U) <= 2(1 - lambda C)/(1 - eps)", self.size_measure,
-             self.size_bound, self.size_measure <= self.size_bound),
+            ("overlap lambda(C cap U) <= 2 eps", overlap, overlap_bound,
+             overlap <= overlap_bound),
+            ("size lambda(U) <= 2(1 - lambda C)/(1 - eps)", size, size_bound,
+             size <= size_bound),
         ]
 
     def holds(self) -> bool:
@@ -228,13 +242,15 @@ def low_density_open_set(c: IntervalSet, eps: Fraction) -> FatCover:
     """
     if not ZERO < eps < ONE:
         raise DomainError(f"eps must be in (0,1), got {eps}")
+    row = _MassRow(c)
+    p, q = eps.numerator, eps.denominator
     fat_candidates: list[Interval] = []
     for gap in c.gaps():
         if gap.is_degenerate:
             continue
         a, b = gap.lo, gap.hi
-        fat_candidates.append(Interval(_extend_left(c, b, eps), b))
-        fat_candidates.append(Interval(a, _extend_right(c, a, eps)))
+        fat_candidates.append(Interval(_extend_left(row, row.scaled(b), p, q), b))
+        fat_candidates.append(Interval(a, _extend_right(row, row.scaled(a), p, q)))
     fats = _maximal(fat_candidates)
 
     chain: list[Interval] = []

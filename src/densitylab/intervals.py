@@ -6,11 +6,15 @@ are legal and carry zero measure: they show up as retained hole endpoints when
 open intervals are subtracted.  Open sets are represented by their closures
 with the openness documented at the operation that produced them; all measure
 arithmetic is exact, so null boundaries never change a verdict.
+
+Point queries bisect the sorted part starts to the one part that can answer:
+``contains_point`` to the last part starting at or before x, ``meets_open``
+to the last part starting before v, so neither scans the parts.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -49,10 +53,6 @@ class Interval:
         lo = max(self.lo, other.lo)
         hi = min(self.hi, other.hi)
         return Interval(lo, hi) if lo <= hi else None
-
-    def meets_open(self, u: Fraction, v: Fraction) -> bool:
-        """Does [lo,hi] intersect the open interval (u,v)?"""
-        return self.lo < v and self.hi > u
 
     def to_json(self) -> list[str]:
         return [format_rational(self.lo), format_rational(self.hi)]
@@ -111,10 +111,13 @@ class IntervalSet:
         ]
 
     def meets_open(self, u: Fraction, v: Fraction) -> bool:
-        """Does the set intersect the open interval (u,v)?"""
+        """Does the set intersect the open interval (u,v)?  Only the last part
+        starting before v can: the parts' right ends increase with their
+        starts, so it has the largest right end of all parts with lo < v."""
         if u >= v:
             return False
-        return any(p.meets_open(u, v) for p in self.parts)
+        i = bisect_left(self._los, v)
+        return i > 0 and self.parts[i - 1].hi > u
 
     def complement(self) -> "IntervalSet":
         """Closed representation of [0,1] minus the set (boundaries are null);
@@ -202,13 +205,6 @@ def canonicalize(raw: Iterable[Interval]) -> IntervalSet:
         else:
             merged.append(item)
     return IntervalSet(tuple(merged))
-
-
-def relative_measure(s: IntervalSet, window: Interval) -> Fraction:
-    """lambda(S cap I) / lambda(I); the window must be nondegenerate."""
-    if window.is_degenerate:
-        raise DomainError(f"window {window} has zero length")
-    return s.intersect_interval(window).measure / window.length
 
 
 @dataclass(frozen=True)

@@ -16,11 +16,11 @@ shrink, so no new minimal elements can appear.
 
 from __future__ import annotations
 
-import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .bits import cylinder_bounds, is_antichain, validate_bits
+from .bits import cylinder_bounds, is_antichain, over_common_denominator, validate_bits
 from .errors import DomainError
 from .intervals import Interval, IntervalSet, StagedOpenEnumeration, canonicalize
 
@@ -81,10 +81,48 @@ class PorousExtensions:
     truncated: bool
 
 
+class ClassGaps:
+    """The nondegenerate gaps of one class, for scanning many sigmas against it.
+
+    The gap endpoints are integer numerators over one denominator.  Per level
+    L, ``inner(L)`` gives for each gap the first and last index j whose
+    cylinder [j 2^-L, (j+1) 2^-L] lies inside the gap, ceil(lo 2^L) and
+    floor(hi 2^L) - 1; each level is computed once per class.
+    """
+
+    def __init__(self, class_set: IntervalSet):
+        self.gaps = [g for g in class_set.gaps() if not g.is_degenerate]
+        self.den, ends = over_common_denominator(
+            [x for g in self.gaps for x in (g.lo, g.hi)]
+        )
+        self.los, self.his = ends[0::2], ends[1::2]
+        self._inner: dict[int, tuple[list[int], list[int]]] = {}
+
+    def inner(self, level: int) -> tuple[list[int], list[int]]:
+        if level not in self._inner:
+            d = self.den
+            self._inner[level] = (
+                [-(-(lo << level) // d) for lo in self.los],
+                [(hi << level) // d - 1 for hi in self.his],
+            )
+        return self._inner[level]
+
+    def meeting(self, s_idx: int, s_len: int) -> range:
+        """The gaps that meet the open cylinder (s_idx, s_idx + 1) 2^-s_len:
+        those with hi > s_idx 2^-s_len and lo < (s_idx + 1) 2^-s_len, one
+        run of the sorted, disjoint gaps."""
+        d = self.den
+        return range(
+            bisect_right(self.his, (s_idx * d) >> s_len),
+            bisect_left(self.los, -((-(s_idx + 1) * d) >> s_len)),
+        )
+
+
 def minimal_porous_extensions(
-    class_set: IntervalSet, sigma: str, c: int, depth_cap: int | None = None
+    gaps: ClassGaps, sigma: str, c: int, depth_cap: int | None = None
 ) -> PorousExtensions:
-    """Antichain of minimal rho >= sigma reached by an empty cylinder.
+    """Antichain of minimal rho >= sigma reached by an empty cylinder of the
+    class whose gaps are given.
 
     With depth_cap None the scan runs to the exact completion depth and the
     result is the full N(sigma); a lower cap is honest truncation and is
@@ -95,31 +133,25 @@ def minimal_porous_extensions(
         raise DomainError(f"reach constant must be nonnegative, got {c}")
     s_len = len(sigma)
     s_idx = int(sigma, 2) if sigma else 0
-    slo, shi = cylinder_bounds(sigma)
-    gaps = [
-        g
-        for g in class_set.gaps()
-        if not g.is_degenerate and g.lo < shi and g.hi > slo
-    ]
-    if not gaps:
+    meeting = gaps.meeting(s_idx, s_len)
+    if not meeting:
         return PorousExtensions(sigma, c, (), s_len, s_len, False)
 
     activations = []
-    for g in gaps:
+    for i in meeting:
         level = s_len
         while True:
-            scale = 1 << level
-            e1 = max(math.ceil(g.lo * scale), s_idx << (level - s_len))
-            e2 = min(
-                math.floor(g.hi * scale) - 1,
-                ((s_idx + 1) << (level - s_len)) - 1,
-            )
+            firsts, lasts = gaps.inner(level)
+            e1 = max(firsts[i], s_idx << (level - s_len))
+            e2 = min(lasts[i], ((s_idx + 1) << (level - s_len)) - 1)
             if e1 <= e2:
                 activations.append(level)
                 break
             level += 1
             if level > s_len + _SCAN_SAFETY:
-                raise RuntimeError(f"gap {g.to_json()} never activates below {sigma!r}")
+                raise RuntimeError(
+                    f"gap {gaps.gaps[i].to_json()} never activates below {sigma!r}"
+                )
     completion = max(activations) + 1
     if depth_cap is None:
         scan_to = completion
@@ -136,11 +168,11 @@ def minimal_porous_extensions(
             covered = [(2 * a, 2 * b + 1) for a, b in covered]
         lo_idx = s_idx << (level - s_len)
         hi_idx = ((s_idx + 1) << (level - s_len)) - 1
-        scale = 1 << level
+        firsts, lasts = gaps.inner(level)
         qualifying = []
-        for g in gaps:
-            e1 = max(math.ceil(g.lo * scale), lo_idx)
-            e2 = min(math.floor(g.hi * scale) - 1, hi_idx)
+        for i in meeting:
+            e1 = max(firsts[i], lo_idx)
+            e2 = min(lasts[i], hi_idx)
             if e1 > e2:
                 continue
             qualifying.append((max(e1 - reach, lo_idx), min(e2 + reach, hi_idx)))
@@ -206,13 +238,15 @@ class PorosityTest:
     boxes: dict[tuple[int, int], tuple[str, ...]] = field(repr=False)
     components: tuple[IntervalSet, ...] = field(repr=False)
     node_records: tuple[tuple[str, Fraction, Fraction, bool], ...] = field(repr=False)
+    # the stage classes for t <= stages, built once
+    classes: tuple[IntervalSet, ...] = field(repr=False)
 
     @property
     def decay(self) -> Fraction:
         return 1 - Fraction(1, 1 << (self.constant + 2))
 
     def meeting_mass(self, n: int, t: int) -> Fraction:
-        cls = self.enum.stage_class(t)
+        cls = self.classes[t]
         return sum(
             (
                 Fraction(1, 1 << len(rho))
@@ -233,7 +267,7 @@ class PorosityTest:
                 (f"level {n}: max_t meeting mass <= decay^n", worst_lhs, bound,
                  worst_lhs <= bound)
             )
-        final = self.enum.stage_class(self.stages)
+        final = self.classes[self.stages]
         for n in range(self.levels + 1):
             lhs = self.components[n].intersect(final).measure
             bound = self.decay**n
@@ -265,15 +299,16 @@ def porosity_test(
     node_records: list[tuple[str, Fraction, Fraction, bool]] = []
     decay = 1 - Fraction(1, 1 << (c + 2))
 
-    for t in range(stages + 1):
-        cls = enum.stage_class(t)
+    classes = tuple(enum.stage_class(t) for t in range(stages + 1))
+    for t, cls in enumerate(classes):
+        gaps = ClassGaps(cls)
         boxes[(0, t)] = ("",)
         for n in range(1, levels + 1):
             collected: list[str] = []
             for sigma in boxes[(n - 1, t)]:
                 key = (t, sigma)
                 if key not in extension_cache:
-                    ext = minimal_porous_extensions(cls, sigma, c)
+                    ext = minimal_porous_extensions(gaps, sigma, c)
                     extension_cache[key] = ext
                     lhs = sum(
                         (
@@ -308,4 +343,6 @@ def porosity_test(
         )
         for n in range(levels + 1)
     )
-    return PorosityTest(enum, c, levels, stages, boxes, components, tuple(node_records))
+    return PorosityTest(
+        enum, c, levels, stages, boxes, components, tuple(node_records), classes
+    )

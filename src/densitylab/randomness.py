@@ -9,7 +9,7 @@ deeper.  Boundary points of items are null and never affect a bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
@@ -384,6 +384,10 @@ class DominationScenario:
     z: Fraction
     eps: Fraction
     depth: int
+    # g(s) by s, filled by least_density_drop; None where no window drops
+    _drops: dict[int, int | None] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         for w in self.words:
@@ -406,10 +410,18 @@ class DominationScenario:
 
 
 def least_density_drop(scenario: DominationScenario, s: int) -> int:
-    """g(s): least t > s whose window class has estimate < eps at z."""
-    for t in range(s + 1, len(scenario.words) + 1):
-        if scenario.density_at(s, t) < scenario.eps:
-            return t
+    """g(s): least t > s whose window class has estimate < eps at z.  Each g(s)
+    is searched once per scenario, so least_drop_h and build_domination_tests
+    share it."""
+    drops = scenario._drops
+    if s not in drops:
+        drops[s] = next(
+            (t for t in range(s + 1, len(scenario.words) + 1)
+             if scenario.density_at(s, t) < scenario.eps),
+            None,
+        )
+    if drops[s] is not None:
+        return drops[s]
     raise BudgetExhausted(
         f"no window [{s},t) drops the density below {scenario.eps} "
         f"within {len(scenario.words)} words"

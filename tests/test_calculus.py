@@ -178,6 +178,14 @@ def test_monotone_extension_budget_exhaustion_reported():
     assert err.value.achieved is not None and err.value.achieved >= F(1, 1 << 8)
 
 
+@pytest.mark.parametrize("precision", [0, -1])
+def test_monotone_extension_rejects_precision_below_one(precision):
+    enum = enumeration((F(1, 4), F(1, 2)))
+    with pytest.raises(DomainError):
+        MonotoneExtension(line_oracle(), enum, 6, ExtensionBudget(precision=precision))
+    MonotoneExtension(line_oracle(), enum, 6, ExtensionBudget(precision=1))
+
+
 # Holes with denominators 3, 5 and 10 put part endpoints off the internal
 # 2^-10 grid.  The values were computed with the Fraction-row implementation
 # that the integer rows replaced; they pin the extension exactly.

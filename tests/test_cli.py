@@ -192,7 +192,10 @@ def test_bad_documents_exit_2_with_json_on_stderr(tmp_path, capfd, command, doc,
 @pytest.mark.parametrize("argv", [
     ["martingale", "--seed", "1", "--json"],
     ["extend", "--seed", "1", "--depth", "16", "--json"],
-], ids=["martingale", "extend"])
+    ["covering", "--seed", "1", "--json"],
+    ["porosity", "--seed", "1", "--json"],
+    ["tests", "--seed", "1", "--json"],
+], ids=["martingale", "extend", "covering", "porosity", "tests"])
 def test_martingale_report_is_the_same_with_asserts_stripped(tmp_path, argv):
     # python -O removes every assert; no check may depend on one
     _, plain = run(tmp_path, *argv)

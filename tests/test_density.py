@@ -168,3 +168,137 @@ def test_oracle_matches_fraction_scan(holes, extras):
         assert brute_force_low_density_oracle(c, eps, 4, extras) == reference_oracle(
             c, eps, 4, extras
         )
+
+
+# The Fraction implementations the integer mass row replaced, kept as
+# references: every window density and every cover segment in Fractions.
+def reference_estimate(c, z, scale_depth, mode):
+    windows = []
+    if mode == "general":
+        radii = [F(1, 1 << k) for k in range(scale_depth + 1)]
+        left, right = list(radii), list(radii)
+        for part in c.parts:
+            for e in (part.lo, part.hi):
+                if 0 < z - e <= F(1, 2):
+                    left.append(z - e)
+                if 0 < e - z <= F(1, 2):
+                    right.append(e - z)
+        for g in sorted(set(left)):
+            for d in sorted(set(right)):
+                windows.append(Interval(max(F(0), z - g), min(F(1), z + d)))
+    for n in range(scale_depth + 1):
+        windows.extend(dyadic_intervals_containing(z, n))
+    best, witness, seen = None, None, set()
+    for w in windows:
+        if w.is_degenerate or (w.lo, w.hi) in seen:
+            continue
+        seen.add((w.lo, w.hi))
+        value = c.intersect_interval(w).measure / w.length
+        if best is None or value < best:
+            best, witness = value, w
+    return best, witness, len(seen)
+
+
+def _reference_segments(c, lo, hi):
+    pts = sorted({lo, hi} | {e for p in c.parts for e in (p.lo, p.hi) if lo < e < hi})
+    return [(pts[i], pts[i + 1]) for i in range(len(pts) - 1)]
+
+
+def _reference_slope(c, u, v):
+    return F(1) if c.contains_point((u + v) / 2) else F(0)
+
+
+def reference_extend_left(c, b, eps):
+    segs = _reference_segments(c, F(0), b)
+    mass_at = {b: F(0)}
+    for u, v in reversed(segs):
+        mass_at[u] = mass_at[v] + _reference_slope(c, u, v) * (v - u)
+    for u, v in segs:
+        mv = mass_at[v]
+        if _reference_slope(c, u, v) == 1:
+            lo = max(u, (mv + v - eps * b) / (1 - eps))
+            if lo <= v and mv + (v - lo) <= eps * (b - lo):
+                return lo
+        elif eps * (b - u) >= mv:
+            return u
+    return b
+
+
+def reference_extend_right(c, a, eps):
+    segs = _reference_segments(c, a, F(1))
+    mass_at = {a: F(0)}
+    for u, v in segs:
+        mass_at[v] = mass_at[u] + _reference_slope(c, u, v) * (v - u)
+    for u, v in reversed(segs):
+        mu = mass_at[u]
+        if _reference_slope(c, u, v) == 1:
+            hi = min(v, (u - mu - eps * a) / (1 - eps))
+            if hi >= u and mu + (hi - u) <= eps * (hi - a):
+                return hi
+        elif eps * (v - a) >= mu:
+            return v
+    return a
+
+
+def reference_cover(c, eps):
+    """(fat_intervals, chain, U) as the Fraction route built them."""
+    candidates = []
+    for gap in c.gaps():
+        if not gap.is_degenerate:
+            candidates.append(Interval(reference_extend_left(c, gap.hi, eps), gap.hi))
+            candidates.append(Interval(gap.lo, reference_extend_right(c, gap.lo, eps)))
+    fats, best_hi = [], None
+    for iv in sorted(candidates, key=lambda i: (i.lo, -i.hi)):
+        if best_hi is None or iv.hi > best_hi:
+            fats.append(iv)
+            best_hi = iv.hi
+    chain = []
+    if fats:
+        i = 0
+        chain.append(fats[0])
+        while True:
+            nxt = next((j for j in range(len(fats) - 1, i, -1) if fats[j].lo <= fats[i].hi),
+                       None)
+            if nxt is None and i + 1 < len(fats):
+                nxt = i + 1
+            if nxt is None:
+                break
+            i = nxt
+            chain.append(fats[i])
+    return tuple(fats), tuple(chain), canonicalize(fats)
+
+
+# classes with dyadic and non-dyadic endpoints and degenerate parts [a, a]
+any_points = st.one_of(unit_points, st.integers(0, 64).map(lambda k: F(k, 64)))
+classes = st.one_of(
+    st.one_of(hole_lists, mixed_holes).map(FULL_SET.subtract_open),
+    st.lists(
+        st.one_of(
+            st.tuples(any_points, any_points).map(lambda p: interval(min(p), max(p))),
+            any_points.map(lambda x: interval(x, x)),
+        ),
+        max_size=6,
+    ).map(canonicalize),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(classes, any_points, st.integers(0, 6))
+def test_estimate_matches_fraction_windows(c, z, depth):
+    ends = [x for p in c.parts for x in (p.lo, p.hi)]
+    # z on part endpoints, at 0 and 1, and 1/2 from an endpoint, as well as anywhere
+    halfway = [e + F(1, 2) for e in ends[:2] if e <= F(1, 2)]
+    for point in [z, F(0), F(1)] + ends[:4] + halfway:
+        for mode in ("general", "dyadic"):
+            est = lower_density_estimate(c, point, depth, mode)
+            assert (est.estimate, est.witness, est.family_size) == reference_estimate(
+                c, point, depth, mode
+            )
+
+
+@settings(max_examples=40, deadline=None)
+@given(classes)
+def test_cover_matches_fraction_segments(c):
+    for eps in COVERING_EPSILONS + (F(2, 7),):
+        fc = low_density_open_set(c, eps)
+        assert (fc.fat_intervals, fc.chain, fc.U) == reference_cover(c, eps)

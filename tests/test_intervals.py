@@ -14,7 +14,6 @@ from densitylab.intervals import (
     canonicalize,
     enumeration,
     interval,
-    relative_measure,
 )
 
 endpoints = st.builds(lambda n, d: F(n, d), st.integers(0, 64), st.integers(1, 64)).filter(
@@ -94,6 +93,14 @@ def test_subtract_self_is_null(a):
     assert diff.measure == 0
 
 
+def relative_measure(s, window):
+    """lambda(S cap I) / lambda(I) in Fractions, the reference the density
+    windows once used; the window must be nondegenerate."""
+    if window.is_degenerate:
+        raise DomainError(f"window {window} has zero length")
+    return s.intersect_interval(window).measure / window.length
+
+
 def test_relative_measure():
     c = IntervalSet((interval(F(0), F(1, 4)), interval(F(1, 2), F(1))))
     assert relative_measure(c, interval(F(1, 4), F(1, 2))) == 0
@@ -151,3 +158,13 @@ def test_grid_ranges_are_the_grid_points_inside(s, depth):
     assert len(ranges) == len(s.parts)
     got = [k for r in ranges for k in r]
     assert got == [k for k in range(scale + 1) if s.contains_point(F(k, scale))]
+
+
+@given(parts_with_points, st.lists(endpoints, min_size=2, max_size=6))
+def test_meets_open_matches_a_scan_of_the_parts(s, extra):
+    ends = [x for p in s.parts for x in (p.lo, p.hi)]
+    points = ends + extra + [F(0), F(1)]
+    for u in points:
+        for v in points:  # u >= v included: the open interval is empty
+            scan = u < v and any(p.lo < v and p.hi > u for p in s.parts)
+            assert s.meets_open(u, v) == scan

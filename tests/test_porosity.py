@@ -1,13 +1,24 @@
+import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from densitylab.bits import is_antichain
+from densitylab.bits import all_strings, cylinder_bounds, is_antichain
 from densitylab.errors import DomainError
-from densitylab.intervals import FULL_SET, StagedOpenEnumeration, enumeration, interval
+from densitylab.intervals import (
+    FULL_SET,
+    StagedOpenEnumeration,
+    canonicalize,
+    enumeration,
+    interval,
+)
 from densitylab.porosity import (
+    ClassGaps,
+    PorousExtensions,
+    _merge_ranges,
+    _subtract_ranges,
     cylinder_meets_class,
     minimal_porous_extensions,
     porosity_test,
@@ -28,25 +39,25 @@ def test_open_cylinder_emptiness_at_removed_hole():
 
 def test_minimal_extensions_one_hole():
     c1 = ONE_HOLE.stage_class(1)
-    ext = minimal_porous_extensions(c1, "", 1)
+    ext = minimal_porous_extensions(ClassGaps(c1), "", 1)
     assert ext.elements == ("00", "01", "10", "11")
     assert ext.completion_depth == 3 and not ext.truncated
     # a subtree with no gap overlap is a dead end
-    assert minimal_porous_extensions(c1, "00", 1).elements == ()
+    assert minimal_porous_extensions(ClassGaps(c1), "00", 1).elements == ()
     # an empty cylinder is its own minimal extension
-    assert minimal_porous_extensions(c1, "10", 1).elements == ("10",)
+    assert minimal_porous_extensions(ClassGaps(c1), "10", 1).elements == ("10",)
 
 
 def test_minimal_extensions_truncation_flag():
     c1 = ONE_HOLE.stage_class(1)
-    ext = minimal_porous_extensions(c1, "", 1, depth_cap=1)
+    ext = minimal_porous_extensions(ClassGaps(c1), "", 1, depth_cap=1)
     assert ext.truncated and ext.scan_depth == 1
     assert ext.elements == ()
 
 
 def test_minimal_extensions_rejects_negative_constant():
     with pytest.raises(DomainError):
-        minimal_porous_extensions(FULL_SET, "", -1)
+        minimal_porous_extensions(ClassGaps(FULL_SET), "", -1)
 
 
 def test_porosity_test_one_hole_boxes():
@@ -104,9 +115,76 @@ def test_porosity_test_invariants_random(holes, c, levels):
 @given(st.lists(hole_strategy, min_size=1, max_size=5), st.integers(1, 3))
 def test_minimal_extensions_are_minimal_antichains(holes, c):
     cls = FULL_SET.subtract_open(holes)
-    ext = minimal_porous_extensions(cls, "", c)
+    ext = minimal_porous_extensions(ClassGaps(cls), "", c)
     assert is_antichain(ext.elements)
     # rerunning below any member finds the member itself as qualifying root
     for rho in ext.elements[:4]:
-        sub = minimal_porous_extensions(cls, rho, c)
+        sub = minimal_porous_extensions(ClassGaps(cls), rho, c)
         assert sub.elements == (rho,) or rho not in sub.elements
+
+
+def reference_extensions(class_set, sigma, c, depth_cap=None):
+    """The scan in Fractions, gaps and their ceil/floor taken per call."""
+    s_len = len(sigma)
+    s_idx = int(sigma, 2) if sigma else 0
+    slo, shi = cylinder_bounds(sigma)
+    gaps = [g for g in class_set.gaps()
+            if not g.is_degenerate and g.lo < shi and g.hi > slo]
+    if not gaps:
+        return PorousExtensions(sigma, c, (), s_len, s_len, False)
+
+    def inner(g, level):
+        lo_idx = s_idx << (level - s_len)
+        hi_idx = ((s_idx + 1) << (level - s_len)) - 1
+        scale = 1 << level
+        return (max(math.ceil(g.lo * scale), lo_idx),
+                min(math.floor(g.hi * scale) - 1, hi_idx), lo_idx, hi_idx)
+
+    activations = []
+    for g in gaps:
+        level = s_len
+        while inner(g, level)[0] > inner(g, level)[1]:
+            level += 1
+        activations.append(level)
+    completion = max(activations) + 1
+    scan_to = completion if depth_cap is None else min(depth_cap, completion)
+    truncated = depth_cap is not None and depth_cap < completion
+    reach, covered, found = 1 << c, [], []
+    for level in range(s_len, scan_to + 1):
+        if level > s_len:
+            covered = [(2 * a, 2 * b + 1) for a, b in covered]
+        qualifying = []
+        for g in gaps:
+            e1, e2, lo_idx, hi_idx = inner(g, level)
+            if e1 <= e2:
+                qualifying.append((max(e1 - reach, lo_idx), min(e2 + reach, hi_idx)))
+        fresh = _subtract_ranges(_merge_ranges(qualifying), covered)
+        found.extend(format(j, f"0{level}b") if level else ""
+                     for a, b in fresh for j in range(a, b + 1))
+        covered = _merge_ranges(covered + fresh)
+    return PorousExtensions(sigma, c, tuple(sorted(found)), scan_to, completion, truncated)
+
+
+# dyadic and non-dyadic endpoints, degenerate parts [a, a]
+class_points = st.one_of(
+    st.integers(0, 64).map(lambda k: F(k, 64)),
+    st.builds(lambda d, k: F(k % (d + 1), d), st.sampled_from([3, 5, 7, 12]),
+              st.integers(0, 12)),
+)
+mixed_classes = st.lists(
+    st.one_of(
+        st.tuples(class_points, class_points).map(lambda p: interval(min(p), max(p))),
+        class_points.map(lambda x: interval(x, x)),
+    ),
+    max_size=6,
+).map(canonicalize)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixed_classes, st.integers(0, 2), st.sampled_from([None, 2, 4]))
+def test_minimal_extensions_match_fraction_scan(cls, c, depth_cap):
+    gaps = ClassGaps(cls)
+    for sigma in [s for n in range(4) for s in all_strings(n)]:
+        assert minimal_porous_extensions(gaps, sigma, c, depth_cap) == reference_extensions(
+            cls, sigma, c, depth_cap
+        )

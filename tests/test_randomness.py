@@ -16,6 +16,7 @@ from densitylab.randomness import (
     density_difference_test,
     difference_test_from_porosity,
     least_density_drop,
+    least_drop_h,
 )
 
 PINCH = enumeration((F(1, 4), F(1, 3)), (F(1, 3), F(1, 2)))
@@ -146,6 +147,23 @@ def test_least_density_drop_values():
         least_density_drop(
             DominationScenario(("0100", "011"), F(1, 3), F(1, 64), 6), 0
         )
+
+
+@pytest.mark.parametrize("case", [1, 2])
+def test_least_density_drop_estimates_each_window_once(monkeypatch, case):
+    sc = DominationScenario(WORDS, F(1, 3), F(1, 4), 6)
+    seen = []
+    density_at = DominationScenario.density_at
+    monkeypatch.setattr(
+        DominationScenario, "density_at",
+        lambda self, s, t: seen.append((s, t)) or density_at(self, s, t),
+    )
+    dom = build_domination_tests(sc, least_drop_h(sc, case, 1), case, 1)
+    assert seen and len(seen) == len(set(seen))
+    assert dom.holds()
+    # the memo is no part of the scenario's value
+    fresh = DominationScenario(WORDS, F(1, 3), F(1, 4), 6)
+    assert sc == fresh and hash(sc) == hash(fresh) and repr(sc) == repr(fresh)
 
 
 def test_domination_case1_capture_and_budget():
