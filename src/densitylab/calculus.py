@@ -5,11 +5,15 @@ an exact evaluator alongside the sampler, so slope computations on them are
 exact; an oracle without one is sampled and its error accounted for.  A
 declared Lipschitz constant stands in for a modulus of continuity: extrema
 are computed by modulus-driven grid refinement with explicit error margins,
-never by assuming where the extremum sits.
+never by assuming where the extremum sits.  A polynomial oracle keeps its
+coefficients, so the extremum reads the refined grid as one row of integer
+Horner evaluations over one denominator; pseudo-derivative estimates evaluate
+an exact oracle once per candidate point, not once per pair.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -40,6 +44,8 @@ class PointFunctionOracle:
         self.name = name
         # the function itself, when the oracle samples a PiecewiseLinear
         self.piecewise: PiecewiseLinear | None = None
+        # the coefficients c_0, c_1, ..., when the oracle is a polynomial
+        self.coefficients: tuple[Fraction, ...] | None = None
         # keyed by integers, so a lookup never hashes a Fraction
         self._memo: dict[tuple[int, int, int], Fraction] = {}
 
@@ -85,7 +91,9 @@ def polynomial_oracle(coeffs) -> PointFunctionOracle:
         return acc
 
     lip = sum((i * abs(c) for i, c in enumerate(cs)), ZERO)
-    return oracle_from_exact(fn, lipschitz=lip, name=f"polynomial {cs}")
+    oracle = oracle_from_exact(fn, lipschitz=lip, name=f"polynomial {cs}")
+    oracle.coefficients = cs
+    return oracle
 
 
 def piecewise_linear_oracle(pl: PiecewiseLinear, name: str = "piecewise") -> PointFunctionOracle:
@@ -167,6 +175,13 @@ def pseudo_derivative_estimate(
     scale h, lower mode a certified upper bound on the lower one; sampled
     oracles get the 2^-(grid_depth+2) slope-error adjustment, exact ones
     none.  Pairs must straddle x; one-sided pairs are excluded by definition.
+    The witness is the first pair, in (a, b) order, of extremal slope.
+
+    An exact oracle is evaluated once per candidate point; a sampled one goes
+    through ``slope`` per pair, whose sample index depends on the pair's width.
+    The slopes are taken in the oracle's own value type (Fraction, or
+    QuadValue for the counterexample), and the constant adjustment is applied
+    once, to the extremum.
     """
     x, h = Fraction(x), Fraction(h)
     if side not in ("upper", "lower"):
@@ -174,42 +189,83 @@ def pseudo_derivative_estimate(
     if h <= 0:
         raise DomainError("scale h must be positive")
     cands = _straddling_candidates(f, x, x - h, x + h, grid_depth)
-    lefts = [a for a in cands if a <= x]
-    rights = [b for b in cands if b >= x]
+    # the lefts a <= x are cands[:n_left], the rights b >= x cands[first_right:]
+    n_left = bisect_right(cands, x)
+    first_right = bisect_left(cands, x)
     prec = grid_depth + 2
-    adjust = ZERO if f.exact is not None else Fraction(1, 1 << prec)
+    upper = side == "upper"
+    values = None if f.exact is None else [f.exact(q) for q in cands]
     best = None
     witness = None
-    for a in lefts:
-        for b in rights:
-            if not ZERO < b - a <= h:
-                continue
-            v = slope(f, a, b, prec).value
-            v = v - adjust if side == "upper" else v + adjust
-            if best is None or (v > best if side == "upper" else v < best):
+    for i in range(n_left):
+        a = cands[i]
+        # the rights b with a < b <= a + h
+        for j in range(max(first_right, i + 1), bisect_right(cands, a + h, first_right)):
+            b = cands[j]
+            if values is not None:
+                v = (values[i] - values[j]) / (a - b)
+            else:
+                v = slope(f, a, b, prec).value
+            if best is None or (v > best if upper else v < best):
                 best, witness = v, (a, b)
     if best is None:
         raise DomainError(
             f"no straddling pair around {x} at depth {grid_depth} within scale {h}"
         )
+    if values is None:
+        adjust = Fraction(1, 1 << prec)
+        best = best - adjust if upper else best + adjust
     return DerivativeEstimate(side, best, witness, h, grid_depth)
+
+
+def _grid_step(lo: Fraction, hi: Fraction, max_step: Fraction) -> tuple[int, Fraction]:
+    """(count, delta) for lo < hi and max_step > 0: the fewest equal steps of
+    at most max_step from lo to hi, and their length."""
+    steps = (hi - lo) / max_step
+    count = steps.numerator // steps.denominator
+    if count * max_step < hi - lo:
+        count += 1
+    return count, (hi - lo) / count
 
 
 def _refined_grid(lo: Fraction, hi: Fraction, max_step: Fraction) -> list[Fraction]:
     if lo == hi or max_step <= 0:
         return [lo] if lo == hi else [lo, hi]
-    steps = (hi - lo) / max_step
-    count = steps.numerator // steps.denominator
-    if count * max_step < hi - lo:
-        count += 1
-    delta = (hi - lo) / count
+    count, delta = _grid_step(lo, hi, max_step)
     return [lo + k * delta for k in range(count + 1)]
+
+
+def _polynomial_row(
+    cs: tuple[Fraction, ...], lo: Fraction, delta: Fraction, count: int
+) -> tuple[int, list[int]]:
+    """(den, nums) with nums[k] / den the polynomial sum c_i x^i at
+    x = lo + k delta, k = 0..count.  With x = X / e and c_i = C_i / d over
+    common denominators, the sum is (sum C_i e^(deg-i) X^i) / (d e^deg): one
+    integer Horner evaluation per point."""
+    e = lcm(lo.denominator, delta.denominator)
+    d = lcm(*(c.denominator for c in cs))
+    deg = len(cs) - 1
+    weights = [c.numerator * (d // c.denominator) * e ** (deg - i) for i, c in enumerate(cs)]
+    top, rest = weights[-1], weights[-2::-1]
+    x0, dx = lo.numerator * (e // lo.denominator), delta.numerator * (e // delta.denominator)
+    nums = []
+    for k in range(count + 1):
+        xk = x0 + k * dx
+        acc = top
+        for w in rest:
+            acc = acc * xk + w
+        nums.append(acc)
+    return d * e ** deg, nums
 
 
 def interval_extremum(
     p: PointFunctionOracle, a: Fraction, b: Fraction, n: int, which: str
 ) -> Fraction:
-    """Sup or inf over [a,b] within 2^-n, by modulus-driven refinement."""
+    """Sup or inf over [a,b] within 2^-n, by modulus-driven refinement.
+
+    A polynomial oracle is read as one integer row over ``_refined_grid``'s
+    points, and one Fraction is built for the extremum; other oracles are
+    sampled point by point."""
     a, b = Fraction(a), Fraction(b)
     if which not in ("sup", "inf"):
         raise DomainError(f"which must be sup or inf, got {which!r}")
@@ -221,6 +277,10 @@ def interval_extremum(
         return p.sample(a, n)
     # grid step d with L d / 2 <= 2^-(n+1) makes grid value + sample error <= 2^-n
     step = Fraction(1, 1 << n) / p.lipschitz
+    if p.coefficients is not None:
+        count, delta = _grid_step(a, b, step)
+        den, nums = _polynomial_row(p.coefficients, a, delta, count)
+        return Fraction(max(nums) if which == "sup" else min(nums), den)
     values = [p.sample(q, n + 1) for q in _refined_grid(a, b, step)]
     return max(values) if which == "sup" else min(values)
 

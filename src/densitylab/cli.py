@@ -121,6 +121,8 @@ def run_density(args, doc) -> Report:
     else:
         docs = _as_docs(doc)
     grid_depth = args.depth if args.depth is not None else 8
+    if grid_depth < 0:
+        raise SchemaError(f"--depth must be at least 0, got {grid_depth}")
     rep.meta["grid_depth"] = grid_depth
     for i, d in enumerate(docs):
         c = FULL_SET.subtract_open(_holes(d))
@@ -148,8 +150,8 @@ def run_porosity(args, doc) -> Report:
     for i, d in enumerate(docs):
         enum = StagedOpenEnumeration(_holes(d))
         c = int(d.get("constant", 1))
-        levels = args.depth if args.depth is not None else int(d.get("levels", 3))
-        stages = args.stages if args.stages is not None else int(d.get("stages", 200))
+        levels = args.depth if args.depth is not None else _int_field(d, "levels", 3)
+        stages = args.stages if args.stages is not None else _int_field(d, "stages", 200)
         pt = porosity_test(enum, c, levels, stages)
         prefix = f"instance {i} (c={c}, levels={levels})"
         rep.checks.extend(check_rows(pt.node_records, f"{prefix}: node"))

@@ -20,7 +20,18 @@ densities by cross-multiplication, and builds one Fraction estimate and one
 witness Interval.  The cover cuts [0, b] and [a, 1] at the part endpoints,
 takes slope 1 or 0 from whether a piece lies inside a part, solves each
 piece's condition with eps = p/q in integers, and builds one Fraction per
-returned endpoint.
+returned endpoint.  The overlap lambda(C cap U) is the class's mass summed over
+the parts of U, on one mass row that holds U's endpoints too.
+
+The prefix-mass oracle checks U from outside the cover: it takes every
+interval between two candidate points (a dyadic grid, the part endpoints and
+the caller's extra points) whose density is at most eps, and returns their
+union.  It shares no code with the cover; it sweeps its own masses along the
+candidate points.  With D = q M - p G over the points G and their masses M,
+an interval qualifies iff D at its right end is at most D at its left end, so
+the farthest qualifying right end from each point is one bisection into the
+suffix minima of D.  That is the same verdict as the scan over every pair,
+without the quadratic loop.
 """
 
 from __future__ import annotations
@@ -31,7 +42,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterator, Sequence
 
-from .bits import ONE, ZERO, over_common_denominator, require_unit
+from .bits import ONE, ZERO, require_unit
 from .errors import DomainError
 from .intervals import Interval, IntervalSet, canonicalize
 
@@ -206,7 +217,13 @@ class FatCover:
 
     @property
     def overlap_measure(self) -> Fraction:
-        return self.class_set.intersect(self.U).measure
+        """lambda(C cap U), as the class's mass summed over the parts of U."""
+        row = _MassRow(self.class_set, [x for part in self.U for x in (part.lo, part.hi)])
+        return Fraction(
+            sum(row.mass(row.scaled(part.hi)) - row.mass(row.scaled(part.lo))
+                for part in self.U),
+            row.den,
+        )
 
     @property
     def overlap_bound(self) -> Fraction:
@@ -290,43 +307,57 @@ def brute_force_low_density_oracle(
     Candidate endpoints: the 2^-grid_depth grid, the part endpoints of C, and
     any caller-supplied extra points.  Verdicts come from direct prefix-mass
     comparisons, independent of the fat-interval route: with eps = p/q and
-    every point and mass an integer over one common denominator, [G_i, G_j]
-    qualifies iff q (M_j - M_i) <= p (G_j - G_i).
+    every point G_i and mass M_i = lambda(C cap [0, G_i]) an integer over one
+    common denominator, [G_i, G_j] qualifies iff q (M_j - M_i) <= p (G_j - G_i),
+    that is iff D_j <= D_i for D = q M - p G.  So the farthest interval from
+    G_i that qualifies ends at the largest j > i with D_j <= D_i, which is one
+    bisection into the suffix minima of D (nondecreasing in j).  The intervals
+    [G_i, G_j] are merged as index runs, and one Interval is built per run.
     """
-    points = {Fraction(k, 1 << grid_depth) for k in range((1 << grid_depth) + 1)}
-    for p in c.parts:
-        points.add(p.lo)
-        points.add(p.hi)
-    points.update(require_unit(x, "oracle grid point") for x in extra_points)
+    if grid_depth < 0:
+        raise DomainError(f"negative grid_depth {grid_depth}")
+    extras = [require_unit(x, "oracle grid point") for x in extra_points]
+    ends = [x for part in c.parts for x in (part.lo, part.hi)]
+    den = lcm(1 << grid_depth, *(x.denominator for x in ends),
+              *(x.denominator for x in extras))
+    ends_i = [x.numerator * (den // x.denominator) for x in ends]
+    points = set(range(0, den + 1, den >> grid_depth))
+    points.update(ends_i)
+    points.update(x.numerator * (den // x.denominator) for x in extras)
     grid = sorted(points)
-    # every part endpoint is a grid point, so the masses share the grid's
-    # denominator
-    _, ints = over_common_denominator(grid)
-    index = dict(zip(grid, ints))
-    parts = [(index[p.lo], index[p.hi]) for p in c.parts]
 
-    masses: list[int] = []
+    # the masses, swept along the grid: every part endpoint is a grid point
+    parts = list(zip(ends_i[::2], ends_i[1::2]))
+    p, q = eps.numerator, eps.denominator
+    ds: list[int] = []
     acc = 0
     pi = 0
-    for g in ints:
+    for g in grid:
         while pi < len(parts) and parts[pi][1] <= g:
             acc += parts[pi][1] - parts[pi][0]
             pi += 1
         cur = acc
         if pi < len(parts) and parts[pi][0] < g:
             cur += g - parts[pi][0]
-        masses.append(cur)
+        ds.append(q * cur - p * g)
 
-    p, q = eps.numerator, eps.denominator
-    covered: list[Interval] = []
-    n = len(grid)
-    for i in range(n - 1):
-        gi, mi = ints[i], masses[i]
-        for j in range(n - 1, i, -1):
-            if q * (masses[j] - mi) <= p * (ints[j] - gi):
-                covered.append(Interval(grid[i], grid[j]))
-                break
-    return canonicalize(covered)
+    suffix_min = ds[:]
+    for j in range(len(ds) - 2, -1, -1):
+        if suffix_min[j + 1] < suffix_min[j]:
+            suffix_min[j] = suffix_min[j + 1]
+    runs: list[list[int]] = []  # merged [first, last] grid indices
+    for i, d in enumerate(ds):
+        j = bisect_right(suffix_min, d) - 1  # j >= i, as suffix_min[i] <= d
+        if j == i:
+            continue
+        if runs and i <= runs[-1][1]:
+            if j > runs[-1][1]:
+                runs[-1][1] = j
+        else:
+            runs.append([i, j])
+    return IntervalSet(tuple(
+        Interval(Fraction(grid[i], den), Fraction(grid[j], den)) for i, j in runs
+    ))
 
 
 def oracle_difference(fc: FatCover, grid_depth: int) -> tuple[Fraction, bool]:

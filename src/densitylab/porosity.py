@@ -27,9 +27,27 @@ from .intervals import Interval, IntervalSet, StagedOpenEnumeration, canonicaliz
 _SCAN_SAFETY = 400
 
 
-def cylinder_meets_class(class_set: IntervalSet, tau: str) -> bool:
-    lo, hi = cylinder_bounds(validate_bits(tau))
-    return class_set.meets_open(lo, hi)
+def cylinder_meets_class(gaps: ClassGaps, tau: str) -> bool:
+    """Does the open cylinder of tau meet the class whose gaps are given?  It
+    misses the class exactly when it lies inside one gap, that is when tau's
+    index is in the gap's inner range at level |tau|.  The inner ranges are
+    disjoint and increasing, so only the last one starting at or before the
+    index can hold it."""
+    level = len(validate_bits(tau))
+    j = int(tau, 2) if tau else 0
+    firsts, lasts = gaps.inner(level)
+    i = bisect_right(firsts, j) - 1
+    return i < 0 or j > lasts[i]
+
+
+def _meeting_mass(gaps: ClassGaps, rhos) -> Fraction:
+    """The total length of the cylinders of rhos that meet the class, summed
+    in integers over the finest cylinder's denominator."""
+    top = max((len(rho) for rho in rhos), default=0)
+    return Fraction(
+        sum(1 << (top - len(rho)) for rho in rhos if cylinder_meets_class(gaps, rho)),
+        1 << top,
+    )
 
 
 def _merge_ranges(ranges: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -91,6 +109,7 @@ class ClassGaps:
     """
 
     def __init__(self, class_set: IntervalSet):
+        self.class_set = class_set
         self.gaps = [g for g in class_set.gaps() if not g.is_degenerate]
         self.den, ends = over_common_denominator(
             [x for g in self.gaps for x in (g.lo, g.hi)]
@@ -238,23 +257,15 @@ class PorosityTest:
     boxes: dict[tuple[int, int], tuple[str, ...]] = field(repr=False)
     components: tuple[IntervalSet, ...] = field(repr=False)
     node_records: tuple[tuple[str, Fraction, Fraction, bool], ...] = field(repr=False)
-    # the stage classes for t <= stages, built once
-    classes: tuple[IntervalSet, ...] = field(repr=False)
+    # the gaps of the stage classes for t <= stages, each class built once
+    class_gaps: tuple[ClassGaps, ...] = field(repr=False)
 
     @property
     def decay(self) -> Fraction:
         return 1 - Fraction(1, 1 << (self.constant + 2))
 
     def meeting_mass(self, n: int, t: int) -> Fraction:
-        cls = self.classes[t]
-        return sum(
-            (
-                Fraction(1, 1 << len(rho))
-                for rho in self.boxes[(n, t)]
-                if cylinder_meets_class(cls, rho)
-            ),
-            Fraction(0),
-        )
+        return _meeting_mass(self.class_gaps[t], self.boxes[(n, t)])
 
     def bound_checks(self) -> list[tuple[str, Fraction, Fraction, bool]]:
         out = []
@@ -267,7 +278,7 @@ class PorosityTest:
                 (f"level {n}: max_t meeting mass <= decay^n", worst_lhs, bound,
                  worst_lhs <= bound)
             )
-        final = self.classes[self.stages]
+        final = self.class_gaps[self.stages].class_set
         for n in range(self.levels + 1):
             lhs = self.components[n].intersect(final).measure
             bound = self.decay**n
@@ -299,9 +310,8 @@ def porosity_test(
     node_records: list[tuple[str, Fraction, Fraction, bool]] = []
     decay = 1 - Fraction(1, 1 << (c + 2))
 
-    classes = tuple(enum.stage_class(t) for t in range(stages + 1))
-    for t, cls in enumerate(classes):
-        gaps = ClassGaps(cls)
+    class_gaps = tuple(ClassGaps(enum.stage_class(t)) for t in range(stages + 1))
+    for t, gaps in enumerate(class_gaps):
         boxes[(0, t)] = ("",)
         for n in range(1, levels + 1):
             collected: list[str] = []
@@ -310,14 +320,7 @@ def porosity_test(
                 if key not in extension_cache:
                     ext = minimal_porous_extensions(gaps, sigma, c)
                     extension_cache[key] = ext
-                    lhs = sum(
-                        (
-                            Fraction(1, 1 << len(rho))
-                            for rho in ext.elements
-                            if cylinder_meets_class(cls, rho)
-                        ),
-                        Fraction(0),
-                    )
+                    lhs = _meeting_mass(gaps, ext.elements)
                     bound = decay * Fraction(1, 1 << len(sigma))
                     node_records.append(
                         (f"node t={t} sigma={sigma!r}", lhs, bound, lhs <= bound)
@@ -344,5 +347,5 @@ def porosity_test(
         for n in range(levels + 1)
     )
     return PorosityTest(
-        enum, c, levels, stages, boxes, components, tuple(node_records), classes
+        enum, c, levels, stages, boxes, components, tuple(node_records), class_gaps
     )

@@ -10,6 +10,7 @@ from densitylab.calculus import (
     ExtensionBudget,
     MonotoneExtension,
     PointFunctionOracle,
+    _straddling_candidates,
     constant_oracle,
     extension_grid_check,
     identity_oracle,
@@ -20,6 +21,7 @@ from densitylab.calculus import (
     pseudo_derivative_estimate,
     slope,
 )
+from densitylab.counterexample import build_counterexample, default_enumeration
 from densitylab.errors import BudgetExhausted, DomainError
 from densitylab.instances import extension_instance
 from densitylab.intervals import enumeration
@@ -338,3 +340,92 @@ def test_grid_check_counts_a_planted_dip_like_the_per_point_loop(offset):
     drops, worst = extension_grid_check(ext, depth)
     assert (drops, worst) == per_point_grid_check(ext, depth)
     assert drops == 1 and worst >= F(1, 8)
+
+
+def sampled_extremum(p, a, b, n, which):
+    """interval_extremum sampling the refined grid point by point."""
+    step = F(1, 1 << n) / p.lipschitz
+    steps = (b - a) / step
+    count = steps.numerator // steps.denominator
+    if count * step < b - a:
+        count += 1
+    delta = (b - a) / count
+    values = [p.sample(a + k * delta, n + 1) for k in range(count + 1)]
+    return max(values) if which == "sup" else min(values)
+
+
+coefficients = st.lists(
+    st.fractions(min_value=-3, max_value=3, max_denominator=7), min_size=2, max_size=5
+).filter(lambda cs: any(cs[1:]))
+windows = st.tuples(
+    st.fractions(min_value=-1, max_value=2, max_denominator=24),
+    st.fractions(min_value=-1, max_value=2, max_denominator=24),
+).filter(lambda w: w[0] != w[1]).map(sorted)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coefficients, windows, st.integers(0, 6), st.sampled_from(["sup", "inf"]))
+def test_polynomial_extremum_matches_point_sampling(cs, window, n, which):
+    a, b = window
+    p = polynomial_oracle(cs)
+    assert p.coefficients == tuple(F(c) for c in cs)
+    assert interval_extremum(p, a, b, n, which) == sampled_extremum(p, a, b, n, which)
+
+
+def per_pair_estimate(f, x, h, grid_depth, side):
+    """pseudo_derivative_estimate as a loop over every (left, right) pair,
+    each slope through ``slope`` and adjusted on its own."""
+    cands = _straddling_candidates(f, x, x - h, x + h, grid_depth)
+    prec = grid_depth + 2
+    adjust = F(0) if f.exact is not None else F(1, 1 << prec)
+    best = witness = None
+    for a in [a for a in cands if a <= x]:
+        for b in [b for b in cands if b >= x]:
+            if not 0 < b - a <= h:
+                continue
+            v = slope(f, a, b, prec).value
+            v = v - adjust if side == "upper" else v + adjust
+            if best is None or (v > best if side == "upper" else v < best):
+                best, witness = v, (a, b)
+    return best, witness
+
+
+def floored_cube(q, n):
+    # x^3 floored to the 2^-n grid: sampled, with no exact evaluator
+    v = q * q * q * (1 << n)
+    return F(v.numerator // v.denominator, 1 << n)
+
+
+ESTIMATE_ORACLES = {
+    "square": polynomial_oracle([0, 0, 1]),
+    "vee": piecewise_linear_oracle(VEE),
+    "staircase": extension_instance(1, 0)[0],
+    "sampled cube": PointFunctionOracle(floored_cube, lipschitz=3),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(ESTIMATE_ORACLES)),
+    st.fractions(min_value=0, max_value=1, max_denominator=40),
+    st.integers(1, 5),
+    st.integers(2, 6),
+    st.sampled_from(["upper", "lower"]),
+)
+def test_pseudo_derivative_matches_the_per_pair_loop(label, x, k, depth, side):
+    f, h = ESTIMATE_ORACLES[label], F(1, 1 << k)
+    want = per_pair_estimate(f, x, h, depth, side)
+    if want[0] is None:  # no straddling pair on the grid
+        with pytest.raises(DomainError):
+            pseudo_derivative_estimate(f, x, h, depth, side)
+    else:
+        est = pseudo_derivative_estimate(f, x, h, depth, side)
+        assert (est.value, est.witness) == want
+
+
+def test_pseudo_derivative_matches_the_per_pair_loop_on_quad_values():
+    _plan, trace, f = build_counterexample(default_enumeration())
+    for x in (trace.final, F(1, 2), F(3, 4)):
+        for side in ("upper", "lower"):
+            est = pseudo_derivative_estimate(f, x, F(1, 4), 5, side)
+            assert (est.value, est.witness) == per_pair_estimate(f, x, F(1, 4), 5, side)

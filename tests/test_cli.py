@@ -180,10 +180,14 @@ DOMINATION = {"words": ["1"], "z": "1/3", "eps": "2/3"}
      "SchemaError"),
     ("extend", {"holes": [], "h": {"xs": ["0", "3/4"], "ys": ["0", "3/4"]}},
      "DomainError"),
+    ("density --depth -1", {"holes": [], "epsilon": "1/2"}, "SchemaError"),
+    ("porosity", {"holes": [], "levels": "x"}, "SchemaError"),
 ], ids=["depth", "case", "n_blocks", "k_max", "table", "full-cover", "escape-r", "h-xs",
-        "intervals", "escape-key", "escape-components", "h-domain"])
+        "intervals", "escape-key", "escape-components", "h-domain", "density-depth",
+        "porosity-levels"])
 def test_bad_documents_exit_2_with_json_on_stderr(tmp_path, capfd, command, doc, kind):
-    code, blob = run(tmp_path, command, "--instance", write_instance(tmp_path, doc))
+    # a command may carry flags: "density --depth -1"
+    code, blob = run(tmp_path, *command.split(), "--instance", write_instance(tmp_path, doc))
     assert code == 2
     assert blob == b""
     assert json.loads(capfd.readouterr().err)["kind"] == kind
@@ -195,7 +199,8 @@ def test_bad_documents_exit_2_with_json_on_stderr(tmp_path, capfd, command, doc,
     ["covering", "--seed", "1", "--json"],
     ["porosity", "--seed", "1", "--json"],
     ["tests", "--seed", "1", "--json"],
-], ids=["martingale", "extend", "covering", "porosity", "tests"])
+    ["density", "--seed", "1", "--json"],
+], ids=["martingale", "extend", "covering", "porosity", "tests", "density"])
 def test_martingale_report_is_the_same_with_asserts_stripped(tmp_path, argv):
     # python -O removes every assert; no check may depend on one
     _, plain = run(tmp_path, *argv)

@@ -32,9 +32,10 @@ def test_open_cylinder_emptiness_at_removed_hole():
     c1 = ONE_HOLE.stage_class(1)
     # the hole's endpoints stay in the class but the open cylinder is vacated
     assert c1.contains_point(F(1, 2)) and c1.contains_point(F(3, 4))
-    assert not cylinder_meets_class(c1, "10")
-    assert cylinder_meets_class(c1, "1")
-    assert cylinder_meets_class(c1, "0")
+    gaps = ClassGaps(c1)
+    assert not cylinder_meets_class(gaps, "10")
+    assert cylinder_meets_class(gaps, "1")
+    assert cylinder_meets_class(gaps, "0")
 
 
 def test_minimal_extensions_one_hole():
@@ -188,3 +189,21 @@ def test_minimal_extensions_match_fraction_scan(cls, c, depth_cap):
         assert minimal_porous_extensions(gaps, sigma, c, depth_cap) == reference_extensions(
             cls, sigma, c, depth_cap
         )
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_classes)
+def test_cylinder_test_from_gaps_matches_meets_open(cls):
+    gaps = ClassGaps(cls)
+    for tau in [s for n in range(6) for s in all_strings(n)]:
+        assert cylinder_meets_class(gaps, tau) == cls.meets_open(*cylinder_bounds(tau))
+
+
+def test_a_point_isolated_between_two_holes_meets_its_cylinder():
+    cls = enumeration((F(1, 4), F(1, 2)), (F(1, 2), F(3, 4))).stage_class(2)
+    assert cls.contains_point(F(1, 2))
+    gaps = ClassGaps(cls)
+    assert cylinder_meets_class(gaps, "")
+    assert not cylinder_meets_class(gaps, "01")
+    assert not cylinder_meets_class(gaps, "10")
+    assert cylinder_meets_class(gaps, "00")
