@@ -17,8 +17,8 @@ import json
 import sys
 from fractions import Fraction
 
-from .bits import ONE, ZERO, parse_rational
-from .calculus import MonotoneExtension, extension_grid_check, piecewise_linear_oracle
+from .bits import ZERO, format_rational, parse_rational
+from .calculus import piecewise_linear_oracle
 from .counterexample import build_counterexample, default_enumeration, verify_denjoy_failure
 from .density import low_density_open_set, oracle_difference
 from .errors import BudgetExhausted, DomainError, SchemaError
@@ -35,25 +35,24 @@ from .instances import (
     random_fair_table,
 )
 from .intervals import FULL_SET, Interval, StagedOpenEnumeration
-from .martingales import (
-    Condition,
-    TableMartingale,
-    claim5_density_records,
-    condition_extends,
-    fairness_violations,
-    savings_extension,
-)
+from .martingales import Condition, TableMartingale, condition_extends, savings_extension
 from .piecewise import PiecewiseLinear
 from .porosity import porosity_test
-from .randomness import (
-    CylinderDifferenceTest,
-    DominationScenario,
-    build_domination_tests,
-    build_escape_sets,
-    least_drop_h,
-)
+from .randomness import DominationScenario
 from .report import SCHEMA_VERSION, Check, Report, check_rows, to_csv_bytes, to_json_bytes
-from .suite import DEFAULT_SEED, denjoy_check_rows, run_all
+from .suite import (
+    DEFAULT_SEED,
+    NESTING_ROW,
+    denjoy_check_rows,
+    domination_tests,
+    escape_rows,
+    extension_rows,
+    fairness_row,
+    flag_check,
+    run_all,
+    savings_rows,
+    window_rows,
+)
 
 
 def _holes(doc, key: str = "holes") -> tuple[Interval, ...]:
@@ -78,6 +77,17 @@ def _int_field(doc: dict, key: str, default: int) -> int:
     return v
 
 
+def _override(args, flag: str, default: int, doc: dict | None = None, key: str = "") -> int:
+    """The --flag override if given, else the document's integer field key,
+    else default; a negative override is a SchemaError."""
+    value = getattr(args, flag)
+    if value is None:
+        return default if doc is None else _int_field(doc, key, default)
+    if value < 0:
+        raise SchemaError(f"--{flag} must be at least 0, got {value}")
+    return value
+
+
 def _as_docs(payload) -> list[dict]:
     if isinstance(payload, dict):
         return [payload]
@@ -86,15 +96,14 @@ def _as_docs(payload) -> list[dict]:
     raise SchemaError("instance file must hold an object or a list of objects")
 
 
-def run_covering(args, doc) -> Report:
-    rep = Report("covering", args.seed)
+def run_covering(args, doc, rep: Report) -> None:
     if doc is None:
         docs = []
         for index in range(10):
             c = covering_instance(args.seed, index)
             docs.append({
                 "holes": [g.to_json() for g in c.gaps()],
-                "epsilons": [f"{e.numerator}/{e.denominator}" for e in COVERING_EPSILONS],
+                "epsilons": [format_rational(e) for e in COVERING_EPSILONS],
             })
     else:
         docs = _as_docs(doc)
@@ -107,23 +116,18 @@ def run_covering(args, doc) -> Report:
             eps = parse_rational(e_text)
             fc = low_density_open_set(c, eps)
             rep.checks.extend(check_rows(fc.inequalities(), f"instance {i} eps {eps}"))
-    return rep
 
 
-def run_density(args, doc) -> Report:
-    rep = Report("density", args.seed)
+def run_density(args, doc, rep: Report) -> None:
     if doc is None:
         c, eps = oracle_match_instance(args.seed, 0)
         docs = [{
             "holes": [g.to_json() for g in c.gaps()],
-            "epsilon": f"{eps.numerator}/{eps.denominator}",
+            "epsilon": format_rational(eps),
         }]
     else:
         docs = _as_docs(doc)
-    grid_depth = args.depth if args.depth is not None else 8
-    if grid_depth < 0:
-        raise SchemaError(f"--depth must be at least 0, got {grid_depth}")
-    rep.meta["grid_depth"] = grid_depth
+    grid_depth = rep.meta["grid_depth"] = _override(args, "depth", 8)
     for i, d in enumerate(docs):
         c = FULL_SET.subtract_open(_holes(d))
         eps = parse_rational(d.get("epsilon", "1/2"))
@@ -136,11 +140,9 @@ def run_density(args, doc) -> Report:
             "normalization, symmetric difference",
             diff, ZERO, equal,
         ))
-    return rep
 
 
-def run_porosity(args, doc) -> Report:
-    rep = Report("porosity", args.seed)
+def run_porosity(args, doc, rep: Report) -> None:
     if doc is None:
         enum, c, levels = porosity_instance(args.seed, 3)
         docs = [{"holes": [i.to_json() for i in enum.items], "constant": c,
@@ -150,32 +152,25 @@ def run_porosity(args, doc) -> Report:
     for i, d in enumerate(docs):
         enum = StagedOpenEnumeration(_holes(d))
         c = int(d.get("constant", 1))
-        levels = args.depth if args.depth is not None else _int_field(d, "levels", 3)
-        stages = args.stages if args.stages is not None else _int_field(d, "stages", 200)
-        pt = porosity_test(enum, c, levels, stages)
+        levels = _override(args, "depth", 3, d, "levels")
+        pt = porosity_test(enum, c, levels, _override(args, "stages", 200, d, "stages"))
         prefix = f"instance {i} (c={c}, levels={levels})"
         rep.checks.extend(check_rows(pt.node_records, f"{prefix}: node"))
-        rep.checks.extend(check_rows(pt.bound_checks(), prefix))
-        rep.checks.append(Check(
-            f"{prefix}: antichain and stage-nesting verified during construction",
-            ONE, ONE, True,
-        ))
-    return rep
+        rep.checks.extend(check_rows([*pt.bound_checks(), NESTING_ROW], prefix))
 
 
 def _domination_doc(scenario: DominationScenario, case: int, n_blocks: int) -> dict:
     return {
         "words": list(scenario.words),
-        "z": f"{scenario.z.numerator}/{scenario.z.denominator}",
-        "eps": f"{scenario.eps.numerator}/{scenario.eps.denominator}",
+        "z": format_rational(scenario.z),
+        "eps": format_rational(scenario.eps),
         "depth": scenario.depth,
         "case": case,
         "n_blocks": n_blocks,
     }
 
 
-def run_tests(args, doc) -> Report:
-    rep = Report("tests", args.seed)
+def run_tests(args, doc, rep: Report) -> None:
     if doc is None:
         doc = {
             "escape": [escape_instance(args.seed, i).to_json() for i in range(3)],
@@ -189,11 +184,9 @@ def run_tests(args, doc) -> Report:
                           "and/or 'domination' lists")
     for i, d in enumerate(doc.get("escape", [])):
         inst = EscapeInstance.from_json(d)
-        dt = CylinderDifferenceTest(inst.enum, inst.component_fn())
-        esc = build_escape_sets(dt, inst.r, inst.m_max, inst.z)
-        prefix = f"escape {i} (r={inst.r}, m_max={inst.m_max}, verdict {esc.verdict})"
-        rep.checks.extend(check_rows(esc.records, prefix))
-        rep.checks.extend(check_rows(dt.certify(), f"{prefix}: component cap"))
+        verdict, rows = escape_rows(inst)
+        prefix = f"escape {i} (r={inst.r}, m_max={inst.m_max}, verdict {verdict})"
+        rep.checks.extend(check_rows(rows, prefix))
     for i, d in enumerate(doc.get("domination", [])):
         words = tuple(str(w) for w in _require(d, "words"))
         scenario = DominationScenario(
@@ -204,31 +197,22 @@ def run_tests(args, doc) -> Report:
         n_blocks = _int_field(d, "n_blocks", 2)
         prefix = f"domination {i} (case {case})"
         try:
-            h = least_drop_h(scenario, case, n_blocks)
-            dom = build_domination_tests(scenario, h, case, n_blocks)
+            dom = domination_tests(scenario, case, n_blocks)
+            rep.checks.extend(check_rows(dom.records, prefix))
         except BudgetExhausted as exc:
             rep.budget_exhausted.append(f"{prefix}: {exc}")
-            continue
-        rep.checks.extend(check_rows(dom.records, prefix))
-    return rep
 
 
-def run_martingale(args, doc) -> Report:
-    rep = Report("martingale", args.seed)
+def run_martingale(args, doc, rep: Report) -> None:
     if doc is None:
         m = random_fair_table(battery_rng(args.seed, "cli-martingale", 0), 4)
         doc = {"martingale": m.to_json(),
-               "q": f"{m.value('') + Fraction(1, 2)}", "eps": "1/2"}
+               "q": format_rational(m.value("") + Fraction(1, 2)), "eps": "1/2"}
     if not isinstance(doc, dict):
         raise SchemaError("martingale instance must be an object")
     m = TableMartingale.from_json(_require(doc, "martingale"))
-    depth = args.depth if args.depth is not None else 12
-    rep.meta["depth"] = depth
-    bad = fairness_violations(m, depth)
-    rep.checks.append(Check(
-        f"fairness violations to depth {depth} == 0", Fraction(len(bad)), ZERO,
-        not bad,
-    ))
+    depth = rep.meta["depth"] = _override(args, "depth", 12)
+    rep.checks.append(fairness_row(m, depth))
     q = parse_rational(_require(doc, "q"))
     eps = parse_rational(doc.get("eps", "1/2"))
     sigma = str(doc.get("sigma", ""))
@@ -237,65 +221,33 @@ def run_martingale(args, doc) -> Report:
         ext = savings_extension(cond, eps, depth)
     except BudgetExhausted as exc:
         rep.budget_exhausted.append(f"savings extension: {exc}")
-        return rep
-    ok = condition_extends(ext.condition, cond, depth)
-    rep.checks.append(Check(
-        f"savings extension is a forcing extension (depth {depth})",
-        Fraction(int(ok)), ONE, ok,
-    ))
-    lhs, rhs = ext.s - ext.d_hat, eps * (q - ext.d_hat)
-    rep.checks.append(Check("s - d_hat <= eps (q - d_hat)", lhs, rhs, lhs <= rhs))
-    v = m.value(ext.tau)
-    rep.checks.append(Check("M(tau) < r", v, ext.r, v < ext.r))
+        return
+    rep.checks.append(flag_check(f"savings extension is a forcing extension (depth {depth})",
+                                 condition_extends(ext.condition, cond, depth)))
+    rep.checks.extend(savings_rows(cond, eps, ext))
     window_depth = min(10, depth)
     if len(ext.tau) <= window_depth:
-        eps_claim = (ext.s - ext.reachable_min) / (q - ext.reachable_min)
-        recs = claim5_density_records(m, ext.tau, q, ext.s, eps_claim,
-                                      window_depth, window_depth)
-        rep.checks.extend(check_rows(recs, "window"))
-    return rep
+        rep.checks.extend(check_rows(window_rows(cond, ext, window_depth), "window"))
 
 
-def run_extend(args, doc) -> Report:
-    rep = Report("extend", args.seed)
+def run_extend(args, doc, rep: Report) -> None:
     if doc is None:
         h, enum = extension_instance(args.seed, 0)
-        pl = PiecewiseLinear(
-            tuple(Fraction(k, 8) for k in range(9)),
-            tuple(h.exact(Fraction(k, 8)) for k in range(9)),
-        )
-        doc = {"holes": [i.to_json() for i in enum.items], "h": pl.to_json(),
+        doc = {"holes": [i.to_json() for i in enum.items], "h": h.piecewise.to_json(),
                "n": 10}
     if not isinstance(doc, dict):
         raise SchemaError("extend instance must be an object")
     enum = StagedOpenEnumeration(_holes(doc))
     h = piecewise_linear_oracle(PiecewiseLinear.from_json(_require(doc, "h")))
-    n = _int_field(doc, "n", 10)
-    grid_depth = args.depth if args.depth is not None else 12
-    if grid_depth < 0:
-        raise SchemaError(f"--depth must be at least 0, got {grid_depth}")
-    rep.meta["n"] = n
-    rep.meta["grid_depth"] = grid_depth
-    ext = MonotoneExtension(h, enum, n)
+    n = rep.meta["n"] = _int_field(doc, "n", 10)
+    grid_depth = rep.meta["grid_depth"] = _override(args, "depth", 12)
     try:
-        drops, worst = extension_grid_check(ext, grid_depth)
+        rep.checks.extend(extension_rows(h, enum, n, grid_depth))
     except BudgetExhausted as exc:
         rep.budget_exhausted.append(f"extension query: {exc}")
-        return rep
-    rep.checks.append(Check(
-        f"decreases across the 2^-{grid_depth} grid == 0", Fraction(drops),
-        ZERO, drops == 0,
-    ))
-    tol = 2 * Fraction(1, 1 << n)
-    rep.checks.append(Check(
-        f"worst disagreement with h on class grid points <= 2 2^-{n}",
-        worst, tol, worst <= tol,
-    ))
-    return rep
 
 
-def run_counterexample(args, doc) -> Report:
-    rep = Report("counterexample", args.seed)
+def run_counterexample(args, doc, rep: Report) -> None:
     if doc is None:
         doc = {"intervals": [i.to_json() for i in default_enumeration()],
                "overlap_policy": "reject"}
@@ -303,29 +255,23 @@ def run_counterexample(args, doc) -> Report:
         raise SchemaError("counterexample instance must be an object")
     _require(doc, "intervals")
     items = _holes(doc, "intervals")
-    if args.stages is not None:
-        items = items[: args.stages]
+    items = items[: _override(args, "stages", len(items))]
     policy = str(doc.get("overlap_policy", "reject"))
-    k_max = args.depth if args.depth is not None else _int_field(doc, "k_max", 16)
+    k_max = _override(args, "depth", 16, doc, "k_max")
     plan, trace, oracle = build_counterexample(items, policy)
     failure = verify_denjoy_failure(plan, trace, oracle, k_max)
-    rep.meta["plan"] = plan.to_json()
-    rep.meta["trace"] = trace.to_json()
-    rep.meta["k_max"] = k_max
+    rep.meta.update(plan=plan.to_json(), trace=trace.to_json(), k_max=k_max)
     rep.checks.extend(denjoy_check_rows(failure))
-    return rep
 
 
-def run_verify_all(args, doc) -> Report:
+def run_verify_all(args, doc, rep: Report) -> None:
     if doc is not None:
         raise SchemaError("verify-all takes no instance document")
-    rep = Report("verify-all", args.seed)
     summary = []
     for outcome in run_all(args.seed):
-        failures = len(outcome.violations())
         rep.checks.append(Check(
             f"criterion {outcome.number}: {outcome.title}, violations",
-            Fraction(failures), ZERO, outcome.passed,
+            Fraction(len(outcome.violations())), ZERO, outcome.passed,
         ))
         rep.checks.extend(check_rows(outcome.checks, f"[{outcome.number}]"))
         rep.budget_exhausted.extend(
@@ -338,19 +284,19 @@ def run_verify_all(args, doc) -> Report:
             "passed": outcome.passed,
         })
     rep.meta["criteria"] = summary
-    return rep
 
 
-RUNNERS = {
-    "density": run_density,
-    "porosity": run_porosity,
-    "covering": run_covering,
-    "tests": run_tests,
-    "martingale": run_martingale,
-    "extend": run_extend,
-    "counterexample": run_counterexample,
-    "verify-all": run_verify_all,
-}
+COMMANDS = (
+    ("density", run_density, "covering bounds plus the brute-force oracle comparison"),
+    ("porosity", run_porosity, "staged porosity test decay bounds"),
+    ("covering", run_covering, "fat-interval covering bounds over instance batches"),
+    ("tests", run_tests, "escape-set and domination randomness tests"),
+    ("martingale", run_martingale, "fairness, savings extensions, and window density"),
+    ("extend", run_extend, "monotone extension from a closed class"),
+    ("counterexample", run_counterexample, "spike plan and per-scale slope certificates"),
+    ("verify-all", run_verify_all, "run the full ten-battery verification suite"),
+)
+RUNNERS = {name: run for name, run, _help in COMMANDS}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -360,16 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
         "randomness-test, martingale, and derivative inequalities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("density", "covering bounds plus the brute-force oracle comparison"),
-        ("porosity", "staged porosity test decay bounds"),
-        ("covering", "fat-interval covering bounds over instance batches"),
-        ("tests", "escape-set and domination randomness tests"),
-        ("martingale", "fairness, savings extensions, and window density"),
-        ("extend", "monotone extension from a closed class"),
-        ("counterexample", "spike plan and per-scale slope certificates"),
-        ("verify-all", "run the full ten-battery verification suite"),
-    ):
+    for name, _run, helptext in COMMANDS:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--instance",
                        help="JSON instance document (file path, '-' for stdin)")
@@ -404,8 +341,9 @@ def _load_doc(args):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    report = Report(args.command, args.seed)
     try:
-        report = RUNNERS[args.command](args, _load_doc(args))
+        RUNNERS[args.command](args, _load_doc(args), report)
     except (SchemaError, DomainError) as exc:
         error = {
             "schema_version": SCHEMA_VERSION,

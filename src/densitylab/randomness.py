@@ -49,58 +49,26 @@ def cylinder_items(s: IntervalSet) -> list[str]:
 
 @dataclass(frozen=True)
 class TestFamily:
-    """A measure-bounded family of staged open components.
-
-    kind "ml": lambda(V_n) <= bound_base^n.
-    kind "difference": lambda(V_n cap C_final) <= bound_base^n, C from
-    closed_enum.  kind "solovay": the total item length of the single
-    component stays within budget.
-    """
+    """A difference test: staged open components V_n with
+    lambda(V_n cap C_final) <= 2^-n, C_final the final class of closed_enum."""
 
     __test__ = False  # keep pytest from collecting this as a test class
 
-    kind: str
     components: tuple[StagedOpenEnumeration, ...]
-    closed_enum: StagedOpenEnumeration | None = None
-    bound_base: Fraction = Fraction(1, 2)
-    budget: Fraction | None = None
-    stage_marks: tuple[tuple[int, ...], ...] | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("ml", "solovay", "difference"):
-            raise DomainError(f"unknown test kind {self.kind!r}")
-        if self.kind == "difference" and self.closed_enum is None:
-            raise DomainError("difference tests need a closed part")
-        if self.kind == "solovay" and self.budget is None:
-            raise DomainError("solovay tests need a declared budget")
+    closed_enum: StagedOpenEnumeration
+    stage_marks: tuple[tuple[int, ...], ...]
 
     def component_union(self, n: int) -> IntervalSet:
         comp = self.components[n]
         return comp.union_at(len(comp.items))
 
-    def final_class(self) -> IntervalSet:
-        if self.closed_enum is None:
-            raise RuntimeError(f"{self.kind} test has no closed part")
-        return self.closed_enum.final_class()
-
     def measure_records(self) -> list[tuple[str, Fraction, Fraction, bool]]:
+        final = self.closed_enum.final_class()
         recs = []
-        if self.kind == "solovay":
-            total = sum((it.length for c in self.components for it in c.items), Fraction(0))
-            if self.budget is None:
-                raise RuntimeError("solovay test has no declared budget")
-            recs.append(("solovay total item length", total, self.budget, total <= self.budget))
-            return recs
         for n in range(len(self.components)):
-            union = self.component_union(n)
-            if self.kind == "difference":
-                lhs = union.intersect(self.final_class()).measure
-                label = f"lambda(V_{n} cap C_final)"
-            else:
-                lhs = union.measure
-                label = f"lambda(V_{n})"
-            rhs = self.bound_base**n
-            recs.append((label, lhs, rhs, lhs <= rhs))
+            lhs = self.component_union(n).intersect(final).measure
+            rhs = Fraction(1, 1 << n)
+            recs.append((f"lambda(V_{n} cap C_final)", lhs, rhs, lhs <= rhs))
         return recs
 
     def holds(self) -> bool:
@@ -117,11 +85,9 @@ class CaptureReport:
 
 
 def capture_check(family: TestFamily, z: Fraction) -> CaptureReport:
-    """Membership of z in every component (and the closed part, if any)."""
+    """Membership of z in the final class and in every component."""
     flags = []
-    in_class = True
-    if family.kind == "difference":
-        in_class = family.final_class().contains_point(z)
+    in_class = family.closed_enum.final_class().contains_point(z)
     for n in range(len(family.components)):
         flags.append(in_class and family.component_union(n).contains_point(z))
     return CaptureReport(tuple(flags))
@@ -154,12 +120,7 @@ def density_difference_test(enum: StagedOpenEnumeration, n_max: int) -> TestFami
             prev = cover
         components.append(StagedOpenEnumeration(tuple(items)))
         marks.append(tuple(counts))
-    return TestFamily(
-        kind="difference",
-        components=tuple(components),
-        closed_enum=enum,
-        stage_marks=tuple(marks),
-    )
+    return TestFamily(tuple(components), enum, tuple(marks))
 
 
 class CylinderDifferenceTest:

@@ -5,6 +5,10 @@ Each battery checks one family of inequalities at its stated tolerance;
 the full check list so reports can show both sides of every inequality.
 Wall-clock seconds are tracked for the runtime budget line only and never
 enter serialized reports.
+
+The checks of one instance that a CLI command also reports are stated once,
+in the per-instance functions below; they return unprefixed rows, and the
+battery and the command each put their own prefix before them.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .density import (
 from .errors import BudgetExhausted
 from .instances import (
     COVERING_EPSILONS,
+    EscapeInstance,
     battery_rng,
     claim5_instance,
     covering_instance,
@@ -49,7 +54,11 @@ from .instances import (
     porosity_instance,
     random_fair_table,
 )
+from .intervals import StagedOpenEnumeration
 from .martingales import (
+    Condition,
+    Martingale,
+    SavingsExtension,
     cap_at,
     claim5_density_records,
     combine_scaled,
@@ -62,6 +71,8 @@ from .piecewise import PiecewiseLinear
 from .porosity import porosity_test
 from .randomness import (
     CylinderDifferenceTest,
+    DominationScenario,
+    DominationTests,
     build_domination_tests,
     build_escape_sets,
     least_drop_h,
@@ -90,6 +101,72 @@ class CriterionOutcome:
 
 def _count_check(name: str, count: int) -> Check:
     return Check(f"{name} == 0", Fraction(count), ZERO, count == 0)
+
+
+def flag_check(name: str, ok: bool) -> Check:
+    """A yes/no check as a row: lhs 1 if it holds, else 0, against rhs 1."""
+    return Check(name, Fraction(int(ok)), ONE, ok)
+
+
+# porosity_test raises if a level fails to be an antichain or a stage fails
+# to nest in the one before, so every test it returns carries this row
+NESTING_ROW = Check("antichain and stage-nesting verified during construction",
+                    ONE, ONE, True)
+
+
+def escape_rows(inst: EscapeInstance) -> tuple[str, list[Check]]:
+    """The escape verdict of one difference-test instance, and its rows: box
+    decay and escape certificates, then the component caps."""
+    dt = CylinderDifferenceTest(inst.enum, inst.component_fn())
+    esc = build_escape_sets(dt, inst.r, inst.m_max, inst.z)
+    return esc.verdict, check_rows(esc.records) + check_rows(dt.certify(), "component cap")
+
+
+def domination_tests(scenario: DominationScenario, case: int,
+                     n_blocks: int) -> DominationTests:
+    """The domination tests of one scenario at its least dropping h; their
+    ``records`` are the rows."""
+    h = least_drop_h(scenario, case, n_blocks)
+    return build_domination_tests(scenario, h, case, n_blocks)
+
+
+def fairness_row(m: Martingale, depth: int) -> Check:
+    """The count of strings up to depth where m is not fair."""
+    return _count_check(f"fairness violations to depth {depth}",
+                        len(fairness_violations(m, depth)))
+
+
+def _gap_row(s: Fraction, d_hat: Fraction, eps: Fraction, q: Fraction) -> Check:
+    lhs, rhs = s - d_hat, eps * (q - d_hat)
+    return Check("s - d_hat <= eps (q - d_hat)", lhs, rhs, lhs <= rhs)
+
+
+def savings_rows(cond: Condition, eps: Fraction, ext: SavingsExtension) -> list[Check]:
+    """The savings gap of a savings extension of cond at eps, and M(tau) < r."""
+    v = cond.martingale.value(ext.tau)
+    return [_gap_row(ext.s, ext.d_hat, eps, cond.q), Check("M(tau) < r", v, ext.r, v < ext.r)]
+
+
+def window_rows(cond: Condition, ext: SavingsExtension, depth: int) -> list[Check]:
+    """Claim 5's window records below a savings extension's tau, to depth:
+    windows of slope < s have relative D-measure below
+    (s - reachable_min)/(q - reachable_min)."""
+    q = cond.q
+    eps_claim = (ext.s - ext.reachable_min) / (q - ext.reachable_min)
+    return check_rows(claim5_density_records(cond.martingale, ext.tau, q, ext.s,
+                                             eps_claim, depth, depth))
+
+
+def extension_rows(h, enum: StagedOpenEnumeration, n: int, grid_depth: int) -> list[Check]:
+    """The monotone extension of h from enum's class, on the 2^-grid_depth
+    grid: no decrease, and within 2 2^-n of h on the class's grid points."""
+    drops, worst = extension_grid_check(MonotoneExtension(h, enum, n), grid_depth)
+    tol = 2 * Fraction(1, 1 << n)
+    return [
+        _count_check(f"decreases across the 2^-{grid_depth} grid", drops),
+        Check(f"worst disagreement with h on class grid points <= 2 2^-{n}",
+              worst, tol, worst <= tol),
+    ]
 
 
 def criterion_covering(seed: int) -> list[Check]:
@@ -142,15 +219,7 @@ def criterion_porosity(seed: int) -> list[Check]:
         if pt.node_records:
             worst = max(pt.node_records, key=lambda r: r[1] / r[2])
             checks.extend(check_rows([worst], f"{prefix}: tightest node"))
-        checks.append(
-            Check(
-                f"{prefix}: antichain and stage-nesting verified during "
-                "construction",
-                ONE,
-                ONE,
-                True,
-            )
-        )
+        checks.extend(check_rows([NESTING_ROW], prefix))
     return checks
 
 
@@ -159,21 +228,13 @@ def criterion_escape(seed: int) -> list[Check]:
     checks: list[Check] = []
     for index in range(30):
         inst = escape_instance(seed, index)
-        dt = CylinderDifferenceTest(inst.enum, inst.component_fn())
-        esc = build_escape_sets(dt, inst.r, inst.m_max, inst.z)
+        verdict, rows = escape_rows(inst)
         prefix = f"instance {index} (r={inst.r}, m_max={inst.m_max})"
-        checks.extend(check_rows(esc.records, prefix))
-        checks.extend(check_rows(dt.certify(), f"{prefix}: component cap"))
-        agrees = esc.verdict == inst.flavor
-        checks.append(
-            Check(
-                f"{prefix}: verdict matches the constructed dynamics "
-                f"({inst.flavor})",
-                Fraction(int(agrees)),
-                ONE,
-                agrees,
-            )
-        )
+        checks.extend(check_rows(rows, prefix))
+        checks.append(flag_check(
+            f"{prefix}: verdict matches the constructed dynamics ({inst.flavor})",
+            verdict == inst.flavor,
+        ))
     return checks
 
 
@@ -182,8 +243,7 @@ def criterion_domination(seed: int) -> list[Check]:
     checks: list[Check] = []
     for index in range(12):
         scenario, case, n_blocks = domination_instance(seed, index)
-        h = least_drop_h(scenario, case, n_blocks)
-        dom = build_domination_tests(scenario, h, case, n_blocks)
+        dom = domination_tests(scenario, case, n_blocks)
         prefix = f"instance {index} (case {case})"
         checks.extend(check_rows(dom.records, prefix))
         for i, (block, want, got) in enumerate(
@@ -200,12 +260,7 @@ def criterion_domination(seed: int) -> list[Check]:
                 cls, scenario.eps, 6, extras
             ).contains_point(scenario.z)
             checks.append(
-                Check(
-                    f"{prefix}: block {i} capture recomputed from prefix masses",
-                    Fraction(int(member)),
-                    ONE,
-                    member,
-                )
+                flag_check(f"{prefix}: block {i} capture recomputed from prefix masses", member)
             )
             checks.append(
                 Check(
@@ -245,10 +300,7 @@ def criterion_martingale_algebra(seed: int) -> list[Check]:
         ("cap_at(t5, t5(''))", capped),
     ]
     for label, m in constructed:
-        bad = fairness_violations(m, 16)
-        checks.append(
-            _count_check(f"{label}: fairness violations to depth 16", len(bad))
-        )
+        checks.extend(check_rows([fairness_row(m, 16)], label))
     for label, m in (("random table depth 3", t3), ("random table depth 4", t4)):
         checks.append(_count_check(
             f"{label}: round-trip slope(integral) mismatches to depth 16",
@@ -264,51 +316,28 @@ def criterion_forcing(seed: int) -> list[Check]:
         cond, steps, chain = forcing_instance(seed, index)
         prefix = f"chain {index}"
         for step in chain:
-            checks.append(
-                Check(
-                    f"{prefix}: {step.kind} step extends its predecessor "
-                    "(depth 12)",
-                    Fraction(int(step.extends_ok)),
-                    ONE,
-                    step.extends_ok,
-                )
-            )
+            checks.append(flag_check(
+                f"{prefix}: {step.kind} step extends its predecessor (depth 12)",
+                step.extends_ok,
+            ))
             if step.kind == "savings":
-                eps = steps[-1][1]
-                d_hat = step.payload["d_hat"]
-                lhs = step.payload["s"] - d_hat
-                rhs = eps * (cond.q - d_hat)
-                checks.append(
-                    Check(f"{prefix}: s - d_hat <= eps (q - d_hat)", lhs, rhs,
-                          lhs <= rhs)
-                )
+                gap = _gap_row(step.payload["s"], step.payload["d_hat"], steps[-1][1],
+                               cond.q)
+                checks.extend(check_rows([gap], prefix))
     for index in range(10):
         cond, eps0, ext = claim5_instance(seed, index)
-        m, q = cond.martingale, cond.q
         prefix = f"savings {index}"
-        ok = condition_extends(ext.condition, cond, 12)
+        checks.append(flag_check(
+            f"{prefix}: extension is a forcing extension (depth 12)",
+            condition_extends(ext.condition, cond, 12),
+        ))
+        checks.extend(check_rows(savings_rows(cond, eps0, ext), prefix))
         checks.append(
-            Check(f"{prefix}: extension is a forcing extension (depth 12)",
-                  Fraction(int(ok)), ONE, ok)
+            Check(f"{prefix}: r < s < q", ext.r, ext.s, ext.r < ext.s < cond.q)
         )
-        lhs = ext.s - ext.d_hat
-        rhs = eps0 * (q - ext.d_hat)
-        checks.append(
-            Check(f"{prefix}: s - d_hat <= eps (q - d_hat)", lhs, rhs, lhs <= rhs)
-        )
-        v = m.value(ext.tau)
-        checks.append(
-            Check(f"{prefix}: M(tau) < r", v, ext.r, v < ext.r)
-        )
-        checks.append(
-            Check(f"{prefix}: r < s < q", ext.r, ext.s, ext.r < ext.s < q)
-        )
-        # the decomposition bound: windows of slope < s have relative
-        # D-measure below (s - reachable_min)/(q - reachable_min); the
-        # table depth sits below the search depth, so the reachable minimum
-        # bounds every deeper leaf as well
-        eps_claim = (ext.s - ext.reachable_min) / (q - ext.reachable_min)
-        recs = claim5_density_records(m, ext.tau, q, ext.s, eps_claim, 10, 10)
+        # the table depth sits below the search depth, so the reachable
+        # minimum bounds every deeper leaf as well
+        recs = window_rows(cond, ext, 10)
         checks.append(
             Check(
                 f"{prefix}: low-slope windows examined (depth <= 10)",
@@ -423,23 +452,9 @@ def criterion_counterexample(seed: int) -> list[Check]:
 def criterion_extension(seed: int) -> list[Check]:
     """20 instances: monotone on the 2^-12 grid, close to h on the class."""
     checks: list[Check] = []
-    n = 10
-    tol = 2 * Fraction(1, 1 << n)
     for index in range(20):
         h, enum = extension_instance(seed, index)
-        drops, worst = extension_grid_check(MonotoneExtension(h, enum, n), 12)
-        checks.append(
-            _count_check(f"instance {index}: decreases across the 2^-12 grid", drops)
-        )
-        checks.append(
-            Check(
-                f"instance {index}: worst disagreement with h on class grid "
-                "points <= 2 2^-10",
-                worst,
-                tol,
-                worst <= tol,
-            )
-        )
+        checks.extend(check_rows(extension_rows(h, enum, 10, 12), f"instance {index}"))
     return checks
 
 

@@ -8,6 +8,9 @@ import pytest
 
 import densitylab
 from densitylab.cli import main
+from densitylab.instances import escape_instance, extension_instance
+from densitylab.report import Report
+from densitylab.suite import criterion_escape, criterion_extension
 
 
 def write_instance(tmp_path, doc) -> str:
@@ -161,6 +164,7 @@ def test_extend_rejects_bad_grid_parameters(tmp_path, capfd, argv, doc):
 
 
 DOMINATION = {"words": ["1"], "z": "1/3", "eps": "2/3"}
+TABLE = {"depth": 1, "values": {"": "1", "0": "1/2", "1": "3/2"}}
 
 
 @pytest.mark.parametrize("command, doc, kind", [
@@ -182,9 +186,16 @@ DOMINATION = {"words": ["1"], "z": "1/3", "eps": "2/3"}
      "DomainError"),
     ("density --depth -1", {"holes": [], "epsilon": "1/2"}, "SchemaError"),
     ("porosity", {"holes": [], "levels": "x"}, "SchemaError"),
+    ("counterexample --stages -1", {"intervals": [["0", "1/2"], ["1/2", "3/4"]]},
+     "SchemaError"),
+    ("counterexample --depth -1", {"intervals": [["0", "1/2"]]}, "SchemaError"),
+    ("porosity --depth -1", {"holes": []}, "SchemaError"),
+    ("porosity --stages -1", {"holes": []}, "SchemaError"),
+    ("martingale --depth -1", {"martingale": TABLE, "q": "2"}, "SchemaError"),
 ], ids=["depth", "case", "n_blocks", "k_max", "table", "full-cover", "escape-r", "h-xs",
         "intervals", "escape-key", "escape-components", "h-domain", "density-depth",
-        "porosity-levels"])
+        "porosity-levels", "counterexample-stages", "counterexample-depth",
+        "porosity-depth", "porosity-stages", "martingale-depth"])
 def test_bad_documents_exit_2_with_json_on_stderr(tmp_path, capfd, command, doc, kind):
     # a command may carry flags: "density --depth -1"
     code, blob = run(tmp_path, *command.split(), "--instance", write_instance(tmp_path, doc))
@@ -211,3 +222,39 @@ def test_martingale_report_is_the_same_with_asserts_stripped(tmp_path, argv):
     )
     assert stripped.returncode == 0, stripped.stderr.decode()
     assert stripped.stdout == plain
+
+
+def _rendered(checks) -> list[dict]:
+    return Report("battery", 1, checks=list(checks)).to_dict()["checks"]
+
+
+def _swap_prefix(rows: list[dict], old: str, new: str) -> list[dict]:
+    swapped = [{**r, "name": new + r["name"][len(old):]} for r in rows
+               if r["name"].startswith(old)]
+    assert swapped
+    return swapped
+
+
+def test_cli_rows_equal_the_battery_rows(tmp_path):
+    # battery 9 against `extend` on each battery document; its rows carry no prefix
+    battery = _rendered(criterion_extension(1))
+    for i in range(20):
+        h, enum = extension_instance(1, i)
+        doc = {"holes": [g.to_json() for g in enum.items], "h": h.piecewise.to_json(), "n": 10}
+        code, blob = run(tmp_path, "extend", "--depth", "12", "--instance",
+                         write_instance(tmp_path, doc))
+        assert code == 0
+        assert json.loads(blob)["checks"] == _swap_prefix(battery, f"instance {i}: ", "")
+    # battery 4 against `tests`, whose prefix also names the escape verdict; the
+    # battery's own row compares that verdict with the instance's flavor
+    instances = [escape_instance(1, i) for i in range(30)]
+    code, blob = run(tmp_path, "tests", "--instance",
+                     write_instance(tmp_path, {"escape": [x.to_json() for x in instances]}))
+    assert code == 0
+    battery = [r for r in _rendered(criterion_escape(1)) if "verdict matches" not in r["name"]]
+    expected = []
+    for i, x in enumerate(instances):
+        params = f"(r={x.r}, m_max={x.m_max}"
+        expected += _swap_prefix(battery, f"instance {i} {params}): ",
+                                 f"escape {i} {params}, verdict {x.flavor}): ")
+    assert json.loads(blob)["checks"] == expected

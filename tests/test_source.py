@@ -56,3 +56,27 @@ def test_every_public_name_is_used_by_the_library():
             used |= names
     assert NOT_YET_WIRED <= defined
     assert sorted(defined - used) == sorted(NOT_YET_WIRED)
+
+
+# the checks the batteries and the CLI share; suite.py states each once
+BATTERY_CHECKS = frozenset({
+    "extension_grid_check",
+    "fairness_violations",
+    "claim5_density_records",
+    "build_escape_sets",
+    "CylinderDifferenceTest",
+    "build_domination_tests",
+    "least_drop_h",
+})
+
+
+def test_cli_states_no_battery_check():
+    cli = next(path for path in SOURCES if path.name == "cli.py")
+    tree = ast.parse(cli.read_text(), filename=str(cli))
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert sorted((_names_in(tree) | imported) & BATTERY_CHECKS) == []
