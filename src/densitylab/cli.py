@@ -55,11 +55,15 @@ from .suite import (
 )
 
 
-def _holes(doc, key: str = "holes") -> tuple[Interval, ...]:
-    items = doc.get(key, [])
+def _list(items, key: str, what: str) -> list:
+    """items, the value of field key, which must be a JSON list of what."""
     if not isinstance(items, list):
-        raise SchemaError(f"'{key}' must be a list of [lo, hi] pairs")
-    return tuple(Interval.from_json(i) for i in items)
+        raise SchemaError(f"'{key}' must be a list of {what}")
+    return items
+
+
+def _holes(doc, key: str = "holes") -> tuple[Interval, ...]:
+    return tuple(Interval.from_json(i) for i in _list(doc.get(key, []), key, "[lo, hi] pairs"))
 
 
 def _require(doc: dict, key: str):
@@ -112,7 +116,7 @@ def run_covering(args, doc, rep: Report) -> None:
         eps_list = d.get("epsilons")
         if eps_list is None:
             eps_list = [d.get("epsilon", "1/2")]
-        for e_text in eps_list:
+        for e_text in _list(eps_list, "epsilons", "rationals"):
             eps = parse_rational(e_text)
             fc = low_density_open_set(c, eps)
             rep.checks.extend(check_rows(fc.inequalities(), f"instance {i} eps {eps}"))
@@ -182,13 +186,15 @@ def run_tests(args, doc, rep: Report) -> None:
     if not isinstance(doc, dict):
         raise SchemaError("tests instance must be an object with 'escape' "
                           "and/or 'domination' lists")
-    for i, d in enumerate(doc.get("escape", [])):
+    for i, d in enumerate(_list(doc.get("escape", []), "escape", "objects")):
         inst = EscapeInstance.from_json(d)
         verdict, rows = escape_rows(inst)
         prefix = f"escape {i} (r={inst.r}, m_max={inst.m_max}, verdict {verdict})"
         rep.checks.extend(check_rows(rows, prefix))
-    for i, d in enumerate(doc.get("domination", [])):
-        words = tuple(str(w) for w in _require(d, "words"))
+    for i, d in enumerate(_list(doc.get("domination", []), "domination", "objects")):
+        if not isinstance(d, dict):
+            raise SchemaError(f"domination entry {i} must be an object, got {d!r}")
+        words = tuple(str(w) for w in _list(_require(d, "words"), "words", "bit strings"))
         scenario = DominationScenario(
             words, parse_rational(_require(d, "z")),
             parse_rational(_require(d, "eps")), _int_field(d, "depth", 12),

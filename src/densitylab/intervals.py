@@ -25,18 +25,30 @@ from .errors import DomainError, SchemaError, StageError
 
 @dataclass(frozen=True, order=True)
 class Interval:
-    """Closed rational interval [lo, hi] inside [0,1]; lo == hi is a point."""
+    """Closed rational interval [lo, hi] inside [0,1]; lo == hi is a point.
+
+    The endpoints are validated on their numerators and denominators
+    (0 <= n <= d, and lo n * hi d <= hi n * lo d), with no Fraction
+    comparison; Fraction subclasses are accepted.
+    """
 
     lo: Fraction
     hi: Fraction
 
     def __post_init__(self) -> None:
-        if not isinstance(self.lo, Fraction) or not isinstance(self.hi, Fraction):
+        lo, hi = self.lo, self.hi
+        if not (type(lo) is Fraction or isinstance(lo, Fraction)) or not (
+            type(hi) is Fraction or isinstance(hi, Fraction)
+        ):
             raise DomainError("interval endpoints must be Fractions")
-        require_unit(self.lo, "interval lo")
-        require_unit(self.hi, "interval hi")
-        if self.lo > self.hi:
-            raise DomainError(f"interval lo {self.lo} exceeds hi {self.hi}")
+        ln, ld = lo.numerator, lo.denominator
+        hn, hd = hi.numerator, hi.denominator
+        if not 0 <= ln <= ld:
+            require_unit(lo, "interval lo")
+        if not 0 <= hn <= hd:
+            require_unit(hi, "interval hi")
+        if ln * hd > hn * ld:
+            raise DomainError(f"interval lo {lo} exceeds hi {hi}")
 
     @property
     def length(self) -> Fraction:

@@ -12,11 +12,13 @@ approximation path.
 
 Whole levels come as integer rows: ``Martingale.level(base, k)`` returns
 (d, nums) with nums[i] / d the value at base + s for the i-th string s of
-length k in lexicographic order.  Fairness and integration read these rows
-only.  The base class builds a row from ``value`` string by string; table
-martingales, ``combine_scaled``, ``cap_at`` and the slope martingale of a
-PiecewiseLinear on [0,1] build theirs from their operands' rows, without a
-Fraction per string.
+length k in lexicographic order.  Fairness, integration, the forcing
+extension certificate (``condition_extension_violations``) and the savings
+search (``savings_extension``) read these rows only, and compare them with
+a threshold q by integer cross-multiplication.  The base class builds a row
+from ``value`` string by string; table martingales, ``combine_scaled``,
+``cap_at`` and the slope martingale of a PiecewiseLinear on [0,1] build
+theirs from their operands' rows, without a Fraction per string.
 """
 
 from __future__ import annotations
@@ -43,6 +45,11 @@ from .piecewise import PiecewiseLinear
 
 
 Row = tuple[int, list[int]]
+
+
+def _string(base: str, i: int, k: int) -> str:
+    """base + the i-th string of length k in lexicographic order."""
+    return base + format(i, f"0{k}b") if k else base
 
 
 class Martingale:
@@ -131,7 +138,7 @@ def fairness_violations(m: Martingale, depth: int, base: str = "") -> list[str]:
         e, kids = m.level(base, k + 1)
         e2 = 2 * e
         bad.extend(
-            base + (format(i, f"0{k}b") if k else "")
+            _string(base, i, k)
             for i, (a, b, c) in enumerate(zip(parents, kids[::2], kids[1::2]))
             if a * e2 != d * (b + c)
         )
@@ -283,9 +290,8 @@ def martingale_to_function(m: Martingale, tau0: str, depth: int) -> PiecewiseLin
     den, leaves = m.level(tau0, k)
     if min(leaves) < 0:
         i = next(i for i, v in enumerate(leaves) if v < 0)
-        suffix = format(i, f"0{k}b") if k else ""
         raise DomainError(
-            f"negative martingale value {Fraction(leaves[i], den)} at {tau0 + suffix!r}"
+            f"negative martingale value {Fraction(leaves[i], den)} at {_string(tau0, i, k)!r}"
         )
     # breakpoints on the 2^-depth grid; values the prefix sums of the leaves
     k0 = int(tau0, 2) << k if tau0 else 0
@@ -501,7 +507,13 @@ class Condition:
 
 
 def condition_extension_violations(c2: Condition, c1: Condition, depth: int) -> list[str]:
-    """Reasons c2 fails to extend c1, checked exhaustively to depth."""
+    """Reasons c2 fails to extend c1, checked exhaustively to depth.
+
+    The implication M2(tau) < q2 => M1(tau) < q1 is checked below sigma2 on
+    the integer rows of ``Martingale.level``, one row of each martingale per
+    length: x / e < q iff x q.den < q.num e.  Only the first tau where it
+    fails gets its string built.
+    """
     problems = []
     if not is_prefix(c1.sigma, c2.sigma):
         problems.append(f"{c2.sigma!r} does not extend {c1.sigma!r}")
@@ -512,12 +524,16 @@ def condition_extension_violations(c2: Condition, c1: Condition, depth: int) -> 
         rho = c2.sigma[:i]
         if c1.martingale.value(rho) >= c1.q:
             problems.append(f"base martingale reaches q on the chain at {rho!r}")
-    for k in range(depth - len(c2.sigma) + 1):
-        for s in all_strings(k):
-            tau = c2.sigma + s
-            if c2.martingale.value(tau) < c2.q and c1.martingale.value(tau) >= c1.q:
-                problems.append(f"implication fails at {tau!r}")
-                return problems
+    sigma = c2.sigma
+    (n2, d2), (n1, d1) = c2.q.as_integer_ratio(), c1.q.as_integer_ratio()
+    for k in range(depth - len(sigma) + 1):
+        (e2, row2), (e1, row1) = c2.martingale.level(sigma, k), c1.martingale.level(sigma, k)
+        t2, t1 = n2 * e2, n1 * e1
+        bad = next((i for i, (x, y) in enumerate(zip(row2, row1))
+                    if x * d2 < t2 and y * d1 >= t1), None)
+        if bad is not None:
+            problems.append(f"implication fails at {_string(sigma, bad, k)!r}")
+            return problems
     return problems
 
 
@@ -548,37 +564,38 @@ def savings_extension(cond: Condition, eps: Fraction, search_depth: int) -> Savi
     s - d_hat <= eps (q - d_hat) hold exactly.  When the reachable minimum
     does not qualify (the true argmin hides behind a q-wall), that is
     reported as exhaustion with the achieved minimum, not papered over.
+
+    Both minima are read from the integer rows of ``Martingale.level``, one
+    Fraction per level.  A live mask marks the reachable nodes of a level: a
+    node is live when its parent is live and its value is below q.
     """
     if not ZERO < eps < 1:
         raise DomainError(f"eps must be in (0,1), got {eps}")
     m, q, sigma = cond.martingale, cond.q, cond.sigma
     if search_depth < len(sigma):
         raise DomainError("search_depth must reach sigma")
+    qn, qd = q.as_integer_ratio()
     d_hat: Fraction | None = None
     reach_min: Fraction | None = None
     best_tau: str | None = None
-    # exact global minimum (for d_hat) over the full depth-bounded subtree
+    live = bytearray(b"\x01")  # the parent flags of the current level
     for k in range(search_depth - len(sigma) + 1):
-        for s_ in all_strings(k):
-            v = m.value(sigma + s_)
-            if d_hat is None or v < d_hat:
-                d_hat = v
-    # reachable minimum: descend only below-q nodes
-    frontier = [sigma] if m.value(sigma) < q else []
-    while frontier:
-        nxt = []
-        for tau in frontier:
-            v = m.value(tau)
+        d, row = m.level(sigma, k)
+        low = Fraction(min(row), d)
+        if d_hat is None or low < d_hat:
+            d_hat = low
+        if not any(live):
+            continue
+        t = qn * d  # x / d < q iff x qd < t
+        live = bytearray(1 if p and x * qd < t else 0 for p, x in zip(live, row))
+        if any(live):
+            x, i = min((x, i) for i, x in enumerate(row) if live[i])
+            v = Fraction(x, d)
             if reach_min is None or v < reach_min:
-                reach_min = v
-                best_tau = tau
-            if len(tau) < search_depth:
-                for b in "01":
-                    if m.value(tau + b) < q:
-                        nxt.append(tau + b)
-        frontier = nxt
-    if d_hat is None:
-        raise RuntimeError(f"subtree search below {sigma!r} visited no string")
+                reach_min, best_tau = v, _string(sigma, i, k)
+            kids = bytearray(2 * len(live))
+            kids[::2] = kids[1::2] = live
+            live = kids
     if reach_min is None or best_tau is None:
         raise BudgetExhausted(
             f"no extension of {sigma!r} stays below q = {q}", achieved=None

@@ -192,10 +192,15 @@ TABLE = {"depth": 1, "values": {"": "1", "0": "1/2", "1": "3/2"}}
     ("porosity --depth -1", {"holes": []}, "SchemaError"),
     ("porosity --stages -1", {"holes": []}, "SchemaError"),
     ("martingale --depth -1", {"martingale": TABLE, "q": "2"}, "SchemaError"),
+    ("tests", {"escape": 5}, "SchemaError"),
+    ("tests", {"domination": [5]}, "SchemaError"),
+    ("tests", {"domination": [{**DOMINATION, "words": 5}]}, "SchemaError"),
+    ("covering", {"epsilons": 5}, "SchemaError"),
 ], ids=["depth", "case", "n_blocks", "k_max", "table", "full-cover", "escape-r", "h-xs",
         "intervals", "escape-key", "escape-components", "h-domain", "density-depth",
         "porosity-levels", "counterexample-stages", "counterexample-depth",
-        "porosity-depth", "porosity-stages", "martingale-depth"])
+        "porosity-depth", "porosity-stages", "martingale-depth", "escape-list",
+        "domination-entry", "domination-words", "covering-epsilons"])
 def test_bad_documents_exit_2_with_json_on_stderr(tmp_path, capfd, command, doc, kind):
     # a command may carry flags: "density --depth -1"
     code, blob = run(tmp_path, *command.split(), "--instance", write_instance(tmp_path, doc))
@@ -211,7 +216,10 @@ def test_bad_documents_exit_2_with_json_on_stderr(tmp_path, capfd, command, doc,
     ["porosity", "--seed", "1", "--json"],
     ["tests", "--seed", "1", "--json"],
     ["density", "--seed", "1", "--json"],
-], ids=["martingale", "extend", "covering", "porosity", "tests", "density"])
+    ["counterexample", "--seed", "1", "--json"],
+    ["verify-all", "--seed", "1", "--json"],
+], ids=["martingale", "extend", "covering", "porosity", "tests", "density", "counterexample",
+        "verify-all"])
 def test_martingale_report_is_the_same_with_asserts_stripped(tmp_path, argv):
     # python -O removes every assert; no check may depend on one
     _, plain = run(tmp_path, *argv)

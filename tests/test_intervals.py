@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from densitylab.bits import require_unit
 from densitylab.errors import DomainError, StageError
 from densitylab.intervals import (
     EMPTY_SET,
@@ -31,6 +32,58 @@ def test_interval_validation():
         interval(F(1, 2), F(1, 4))
     with pytest.raises(DomainError):
         interval(F(-1, 4), F(1, 2))
+
+
+def reference_interval_error(lo, hi) -> str | None:
+    """The endpoint checks as Fraction comparisons, the way Interval made them
+    before it validated in integers; the error it raises, or None."""
+    try:
+        if not isinstance(lo, F) or not isinstance(hi, F):
+            raise DomainError("interval endpoints must be Fractions")
+        require_unit(lo, "interval lo")
+        require_unit(hi, "interval hi")
+        if lo > hi:
+            raise DomainError(f"interval lo {lo} exceeds hi {hi}")
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return None
+
+
+def interval_error(lo, hi) -> str | None:
+    try:
+        Interval(lo, hi)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return None
+
+
+class Half(F):
+    """A Fraction subclass, which Interval must accept as an endpoint."""
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (0, F(1)), (F(0), 1), (0.5, F(1)), (F(0), 0.25), (True, F(1)), (F(0), False),
+    (F(-1, 4), F(1, 2)), (F(1, 4), F(5, 4)), (F(-1, 4), F(5, 4)), (F(5, 4), F(3, 2)),
+    (F(-1, 2), F(-1, 4)), (F(1, 2), F(1, 4)), (F(1), F(0)), (F(1, 3), F(1, 3)),
+    (F(0), F(1)), (Half(1, 2), F(1)), (F(0), Half(1, 2)), (Half(3, 4), Half(1, 2)),
+    (Half(3, 2), F(1)),
+])
+def test_interval_errors_match_the_fraction_checks(lo, hi):
+    assert interval_error(lo, hi) == reference_interval_error(lo, hi)
+
+
+@given(
+    st.builds(F, st.integers(-9, 40), st.integers(1, 32)),
+    st.builds(F, st.integers(-9, 40), st.integers(1, 32)),
+)
+def test_interval_validation_matches_the_fraction_checks(lo, hi):
+    assert interval_error(lo, hi) == reference_interval_error(lo, hi)
+
+
+def test_interval_accepts_fraction_subclass_endpoints():
+    part = Interval(Half(1, 4), Half(1, 2))
+    assert part.length == F(1, 4)
+    assert part == interval(F(1, 4), F(1, 2))
 
 
 def test_canonical_merges_touching_keeps_degenerate():

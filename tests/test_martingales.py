@@ -532,3 +532,177 @@ def test_round_trip_count_sees_a_perturbed_integral(monkeypatch):
 
     monkeypatch.setattr(suite, "martingale_to_function", bumped)
     assert suite._roundtrip_mismatches(m, 6) == 6
+
+
+# The forcing certificate and the savings search against the string-by-string
+# Fraction scans they replace.
+
+
+def reference_extension_violations(c2: Condition, c1: Condition, depth: int) -> list[str]:
+    problems = []
+    if not c2.sigma.startswith(c1.sigma):
+        return [f"{c2.sigma!r} does not extend {c1.sigma!r}"]
+    if c2.q > c1.q:
+        problems.append(f"q' = {c2.q} exceeds q = {c1.q}")
+    for i in range(len(c1.sigma), len(c2.sigma) + 1):
+        rho = c2.sigma[:i]
+        if c1.martingale.value(rho) >= c1.q:
+            problems.append(f"base martingale reaches q on the chain at {rho!r}")
+    for k in range(depth - len(c2.sigma) + 1):
+        for s in all_strings(k):
+            tau = c2.sigma + s
+            if c2.martingale.value(tau) < c2.q and c1.martingale.value(tau) >= c1.q:
+                problems.append(f"implication fails at {tau!r}")
+                return problems
+    return problems
+
+
+def reference_savings(cond: Condition, eps: F, search_depth: int) -> SavingsExtension:
+    m, q, sigma = cond.martingale, cond.q, cond.sigma
+    values = [m.value(sigma + s) for k in range(search_depth - len(sigma) + 1)
+              for s in all_strings(k)]
+    d_hat = min(values)
+    reach_min = best_tau = None
+    frontier = [sigma] if m.value(sigma) < q else []
+    while frontier:
+        nxt = []
+        for tau in frontier:
+            v = m.value(tau)
+            if reach_min is None or v < reach_min:
+                reach_min, best_tau = v, tau
+            if len(tau) < search_depth:
+                nxt.extend(tau + b for b in "01" if m.value(tau + b) < q)
+        frontier = nxt
+    if reach_min is None:
+        raise BudgetExhausted(f"no extension of {sigma!r} stays below q = {q}", achieved=None)
+    cap = d_hat + eps * (q - d_hat)
+    if reach_min >= cap:
+        raise BudgetExhausted(
+            f"no qualifying tau within depth {search_depth}: reachable minimum "
+            f"{reach_min} is not below d_hat + eps (q - d_hat) = {cap}",
+            achieved=reach_min,
+        )
+    gap = cap - reach_min
+    r, s = reach_min + gap / 3, reach_min + 2 * gap / 3
+    return SavingsExtension(best_tau, r, s, d_hat, reach_min, search_depth,
+                            Condition(best_tau, m, r))
+
+
+def savings_outcome(search, cond, eps, search_depth):
+    try:
+        ext = search(cond, eps, search_depth)
+    except BudgetExhausted as exc:
+        return ("BudgetExhausted", str(exc), exc.achieved)
+    assert ext.condition.martingale is cond.martingale
+    return (ext.tau, ext.r, ext.s, ext.d_hat, ext.reachable_min, ext.search_depth,
+            ext.condition.sigma, ext.condition.q)
+
+
+@st.composite
+def forcing_martingales(draw):
+    """The constructions battery 7 chains: fair tables, capital injection, caps."""
+    kind = draw(st.sampled_from(["table", "combine", "cap"]))
+    m = draw(fair_tables())
+    if kind == "combine":
+        delta = draw(st.builds(F, st.integers(1, 9), st.integers(1, 9)))
+        return combine_scaled(m, draw(unit_tables()), draw(st.text("01", max_size=3)), delta)
+    if kind == "cap":
+        return cap_at(m, draw(st.builds(F, st.integers(0, 64), st.just(16))))
+    return m
+
+
+@st.composite
+def conditions(draw, m, sigma):
+    """A valid condition <sigma, m, q>: q above M(sigma), often a value M
+    takes a few levels further down, so that M(tau) = q ties occur."""
+    v = m(sigma)
+    higher = sorted({m(sigma + s) for k in range(1, 4) for s in all_strings(k)} - {v})
+    higher = [w for w in higher if w > v]
+    if higher and draw(st.booleans()):
+        return Condition(sigma, m, draw(st.sampled_from(higher)))
+    return Condition(sigma, m, v + draw(st.builds(F, st.integers(1, 48), st.just(16))))
+
+
+@st.composite
+def condition_pairs(draw):
+    sigma1 = draw(st.text("01", max_size=2))
+    m1 = draw(forcing_martingales())
+    c1 = draw(conditions(m1, sigma1))
+    if draw(st.booleans()):
+        sigma2 = sigma1 + draw(st.text("01", max_size=3))
+    else:
+        sigma2 = draw(st.text("01", max_size=4))  # often not an extension
+    kind = draw(st.sampled_from(["same", "combine", "cap", "other"]))
+    if kind == "combine":
+        m2 = combine_scaled(m1, draw(unit_tables()), sigma2,
+                            draw(st.builds(F, st.integers(1, 9), st.integers(1, 9))))
+    elif kind == "cap":
+        m2 = cap_at(m1, draw(st.builds(F, st.integers(0, 64), st.just(16))))
+    elif kind == "same":
+        m2 = m1
+    else:  # an unrelated martingale, where the implication often fails
+        m2 = draw(forcing_martingales())
+    return draw(conditions(m2, sigma2)), c1
+
+
+@settings(max_examples=200, deadline=None)
+@given(condition_pairs(), st.integers(0, 8))
+def test_extension_violations_match_the_per_string_reference(pair, depth):
+    c2, c1 = pair
+    got = condition_extension_violations(c2, c1, depth)
+    assert got == reference_extension_violations(c2, c1, depth)
+
+
+def test_extension_violations_name_the_first_failing_string():
+    m = savings_instance()
+    c1 = Condition("", m, F(2))
+    # M2 < 3 everywhere below "1", M1 first reaches 2 at "10"
+    c2 = Condition("1", Martingale(lambda tau: F(1)), F(3))
+    expected = ["q' = 3 exceeds q = 2", "implication fails at '10'"]
+    assert condition_extension_violations(c2, c1, 4) == expected
+    assert reference_extension_violations(c2, c1, 4) == expected
+    # depth below |sigma2|: no level is read
+    assert condition_extension_violations(c2, c1, 0) == expected[:1]
+
+
+@st.composite
+def walled_tables(draw):
+    """Depth-3 fair tables whose one zero leaf lies below "1", a child worth
+    at least 3/2, while every leaf below "0" is at least 1/2: with q between
+    M("") and M("1") the least value hides behind a q-wall."""
+    left = [F(draw(st.integers(8, 16)), 16) for _ in range(4)]
+    right = draw(st.permutations([F(0), *(F(draw(st.integers(2, 4))) for _ in range(3))]))
+    return table_from_leaves(dict(zip(all_strings(3), left + right)))
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    st.one_of(st.tuples(forcing_martingales(), st.text("01", max_size=3)),
+              st.tuples(walled_tables(), st.just(""))),
+    st.builds(F, st.integers(1, 16), st.just(16)),
+    st.builds(F, st.integers(1, 15), st.just(16)),
+    st.integers(0, 5),
+)
+@example((savings_instance(), ""), F(1, 2), F(1, 2), 3)
+@example((table_from_leaves({"00": F(1, 2), "01": F(1, 2), "10": F(0), "11": F(2)}), ""),
+         F(1), F(1, 4), 2)  # the walled minimum
+def test_savings_matches_the_per_string_reference(start, frac, eps, extra):
+    m, sigma = start
+    # q at a fraction of the way from M(sigma) to its higher child walls
+    # that child off whenever the two differ
+    v, hi = m(sigma), max(m(sigma + "0"), m(sigma + "1"))
+    cond = Condition(sigma, m, v + (hi - v) * frac if hi > v else v + frac)
+    depth = len(sigma) + extra
+    got = savings_outcome(savings_extension, cond, eps, depth)
+    assert got == savings_outcome(reference_savings, cond, eps, depth)
+
+
+def test_savings_reports_a_start_at_q_like_the_reference():
+    # only a condition whose q was lowered after validation starts at q
+    m = savings_instance()
+    cond = Condition("0", m, F(2))
+    object.__setattr__(cond, "q", m("0"))
+    got = savings_outcome(savings_extension, cond, F(1, 2), 3)
+    assert got == savings_outcome(reference_savings, cond, F(1, 2), 3)
+    assert got == ("BudgetExhausted", f"no extension of '0' stays below q = {m('0')}", None)
+
