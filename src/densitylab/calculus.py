@@ -1,14 +1,15 @@
-"""Point-function oracles, slopes, pseudo-derivatives, monotone extension.
+"""Exact functions, pseudo-derivatives, extrema, monotone extension.
 
-Oracles answer (q, n) queries with |answer - f(q)| <= 2^-n.  Builtins carry
-an exact evaluator alongside the sampler, so slope computations on them are
-exact; an oracle without one is sampled and its error accounted for.  A
-declared Lipschitz constant stands in for a modulus of continuity: extrema
-are computed by modulus-driven grid refinement with explicit error margins,
-never by assuming where the extremum sits.  A polynomial oracle keeps its
-coefficients, so the extremum reads the refined grid as one row of integer
-Horner evaluations over one denominator; pseudo-derivative estimates evaluate
-an exact oracle once per candidate point, not once per pair.
+A function here is an object whose ``exact(q)`` returns f(q) for a rational
+q: a ``Polynomial``, a ``piecewise.PiecewiseLinear`` or a
+``counterexample.SpikePlan``, whose values lie in Q(sqrt 2).  Slopes are
+differences of exact values, with no approximation error to account for.  A
+polynomial's Lipschitz bound on [0,1] stands in for a modulus of continuity:
+its extrema are computed by modulus-driven grid refinement with explicit
+error margins, never by assuming where the extremum sits, and the refined
+grid is read as one row of integer Horner evaluations over one denominator.
+Pseudo-derivative estimates evaluate the function once per candidate point,
+not once per pair.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import gt, mul
-from typing import Callable
 
 from .bits import ONE, ZERO
 from .errors import BudgetExhausted, DomainError
@@ -26,113 +26,21 @@ from .intervals import Interval, IntervalSet, StagedOpenEnumeration
 from .piecewise import PiecewiseLinear
 
 
-class PointFunctionOracle:
-    """Sampler (q, n) -> rational with error at most 2^-n, memoized."""
+class Polynomial:
+    """The polynomial sum c_i x^i with rational coefficients c_0, c_1, ..."""
 
-    def __init__(
-        self,
-        sampler: Callable[[Fraction, int], Fraction],
-        domain="all",
-        exact: Callable[[Fraction], Fraction] | None = None,
-        lipschitz: Fraction | None = None,
-        name: str = "",
-    ):
-        self.sampler = sampler
-        self.domain = domain if domain == "all" else tuple(sorted(domain))
-        self.exact = exact
-        self.lipschitz = None if lipschitz is None else Fraction(lipschitz)
-        self.name = name
-        # the function itself, when the oracle samples a PiecewiseLinear
-        self.piecewise: PiecewiseLinear | None = None
-        # the coefficients c_0, c_1, ..., when the oracle is a polynomial
-        self.coefficients: tuple[Fraction, ...] | None = None
-        # keyed by integers, so a lookup never hashes a Fraction
-        self._memo: dict[tuple[int, int, int], Fraction] = {}
+    def __init__(self, coefficients):
+        self.coefficients = tuple(Fraction(c) for c in coefficients)
 
-    def in_domain(self, q: Fraction) -> bool:
-        return self.domain == "all" or q in self.domain
-
-    def sample(self, q: Fraction, n: int) -> Fraction:
-        if not self.in_domain(q):
-            raise DomainError(f"{q} outside the domain of oracle {self.name!r}")
-        key = (q.numerator, q.denominator, n)
-        v = self._memo.get(key)
-        if v is None:
-            v = self.sampler(q, n)
-            if not isinstance(v, Fraction):
-                v = Fraction(v)
-            self._memo[key] = v
-        return v
-
-
-def oracle_from_exact(fn, lipschitz=None, name: str = "", domain="all") -> PointFunctionOracle:
-    return PointFunctionOracle(
-        lambda q, n: fn(q), domain=domain, exact=fn, lipschitz=lipschitz, name=name
-    )
-
-
-def identity_oracle() -> PointFunctionOracle:
-    return oracle_from_exact(lambda q: q, lipschitz=1, name="identity")
-
-
-def constant_oracle(c) -> PointFunctionOracle:
-    c = Fraction(c)
-    return oracle_from_exact(lambda q: c, lipschitz=0, name=f"constant {c}")
-
-
-def polynomial_oracle(coeffs) -> PointFunctionOracle:
-    """Exact polynomial sum c_i x^i; Lipschitz bound on [0,1] is sum i |c_i|."""
-    cs = tuple(Fraction(c) for c in coeffs)
-
-    def fn(q: Fraction) -> Fraction:
+    def exact(self, q: Fraction) -> Fraction:
         acc = ZERO
-        for c in reversed(cs):
+        for c in reversed(self.coefficients):
             acc = acc * q + c
         return acc
 
-    lip = sum((i * abs(c) for i, c in enumerate(cs)), ZERO)
-    oracle = oracle_from_exact(fn, lipschitz=lip, name=f"polynomial {cs}")
-    oracle.coefficients = cs
-    return oracle
-
-
-def piecewise_linear_oracle(pl: PiecewiseLinear, name: str = "piecewise") -> PointFunctionOracle:
-    oracle = oracle_from_exact(pl.value, lipschitz=pl.lipschitz_bound(), name=name)
-    oracle.piecewise = pl
-    return oracle
-
-
-@dataclass(frozen=True)
-class SlopeSample:
-    a: Fraction
-    b: Fraction
-    value: Fraction
-    precision: int
-
-    @property
-    def error_bound(self) -> Fraction:
-        return 2 * Fraction(1, 1 << self.precision) / abs(self.b - self.a)
-
-
-def _sample_index_for(width: Fraction, n: int) -> int:
-    # smallest m with 2 * 2^-m / width <= 2^-n
-    m = max(n + 1, 0)
-    while (1 << m) * width < (1 << (n + 1)):
-        m += 1
-    return m
-
-
-def slope(f: PointFunctionOracle, a: Fraction, b: Fraction, n: int) -> SlopeSample:
-    """S_f(a,b) from samples at an index making the slope error <= 2^-n."""
-    a, b = Fraction(a), Fraction(b)
-    if a == b:
-        raise DomainError("slope needs distinct endpoints")
-    m = _sample_index_for(abs(b - a), n)
-    if f.exact is not None:
-        value = (f.exact(a) - f.exact(b)) / (a - b)
-    else:
-        value = (f.sample(a, m) - f.sample(b, m)) / (a - b)
-    return SlopeSample(a, b, value, m)
+    def lipschitz_bound(self) -> Fraction:
+        """Lipschitz bound on [0,1]: sum i |c_i|."""
+        return sum((i * abs(c) for i, c in enumerate(self.coefficients)), ZERO)
 
 
 def _dyadic_points(lo: Fraction, hi: Fraction, depth: int) -> list[Fraction]:
@@ -148,13 +56,11 @@ def _dyadic_points(lo: Fraction, hi: Fraction, depth: int) -> list[Fraction]:
     return out
 
 
-def _straddling_candidates(f, x, lo, hi, depth) -> list[Fraction]:
-    pts = set(_dyadic_points(max(lo, ZERO), min(hi, ONE), depth))
-    if f.domain != "all":
-        pts = {p for p in f.domain if lo <= p <= hi}
-    elif lo <= x <= hi:
-        pts.add(x)
-    return sorted(p for p in pts if f.in_domain(p))
+def _straddling_candidates(x: Fraction, h: Fraction, depth: int) -> list[Fraction]:
+    """x and the 2^-depth grid points of [x - h, x + h] within [0,1], sorted."""
+    pts = set(_dyadic_points(max(x - h, ZERO), min(x + h, ONE), depth))
+    pts.add(x)
+    return sorted(pts)
 
 
 @dataclass(frozen=True)
@@ -167,34 +73,32 @@ class DerivativeEstimate:
 
 
 def pseudo_derivative_estimate(
-    f: PointFunctionOracle, x: Fraction, h: Fraction, grid_depth: int, side: str
+    f, x: Fraction, h: Fraction, grid_depth: int, side: str
 ) -> DerivativeEstimate:
     """Extremal slope over straddling pairs a <= x <= b with 0 < b-a <= h.
 
-    Upper mode is a certified lower bound on the upper pseudo-derivative at
-    scale h, lower mode a certified upper bound on the lower one; sampled
-    oracles get the 2^-(grid_depth+2) slope-error adjustment, exact ones
-    none.  Pairs must straddle x; one-sided pairs are excluded by definition.
-    The witness is the first pair, in (a, b) order, of extremal slope.
+    f is any function with ``exact(q)``: a ``Polynomial``, a
+    ``PiecewiseLinear`` or a ``SpikePlan``.  The pairs are taken from x and
+    the 2^-grid_depth grid, and their slopes are exact: upper mode is a
+    certified lower bound on the upper pseudo-derivative at scale h, lower
+    mode a certified upper bound on the lower one.  Pairs must straddle x;
+    one-sided pairs are excluded by definition.  The witness is the first
+    pair, in (a, b) order, of extremal slope.
 
-    An exact oracle is evaluated once per candidate point; a sampled one goes
-    through ``slope`` per pair, whose sample index depends on the pair's width.
-    The slopes are taken in the oracle's own value type (Fraction, or
-    QuadValue for the counterexample), and the constant adjustment is applied
-    once, to the extremum.
+    f is evaluated once per candidate point, and the slopes are taken in its
+    own value type (Fraction, or QuadValue for the counterexample).
     """
     x, h = Fraction(x), Fraction(h)
     if side not in ("upper", "lower"):
         raise DomainError(f"side must be upper or lower, got {side!r}")
     if h <= 0:
         raise DomainError("scale h must be positive")
-    cands = _straddling_candidates(f, x, x - h, x + h, grid_depth)
+    cands = _straddling_candidates(x, h, grid_depth)
     # the lefts a <= x are cands[:n_left], the rights b >= x cands[first_right:]
     n_left = bisect_right(cands, x)
     first_right = bisect_left(cands, x)
-    prec = grid_depth + 2
     upper = side == "upper"
-    values = None if f.exact is None else [f.exact(q) for q in cands]
+    values = [f.exact(q) for q in cands]
     best = None
     witness = None
     for i in range(n_left):
@@ -202,19 +106,13 @@ def pseudo_derivative_estimate(
         # the rights b with a < b <= a + h
         for j in range(max(first_right, i + 1), bisect_right(cands, a + h, first_right)):
             b = cands[j]
-            if values is not None:
-                v = (values[i] - values[j]) / (a - b)
-            else:
-                v = slope(f, a, b, prec).value
+            v = (values[i] - values[j]) / (a - b)
             if best is None or (v > best if upper else v < best):
                 best, witness = v, (a, b)
     if best is None:
         raise DomainError(
             f"no straddling pair around {x} at depth {grid_depth} within scale {h}"
         )
-    if values is None:
-        adjust = Fraction(1, 1 << prec)
-        best = best - adjust if upper else best + adjust
     return DerivativeEstimate(side, best, witness, h, grid_depth)
 
 
@@ -259,30 +157,25 @@ def _polynomial_row(
 
 
 def interval_extremum(
-    p: PointFunctionOracle, a: Fraction, b: Fraction, n: int, which: str
+    p: Polynomial, a: Fraction, b: Fraction, n: int, which: str
 ) -> Fraction:
-    """Sup or inf over [a,b] within 2^-n, by modulus-driven refinement.
+    """Sup or inf of p over [a,b] within 2^-n, by modulus-driven refinement.
 
-    A polynomial oracle is read as one integer row over ``_refined_grid``'s
-    points, and one Fraction is built for the extremum; other oracles are
-    sampled point by point."""
+    The Lipschitz bound sets the step of a grid over [a,b]; the grid is read
+    as one integer row, and one Fraction is built for the extremum."""
     a, b = Fraction(a), Fraction(b)
     if which not in ("sup", "inf"):
         raise DomainError(f"which must be sup or inf, got {which!r}")
     if a > b:
         raise DomainError("need a <= b")
-    if p.lipschitz is None:
-        raise DomainError("interval extremum needs a declared modulus")
-    if a == b or p.lipschitz == 0:
-        return p.sample(a, n)
-    # grid step d with L d / 2 <= 2^-(n+1) makes grid value + sample error <= 2^-n
-    step = Fraction(1, 1 << n) / p.lipschitz
-    if p.coefficients is not None:
-        count, delta = _grid_step(a, b, step)
-        den, nums = _polynomial_row(p.coefficients, a, delta, count)
-        return Fraction(max(nums) if which == "sup" else min(nums), den)
-    values = [p.sample(q, n + 1) for q in _refined_grid(a, b, step)]
-    return max(values) if which == "sup" else min(values)
+    lip = p.lipschitz_bound()
+    if a == b or lip == 0:
+        return p.exact(a)
+    # a grid step d with L d / 2 <= 2^-(n+1) puts the grid extremum within
+    # 2^-(n+1) of the true one
+    count, delta = _grid_step(a, b, Fraction(1, 1 << n) / lip)
+    den, nums = _polynomial_row(p.coefficients, a, delta, count)
+    return Fraction(max(nums) if which == "sup" else min(nums), den)
 
 
 @dataclass(frozen=True)
@@ -325,7 +218,8 @@ class MonotoneExtension:
     through the same memoised crossing as ``value``, so both return the same
     values and stop with the same BudgetExhausted at the same first point.
 
-    h must be a ``piecewise_linear_oracle`` defined on all of [0,1].  Every
+    h is a ``PiecewiseLinear`` defined on all of [0,1], and its
+    ``lipschitz_bound()`` sets the grid depth and the margins.  Every
     internal grid sample comes from one ``grid_numerators(grid_depth)`` row;
     only part endpoints off the grid, and the refined grid of off-grid parts
     that the monotonicity check reads, are evaluated one point at a time.
@@ -343,16 +237,13 @@ class MonotoneExtension:
 
     def __init__(
         self,
-        h: PointFunctionOracle,
+        h: PiecewiseLinear,
         enum: StagedOpenEnumeration,
         n: int,
         budget: ExtensionBudget | None = None,
     ):
-        pl = h.piecewise
-        if pl is None:
-            raise DomainError("monotone extension needs a piecewise-linear h")
         budget = budget or ExtensionBudget()
-        lip = h.lipschitz
+        lip = h.lipschitz_bound()
         gd = budget.grid_depth
         if gd is None:
             gd = n + 3
@@ -367,9 +258,9 @@ class MonotoneExtension:
         self.epsilon = Fraction(1, 1 << n)
         # every internal grid sample, from one row; a domain short of [0,1]
         # raises here, at the first grid point outside it
-        row_den, row = pl.grid_numerators(gd)
+        row_den, row = h.grid_numerators(gd)
         margin = lip * Fraction(1, 1 << gd) + Fraction(1, 1 << prec)
-        mid = pl.value(Fraction(1, 2))
+        mid = h.value(Fraction(1, 2))
         # Every sample is h(x) for some x in [0,1], so it lies within lip / 2
         # of h(1/2) == mid, while the bounds lie lip + 1 away from mid: no
         # sample + margin is ever at or below lo_bound, and no sample - margin
@@ -394,13 +285,13 @@ class MonotoneExtension:
             for part in c_set:
                 for x in (part.lo, part.hi):
                     if scale % x.denominator and x not in off_vals:
-                        off_vals[x] = pl.value(x)
+                        off_vals[x] = h.value(x)
         # the monotonicity check also reads the refined grid of off-grid parts
         for part in classes[-1]:
             if not _on_grid(part, gd):
                 for q in _refined_grid(part.lo, part.hi, Fraction(1, scale)):
                     if q not in off_vals:
-                        off_vals[q] = pl.value(q)
+                        off_vals[q] = h.value(q)
 
         dens = {v.denominator for v in off_vals.values()}
         den = lcm(row_den, margin.denominator, hi_bound.denominator, lo_bound.denominator,
@@ -568,7 +459,7 @@ def extension_grid_check(ext: MonotoneExtension, depth: int) -> tuple[int, Fract
     qs = [q for _, q in pairs]
     # p_a / q_a > p_b / q_b between neighbours a, b
     drops = sum(map(gt, map(mul, ps, qs[1:]), map(mul, ps[1:], qs)))
-    den, hs = ext.h.piecewise.grid_numerators(depth)
+    den, hs = ext.h.grid_numerators(depth)
     # the worst |value - h| is worst_d / (worst_q * den)
     worst_d, worst_q = 0, 1
     for ks in ext.enum.final_class().grid_ranges(depth):

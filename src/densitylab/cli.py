@@ -18,7 +18,6 @@ import sys
 from fractions import Fraction
 
 from .bits import ZERO, format_rational, parse_rational
-from .calculus import piecewise_linear_oracle
 from .counterexample import build_counterexample, default_enumeration, verify_denjoy_failure
 from .density import low_density_open_set, oracle_difference
 from .errors import BudgetExhausted, DomainError, SchemaError
@@ -239,12 +238,12 @@ def run_martingale(args, doc, rep: Report) -> None:
 def run_extend(args, doc, rep: Report) -> None:
     if doc is None:
         h, enum = extension_instance(args.seed, 0)
-        doc = {"holes": [i.to_json() for i in enum.items], "h": h.piecewise.to_json(),
+        doc = {"holes": [i.to_json() for i in enum.items], "h": h.to_json(),
                "n": 10}
     if not isinstance(doc, dict):
         raise SchemaError("extend instance must be an object")
     enum = StagedOpenEnumeration(_holes(doc))
-    h = piecewise_linear_oracle(PiecewiseLinear.from_json(_require(doc, "h")))
+    h = PiecewiseLinear.from_json(_require(doc, "h"))
     n = rep.meta["n"] = _int_field(doc, "n", 10)
     grid_depth = rep.meta["grid_depth"] = _override(args, "depth", 12)
     try:
@@ -264,8 +263,8 @@ def run_counterexample(args, doc, rep: Report) -> None:
     items = items[: _override(args, "stages", len(items))]
     policy = str(doc.get("overlap_policy", "reject"))
     k_max = _override(args, "depth", 16, doc, "k_max")
-    plan, trace, oracle = build_counterexample(items, policy)
-    failure = verify_denjoy_failure(plan, trace, oracle, k_max)
+    plan, trace = build_counterexample(items, policy)
+    failure = verify_denjoy_failure(plan, trace, k_max)
     rep.meta.update(plan=plan.to_json(), trace=trace.to_json(), k_max=k_max)
     rep.checks.extend(denjoy_check_rows(failure))
 

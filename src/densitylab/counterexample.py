@@ -3,10 +3,12 @@
 From a finite enumeration of closed rational intervals the builder tracks the
 leftmost uncovered point alpha, assigns each stage a flat or a triangular
 spike, and sizes spike heights 2^(-n/2) by the smallest dyadic scale whose
-grid meets the previous increase interval.  The verifier then certifies, per
-realized height parameter k, a straddling slope <= -2^(k/2) at the final
-alpha together with zero-slope witnesses on the upper side.  All comparisons
-stay exact: odd-k heights are sqrt(2)-multiples compared via squares.
+grid meets the previous increase interval.  The plan is the function: its
+``exact(q)`` returns f(q), the ``calculus`` function protocol, a Fraction or
+for odd-k heights a sqrt(2)-multiple in Q(sqrt 2).  The verifier then
+certifies, per realized height parameter k, a straddling slope <= -2^(k/2) at
+the final alpha together with zero-slope witnesses on the upper side.  All
+comparisons stay exact: sqrt(2)-multiples are compared via squares.
 
 Policy constants (the height rule needs two choices the prose leaves open):
 qualifying multiples of 2^-n are positive (0 never qualifies) and endpoint
@@ -19,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .calculus import PointFunctionOracle
 from .errors import DomainError, EnumerationOverlapError
 from .bits import ONE, ZERO, format_rational
 from .intervals import Interval, IntervalSet
@@ -93,22 +94,17 @@ class SpikePlan:
     def spike_stages(self) -> tuple[SpikeStage, ...]:
         return tuple(s for s in self.stages if s.kind == "spike")
 
-    def max_slope(self):
-        """Exact Lipschitz constant: max over spikes of 2 v / |I_s|."""
-        best = QuadValue(ZERO, ZERO)
-        for s in self.spike_stages:
-            cand = 2 * QuadValue(ZERO, ZERO) + s.height  # coerce to QuadValue
-            cand = 2 * cand / s.interval.length
-            if cand > best:
-                best = cand
-        return best
-
-    def rational_lipschitz(self) -> Fraction:
-        """Rational upper bound on max_slope (sqrt 2 < 3/2)."""
-        m = self.max_slope()
-        if isinstance(m, QuadValue):
-            return m.a + m.b * Fraction(3, 2)
-        return Fraction(m)
+    def exact(self, q: Fraction):
+        """Exact f(q): 0 off spike intervals, triangular inside them."""
+        q = Fraction(q)
+        for s in self.stages:
+            iv = s.interval
+            if iv.lo <= q <= iv.hi and s.kind == "spike" and not iv.is_degenerate:
+                mid = (iv.lo + iv.hi) / 2
+                if q <= mid:
+                    return s.height * ((q - iv.lo) / (mid - iv.lo))
+                return s.height * ((iv.hi - q) / (iv.hi - mid))
+        return ZERO
 
     def to_json(self) -> dict:
         return {"stages": [s.to_json() for s in self.stages]}
@@ -152,8 +148,8 @@ def _normalize_enumeration(enumeration) -> list[Interval]:
 
 def build_counterexample(
     enumeration, overlap_policy: str = "reject"
-) -> tuple[SpikePlan, AlphaTrace, PointFunctionOracle]:
-    """Assign flat/spike per stage and return the exact evaluation oracle.
+) -> tuple[SpikePlan, AlphaTrace]:
+    """Assign flat/spike per stage; the plan is the function it defines.
 
     Stage intervals may share endpoints but not interior; under "reject" an
     interior overlap raises, under "split" the incoming interval is clipped
@@ -201,34 +197,7 @@ def build_counterexample(
 
     plan = SpikePlan(tuple(stages))
     trace = AlphaTrace(tuple(alphas))
-    return plan, trace, oracle_from_plan(plan)
-
-
-def plan_value(plan: SpikePlan, q: Fraction):
-    """Exact f(q): 0 off spike intervals, triangular inside them."""
-    q = Fraction(q)
-    for s in plan.stages:
-        iv = s.interval
-        if iv.lo <= q <= iv.hi and s.kind == "spike" and not iv.is_degenerate:
-            mid = (iv.lo + iv.hi) / 2
-            if q <= mid:
-                return s.height * ((q - iv.lo) / (mid - iv.lo))
-            return s.height * ((iv.hi - q) / (iv.hi - mid))
-    return ZERO
-
-
-def oracle_from_plan(plan: SpikePlan, name: str = "denjoy-counterexample") -> PointFunctionOracle:
-    def sampler(q: Fraction, n: int) -> Fraction:
-        v = plan_value(plan, q)
-        return v.approx(n) if isinstance(v, QuadValue) else v
-
-    return PointFunctionOracle(
-        sampler,
-        domain="all",
-        exact=lambda q: plan_value(plan, q),
-        lipschitz=plan.rational_lipschitz(),
-        name=name,
-    )
+    return plan, trace
 
 
 def default_enumeration() -> list[Interval]:
@@ -288,7 +257,6 @@ class DenjoyFailureReport:
     lower_estimate: object  # most negative slope seen
     groups: tuple[tuple[int, int], ...]  # (exponent, spike count)
     tail_bounds: tuple[TailBound, ...]
-    lipschitz: Fraction
     limit_claim: str  # finite-stage disclaimer; never an infinity claim
 
 
@@ -297,13 +265,12 @@ def _plan_zeros(plan: SpikePlan, alpha_final: Fraction) -> list[Fraction]:
     zeros = {ZERO, alpha_final}
     for s in plan.stages:
         zeros.update((s.interval.lo, s.interval.hi))
-    return sorted(z for z in zeros if z <= alpha_final and plan_value(plan, z) == 0)
+    return sorted(z for z in zeros if z <= alpha_final and plan.exact(z) == 0)
 
 
 def verify_denjoy_failure(
     plan: SpikePlan,
     trace: AlphaTrace,
-    f: PointFunctionOracle,
     k_max: int,
 ) -> DenjoyFailureReport:
     """Certify lower-slope blowup and upper-slope vanishing at the final alpha.
@@ -345,8 +312,8 @@ def verify_denjoy_failure(
             )
             continue
         q = (max(alpha, b_k) + room) / 2
-        f_q = f.exact(q)
-        f_x = f.exact(x_k)
+        f_q = plan.exact(q)
+        f_x = plan.exact(x_k)
         slope_val = (f_q - f_x) / (q - x_k)
         threshold = -sqrt2_power(k)
         holds = (
@@ -368,7 +335,7 @@ def verify_denjoy_failure(
         if not a_cands:
             continue
         a, b = a_cands[-1], min(alpha + half, ONE)
-        s = (f.exact(b) - f.exact(a)) / (b - a)
+        s = (plan.exact(b) - plan.exact(a)) / (b - a)
         zero_witnesses.append(ZeroWitness(k, a, b, s == 0))
 
     region_end = max((s.interval.hi for s in plan.spike_stages), default=ZERO)
@@ -392,11 +359,11 @@ def verify_denjoy_failure(
     straddle_max = None
     straddle_ok = True
     for b in sorted(rights):
-        f_b = f.exact(b)
+        f_b = plan.exact(b)
         for a in sorted(lefts):
             if a >= b:
                 continue
-            s = (f_b - f.exact(a)) / (b - a)
+            s = (f_b - plan.exact(a)) / (b - a)
             if straddle_max is None or s > straddle_max:
                 straddle_max = s
             if s > straddle_bound:
@@ -436,6 +403,5 @@ def verify_denjoy_failure(
         lower_estimate=lower_estimate,
         groups=groups,
         tail_bounds=tuple(tail_bounds),
-        lipschitz=plan.rational_lipschitz(),
         limit_claim="finite-stage certificates only; no claim about the limit",
     )

@@ -18,12 +18,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bits import ONE, ZERO, format_rational, parse_rational, validate_bits
-from .calculus import (
-    PointFunctionOracle,
-    piecewise_linear_oracle,
-    polynomial_oracle,
-)
+from .bits import ONE, ZERO, format_rational, parse_rational, require_unit, validate_bits
+from .calculus import Polynomial
 from .errors import BudgetExhausted, SchemaError
 from .intervals import FULL_SET, Interval, IntervalSet, StagedOpenEnumeration
 from .martingales import (
@@ -165,7 +161,7 @@ class EscapeInstance:
                 comps,
                 _json_int(obj, "r"),
                 _json_int(obj, "m_max"),
-                parse_rational(obj["z"]),
+                require_unit(parse_rational(obj["z"]), "escape z"),
                 str(obj.get("flavor", "custom")),
             )
         except KeyError as exc:
@@ -347,29 +343,27 @@ def forcing_instance(seed: int, index: int):
 
 def extension_instance(
     seed: int, index: int
-) -> tuple[PointFunctionOracle, StagedOpenEnumeration]:
-    """Nondecreasing staircase oracle (slopes <= 1) and a <=6-hole class."""
+) -> tuple[PiecewiseLinear, StagedOpenEnumeration]:
+    """Nondecreasing staircase (slopes <= 1) and a <=6-hole class."""
     rng = battery_rng(seed, "extension", index)
     xs = tuple(Fraction(k, 8) for k in range(9))
     ys = [Fraction(rng.randint(0, 32), 64)]
     for _ in range(8):
         ys.append(ys[-1] + Fraction(rng.randint(0, 8), 64))
-    h = piecewise_linear_oracle(
-        PiecewiseLinear(xs, tuple(ys)), name=f"staircase {index}"
-    )
+    h = PiecewiseLinear(xs, tuple(ys))
     enum = StagedOpenEnumeration(dyadic_holes(rng, rng.randint(1, 6), 3, 6))
     return h, enum
 
 
 def golden_extremum_cases() -> tuple[
-    tuple[PointFunctionOracle, Fraction, Fraction, str, Fraction], ...
+    tuple[Polynomial, Fraction, Fraction, str, Fraction], ...
 ]:
     """Polynomials with rational closed-form extrema over stated windows."""
     return (
-        (polynomial_oracle((0, 1, -1)), ZERO, ONE, "sup", Fraction(1, 4)),
-        (polynomial_oracle((1, -4, 4)), Fraction(1, 4), ONE, "inf", ZERO),
+        (Polynomial((0, 1, -1)), ZERO, ONE, "sup", Fraction(1, 4)),
+        (Polynomial((1, -4, 4)), Fraction(1, 4), ONE, "inf", ZERO),
         (
-            polynomial_oracle((0, 0, 1, -2, 1)),
+            Polynomial((0, 0, 1, -2, 1)),
             Fraction(1, 8),
             Fraction(3, 8),
             "sup",

@@ -221,20 +221,11 @@ class TableMartingale(Martingale):
 def slope_martingale(g, depth: int) -> Martingale:
     """tau -> slope of g over Cyl tau; exact, fair, possibly negative.
 
-    g may be a PiecewiseLinear, any exact callable on rationals, or an oracle
-    exposing one as .exact; an oracle without exact dyadic values cannot
-    support an exact slope martingale and is rejected.  For a PiecewiseLinear
-    whose domain covers [0,1], levels are differences of one
+    g is a PiecewiseLinear or any exact callable on rationals.  For a
+    PiecewiseLinear whose domain covers [0,1], levels are differences of one
     ``grid_numerators(depth)`` row (2^depth + 1 integers, built on first use).
     """
-    if isinstance(g, PiecewiseLinear):
-        fn = g.value
-    elif callable(g):
-        fn = g
-    else:
-        fn = getattr(g, "exact", None)
-        if fn is None:
-            raise DomainError("slope martingale needs exact dyadic evaluations")
+    fn = g.value if isinstance(g, PiecewiseLinear) else g
 
     too_deep = f"slope oracle only certified to depth {depth}"
 

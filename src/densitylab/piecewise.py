@@ -113,7 +113,8 @@ class PiecewiseLinear:
             nums.extend(range(start, start + step * count, step) if step else [start] * count)
         return den, nums
 
-    def __call__(self, x: Fraction) -> Fraction:
+    def exact(self, x: Fraction) -> Fraction:
+        """f(x), the function protocol of ``calculus``."""
         return self.value(x)
 
     def _outside(self, x: Fraction) -> DomainError:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
 from .bits import format_rational, parse_rational
 from .errors import DomainError
@@ -113,14 +112,6 @@ class QuadValue:
 
     def __repr__(self):
         return f"QuadValue({self.a} + {self.b}*sqrt2)"
-
-    def approx(self, n: int) -> Fraction:
-        """Rational within 2^-n, via integer square roots."""
-        if self.b == 0:
-            return self.a
-        m = n + abs(self.b).numerator.bit_length() + 2
-        root = Fraction(isqrt(2 << (2 * m)), 1 << m)  # root <= sqrt2 < root + 2^-m
-        return self.a + self.b * root
 
     def to_json(self) -> dict:
         return {"a": format_rational(self.a), "b": format_rational(self.b)}

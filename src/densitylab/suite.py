@@ -20,11 +20,9 @@ from fractions import Fraction
 from .bits import ONE, ZERO
 from .calculus import (
     MonotoneExtension,
+    Polynomial,
     extension_grid_check,
-    identity_oracle,
     interval_extremum,
-    piecewise_linear_oracle,
-    polynomial_oracle,
     pseudo_derivative_estimate,
 )
 from .counterexample import (
@@ -439,8 +437,8 @@ def denjoy_check_rows(rep) -> list[Check]:
 
 def criterion_counterexample(seed: int) -> list[Check]:
     """Default spike plan: per-scale slope certificates, no limit claim."""
-    plan, trace, oracle = build_counterexample(default_enumeration())
-    rep = verify_denjoy_failure(plan, trace, oracle, 16)
+    plan, trace = build_counterexample(default_enumeration())
+    rep = verify_denjoy_failure(plan, trace, 16)
     realized = {c.k for c in rep.certificates}
     missing = [k for k in range(2, 17, 2) if k not in realized]
     return [
@@ -473,16 +471,11 @@ def criterion_calculus(seed: int) -> list[Check]:
                 err <= Fraction(1, 1 << 10),
             )
         )
-    vee = piecewise_linear_oracle(
-        PiecewiseLinear(
-            (ZERO, Fraction(1, 2), ONE), (ZERO, Fraction(1, 2), ZERO)
-        ),
-        name="vee",
-    )
+    vee = PiecewiseLinear((ZERO, Fraction(1, 2), ONE), (ZERO, Fraction(1, 2), ZERO))
     staircase, _enum = extension_instance(seed, 0)
-    square = polynomial_oracle((0, 0, 1))
+    identity, square = Polynomial((0, 1)), Polynomial((0, 0, 1))
     sweep = (
-        ("identity", identity_oracle()),
+        ("identity", identity),
         ("square", square),
         ("vee", vee),
         ("staircase", staircase),
@@ -503,7 +496,7 @@ def criterion_calculus(seed: int) -> list[Check]:
                         lo <= up,
                     )
                 )
-    for label, f in (("identity", identity_oracle()), ("square", square),
+    for label, f in (("identity", identity), ("square", square),
                      ("staircase", staircase)):
         for x in (Fraction(1, 3), Fraction(5, 8)):
             lo = pseudo_derivative_estimate(f, x, Fraction(1, 4), 6,

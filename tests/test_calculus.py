@@ -1,4 +1,4 @@
-"""Oracles, slopes, pseudo-derivatives, monotone extension."""
+"""Exact functions, pseudo-derivatives, extrema, monotone extension."""
 
 from fractions import Fraction as F
 
@@ -9,17 +9,11 @@ from hypothesis import strategies as st
 from densitylab.calculus import (
     ExtensionBudget,
     MonotoneExtension,
-    PointFunctionOracle,
+    Polynomial,
     _straddling_candidates,
-    constant_oracle,
     extension_grid_check,
-    identity_oracle,
     interval_extremum,
-    oracle_from_exact,
-    piecewise_linear_oracle,
-    polynomial_oracle,
     pseudo_derivative_estimate,
-    slope,
 )
 from densitylab.counterexample import build_counterexample, default_enumeration
 from densitylab.errors import BudgetExhausted, DomainError
@@ -28,48 +22,19 @@ from densitylab.intervals import enumeration
 from densitylab.piecewise import PiecewiseLinear
 
 VEE = PiecewiseLinear((F(0), F(1, 2), F(1)), (F(1, 2), F(0), F(1, 2)))  # |x - 1/2|
-
-
-def line_oracle():
-    """The identity on [0,1] as a piecewise-linear oracle, Lipschitz bound 1."""
-    return piecewise_linear_oracle(PiecewiseLinear((F(0), F(1)), (F(0), F(1))))
-
-
-def test_slope_exact_samples():
-    assert slope(identity_oracle(), F(1, 4), F(3, 4), 8).value == 1
-    assert slope(polynomial_oracle([0, 0, 1]), F(0), F(1), 8).value == 1
-    assert slope(constant_oracle(F(2, 7)), F(0), F(1, 3), 8).value == 0
-
-
-def test_slope_rejects_equal_endpoints_and_bad_domain():
-    with pytest.raises(DomainError):
-        slope(identity_oracle(), F(1, 2), F(1, 2), 4)
-    listed = oracle_from_exact(lambda q: q, domain=[F(0), F(1)], lipschitz=1)
-    with pytest.raises(DomainError):
-        listed.sample(F(1, 2), 3)
-
-
-def test_slope_error_bound_on_rounded_oracle():
-    # x^2 floored to the 2^-n grid: a sampled oracle with no exact evaluator
-    def floored_square(q, n):
-        v = q * q * (1 << n)
-        return F(v.numerator // v.denominator, 1 << n)
-
-    noisy = PointFunctionOracle(floored_square, lipschitz=2)
-    s = slope(noisy, F(1, 4), F(3, 4), 6)
-    assert abs(s.value - 1) <= F(1, 64)
-    assert s.error_bound <= F(1, 64)
+IDENTITY = Polynomial((0, 1))
+LINE = PiecewiseLinear((F(0), F(1)), (F(0), F(1)))  # the identity, piecewise-linear
 
 
 def test_pseudo_derivative_identity():
-    f = identity_oracle()
+    f = IDENTITY
     for side in ("upper", "lower"):
         est = pseudo_derivative_estimate(f, F(1, 3), F(1, 8), 6, side)
         assert est.value == 1
 
 
 def test_pseudo_derivative_vee_spec_example():
-    f = piecewise_linear_oracle(VEE)
+    f = VEE
     up = pseudo_derivative_estimate(f, F(1, 2), F(1, 4), 6, "upper")
     lo = pseudo_derivative_estimate(f, F(1, 2), F(1, 4), 6, "lower")
     assert up.value == 1
@@ -77,14 +42,15 @@ def test_pseudo_derivative_vee_spec_example():
     # the extremes need a pair with one endpoint at the kink itself
     assert F(1, 2) in up.witness
     assert F(1, 2) in lo.witness
-    # the symmetric pair has slope exactly 0: check via the slope op
-    assert slope(f, F(1, 2) - F(1, 16), F(1, 2) + F(1, 16), 8).value == 0
+    # the symmetric pair has slope exactly 0
+    a, b = F(1, 2) - F(1, 16), F(1, 2) + F(1, 16)
+    assert (f.exact(b) - f.exact(a)) / (b - a) == 0
 
 
 def test_pseudo_derivative_requires_straddling_pair():
-    listed = oracle_from_exact(lambda q: q, domain=[F(0)], lipschitz=1)
+    # the 2^-1 grid has no point within 1/8 of 1/3, so x pairs with nothing
     with pytest.raises(DomainError):
-        pseudo_derivative_estimate(listed, F(1, 2), F(1, 8), 4, "upper")
+        pseudo_derivative_estimate(IDENTITY, F(1, 3), F(1, 8), 1, "upper")
 
 
 @settings(max_examples=30, deadline=None)
@@ -94,7 +60,7 @@ def test_pseudo_derivative_requires_straddling_pair():
     st.integers(min_value=2, max_value=5),
 )
 def test_pseudo_derivative_order_and_depth_monotonicity(num, depth, k):
-    f = piecewise_linear_oracle(VEE)
+    f = VEE
     depth = max(depth, k)  # grid must resolve the scale
     x, h = F(num, 64), F(1, 1 << k)
     up = pseudo_derivative_estimate(f, x, h, depth, "upper").value
@@ -106,7 +72,7 @@ def test_pseudo_derivative_order_and_depth_monotonicity(num, depth, k):
 
 
 def test_nondecreasing_oracle_lower_estimate_nonnegative():
-    for f in (identity_oracle(), polynomial_oracle([F(1, 3), F(1, 2), F(1, 4)])):
+    for f in (IDENTITY, Polynomial([F(1, 3), F(1, 2), F(1, 4)])):
         est = pseudo_derivative_estimate(f, F(3, 8), F(1, 4), 5, "lower")
         assert est.value >= 0
 
@@ -115,17 +81,13 @@ def test_interval_extremum_golden_cases():
     n = 8
     tol = F(1, 1 << n)
     # p(x) = x(1-x): sup 1/4 at 1/2
-    assert abs(interval_extremum(polynomial_oracle([0, 1, -1]), F(0), F(1), n, "sup") - F(1, 4)) <= tol
-    assert abs(interval_extremum(identity_oracle(), F(1, 8), F(3, 4), n, "inf") - F(1, 8)) <= tol
-    assert interval_extremum(constant_oracle(F(2, 3)), F(0), F(1), n, "sup") == F(2, 3)
-    with pytest.raises(DomainError):
-        interval_extremum(
-            oracle_from_exact(lambda q: q), F(0), F(1), n, "sup"
-        )
+    assert abs(interval_extremum(Polynomial([0, 1, -1]), F(0), F(1), n, "sup") - F(1, 4)) <= tol
+    assert abs(interval_extremum(IDENTITY, F(1, 8), F(3, 4), n, "inf") - F(1, 8)) <= tol
+    assert interval_extremum(Polynomial([F(2, 3)]), F(0), F(1), n, "sup") == F(2, 3)
 
 
 def test_monotone_extension_trivial_class():
-    ext = MonotoneExtension(line_oracle(), enumeration(), 8)
+    ext = MonotoneExtension(LINE, enumeration(), 8)
     for k in range(0, 17):
         x = F(k, 16)
         assert abs(ext.value(x) - x) <= F(1, 1 << 7)
@@ -134,7 +96,7 @@ def test_monotone_extension_trivial_class():
 def test_monotone_extension_one_hole_identity():
     n = 8
     enum = enumeration((F(1, 4), F(1, 2)))
-    ext = MonotoneExtension(line_oracle(), enum, n)
+    ext = MonotoneExtension(LINE, enum, n)
     grid = [F(k, 1 << 10) for k in range(0, (1 << 10) + 1)]
     vals = [ext.value(x) for x in grid]
     assert all(vals[i] <= vals[i + 1] for i in range(len(vals) - 1))
@@ -153,9 +115,8 @@ def test_monotone_extension_two_plateau():
         (F(0), F(1, 4), F(1, 2), F(3, 4), F(1)),
         (F(0), F(0), F(1, 2), F(1, 2), F(1)),
     )
-    h = piecewise_linear_oracle(steps)
     enum = enumeration((F(1, 8), F(1, 4)), (F(5, 8), F(3, 4)))
-    ext = MonotoneExtension(h, enum, n)
+    ext = MonotoneExtension(steps, enum, n)
     grid = [F(k, 1 << 9) for k in range(0, (1 << 9) + 1)]
     vals = [ext.value(x) for x in grid]
     assert all(vals[i] <= vals[i + 1] for i in range(len(vals) - 1))
@@ -167,16 +128,15 @@ def test_monotone_extension_two_plateau():
 
 
 def test_monotone_extension_rejects_decreasing_h():
-    h = piecewise_linear_oracle(VEE)
     with pytest.raises(DomainError):
-        MonotoneExtension(h, enumeration(), 6)
+        MonotoneExtension(VEE, enumeration(), 6)
 
 
 def test_monotone_extension_budget_exhaustion_reported():
     enum = enumeration((F(1, 4), F(1, 2)))
     tight = ExtensionBudget(grid_depth=4, precision=4)
     with pytest.raises(BudgetExhausted) as err:
-        MonotoneExtension(line_oracle(), enum, 8, tight).value(F(1, 8))
+        MonotoneExtension(LINE, enum, 8, tight).value(F(1, 8))
     assert err.value.achieved is not None and err.value.achieved >= F(1, 1 << 8)
 
 
@@ -184,17 +144,17 @@ def test_monotone_extension_budget_exhaustion_reported():
 def test_monotone_extension_rejects_precision_below_one(precision):
     enum = enumeration((F(1, 4), F(1, 2)))
     with pytest.raises(DomainError):
-        MonotoneExtension(line_oracle(), enum, 6, ExtensionBudget(precision=precision))
-    MonotoneExtension(line_oracle(), enum, 6, ExtensionBudget(precision=1))
+        MonotoneExtension(LINE, enum, 6, ExtensionBudget(precision=precision))
+    MonotoneExtension(LINE, enum, 6, ExtensionBudget(precision=1))
 
 
 # Holes with denominators 3, 5 and 10 put part endpoints off the internal
 # 2^-10 grid.  The values were computed with the Fraction-row implementation
 # that the integer rows replaced; they pin the extension exactly.
-OFF_GRID_H = piecewise_linear_oracle(PiecewiseLinear(
+OFF_GRID_H = PiecewiseLinear(
     (F(0), F(1, 4), F(1, 2), F(3, 4), F(1)),
     (F(0), F(1, 8), F(1, 8), F(5, 8), F(3, 4)),
-))
+)
 OFF_GRID_ENUM = enumeration((F(1, 3), F(2, 5)), (F(3, 5), F(2, 3)), (F(1, 10), F(1, 6)))
 
 
@@ -296,10 +256,10 @@ def test_grid_check_matches_per_point_loop_on_extend_documents():
 
 
 def test_grid_check_needs_a_piecewise_h():
-    # the build samples h from one grid_numerators row, so it needs h itself
+    # the build samples h from one grid_numerators row, so h must cover [0,1]
     with pytest.raises(DomainError):
-        MonotoneExtension(identity_oracle(), enumeration(), 6)
-    ext = MonotoneExtension(line_oracle(), enumeration((F(1, 4), F(1, 2))), 6)
+        MonotoneExtension(PiecewiseLinear((F(0), F(3, 4)), (F(0), F(3, 4))), enumeration(), 6)
+    ext = MonotoneExtension(LINE, enumeration((F(1, 4), F(1, 2))), 6)
     assert extension_grid_check(ext, 8) == per_point_grid_check(ext, 8)
 
 
@@ -342,15 +302,15 @@ def test_grid_check_counts_a_planted_dip_like_the_per_point_loop(offset):
     assert drops == 1 and worst >= F(1, 8)
 
 
-def sampled_extremum(p, a, b, n, which):
-    """interval_extremum sampling the refined grid point by point."""
-    step = F(1, 1 << n) / p.lipschitz
+def per_point_extremum(p, a, b, n, which):
+    """interval_extremum evaluating the refined grid point by point."""
+    step = F(1, 1 << n) / p.lipschitz_bound()
     steps = (b - a) / step
     count = steps.numerator // steps.denominator
     if count * step < b - a:
         count += 1
     delta = (b - a) / count
-    values = [p.sample(a + k * delta, n + 1) for k in range(count + 1)]
+    values = [p.exact(a + k * delta) for k in range(count + 1)]
     return max(values) if which == "sup" else min(values)
 
 
@@ -367,53 +327,43 @@ windows = st.tuples(
 @given(coefficients, windows, st.integers(0, 6), st.sampled_from(["sup", "inf"]))
 def test_polynomial_extremum_matches_point_sampling(cs, window, n, which):
     a, b = window
-    p = polynomial_oracle(cs)
+    p = Polynomial(cs)
     assert p.coefficients == tuple(F(c) for c in cs)
-    assert interval_extremum(p, a, b, n, which) == sampled_extremum(p, a, b, n, which)
+    assert interval_extremum(p, a, b, n, which) == per_point_extremum(p, a, b, n, which)
 
 
 def per_pair_estimate(f, x, h, grid_depth, side):
     """pseudo_derivative_estimate as a loop over every (left, right) pair,
-    each slope through ``slope`` and adjusted on its own."""
-    cands = _straddling_candidates(f, x, x - h, x + h, grid_depth)
-    prec = grid_depth + 2
-    adjust = F(0) if f.exact is not None else F(1, 1 << prec)
+    each slope from two evaluations of its own."""
+    cands = _straddling_candidates(x, h, grid_depth)
     best = witness = None
     for a in [a for a in cands if a <= x]:
         for b in [b for b in cands if b >= x]:
             if not 0 < b - a <= h:
                 continue
-            v = slope(f, a, b, prec).value
-            v = v - adjust if side == "upper" else v + adjust
+            v = (f.exact(a) - f.exact(b)) / (a - b)
             if best is None or (v > best if side == "upper" else v < best):
                 best, witness = v, (a, b)
     return best, witness
 
 
-def floored_cube(q, n):
-    # x^3 floored to the 2^-n grid: sampled, with no exact evaluator
-    v = q * q * q * (1 << n)
-    return F(v.numerator // v.denominator, 1 << n)
-
-
-ESTIMATE_ORACLES = {
-    "square": polynomial_oracle([0, 0, 1]),
-    "vee": piecewise_linear_oracle(VEE),
+ESTIMATE_FUNCTIONS = {
+    "square": Polynomial([0, 0, 1]),
+    "vee": VEE,
     "staircase": extension_instance(1, 0)[0],
-    "sampled cube": PointFunctionOracle(floored_cube, lipschitz=3),
 }
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.sampled_from(sorted(ESTIMATE_ORACLES)),
+    st.sampled_from(sorted(ESTIMATE_FUNCTIONS)),
     st.fractions(min_value=0, max_value=1, max_denominator=40),
     st.integers(1, 5),
     st.integers(2, 6),
     st.sampled_from(["upper", "lower"]),
 )
 def test_pseudo_derivative_matches_the_per_pair_loop(label, x, k, depth, side):
-    f, h = ESTIMATE_ORACLES[label], F(1, 1 << k)
+    f, h = ESTIMATE_FUNCTIONS[label], F(1, 1 << k)
     want = per_pair_estimate(f, x, h, depth, side)
     if want[0] is None:  # no straddling pair on the grid
         with pytest.raises(DomainError):
@@ -424,7 +374,7 @@ def test_pseudo_derivative_matches_the_per_pair_loop(label, x, k, depth, side):
 
 
 def test_pseudo_derivative_matches_the_per_pair_loop_on_quad_values():
-    _plan, trace, f = build_counterexample(default_enumeration())
+    f, trace = build_counterexample(default_enumeration())
     for x in (trace.final, F(1, 2), F(3, 4)):
         for side in ("upper", "lower"):
             est = pseudo_derivative_estimate(f, x, F(1, 4), 5, side)

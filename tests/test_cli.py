@@ -196,11 +196,13 @@ TABLE = {"depth": 1, "values": {"": "1", "0": "1/2", "1": "3/2"}}
     ("tests", {"domination": [5]}, "SchemaError"),
     ("tests", {"domination": [{**DOMINATION, "words": 5}]}, "SchemaError"),
     ("covering", {"epsilons": 5}, "SchemaError"),
+    ("tests", {"escape": [{"components": {"0": ["0"]}, "r": 0, "m_max": 1, "z": "2"}]},
+     "DomainError"),
 ], ids=["depth", "case", "n_blocks", "k_max", "table", "full-cover", "escape-r", "h-xs",
         "intervals", "escape-key", "escape-components", "h-domain", "density-depth",
         "porosity-levels", "counterexample-stages", "counterexample-depth",
         "porosity-depth", "porosity-stages", "martingale-depth", "escape-list",
-        "domination-entry", "domination-words", "covering-epsilons"])
+        "domination-entry", "domination-words", "covering-epsilons", "escape-z"])
 def test_bad_documents_exit_2_with_json_on_stderr(tmp_path, capfd, command, doc, kind):
     # a command may carry flags: "density --depth -1"
     code, blob = run(tmp_path, *command.split(), "--instance", write_instance(tmp_path, doc))
@@ -248,7 +250,7 @@ def test_cli_rows_equal_the_battery_rows(tmp_path):
     battery = _rendered(criterion_extension(1))
     for i in range(20):
         h, enum = extension_instance(1, i)
-        doc = {"holes": [g.to_json() for g in enum.items], "h": h.piecewise.to_json(), "n": 10}
+        doc = {"holes": [g.to_json() for g in enum.items], "h": h.to_json(), "n": 10}
         code, blob = run(tmp_path, "extend", "--depth", "12", "--instance",
                          write_instance(tmp_path, doc))
         assert code == 0

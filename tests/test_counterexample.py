@@ -17,7 +17,6 @@ from densitylab.counterexample import (
     build_counterexample,
     default_enumeration,
     largest_dyadic_multiple,
-    plan_value,
     smallest_dyadic_exponent,
     verify_denjoy_failure,
 )
@@ -63,7 +62,7 @@ E246 = [
 
 
 def test_height_rule_on_spec_single_interval():
-    plan, trace, f = build_counterexample([(F(0), F(1, 2))])
+    plan, trace = build_counterexample([(F(0), F(1, 2))])
     assert trace.alphas == (F(0), F(1, 2))
     (stage,) = plan.stages
     assert stage.kind == "spike"
@@ -71,16 +70,16 @@ def test_height_rule_on_spec_single_interval():
     assert stage.anchor == F(1, 2)
     assert stage.source == interval(0, F(1, 2))
     assert naive_minexp(F(0), F(1, 2)) == (1, F(1, 2))
-    assert f.exact(F(1, 4)) == half_power(1)  # midpoint carries the full height
-    assert f.exact(F(0)) == 0 and f.exact(F(1, 2)) == 0
+    assert plan.exact(F(1, 4)) == half_power(1)  # midpoint carries the full height
+    assert plan.exact(F(0)) == 0 and plan.exact(F(1, 2)) == 0
 
 
 def test_flat_stage_keeps_alpha_and_zero_values():
-    plan, trace, f = build_counterexample([(F(1, 4), F(1, 2))])
+    plan, trace = build_counterexample([(F(1, 4), F(1, 2))])
     assert trace.alphas == (F(0), F(0))
     assert plan.stages[0].kind == "flat"
     for q in (F(1, 4), F(3, 8), F(1, 2), F(7, 8)):
-        assert f.exact(q) == 0
+        assert plan.exact(q) == 0
 
 
 def test_smallest_dyadic_exponent_excludes_zero_multiple():
@@ -110,7 +109,7 @@ def test_largest_dyadic_multiple():
 
 
 def test_e246_exponents_and_trace():
-    plan, trace, _ = build_counterexample(E246)
+    plan, trace = build_counterexample(E246)
     assert [s.kind for s in plan.stages] == ["spike"] * 4
     assert [s.height_exponent for s in plan.stages] == [2, 2, 4, 6]
     assert trace.alphas == (
@@ -122,8 +121,8 @@ def test_e246_exponents_and_trace():
 
 
 def test_e246_certificates_frozen():
-    plan, trace, f = build_counterexample(E246)
-    report = verify_denjoy_failure(plan, trace, f, k_max=6)
+    plan, trace = build_counterexample(E246)
+    report = verify_denjoy_failure(plan, trace, k_max=6)
     assert report.unrealized == (1, 3, 5)
     by_k = {c.k: c for c in report.certificates}
     assert set(by_k) == {2, 4, 6}
@@ -137,8 +136,8 @@ def test_e246_certificates_frozen():
 
 
 def test_flat_only_report_states_zero_estimates():
-    plan, trace, f = build_counterexample([(F(1, 4), F(1, 2))])
-    report = verify_denjoy_failure(plan, trace, f, k_max=3)
+    plan, trace = build_counterexample([(F(1, 4), F(1, 2))])
+    report = verify_denjoy_failure(plan, trace, k_max=3)
     assert report.certificates == ()
     assert report.unrealized == (1, 2, 3)
     assert report.upper_estimate == 0
@@ -153,7 +152,7 @@ def test_overlap_reject_raises():
 
 
 def test_overlap_split_clips_to_uncovered():
-    plan, trace, _ = build_counterexample(
+    plan, trace = build_counterexample(
         [(F(0), F(1, 2)), (F(1, 4), F(3, 4))], overlap_policy="split"
     )
     assert [ (s.interval.lo, s.interval.hi) for s in plan.stages ] == [
@@ -161,14 +160,14 @@ def test_overlap_split_clips_to_uncovered():
     ]
     assert trace.final == F(3, 4)
     # a fully covered interval vanishes instead of becoming a stage
-    plan2, _, _ = build_counterexample(
+    plan2, _ = build_counterexample(
         [(F(0), F(1, 2)), (F(1, 8), F(1, 4))], overlap_policy="split"
     )
     assert len(plan2.stages) == 1
 
 
 def test_touching_endpoints_are_not_overlap():
-    plan, trace, _ = build_counterexample([(F(0), F(1, 4)), (F(1, 4), F(1, 2))])
+    plan, trace = build_counterexample([(F(0), F(1, 4)), (F(1, 4), F(1, 2))])
     assert len(plan.stages) == 2
     assert trace.final == F(1, 2)
 
@@ -179,7 +178,7 @@ def test_default_enumeration_shape_and_heights():
     assert enum[0].lo == 0
     for a, b in zip(enum, enum[1:]):
         assert a.hi == b.lo
-    plan, trace, _ = build_counterexample(enum)
+    plan, trace = build_counterexample(enum)
     assert all(s.kind == "spike" for s in plan.stages)
     assert [s.height_exponent for s in plan.stages] == [1] + list(range(1, 17)) + [17]
     assert trace.final == F((1 << 18) - 1, 1 << 18)
@@ -189,8 +188,8 @@ def test_default_enumeration_shape_and_heights():
 
 
 def test_default_enumeration_certificates_all_even_k():
-    plan, trace, f = build_counterexample(default_enumeration())
-    report = verify_denjoy_failure(plan, trace, f, k_max=16)
+    plan, trace = build_counterexample(default_enumeration())
+    report = verify_denjoy_failure(plan, trace, k_max=16)
     assert report.unrealized == ()
     assert len(report.certificates) == 16
     assert all(c.holds for c in report.certificates)
@@ -211,16 +210,16 @@ def test_default_enumeration_certificates_all_even_k():
 
 
 def test_default_report_makes_no_limit_claim():
-    plan, trace, f = build_counterexample(default_enumeration())
-    report = verify_denjoy_failure(plan, trace, f, k_max=4)
+    plan, trace = build_counterexample(default_enumeration())
+    report = verify_denjoy_failure(plan, trace, k_max=4)
     dump = to_json_bytes(Report("counterexample", 1, denjoy_check_rows(report))).decode()
     assert "infinity" not in dump and "-inf" not in dump.lower()
     assert "no claim about the limit" in report.limit_claim
 
 
 def test_tail_bounds_hold_on_default_plan():
-    plan, trace, f = build_counterexample(default_enumeration())
-    report = verify_denjoy_failure(plan, trace, f, k_max=4)
+    plan, trace = build_counterexample(default_enumeration())
+    report = verify_denjoy_failure(plan, trace, k_max=4)
     assert report.groups[0] == (1, 2)  # exponent 1 realized twice
     assert all(t.holds for t in report.tail_bounds)
     assert len(report.tail_bounds) == len(report.groups) + 1
@@ -229,29 +228,19 @@ def test_tail_bounds_hold_on_default_plan():
 
 
 def test_spike_slopes_and_lipschitz():
-    plan, _, f = build_counterexample(E246)
+    plan, _ = build_counterexample(E246)
     for s in plan.spike_stages:
         iv = s.interval
         mid = (iv.lo + iv.hi) / 2
         v = s.height
-        left_slope = (plan_value(plan, mid) - plan_value(plan, iv.lo)) / (mid - iv.lo)
+        left_slope = (plan.exact(mid) - plan.exact(iv.lo)) / (mid - iv.lo)
         assert left_slope == 2 * (QuadValue(F(0), F(0)) + v) / iv.length
-    assert f.lipschitz >= plan.max_slope()
-
-
-def test_oracle_sampler_approximates_irrational_heights():
-    plan, _, f = build_counterexample([(F(0), F(1, 2))])
-    v = f.exact(F(1, 4))  # sqrt(2)/2
-    for n in (1, 4, 10, 30):
-        r = f.sample(F(1, 4), n)
-        err = QuadValue(F(0), F(0)) + v - r
-        assert abs(err) <= F(1, 1 << n)
 
 
 def test_calculus_estimate_sees_the_blowup():
-    plan, trace, f = build_counterexample(default_enumeration())
+    plan, trace = build_counterexample(default_enumeration())
     est = pseudo_derivative_estimate(
-        f, trace.final, F(1, 4), grid_depth=7, side="lower"
+        plan, trace.final, F(1, 4), grid_depth=7, side="lower"
     )
     assert est.value <= -2  # -2^(k/2) at k = 2
 
@@ -275,7 +264,7 @@ def touching_chains(draw):
 @given(touching_chains())
 @settings(max_examples=60, deadline=None)
 def test_trace_matches_naive_oracle(pairs):
-    plan, trace, _ = build_counterexample(pairs)
+    plan, trace = build_counterexample(pairs)
     for s in range(len(pairs) + 1):
         assert trace.alphas[s] == naive_alpha(pairs[:s])
     for st_, a, b in zip(plan.stages, trace.alphas, trace.alphas[1:]):
@@ -285,14 +274,14 @@ def test_trace_matches_naive_oracle(pairs):
 @given(touching_chains())
 @settings(max_examples=40, deadline=None)
 def test_spike_geometry_properties(pairs):
-    plan, trace, f = build_counterexample(pairs)
+    plan, trace = build_counterexample(pairs)
     for s in plan.stages:
         iv = s.interval
-        assert f.exact(iv.lo) == 0 or plan_value(plan, iv.lo) >= 0
+        assert plan.exact(iv.lo) >= 0
         if s.kind == "spike":
-            assert f.exact((iv.lo + iv.hi) / 2) == s.height
-            assert plan_value(plan, iv.lo) == 0
-            assert plan_value(plan, iv.hi) == 0
+            assert plan.exact((iv.lo + iv.hi) / 2) == s.height
+            assert plan.exact(iv.lo) == 0
+            assert plan.exact(iv.hi) == 0
 
 
 def test_alpha_trace_rejects_decrease():

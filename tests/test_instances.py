@@ -123,17 +123,17 @@ def test_claim5_and_forcing_instances_build():
 def test_extension_instances_stay_inside_the_budget_margin():
     for index in range(3):
         h, enum = extension_instance(1, index)
-        assert h.lipschitz <= 1
+        assert h.lipschitz_bound() <= 1
         assert len(enum.items) <= 6
 
 
 def test_golden_extremum_cases_are_exact():
     cases = golden_extremum_cases()
     assert len(cases) == 3
-    for oracle, a, b, which, value in cases:
+    for p, a, b, which, value in cases:
         grid = [a + (b - a) * F(k, 256) for k in range(257)]
-        sampled = [oracle.exact(x) for x in grid]
-        slack = oracle.lipschitz * (b - a) / 256
+        sampled = [p.exact(x) for x in grid]
+        slack = p.lipschitz_bound() * (b - a) / 256
         if which == "sup":
             assert value - slack <= max(sampled) <= value
         else:

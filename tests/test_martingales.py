@@ -95,29 +95,21 @@ def test_slope_martingale_accepts_piecewise_linear():
     assert m("") == 1
 
 
-def test_slope_martingale_rejects_sampled_only_oracle():
-    class Sampled:
-        exact = None
-
-    with pytest.raises(DomainError):
-        slope_martingale(Sampled(), 4)
-
-
 def test_integration_of_constant_one_is_shifted_identity():
     m = Martingale(lambda tau: F(1))
     f = martingale_to_function(m, "01", 4)
-    assert f(F(1, 4)) == 0
-    assert f(F(3, 8)) == F(1, 8)
-    assert f(F(1, 2)) == F(1, 4)
+    assert f.exact(F(1, 4)) == 0
+    assert f.exact(F(3, 8)) == F(1, 8)
+    assert f.exact(F(1, 2)) == F(1, 4)
 
 
 def test_integration_table_example():
     m = table_from_leaves({"0": F(2), "1": F(0)})
     f = martingale_to_function(m, "", 3)
-    assert f(F(0)) == 0
-    assert f(F(1, 2)) == 1
-    assert f(F(1)) == 1
-    assert f(F(1, 4)) == F(1, 2)
+    assert f.exact(F(0)) == 0
+    assert f.exact(F(1, 2)) == 1
+    assert f.exact(F(1)) == 1
+    assert f.exact(F(1, 4)) == F(1, 2)
     assert f.is_nondecreasing()
 
 

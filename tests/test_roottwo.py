@@ -79,18 +79,6 @@ def test_sign_agrees_with_squared_comparison(a, b):
         assert conj.sign() * s == ((prod > 0) - (prod < 0))
 
 
-@given(
-    a=rationals,
-    b=rationals,
-    n=st.integers(min_value=0, max_value=24),
-)
-@settings(max_examples=80, deadline=None)
-def test_approx_error_bound(a, b, n):
-    v = QuadValue(a, b)
-    r = v.approx(n)
-    assert abs(v - r) <= F(1, 1 << n)
-
-
 def test_rational_extraction_and_json():
     assert QuadValue(F(5, 3), F(0)).as_fraction() == F(5, 3)
     with pytest.raises(DomainError):

@@ -22,7 +22,7 @@ def test_no_check_lives_in_an_assert():
 # ROADMAP item 3: a library function that no command or battery reaches
 # either backs a check the paper supports or is deleted.  These back the
 # difference tests from non-density and from porosity and the anti-debt
-# dichotomy, which no battery checks yet; constant_oracle is a test fixture.
+# dichotomy, which no battery checks yet.
 NOT_YET_WIRED = frozenset({
     "density_difference_test",
     "capture_check",
@@ -31,7 +31,6 @@ NOT_YET_WIRED = frozenset({
     "anti_debt_strategy",
     "with_floor_adapter",
     "negativity_witnesses",
-    "constant_oracle",
 })
 
 

@@ -28,8 +28,8 @@ def test_outcome_accumulates_tuples_and_checks():
 
 
 def test_denjoy_rows_split_irrational_thresholds():
-    plan, trace, oracle = build_counterexample(default_enumeration())
-    rows = denjoy_check_rows(verify_denjoy_failure(plan, trace, oracle, 9))
+    plan, trace = build_counterexample(default_enumeration())
+    rows = denjoy_check_rows(verify_denjoy_failure(plan, trace, 9))
     names = [r.name for r in rows]
     assert any("sqrt2 coefficient" in n for n in names)
     assert any("squared comparison" in n for n in names)
