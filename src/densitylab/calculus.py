@@ -18,7 +18,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import gt, mul
+from itertools import compress, repeat
+from operator import gt, mul, sub
 
 from .bits import ONE, ZERO
 from .errors import BudgetExhausted, DomainError
@@ -201,6 +202,14 @@ def _on_grid(part: Interval, depth: int) -> bool:
     return all((1 << depth) % x.denominator == 0 for x in (part.lo, part.hi))
 
 
+def extension_grid_depth(lip: Fraction, n: int) -> int:
+    """The default internal grid depth of a monotone extension to 2^-n of an h
+    with Lipschitz bound lip: the least depth >= n + 3 at which one grid step
+    moves h by at most 2^-(n+3), that is n + 3 + ceil(log2 lip) for lip > 1."""
+    ceil_lip = -(-lip.numerator // lip.denominator)
+    return n + 3 + max(ceil_lip - 1, 0).bit_length()
+
+
 class MonotoneExtension:
     """Nondecreasing extension of h from a stage-enumerated closed class.
 
@@ -213,26 +222,35 @@ class MonotoneExtension:
     final F is returned once its gap to G is below 2^-n, else the achieved
     gap is reported.  Queries snap down to the internal grid, so outputs are
     exactly nondecreasing and C-grid points (depth <= grid_depth) are exact
-    queries.  ``grid_values(depth)`` answers every query k / 2^depth at once:
-    it maps each point to its internal grid index and solves each index once,
-    through the same memoised crossing as ``value``, so both return the same
-    values and stop with the same BudgetExhausted at the same first point.
+    queries.  ``grid_values(depth)`` answers every query k / 2^depth at once
+    by mapping each point to its internal grid index, so it returns the same
+    values as ``value`` and stops with the same BudgetExhausted at the same
+    first point.
 
     h is a ``PiecewiseLinear`` defined on all of [0,1], and its
-    ``lipschitz_bound()`` sets the grid depth and the margins.  Every
-    internal grid sample comes from one ``grid_numerators(grid_depth)`` row;
-    only part endpoints off the grid, and the refined grid of off-grid parts
-    that the monotonicity check reads, are evaluated one point at a time.
-    The F/G rows are integer numerators over one denominator, the lcm of the
-    row's, the off-grid samples', the margin's and the two bounds'.  A
-    candidate enters the F row at its ceiling grid index and the G row at its
-    floor grid index.  Each stage's F row is one sweep of the running max of
-    its candidates, clipped to the previous stage's row, and its G row one
-    sweep of the running min from the right; the two bounds stand in for
-    "no candidate yet", so the sweeps test no None.  The value at each
-    internal grid index is solved once, to an integer pair p / q: ``value``
-    and ``grid_values`` build their memoised Fractions from it, and
-    ``extension_grid_check`` compares pairs in integers.
+    ``lipschitz_bound()`` sets the grid depth (``extension_grid_depth``) and
+    the margins.  Every internal grid sample comes from one
+    ``grid_numerators(grid_depth)`` row; only part endpoints off the grid,
+    and the refined grid of off-grid parts that the monotonicity check reads,
+    are evaluated one point at a time.  The F/G rows are integer numerators
+    over one denominator, the lcm of the row's, the off-grid samples', the
+    margin's and the two bounds'.  A candidate enters the F row at its
+    ceiling grid index and the G row at its floor grid index.  Each stage's F
+    row is one sweep of the running max of its candidates, clipped to the
+    previous stage's row, and its G row one sweep of the running min from the
+    right; the two bounds stand in for "no candidate yet", so the sweeps test
+    no None.
+
+    The build solves every internal grid index, as the stages are swept: an
+    index is solved at the first stage where F <= G, by the linear crossing
+    with the stage before, and only the previous stage's rows are kept.
+    Indices strictly inside a part of the final class never cross, so only
+    the final class's holes are tested.  The solved values are two integer
+    rows, p / q per index; an index whose gap never closed below 2^-n holds
+    the gap with q == 0, and raises BudgetExhausted when first queried.
+    ``_pair`` is a read of the rows, ``value`` and ``grid_values`` build
+    their memoised Fractions from it, and ``extension_grid_check`` reads the
+    rows with a stride and compares values in integers.
     """
 
     def __init__(
@@ -246,9 +264,7 @@ class MonotoneExtension:
         lip = h.lipschitz_bound()
         gd = budget.grid_depth
         if gd is None:
-            gd = n + 3
-            while lip * Fraction(1, 1 << gd) > Fraction(1, 1 << (n + 3)):
-                gd += 1
+            gd = extension_grid_depth(lip, n)
         prec = budget.precision if budget.precision is not None else n + 4
         if prec < 1:
             raise DomainError(f"extension precision must be at least 1, got {prec}")
@@ -310,8 +326,19 @@ class MonotoneExtension:
         # (- margin)
         f_cands = [v + margin for v in row]
         g_cands = [v - margin for v in row]
-        self._f_rows = [[hi_bound] * size]  # sup side starts high
-        self._g_rows = [[lo_bound] * size]  # inf side starts low
+        f_prev, g_prev = [hi_bound] * size, [lo_bound] * size  # stage 0: F > G everywhere
+        crossings = []  # (i, p, q): index i has the value p / q, from its F = G crossing
+        # An index strictly inside a part of the final class is strictly inside
+        # a part of every stage class, where F >= sample + margin and G <=
+        # sample - margin: F > G there at every stage.  Only the other indices,
+        # the final class's holes, can cross.
+        open_, pos = [], 0
+        for part in classes[-1]:
+            inner = _inner_grid(part, scale)
+            if inner:
+                open_ += range(pos, inner.start)
+                pos = inner.stop
+        open_ += range(pos, size)
         for c_set in classes:
             # per grid index the best candidate placed there, or the bound
             f_best, g_best = [lo_bound] * size, [hi_bound] * size
@@ -326,22 +353,46 @@ class MonotoneExtension:
                     f_best[up] = max(f_best[up], v + margin)
                     g_best[k] = min(g_best[k], v - margin)
             # F: running max from the left, never above the previous stage's
-            # row; G: running min from the right, never below it
+            # row; G: running min from the right, never below it.  The explicit
+            # loops are several times faster than map(min, ...) or accumulate.
             f_row, run = [], lo_bound
-            for prev, v in zip(self._f_rows[-1], f_best):
+            for prev, v in zip(f_prev, f_best):
                 if v > run:
                     run = v
                 f_row.append(prev if prev < run else run)
             g_row, run = [], hi_bound
-            for prev, v in zip(reversed(self._g_rows[-1]), reversed(g_best)):
+            for prev, v in zip(reversed(g_prev), reversed(g_best)):
                 if v < run:
                     run = v
                 g_row.append(prev if prev > run else run)
             g_row.reverse()
-            self._f_rows.append(f_row)
-            self._g_rows.append(g_row)
+            # F falls and G rises along the stages, so an index is solved for
+            # good at the first stage with F <= G: the linear crossing between
+            # that stage and the one before it
+            still = []
+            for i in open_:
+                f_v, g_v = f_row[i], g_row[i]
+                if f_v > g_v:
+                    still.append(i)
+                else:
+                    prev_f = f_prev[i]
+                    gap = prev_f - g_prev[i]
+                    rise = gap + (g_v - f_v)
+                    crossings.append((i, prev_f * rise + gap * (f_v - prev_f), rise * den))
+            open_ = still
+            f_prev, g_prev = f_row, g_row
+        # where the curves never crossed, the value is the final F while its gap
+        # to G is below 2^-n; a gap with gap << n >= den, that is one above
+        # (den - 1) >> n, is kept in ps with the marker qs == 0
+        exhausted = list(compress(range(size), map(gt, map(sub, f_prev, g_prev),
+                                                   repeat((den - 1) >> n))))
+        ps, qs = f_prev, [den] * size
+        for i in exhausted:
+            ps[i], qs[i] = ps[i] - g_prev[i], 0
+        for i, p, q in crossings:
+            ps[i], qs[i] = p, q
+        self._ps, self._qs = ps, qs
         # the value depends on x only through its grid index
-        self._pairs: list[tuple[int, int] | None] = [None] * size
         self._values: list[Fraction | None] = [None] * size
 
     def _check_monotone_on_class(self, c_set: IntervalSet, row: list, off_ints: dict) -> None:
@@ -404,35 +455,16 @@ class MonotoneExtension:
         return v
 
     def _pair(self, i: int, x_num: int, x_den: int) -> tuple[int, int]:
-        """(p, q) with q > 0 and p / q the value at internal grid index i,
-        memoised; x_num / x_den is the query point named if the envelope gap
-        never closed there."""
-        pair = self._pairs[i]
-        if pair is not None:
-            return pair
-        den = self._den
-        f_v, g_v = self._f_rows[-1][i], self._g_rows[-1][i]
-        if f_v > g_v:
-            # F falls and G rises along the stages, so F - G never rises: the
-            # curves did not cross at any stage
-            if (f_v - g_v) << self.n >= den:
-                raise BudgetExhausted(
-                    f"envelope gap never closed at {Fraction(x_num, x_den)}",
-                    achieved=Fraction(f_v - g_v, den),
-                )
-            pair = (f_v, den)
-        else:
-            # they crossed between the first stage with F <= G and the one
-            # before it (stage 0 has F > G): solve the linear crossing
-            t = next(t for t, (f_row, g_row) in enumerate(zip(self._f_rows, self._g_rows))
-                     if f_row[i] <= g_row[i])
-            prev_f, prev_g = self._f_rows[t - 1][i], self._g_rows[t - 1][i]
-            f_v, g_v = self._f_rows[t][i], self._g_rows[t][i]
-            gap = prev_f - prev_g
-            rise = gap + (g_v - f_v)
-            pair = (prev_f * rise + gap * (f_v - prev_f), rise * den)
-        self._pairs[i] = pair
-        return pair
+        """(p, q) with q > 0 and p / q the value at internal grid index i;
+        x_num / x_den is the query point named if the envelope gap never
+        closed there."""
+        q = self._qs[i]
+        if not q:
+            raise BudgetExhausted(
+                f"envelope gap never closed at {Fraction(x_num, x_den)}",
+                achieved=Fraction(self._ps[i], self._den),
+            )
+        return self._ps[i], q
 
 
 def extension_grid_check(ext: MonotoneExtension, depth: int) -> tuple[int, Fraction]:
@@ -440,42 +472,53 @@ def extension_grid_check(ext: MonotoneExtension, depth: int) -> tuple[int, Fract
     from one grid point to the next, and its largest |value - h| over the grid
     points of the final class.
 
-    Query k lies on internal grid index (k << grid_depth) >> depth.  Each
-    index reached is solved once, in increasing order, so an exhausted budget
-    names the same first point as ``grid_values(depth)``.  Drops are counted
-    once per pair of neighbouring indices, by cross-multiplying their value
-    pairs.  On a grid at least as fine as the internal one, the query points
-    sharing an index form a run with one value p / q, and the worst
-    |p - y q| over the run's h numerators y is reached at their least or
-    greatest, because it is convex in y; on a coarser grid each point is its
-    own run.  One Fraction is built, at the end.
+    Query k lies on internal grid index (k << grid_depth) >> depth.  The build
+    has solved every index, so the check reads the solved rows with a stride;
+    an exhausted index raises at the first query point that reaches it, as
+    ``grid_values(depth)`` does.  Drops are counted once per pair of
+    neighbouring indices, by cross-multiplying their value pairs.  On a grid
+    at least as fine as the internal one, the query points sharing an index
+    form a run with one value p / q, and the worst |p - y q| over the run's h
+    numerators y is reached at their least or greatest, because it is convex
+    in y.  h is linear between its breakpoints, so a run with no breakpoint
+    strictly inside it takes those from its two end samples; only the few
+    runs around a breakpoint off the internal grid scan their samples.  On a
+    coarser grid each point is its own run.  One Fraction is built, at the
+    end.
     """
     if depth < 0:
         raise DomainError(f"grid depth {depth} is negative")
     gd = ext.grid_depth
     scale, shift = 1 << gd, depth - gd
-    pairs = [ext._pair(i, i, scale) for i in range(0, scale + 1, 1 << max(-shift, 0))]
-    ps = [p for p, _ in pairs]
-    qs = [q for _, q in pairs]
+    stride = 1 << max(-shift, 0)
+    ps, qs = ext._ps[::stride], ext._qs[::stride]
+    if 0 in qs:
+        i = qs.index(0) * stride
+        ext._pair(i, i, scale)  # raises BudgetExhausted
     # p_a / q_a > p_b / q_b between neighbours a, b
     drops = sum(map(gt, map(mul, ps, qs[1:]), map(mul, ps[1:], qs)))
     den, hs = ext.h.grid_numerators(depth)
+    # query points k .. end - 1 share index j = k >> run_shift, and the value
+    # (ps[j], qs[j]); the runs with a breakpoint of h strictly inside
+    run_shift = max(shift, 0)
+    kinked = {x.numerator * scale // x.denominator for x in ext.h.xs
+              if scale % x.denominator} if shift > 0 else set()
     # the worst |value - h| is worst_d / (worst_q * den)
     worst_d, worst_q = 0, 1
     for ks in ext.enum.final_class().grid_ranges(depth):
-        k = ks.start
-        while k < ks.stop:
-            # pairs[j] belongs to the index of query points k .. end - 1
-            if shift >= 0:
-                j = k >> shift
-                end = min(ks.stop, (j + 1) << shift)
+        k, stop = ks.start, ks.stop
+        while k < stop:
+            j = k >> run_shift
+            end = (j + 1) << run_shift
+            if end > stop:
+                end = stop
+            lo_h, hi_h = hs[k], hs[end - 1]
+            if j in kinked:
                 run = hs[k:end]
                 lo_h, hi_h = min(run), max(run)
-            else:
-                j, end = k, k + 1
-                lo_h = hi_h = hs[k]
-            p, q = pairs[j]
-            p *= den
+            elif lo_h > hi_h:
+                lo_h, hi_h = hi_h, lo_h
+            p, q = ps[j] * den, qs[j]
             # the larger of |p - lo_h q| and |p - hi_h q|, as lo_h <= hi_h
             d = p - lo_h * q
             if hi_h * q - p > d:

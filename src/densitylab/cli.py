@@ -18,6 +18,7 @@ import sys
 from fractions import Fraction
 
 from .bits import ZERO, format_rational, parse_rational
+from .calculus import extension_grid_depth
 from .counterexample import build_counterexample, default_enumeration, verify_denjoy_failure
 from .density import low_density_open_set, oracle_difference
 from .errors import BudgetExhausted, DomainError, SchemaError
@@ -88,6 +89,20 @@ def _override(args, flag: str, default: int, doc: dict | None = None, key: str =
         return default if doc is None else _int_field(doc, key, default)
     if value < 0:
         raise SchemaError(f"--{flag} must be at least 0, got {value}")
+    return value
+
+
+# The largest --depth of martingale and extend, and the largest internal grid
+# depth of extend.  Each builds rows of 2^depth entries.  At 20, on a 2-vCPU
+# host, a six-hole extend document takes about 3.5 s and 250 MB and a
+# martingale about 1 s and 40 MB; each step above doubles both.
+MAX_DEPTH = 20
+
+
+def _at_most_max_depth(value: int, what: str) -> int:
+    """value, which must not exceed MAX_DEPTH; checked before any row is built."""
+    if value > MAX_DEPTH:
+        raise SchemaError(f"{what} must be at most {MAX_DEPTH}, got {value}")
     return value
 
 
@@ -216,7 +231,7 @@ def run_martingale(args, doc, rep: Report) -> None:
     if not isinstance(doc, dict):
         raise SchemaError("martingale instance must be an object")
     m = TableMartingale.from_json(_require(doc, "martingale"))
-    depth = rep.meta["depth"] = _override(args, "depth", 12)
+    depth = rep.meta["depth"] = _at_most_max_depth(_override(args, "depth", 12), "--depth")
     rep.checks.append(fairness_row(m, depth))
     q = parse_rational(_require(doc, "q"))
     eps = parse_rational(doc.get("eps", "1/2"))
@@ -245,7 +260,10 @@ def run_extend(args, doc, rep: Report) -> None:
     enum = StagedOpenEnumeration(_holes(doc))
     h = PiecewiseLinear.from_json(_require(doc, "h"))
     n = rep.meta["n"] = _int_field(doc, "n", 10)
-    grid_depth = rep.meta["grid_depth"] = _override(args, "depth", 12)
+    _at_most_max_depth(extension_grid_depth(h.lipschitz_bound(), n),
+                       "the internal grid depth (n + 3, raised by h's Lipschitz bound)")
+    grid_depth = rep.meta["grid_depth"] = _at_most_max_depth(_override(args, "depth", 12),
+                                                             "--depth")
     try:
         rep.checks.extend(extension_rows(h, enum, n, grid_depth))
     except BudgetExhausted as exc:

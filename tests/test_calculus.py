@@ -286,20 +286,71 @@ def test_grid_check_matches_per_point_loop(seed, index, n, offset):
 @pytest.mark.parametrize("offset", [-2, 0, 3])
 def test_grid_check_counts_a_planted_dip_like_the_per_point_loop(offset):
     # a built extension never decreases and stays above h along each run of
-    # query points, so plant one internal index whose value sits 1/8 below h:
-    # the check must count the drop into it and take the worst at the run's
-    # right end, as the per-point loop does
+    # query points, so plant into the solved rows one internal index whose
+    # value sits 1/8 below h: the check must count the drop into it and take
+    # the worst at the run's right end, as the per-point loop does
     h, enum = extension_instance(1, 0)
     ext = MonotoneExtension(h, enum, 10)
     gd = ext.grid_depth
     i = next(i for i in range(1 << (gd - 1), 1 << gd, 1 << 4)
              if enum.final_class().contains_point(F(i + 1, 1 << gd)))
     dip = h.exact(F(i, 1 << gd)) - F(1, 8)
-    ext._pairs[i] = (dip.numerator, dip.denominator)
+    ext._ps[i], ext._qs[i] = dip.numerator, dip.denominator
     depth = gd + offset
     drops, worst = extension_grid_check(ext, depth)
     assert (drops, worst) == per_point_grid_check(ext, depth)
     assert drops == 1 and worst >= F(1, 8)
+
+
+@pytest.mark.parametrize("offset", [-2, -1, 0, 1, 2, 3])
+def test_grid_check_exhaustion_matches_per_point(offset):
+    budget = ExtensionBudget(precision=5)
+    ext = MonotoneExtension(OFF_GRID_H, OFF_GRID_ENUM, 6, budget)
+    depth = ext.grid_depth + offset
+    got = outcome(extension_grid_check, ext, depth)
+    want = outcome(per_point_grid_check, MonotoneExtension(OFF_GRID_H, OFF_GRID_ENUM, 6, budget),
+                   depth)
+    assert type(got[0]) is str and got == want
+
+
+# Points k/3, k/5 and k/7 never lie on a dyadic grid, so a breakpoint there sits
+# strictly inside a run of query points whenever the check's grid is finer
+# than the internal one.
+ODD_POINTS = sorted({F(k, d) for d in (3, 5, 7) for k in range(1, d)})
+
+
+@st.composite
+def kinked_extensions(draw):
+    """(h, enum, n): holes between points of ODD_POINTS in any stage order, and
+    an h with breakpoints there.  On the class h rises, or dips by less than
+    the build's tolerance 2^-(n+3); inside a hole it takes any value."""
+    n = draw(st.integers(1, 3))
+    ends = draw(st.lists(st.sampled_from(ODD_POINTS), min_size=2, max_size=6, unique=True))
+    ends = sorted(ends)[: len(ends) // 2 * 2]
+    holes = draw(st.permutations(list(zip(ends[::2], ends[1::2]))))
+    xs = sorted({F(0), F(1), *ends,
+                 *draw(st.lists(st.sampled_from(ODD_POINTS), max_size=6, unique=True))})
+    unit = F(1, 1 << (n + 5))  # a quarter of the tolerance
+    ys, peak = [], F(0)
+    for x in xs:
+        if any(lo < x < hi for lo, hi in holes):
+            ys.append(draw(st.integers(0, 8)) * F(1, 32))
+        else:
+            y = max(peak + draw(st.integers(-3, 8)) * unit, peak - 3 * unit)
+            ys.append(y)
+            peak = max(peak, y)
+    return PiecewiseLinear(xs, ys), enumeration(*holes), n
+
+
+@settings(max_examples=25, deadline=None)
+@given(kinked_extensions(), st.integers(1, 4))
+def test_grid_check_reads_breakpoints_inside_runs_like_the_per_point_loop(case, offset):
+    h, enum, n = case
+    ext = MonotoneExtension(h, enum, n)
+    depth = ext.grid_depth + offset
+    assert outcome(extension_grid_check, ext, depth) == outcome(
+        per_point_grid_check, MonotoneExtension(h, enum, n), depth
+    )
 
 
 def per_point_extremum(p, a, b, n, which):
