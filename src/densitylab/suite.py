@@ -13,6 +13,7 @@ battery and the command each put their own prefix before them.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -542,4 +543,24 @@ def run_criterion(number: int, seed: int = DEFAULT_SEED) -> CriterionOutcome:
 
 
 def run_all(seed: int = DEFAULT_SEED) -> list[CriterionOutcome]:
-    return [run_criterion(num, seed) for num, _t, _f in CRITERIA]
+    """Every battery's outcome, in CRITERIA order, from a fork pool.
+
+    The batteries are independent, so they run side by side, one worker per
+    usable CPU up to one per battery; the outcomes do not depend on how many
+    workers there are.  When batteries raise, the first in CRITERIA order
+    raises here, as it would in a loop, and the batteries not yet started
+    are cancelled.  Forked workers inherit the loaded modules instead of
+    importing them again.
+    """
+    # imported here: loading them would add to every CLI command's start-up
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    numbers = [num for num, _t, _f in CRITERIA]
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # macOS has fork but no affinity mask
+        cpus = os.cpu_count() or 1
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(min(len(numbers), cpus), mp_context=context) as pool:
+        return list(pool.map(run_criterion, numbers, [seed] * len(numbers)))

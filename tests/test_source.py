@@ -1,6 +1,9 @@
 """Checks on the library source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import densitylab
@@ -79,3 +82,18 @@ def test_cli_states_no_battery_check():
         for alias in node.names
     }
     assert sorted((_names_in(tree) | imported) & BATTERY_CHECKS) == []
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # verify-all imports its pool when it runs; every command pays the import
+    probe = (
+        "import sys; import densitylab.cli; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
+        "if m in sys.modules))"
+    )
+    src = str(Path(densitylab.__file__).resolve().parent.parent)
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True,
+    )
+    assert loaded.stdout.strip() == "[]"
