@@ -19,12 +19,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from itertools import compress, repeat
-from operator import gt, mul, sub
+from operator import add, gt, is_not, mul, sub
 
 from .bits import ONE, ZERO
 from .errors import BudgetExhausted, DomainError
 from .intervals import Interval, IntervalSet, StagedOpenEnumeration
 from .piecewise import PiecewiseLinear
+from .porosity import _merge_ranges
 
 
 class Polynomial:
@@ -235,22 +236,32 @@ class MonotoneExtension:
     are evaluated one point at a time.  The F/G rows are integer numerators
     over one denominator, the lcm of the row's, the off-grid samples', the
     margin's and the two bounds'.  A candidate enters the F row at its
-    ceiling grid index and the G row at its floor grid index.  Each stage's F
-    row is one sweep of the running max of its candidates, clipped to the
-    previous stage's row, and its G row one sweep of the running min from the
-    right; the two bounds stand in for "no candidate yet", so the sweeps test
-    no None.
+    ceiling grid index and the G row at its floor grid index.  Stage t's F
+    row is F_t = min(F_(t-1), the running max of its candidates from the
+    left), and its G row G_t = max(G_(t-1), the running min from the right);
+    the two bounds stand in for "no candidate yet", so the sweeps test no
+    None.
 
-    The build solves every internal grid index, as the stages are swept: an
+    The first stage is swept in full.  A later stage's class differs from
+    the one before only on the closures [a, b] of its new holes, so its
+    candidates change only on the windows floor(a 2^gd) .. ceil(b 2^gd).
+    The unclipped running max and min rows are kept from stage to stage;
+    the running max is swept again from each window's start, past its end
+    until it rejoins the previous stage's, beyond which F_t == F_(t-1), and
+    the running min likewise leftwards from each window's end.  So a build
+    costs one full sweep plus the re-swept stretches, O(2^grid_depth) for
+    holes that stay narrow.
+
+    The build solves every internal grid index as the stages are swept: an
     index is solved at the first stage where F <= G, by the linear crossing
-    with the stage before, and only the previous stage's rows are kept.
-    Indices strictly inside a part of the final class never cross, so only
-    the final class's holes are tested.  The solved values are two integer
+    with the stage before.  Indices strictly inside a part of the final
+    class never cross, so only the final class's holes are tested, and only
+    where a stage's sweep moved F or G.  The solved values are two integer
     rows, p / q per index; an index whose gap never closed below 2^-n holds
     the gap with q == 0, and raises BudgetExhausted when first queried.
     ``_pair`` is a read of the rows, ``value`` and ``grid_values`` build
-    their memoised Fractions from it, and ``extension_grid_check`` reads the
-    rows with a stride and compares values in integers.
+    their memoised Fractions from it, and ``extension_grid_check`` reads
+    them, and h's sample at each index, in integers.
     """
 
     def __init__(
@@ -318,77 +329,143 @@ class MonotoneExtension:
 
         self._den = den
         unit = den // row_den
-        row = [v * unit for v in row]
+        # h at every internal grid index, over den; the grid check reads it too
+        self._hs = row = [v * unit for v in row] if unit > 1 else row
         off_ints = {x: scaled(v) for x, v in off_vals.items()}
         self._check_monotone_on_class(classes[-1], row, off_ints)
         margin, hi_bound, lo_bound = scaled(margin), scaled(hi_bound), scaled(lo_bound)
-        # each grid sample as it enters the F side (+ margin) and the G side
-        # (- margin)
-        f_cands = [v + margin for v in row]
-        g_cands = [v - margin for v in row]
-        f_prev, g_prev = [hi_bound] * size, [lo_bound] * size  # stage 0: F > G everywhere
+
+        # per grid index the best candidate the current stage places there, or
+        # the bound: a sample enters the F side + margin, the G side - margin
+        f_best, g_best = [lo_bound] * size, [hi_bound] * size
+
+        def place(c_set: IntervalSet, lo: int, hi: int) -> None:
+            """Set f_best and g_best on the indices lo..hi from the class c_set."""
+            f_best[lo:hi + 1] = repeat(lo_bound, hi + 1 - lo)
+            g_best[lo:hi + 1] = repeat(hi_bound, hi + 1 - lo)
+            for part in c_set:
+                inner = _inner_grid(part, scale)
+                a, b = max(inner.start, lo), min(inner.stop, hi + 1)
+                if a < b:
+                    f_best[a:b] = [v + margin for v in row[a:b]]
+                    g_best[a:b] = [v - margin for v in row[a:b]]
+            for part in c_set:
+                for x in (part.lo, part.hi):
+                    k, up = _floor_ceil(x, scale)
+                    if up < lo or k > hi:
+                        continue
+                    v = row[k] if k == up else off_ints[x]
+                    if up <= hi:
+                        f_best[up] = max(f_best[up], v + margin)
+                    if k >= lo:
+                        g_best[k] = min(g_best[k], v - margin)
+
+        # rm / rmin: the stage's running max of f_best from the left and
+        # running min of g_best from the right, unclipped; F / G: the envelopes,
+        # F_t = min(F_(t-1), rm_t) and G_t = max(G_(t-1), rmin_t)
+        rm, rmin = [lo_bound] * size, [hi_bound] * size
+        f_env, g_env = [hi_bound] * size, [lo_bound] * size  # stage 0: F > G everywhere
         crossings = []  # (i, p, q): index i has the value p / q, from its F = G crossing
         # An index strictly inside a part of the final class is strictly inside
         # a part of every stage class, where F >= sample + margin and G <=
         # sample - margin: F > G there at every stage.  Only the other indices,
         # the final class's holes, can cross.
-        open_, pos = [], 0
+        is_open = bytearray(b"\1") * size
         for part in classes[-1]:
             inner = _inner_grid(part, scale)
-            if inner:
-                open_ += range(pos, inner.start)
-                pos = inner.stop
-        open_ += range(pos, size)
-        for c_set in classes:
-            # per grid index the best candidate placed there, or the bound
-            f_best, g_best = [lo_bound] * size, [hi_bound] * size
-            for part in c_set:
-                inner = _inner_grid(part, scale)
-                f_best[inner.start:inner.stop] = f_cands[inner.start:inner.stop]
-                g_best[inner.start:inner.stop] = g_cands[inner.start:inner.stop]
-            for part in c_set:
-                for x in (part.lo, part.hi):
-                    k, up = _floor_ceil(x, scale)
-                    v = row[k] if k == up else off_ints[x]
-                    f_best[up] = max(f_best[up], v + margin)
-                    g_best[k] = min(g_best[k], v - margin)
-            # F: running max from the left, never above the previous stage's
-            # row; G: running min from the right, never below it.  The explicit
-            # loops are several times faster than map(min, ...) or accumulate.
-            f_row, run = [], lo_bound
-            for prev, v in zip(f_prev, f_best):
-                if v > run:
-                    run = v
-                f_row.append(prev if prev < run else run)
-            g_row, run = [], hi_bound
-            for prev, v in zip(reversed(g_prev), reversed(g_best)):
-                if v < run:
-                    run = v
-                g_row.append(prev if prev > run else run)
-            g_row.reverse()
-            # F falls and G rises along the stages, so an index is solved for
-            # good at the first stage with F <= G: the linear crossing between
-            # that stage and the one before it
-            still = []
-            for i in open_:
-                f_v, g_v = f_row[i], g_row[i]
-                if f_v > g_v:
-                    still.append(i)
+            is_open[inner.start:inner.stop] = bytes(len(inner))
+        # The first stage is swept in full, each later one on the windows of
+        # its new holes and on past them while rm or rmin differs from the
+        # previous stage's: where rm_t == rm_(t-1) >= F_(t-1), F_t == F_(t-1).
+        # An index where neither envelope moved stays open, so only the swept
+        # indices are tested.
+        prev_t = 0
+        for t, c_set in zip(self.stages, classes):
+            first = t == self.stages[0]
+            windows = [(0, scale)] if first else sorted(
+                (_floor_ceil(hole.lo, scale)[0], _floor_ceil(hole.hi, scale)[1])
+                for hole in enum.items[prev_t:t]
+            )
+            prev_t = t
+            for lo, hi in windows:
+                place(c_set, lo, hi)
+            swept = []  # (first, last) index ranges where rm or rmin moved
+            k = 0  # the first index the running max has not reached
+            for lo, hi in windows:
+                if k > hi:
+                    continue
+                start = k = max(k, lo)
+                run = rm[k - 1] if k else lo_bound
+                # the explicit loop is several times faster than accumulate
+                out = []
+                for v in f_best[k:hi + 1]:
+                    if v > run:
+                        run = v
+                    out.append(run)
+                rm[k:hi + 1] = out
+                k = hi + 1
+                while k < size:
+                    v = f_best[k]
+                    if v > run:
+                        run = v
+                    if run == rm[k]:
+                        break
+                    rm[k] = run
+                    k += 1
+                swept.append((start, k - 1))
+            k = scale  # the last index the running min has not reached
+            for lo, hi in sorted(windows, key=lambda w: w[1], reverse=True):
+                if k < lo:
+                    continue
+                last = k = min(k, hi)
+                run = rmin[k + 1] if k < scale else hi_bound
+                out = []
+                for v in reversed(g_best[lo:k + 1]):
+                    if v < run:
+                        run = v
+                    out.append(run)
+                out.reverse()
+                rmin[lo:k + 1] = out
+                k = lo - 1
+                while k >= 0:
+                    v = g_best[k]
+                    if v < run:
+                        run = v
+                    if run == rmin[k]:
+                        break
+                    rmin[k] = run
+                    k -= 1
+                swept.append((k + 1, last))
+            for a, last in _merge_ranges(swept):
+                b = last + 1
+                # F falls and G rises along the stages, so an index is solved
+                # for good at the first stage with F <= G: the linear crossing
+                # between that stage and the one before it
+                for i in compress(range(a, b), is_open[a:b]):
+                    prev_f, prev_g = f_env[i], g_env[i]
+                    f_v, g_v = rm[i], rmin[i]
+                    if f_v > prev_f:
+                        f_v = prev_f
+                    if g_v < prev_g:
+                        g_v = prev_g
+                    if f_v <= g_v:
+                        gap = prev_f - prev_g
+                        rise = gap + (g_v - f_v)
+                        crossings.append((i, prev_f * rise + gap * (f_v - prev_f), rise * den))
+                        is_open[i] = 0
+                if first:  # F_0 and G_0 are the bounds, which every sample beats
+                    f_env[a:b], g_env[a:b] = rm[a:b], rmin[a:b]
                 else:
-                    prev_f = f_prev[i]
-                    gap = prev_f - g_prev[i]
-                    rise = gap + (g_v - f_v)
-                    crossings.append((i, prev_f * rise + gap * (f_v - prev_f), rise * den))
-            open_ = still
-            f_prev, g_prev = f_row, g_row
+                    f_env[a:b] = [f if f < r else r for f, r in zip(f_env[a:b], rm[a:b])]
+                    g_env[a:b] = [g if g > r else r for g, r in zip(g_env[a:b], rmin[a:b])]
         # where the curves never crossed, the value is the final F while its gap
         # to G is below 2^-n; a gap with gap << n >= den, that is one above
         # (den - 1) >> n, is kept in ps with the marker qs == 0
-        exhausted = list(compress(range(size), map(gt, map(sub, f_prev, g_prev),
+        exhausted = list(compress(range(size), map(gt, map(sub, f_env, g_env),
                                                    repeat((den - 1) >> n))))
-        ps, qs = f_prev, [den] * size
+        ps, qs = f_env, [den] * size
         for i in exhausted:
-            ps[i], qs[i] = ps[i] - g_prev[i], 0
+            ps[i], qs[i] = ps[i] - g_env[i], 0
         for i, p, q in crossings:
             ps[i], qs[i] = p, q
         self._ps, self._qs = ps, qs
@@ -473,51 +550,101 @@ def extension_grid_check(ext: MonotoneExtension, depth: int) -> tuple[int, Fract
     points of the final class.
 
     Query k lies on internal grid index (k << grid_depth) >> depth.  The build
-    has solved every index, so the check reads the solved rows with a stride;
-    an exhausted index raises at the first query point that reaches it, as
-    ``grid_values(depth)`` does.  Drops are counted once per pair of
-    neighbouring indices, by cross-multiplying their value pairs.  On a grid
-    at least as fine as the internal one, the query points sharing an index
-    form a run with one value p / q, and the worst |p - y q| over the run's h
-    numerators y is reached at their least or greatest, because it is convex
-    in y.  h is linear between its breakpoints, so a run with no breakpoint
-    strictly inside it takes those from its two end samples; only the few
-    runs around a breakpoint off the internal grid scan their samples.  On a
-    coarser grid each point is its own run.  One Fraction is built, at the
-    end.
+    has solved every index and kept h's sample at each, so the check reads
+    those rows, with a stride on a coarser grid, and never evaluates h on a
+    2^depth row; an exhausted index raises at the first query point that
+    reaches it, as ``grid_values(depth)`` does.  Drops are counted once per
+    pair of neighbouring indices, by cross-multiplying their value pairs.  On
+    a grid at least as fine as the internal one, the query points sharing an
+    index j form a run with one value p / q, and the worst |p - y q| over the
+    run's h numerators y is reached at their least or greatest, because it is
+    convex in y.  h is linear between its breakpoints, so on a run with no
+    breakpoint strictly between j and j + 1 those are its two end points, and
+    the point 2^s j + m, with s = depth - grid_depth, has h numerator
+    hs[j] (2^s - m) + hs[j + 1] m over den << s: exact, from the build's
+    samples.  Only the few runs around a breakpoint off the internal grid
+    evaluate h, at their ends and at the points next to each breakpoint.  On
+    a coarser grid each point is its own run.  The runs that lie whole in a
+    class range and hold a value over the build's own denominator, nearly
+    all of them, are read in a few passes over the integer rows; the others
+    one run at a time.  One Fraction is built, at the end.
     """
     if depth < 0:
         raise DomainError(f"grid depth {depth} is negative")
     gd = ext.grid_depth
     scale, shift = 1 << gd, depth - gd
     stride = 1 << max(-shift, 0)
-    ps, qs = ext._ps[::stride], ext._qs[::stride]
+    ps, qs, hs = ext._ps, ext._qs, ext._hs
+    if stride > 1:
+        ps, qs, hs = ps[::stride], qs[::stride], hs[::stride]
     if 0 in qs:
         i = qs.index(0) * stride
         ext._pair(i, i, scale)  # raises BudgetExhausted
     # p_a / q_a > p_b / q_b between neighbours a, b
     drops = sum(map(gt, map(mul, ps, qs[1:]), map(mul, ps[1:], qs)))
-    den, hs = ext.h.grid_numerators(depth)
-    # query points k .. end - 1 share index j = k >> run_shift, and the value
-    # (ps[j], qs[j]); the runs with a breakpoint of h strictly inside
-    run_shift = max(shift, 0)
-    kinked = {x.numerator * scale // x.denominator for x in ext.h.xs
-              if scale % x.denominator} if shift > 0 else set()
+    # query points k .. end - 1 share index j = k >> s, and the value
+    # (ps[j], qs[j]); h numerators are over den
+    s = max(shift, 0)
+    run, den, points = 1 << s, ext._den << s, 1 << depth
+    kinked: dict[int, list[Fraction]] = {}  # the runs with breakpoints strictly inside
+    if s:
+        for x in ext.h.xs:
+            if scale % x.denominator:
+                kinked.setdefault(x.numerator * scale // x.denominator, []).append(x)
+
+    def h_at(k: int) -> int:
+        y = ext.h.value(Fraction(k, points))
+        return y.numerator * (den // y.denominator)
+
+    # Split the class's query points: the runs that lie whole inside a class
+    # range, with no breakpoint inside and a value over the build's own
+    # denominator, are plain, and read in a few passes over integer rows; the
+    # rest, one run at a time.
+    build_den = ext._den
+    plain, single = [], []  # plain runs a .. b - 1; query points k .. stop - 1
+    for ks in ext.enum.final_class().grid_ranges(depth):
+        k0, k1 = ks.start, ks.stop
+        ja, jb = -(-k0 >> s), k1 >> s  # the runs whole inside k0 .. k1 - 1
+        if ja >= jb:
+            single.append((k0, k1))
+            continue
+        single += [(k0, ja << s), (jb << s, k1)]
+        # a crossed value is over a denominator of its own; every other entry
+        # of qs is the build's denominator object itself
+        odd = {j for j in kinked if ja <= j < jb}
+        odd.update(compress(range(ja, jb), map(is_not, qs[ja:jb], repeat(build_den))))
+        for j in sorted(odd):
+            plain.append((ja, j))
+            single.append((j << s, (j + 1) << s))
+            ja = j + 1
+        plain.append((ja, jb))
     # the worst |value - h| is worst_d / (worst_q * den)
     worst_d, worst_q = 0, 1
-    for ks in ext.enum.final_class().grid_ranges(depth):
-        k, stop = ks.start, ks.stop
+    for k, stop in single:
         while k < stop:
-            j = k >> run_shift
-            end = (j + 1) << run_shift
+            j = k >> s
+            base = j << s
+            end = base + run
             if end > stop:
                 end = stop
-            lo_h, hi_h = hs[k], hs[end - 1]
             if j in kinked:
-                run = hs[k:end]
-                lo_h, hi_h = min(run), max(run)
-            elif lo_h > hi_h:
-                lo_h, hi_h = hi_h, lo_h
+                # h is linear between the run's ends and the points next to
+                # its breakpoints, so its extremes lie among those
+                ends = {k, end - 1}
+                for x in kinked[j]:
+                    c = x.numerator * points // x.denominator
+                    ends.update(e for e in (c, c + 1) if k <= e < end)
+                ys = [h_at(e) for e in ends]
+                lo_h, hi_h = min(ys), max(ys)
+            else:
+                m = k - base
+                lo_h = hs[j] * (run - m) + hs[j + 1] * m if m else hs[j] << s
+                hi_h = lo_h
+                if end - 1 > k:
+                    m = end - 1 - base
+                    hi_h = hs[j] * (run - m) + hs[j + 1] * m if m else hs[j] << s
+                    if lo_h > hi_h:
+                        lo_h, hi_h = hi_h, lo_h
             p, q = ps[j] * den, qs[j]
             # the larger of |p - lo_h q| and |p - hi_h q|, as lo_h <= hi_h
             d = p - lo_h * q
@@ -526,4 +653,18 @@ def extension_grid_check(ext: MonotoneExtension, depth: int) -> tuple[int, Fract
             if d * worst_q > worst_d * q:
                 worst_d, worst_q = d, q
             k = end
+    # On a plain run j the value is ps[j] / build_den == (ps[j] << s) / den,
+    # and h is hs[j] << s at the first point and hs[j] + hs[j + 1] (2^s - 1)
+    # at the last, so |value - h| * den is the larger of |ps[j] - hs[j]| << s
+    # and |ps[j] 2^s - hs[j] - hs[j + 1] (2^s - 1)|.
+    for a, b in plain:
+        if a < b:
+            diffs = list(map(sub, ps[a:b], hs[a:b]))
+            e = max(max(diffs), -min(diffs)) << s
+            if s:
+                ends = list(map(sub, map(mul, ps[a:b], repeat(run)),
+                                map(add, hs[a:b], map(mul, hs[a + 1:b + 1], repeat(run - 1)))))
+                e = max(e, max(ends), -min(ends))
+            if e * worst_q > worst_d:  # e / den against worst_d / (worst_q den)
+                worst_d, worst_q = e, 1
     return drops, Fraction(worst_d, worst_q * den)

@@ -2,7 +2,9 @@
 
 Every reported failure is one of these; schema problems and domain violations
 are kept apart from exhausted search budgets so callers can tell a refuted
-inequality from a search that simply ran out of room.
+inequality from a search that simply ran out of room.  A broken internal
+invariant is an ``InvariantError``, which is not a ``VerifierError``: it is
+not a verdict on the input, and a battery reports it as a failed row.
 """
 
 from __future__ import annotations
@@ -37,3 +39,7 @@ class BudgetExhausted(VerifierError):
     def __init__(self, message: str, achieved=None):
         super().__init__(message)
         self.achieved = achieved
+
+
+class InvariantError(RuntimeError):
+    """A construction broke one of its own invariants: a bug, not bad input."""

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .bits import ONE, ZERO, format_rational, parse_rational, require_unit, validate_bits
 from .calculus import Polynomial
-from .errors import BudgetExhausted, SchemaError
+from .errors import BudgetExhausted, InvariantError, SchemaError
 from .intervals import FULL_SET, Interval, IntervalSet, StagedOpenEnumeration
 from .martingales import (
     Condition,
@@ -317,7 +317,7 @@ def claim5_instance(
         except BudgetExhausted:
             continue
         return cond, eps, ext
-    raise RuntimeError(f"no viable savings instance for seed {seed} index {index}")
+    raise InvariantError(f"no viable savings instance for seed {seed} index {index}")
 
 
 def forcing_instance(seed: int, index: int):
@@ -338,7 +338,7 @@ def forcing_instance(seed: int, index: int):
         except BudgetExhausted:
             continue
         return cond, steps, chain
-    raise RuntimeError(f"no viable forcing instance for seed {seed} index {index}")
+    raise InvariantError(f"no viable forcing instance for seed {seed} index {index}")
 
 
 def extension_instance(

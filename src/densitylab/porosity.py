@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bits import cylinder_bounds, is_antichain, over_common_denominator, validate_bits
-from .errors import DomainError
+from .errors import DomainError, InvariantError
 from .intervals import Interval, IntervalSet, StagedOpenEnumeration, canonicalize
 
 _SCAN_SAFETY = 400
@@ -168,7 +168,7 @@ def minimal_porous_extensions(
                 break
             level += 1
             if level > s_len + _SCAN_SAFETY:
-                raise RuntimeError(
+                raise InvariantError(
                     f"gap {gaps.gaps[i].to_json()} never activates below {sigma!r}"
                 )
     completion = max(activations) + 1
@@ -200,7 +200,7 @@ def minimal_porous_extensions(
             # shrinkage of the qualifying value regions past the last
             # activation level makes this a checked no-op
             if fresh:
-                raise RuntimeError("qualifying region grew past completion depth")
+                raise InvariantError("qualifying region grew past completion depth")
         for a, b in fresh:
             found.extend(_string_at(j, level) for j in range(a, b + 1))
         covered = _merge_ranges(covered + fresh)
@@ -328,7 +328,7 @@ def porosity_test(
                 collected.extend(extension_cache[key].elements)
             members = tuple(sorted(set(collected)))
             if not is_antichain(members):
-                raise RuntimeError(f"B_({n},{t}) is not an antichain")
+                raise InvariantError(f"B_({n},{t}) is not an antichain")
             boxes[(n, t)] = members
 
     for n in range(levels + 1):
@@ -336,7 +336,7 @@ def porosity_test(
             later = set(boxes[(n, t + 1)])
             for rho in boxes[(n, t)]:
                 if not any(rho[:k] in later for k in range(len(rho) + 1)):
-                    raise RuntimeError(
+                    raise InvariantError(
                         f"{rho!r} in B_({n},{t}) has no prefix in B_({n},{t + 1})"
                     )
 

@@ -15,7 +15,7 @@ from typing import Callable
 
 from .bits import ONE, ZERO, cylinder_bounds, is_antichain, is_dyadic, is_prefix, validate_bits
 from .density import FatCover, low_density_open_set, lower_density_estimate
-from .errors import BudgetExhausted, DomainError, EnumerationOverlapError
+from .errors import BudgetExhausted, DomainError, EnumerationOverlapError, InvariantError
 from .intervals import (
     EMPTY_SET,
     FULL_SET,
@@ -114,7 +114,7 @@ def density_difference_test(enum: StagedOpenEnumeration, n_max: int) -> TestFami
         for t in range(stages + 1):
             cover = low_density_open_set(enum.stage_class(t), eps).U
             if prev.intersect(cover) != prev:
-                raise RuntimeError("covered set shrank between stages")
+                raise InvariantError("covered set shrank between stages")
             items.extend(cover.subtract(prev).drop_degenerate().parts)
             counts.append(len(items))
             prev = cover
@@ -267,7 +267,7 @@ def build_escape_sets(
                 cand = union.union(IntervalSet((piece,)))
                 if cand.measure <= budget:
                     if not is_prefix(sigma, tau) or tau == sigma:
-                        raise RuntimeError("kept an item not strictly below sigma")
+                        raise InvariantError("kept an item not strictly below sigma")
                     new.append(tau)
                     union = cand
         members = tuple(sorted(set(new)))

@@ -36,7 +36,7 @@ from .density import (
     low_density_open_set,
     oracle_difference,
 )
-from .errors import BudgetExhausted
+from .errors import BudgetExhausted, InvariantError
 from .instances import (
     COVERING_EPSILONS,
     EscapeInstance,
@@ -107,8 +107,9 @@ def flag_check(name: str, ok: bool) -> Check:
     return Check(name, Fraction(int(ok)), ONE, ok)
 
 
-# porosity_test raises if a level fails to be an antichain or a stage fails
-# to nest in the one before, so every test it returns carries this row
+# porosity_test raises InvariantError if a level fails to be an antichain or
+# a stage fails to nest in the one before, and run_criterion reports that as
+# a failed row, so every test it returns carries this row
 NESTING_ROW = Check("antichain and stage-nesting verified during construction",
                     ONE, ONE, True)
 
@@ -534,7 +535,8 @@ def run_criterion(number: int, seed: int = DEFAULT_SEED) -> CriterionOutcome:
             start = time.perf_counter()
             try:
                 out.checks = fn(seed)
-            except BudgetExhausted as exc:
+            except (BudgetExhausted, InvariantError) as exc:
+                # a battery cut short is a failed row, never a crash
                 out.checks = [Check(f"battery aborted: {exc}", ZERO, ONE, False)]
                 out.notes.append(str(exc))
             out.seconds = time.perf_counter() - start

@@ -1,6 +1,8 @@
 """Exact functions, pseudo-derivatives, extrema, monotone extension."""
 
+import tracemalloc
 from fractions import Fraction as F
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from densitylab.calculus import (
     Polynomial,
     _straddling_candidates,
     extension_grid_check,
+    extension_grid_depth,
     interval_extremum,
     pseudo_derivative_estimate,
 )
@@ -302,6 +305,26 @@ def test_grid_check_counts_a_planted_dip_like_the_per_point_loop(offset):
     assert drops == 1 and worst >= F(1, 8)
 
 
+@pytest.mark.parametrize("offset", [-2, 0, 1, 3])
+def test_grid_check_reads_a_dip_over_the_builds_denominator_like_the_per_point_loop(offset):
+    # the same kind of dip, held over the build's own denominator inside a
+    # part of the class, so that the check reads its run in the passes over
+    # integer rows: the worst is at the run's right end once runs are longer
+    # than one point
+    h, enum = extension_instance(1, 0)
+    ext = MonotoneExtension(h, enum, 10)
+    gd, cls = ext.grid_depth, enum.final_class()
+    i = next(i for i in range(1 << (gd - 1), 1 << gd, 1 << 4)
+             if all(cls.contains_point(F(i + d, 1 << gd)) for d in (-1, 0, 1, 2)))
+    assert ext._den % 8 == 0 and ext._qs[i] is ext._den
+    ext._ps[i] = ext._hs[i] - ext._den // 8
+    depth = gd + offset
+    drops, worst = extension_grid_check(ext, depth)
+    assert (drops, worst) == per_point_grid_check(ext, depth)
+    assert drops == 1
+    assert worst > F(1, 8) if offset > 0 else worst == F(1, 8)
+
+
 @pytest.mark.parametrize("offset", [-2, -1, 0, 1, 2, 3])
 def test_grid_check_exhaustion_matches_per_point(offset):
     budget = ExtensionBudget(precision=5)
@@ -351,6 +374,147 @@ def test_grid_check_reads_breakpoints_inside_runs_like_the_per_point_loop(case, 
     assert outcome(extension_grid_check, ext, depth) == outcome(
         per_point_grid_check, MonotoneExtension(h, enum, n), depth
     )
+
+
+def full_sweep_values(h, enum, n, budget):
+    """(grid depth, values): the extension at every internal grid index with
+    every stage swept in full over the whole grid, in Fractions, from the
+    MonotoneExtension docstring's recipe.  A value is a Fraction, or
+    ("gap", g) where the envelope gap g never closed below 2^-n."""
+    lip = h.lipschitz_bound()
+    gd = extension_grid_depth(lip, n) if budget.grid_depth is None else budget.grid_depth
+    prec = n + 4 if budget.precision is None else budget.precision
+    scale = 1 << gd
+    grid = [F(i, scale) for i in range(scale + 1)]
+    margin = lip / scale + F(1, 1 << prec)
+    mid = h.value(F(1, 2))
+    hi_bound, lo_bound = mid + lip + 1, mid - lip - 1
+    final = len(enum) if budget.max_stage is None else min(len(enum), budget.max_stage)
+    stages = sorted({1 << e for e in range(final.bit_length()) if 1 << e < final} | {final})
+    f_env, g_env = [hi_bound] * len(grid), [lo_bound] * len(grid)
+    solved = {}
+    for t in stages:
+        # a candidate enters F at its ceiling index and G at its floor index
+        f_best, g_best = [lo_bound] * len(grid), [hi_bound] * len(grid)
+        for part in enum.stage_class(t):
+            inside = [(i, x) for i, x in enumerate(grid) if part.lo < x < part.hi]
+            for i, x in inside + [(None, part.lo), (None, part.hi)]:
+                y = h.value(x)
+                up = i if i is not None else -(-x.numerator * scale // x.denominator)
+                down = i if i is not None else x.numerator * scale // x.denominator
+                f_best[up] = max(f_best[up], y + margin)
+                g_best[down] = min(g_best[down], y - margin)
+        # F_t = min(F_(t-1), the running max of stage t's candidates); G mirrored
+        f_new = [min(a, b) for a, b in zip(f_env, accumulate(f_best, max))]
+        g_new = [max(a, b) for a, b in zip(g_env, list(accumulate(g_best[::-1], min))[::-1])]
+        for i in range(len(grid)):
+            if i not in solved and f_new[i] <= g_new[i]:
+                # the linear crossing between stage t and the one before
+                gap = f_env[i] - g_env[i]
+                solved[i] = f_env[i] + gap * (f_new[i] - f_env[i]) / (gap + g_new[i] - f_new[i])
+        f_env, g_env = f_new, g_new
+    values = []
+    for i in range(len(grid)):
+        gap = f_env[i] - g_env[i]
+        if i in solved:
+            values.append(solved[i])
+        else:
+            values.append(f_env[i] if gap < F(1, 1 << n) else ("gap", gap))
+    return gd, values
+
+
+# hole ends and breakpoints: the 2^-3 grid, and points off every dyadic grid
+STAGE_POINTS = sorted({F(k, 8) for k in range(9)} | {F(k, d) for d in (3, 5) for k in range(1, d)})
+
+
+@st.composite
+def staged_extensions(draw):
+    """(h, enum, n, budget) at internal grid depth 5 to 7.  Holes overlap,
+    share ends or sit off the grid.  h is nondecreasing on the class the build
+    checks, and rises across the holes so that envelopes cross at every
+    stage; inside a hole it may peak above h to its right, so that the
+    running max must be swept past the window of the stage that removes the
+    peak.  Some budgets stop at a stage, or starve the precision so that
+    indices stay exhausted."""
+    n = draw(st.integers(1, 3))
+    ends = st.sampled_from(STAGE_POINTS)
+    holes = []
+    for _ in range(draw(st.integers(1, 6))):
+        lo = holes[-1][1] if holes and draw(st.booleans()) else draw(ends)
+        hi = draw(ends.filter(lambda x: x > lo)) if lo < 1 else F(1)
+        holes.append((min(lo, hi), hi))
+    enum = enumeration(*holes)
+    budget = ExtensionBudget(
+        grid_depth=draw(st.integers(5, 7)),
+        precision=draw(st.none() | st.none() | st.integers(1, 3)),
+        max_stage=draw(st.none() | st.integers(0, len(holes))),
+    )
+    final = len(holes) if budget.max_stage is None else budget.max_stage
+    checked = enum.stage_class(final)
+    xs = sorted({F(0), F(1), *(x for hole in holes for x in hole),
+                 *((lo + hi) / 2 for lo, hi in holes), *draw(st.lists(ends, max_size=4))})
+    ys, peak = [], F(0)
+    for x in xs:
+        if checked.contains_point(x):
+            peak += draw(st.integers(0, 8)) * F(1, 16)
+            ys.append(peak)
+        else:
+            ys.append(peak + draw(st.integers(-2, 4)) * F(1, 16))
+    return PiecewiseLinear(xs, ys), enum, n, budget
+
+
+@settings(max_examples=60, deadline=None)
+@given(staged_extensions())
+def test_build_matches_a_full_sweep_of_every_stage(case):
+    h, enum, n, budget = case
+    ext = MonotoneExtension(h, enum, n, budget)
+    gd, want = full_sweep_values(h, enum, n, budget)
+    assert ext.grid_depth == gd
+    for i, value in enumerate(want):
+        x = F(i, 1 << gd)
+        if isinstance(value, tuple):
+            assert ext._qs[i] == 0
+            with pytest.raises(BudgetExhausted) as err:
+                ext.value(x)
+            assert str(err.value) == f"envelope gap never closed at {x}"
+            assert err.value.achieved == value[1]
+        else:
+            assert ext._qs[i] > 0 and F(ext._ps[i], ext._qs[i]) == value
+
+
+def first_extension_instance_with_holes(count):
+    index = 0
+    while True:
+        h, enum = extension_instance(1, index)
+        if len(enum.items) == count:
+            return h, enum
+        index += 1
+
+
+def test_grid_check_cost_does_not_grow_with_depth_above_the_internal_grid(monkeypatch):
+    # on a finer grid the check reads h from the build's internal grid
+    # samples, so neither its memory nor the rows it asks of h grow with depth
+    depths = []
+    grid_numerators = PiecewiseLinear.grid_numerators
+
+    def spy(self, depth):
+        depths.append(depth)
+        return grid_numerators(self, depth)
+
+    monkeypatch.setattr(PiecewiseLinear, "grid_numerators", spy)
+    h, enum = first_extension_instance_with_holes(6)
+    ext = MonotoneExtension(h, enum, 10)
+
+    def peak_bytes(depth):
+        tracemalloc.start()
+        try:
+            extension_grid_check(ext, depth)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak_bytes(ext.grid_depth + 7) <= 2 * peak_bytes(ext.grid_depth + 1)
+    assert depths and max(depths) <= ext.grid_depth
 
 
 def per_point_extremum(p, a, b, n, which):

@@ -2,7 +2,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from densitylab.errors import SchemaError
+from densitylab import instances
+from densitylab.errors import BudgetExhausted, InvariantError, SchemaError
 from densitylab.instances import (
     COVERING_EPSILONS,
     EscapeInstance,
@@ -118,6 +119,19 @@ def test_claim5_and_forcing_instances_build():
     _, steps, chain = forcing_instance(1, 2)
     assert len(chain) == len(steps)
     assert all(step.extends_ok for step in chain)
+
+
+@pytest.mark.parametrize("search, make", [
+    ("savings_extension", claim5_instance),
+    ("forcing_chain", forcing_instance),
+])
+def test_instances_with_no_viable_draw_raise_invariant_error(monkeypatch, search, make):
+    def starved(*args):
+        raise BudgetExhausted("no room")
+
+    monkeypatch.setattr(instances, search, starved)
+    with pytest.raises(InvariantError, match="no viable"):
+        make(1, 2)
 
 
 def test_extension_instances_stay_inside_the_budget_margin():

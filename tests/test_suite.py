@@ -14,7 +14,7 @@ from densitylab.counterexample import (
     default_enumeration,
     verify_denjoy_failure,
 )
-from densitylab.errors import DomainError
+from densitylab.errors import DomainError, InvariantError, VerifierError
 from densitylab.report import SCHEMA_VERSION, Check, check_rows
 from densitylab.suite import (
     CRITERIA,
@@ -127,3 +127,29 @@ def test_without_an_affinity_mask_the_pool_is_sized_from_the_cpu_count(monkeypat
     assert [o.number for o in run_all()] == [num for num, _t, _f in CRITERIA]
     assert asked == [1]
     assert multiprocessing.active_children() == []
+
+
+def test_a_broken_invariant_is_a_failed_row_not_a_crash(monkeypatch, capfd):
+    def broken(*args):
+        raise InvariantError("B_(0,0) is not an antichain")
+
+    # the pool forks, so its workers see the patched module attribute
+    monkeypatch.setattr(suite, "porosity_test", broken)
+    assert main(["verify-all", "--json", "--seed", "1"]) == 1
+    out, err = capfd.readouterr()
+    assert err == ""
+    report = json.loads(out)
+    assert report["all_hold"] is False
+    assert [row for row in report["checks"] if row["name"].startswith("[3]")] == [{
+        "name": "[3]: battery aborted: B_(0,0) is not an antichain",
+        "lhs": "0/1", "rhs": "1/1", "ok": False, "note": "",
+    }]
+    assert report["budget_exhausted"] == ["criterion 3: B_(0,0) is not an antichain"]
+    assert [c["number"] for c in report["meta"]["criteria"] if not c["passed"]] == [3]
+    assert multiprocessing.active_children() == []
+
+
+def test_an_invariant_error_is_no_verdict_on_the_input():
+    # exit 2 is kept for VerifierErrors: bad input, never a bug of our own
+    assert issubclass(InvariantError, RuntimeError)
+    assert not issubclass(InvariantError, VerifierError)
