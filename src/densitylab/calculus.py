@@ -24,7 +24,7 @@ from operator import add, gt, is_not, mul, sub
 from .bits import ONE, ZERO
 from .errors import BudgetExhausted, DomainError
 from .intervals import Interval, IntervalSet, StagedOpenEnumeration
-from .piecewise import PiecewiseLinear
+from .piecewise import PiecewiseLinear, progression_row
 from .porosity import _merge_ranges
 
 
@@ -203,6 +203,72 @@ def _on_grid(part: Interval, depth: int) -> bool:
     return all((1 << depth) % x.denominator == 0 for x in (part.lo, part.hi))
 
 
+def _clip(pieces: list, lasts: list, a: int, b: int) -> list:
+    """The progressions (first, last, start, step) of pieces cut to the
+    indices a..b, a <= b.  The pieces are in index order and lasts holds
+    their last indices."""
+    out = []
+    for i in range(bisect_left(lasts, a), len(pieces)):
+        first, last, start, step = pieces[i]
+        if first > b:
+            break
+        if first < a:
+            start += step * (a - first)
+            first = a
+        out.append((first, min(last, b), start, step))
+    return out
+
+
+def _sweep_max(rm: list, pieces: list, lasts: list, a: int, b: int, run: int) -> int:
+    """Write rm[a..b], the running max of the candidate pieces from the
+    incoming run, and return the run at b.  The pieces are progressions in
+    index order, lasts their last indices; neighbours may share an index.  A
+    rising piece rejoins the run at one integer-division index, and from
+    there on the row is the piece itself; any other piece holds a constant."""
+    k = a  # the first index not yet written
+    for first, last, start, step in _clip(pieces, lasts, a, b):
+        if first > k:
+            rm[k:first] = [run] * (first - k)
+        k = last + 1
+        top = start + step * (last - first)
+        if step > 0 and top > run:
+            j = first if start > run else first + (run - start) // step + 1
+            rm[first:j] = [run] * (j - first)
+            rm[j:k] = range(start + step * (j - first), top + step, step)
+            run = top
+        else:
+            if start > run:
+                run = start
+            rm[first:k] = [run] * (k - first)
+    if k <= b:
+        rm[k:b + 1] = [run] * (b + 1 - k)
+    return run
+
+
+def _sweep_min(rmin: list, pieces: list, lasts: list, a: int, b: int, run: int) -> int:
+    """Write rmin[a..b], the running min of the candidate pieces from the
+    right, from the incoming run at b + 1, and return the run at a: the
+    mirror image of ``_sweep_max``."""
+    k = b  # the last index not yet written
+    for first, last, start, step in reversed(_clip(pieces, lasts, a, b)):
+        if last < k:
+            rmin[last + 1:k + 1] = [run] * (k - last)
+        k = first - 1
+        if step > 0 and start < run:
+            j = min(first - (start - run) // step, last + 1)
+            rmin[first:j] = range(start, start + step * (j - first), step)
+            rmin[j:last + 1] = [run] * (last + 1 - j)
+            run = start
+        else:
+            bottom = start + step * (last - first)
+            if bottom < run:
+                run = bottom
+            rmin[first:last + 1] = [run] * (last + 1 - first)
+    if k >= a:
+        rmin[a:k + 1] = [run] * (k + 1 - a)
+    return run
+
+
 def extension_grid_depth(lip: Fraction, n: int) -> int:
     """The default internal grid depth of a monotone extension to 2^-n of an h
     with Lipschitz bound lip: the least depth >= n + 3 at which one grid step
@@ -230,27 +296,41 @@ class MonotoneExtension:
 
     h is a ``PiecewiseLinear`` defined on all of [0,1], and its
     ``lipschitz_bound()`` sets the grid depth (``extension_grid_depth``) and
-    the margins.  Every internal grid sample comes from one
-    ``grid_numerators(grid_depth)`` row; only part endpoints off the grid,
-    and the refined grid of off-grid parts that the monotonicity check reads,
-    are evaluated one point at a time.  The F/G rows are integer numerators
-    over one denominator, the lcm of the row's, the off-grid samples', the
-    margin's and the two bounds'.  A candidate enters the F row at its
-    ceiling grid index and the G row at its floor grid index.  Stage t's F
-    row is F_t = min(F_(t-1), the running max of its candidates from the
-    left), and its G row G_t = max(G_(t-1), the running min from the right);
-    the two bounds stand in for "no candidate yet", so the sweeps test no
-    None.
+    the margins.  Every internal grid sample comes from h's
+    ``grid_progressions(grid_depth)``, one arithmetic progression per
+    segment; only part endpoints off the grid, and the refined grid of
+    off-grid parts that the monotonicity check reads, are evaluated one point
+    at a time.  The F/G rows are integer numerators over one denominator, the
+    lcm of the progressions', the off-grid samples', the margin's and the two
+    bounds'.  A candidate enters the F row at its ceiling grid index and the
+    G row at its floor grid index.  Stage t's F row is F_t = min(F_(t-1), the
+    running max of its candidates from the left), and its G row G_t =
+    max(G_(t-1), the running min from the right); the two bounds stand in
+    for "no candidate yet".
+
+    The running max and min are swept piece by piece, never index by index.
+    A stage's candidates are pieces: each part of its class cut by h's
+    segments into progressions, and each part end off the grid as a
+    one-index piece.  Along a rising piece the running max keeps the
+    incoming run up to one integer-division index and is the progression
+    itself from there on; along a flat or falling piece it holds a
+    constant, and the running min mirrors this.  Each piece is written into
+    the row by one slice assignment of a ``range`` or a repeated constant.
+    On a grid-aligned part the monotonicity check likewise reads h's
+    progressions, where a drop can begin only at a piece's first point or
+    run on along a falling piece.
 
     The first stage is swept in full.  A later stage's class differs from
     the one before only on the closures [a, b] of its new holes, so its
     candidates change only on the windows floor(a 2^gd) .. ceil(b 2^gd).
     The unclipped running max and min rows are kept from stage to stage;
-    the running max is swept again from each window's start, past its end
-    until it rejoins the previous stage's, beyond which F_t == F_(t-1), and
-    the running min likewise leftwards from each window's end.  So a build
-    costs one full sweep plus the re-swept stretches, O(2^grid_depth) for
-    holes that stay narrow.
+    the running max is swept again from each window's start and past its end
+    up to the first index where the previous stage's row exceeds both runs
+    at the window's end, which a bisect finds; beyond it F_t == F_(t-1).
+    The running min mirrors this, leftwards over each window and on past its
+    start.  So a build costs a few slice assignments per piece, and its only
+    per-index work is the crossing test on the final class's holes and the
+    envelopes of the re-swept stretches.
 
     The build solves every internal grid index as the stages are swept: an
     index is solved at the first stage where F <= G, by the linear crossing
@@ -283,16 +363,16 @@ class MonotoneExtension:
         self.h, self.enum, self.n = h, enum, n
         self.grid_depth, self.precision = gd, prec
         self.epsilon = Fraction(1, 1 << n)
-        # every internal grid sample, from one row; a domain short of [0,1]
-        # raises here, at the first grid point outside it
-        row_den, row = h.grid_numerators(gd)
+        # every internal grid sample, as one progression per segment of h; a
+        # domain short of [0,1] raises here, at the first grid point outside it
+        row_den, hp = h.grid_progressions(gd)
         margin = lip * Fraction(1, 1 << gd) + Fraction(1, 1 << prec)
         mid = h.value(Fraction(1, 2))
         # Every sample is h(x) for some x in [0,1], so it lies within lip / 2
         # of h(1/2) == mid, while the bounds lie lip + 1 away from mid: no
         # sample + margin is ever at or below lo_bound, and no sample - margin
         # at or above hi_bound.  So the bounds serve as the "no candidate yet"
-        # entries of the running max and min, which a real sample always beats.
+        # values of the running max and min, which a real sample always beats.
         hi_bound = mid + lip + 1
         lo_bound = mid - lip - 1
         final = min(len(enum), max_stage)
@@ -329,40 +409,42 @@ class MonotoneExtension:
 
         self._den = den
         unit = den // row_den
+        if unit > 1:
+            hp = [(a, b, v * unit, s * unit) for a, b, v, s in hp]
+        hp_lasts = [piece[1] for piece in hp]
         # h at every internal grid index, over den; the grid check reads it too
-        self._hs = row = [v * unit for v in row] if unit > 1 else row
+        self._hs = progression_row(hp)
         off_ints = {x: scaled(v) for x, v in off_vals.items()}
-        self._check_monotone_on_class(classes[-1], row, off_ints)
         margin, hi_bound, lo_bound = scaled(margin), scaled(hi_bound), scaled(lo_bound)
+        self._check_monotone_on_class(classes[-1], hp, hp_lasts, off_ints, lo_bound)
 
-        # per grid index the best candidate the current stage places there, or
-        # the bound: a sample enters the F side + margin, the G side - margin
-        f_best, g_best = [lo_bound] * size, [hi_bound] * size
-
-        def place(c_set: IntervalSet, lo: int, hi: int) -> None:
-            """Set f_best and g_best on the indices lo..hi from the class c_set."""
-            f_best[lo:hi + 1] = repeat(lo_bound, hi + 1 - lo)
-            g_best[lo:hi + 1] = repeat(hi_bound, hi + 1 - lo)
+        def candidates(c_set: IntervalSet) -> tuple[list, list]:
+            """The class's candidates as pieces (first, last, start, step) in
+            the order of their points: for F, h + margin at each point's
+            ceiling grid index, for G, h - margin at its floor index.  A grid
+            point of a part lies on one of h's progressions, a part end off
+            the grid is a one-index piece."""
+            fp, gp = [], []
             for part in c_set:
-                inner = _inner_grid(part, scale)
-                a, b = max(inner.start, lo), min(inner.stop, hi + 1)
-                if a < b:
-                    f_best[a:b] = [v + margin for v in row[a:b]]
-                    g_best[a:b] = [v - margin for v in row[a:b]]
-            for part in c_set:
-                for x in (part.lo, part.hi):
-                    k, up = _floor_ceil(x, scale)
-                    if up < lo or k > hi:
-                        continue
-                    v = row[k] if k == up else off_ints[x]
-                    if up <= hi:
-                        f_best[up] = max(f_best[up], v + margin)
-                    if k >= lo:
-                        g_best[k] = min(g_best[k], v - margin)
+                lo_k, lo_up = _floor_ceil(part.lo, scale)
+                hi_k, hi_up = _floor_ceil(part.hi, scale)
+                if lo_k < lo_up:
+                    v = off_ints[part.lo]
+                    fp.append((lo_up, lo_up, v + margin, 0))
+                    gp.append((lo_k, lo_k, v - margin, 0))
+                if lo_up <= hi_k:
+                    for a, b, v, s in _clip(hp, hp_lasts, lo_up, hi_k):
+                        fp.append((a, b, v + margin, s))
+                        gp.append((a, b, v - margin, s))
+                if hi_k < hi_up:
+                    v = off_ints[part.hi]
+                    fp.append((hi_up, hi_up, v + margin, 0))
+                    gp.append((hi_k, hi_k, v - margin, 0))
+            return fp, gp
 
-        # rm / rmin: the stage's running max of f_best from the left and
-        # running min of g_best from the right, unclipped; F / G: the envelopes,
-        # F_t = min(F_(t-1), rm_t) and G_t = max(G_(t-1), rmin_t)
+        # rm / rmin: the stage's running max of its F candidates from the left
+        # and running min of its G candidates from the right, unclipped; F / G:
+        # the envelopes, F_t = min(F_(t-1), rm_t) and G_t = max(G_(t-1), rmin_t)
         rm, rmin = [lo_bound] * size, [hi_bound] * size
         f_env, g_env = [hi_bound] * size, [lo_bound] * size  # stage 0: F > G everywhere
         crossings = []  # (i, p, q): index i has the value p / q, from its F = G crossing
@@ -374,68 +456,50 @@ class MonotoneExtension:
         for part in classes[-1]:
             inner = _inner_grid(part, scale)
             is_open[inner.start:inner.stop] = bytes(len(inner))
-        # The first stage is swept in full, each later one on the windows of
-        # its new holes and on past them while rm or rmin differs from the
-        # previous stage's: where rm_t == rm_(t-1) >= F_(t-1), F_t == F_(t-1).
-        # An index where neither envelope moved stays open, so only the swept
-        # indices are tested.
+        # The first stage is swept in full.  A later stage's candidates differ
+        # from the previous stage's only on the windows floor(a 2^gd) ..
+        # ceil(b 2^gd) of its new holes (a, b), so each window is swept from
+        # the run at its edge.  Past a window's end, rm_t = max(R_t, M) and
+        # rm_(t-1) = max(R_(t-1), M), with R the runs at the window's end and M
+        # the running max of the unchanged candidates after it: the rows agree
+        # where rm_(t-1) exceeds both runs, so the sweep goes on only to the
+        # first such index, which a bisect of the nondecreasing rm_(t-1) finds.
+        # The running min is the mirror image.  An index where neither row
+        # moved keeps its envelopes and stays open, so only the swept indices
+        # are tested.
         prev_t = 0
         for t, c_set in zip(self.stages, classes):
+            fp, gp = candidates(c_set)
+            f_lasts, g_lasts = [piece[1] for piece in fp], [piece[1] for piece in gp]
             first = t == self.stages[0]
-            windows = [(0, scale)] if first else sorted(
+            windows = [(0, scale)] if first else _merge_ranges([
                 (_floor_ceil(hole.lo, scale)[0], _floor_ceil(hole.hi, scale)[1])
                 for hole in enum.items[prev_t:t]
-            )
+            ])
             prev_t = t
-            for lo, hi in windows:
-                place(c_set, lo, hi)
-            swept = []  # (first, last) index ranges where rm or rmin moved
-            k = 0  # the first index the running max has not reached
-            for lo, hi in windows:
-                if k > hi:
-                    continue
-                start = k = max(k, lo)
-                run = rm[k - 1] if k else lo_bound
-                # the explicit loop is several times faster than accumulate
-                out = []
-                for v in f_best[k:hi + 1]:
-                    if v > run:
-                        run = v
-                    out.append(run)
-                rm[k:hi + 1] = out
-                k = hi + 1
-                while k < size:
-                    v = f_best[k]
-                    if v > run:
-                        run = v
-                    if run == rm[k]:
-                        break
-                    rm[k] = run
-                    k += 1
-                swept.append((start, k - 1))
-            k = scale  # the last index the running min has not reached
-            for lo, hi in sorted(windows, key=lambda w: w[1], reverse=True):
-                if k < lo:
-                    continue
-                last = k = min(k, hi)
-                run = rmin[k + 1] if k < scale else hi_bound
-                out = []
-                for v in reversed(g_best[lo:k + 1]):
-                    if v < run:
-                        run = v
-                    out.append(run)
-                out.reverse()
-                rmin[lo:k + 1] = out
-                k = lo - 1
-                while k >= 0:
-                    v = g_best[k]
-                    if v < run:
-                        run = v
-                    if run == rmin[k]:
-                        break
-                    rmin[k] = run
-                    k -= 1
-                swept.append((k + 1, last))
+            swept = []  # (first, last) index ranges where rm or rmin may have moved
+            for w, (lo, hi) in enumerate(windows):
+                old = rm[hi]
+                run = _sweep_max(rm, fp, f_lasts, lo, hi, rm[lo - 1] if lo else lo_bound)
+                end = hi
+                if run != old:
+                    nxt = windows[w + 1][0] if w + 1 < len(windows) else size
+                    end = bisect_right(rm, max(run, old), hi + 1, nxt) - 1
+                    if end > hi:
+                        _sweep_max(rm, fp, f_lasts, hi + 1, end, run)
+                swept.append((lo, end))
+            for w in range(len(windows) - 1, -1, -1):
+                lo, hi = windows[w]
+                old = rmin[lo]
+                run = _sweep_min(rmin, gp, g_lasts, lo, hi,
+                                 rmin[hi + 1] if hi < scale else hi_bound)
+                start = lo
+                if run != old:
+                    prv = windows[w - 1][1] if w else -1
+                    start = bisect_left(rmin, min(run, old), prv + 1, lo)
+                    if start < lo:
+                        _sweep_min(rmin, gp, g_lasts, start, lo - 1, run)
+                swept.append((start, hi))
             for a, last in _merge_ranges(swept):
                 b = last + 1
                 # F falls and G rises along the stages, so an index is solved
@@ -472,42 +536,50 @@ class MonotoneExtension:
         # the value depends on x only through its grid index
         self._values: list[Fraction | None] = [None] * size
 
-    def _check_monotone_on_class(self, c_set: IntervalSet, row: list, off_ints: dict) -> None:
+    def _check_monotone_on_class(
+        self, c_set: IntervalSet, hp: list, hp_lasts: list, off_ints: dict, floor: int
+    ) -> None:
         """h must stay within 2^-(precision-1) of nondecreasing along the
         refined grid of each part, which on a grid-aligned part is the internal
-        grid itself.  The samples, integers over the row denominator, are
-        checked in one sweep of the running max; Fractions are built only to
-        name the two points of a failure."""
+        grid itself.  The samples, integers over den, are checked in one pass
+        of the running max, which floor, below every sample, starts.  A
+        grid-aligned part is read as h's progressions: a drop can start only
+        at a progression's first point, or run on along a falling one, whose
+        first point below the peak's tolerance is one integer division away.
+        An off-grid part is read point by point.  Fractions are built only to
+        name the peak and the failing point."""
         scale = 1 << self.grid_depth
-        segments: list = []  # per part: its grid indices, or its refined grid
-        samples: list[int] = []
-        for part in c_set:
-            if _on_grid(part, self.grid_depth):
-                ks = range(_floor_ceil(part.lo, scale)[0], _floor_ceil(part.hi, scale)[0] + 1)
-                samples += row[ks.start:ks.stop]
-            else:
-                ks = _refined_grid(part.lo, part.hi, Fraction(1, scale))
-                samples += [off_ints[q] for q in ks]
-            segments.append(ks)
-        if len(samples) < 2:
-            return
         # a drop d fails when d << (precision - 1) > den, that is when d > tol
         tol = self._den >> (self.precision - 1)
+        peak, top = floor, None  # the running max and the point where it was first reached
 
-        def point(pos: int) -> Fraction:
-            for ks in segments:
-                if pos < len(ks):
-                    return ks[pos] if isinstance(ks, list) else Fraction(ks[pos], scale)
-                pos -= len(ks)
+        def fail(x: Fraction) -> DomainError:
+            return DomainError(f"h is not nondecreasing on the class: h({top}) > h({x})")
 
-        peak, top = samples[0], 0  # the running max and where it was first reached
-        for j, v in enumerate(samples):
-            if peak - v > tol:
-                raise DomainError(
-                    f"h is not nondecreasing on the class: h({point(top)}) > h({point(j)})"
-                )
-            if v > peak:
-                peak, top = v, j
+        for part in c_set:
+            if not _on_grid(part, self.grid_depth):
+                for q in _refined_grid(part.lo, part.hi, Fraction(1, scale)):
+                    v = off_ints[q]
+                    if peak - v > tol:
+                        raise fail(q)
+                    if v > peak:
+                        peak, top = v, q
+                continue
+            lo, hi = _floor_ceil(part.lo, scale)[0], _floor_ceil(part.hi, scale)[0]
+            for first, last, start, step in _clip(hp, hp_lasts, lo, hi):
+                if peak - start > tol:
+                    raise fail(Fraction(first, scale))
+                if step > 0:
+                    end = start + step * (last - first)
+                    if end > peak:
+                        peak, top = end, Fraction(last, scale)
+                    continue
+                if start > peak:
+                    peak, top = start, Fraction(first, scale)
+                if step < 0:
+                    j = first + (start - peak + tol) // -step + 1
+                    if j <= last:
+                        raise fail(Fraction(j, scale))
 
     def value(self, x: Fraction) -> Fraction:
         x = Fraction(x)

@@ -1,6 +1,6 @@
 """Batch command surface over the analysis modules.
 
-Each subcommand loads a JSON instance (or generates a seeded default batch),
+Each command loads a JSON instance (or generates a seeded default batch),
 runs the module's checks, and emits a JSON or CSV report on stdout or to
 --output.  Reports are deterministic for fixed (instance, seed): no
 wall-clock, environment, or ordering nondeterminism enters them.
@@ -94,7 +94,7 @@ def _override(args, flag: str, default: int, doc: dict | None = None, key: str =
 
 # The largest --depth of martingale and extend, and the largest internal grid
 # depth of extend.  Each builds rows of 2^depth entries.  At 20, on a 2-vCPU
-# host, a six-hole extend document takes about 3.5 s and 250 MB and a
+# host, a six-hole extend document takes about 1.5 s and 185 MB and a
 # martingale about 1 s and 40 MB; each step above doubles both.
 MAX_DEPTH = 20
 
@@ -323,28 +323,30 @@ RUNNERS = {name: run for name, run, _help in COMMANDS}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser for every command: the commands share one option set."""
     parser = argparse.ArgumentParser(
         prog="densitylab",
-        description="Exact-rational verification of density, porosity, "
+        description="Exact-rational verification of density, porosity,\n"
         "randomness-test, martingale, and derivative inequalities.",
+        epilog="commands:\n" + "\n".join(
+            f"  {name:<16}{helptext}" for name, _run, helptext in COMMANDS),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, _run, helptext in COMMANDS:
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("--instance",
-                       help="JSON instance document (file path, '-' for stdin)")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                       help="seed for generated default instances")
-        p.add_argument("--depth", type=int, default=None,
-                       help="depth override (grid, search, or k_max)")
-        p.add_argument("--stages", type=int, default=None,
-                       help="stage count override where applicable")
-        fmt = p.add_mutually_exclusive_group()
-        fmt.add_argument("--json", action="store_true",
-                         help="emit a JSON report (default)")
-        fmt.add_argument("--csv", action="store_true", help="emit a CSV report")
-        p.add_argument("--output", default="-",
-                       help="output path, '-' for stdout (default)")
+    parser.add_argument("command", choices=RUNNERS, metavar="command",
+                        help="the check to run, one of the commands below")
+    parser.add_argument("--instance",
+                        help="JSON instance document (file path, '-' for stdin)")
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                        help="seed for generated default instances")
+    parser.add_argument("--depth", type=int, default=None,
+                        help="depth override (grid, search, or k_max)")
+    parser.add_argument("--stages", type=int, default=None,
+                        help="stage count override where applicable")
+    fmt = parser.add_mutually_exclusive_group()
+    fmt.add_argument("--json", action="store_true", help="emit a JSON report (default)")
+    fmt.add_argument("--csv", action="store_true", help="emit a CSV report")
+    parser.add_argument("--output", default="-",
+                        help="output path, '-' for stdout (default)")
     return parser
 
 

@@ -18,6 +18,7 @@ alpha_0 = 0 as the previous mark.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -90,21 +91,40 @@ class SpikeStage:
 class SpikePlan:
     stages: tuple[SpikeStage, ...]
 
+    def __post_init__(self) -> None:
+        # (lo, hi, stage index) of each non-degenerate spike, by left end;
+        # stage intervals share at most endpoints, so a point lies in one
+        # spike or on the common end of two
+        spikes = sorted(
+            (s.interval.lo, s.interval.hi, i) for i, s in enumerate(self.stages)
+            if s.kind == "spike" and not s.interval.is_degenerate
+        )
+        for (_, hi, i), (lo, _, j) in zip(spikes, spikes[1:]):
+            if lo < hi:
+                raise DomainError(f"spike stages {i} and {j} overlap beyond endpoints")
+        object.__setattr__(self, "_spikes", spikes)
+        object.__setattr__(self, "_spike_los", [lo for lo, _, _ in spikes])
+
     @property
     def spike_stages(self) -> tuple[SpikeStage, ...]:
         return tuple(s for s in self.stages if s.kind == "spike")
 
     def exact(self, q: Fraction):
-        """Exact f(q): 0 off spike intervals, triangular inside them."""
+        """Exact f(q): 0 off spike intervals, triangular inside them.  The
+        spike is found by bisecting the left ends; on the common end of two
+        spikes the earlier stage answers."""
         q = Fraction(q)
-        for s in self.stages:
-            iv = s.interval
-            if iv.lo <= q <= iv.hi and s.kind == "spike" and not iv.is_degenerate:
-                mid = (iv.lo + iv.hi) / 2
-                if q <= mid:
-                    return s.height * ((q - iv.lo) / (mid - iv.lo))
-                return s.height * ((iv.hi - q) / (iv.hi - mid))
-        return ZERO
+        j = bisect_right(self._spike_los, q) - 1
+        if j < 0 or q > self._spikes[j][1]:
+            return ZERO
+        lo, hi, i = self._spikes[j]
+        if q == lo and j and self._spikes[j - 1][1] == q and self._spikes[j - 1][2] < i:
+            lo, hi, i = self._spikes[j - 1]
+        height = self.stages[i].height
+        mid = (lo + hi) / 2
+        if q <= mid:
+            return height * ((q - lo) / (mid - lo))
+        return height * ((hi - q) / (hi - mid))
 
     def to_json(self) -> dict:
         return {"stages": [s.to_json() for s in self.stages]}

@@ -17,6 +17,16 @@ from .bits import format_rational, over_common_denominator, parse_rational
 from .errors import DomainError, SchemaError
 
 
+def progression_row(pieces) -> list[int]:
+    """The row of a ``grid_progressions`` piece list: start + step (k - first)
+    at each k from first to last, piece by piece."""
+    row: list[int] = []
+    for first, last, start, step in pieces:
+        count = last - first + 1
+        row += range(start, start + step * count, step) if step else [start] * count
+    return row
+
+
 class PiecewiseLinear:
     """Breakpoints with values, linearly interpolated in between, exact.
 
@@ -80,13 +90,13 @@ class PiecewiseLinear:
             self._yden * span,
         )
 
-    def grid_numerators(self, depth: int) -> tuple[int, list[int]]:
-        """(d, nums) with nums[k] / d == value(k / 2^depth) for k = 0..2^depth.
-
-        Each segment contributes an arithmetic progression in k over the
-        denominator yden * 2^depth * lcm of the breakpoint gaps.  A domain
-        short of [0,1] raises the DomainError ``value`` raises at the first
-        grid point outside it.
+    def grid_progressions(self, depth: int) -> tuple[int, list[tuple[int, int, int, int]]]:
+        """(d, pieces) with value(k / 2^depth) * d == start + step (k - first)
+        for first <= k <= last, one piece (first, last, start, step) per
+        segment that holds grid points not already on the piece before it.
+        The pieces cover k = 0..2^depth in order; d is yden * 2^depth * lcm
+        of the breakpoint gaps.  A domain short of [0,1] raises the
+        DomainError ``value`` raises at the first grid point outside it.
         """
         ks, js, xden = self._ks, self._js, self._xden
         scale = 1 << depth
@@ -94,14 +104,12 @@ class PiecewiseLinear:
             raise self._outside(Fraction(0))
         if ks[-1] < xden:
             raise self._outside(Fraction(max(ks[-1] * scale // xden + 1, 0), scale))
-        if xden == scale and ks[0] == 0 and ks[-1] == scale and len(ks) == scale + 1:
-            # the breakpoints are exactly the grid points
-            return self._yden, list(js)
         gaps = [k1 - k0 for k0, k1 in zip(ks, ks[1:])]
         den = self._yden * scale * lcm(*gaps)
-        nums: list[int] = []
+        pieces = []
+        first = 0
         for i, gap in enumerate(gaps):
-            first, last = len(nums), min(ks[i + 1] * scale // xden, scale)
+            last = min(ks[i + 1] * scale // xden, scale)
             if last < first:
                 continue
             # value(k / scale) * den == (j0 scale gap + dj (k xden - k0 scale)) m
@@ -109,9 +117,20 @@ class PiecewiseLinear:
             m = den // (self._yden * scale * gap)
             k0, j0, dj = ks[i], js[i], js[i + 1] - js[i]
             start = (j0 * scale * gap + dj * (first * xden - k0 * scale)) * m
-            step, count = dj * xden * m, last - first + 1
-            nums.extend(range(start, start + step * count, step) if step else [start] * count)
-        return den, nums
+            pieces.append((first, last, start, dj * xden * m))
+            first = last + 1
+        return den, pieces
+
+    def grid_numerators(self, depth: int) -> tuple[int, list[int]]:
+        """(d, nums) with nums[k] / d == value(k / 2^depth) for k = 0..2^depth:
+        the ``grid_progressions(depth)`` row written out."""
+        ks, xden = self._ks, self._xden
+        scale = 1 << depth
+        if xden == scale and ks[0] == 0 and ks[-1] == scale and len(ks) == scale + 1:
+            # the breakpoints are exactly the grid points
+            return self._yden, list(self._js)
+        den, pieces = self.grid_progressions(depth)
+        return den, progression_row(pieces)
 
     def exact(self, x: Fraction) -> Fraction:
         """f(x), the function protocol of ``calculus``."""

@@ -3,6 +3,7 @@
 import tracemalloc
 from fractions import Fraction as F
 from itertools import accumulate
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,10 @@ from densitylab.calculus import (
     ExtensionBudget,
     MonotoneExtension,
     Polynomial,
+    _floor_ceil,
+    _inner_grid,
+    _on_grid,
+    _refined_grid,
     _straddling_candidates,
     extension_grid_check,
     extension_grid_depth,
@@ -482,6 +487,157 @@ def test_build_matches_a_full_sweep_of_every_stage(case):
             assert ext._qs[i] > 0 and F(ext._ps[i], ext._qs[i]) == value
 
 
+def per_index_build(h, enum, n, budget):
+    """The reference for the build's integer rows: (ps, qs, hs) over the
+    build's denominator, with each stage's candidates placed index by index
+    and its running max and min swept index by index over the whole grid,
+    and h's monotonicity checked point by point.  Raises the build's
+    DomainError."""
+    lip = h.lipschitz_bound()
+    gd = extension_grid_depth(lip, n) if budget.grid_depth is None else budget.grid_depth
+    prec = n + 4 if budget.precision is None else budget.precision
+    scale = 1 << gd
+    size = scale + 1
+    row_den, row = h.grid_numerators(gd)
+    margin = lip / scale + F(1, 1 << prec)
+    mid = h.value(F(1, 2))
+    hi_bound, lo_bound = mid + lip + 1, mid - lip - 1
+    final = len(enum) if budget.max_stage is None else min(len(enum), budget.max_stage)
+    stages = sorted({1 << e for e in range(final.bit_length()) if 1 << e < final} | {final})
+    classes = [enum.stage_class(t) for t in stages]
+    off = {x: h.value(x) for c_set in classes for part in c_set for x in (part.lo, part.hi)
+           if scale % x.denominator}
+    refined = {part: _refined_grid(part.lo, part.hi, F(1, scale))
+               for part in classes[-1] if not _on_grid(part, gd)}
+    off.update((q, h.value(q)) for qs in refined.values() for q in qs)
+    den = lcm(row_den, margin.denominator, hi_bound.denominator, lo_bound.denominator,
+              *(v.denominator for v in off.values()))
+
+    def over_den(v):
+        return v.numerator * (den // v.denominator)
+
+    hs = [v * (den // row_den) for v in row]
+    samples = []  # (point, h numerator) along the final class
+    for part in classes[-1]:
+        if part in refined:
+            samples += [(q, over_den(off[q])) for q in refined[part]]
+        else:
+            ks = range(_floor_ceil(part.lo, scale)[0], _floor_ceil(part.hi, scale)[0] + 1)
+            samples += [(F(k, scale), hs[k]) for k in ks]
+    tol = den >> (prec - 1)
+    peak = top = None
+    for x, v in samples:
+        if peak is not None and peak - v > tol:
+            raise DomainError(f"h is not nondecreasing on the class: h({top}) > h({x})")
+        if peak is None or v > peak:
+            peak, top = v, x
+    margin, hi_bound, lo_bound = over_den(margin), over_den(hi_bound), over_den(lo_bound)
+    f_env, g_env = [hi_bound] * size, [lo_bound] * size
+    solved = {}
+    for c_set in classes:
+        f_best, g_best = [lo_bound] * size, [hi_bound] * size
+        for part in c_set:
+            for k in _inner_grid(part, scale):
+                f_best[k], g_best[k] = hs[k] + margin, hs[k] - margin
+        for part in c_set:
+            for x in (part.lo, part.hi):
+                k, up = _floor_ceil(x, scale)
+                v = hs[k] if k == up else over_den(off[x])
+                f_best[up] = max(f_best[up], v + margin)
+                g_best[k] = min(g_best[k], v - margin)
+        rm, run = [], lo_bound
+        for v in f_best:
+            run = max(run, v)
+            rm.append(run)
+        rmin, run = [], hi_bound
+        for v in reversed(g_best):
+            run = min(run, v)
+            rmin.append(run)
+        rmin.reverse()
+        f_new = [min(f, r) for f, r in zip(f_env, rm)]
+        g_new = [max(g, r) for g, r in zip(g_env, rmin)]
+        for i in range(size):
+            if i not in solved and f_new[i] <= g_new[i]:
+                gap = f_env[i] - g_env[i]
+                rise = gap + g_new[i] - f_new[i]
+                solved[i] = (f_env[i] * rise + gap * (f_new[i] - f_env[i]), rise * den)
+        f_env, g_env = f_new, g_new
+    ps, qs = [], []
+    for i in range(size):
+        gap = f_env[i] - g_env[i]
+        p, q = solved.get(i, (gap, 0) if gap > (den - 1) >> n else (f_env[i], den))
+        ps.append(p)
+        qs.append(q)
+    return ps, qs, hs
+
+
+# the 2^-3 grid and points off every dyadic grid
+BUILD_POINTS = sorted(set(STAGE_POINTS) | set(ODD_POINTS))
+
+
+@st.composite
+def build_cases(draw):
+    """(h, enum, n, budget) at internal grid depth 4 to 7.  Hole ends and h's
+    breakpoints lie on the 2^-3 grid or off every dyadic grid; holes overlap,
+    share ends, or leave a single point of the class.  Each step of h rises,
+    stays flat, or falls by a quarter, a half, one or two times the build's
+    tolerance 2^-(precision-1), or by a sixteenth, so that some h stay within
+    the tolerance on the class and others fail the build."""
+    n = draw(st.integers(1, 4))
+    budget = ExtensionBudget(grid_depth=draw(st.integers(4, 7)),
+                             precision=draw(st.none() | st.integers(1, 6)))
+    tol = F(1, 1 << ((n + 4 if budget.precision is None else budget.precision) - 1))
+    ends = st.sampled_from(BUILD_POINTS)
+    holes = []
+    for _ in range(draw(st.integers(0, 5))):
+        lo = holes[-1][1] if holes and draw(st.booleans()) else draw(ends)
+        if lo == 1:
+            lo = draw(ends.filter(lambda x: x < 1))
+        holes.append((lo, draw(ends.filter(lambda x: x > lo))))
+    budget = ExtensionBudget(budget.grid_depth, budget.precision,
+                             draw(st.none() | st.integers(0, len(holes))))
+    xs = sorted({F(0), F(1), *draw(st.lists(ends, max_size=6)),
+                 *draw(st.lists(st.sampled_from([x for hole in holes for x in hole] or [F(0)]),
+                                max_size=4))})
+    steps = st.integers(0, 4).map(lambda k: k * F(1, 16)) | st.sampled_from(
+        [-tol / 4, -tol / 2, -tol, -2 * tol, F(-1, 16)])
+    ys = [draw(st.integers(0, 8)) * F(1, 16)]
+    for _ in xs[1:]:
+        ys.append(ys[-1] + draw(steps))
+    return PiecewiseLinear(xs, ys), enumeration(*holes), n, budget
+
+
+def build_outcome(h, enum, n, budget):
+    """The build's rows, or the text of the DomainError it stopped with."""
+    try:
+        ext = MonotoneExtension(h, enum, n, budget)
+    except DomainError as exc:
+        return str(exc)
+    return ext._ps, ext._qs, ext._hs
+
+
+@settings(max_examples=150, deadline=None)
+@given(build_cases())
+def test_build_matches_the_per_index_reference(case):
+    try:
+        want = per_index_build(*case)
+    except DomainError as exc:
+        want = str(exc)
+    assert build_outcome(*case) == want
+
+
+def test_monotone_error_names_where_the_peak_was_first_reached():
+    # h falls by half the tolerance 1/8 after 1/4, climbs back to the same
+    # peak at 1/2, then falls beyond the tolerance
+    h = PiecewiseLinear((F(0), F(1, 4), F(3, 8), F(1, 2), F(5, 8), F(1)),
+                        (F(0), F(1, 2), F(7, 16), F(1, 2), F(0), F(1)))
+    case = (h, enumeration(), 3, ExtensionBudget(grid_depth=5, precision=4))
+    with pytest.raises(DomainError) as err:
+        per_index_build(*case)
+    assert str(err.value) == build_outcome(*case) == (
+        "h is not nondecreasing on the class: h(1/4) > h(9/16)")
+
+
 def first_extension_instance_with_holes(count):
     index = 0
     while True:
@@ -495,13 +651,13 @@ def test_grid_check_cost_does_not_grow_with_depth_above_the_internal_grid(monkey
     # on a finer grid the check reads h from the build's internal grid
     # samples, so neither its memory nor the rows it asks of h grow with depth
     depths = []
-    grid_numerators = PiecewiseLinear.grid_numerators
+    grid_progressions = PiecewiseLinear.grid_progressions
 
     def spy(self, depth):
         depths.append(depth)
-        return grid_numerators(self, depth)
+        return grid_progressions(self, depth)
 
-    monkeypatch.setattr(PiecewiseLinear, "grid_numerators", spy)
+    monkeypatch.setattr(PiecewiseLinear, "grid_progressions", spy)
     h, enum = first_extension_instance_with_holes(6)
     ext = MonotoneExtension(h, enum, 10)
 

@@ -7,10 +7,10 @@ from pathlib import Path
 import pytest
 
 import densitylab
-from densitylab.cli import main
+from densitylab.cli import COMMANDS, build_parser, main
 from densitylab.instances import escape_instance, extension_instance
 from densitylab.report import Report
-from densitylab.suite import criterion_escape, criterion_extension
+from densitylab.suite import DEFAULT_SEED, criterion_escape, criterion_extension
 
 
 def write_instance(tmp_path, doc) -> str:
@@ -276,3 +276,43 @@ def test_cli_rows_equal_the_battery_rows(tmp_path):
         expected += _swap_prefix(battery, f"instance {i} {params}): ",
                                  f"escape {i} {params}, verdict {x.flavor}): ")
     assert json.loads(blob)["checks"] == expected
+
+
+OPTIONS = ["--instance", "doc.json", "--seed", "7", "--depth", "5", "--stages", "3",
+           "--csv", "--output", "out.csv"]
+
+
+def parsed(argv) -> tuple:
+    args = build_parser().parse_args(argv)
+    return (args.command, args.instance, args.seed, args.depth, args.stages, args.json,
+            args.csv, args.output)
+
+
+@pytest.mark.parametrize("name", [name for name, _run, _help in COMMANDS])
+def test_every_command_takes_every_option(name):
+    # the options may come before or after the command
+    want = (name, "doc.json", 7, 5, 3, False, True, "out.csv")
+    assert parsed([name, *OPTIONS]) == parsed([*OPTIONS, name]) == want
+    assert parsed([name, "--json"]) == (name, None, DEFAULT_SEED, None, None, True, False, "-")
+
+
+@pytest.mark.parametrize("argv", [
+    ["frobnicate"],
+    ["extend", "--json", "--csv"],
+    [],
+    ["extend", "covering"],
+], ids=["unknown-command", "json-and-csv", "no-command", "two-commands"])
+def test_bad_command_lines_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_help_names_every_command_with_its_help(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    for name, _run, helptext in COMMANDS:
+        assert any(line.split() == [name, *helptext.split()] for line in lines), name

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from densitylab.calculus import pseudo_derivative_estimate
 from densitylab.counterexample import (
     AlphaTrace,
+    SpikePlan,
+    SpikeStage,
     build_counterexample,
     default_enumeration,
     largest_dyadic_multiple,
@@ -292,3 +294,63 @@ def test_alpha_trace_rejects_decrease():
 def test_bad_overlap_policy():
     with pytest.raises(DomainError):
         build_counterexample([(F(0), F(1, 2))], overlap_policy="ignore")
+
+
+def scanned_value(plan, q):
+    """The reference for SpikePlan.exact: a scan of every stage in stage
+    order, the first spike whose interval holds q answering."""
+    for s in plan.stages:
+        iv = s.interval
+        if iv.lo <= q <= iv.hi and s.kind == "spike" and not iv.is_degenerate:
+            mid = (iv.lo + iv.hi) / 2
+            if q <= mid:
+                return s.height * ((q - iv.lo) / (mid - iv.lo))
+            return s.height * ((iv.hi - q) / (iv.hi - mid))
+    return F(0)
+
+
+def assert_exact_matches_the_scan(plan):
+    # each stage's ends, midpoint and quarter points, and points just beside
+    # its ends; two stages may share an end
+    points = {F(0), F(1)}
+    for s in plan.stages:
+        lo, hi = s.interval.lo, s.interval.hi
+        points.update((lo, hi, (lo + hi) / 2, (3 * lo + hi) / 4, (lo + 3 * hi) / 4,
+                       lo - F(1, 1 << 20), hi + F(1, 1 << 20)))
+    for q in sorted(points):
+        got, want = plan.exact(q), scanned_value(plan, q)
+        assert got == want and type(got) is type(want), q
+
+
+def test_exact_matches_the_stage_scan_on_default_prefixes():
+    items = default_enumeration()
+    for k in range(len(items) + 1):
+        assert_exact_matches_the_scan(build_counterexample(items[:k])[0])
+
+
+@given(touching_chains().flatmap(st.permutations))
+@settings(max_examples=60, deadline=None)
+def test_exact_matches_the_stage_scan_on_touching_chains(pairs):
+    # in any stage order, so that a later stage may lie left of an earlier one
+    assert_exact_matches_the_scan(build_counterexample(pairs)[0])
+
+
+@given(st.lists(st.tuples(st.fractions(0, 1, max_denominator=32),
+                          st.fractions(0, 1, max_denominator=32)).map(sorted),
+                min_size=1, max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_exact_matches_the_stage_scan_on_split_plans(pairs):
+    # overlapping intervals, clipped into stages that share at most their ends
+    assert_exact_matches_the_scan(build_counterexample(pairs, overlap_policy="split")[0])
+
+
+def test_hand_built_spike_plans():
+    def spike(lo, hi, k):
+        return SpikeStage(interval(lo, hi), "spike", k, interval(0, hi), F(1, 2))
+
+    # a later stage left of an earlier one, with heights of different types:
+    # on their shared end the earlier stage answers, as in the scan
+    assert_exact_matches_the_scan(SpikePlan((spike(F(1, 2), F(3, 4), 1),
+                                             spike(F(0), F(1, 2), 2))))
+    with pytest.raises(DomainError):
+        SpikePlan((spike(F(0), F(1, 2), 1), spike(F(1, 4), F(3, 4), 1)))

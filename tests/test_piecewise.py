@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from densitylab.errors import DomainError
-from densitylab.piecewise import PiecewiseLinear
+from densitylab.piecewise import PiecewiseLinear, progression_row
 
 
 def reference_value(xs, ys, x):
@@ -126,6 +126,10 @@ def test_grid_numerators_dyadic_and_non_dyadic_breakpoints():
             assert [F(v, den) for v in nums] == [
                 g.value(F(k, 1 << depth)) for k in range((1 << depth) + 1)
             ]
+            # at depth 3 the dyadic breakpoints are the grid, where
+            # grid_numerators returns the values without its progressions
+            pden, pieces = g.grid_progressions(depth)
+            assert [F(v, pden) for v in progression_row(pieces)] == [F(v, den) for v in nums]
     short = PiecewiseLinear((F(0), F(3, 5)), (F(0), F(1)))
     with pytest.raises(DomainError, match="5/8 outside domain"):
         short.grid_numerators(3)

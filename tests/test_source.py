@@ -84,6 +84,18 @@ def test_cli_states_no_battery_check():
     assert sorted((_names_in(tree) | imported) & BATTERY_CHECKS) == []
 
 
+def test_cli_builds_one_parser():
+    # the commands share one option set, so no command gets a parser of its own
+    cli = next(path for path in SOURCES if path.name == "cli.py")
+    called = {
+        node.func.attr
+        for node in ast.walk(ast.parse(cli.read_text(), filename=str(cli)))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+    }
+    assert "add_argument" in called
+    assert called & {"add_subparsers", "add_parser"} == set()
+
+
 def test_importing_the_cli_loads_no_process_pool():
     # verify-all imports its pool when it runs; every command pays the import
     probe = (
