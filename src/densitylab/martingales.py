@@ -5,20 +5,24 @@ fairness identity M(s) = (M(s0) + M(s1))/2, checked exactly to whatever depth
 a caller cares about.  Values may be negative for slope martingales (betting
 with debt); every construction that promises nonnegativity gets it checked.
 
-The approximation adapter realizes the index-n Cauchy approximant M(t)_n with
-|M(t)_n - M(t)| <= 2^-n; the default adapter is the exact value itself, and
-floor_adapter gives a genuinely rounded one so the index-0 tests exercise the
-approximation path.
-
-Whole levels come as integer rows: ``Martingale.level(base, k)`` returns
+Each martingale is defined once, by its level rows: rows(base, k) returns
 (d, nums) with nums[i] / d the value at base + s for the i-th string s of
-length k in lexicographic order.  Fairness, integration, the forcing
-extension certificate (``condition_extension_violations``) and the savings
-search (``savings_extension``) read these rows only, and compare them with
-a threshold q by integer cross-multiplication.  The base class builds a row
-from ``value`` string by string; table martingales, ``combine_scaled``,
-``cap_at`` and the slope martingale of a PiecewiseLinear on [0,1] build
-theirs from their operands' rows, without a Fraction per string.
+length k in lexicographic order, and ``Martingale.value`` reads the row at
+k = 0.  Table martingales slice their tabulated rows, ``combine_scaled`` and
+``cap_at`` build theirs from their operands' rows, the slope martingale of a
+PiecewiseLinear on [0,1] takes differences of one grid row, and the anti-debt
+strategies are built level by level from S_g's rows, none with a Fraction per
+string.  Fairness, integration, the forcing extension certificate
+(``condition_extension_violations``) and the savings search
+(``savings_extension``) compare rows with a threshold q by integer
+cross-multiplication.  Only the walks (``diagonalize_against``,
+``threshold_cylinders``) go string by string, through ``value``.
+
+The approximation adapter is a row kernel too: adapter(base, k, n) gives the
+index-n Cauchy approximants M(t)_n, with |M(t)_n - M(t)| <= 2^-n, of the
+strings of ``level(base, k)``.  Without one the approximant is the exact
+value; ``with_floor_adapter`` gives a genuinely rounded one so the index-0
+tests exercise the approximation path.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from math import lcm
 from typing import Callable
 
 from .bits import (
+    ONE,
     ZERO,
     all_strings,
     cylinder_bounds,
@@ -45,6 +50,7 @@ from .piecewise import PiecewiseLinear
 
 
 Row = tuple[int, list[int]]
+Rows = Callable[[str, int], Row]
 
 
 def _string(base: str, i: int, k: int) -> str:
@@ -53,36 +59,19 @@ def _string(base: str, i: int, k: int) -> str:
 
 
 class Martingale:
-    """Evaluator plus optional approximation adapter, memoized, immutable.
+    """A martingale given by its level rows, plus an optional approximation
+    adapter; immutable.
 
-    A construction that can build whole levels in integers passes that
-    kernel as ``rows``: rows(base, k) must equal what ``level`` builds from
-    ``value``, and raise what ``value`` raises.
+    rows(base, k) returns (d, nums), d > 0, with nums[i] / d the value at
+    base + s for the i-th string s of length k in lexicographic order, and
+    raises ``DomainError`` where the martingale is not defined.
+    adapter(base, k, n) returns the index-n approximants of the same strings
+    as a row.
     """
 
-    def __init__(
-        self,
-        evaluator: Callable[[str], Fraction],
-        adapter: Callable[[str, int], Fraction] | None = None,
-        nonnegative: bool = True,
-        description: str = "",
-        rows: Callable[[str, int], Row] | None = None,
-    ):
-        self._evaluator = evaluator
-        self._memo: dict[str, Fraction] = {}
-        self.nonnegative = nonnegative
-        self.description = description
-        self._adapter = adapter
+    def __init__(self, rows: Rows, adapter: Callable[[str, int, int], Row] | None = None):
         self._rows = rows
-
-    def value(self, tau: str) -> Fraction:
-        v = self._memo.get(tau)
-        if v is None:
-            v = self._evaluator(validate_bits(tau))
-            if not isinstance(v, Fraction):
-                v = Fraction(v)
-            self._memo[tau] = v
-        return v
+        self._adapter = adapter
 
     def level(self, base: str, k: int) -> Row:
         """(d, nums) with nums[i] / d == value(base + s), s the i-th string of
@@ -90,37 +79,44 @@ class Martingale:
         validate_bits(base)
         if k < 0:
             raise DomainError(f"negative length {k}")
-        if self._rows is not None:
-            return self._rows(base, k)
-        return over_common_denominator([self.value(base + s) for s in all_strings(k)])
+        return self._rows(base, k)
+
+    def value(self, tau: str) -> Fraction:
+        d, (num,) = self.level(tau, 0)
+        return Fraction(num, d)
 
     def __call__(self, tau: str) -> Fraction:
         return self.value(tau)
 
+    def approx_level(self, base: str, k: int, n: int) -> Row:
+        """The index-n approximants of ``level(base, k)``, each within 2^-n of
+        its value; the exact row when no adapter is set."""
+        d, exact = self.level(base, k)
+        if self._adapter is None:
+            return d, exact
+        e, got = self._adapter(base, k, n)
+        # |x / e - y / d| <= 2^-n, cross-multiplied
+        for i, (x, y) in enumerate(zip(got, exact)):
+            if abs(x * d - y * e) << n > d * e:
+                raise DomainError(
+                    f"adapter broke its 2^-{n} error bound at {_string(base, i, k)!r}"
+                )
+        return e, got
+
     def approx(self, tau: str, n: int) -> Fraction:
         """M(tau)_n with error at most 2^-n; exact when no adapter is set."""
-        if self._adapter is None:
-            return self.value(tau)
-        got = self._adapter(tau, n)
-        if abs(got - self.value(tau)) > Fraction(1, 1 << n):
-            raise DomainError(f"adapter broke its 2^-{n} error bound at {tau!r}")
-        return got
-
-
-def floor_adapter(m: Martingale) -> Callable[[str, int], Fraction]:
-    """Adapter rounding down to the 2^-n grid (error < 2^-n)."""
-
-    def adapt(tau: str, n: int) -> Fraction:
-        v = m.value(tau) * (1 << n)
-        return Fraction(v.numerator // v.denominator, 1 << n)
-
-    return adapt
+        e, (num,) = self.approx_level(tau, 0, n)
+        return Fraction(num, e)
 
 
 def with_floor_adapter(m: Martingale) -> Martingale:
-    out = Martingale(m.value, nonnegative=m.nonnegative, description=m.description)
-    out._adapter = floor_adapter(m)
-    return out
+    """m with its approximants rounded down to the 2^-n grid (error < 2^-n)."""
+
+    def floor_rows(base: str, k: int, n: int) -> Row:
+        d, nums = m.level(base, k)
+        return 1 << n, [(x << n) // d for x in nums]
+
+    return Martingale(m.level, floor_rows)
 
 
 def fairness_violations(m: Martingale, depth: int, base: str = "") -> list[str]:
@@ -147,12 +143,29 @@ def fairness_violations(m: Martingale, depth: int, base: str = "") -> list[str]:
 
 
 def negativity_witnesses(m: Martingale, depth: int, base: str = "") -> list[str]:
-    return [
-        base + s
-        for k in range(depth + 1)
-        for s in all_strings(k)
-        if m.value(base + s) < 0
-    ]
+    """Strings base + s, |s| <= depth, where M is negative: one level row per
+    length, and only a negative entry gets its string built."""
+    found: list[str] = []
+    for k in range(depth + 1):
+        _, row = m.level(base, k)
+        found.extend(_string(base, i, k) for i, x in enumerate(row) if x < 0)
+    return found
+
+
+def _held_past(depth: int, rows: Rows) -> Rows:
+    """The rows of a martingale that stops betting at length depth: past it
+    each value of ``rows`` repeats for every extension."""
+
+    def held(base: str, k: int) -> Row:
+        if len(base) >= depth:
+            d, row = rows(base[:depth], 0)
+            return d, row * (1 << k)
+        j = min(k, depth - len(base))
+        d, row = rows(base, j)
+        repeat = 1 << (k - j)
+        return d, row if repeat == 1 else [v for v in row for _ in range(repeat)]
+
+    return held
 
 
 class TableMartingale(Martingale):
@@ -162,11 +175,18 @@ class TableMartingale(Martingale):
     stops betting), which keeps fairness exact at every depth.
     """
 
-    def __init__(self, table: dict[str, Fraction], depth: int, nonnegative: bool | None = None):
+    def __init__(self, table: dict[str, Fraction], depth: int):
         for k in range(depth + 1):
             for s in all_strings(k):
                 if s not in table:
                     raise DomainError(f"table missing string {s!r} at depth {k}")
+        if len(table) >= 2 << depth:
+            stray = next(
+                s for s in table if not isinstance(s, str) or s.strip("01") or len(s) > depth
+            )
+            raise DomainError(
+                f"table key {stray!r} is not a bit string of length at most {depth}"
+            )
         bad = [
             s
             for k in range(depth)
@@ -177,30 +197,18 @@ class TableMartingale(Martingale):
             raise DomainError(f"table is not fair at {bad[:3]}")
         self.table = {s: Fraction(v) for s, v in table.items()}
         self.depth = depth
-        if nonnegative is None:
-            nonnegative = all(v >= 0 for v in self.table.values())
-        super().__init__(
-            lambda tau: self.table[tau if len(tau) <= depth else tau[:depth]],
-            nonnegative=nonnegative,
-            description=f"table martingale, depth {depth}",
-            rows=self._table_rows,
-        )
         # row j of the table: its 2^j values over one denominator
-        self._levels = [
+        levels = [
             over_common_denominator([self.table[s] for s in all_strings(j)])
             for j in range(depth + 1)
         ]
 
-    def _table_rows(self, base: str, k: int) -> Row:
-        # past the table's depth each entry repeats for every extension
-        n, d = len(base), min(len(base) + k, self.depth)
-        den, row = self._levels[d]
-        if n >= d:
-            return den, [row[int(base[:d], 2) if d else 0]] * (1 << k)
-        start = int(base, 2) << (d - n) if base else 0
-        part = row[start : start + (1 << (d - n))]
-        repeat = 1 << (n + k - d)
-        return den, part if repeat == 1 else [v for v in part for _ in range(repeat)]
+        def tabulated(base: str, k: int) -> Row:
+            den, row = levels[len(base) + k]
+            start = int(base, 2) << k if base else 0
+            return den, row[start : start + (1 << k)]
+
+        super().__init__(_held_past(depth, tabulated))
 
     def to_json(self) -> dict:
         return {
@@ -218,53 +226,32 @@ class TableMartingale(Martingale):
         return cls({s: parse_rational(v) for s, v in payload["values"].items()}, depth)
 
 
-def slope_martingale(g, depth: int) -> Martingale:
-    """tau -> slope of g over Cyl tau; exact, fair, possibly negative.
+def slope_martingale(g: PiecewiseLinear, depth: int) -> Martingale:
+    """tau -> slope of g over Cyl tau for |tau| <= depth; exact, fair,
+    possibly negative.
 
-    g is a PiecewiseLinear or any exact callable on rationals.  For a
-    PiecewiseLinear whose domain covers [0,1], levels are differences of one
-    ``grid_numerators(depth)`` row (2^depth + 1 integers, built on first use).
+    g is a PiecewiseLinear whose domain covers [0,1].  Levels are differences
+    of one ``grid_numerators(depth)`` row (2^depth + 1 integers, built on
+    first use).
     """
-    fn = g.value if isinstance(g, PiecewiseLinear) else g
+    if not (isinstance(g, PiecewiseLinear) and g.lo <= 0 and g.hi >= 1):
+        raise DomainError("slope martingale needs a PiecewiseLinear covering [0,1]")
+    grid: list[Row] = []
 
-    too_deep = f"slope oracle only certified to depth {depth}"
+    def rows(base: str, k: int) -> Row:
+        n = len(base) + k
+        if n > depth:
+            raise DomainError(f"slope oracle only certified to depth {depth}")
+        if not grid:
+            grid.append(g.grid_numerators(depth))
+        den, row = grid[0]
+        # Cyl(base + s) spans 2^(depth - n) grid steps; its slope is the
+        # rise over them times 2^n
+        start = int(base, 2) << (depth - len(base)) if base else 0
+        ends = row[start : start + (1 << (depth - len(base))) + 1 : 1 << (depth - n)]
+        return den, [(b - a) << n for a, b in zip(ends, ends[1:])]
 
-    def evaluator(tau: str) -> Fraction:
-        if len(tau) > depth:
-            raise DomainError(too_deep)
-        lo, hi = cylinder_bounds(tau)
-        a, b = fn(hi), fn(lo)
-        # (a - b) / (hi - lo) with hi - lo = 2^-|tau|, built as one Fraction
-        return Fraction(
-            (a.numerator * b.denominator - b.numerator * a.denominator) << len(tau),
-            a.denominator * b.denominator,
-        )
-
-    rows = None
-    if isinstance(g, PiecewiseLinear) and g.lo <= 0 and g.hi >= 1:
-        grid: list[Row] = []
-
-        def rows(base: str, k: int) -> Row:
-            n = len(base) + k
-            if n > depth:
-                raise DomainError(too_deep)
-            if not grid:
-                grid.append(g.grid_numerators(depth))
-            den, row = grid[0]
-            # Cyl(base + s) spans 2^(depth - n) grid steps; its slope is the
-            # rise over them times 2^n
-            start = int(base, 2) << (depth - len(base)) if base else 0
-            ends = row[start : start + (1 << (depth - len(base))) + 1 : 1 << (depth - n)]
-            return den, [(b - a) << n for a, b in zip(ends, ends[1:])]
-
-    m = Martingale(
-        evaluator,
-        nonnegative=False,
-        description=f"slope martingale to depth {depth}",
-        rows=rows,
-    )
-    m.valid_depth = depth
-    return m
+    return Martingale(rows)
 
 
 def martingale_to_function(m: Martingale, tau0: str, depth: int) -> PiecewiseLinear:
@@ -301,14 +288,6 @@ def combine_scaled(m: Martingale, n: Martingale, sigma: str, delta: Fraction) ->
     scale = Fraction(1, 1 << len(sigma)) * delta
     sn, sd = scale.numerator, scale.denominator
 
-    def evaluator(tau: str) -> Fraction:
-        a, b = m.value(tau), n.value(tau)
-        # a + scale * b, built as one Fraction
-        return Fraction(
-            a.numerator * sd * b.denominator + sn * b.numerator * a.denominator,
-            a.denominator * sd * b.denominator,
-        )
-
     def rows(base: str, k: int) -> Row:
         (da, a), (db, b) = m.level(base, k), n.level(base, k)
         # a / da + scale * b / db over den = lcm(da, sd db)
@@ -316,12 +295,7 @@ def combine_scaled(m: Martingale, n: Martingale, sigma: str, delta: Fraction) ->
         fa, fb = den // da, sn * (den // (sd * db))
         return den, [x * fa + y * fb for x, y in zip(a, b)]
 
-    return Martingale(
-        evaluator,
-        nonnegative=m.nonnegative and n.nonnegative,
-        description=f"combined at {sigma!r} with delta {delta}",
-        rows=rows,
-    )
+    return Martingale(rows)
 
 
 def diagonalize_against(m: Martingale, sigma: str, q: Fraction, length: int) -> str:
@@ -341,7 +315,7 @@ def diagonalize_against(m: Martingale, sigma: str, q: Fraction, length: int) -> 
         tau += "0" if v0 <= v1 else "1"
         if m.value(tau) >= q:
             raise DomainError(
-                f"min child {m.value(tau)} at {tau!r} reached q = {q}: evaluator is unfair"
+                f"min child {m.value(tau)} at {tau!r} reached q = {q}: M is unfair"
             )
     return tau
 
@@ -354,30 +328,13 @@ def cap_at(m: Martingale, q: Fraction) -> Martingale:
     """
 
     cap = q + 1
-    # prefix -> M at its first prefix above the cap, or None if there is none
-    first_above: dict[str, Fraction | None] = {}
-
-    def frozen(tau: str) -> Fraction | None:
-        i = len(tau)
-        while i >= 0 and tau[:i] not in first_above:
-            i -= 1
-        got = first_above[tau[:i]] if i >= 0 else None
-        for j in range(i + 1, len(tau) + 1):
-            if got is None:
-                v = m.value(tau[:j])
-                if v > cap:
-                    got = v
-            first_above[tau[:j]] = got
-        return got
-
-    def evaluator(tau: str) -> Fraction:
-        got = frozen(tau)
-        return m.value(tau) if got is None else got
 
     def rows(base: str, k: int) -> Row:
-        got = frozen(base)
-        if got is not None:
-            return got.denominator, [got.numerator] * (1 << k)
+        # a proper prefix of base above the cap freezes everything below it
+        for i in range(len(base)):
+            v = m.value(base[:i])
+            if v > cap:
+                return v.denominator, [v.numerator] * (1 << k)
         # each node above the cap with no such prefix freezes its subtree,
         # a range of the level-k row; held marks the frozen nodes of a level
         firsts: list[tuple[int, int, int, int]] = []  # (level, index, num, den)
@@ -398,88 +355,85 @@ def cap_at(m: Martingale, q: Fraction) -> Martingale:
             vals[i << (k - j) : (i + 1) << (k - j)] = [v * (den // d)] * (1 << (k - j))
         return den, vals
 
-    return Martingale(
-        evaluator,
-        nonnegative=m.nonnegative,
-        description=f"capped above {q}+1",
-        rows=rows,
-    )
+    return Martingale(rows)
 
 
-def _low_child(sg: Martingale, tau: str) -> str | None:
-    """First child whose index-0 approximant is at most 1."""
-    if sg.approx(tau + "0", 0) <= 1:
-        return "0"
-    if sg.approx(tau + "1", 0) <= 1:
-        return "1"
-    return None
+def _on_cone(sigma: str, outside: Fraction, rows: Rows) -> Rows:
+    """The rows that follow ``rows`` on the extensions of sigma and hold the
+    constant outside everywhere else."""
+    on, od = outside.numerator, outside.denominator
+
+    def kernel(base: str, k: int) -> Row:
+        if is_prefix(sigma, base):
+            return rows(base, k)
+        n = len(base) + k
+        if n < len(sigma) or not is_prefix(base, sigma):
+            return od, [on] * (1 << k)
+        # base is a proper prefix of sigma: the extensions of sigma fill one
+        # stretch of the row
+        d, inner = rows(sigma, n - len(sigma))
+        den = lcm(d, od)
+        out = [on * (den // od)] * (1 << k)
+        start = int(sigma[len(base) :], 2) << (n - len(sigma))
+        out[start : start + len(inner)] = [x * (den // d) for x in inner]
+        return den, out
+
+    return kernel
 
 
 def anti_debt_strategy(sg: Martingale, sigma: str, mode: int, depth: int) -> Martingale:
     """The nonnegative strategies of the slope-martingale dichotomy.
 
-    Case 1 (a low child exists within depth): start with capital 1 at sigma,
-    put everything on the sibling of the first low child at each node that
-    has one, abandon the low child's subtree.  Case 2 (no low child within
-    depth): copy S_g while both children's approximants stay above 1, freeze
-    otherwise; freezing also applies past the certified depth.  Off the cone
-    of sigma the value is the starting capital, which keeps global fairness.
-    The requested mode must match the detected pattern.
+    A node's low child is its first child whose index-0 approximant of S_g
+    is at most 1.  Case 1 (a low child exists within depth): start with
+    capital 1 at sigma, put everything on the sibling of the low child at
+    each node that has one, abandon the low child's subtree.  Case 2 (no low
+    child within depth): copy S_g, which then never meets a low child, and
+    freeze past depth.  Off the cone of sigma the value is the starting
+    capital, which keeps global fairness.  The requested mode must match the
+    detected pattern.
+
+    Both are built level by level from S_g's approximant rows below sigma;
+    case 1's capitals (integers, one row per length to depth) are tabulated
+    here.
     """
     validate_bits(sigma)
     if mode not in (1, 2):
         raise DomainError(f"mode must be 1 or 2, got {mode}")
     if depth < len(sigma):
         raise DomainError("depth must reach at least sigma")
-    lows = [
-        sigma + s
-        for k in range(depth - len(sigma))
-        for s in all_strings(k)
-        if _low_child(sg, sigma + s) is not None
-    ]
-    if mode == 1 and not lows:
+    # caps[j]: case 1's capital at the extensions of sigma of length j
+    caps, first_low = [[1]], None
+    for j in range(depth - len(sigma)):
+        d, kids = sg.approx_level(sigma, j + 1, 0)
+        row: list[int] = []
+        for i, c in enumerate(caps[-1]):
+            low0, low1 = kids[2 * i] <= d, kids[2 * i + 1] <= d
+            if first_low is None and (low0 or low1):
+                first_low = _string(sigma, i, j)
+            row += (0, 2 * c) if low0 else (2 * c, 0) if low1 else (c, c)
+        caps.append(row)
+    if mode == 1 and first_low is None:
         raise DomainError(f"mode 1 requested but no low child found to depth {depth}")
-    if mode == 2 and lows:
+    if mode == 2 and first_low is not None:
         raise DomainError(
-            f"mode 2 requested but {lows[0]!r} has a low child within depth {depth}"
+            f"mode 2 requested but {first_low!r} has a low child within depth {depth}"
         )
 
     if mode == 1:
-        def evaluator(rho: str) -> Fraction:
-            if not is_prefix(sigma, rho):
-                return Fraction(1)
-            cap = Fraction(1)
-            for i in range(len(sigma), len(rho)):
-                tau = rho[:i]
-                low = _low_child(sg, tau) if i < depth else None
-                if low is None:
-                    continue
-                if rho[i] == low:
-                    return ZERO
-                cap *= 2
-            return cap
+        def capitals(base: str, k: int) -> Row:
+            j = len(base) - len(sigma)
+            start = int(base[len(sigma) :], 2) << k if j else 0
+            return 1, caps[j + k][start : start + (1 << k)]
 
-        return Martingale(evaluator, nonnegative=True, description="anti-debt case 1")
+        return Martingale(_on_cone(sigma, ONE, _held_past(depth, capitals)))
 
     start = sg.value(sigma)
     if start < 0:
         raise DomainError(
             f"mode 2 needs S_g(sigma) >= 0, got {start}: pattern mismatch"
         )
-
-    def evaluator(rho: str) -> Fraction:
-        if not is_prefix(sigma, rho):
-            return start
-        val = start
-        for i in range(len(sigma), len(rho)):
-            tau = rho[:i]
-            if i < depth and sg.approx(tau + "0", 0) > 1 and sg.approx(tau + "1", 0) > 1:
-                val = sg.value(rho[: i + 1])
-            else:
-                break
-        return val
-
-    return Martingale(evaluator, nonnegative=True, description="anti-debt case 2")
+    return Martingale(_on_cone(sigma, start, _held_past(depth, sg.level)))
 
 
 @dataclass(frozen=True)

@@ -538,7 +538,8 @@ def run_criterion(number: int, seed: int = DEFAULT_SEED) -> CriterionOutcome:
             except (BudgetExhausted, InvariantError) as exc:
                 # a battery cut short is a failed row, never a crash
                 out.checks = [Check(f"battery aborted: {exc}", ZERO, ONE, False)]
-                out.notes.append(str(exc))
+                if isinstance(exc, BudgetExhausted):
+                    out.notes.append(str(exc))
             out.seconds = time.perf_counter() - start
             return out
     raise ValueError(f"no criterion numbered {number}")

@@ -205,12 +205,15 @@ TABLE = {"depth": 1, "values": {"": "1", "0": "1/2", "1": "3/2"}}
     ("extend --depth 30", {"holes": [], "h": {"xs": ["0", "1"], "ys": ["0", "1"]}},
      "SchemaError"),
     ("martingale --depth 40", {"martingale": TABLE, "q": "2"}, "SchemaError"),
+    ("martingale", {"martingale": {**TABLE, "values": {**TABLE["values"], "x": "1"}}, "q": "2"},
+     "DomainError"),
 ], ids=["depth", "case", "n_blocks", "k_max", "table", "full-cover", "escape-r", "h-xs",
         "intervals", "escape-key", "escape-components", "h-domain", "density-depth",
         "porosity-levels", "counterexample-stages", "counterexample-depth",
         "porosity-depth", "porosity-stages", "martingale-depth", "escape-list",
         "domination-entry", "domination-words", "covering-epsilons", "escape-z",
-        "extend-n-cap", "extend-lipschitz-cap", "extend-depth-cap", "martingale-depth-cap"])
+        "extend-n-cap", "extend-lipschitz-cap", "extend-depth-cap", "martingale-depth-cap",
+        "table-stray-key"])
 def test_bad_documents_exit_2_with_json_on_stderr(tmp_path, capfd, command, doc, kind):
     # a command may carry flags: "density --depth -1"
     code, blob = run(tmp_path, *command.split(), "--instance", write_instance(tmp_path, doc))

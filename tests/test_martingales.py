@@ -1,13 +1,14 @@
 """Martingale algebra: slopes, integration, strategies, conditions, forcing."""
 
 from fractions import Fraction as F
+from itertools import accumulate
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from densitylab import suite
-from densitylab.bits import all_strings
+from densitylab.bits import all_strings, cylinder_bounds, over_common_denominator
 from densitylab.errors import BudgetExhausted, DomainError
 from densitylab.martingales import (
     Condition,
@@ -31,6 +32,18 @@ from densitylab.martingales import (
     with_floor_adapter,
 )
 from densitylab.piecewise import PiecewiseLinear
+
+
+def per_string(fn):
+    """The rows kernel of the martingale whose value at tau is fn(tau)."""
+    return lambda base, k: over_common_denominator([F(fn(base + s)) for s in all_strings(k)])
+
+
+def interpolated(fn, depth: int) -> PiecewiseLinear:
+    """The PiecewiseLinear through fn on the 2^-depth grid; to depth its
+    slope martingale is fn's."""
+    xs = [F(i, 1 << depth) for i in range((1 << depth) + 1)]
+    return PiecewiseLinear(xs, [fn(x) for x in xs])
 
 
 def table_from_leaves(leaves: dict[str, F]) -> TableMartingale:
@@ -62,14 +75,14 @@ def savings_instance() -> TableMartingale:
 
 
 def test_identity_slope_martingale_is_constant_one():
-    m = slope_martingale(lambda x: x, 6)
+    m = slope_martingale(interpolated(lambda x: x, 6), 6)
     for tau in ("", "0", "01", "110", "0101"):
         assert m(tau) == 1
     assert not fairness_violations(m, 4)
 
 
 def test_square_slope_martingale_closed_form():
-    m = slope_martingale(lambda x: x * x, 6)
+    m = slope_martingale(interpolated(lambda x: x * x, 6), 6)
     # slope over Cyl tau is (hi^2 - lo^2)/(hi - lo) = lo + hi = 2*0.tau + 2^-|tau|
     assert m("") == 1
     assert m("01") == F(3, 4)
@@ -80,11 +93,10 @@ def test_square_slope_martingale_closed_form():
 
 
 def test_slope_martingale_allows_negative_values():
-    m = slope_martingale(lambda x: x * (1 - x), 5)
+    m = slope_martingale(interpolated(lambda x: x * (1 - x), 5), 5)
     assert m("1") == F(-1, 2)
     assert not fairness_violations(m, 4)
     assert "1" in negativity_witnesses(m, 1)
-    assert not m.nonnegative
 
 
 def test_slope_martingale_accepts_piecewise_linear():
@@ -95,8 +107,15 @@ def test_slope_martingale_accepts_piecewise_linear():
     assert m("") == 1
 
 
+def test_slope_martingale_needs_a_piecewise_linear_on_the_unit_interval():
+    with pytest.raises(DomainError, match="covering"):
+        slope_martingale(lambda x: x, 4)
+    with pytest.raises(DomainError, match="covering"):
+        slope_martingale(PiecewiseLinear((F(0), F(1, 2)), (F(0), F(1))), 4)
+
+
 def test_integration_of_constant_one_is_shifted_identity():
-    m = Martingale(lambda tau: F(1))
+    m = Martingale(per_string(lambda tau: F(1)))
     f = martingale_to_function(m, "01", 4)
     assert f.exact(F(1, 4)) == 0
     assert f.exact(F(3, 8)) == F(1, 8)
@@ -114,7 +133,7 @@ def test_integration_table_example():
 
 
 def test_integration_rejects_negative_values():
-    m = slope_martingale(lambda x: x * (1 - x), 5)
+    m = slope_martingale(interpolated(lambda x: x * (1 - x), 5), 5)
     with pytest.raises(DomainError):
         martingale_to_function(m, "1", 3)
     with pytest.raises(DomainError):
@@ -122,9 +141,9 @@ def test_integration_rejects_negative_values():
 
 
 @st.composite
-def fair_tables(draw, depth: int = 3):
+def fair_tables(draw, depth: int = 3, least: int = 0):
     leaves = {
-        s: F(draw(st.integers(min_value=0, max_value=64)), 16)
+        s: F(draw(st.integers(min_value=least, max_value=64)), 16)
         for s in all_strings(depth)
     }
     return table_from_leaves(leaves)
@@ -162,10 +181,7 @@ def test_combine_scaled_preconditions():
 
 def test_diagonalize_doubling_on_ones_goes_all_zeros():
     # doubles on 1-bits, wiped out by any 0-bit; fair by construction
-    m = Martingale(
-        lambda tau: F(1 << len(tau)) if tau == "1" * len(tau) else F(0),
-        nonnegative=True,
-    )
+    m = Martingale(per_string(lambda tau: F(1 << len(tau)) if tau == "1" * len(tau) else F(0)))
     assert not fairness_violations(m, 4)
     assert diagonalize_against(m, "", F(2), 5) == "00000"
 
@@ -221,7 +237,7 @@ def test_savings_extension_frozen_instance():
 
 
 def test_savings_extension_constant_martingale():
-    m = Martingale(lambda tau: F(3, 4))
+    m = Martingale(per_string(lambda tau: F(3, 4)))
     cond = Condition("01", m, F(1))
     ext = savings_extension(cond, F(1, 4), 6)
     assert ext.tau == "01"
@@ -260,7 +276,7 @@ def test_condition_extends_detects_violations():
     # q' small enough that M' < q' no longer forces M < q: use disjoint scales
     m2 = table_from_leaves({"00": F(5), "01": F(2), "10": F(1, 2), "11": F(1, 2)})
     c_base = Condition("0", m2, F(4))
-    c_shrunk = Condition("00", Martingale(lambda t: F(0)), F(1))
+    c_shrunk = Condition("00", Martingale(per_string(lambda t: F(0))), F(1))
     problems = condition_extension_violations(c_shrunk, c_base, 3)
     assert any("implication fails" in p for p in problems)
     assert not condition_extends(c_shrunk, c_base, 3)
@@ -290,13 +306,36 @@ def test_anti_debt_case1_doubles_once():
 
 
 def test_anti_debt_case2_copies_the_slope_martingale():
-    sg = with_floor_adapter(slope_martingale(lambda x: 3 * x, 8))
+    sg = with_floor_adapter(slope_martingale(interpolated(lambda x: 3 * x, 8), 8))
     m = anti_debt_strategy(sg, "", 2, 3)
     for k in range(4):
         for s in all_strings(k):
             assert m(s) == sg(s) == 3
     assert m("0000") == sg("000")  # frozen past depth
     assert not fairness_violations(m, 5)
+
+
+def test_a_floored_approximant_of_one_makes_a_low_child():
+    # every cylinder's slope is 3/2: above 1, but its index-0 floor is 1
+    sg = slope_martingale(interpolated(lambda x: 3 * x / 2, 4), 4)
+    assert anti_debt_strategy(sg, "", 2, 3)("010") == F(3, 2)
+    floored = with_floor_adapter(sg)
+    assert floored.approx("01", 0) == 1
+    assert floored.approx("01", 3) == floored("01") == F(3, 2)
+    # the low child is always "0", so everything rides on "111"
+    m = anti_debt_strategy(floored, "", 1, 3)
+    assert [m(s) for s in all_strings(3)] == [0] * 7 + [8]
+
+
+def test_an_adapter_beyond_its_error_bound_is_refused():
+    def off_by(units):
+        # approximants 1 + units 2^-n of the constant 1
+        return lambda base, k, n: (1 << n, [(1 << n) + units] * (1 << k))
+
+    one = per_string(lambda tau: F(1))
+    assert Martingale(one, off_by(1)).approx("01", 3) == F(9, 8)  # on the bound
+    with pytest.raises(DomainError, match=r"2\^-3 error bound at '01'"):
+        Martingale(one, off_by(2)).approx("01", 3)
 
 
 def test_anti_debt_mode_mismatch_reported():
@@ -329,6 +368,13 @@ def test_table_validation_rejects_holes_and_unfairness():
         TableMartingale({"": F(1), "0": F(1)}, 1)
     with pytest.raises(DomainError):
         TableMartingale({"": F(1), "0": F(1), "1": F(2)}, 1)
+
+
+@pytest.mark.parametrize("stray", ["x", "00", "2", " "])
+def test_table_refuses_keys_that_are_not_its_strings(stray):
+    table = {"": F(1), "0": F(1, 2), "1": F(3, 2), stray: F(1)}
+    with pytest.raises(DomainError, match=f"{stray!r} is not a bit string of length at most 1"):
+        TableMartingale(table, 1)
 
 
 def test_threshold_cylinders_and_claim5_records():
@@ -365,7 +411,7 @@ def test_forcing_chain_meets_targets_with_verified_extensions():
 
 
 def test_fairness_violation_reporting():
-    lumpy = Martingale(lambda tau: F(len(tau) + 1), nonnegative=True)
+    lumpy = Martingale(per_string(lambda tau: F(len(tau) + 1)))
     assert fairness_violations(lumpy, 2) == ["", "0", "1"]
 
 
@@ -376,7 +422,7 @@ def test_fairness_flags_unfair_node_with_mixed_signs_and_denominators():
         "00": F(2, 7), "01": F(3, 35),  # unfair: 2 (1/5) = 14/35, not 13/35
         "10": F(-7, 6), "11": F(-17, 30),  # fair: -35/30 - 17/30 = -26/15
     }
-    m = Martingale(lambda tau: table[tau[:2]], nonnegative=False)
+    m = Martingale(per_string(lambda tau: table[tau[:2]]))
     assert fairness_violations(m, 4) == ["0"]
     assert fairness_violations(m, 4, base="1") == []
     assert fairness_violations(m, 1, base="0") == ["0"]
@@ -394,14 +440,14 @@ def test_fairness_flags_unfair_node_with_mixed_signs_and_denominators():
 def test_fairness_matches_fraction_identity(values):
     strings = [s for k in range(4) for s in all_strings(k)]
     table = dict(zip(strings, values))
-    m = Martingale(lambda tau: table[tau[:3]], nonnegative=False)
+    m = Martingale(per_string(lambda tau: table[tau[:3]]))
     expected = [
         s for s in strings[:7] if 2 * table[s] != table[s + "0"] + table[s + "1"]
     ]
     assert fairness_violations(m, 4) == expected
 
 
-# Level rows against the per-string evaluators they replace.
+# Level rows against each construction's definition, string by string.
 
 
 def per_string_row(m: Martingale, base: str, k: int) -> list[F]:
@@ -421,6 +467,61 @@ def outcome(row, m, base, k):
         return f"DomainError: {exc}"
 
 
+def definition_row(definition, base: str, k: int) -> list[F]:
+    return [F(definition(base + s)) for s in all_strings(k)]
+
+
+def prefixes(tau: str) -> list[str]:
+    return [tau[:i] for i in range(len(tau) + 1)]
+
+
+def capped(m: Martingale, q: F):
+    """cap_at(m, q) and its definition: M frozen at the first prefix above q + 1."""
+    return cap_at(m, q), lambda tau: next((v for v in map(m, prefixes(tau)) if v > q + 1), m(tau))
+
+
+def slope_definition(g: PiecewiseLinear, depth: int):
+    """(g(hi) - g(lo)) 2^|tau| over Cyl tau = [lo, hi], to depth."""
+
+    def value(tau: str) -> F:
+        if len(tau) > depth:
+            raise DomainError(f"slope oracle only certified to depth {depth}")
+        lo, hi = cylinder_bounds(tau)
+        return (g.value(hi) - g.value(lo)) * (1 << len(tau))
+
+    return value
+
+
+def anti_debt_definition(sg: Martingale, sigma: str, mode: int, depth: int):
+    """The anti-debt strategies walked down each string.  Case 1 doubles on
+    the sibling of a node's low child (its first child whose index-0
+    approximant is at most 1) and drops to 0 in it; case 2 copies S_g while
+    both children's approximants stay above 1.  Both stop at depth."""
+
+    def low_child(tau: str) -> str | None:
+        return next((b for b in "01" if sg.approx(tau + b, 0) <= 1), None)
+
+    def value(rho: str) -> F:
+        val = F(1) if mode == 1 else sg(sigma)
+        if not rho.startswith(sigma):
+            return val
+        for i in range(len(sigma), min(len(rho), depth)):
+            tau = rho[:i]
+            if mode == 1:
+                low = low_child(tau)
+                if low == rho[i]:
+                    return F(0)
+                if low is not None:
+                    val *= 2
+            elif sg.approx(tau + "0", 0) > 1 and sg.approx(tau + "1", 0) > 1:
+                val = sg(rho[: i + 1])
+            else:
+                break
+        return val
+
+    return value
+
+
 @st.composite
 def unit_tables(draw, depth: int = 2):
     """Fair tables with starting capital 1, as combine_scaled needs."""
@@ -430,54 +531,102 @@ def unit_tables(draw, depth: int = 2):
 
 
 @st.composite
-def piecewise_on_unit_interval(draw):
-    """Breakpoints 0, 1 and a few non-dyadic ones; values of either sign."""
+def piecewise_on_unit_interval(draw, steep: bool = False):
+    """Breakpoints 0, 1 and a few non-dyadic ones; values of either sign,
+    or, when steep, rising with every slope at least 3."""
     inner = draw(st.sets(st.builds(F, st.integers(1, 20), st.just(21)), max_size=5))
     xs = [F(0), *sorted(inner), F(1)]
     ys = [draw(st.builds(F, st.integers(-40, 40), st.sampled_from([1, 3, 5, 7])))
           for _ in xs]
+    if steep:
+        rises = [(b - a) * draw(st.builds(F, st.integers(3, 40), st.sampled_from([1, 3])))
+                 for a, b in zip(xs, xs[1:])]
+        ys = [ys[0], *(ys[0] + r for r in accumulate(rises))]
     return PiecewiseLinear(xs, ys)
 
 
 @st.composite
-def kernel_martingales(draw):
-    kind = draw(st.sampled_from(["table", "combine", "cap", "slope", "generic"]))
+def defined_martingales(draw):
+    """A construction and its definition, a function of one string."""
+    kind = draw(st.sampled_from(["table", "combine", "cap", "slope", "anti-debt"]))
     if kind == "table":
-        return draw(fair_tables())
+        m = draw(fair_tables())
+        return m, lambda tau: m.table[tau[: m.depth]]
     if kind == "combine":
         sigma = draw(st.text("01", max_size=3))
         delta = draw(st.builds(F, st.integers(1, 9), st.integers(1, 9)))
-        return combine_scaled(draw(fair_tables()), draw(unit_tables()), sigma, delta)
+        m, n = draw(fair_tables()), draw(unit_tables())
+        scale = F(1, 1 << len(sigma)) * delta
+        return combine_scaled(m, n, sigma, delta), lambda tau: m(tau) + scale * n(tau)
     if kind == "cap":
         m = draw(fair_tables())
         # q + 1 below M("") freezes the root; otherwise nodes freeze deeper
         q = draw(st.one_of(st.just(m("") - 2), st.builds(F, st.integers(-16, 64), st.just(16))))
-        return cap_at(m, q)
+        return capped(m, q)
     if kind == "slope":
-        return slope_martingale(draw(piecewise_on_unit_interval()), draw(st.integers(0, 6)))
-    a, b, c = draw(st.integers(-9, 9)), draw(st.integers(-9, 9)), draw(st.integers(1, 9))
-    return Martingale(lambda tau: F(a * len(tau) + b * int("0" + tau, 2), c), nonnegative=False)
+        g, depth = draw(piecewise_on_unit_interval()), draw(st.integers(0, 6))
+        return slope_martingale(g, depth), slope_definition(g, depth)
+    # steep g has no low child anywhere (case 2); others mostly have one
+    sg = slope_martingale(draw(piecewise_on_unit_interval(draw(st.booleans()))), 6)
+    if draw(st.booleans()):
+        sg = with_floor_adapter(sg)
+    sigma = draw(st.text("01", max_size=2))
+    depth = draw(st.integers(len(sigma) + 1, 6))
+    try:
+        m, mode = anti_debt_strategy(sg, sigma, 1, depth), 1
+    except DomainError:  # no low child within depth
+        m, mode = anti_debt_strategy(sg, sigma, 2, depth), 2
+    return m, anti_debt_definition(sg, sigma, mode, depth)
 
 
-@settings(max_examples=150, deadline=None)
-@given(kernel_martingales(), st.text("01", max_size=4), st.integers(0, 4))
-@example(cap_at(savings_instance(), F(-1)), "", 4)  # frozen at the root
-@example(cap_at(savings_instance(), F(0)), "", 4)  # frozen at "1"
-@example(cap_at(savings_instance(), F(1)), "1", 3)  # frozen at "10"
-@example(cap_at(savings_instance(), F(1)), "100", 2)  # below "10"
-def test_level_rows_match_the_per_string_values(m, base, k):
-    assert outcome(level_row, m, base, k) == outcome(per_string_row, m, base, k)
+def anti_debt(sg: Martingale, sigma: str, mode: int, depth: int):
+    return anti_debt_strategy(sg, sigma, mode, depth), anti_debt_definition(sg, sigma, mode, depth)
+
+
+# slopes 3 and 6 meet at 1/3, so the cylinders around 1/3 differ at every depth
+STEEP = PiecewiseLinear((F(0), F(1, 3), F(1)), (F(0), F(1), F(5)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(defined_martingales(), st.text("01", max_size=4), st.integers(0, 4))
+@example(anti_debt(anti_debt_case1_oracle(), "", 1, 3), "1", 2)  # one bit below sigma
+@example(anti_debt(anti_debt_case1_oracle(), "01", 1, 3), "", 4)  # sigma inside the row
+@example(anti_debt(slope_martingale(STEEP, 6), "0", 2, 3), "", 5)  # frozen past depth
+@example(capped(savings_instance(), F(-1)), "", 4)  # frozen at the root
+@example(capped(savings_instance(), F(0)), "", 4)  # frozen at "1"
+@example(capped(savings_instance(), F(1)), "1", 3)  # frozen at "10"
+@example(capped(savings_instance(), F(1)), "100", 2)  # below "10"
+def test_level_rows_match_the_per_string_values(defined, base, k):
+    m, definition = defined
+    assert outcome(level_row, m, base, k) == outcome(definition_row, definition, base, k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(defined_martingales().map(lambda pair: pair[0]), fair_tables(least=-64)),
+    st.text("01", max_size=3),
+    st.integers(0, 3),
+)
+@example(slope_martingale(interpolated(lambda x: x * (1 - x), 5), 5), "1", 3)
+def test_negativity_witnesses_match_a_per_string_scan(m, base, depth):
+    def scan(m, base, depth):
+        return [base + s for k in range(depth + 1) for s in all_strings(k) if m(base + s) < 0]
+
+    def read(m, base, depth):
+        return negativity_witnesses(m, depth, base)
+
+    assert outcome(read, m, base, depth) == outcome(scan, m, base, depth)
 
 
 def test_level_past_the_certified_depth_raises_the_evaluators_error():
     g = PiecewiseLinear((F(0), F(1, 3), F(1)), (F(0), F(-1), F(2)))
     m = slope_martingale(g, 4)
     assert level_row(m, "01", 2) == per_string_row(m, "01", 2)
-    with pytest.raises(DomainError) as per_string:
+    with pytest.raises(DomainError) as one:
         m.value("01010")
     with pytest.raises(DomainError) as whole:
         m.level("01", 3)
-    assert str(whole.value) == str(per_string.value) == "slope oracle only certified to depth 4"
+    assert str(whole.value) == str(one.value) == "slope oracle only certified to depth 4"
     with pytest.raises(DomainError, match="certified to depth 4"):
         fairness_violations(m, 5)
 
@@ -506,7 +655,7 @@ def reference_fairness(m: Martingale, depth: int, base: str = "") -> list[str]:
 def test_fairness_of_unfair_constructions_matches_per_string_reference(values, n, q, base):
     strings = [s for k in range(4) for s in all_strings(k)]
     table = dict(zip(strings, values))
-    unfair = Martingale(lambda tau: table[tau[:3]], nonnegative=False)
+    unfair = Martingale(per_string(lambda tau: table[tau[:3]]))
     for m in (unfair, combine_scaled(unfair, n, "0", F(1, 3)), cap_at(unfair, q)):
         assert fairness_violations(m, 5, base) == reference_fairness(m, 5, base)
 
@@ -649,7 +798,7 @@ def test_extension_violations_name_the_first_failing_string():
     m = savings_instance()
     c1 = Condition("", m, F(2))
     # M2 < 3 everywhere below "1", M1 first reaches 2 at "10"
-    c2 = Condition("1", Martingale(lambda tau: F(1)), F(3))
+    c2 = Condition("1", Martingale(per_string(lambda tau: F(1))), F(3))
     expected = ["q' = 3 exceeds q = 2", "implication fails at '10'"]
     assert condition_extension_violations(c2, c1, 4) == expected
     assert reference_extension_violations(c2, c1, 4) == expected

@@ -109,3 +109,23 @@ def test_importing_the_cli_loads_no_process_pool():
         env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True,
     )
     assert loaded.stdout.strip() == "[]"
+
+
+def test_martingales_define_values_once():
+    # a martingale is its rows(base, k) kernel; no construction states its
+    # values a second time, string by string
+    source = next(path for path in SOURCES if path.name == "martingales.py")
+    tree = ast.parse(source.read_text(), filename=str(source))
+    init = next(
+        node
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and cls.name == "Martingale"
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and node.name == "__init__"
+    )
+    assert "evaluator" not in {arg.arg for arg in init.args.args + init.args.kwonlyargs}
+    assert [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "evaluator"
+    ] == []

@@ -14,7 +14,7 @@ from densitylab.counterexample import (
     default_enumeration,
     verify_denjoy_failure,
 )
-from densitylab.errors import DomainError, InvariantError, VerifierError
+from densitylab.errors import BudgetExhausted, DomainError, InvariantError, VerifierError
 from densitylab.report import SCHEMA_VERSION, Check, check_rows
 from densitylab.suite import (
     CRITERIA,
@@ -144,9 +144,27 @@ def test_a_broken_invariant_is_a_failed_row_not_a_crash(monkeypatch, capfd):
         "name": "[3]: battery aborted: B_(0,0) is not an antichain",
         "lhs": "0/1", "rhs": "1/1", "ok": False, "note": "",
     }]
-    assert report["budget_exhausted"] == ["criterion 3: B_(0,0) is not an antichain"]
+    # a bug is no exhausted search budget
+    assert report["budget_exhausted"] == []
     assert [c["number"] for c in report["meta"]["criteria"] if not c["passed"]] == [3]
     assert multiprocessing.active_children() == []
+
+
+def test_an_exhausted_budget_is_a_failed_row_and_listed_as_exhausted(monkeypatch, capfd):
+    def exhausted(seed):
+        raise BudgetExhausted("no qualifying tau within depth 12", achieved=F(1, 2))
+
+    batteries = {num: lambda seed: [] for num, _t, _f in CRITERIA}
+    _with_batteries(monkeypatch, {**batteries, 7: exhausted})
+    assert main(["verify-all", "--json", "--seed", "1"]) == 1
+    out, err = capfd.readouterr()
+    assert err == ""
+    report = json.loads(out)
+    assert [row for row in report["checks"] if row["name"].startswith("[7]")] == [{
+        "name": "[7]: battery aborted: no qualifying tau within depth 12",
+        "lhs": "0/1", "rhs": "1/1", "ok": False, "note": "",
+    }]
+    assert report["budget_exhausted"] == ["criterion 7: no qualifying tau within depth 12"]
 
 
 def test_an_invariant_error_is_no_verdict_on_the_input():
