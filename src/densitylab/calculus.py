@@ -17,15 +17,13 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from itertools import compress, repeat
-from operator import add, gt, is_not, mul, sub
+from math import gcd, lcm
+from operator import itemgetter
 
 from .bits import ONE, ZERO
 from .errors import BudgetExhausted, DomainError
-from .intervals import Interval, IntervalSet, StagedOpenEnumeration
-from .piecewise import PiecewiseLinear, progression_row
-from .porosity import _merge_ranges
+from .intervals import IntervalSet, StagedOpenEnumeration
+from .piecewise import PiecewiseLinear
 
 
 class Polynomial:
@@ -128,13 +126,6 @@ def _grid_step(lo: Fraction, hi: Fraction, max_step: Fraction) -> tuple[int, Fra
     return count, (hi - lo) / count
 
 
-def _refined_grid(lo: Fraction, hi: Fraction, max_step: Fraction) -> list[Fraction]:
-    if lo == hi or max_step <= 0:
-        return [lo] if lo == hi else [lo, hi]
-    count, delta = _grid_step(lo, hi, max_step)
-    return [lo + k * delta for k in range(count + 1)]
-
-
 def _polynomial_row(
     cs: tuple[Fraction, ...], lo: Fraction, delta: Fraction, count: int
 ) -> tuple[int, list[int]]:
@@ -193,14 +184,67 @@ def _floor_ceil(x: Fraction, scale: int) -> tuple[int, int]:
     return q, q + (r > 0)
 
 
-def _inner_grid(part: Interval, scale: int) -> range:
-    """Indices k with part.lo < k / scale < part.hi."""
-    return range(_floor_ceil(part.lo, scale)[0] + 1, _floor_ceil(part.hi, scale)[1])
 
 
-def _on_grid(part: Interval, depth: int) -> bool:
-    """Both endpoints of the part lie on the 2^-depth grid."""
-    return all((1 << depth) % x.denominator == 0 for x in (part.lo, part.hi))
+# A row over the internal grid indices is a list of runs (first, last, start,
+# step, ...) in index order: start + step (k - first) at each k from first to
+# last.  Runs of a row are disjoint and, except where said, cover 0..end.
+
+
+def _at(run: tuple, k: int) -> int:
+    """A run's value at index k."""
+    return run[2] + run[3] * (k - run[0])
+
+
+def _put(out: list, first: int, last: int, start: int, step: int) -> None:
+    """Append the run first..last to out, whose runs reach at least to
+    first - 1: cut back the runs it overlaps, and lengthen the run before it
+    where it goes on with the same progression."""
+    while out and out[-1][0] >= first:
+        out.pop()
+    if out:
+        f, end, s, st = out[-1]
+        if end >= first:
+            out[-1] = (f, first - 1, s, st)
+        if st == step and s + st * (first - f) == start:
+            out[-1] = (f, last, s, st)
+            return
+    out.append((first, last, start, step))
+
+
+def _overlaps(*rows):
+    """(lo, hi, runs) for each maximal index range lo..hi that lies in one run
+    of every row, with those runs; the rows need not cover the same indices."""
+    pos = [0] * len(rows)
+    while all(p < len(row) for p, row in zip(pos, rows)):
+        runs = [row[p] for p, row in zip(pos, rows)]
+        lo, hi = max(r[0] for r in runs), min(r[1] for r in runs)
+        if lo <= hi:
+            yield lo, hi, runs
+        for j, r in enumerate(runs):
+            if r[1] == hi:
+                pos[j] += 1
+
+
+def _at_most(d0: int, ds: int, lo: int, hi: int) -> tuple[int, int]:
+    """The indices k in lo..hi with d0 + ds (k - lo) <= 0.  A progression
+    changes sign at most once, so they are one range a..b, which is a prefix
+    or a suffix of lo..hi, or (hi + 1, hi) when empty."""
+    if ds > 0:
+        a, b = lo, min(hi, lo + -d0 // ds)
+    elif ds < 0:
+        a, b = max(lo, lo - (-d0 // -ds)), hi
+    else:
+        a, b = lo, hi if d0 <= 0 else lo - 1
+    return (a, b) if a <= b else (hi + 1, hi)
+
+
+def _flip(runs: list, end: int) -> list:
+    """The row k -> -row(end - k).  The running min of a row from the right is
+    the flip of the running max of its flip from the left, so G is kept
+    flipped and goes through F's code."""
+    return [(end - last, end - first, -(start + step * (last - first)), step)
+            for first, last, start, step in reversed(runs)]
 
 
 def _clip(pieces: list, lasts: list, a: int, b: int) -> list:
@@ -219,54 +263,91 @@ def _clip(pieces: list, lasts: list, a: int, b: int) -> list:
     return out
 
 
-def _sweep_max(rm: list, pieces: list, lasts: list, a: int, b: int, run: int) -> int:
-    """Write rm[a..b], the running max of the candidate pieces from the
-    incoming run, and return the run at b.  The pieces are progressions in
-    index order, lasts their last indices; neighbours may share an index.  A
-    rising piece rejoins the run at one integer-division index, and from
+def _sweep_max(pieces: list, end: int, run: int) -> list:
+    """The running max over 0..end, from the incoming run, of the candidate
+    pieces: progressions in index order, where neighbours may share an index.
+    A rising piece rejoins the run at one integer-division index, and from
     there on the row is the piece itself; any other piece holds a constant."""
-    k = a  # the first index not yet written
-    for first, last, start, step in _clip(pieces, lasts, a, b):
+    out: list = []
+    k = 0  # the first index not yet written
+    for first, last, start, step in pieces:
         if first > k:
-            rm[k:first] = [run] * (first - k)
+            _put(out, k, first - 1, run, 0)
         k = last + 1
         top = start + step * (last - first)
         if step > 0 and top > run:
             j = first if start > run else first + (run - start) // step + 1
-            rm[first:j] = [run] * (j - first)
-            rm[j:k] = range(start + step * (j - first), top + step, step)
+            if j > first:
+                _put(out, first, j - 1, run, 0)
+            _put(out, j, last, start + step * (j - first), step)
             run = top
         else:
             if start > run:
                 run = start
-            rm[first:k] = [run] * (k - first)
-    if k <= b:
-        rm[k:b + 1] = [run] * (b + 1 - k)
-    return run
+            _put(out, first, last, run, 0)
+    if k <= end:
+        _put(out, k, end, run, 0)
+    return out
 
 
-def _sweep_min(rmin: list, pieces: list, lasts: list, a: int, b: int, run: int) -> int:
-    """Write rmin[a..b], the running min of the candidate pieces from the
-    right, from the incoming run at b + 1, and return the run at a: the
-    mirror image of ``_sweep_max``."""
-    k = b  # the last index not yet written
-    for first, last, start, step in reversed(_clip(pieces, lasts, a, b)):
-        if last < k:
-            rmin[last + 1:k + 1] = [run] * (k - last)
-        k = first - 1
-        if step > 0 and start < run:
-            j = min(first - (start - run) // step, last + 1)
-            rmin[first:j] = range(start, start + step * (j - first), step)
-            rmin[j:last + 1] = [run] * (last + 1 - j)
-            run = start
+def _lower(a: list, b: list) -> list:
+    """The pointwise min of two rows.  On each overlap of their runs a - b is
+    a progression, so a is the lower one on a prefix or a suffix of it."""
+    out: list = []
+    for lo, hi, (ra, rb) in _overlaps(a, b):
+        a0, b0 = _at(ra, lo), _at(rb, lo)
+        x, y = _at_most(a0 - b0, ra[3] - rb[3], lo, hi)
+        for first, last, v0, step in ((lo, x - 1, b0, rb[3]), (x, y, a0, ra[3]),
+                                      (y + 1, hi, b0, rb[3])):
+            if first <= last:
+                _put(out, first, last, v0 + step * (first - lo), step)
+    return out
+
+
+# The most indices of one run that the build solves one by one; a longer run
+# raises BudgetExhausted.  A grid of depth 20 or less never holds that many
+# indices inside its holes.
+POINTWISE_LIMIT = 1 << 20
+
+
+def _crossings(f0: list, g0: list, f1: list, g1: list, den: int) -> list:
+    """The values (first, last, p, step, q) of the indices that close at this
+    stage, F_(t-1) > G_(t-1) and F_t <= G_t: F at the linear crossing between
+    the two stages, p / q.  On each overlap of the four rows' runs those
+    indices are one range, and p and q are progressions along it where the
+    gap's and the rise's steps allow; elsewhere each index is its own run."""
+    out = []
+    for lo, hi, runs in _overlaps(f0, g0, f1, g1):
+        pf, pg, nf, ng = (_at(r, lo) for r in runs)
+        sf, sg, snf, sng = (r[3] for r in runs)
+        a, b = _at_most(pg - pf + 1, sg - sf, lo, hi)  # F_(t-1) - G_(t-1) >= 1
+        c, d = _at_most(nf - ng, snf - sng, lo, hi)
+        a, b = max(a, c), min(b, d)
+
+        def solved(k: int) -> tuple[int, int]:
+            m = k - lo
+            prev_f, f_v = pf + sf * m, nf + snf * m
+            gap = prev_f - pg - sg * m
+            rise = gap + ng + sng * m - f_v
+            return prev_f * rise + gap * (f_v - prev_f), rise * den
+
+        if a > b:
+            continue
+        # p = prev_f rise + gap (f_v - prev_f) is linear in k when the rise
+        # is constant and gap or f_v - prev_f is
+        if sf - sg + sng - snf == 0 and (sf - sg) * (snf - sf) == 0:
+            p, q = solved(a)
+            out.append((a, b, p, solved(a + 1)[0] - p, q))
+        elif b - a >= POINTWISE_LIMIT:
+            raise BudgetExhausted(
+                f"the envelopes cross index by index on {b - a + 1} internal grid "
+                f"indices; at most {POINTWISE_LIMIT} are solved one by one"
+            )
         else:
-            bottom = start + step * (last - first)
-            if bottom < run:
-                run = bottom
-            rmin[first:last + 1] = [run] * (last + 1 - first)
-    if k >= a:
-        rmin[a:k + 1] = [run] * (k + 1 - a)
-    return run
+            for k in range(a, b + 1):
+                p, q = solved(k)
+                out.append((k, k, p, 0, q))
+    return out
 
 
 def extension_grid_depth(lip: Fraction, n: int) -> int:
@@ -289,59 +370,54 @@ class MonotoneExtension:
     final F is returned once its gap to G is below 2^-n, else the achieved
     gap is reported.  Queries snap down to the internal grid, so outputs are
     exactly nondecreasing and C-grid points (depth <= grid_depth) are exact
-    queries.  ``grid_values(depth)`` answers every query k / 2^depth at once
-    by mapping each point to its internal grid index, so it returns the same
-    values as ``value`` and stops with the same BudgetExhausted at the same
-    first point.
+    queries.  ``grid_values(depth)`` answers every query k / 2^depth at once,
+    with the same values as ``value`` and the same BudgetExhausted at the
+    same first point.
 
     h is a ``PiecewiseLinear`` defined on all of [0,1], and its
     ``lipschitz_bound()`` sets the grid depth (``extension_grid_depth``) and
-    the margins.  Every internal grid sample comes from h's
-    ``grid_progressions(grid_depth)``, one arithmetic progression per
-    segment; only part endpoints off the grid, and the refined grid of
-    off-grid parts that the monotonicity check reads, are evaluated one point
-    at a time.  The F/G rows are integer numerators over one denominator, the
-    lcm of the progressions', the off-grid samples', the margin's and the two
-    bounds'.  A candidate enters the F row at its ceiling grid index and the
-    G row at its floor grid index.  Stage t's F row is F_t = min(F_(t-1), the
-    running max of its candidates from the left), and its G row G_t =
-    max(G_(t-1), the running min from the right); the two bounds stand in
-    for "no candidate yet".
+    the margins.  Every row the build keeps is a list of runs (first, last,
+    start, step) over the internal grid indices, integers over one
+    denominator den: the lcm of the denominators of h's samples, of the
+    margin and of the two bounds.  h's samples are its
+    ``grid_progressions(grid_depth)``, one run per segment, and the
+    monotonicity check reads h as its ``progressions`` along the refined
+    grid of each part of the final class, so only the part ends off the
+    grid are evaluated one at a time, whatever the depth.  A candidate
+    enters the F row at its ceiling grid index and the G row at its floor
+    grid index.
+    Stage t's F row is F_t = min(F_(t-1), rm_t), with rm_t the running max
+    of its candidates from the left, and its G row G_t = max(G_(t-1),
+    rmin_t), with rmin_t the running min from the right; the two bounds
+    stand in for "no candidate yet".  G is kept flipped, k -> -G(2^gd - k),
+    so that it goes through F's code.
 
-    The running max and min are swept piece by piece, never index by index.
     A stage's candidates are pieces: each part of its class cut by h's
     segments into progressions, and each part end off the grid as a
     one-index piece.  Along a rising piece the running max keeps the
     incoming run up to one integer-division index and is the progression
     itself from there on; along a flat or falling piece it holds a
-    constant, and the running min mirrors this.  Each piece is written into
-    the row by one slice assignment of a ``range`` or a repeated constant.
-    On a grid-aligned part the monotonicity check likewise reads h's
-    progressions, where a drop can begin only at a piece's first point or
-    run on along a falling piece.
+    constant.  So rm_t and rmin_t take a few runs per piece, and each
+    envelope is a merge of two rows: on each overlap of their runs two
+    progressions cross at most once, at one integer-division index.
 
-    The first stage is swept in full.  A later stage's class differs from
-    the one before only on the closures [a, b] of its new holes, so its
-    candidates change only on the windows floor(a 2^gd) .. ceil(b 2^gd).
-    The unclipped running max and min rows are kept from stage to stage;
-    the running max is swept again from each window's start and past its end
-    up to the first index where the previous stage's row exceeds both runs
-    at the window's end, which a bisect finds; beyond it F_t == F_(t-1).
-    The running min mirrors this, leftwards over each window and on past its
-    start.  So a build costs a few slice assignments per piece, and its only
-    per-index work is the crossing test on the final class's holes and the
-    envelopes of the re-swept stretches.
-
-    The build solves every internal grid index as the stages are swept: an
-    index is solved at the first stage where F <= G, by the linear crossing
-    with the stage before.  Indices strictly inside a part of the final
-    class never cross, so only the final class's holes are tested, and only
-    where a stage's sweep moved F or G.  The solved values are two integer
-    rows, p / q per index; an index whose gap never closed below 2^-n holds
-    the gap with q == 0, and raises BudgetExhausted when first queried.
-    ``_pair`` is a read of the rows, ``value`` and ``grid_values`` build
-    their memoised Fractions from it, and ``extension_grid_check`` reads
-    them, and h's sample at each index, in integers.
+    An index is solved at the first stage where F <= G, by the linear
+    crossing with the stage before.  A grid point x of stage t's class has
+    F_t >= h(x) + margin > h(x) - margin >= G_t at its index, so it cannot
+    close at stage t: only the indices inside its holes can.  A hole holds
+    no candidate, and an off-grid end's candidate sits at the hole's first
+    index for F and its last for G, so rm_t and rmin_t are constant across
+    the hole.  The crossing is then a progression along a run wherever the
+    gap F_(t-1) - G_(t-1) and the rise are constant too, as they are where
+    h is nondecreasing; where they vary the run is solved index by index,
+    as one-index runs, by the same code, and a run of more than
+    ``POINTWISE_LIMIT`` such indices raises BudgetExhausted.  Such a run
+    lies where h falls and climbs back on an earlier stage's class, inside
+    a later hole.  The solved values are one row of
+    runs (first, last, p, step, q): p / q at each index, or the gap with
+    q == 0 where it never closed below 2^-n, which raises BudgetExhausted
+    when first queried.  ``value`` and ``grid_values`` bisect it, and
+    ``extension_grid_check`` reads it run by run.
     """
 
     def __init__(
@@ -386,23 +462,22 @@ class MonotoneExtension:
         classes = [enum.stage_class(t) for t in self.stages]
 
         scale = 1 << gd
-        size = scale + 1
-        off_vals: dict[Fraction, Fraction] = {}
-        for c_set in classes:
-            for part in c_set:
-                for x in (part.lo, part.hi):
-                    if scale % x.denominator and x not in off_vals:
-                        off_vals[x] = h.value(x)
-        # the monotonicity check also reads the refined grid of off-grid parts
+        ends = {x for c_set in classes for part in c_set for x in (part.lo, part.hi)}
+        off_vals = {x: h.value(x) for x in ends if scale % x.denominator}
+        # h's progressions along the refined grid of each part of the final
+        # class, the fewest equal steps of at most 2^-gd from its lo to its
+        # hi: on a grid-aligned part, the internal grid itself
+        refined = []
         for part in classes[-1]:
-            if not _on_grid(part, gd):
-                for q in _refined_grid(part.lo, part.hi, Fraction(1, scale)):
-                    if q not in off_vals:
-                        off_vals[q] = h.value(q)
-
-        dens = {v.denominator for v in off_vals.values()}
+            count, delta = (_grid_step(part.lo, part.hi, Fraction(1, scale))
+                            if part.lo < part.hi else (0, Fraction(1, scale)))
+            refined.append((part.lo, delta, *h.progressions(part.lo, delta, count)))
+        # the values (start + step j) / d along a piece have the lcm of their
+        # denominators d / gcd(d, start, step), or d / gcd(d, start) for one
         den = lcm(row_den, margin.denominator, hi_bound.denominator, lo_bound.denominator,
-                  *dens)
+                  *(v.denominator for v in off_vals.values()),
+                  *(d // gcd(d, start, step if last > first else 0)
+                    for _, _, d, pieces in refined for first, last, start, step in pieces))
 
         def scaled(v: Fraction) -> int:
             return v.numerator * (den // v.denominator)
@@ -412,11 +487,9 @@ class MonotoneExtension:
         if unit > 1:
             hp = [(a, b, v * unit, s * unit) for a, b, v, s in hp]
         hp_lasts = [piece[1] for piece in hp]
-        # h at every internal grid index, over den; the grid check reads it too
-        self._hs = progression_row(hp)
         off_ints = {x: scaled(v) for x, v in off_vals.items()}
         margin, hi_bound, lo_bound = scaled(margin), scaled(hi_bound), scaled(lo_bound)
-        self._check_monotone_on_class(classes[-1], hp, hp_lasts, off_ints, lo_bound)
+        self._check_monotone_on_class(refined, lo_bound)
 
         def candidates(c_set: IntervalSet) -> tuple[list, list]:
             """The class's candidates as pieces (first, last, start, step) in
@@ -442,144 +515,67 @@ class MonotoneExtension:
                     gp.append((hi_k, hi_k, v - margin, 0))
             return fp, gp
 
-        # rm / rmin: the stage's running max of its F candidates from the left
-        # and running min of its G candidates from the right, unclipped; F / G:
-        # the envelopes, F_t = min(F_(t-1), rm_t) and G_t = max(G_(t-1), rmin_t)
-        rm, rmin = [lo_bound] * size, [hi_bound] * size
-        f_env, g_env = [hi_bound] * size, [lo_bound] * size  # stage 0: F > G everywhere
-        crossings = []  # (i, p, q): index i has the value p / q, from its F = G crossing
-        # An index strictly inside a part of the final class is strictly inside
-        # a part of every stage class, where F >= sample + margin and G <=
-        # sample - margin: F > G there at every stage.  Only the other indices,
-        # the final class's holes, can cross.
-        is_open = bytearray(b"\1") * size
-        for part in classes[-1]:
-            inner = _inner_grid(part, scale)
-            is_open[inner.start:inner.stop] = bytes(len(inner))
-        # The first stage is swept in full.  A later stage's candidates differ
-        # from the previous stage's only on the windows floor(a 2^gd) ..
-        # ceil(b 2^gd) of its new holes (a, b), so each window is swept from
-        # the run at its edge.  Past a window's end, rm_t = max(R_t, M) and
-        # rm_(t-1) = max(R_(t-1), M), with R the runs at the window's end and M
-        # the running max of the unchanged candidates after it: the rows agree
-        # where rm_(t-1) exceeds both runs, so the sweep goes on only to the
-        # first such index, which a bisect of the nondecreasing rm_(t-1) finds.
-        # The running min is the mirror image.  An index where neither row
-        # moved keeps its envelopes and stays open, so only the swept indices
-        # are tested.
-        prev_t = 0
-        for t, c_set in zip(self.stages, classes):
+        # stage 0: F and G are the bounds, F > G everywhere; G is kept flipped
+        f_env, g_flip = [(0, scale, hi_bound, 0)], [(0, scale, -lo_bound, 0)]
+        values = []  # the runs of p / q, the indices closed so far
+        for c_set in classes:
             fp, gp = candidates(c_set)
-            f_lasts, g_lasts = [piece[1] for piece in fp], [piece[1] for piece in gp]
-            first = t == self.stages[0]
-            windows = [(0, scale)] if first else _merge_ranges([
-                (_floor_ceil(hole.lo, scale)[0], _floor_ceil(hole.hi, scale)[1])
-                for hole in enum.items[prev_t:t]
-            ])
-            prev_t = t
-            swept = []  # (first, last) index ranges where rm or rmin may have moved
-            for w, (lo, hi) in enumerate(windows):
-                old = rm[hi]
-                run = _sweep_max(rm, fp, f_lasts, lo, hi, rm[lo - 1] if lo else lo_bound)
-                end = hi
-                if run != old:
-                    nxt = windows[w + 1][0] if w + 1 < len(windows) else size
-                    end = bisect_right(rm, max(run, old), hi + 1, nxt) - 1
-                    if end > hi:
-                        _sweep_max(rm, fp, f_lasts, hi + 1, end, run)
-                swept.append((lo, end))
-            for w in range(len(windows) - 1, -1, -1):
-                lo, hi = windows[w]
-                old = rmin[lo]
-                run = _sweep_min(rmin, gp, g_lasts, lo, hi,
-                                 rmin[hi + 1] if hi < scale else hi_bound)
-                start = lo
-                if run != old:
-                    prv = windows[w - 1][1] if w else -1
-                    start = bisect_left(rmin, min(run, old), prv + 1, lo)
-                    if start < lo:
-                        _sweep_min(rmin, gp, g_lasts, start, lo - 1, run)
-                swept.append((start, hi))
-            for a, last in _merge_ranges(swept):
-                b = last + 1
-                # F falls and G rises along the stages, so an index is solved
-                # for good at the first stage with F <= G: the linear crossing
-                # between that stage and the one before it
-                for i in compress(range(a, b), is_open[a:b]):
-                    prev_f, prev_g = f_env[i], g_env[i]
-                    f_v, g_v = rm[i], rmin[i]
-                    if f_v > prev_f:
-                        f_v = prev_f
-                    if g_v < prev_g:
-                        g_v = prev_g
-                    if f_v <= g_v:
-                        gap = prev_f - prev_g
-                        rise = gap + (g_v - f_v)
-                        crossings.append((i, prev_f * rise + gap * (f_v - prev_f), rise * den))
-                        is_open[i] = 0
-                if first:  # F_0 and G_0 are the bounds, which every sample beats
-                    f_env[a:b], g_env[a:b] = rm[a:b], rmin[a:b]
-                else:
-                    f_env[a:b] = [f if f < r else r for f, r in zip(f_env[a:b], rm[a:b])]
-                    g_env[a:b] = [g if g > r else r for g, r in zip(g_env[a:b], rmin[a:b])]
-        # where the curves never crossed, the value is the final F while its gap
-        # to G is below 2^-n; a gap with gap << n >= den, that is one above
-        # (den - 1) >> n, is kept in ps with the marker qs == 0
-        exhausted = list(compress(range(size), map(gt, map(sub, f_env, g_env),
-                                                   repeat((den - 1) >> n))))
-        ps, qs = f_env, [den] * size
-        for i in exhausted:
-            ps[i], qs[i] = ps[i] - g_env[i], 0
-        for i, p, q in crossings:
-            ps[i], qs[i] = p, q
-        self._ps, self._qs = ps, qs
-        # the value depends on x only through its grid index
-        self._values: list[Fraction | None] = [None] * size
+            f_new = _lower(f_env, _sweep_max(fp, scale, lo_bound))
+            g_new = _lower(g_flip, _sweep_max(_flip(gp, scale), scale, -hi_bound))
+            # F falls and G rises along the stages, so an index closes for
+            # good at the first stage with F <= G
+            values += _crossings(f_env, _flip(g_flip, scale), f_new, _flip(g_new, scale), den)
+            f_env, g_flip = f_new, g_new
+        # where the curves never crossed, the value is the final F while its
+        # gap to G is below 2^-n; a gap with gap << n >= den, that is one above
+        # (den - 1) >> n, is kept as p with the marker q == 0
+        wide = (den - 1) >> n
+        for lo, hi, (rf, rg) in _overlaps(f_env, _flip(g_flip, scale)):
+            f0, sf = _at(rf, lo), rf[3]
+            gap, sgap = f0 - _at(rg, lo), sf - rg[3]
+            x, y = _at_most(gap, sgap, lo, hi)  # closed, already in values
+            u, v = _at_most(gap - wide, sgap, lo, hi)
+            for a, b in ((u, min(v, x - 1)), (max(u, y + 1), v)):
+                if a <= b:
+                    values.append((a, b, f0 + sf * (a - lo), sf, den))
+            for a, b in ((lo, u - 1), (v + 1, hi)):
+                if a <= b:
+                    values.append((a, b, gap + sgap * (a - lo), sgap, 0))
+        self._runs = sorted(values)
 
-    def _check_monotone_on_class(
-        self, c_set: IntervalSet, hp: list, hp_lasts: list, off_ints: dict, floor: int
-    ) -> None:
+    def _check_monotone_on_class(self, refined: list, floor: int) -> None:
         """h must stay within 2^-(precision-1) of nondecreasing along the
-        refined grid of each part, which on a grid-aligned part is the internal
-        grid itself.  The samples, integers over den, are checked in one pass
-        of the running max, which floor, below every sample, starts.  A
-        grid-aligned part is read as h's progressions: a drop can start only
-        at a progression's first point, or run on along a falling one, whose
-        first point below the peak's tolerance is one integer division away.
-        An off-grid part is read point by point.  Fractions are built only to
-        name the peak and the failing point."""
-        scale = 1 << self.grid_depth
-        # a drop d fails when d << (precision - 1) > den, that is when d > tol
-        tol = self._den >> (self.precision - 1)
+        refined grid lo + k delta of each part of the final class, read as
+        its progressions (lo, delta, d, pieces) over d.  The samples, integers
+        over den, are checked in one pass of the running max, which floor,
+        below every sample, starts: a drop can start only at a progression's
+        first point, or run on along a falling one, whose first point below
+        the peak's tolerance is one integer division away.  Fractions are
+        built only to name the peak and the failing point."""
+        den = self._den
+        # a drop e fails when e << (precision - 1) > den, that is when e > tol
+        tol = den >> (self.precision - 1)
         peak, top = floor, None  # the running max and the point where it was first reached
 
         def fail(x: Fraction) -> DomainError:
             return DomainError(f"h is not nondecreasing on the class: h({top}) > h({x})")
 
-        for part in c_set:
-            if not _on_grid(part, self.grid_depth):
-                for q in _refined_grid(part.lo, part.hi, Fraction(1, scale)):
-                    v = off_ints[q]
-                    if peak - v > tol:
-                        raise fail(q)
-                    if v > peak:
-                        peak, top = v, q
-                continue
-            lo, hi = _floor_ceil(part.lo, scale)[0], _floor_ceil(part.hi, scale)[0]
-            for first, last, start, step in _clip(hp, hp_lasts, lo, hi):
+        for lo, delta, d, pieces in refined:
+            for first, last, start, step in pieces:
+                start, step = start * den // d, step * den // d
                 if peak - start > tol:
-                    raise fail(Fraction(first, scale))
+                    raise fail(lo + first * delta)
                 if step > 0:
                     end = start + step * (last - first)
                     if end > peak:
-                        peak, top = end, Fraction(last, scale)
+                        peak, top = end, lo + last * delta
                     continue
                 if start > peak:
-                    peak, top = start, Fraction(first, scale)
+                    peak, top = start, lo + first * delta
                 if step < 0:
                     j = first + (start - peak + tol) // -step + 1
                     if j <= last:
-                        raise fail(Fraction(j, scale))
+                        raise fail(lo + j * delta)
 
     def value(self, x: Fraction) -> Fraction:
         x = Fraction(x)
@@ -594,26 +590,25 @@ class MonotoneExtension:
         if depth < 0:
             raise DomainError(f"grid depth {depth} is negative")
         gd, scale = self.grid_depth, 1 << depth
-        return [self._value_at((k << gd) >> depth, k, scale) for k in range(scale + 1)]
+        out, i, v = [], -1, None
+        for k in range(scale + 1):
+            j = (k << gd) >> depth
+            if j != i:
+                i, v = j, self._value_at(j, k, scale)
+            out.append(v)
+        return out
 
     def _value_at(self, i: int, x_num: int, x_den: int) -> Fraction:
-        """The value at internal grid index i, memoised as one Fraction."""
-        v = self._values[i]
-        if v is None:
-            v = self._values[i] = Fraction(*self._pair(i, x_num, x_den))
-        return v
-
-    def _pair(self, i: int, x_num: int, x_den: int) -> tuple[int, int]:
-        """(p, q) with q > 0 and p / q the value at internal grid index i;
-        x_num / x_den is the query point named if the envelope gap never
-        closed there."""
-        q = self._qs[i]
+        """The value at internal grid index i; x_num / x_den is the query
+        point named if the envelope gap never closed there."""
+        run = self._runs[bisect_right(self._runs, i, key=itemgetter(0)) - 1]
+        p, q = _at(run, i), run[4]
         if not q:
             raise BudgetExhausted(
                 f"envelope gap never closed at {Fraction(x_num, x_den)}",
-                achieved=Fraction(self._ps[i], self._den),
+                achieved=Fraction(p, self._den),
             )
-        return self._ps[i], q
+        return Fraction(p, q)
 
 
 def extension_grid_check(ext: MonotoneExtension, depth: int) -> tuple[int, Fraction]:
@@ -621,122 +616,59 @@ def extension_grid_check(ext: MonotoneExtension, depth: int) -> tuple[int, Fract
     from one grid point to the next, and its largest |value - h| over the grid
     points of the final class.
 
-    Query k lies on internal grid index (k << grid_depth) >> depth.  The build
-    has solved every index and kept h's sample at each, so the check reads
-    those rows, with a stride on a coarser grid, and never evaluates h on a
-    2^depth row; an exhausted index raises at the first query point that
-    reaches it, as ``grid_values(depth)`` does.  Drops are counted once per
-    pair of neighbouring indices, by cross-multiplying their value pairs.  On
-    a grid at least as fine as the internal one, the query points sharing an
-    index j form a run with one value p / q, and the worst |p - y q| over the
-    run's h numerators y is reached at their least or greatest, because it is
-    convex in y.  h is linear between its breakpoints, so on a run with no
-    breakpoint strictly between j and j + 1 those are its two end points, and
-    the point 2^s j + m, with s = depth - grid_depth, has h numerator
-    hs[j] (2^s - m) + hs[j + 1] m over den << s: exact, from the build's
-    samples.  Only the few runs around a breakpoint off the internal grid
-    evaluate h, at their ends and at the points next to each breakpoint.  On
-    a coarser grid each point is its own run.  The runs that lie whole in a
-    class range and hold a value over the build's own denominator, nearly
-    all of them, are read in a few passes over the integer rows; the others
-    one run at a time.  One Fraction is built, at the end.
+    Query k lies on internal grid index (k << grid_depth) >> depth, so each
+    run of the build's values holds a range of query points, and the check
+    reads the runs, never a row: an exhausted run raises at the first query
+    point that reaches it, as ``grid_values(depth)`` does.  A drop lies at a
+    run boundary, by cross-multiplying the two value pairs there, or inside
+    a falling run, at each step to the next index.  h is read as its
+    ``grid_progressions(depth)``, so on each overlap of a value run, an h
+    piece and a class range, value and h are progressions over the indices
+    and the query points.  On a grid finer than the internal one the 2^s
+    query points of one index share its value, with s = depth - grid_depth.
+    |value - h| is then linear along each such block, along the blocks'
+    first points and along their last points, so it is convex along each:
+    the worst lies among the overlap's ends and the points on either side
+    of its first and last block edges.  One Fraction is built, at the end.
     """
     if depth < 0:
         raise DomainError(f"grid depth {depth} is negative")
-    gd = ext.grid_depth
-    scale, shift = 1 << gd, depth - gd
-    stride = 1 << max(-shift, 0)
-    ps, qs, hs = ext._ps, ext._qs, ext._hs
-    if stride > 1:
-        ps, qs, hs = ps[::stride], qs[::stride], hs[::stride]
-    if 0 in qs:
-        i = qs.index(0) * stride
-        ext._pair(i, i, scale)  # raises BudgetExhausted
-    # p_a / q_a > p_b / q_b between neighbours a, b
-    drops = sum(map(gt, map(mul, ps, qs[1:]), map(mul, ps[1:], qs)))
-    # query points k .. end - 1 share index j = k >> s, and the value
-    # (ps[j], qs[j]); h numerators are over den
-    s = max(shift, 0)
-    run, den, points = 1 << s, ext._den << s, 1 << depth
-    kinked: dict[int, list[Fraction]] = {}  # the runs with breakpoints strictly inside
-    if s:
-        for x in ext.h.xs:
-            if scale % x.denominator:
-                kinked.setdefault(x.numerator * scale // x.denominator, []).append(x)
+    gd, points = ext.grid_depth, 1 << depth
+    spacing = max(gd - depth, 0)  # reached indices lie 2^spacing apart
+    block = 1 << max(depth - gd, 0)  # query points per index
 
-    def h_at(k: int) -> int:
-        y = ext.h.value(Fraction(k, points))
-        return y.numerator * (den // y.denominator)
+    def index(k: int) -> int:
+        return (k << gd) >> depth
 
-    # Split the class's query points: the runs that lie whole inside a class
-    # range, with no breakpoint inside and a value over the build's own
-    # denominator, are plain, and read in a few passes over integer rows; the
-    # rest, one run at a time.
-    build_den = ext._den
-    plain, single = [], []  # plain runs a .. b - 1; query points k .. stop - 1
-    for ks in ext.enum.final_class().grid_ranges(depth):
-        k0, k1 = ks.start, ks.stop
-        ja, jb = -(-k0 >> s), k1 >> s  # the runs whole inside k0 .. k1 - 1
-        if ja >= jb:
-            single.append((k0, k1))
+    def least_k(i: int) -> int:
+        """The least query point on an index >= i."""
+        return -((-i << depth) >> gd)
+
+    reached = []  # each value run with the query points ka .. kb on its indices
+    drops, prev_p, prev_q = 0, None, 1
+    for run in ext._runs:
+        ka, kb = least_k(run[0]), min(least_k(run[1] + 1) - 1, points)
+        if ka > kb:
             continue
-        single += [(k0, ja << s), (jb << s, k1)]
-        # a crossed value is over a denominator of its own; every other entry
-        # of qs is the build's denominator object itself
-        odd = {j for j in kinked if ja <= j < jb}
-        odd.update(compress(range(ja, jb), map(is_not, qs[ja:jb], repeat(build_den))))
-        for j in sorted(odd):
-            plain.append((ja, j))
-            single.append((j << s, (j + 1) << s))
-            ja = j + 1
-        plain.append((ja, jb))
-    # the worst |value - h| is worst_d / (worst_q * den)
-    worst_d, worst_q = 0, 1
-    for k, stop in single:
-        while k < stop:
-            j = k >> s
-            base = j << s
-            end = base + run
-            if end > stop:
-                end = stop
-            if j in kinked:
-                # h is linear between the run's ends and the points next to
-                # its breakpoints, so its extremes lie among those
-                ends = {k, end - 1}
-                for x in kinked[j]:
-                    c = x.numerator * points // x.denominator
-                    ends.update(e for e in (c, c + 1) if k <= e < end)
-                ys = [h_at(e) for e in ends]
-                lo_h, hi_h = min(ys), max(ys)
-            else:
-                m = k - base
-                lo_h = hs[j] * (run - m) + hs[j + 1] * m if m else hs[j] << s
-                hi_h = lo_h
-                if end - 1 > k:
-                    m = end - 1 - base
-                    hi_h = hs[j] * (run - m) + hs[j + 1] * m if m else hs[j] << s
-                    if lo_h > hi_h:
-                        lo_h, hi_h = hi_h, lo_h
-            p, q = ps[j] * den, qs[j]
-            # the larger of |p - lo_h q| and |p - hi_h q|, as lo_h <= hi_h
-            d = p - lo_h * q
-            if hi_h * q - p > d:
-                d = hi_h * q - p
-            if d * worst_q > worst_d * q:
-                worst_d, worst_q = d, q
-            k = end
-    # On a plain run j the value is ps[j] / build_den == (ps[j] << s) / den,
-    # and h is hs[j] << s at the first point and hs[j] + hs[j + 1] (2^s - 1)
-    # at the last, so |value - h| * den is the larger of |ps[j] - hs[j]| << s
-    # and |ps[j] 2^s - hs[j] - hs[j + 1] (2^s - 1)|.
-    for a, b in plain:
-        if a < b:
-            diffs = list(map(sub, ps[a:b], hs[a:b]))
-            e = max(max(diffs), -min(diffs)) << s
-            if s:
-                ends = list(map(sub, map(mul, ps[a:b], repeat(run)),
-                                map(add, hs[a:b], map(mul, hs[a + 1:b + 1], repeat(run - 1)))))
-                e = max(e, max(ends), -min(ends))
-            if e * worst_q > worst_d:  # e / den against worst_d / (worst_q den)
-                worst_d, worst_q = e, 1
-    return drops, Fraction(worst_d, worst_q * den)
+        p, q = _at(run, index(ka)), run[4]
+        if not q:
+            ext._value_at(index(ka), ka, points)  # raises BudgetExhausted
+        if prev_p is not None and prev_p * q > p * prev_q:
+            drops += 1
+        if run[3] < 0:
+            drops += (index(kb) - index(ka)) >> spacing
+        prev_p, prev_q = _at(run, index(kb)), q
+        reached.append((ka, kb, run))
+    h_den, h_pieces = ext.h.grid_progressions(depth)
+    in_class = [(ks.start, ks.stop - 1) for ks in ext.enum.final_class().grid_ranges(depth) if ks]
+    # the worst |value - h| is worst_e / (worst_q h_den)
+    worst_e, worst_q = 0, 1
+    for lo, hi, ((_, _, run), piece, _) in _overlaps(reached, h_pieces, in_class):
+        q = run[4]
+        lo_end, hi_start = lo | (block - 1), hi & -block
+        for k in {lo, hi, lo_end, lo_end + 1, hi_start - 1, hi_start}:
+            if lo <= k <= hi:
+                e = abs(_at(run, index(k)) * h_den - _at(piece, k) * q)
+                if e * worst_q > worst_e * q:
+                    worst_e, worst_q = e, q
+    return drops, Fraction(worst_e, worst_q * h_den)

@@ -92,17 +92,22 @@ def _override(args, flag: str, default: int, doc: dict | None = None, key: str =
     return value
 
 
-# The largest --depth of martingale and extend, and the largest internal grid
-# depth of extend.  Each builds rows of 2^depth entries.  At 20, on a 2-vCPU
-# host, a six-hole extend document takes about 1.5 s and 185 MB and a
-# martingale about 1 s and 40 MB; each step above doubles both.
-MAX_DEPTH = 20
+# The largest martingale --depth.  A table martingale's fairness check and
+# savings search read rows of 2^depth entries: at 20, on a 2-vCPU host, about
+# 1 s and 40 MB, and each step above doubles both.
+MARTINGALE_MAX_DEPTH = 20
+# The largest extend --depth, and the largest internal grid depth of extend.
+# The extension keeps its rows as runs, so neither its time nor its memory
+# grows with either depth: on a 2-vCPU host a six-hole document takes about
+# 4 ms and 18 MB in process at n = 10 and --depth 16 and at the cap alike,
+# where n = 57.
+EXTEND_MAX_DEPTH = 60
 
 
-def _at_most_max_depth(value: int, what: str) -> int:
-    """value, which must not exceed MAX_DEPTH; checked before any row is built."""
-    if value > MAX_DEPTH:
-        raise SchemaError(f"{what} must be at most {MAX_DEPTH}, got {value}")
+def _at_most(value: int, cap: int, what: str) -> int:
+    """value, which must not exceed cap; checked before anything is built."""
+    if value > cap:
+        raise SchemaError(f"{what} must be at most {cap}, got {value}")
     return value
 
 
@@ -231,7 +236,8 @@ def run_martingale(args, doc, rep: Report) -> None:
     if not isinstance(doc, dict):
         raise SchemaError("martingale instance must be an object")
     m = TableMartingale.from_json(_require(doc, "martingale"))
-    depth = rep.meta["depth"] = _at_most_max_depth(_override(args, "depth", 12), "--depth")
+    depth = rep.meta["depth"] = _at_most(_override(args, "depth", 12), MARTINGALE_MAX_DEPTH,
+                                         "--depth")
     rep.checks.append(fairness_row(m, depth))
     q = parse_rational(_require(doc, "q"))
     eps = parse_rational(doc.get("eps", "1/2"))
@@ -260,10 +266,10 @@ def run_extend(args, doc, rep: Report) -> None:
     enum = StagedOpenEnumeration(_holes(doc))
     h = PiecewiseLinear.from_json(_require(doc, "h"))
     n = rep.meta["n"] = _int_field(doc, "n", 10)
-    _at_most_max_depth(extension_grid_depth(h.lipschitz_bound(), n),
-                       "the internal grid depth (n + 3, raised by h's Lipschitz bound)")
-    grid_depth = rep.meta["grid_depth"] = _at_most_max_depth(_override(args, "depth", 12),
-                                                             "--depth")
+    _at_most(extension_grid_depth(h.lipschitz_bound(), n), EXTEND_MAX_DEPTH,
+             "the internal grid depth (n + 3, raised by h's Lipschitz bound)")
+    grid_depth = rep.meta["grid_depth"] = _at_most(_override(args, "depth", 12),
+                                                   EXTEND_MAX_DEPTH, "--depth")
     try:
         rep.checks.extend(extension_rows(h, enum, n, grid_depth))
     except BudgetExhausted as exc:

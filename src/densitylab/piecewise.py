@@ -2,8 +2,8 @@
 
 Breakpoints and values are kept as integer numerators over one shared
 denominator each, so a lookup is an integer bisect and an interpolation
-builds a single Fraction; a whole dyadic grid is evaluated segment by
-segment in integers.
+builds a single Fraction; a whole arithmetic grid, dyadic or not, is
+evaluated segment by segment in integers.
 """
 
 from __future__ import annotations
@@ -91,33 +91,54 @@ class PiecewiseLinear:
         )
 
     def grid_progressions(self, depth: int) -> tuple[int, list[tuple[int, int, int, int]]]:
-        """(d, pieces) with value(k / 2^depth) * d == start + step (k - first)
+        """``progressions`` along the 2^-depth grid of [0,1]: value(k / 2^depth)
+        for k = 0..2^depth, over d = yden * 2^depth * lcm of the breakpoint
+        gaps.  A domain short of [0,1] raises the DomainError ``value`` raises
+        at the first grid point outside it."""
+        scale = 1 << depth
+        return self.progressions(Fraction(0), Fraction(1, scale), scale)
+
+    def progressions(
+        self, lo: Fraction, delta: Fraction, count: int
+    ) -> tuple[int, list[tuple[int, int, int, int]]]:
+        """(d, pieces) with value(lo + k delta) * d == start + step (k - first)
         for first <= k <= last, one piece (first, last, start, step) per
         segment that holds grid points not already on the piece before it.
-        The pieces cover k = 0..2^depth in order; d is yden * 2^depth * lcm
-        of the breakpoint gaps.  A domain short of [0,1] raises the
-        DomainError ``value`` raises at the first grid point outside it.
+        The pieces cover k = 0..count in order, for delta > 0; with e the lcm
+        of lo's and delta's denominators, d is yden * e * lcm of the
+        breakpoint gaps.  A grid reaching outside the domain raises the
+        DomainError ``value`` raises at its first point outside it.
         """
         ks, js, xden = self._ks, self._js, self._xden
-        scale = 1 << depth
-        if ks[0] > 0:
-            raise self._outside(Fraction(0))
-        if ks[-1] < xden:
-            raise self._outside(Fraction(max(ks[-1] * scale // xden + 1, 0), scale))
+        e = lcm(lo.denominator, delta.denominator)
+        lo_e = lo.numerator * (e // lo.denominator)
+        delta_e = delta.numerator * (e // delta.denominator)
+
+        def last_at(b: int) -> int:
+            """The last k with lo + k delta <= b / xden."""
+            return (b * e - lo_e * xden) // (delta_e * xden)
+
+        if lo_e * xden < ks[0] * e:
+            raise self._outside(lo)
+        if last_at(ks[-1]) < count:
+            raise self._outside(lo + max(last_at(ks[-1]) + 1, 0) * delta)
         gaps = [k1 - k0 for k0, k1 in zip(ks, ks[1:])]
-        den = self._yden * scale * lcm(*gaps)
+        den = self._yden * e * lcm(*gaps)
         pieces = []
         first = 0
         for i, gap in enumerate(gaps):
-            last = min(ks[i + 1] * scale // xden, scale)
+            if first > count:
+                break
+            last = min(last_at(ks[i + 1]), count)
             if last < first:
                 continue
-            # value(k / scale) * den == (j0 scale gap + dj (k xden - k0 scale)) m
-            # with m = den / (yden scale gap): a progression in k
-            m = den // (self._yden * scale * gap)
+            # value(x) * den == (j0 e gap + dj (x e xden - k0 e)) m at
+            # x e == lo_e + delta_e k, with m = den / (yden e gap): a
+            # progression in k
+            m = den // (self._yden * e * gap)
             k0, j0, dj = ks[i], js[i], js[i + 1] - js[i]
-            start = (j0 * scale * gap + dj * (first * xden - k0 * scale)) * m
-            pieces.append((first, last, start, dj * xden * m))
+            start = (j0 * e * gap + dj * ((lo_e + delta_e * first) * xden - k0 * e)) * m
+            pieces.append((first, last, start, dj * delta_e * xden * m))
             first = last + 1
         return den, pieces
 

@@ -389,10 +389,16 @@ def least_density_drop(scenario: DominationScenario, s: int) -> int:
     )
 
 
+def _check_case(case: int) -> None:
+    if case not in (1, 2):
+        raise DomainError(f"case must be 1 or 2, got {case}")
+
+
 def least_drop_h(scenario: DominationScenario, case: int, n_blocks: int) -> Callable[[int], int]:
     """The h that drives build_domination_tests from g = least_density_drop:
     g itself in case 1, the g-iteration from 0 (n_blocks + 1 values, computed
-    here) in case 2."""
+    here) in case 2.  Any other case is refused before the search."""
+    _check_case(case)
     if case == 1:
         return lambda s: least_density_drop(scenario, s)
     chain = [least_density_drop(scenario, 0)]
@@ -429,8 +435,7 @@ def build_domination_tests(
     exact budget identity sums the per-block size bounds against the measure
     of all enumerated word cylinders.
     """
-    if case not in (1, 2):
-        raise DomainError(f"case must be 1 or 2, got {case}")
+    _check_case(case)
     total_words = len(scenario.words)
 
     def clamp(v: int) -> int:

@@ -13,11 +13,14 @@ from densitylab.calculus import (
     ExtensionBudget,
     MonotoneExtension,
     Polynomial,
+    _at_most,
+    _crossings,
+    _flip,
     _floor_ceil,
-    _inner_grid,
-    _on_grid,
-    _refined_grid,
+    _grid_step,
+    _lower,
     _straddling_candidates,
+    _sweep_max,
     extension_grid_check,
     extension_grid_depth,
     interval_extremum,
@@ -27,7 +30,7 @@ from densitylab.counterexample import build_counterexample, default_enumeration
 from densitylab.errors import BudgetExhausted, DomainError
 from densitylab.instances import extension_instance
 from densitylab.intervals import enumeration
-from densitylab.piecewise import PiecewiseLinear
+from densitylab.piecewise import PiecewiseLinear, progression_row
 
 VEE = PiecewiseLinear((F(0), F(1, 2), F(1)), (F(1, 2), F(0), F(1, 2)))  # |x - 1/2|
 IDENTITY = Polynomial((0, 1))
@@ -200,6 +203,36 @@ def test_monotone_extension_off_grid_exhaustion_pinned():
     assert err.value.achieved == F(17, 256)
 
 
+def rows_of(ext):
+    """The build's runs written out as (ps, qs, hs) rows over its denominator:
+    p / q the value at each internal grid index, or the gap with q == 0, and
+    h's sample there."""
+    ps, qs, k = [], [], 0
+    for first, last, start, step, q in ext._runs:
+        assert first == k  # the runs cover the grid in order
+        ps += progression_row([(first, last, start, step)])
+        qs += [q] * (last - first + 1)
+        k = last + 1
+    assert k == (1 << ext.grid_depth) + 1
+    row_den, row = ext.h.grid_numerators(ext.grid_depth)
+    return ps, qs, [v * (ext._den // row_den) for v in row]
+
+
+def plant(ext, i, p, q):
+    """Put the value p / q at internal grid index i, as a one-index run."""
+    runs = []
+    for first, last, start, step, rq in ext._runs:
+        if not first <= i <= last:
+            runs.append((first, last, start, step, rq))
+            continue
+        if first < i:
+            runs.append((first, i - 1, start, step, rq))
+        runs.append((i, i, p, 0, q))
+        if i < last:
+            runs.append((i + 1, last, start + step * (i + 1 - first), step, rq))
+    ext._runs = runs
+
+
 def per_point_values(ext, depth):
     """The reference for grid_values: one value query per grid point."""
     return [ext.value(F(k, 1 << depth)) for k in range((1 << depth) + 1)]
@@ -303,7 +336,7 @@ def test_grid_check_counts_a_planted_dip_like_the_per_point_loop(offset):
     i = next(i for i in range(1 << (gd - 1), 1 << gd, 1 << 4)
              if enum.final_class().contains_point(F(i + 1, 1 << gd)))
     dip = h.exact(F(i, 1 << gd)) - F(1, 8)
-    ext._ps[i], ext._qs[i] = dip.numerator, dip.denominator
+    plant(ext, i, dip.numerator, dip.denominator)
     depth = gd + offset
     drops, worst = extension_grid_check(ext, depth)
     assert (drops, worst) == per_point_grid_check(ext, depth)
@@ -313,16 +346,16 @@ def test_grid_check_counts_a_planted_dip_like_the_per_point_loop(offset):
 @pytest.mark.parametrize("offset", [-2, 0, 1, 3])
 def test_grid_check_reads_a_dip_over_the_builds_denominator_like_the_per_point_loop(offset):
     # the same kind of dip, held over the build's own denominator inside a
-    # part of the class, so that the check reads its run in the passes over
-    # integer rows: the worst is at the run's right end once runs are longer
-    # than one point
+    # part of the class, between runs of the same denominator: the worst is at
+    # the right end of its query points once they are more than one
     h, enum = extension_instance(1, 0)
     ext = MonotoneExtension(h, enum, 10)
     gd, cls = ext.grid_depth, enum.final_class()
     i = next(i for i in range(1 << (gd - 1), 1 << gd, 1 << 4)
              if all(cls.contains_point(F(i + d, 1 << gd)) for d in (-1, 0, 1, 2)))
-    assert ext._den % 8 == 0 and ext._qs[i] is ext._den
-    ext._ps[i] = ext._hs[i] - ext._den // 8
+    _, qs, hs = rows_of(ext)
+    assert ext._den % 8 == 0 and qs[i] == ext._den
+    plant(ext, i, hs[i] - ext._den // 8, ext._den)
     depth = gd + offset
     drops, worst = extension_grid_check(ext, depth)
     assert (drops, worst) == per_point_grid_check(ext, depth)
@@ -379,6 +412,109 @@ def test_grid_check_reads_breakpoints_inside_runs_like_the_per_point_loop(case, 
     assert outcome(extension_grid_check, ext, depth) == outcome(
         per_point_grid_check, MonotoneExtension(h, enum, n), depth
     )
+
+
+@st.composite
+def runs_over(draw, end, width=4):
+    """A row over 0..end: runs (first, last, start, step, *extra) with
+    `width` fields, at random cuts, starts and steps."""
+    cuts = sorted(draw(st.sets(st.integers(1, end), max_size=6))) if end else []
+    runs = []
+    for first, stop in zip([0, *cuts], [*cuts, end + 1]):
+        run = (first, stop - 1, draw(st.integers(-40, 40)), draw(st.integers(-5, 5)))
+        runs.append(run + tuple(draw(st.integers(0, 3)) for _ in range(width - 4)))
+    return runs
+
+
+def written(runs, size=None):
+    """The values of runs (first, last, start, step, ...) index by index,
+    with any fields past the step alongside; None where no run lies."""
+    out = [None] * (size or max(r[1] for r in runs) + 1)
+    for first, last, start, step, *extra in runs:
+        for k in range(first, last + 1):
+            v = start + step * (k - first)
+            out[k] = (v, *extra) if extra else v
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-30, 30), st.integers(-6, 6), st.integers(0, 5), st.integers(0, 12))
+def test_at_most_matches_an_index_scan(d0, ds, lo, length):
+    hi = lo + length
+    want = [k for k in range(lo, hi + 1) if d0 + ds * (k - lo) <= 0]
+    a, b = _at_most(d0, ds, lo, hi)
+    assert list(range(a, b + 1)) == want
+    assert (a, b) == (hi + 1, hi) if not want else a <= b
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 30).flatmap(lambda end: st.tuples(
+    st.just(end), runs_over(end), runs_over(end), runs_over(end), runs_over(end))))
+def test_row_kernels_match_index_by_index(case):
+    end, a, b, c, d = case
+    wa, wb, wc, wd = (written(r) for r in (a, b, c, d))
+    assert written(_lower(a, b)) == [min(x, y) for x, y in zip(wa, wb)]
+    assert written(_flip(a, end)) == [-x for x in reversed(wa)]
+    # pieces in index order from the runs of b, where some neighbours share
+    # an index, swept from a run of -10
+    pieces = []
+    for first, last, start, step in b:
+        if pieces and (start + first) % 2 and pieces[-1][1] + 1 == first:
+            first, start = first - 1, start - step
+        pieces.append((first, last, start, step))
+    best = [-10] * (end + 1)
+    for first, last, start, step in pieces:
+        for k in range(first, last + 1):
+            best[k] = max(best[k], start + step * (k - first))
+    assert written(_sweep_max(pieces, end, -10)) == list(accumulate(best, max))
+    # the indices where F_(t-1) = a > G_(t-1) = b and F_t = c <= G_t = d, with
+    # the linear crossing p / q, q = rise * den
+    want = [None] * (end + 1)
+    for k, (pf, pg, nf, ng) in enumerate(zip(wa, wb, wc, wd)):
+        if pf > pg and nf <= ng:
+            gap = pf - pg
+            rise = gap + ng - nf
+            want[k] = (pf * rise + gap * (nf - pf), rise * 3)
+    got = _crossings(a, b, c, d, 3)
+    assert written(got, end + 1) == want
+    assert got == sorted(got)
+
+
+@st.composite
+def planted_runs(draw):
+    """(ext, depth): an extension with h kinked off every dyadic grid and its
+    values replaced by any runs: rising, flat or falling, over a few
+    denominators, or the marker q == 0."""
+    h, enum, n = draw(kinked_extensions())
+    ext = MonotoneExtension(h, enum, n)
+    den = ext._den
+    # steps of up to 5/32 an index, or of the order of h's own
+    unit = den // 64 if draw(st.booleans()) else den >> ext.grid_depth
+    ext._runs = [(first, last, start * den // 4, step * unit,
+                  0 if q == 0 and draw(st.integers(0, 9)) == 0 else (q or 1) * den // 2)
+                 for first, last, start, step, q in draw(runs_over(1 << ext.grid_depth, 5))]
+    return ext, ext.grid_depth + draw(st.integers(-3, 4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(planted_runs())
+def test_grid_check_reads_any_runs_like_the_per_point_loop(case):
+    ext, depth = case
+    assert outcome(extension_grid_check, ext, depth) == outcome(per_point_grid_check, ext, depth)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_grid_check_finds_the_worst_next_to_a_block_edge(s):
+    # one rising run over the whole grid, against an h that rises faster per
+    # block of 2^s query points but slower per point: |value - h| peaks at a
+    # block's first point, which at h's kink off the grid is not an end of
+    # the overlap
+    h = PiecewiseLinear((F(0), F(3, 7), F(1)), (F(0), F(3, 28), F(1)))
+    ext = MonotoneExtension(h, enumeration(), 2)
+    gd, den = ext.grid_depth, ext._den
+    for num in range(1, 13):
+        ext._runs = [(0, 1 << gd, 0, num * den >> (gd + 3), den)]
+        assert extension_grid_check(ext, gd + s) == per_point_grid_check(ext, gd + s)
 
 
 def full_sweep_values(h, enum, n, budget):
@@ -475,16 +611,35 @@ def test_build_matches_a_full_sweep_of_every_stage(case):
     ext = MonotoneExtension(h, enum, n, budget)
     gd, want = full_sweep_values(h, enum, n, budget)
     assert ext.grid_depth == gd
+    ps, qs, _ = rows_of(ext)
     for i, value in enumerate(want):
         x = F(i, 1 << gd)
         if isinstance(value, tuple):
-            assert ext._qs[i] == 0
+            assert qs[i] == 0
             with pytest.raises(BudgetExhausted) as err:
                 ext.value(x)
             assert str(err.value) == f"envelope gap never closed at {x}"
             assert err.value.achieved == value[1]
         else:
-            assert ext._qs[i] > 0 and F(ext._ps[i], ext._qs[i]) == value
+            assert qs[i] > 0 and F(ps[i], qs[i]) == value
+
+
+def _inner_grid(part, scale):
+    """Indices k with part.lo < k / scale < part.hi."""
+    return range(_floor_ceil(part.lo, scale)[0] + 1, _floor_ceil(part.hi, scale)[1])
+
+
+def _on_grid(part, depth):
+    """Both endpoints of the part lie on the 2^-depth grid."""
+    return all((1 << depth) % x.denominator == 0 for x in (part.lo, part.hi))
+
+
+def _refined_grid(lo, hi, max_step):
+    """The fewest equal steps of at most max_step from lo to hi, as points."""
+    if lo == hi:
+        return [lo]
+    count, delta = _grid_step(lo, hi, max_step)
+    return [lo + k * delta for k in range(count + 1)]
 
 
 def per_index_build(h, enum, n, budget):
@@ -613,7 +768,7 @@ def build_outcome(h, enum, n, budget):
         ext = MonotoneExtension(h, enum, n, budget)
     except DomainError as exc:
         return str(exc)
-    return ext._ps, ext._qs, ext._hs
+    return rows_of(ext)
 
 
 @settings(max_examples=150, deadline=None)
@@ -648,14 +803,15 @@ def first_extension_instance_with_holes(count):
 
 
 def test_grid_check_cost_does_not_grow_with_depth_above_the_internal_grid(monkeypatch):
-    # on a finer grid the check reads h from the build's internal grid
-    # samples, so neither its memory nor the rows it asks of h grow with depth
-    depths = []
+    # on a finer grid the check reads h as one progression per segment, so
+    # neither its memory nor the pieces it asks of h grow with depth
+    pieces = {}
     grid_progressions = PiecewiseLinear.grid_progressions
 
     def spy(self, depth):
-        depths.append(depth)
-        return grid_progressions(self, depth)
+        den, got = grid_progressions(self, depth)
+        pieces[depth] = len(got)
+        return den, got
 
     monkeypatch.setattr(PiecewiseLinear, "grid_progressions", spy)
     h, enum = first_extension_instance_with_holes(6)
@@ -670,7 +826,61 @@ def test_grid_check_cost_does_not_grow_with_depth_above_the_internal_grid(monkey
             tracemalloc.stop()
 
     assert peak_bytes(ext.grid_depth + 7) <= 2 * peak_bytes(ext.grid_depth + 1)
-    assert depths and max(depths) <= ext.grid_depth
+    assert pieces[ext.grid_depth + 7] == pieces[ext.grid_depth + 1] == len(h.xs) - 1
+
+
+def test_build_and_check_at_grid_depth_24_hold_no_row_of_the_grid():
+    # the six-hole extend-query document at n = 21 builds on the 2^-24 grid,
+    # where one list of 2^24 entries alone is 128 MB
+    h, enum = first_extension_instance_with_holes(6)
+    tracemalloc.start()
+    try:
+        ext = MonotoneExtension(h, enum, 21)
+        extension_grid_check(ext, 24)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ext.grid_depth == 24
+    assert peak < 4 << 20
+
+
+def test_off_grid_parts_evaluate_h_as_often_at_any_grid_depth(monkeypatch):
+    # h on an off-grid part is read as progressions along its refined grid,
+    # so only the part ends off the grid, and h(1/2), are evaluated one by one
+    calls = []
+    value = PiecewiseLinear.value
+
+    def spy(self, x):
+        calls.append(x)
+        return value(self, x)
+
+    monkeypatch.setattr(PiecewiseLinear, "value", spy)
+    h = PiecewiseLinear((F(0), F(1, 2), F(1)), (F(0), F(1, 4), F(1, 2)))
+    enum = enumeration((F(1, 3), F(1, 2)), (F(5, 7), F(3, 4)))
+    counts = []
+    for gd in (10, 16):
+        calls.clear()
+        ext = MonotoneExtension(h, enum, gd - 3)
+        assert ext.grid_depth == gd
+        drops, _ = extension_grid_check(ext, gd)
+        assert drops == 0
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def test_a_long_run_of_index_by_index_crossings_exhausts_the_build():
+    # h peaks at 1/4, dips and climbs back to the peak at 1/2, so on the
+    # first stage's class F holds the peak while G follows h up from 3/8,
+    # and the second stage's hole closes over a gap that varies index by
+    # index
+    h = PiecewiseLinear((F(0), F(1, 4), F(3, 8), F(5, 8), F(1)),
+                        (F(0), F(1, 2), F(1, 4), F(3, 4), F(1)))
+    enum = enumeration((F(3, 4), F(7, 8)), (F(1, 4), F(9, 16)))
+    ext = MonotoneExtension(h, enum, 10)
+    assert len(ext._runs) > 1 << 8  # the crossings one index each
+    assert extension_grid_check(ext, 12) == per_point_grid_check(ext, 12)
+    with pytest.raises(BudgetExhausted, match="at most 1048576 are solved one by one"):
+        MonotoneExtension(h, enum, 40)
 
 
 def per_point_extremum(p, a, b, n, which):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -163,6 +164,20 @@ def test_extend_rejects_bad_grid_parameters(tmp_path, capfd, argv, doc):
     assert json.loads(capfd.readouterr().err)["kind"] == "SchemaError"
 
 
+def test_extend_runs_at_n_40_with_hole_ends_off_every_dyadic_grid(tmp_path):
+    # internal grid depth 43: the build keeps runs, not rows of 2^43 entries
+    doc = {"holes": [["1/3", "1/2"], ["5/7", "3/4"]],
+           "h": {"xs": ["0", "1/2", "1"], "ys": ["0", "1/4", "1/2"]}, "n": 40}
+    code, blob = run(tmp_path, "extend", "--depth", "40", "--instance",
+                     write_instance(tmp_path, doc))
+    assert code == 0
+    report = json.loads(blob)
+    assert report["budget_exhausted"] == []
+    drops, worst = report["checks"]
+    assert drops["lhs"] == "0/1" and drops["ok"]
+    assert Fraction(worst["lhs"]) <= 2 * Fraction(1, 1 << 40) and worst["ok"]
+
+
 DOMINATION = {"words": ["1"], "z": "1/3", "eps": "2/3"}
 TABLE = {"depth": 1, "values": {"": "1", "0": "1/2", "1": "3/2"}}
 
@@ -198,22 +213,29 @@ TABLE = {"depth": 1, "values": {"": "1", "0": "1/2", "1": "3/2"}}
     ("covering", {"epsilons": 5}, "SchemaError"),
     ("tests", {"escape": [{"components": {"0": ["0"]}, "r": 0, "m_max": 1, "z": "2"}]},
      "DomainError"),
-    ("extend", {"holes": [["1/4", "1/2"]], "h": {"xs": ["0", "1"], "ys": ["0", "1"]}, "n": 40},
+    # n = 58 puts the internal grid depth at 61, one past the cap
+    ("extend", {"holes": [["1/4", "1/2"]], "h": {"xs": ["0", "1"], "ys": ["0", "1"]}, "n": 58},
      "SchemaError"),
-    ("extend", {"holes": [], "h": {"xs": ["0", "1/1000", "1"], "ys": ["0", "1", "1"]}},
+    # a Lipschitz bound of 2^48 puts it at 10 + 3 + 48
+    ("extend", {"holes": [], "h": {"xs": ["0", f"1/{1 << 48}", "1"], "ys": ["0", "1", "1"]}},
      "SchemaError"),
-    ("extend --depth 30", {"holes": [], "h": {"xs": ["0", "1"], "ys": ["0", "1"]}},
+    ("extend --depth 61", {"holes": [], "h": {"xs": ["0", "1"], "ys": ["0", "1"]}},
      "SchemaError"),
     ("martingale --depth 40", {"martingale": TABLE, "q": "2"}, "SchemaError"),
+    ("martingale --depth 21", {"martingale": TABLE, "q": "2"}, "SchemaError"),
     ("martingale", {"martingale": {**TABLE, "values": {**TABLE["values"], "x": "1"}}, "q": "2"},
      "DomainError"),
+    ("tests", {"domination": [{**DOMINATION, "case": 3}]}, "DomainError"),
+    ("tests", {"domination": [{**DOMINATION, "case": 0}]}, "DomainError"),
+    ("tests", {"domination": [{**DOMINATION, "case": 7}]}, "DomainError"),
 ], ids=["depth", "case", "n_blocks", "k_max", "table", "full-cover", "escape-r", "h-xs",
         "intervals", "escape-key", "escape-components", "h-domain", "density-depth",
         "porosity-levels", "counterexample-stages", "counterexample-depth",
         "porosity-depth", "porosity-stages", "martingale-depth", "escape-list",
         "domination-entry", "domination-words", "covering-epsilons", "escape-z",
         "extend-n-cap", "extend-lipschitz-cap", "extend-depth-cap", "martingale-depth-cap",
-        "table-stray-key"])
+        "martingale-depth-21", "table-stray-key", "domination-case-3", "domination-case-0",
+        "domination-case-7"])
 def test_bad_documents_exit_2_with_json_on_stderr(tmp_path, capfd, command, doc, kind):
     # a command may carry flags: "density --depth -1"
     code, blob = run(tmp_path, *command.split(), "--instance", write_instance(tmp_path, doc))

@@ -135,3 +135,24 @@ def test_grid_numerators_dyadic_and_non_dyadic_breakpoints():
         short.grid_numerators(3)
     with pytest.raises(DomainError, match="^0 outside domain"):
         PiecewiseLinear((F(1, 9), F(1)), (F(0), F(1))).grid_numerators(3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(functions(), rationals, positive, st.integers(0, 40))
+def test_progressions_match_value_on_any_arithmetic_grid(fn, lo, delta, count):
+    xs, ys = fn
+    g = PiecewiseLinear(xs, ys)
+    delta /= 8
+    points = [lo + k * delta for k in range(count + 1)]
+    try:
+        expected = [g.value(x) for x in points]
+    except DomainError as exc:
+        # the first point outside the domain is named
+        with pytest.raises(DomainError) as err:
+            g.progressions(lo, delta, count)
+        assert str(err.value) == str(exc)
+        return
+    den, pieces = g.progressions(lo, delta, count)
+    assert [p[0] for p in pieces] == [0, *(p[1] + 1 for p in pieces[:-1])]
+    assert pieces[-1][1] == count
+    assert [F(v, den) for v in progression_row(pieces)] == expected
