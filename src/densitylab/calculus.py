@@ -175,7 +175,6 @@ def interval_extremum(
 class ExtensionBudget:
     grid_depth: int | None = None
     precision: int | None = None
-    max_stage: int | None = None
 
 
 def _floor_ceil(x: Fraction, scale: int) -> tuple[int, int]:
@@ -370,9 +369,7 @@ class MonotoneExtension:
     final F is returned once its gap to G is below 2^-n, else the achieved
     gap is reported.  Queries snap down to the internal grid, so outputs are
     exactly nondecreasing and C-grid points (depth <= grid_depth) are exact
-    queries.  ``grid_values(depth)`` answers every query k / 2^depth at once,
-    with the same values as ``value`` and the same BudgetExhausted at the
-    same first point.
+    queries.
 
     h is a ``PiecewiseLinear`` defined on all of [0,1], and its
     ``lipschitz_bound()`` sets the grid depth (``extension_grid_depth``) and
@@ -416,8 +413,8 @@ class MonotoneExtension:
     a later hole.  The solved values are one row of
     runs (first, last, p, step, q): p / q at each index, or the gap with
     q == 0 where it never closed below 2^-n, which raises BudgetExhausted
-    when first queried.  ``value`` and ``grid_values`` bisect it, and
-    ``extension_grid_check`` reads it run by run.
+    when first queried.  ``value`` bisects it, and ``extension_grid_check``
+    reads it run by run.
     """
 
     def __init__(
@@ -435,7 +432,6 @@ class MonotoneExtension:
         prec = budget.precision if budget.precision is not None else n + 4
         if prec < 1:
             raise DomainError(f"extension precision must be at least 1, got {prec}")
-        max_stage = budget.max_stage if budget.max_stage is not None else len(enum)
         self.h, self.enum, self.n = h, enum, n
         self.grid_depth, self.precision = gd, prec
         self.epsilon = Fraction(1, 1 << n)
@@ -451,7 +447,7 @@ class MonotoneExtension:
         # values of the running max and min, which a real sample always beats.
         hi_bound = mid + lip + 1
         lo_bound = mid - lip - 1
-        final = min(len(enum), max_stage)
+        final = len(enum)
         self.stages = []
         step = 1
         while step < final:
@@ -584,20 +580,6 @@ class MonotoneExtension:
         i = (x.numerator << self.grid_depth) // x.denominator
         return self._value_at(i, x.numerator, x.denominator)
 
-    def grid_values(self, depth: int) -> list[Fraction]:
-        """value(k / 2^depth) for k = 0..2^depth; grid points that share an
-        internal grid index share one value object."""
-        if depth < 0:
-            raise DomainError(f"grid depth {depth} is negative")
-        gd, scale = self.grid_depth, 1 << depth
-        out, i, v = [], -1, None
-        for k in range(scale + 1):
-            j = (k << gd) >> depth
-            if j != i:
-                i, v = j, self._value_at(j, k, scale)
-            out.append(v)
-        return out
-
     def _value_at(self, i: int, x_num: int, x_den: int) -> Fraction:
         """The value at internal grid index i; x_num / x_den is the query
         point named if the envelope gap never closed there."""
@@ -619,7 +601,7 @@ def extension_grid_check(ext: MonotoneExtension, depth: int) -> tuple[int, Fract
     Query k lies on internal grid index (k << grid_depth) >> depth, so each
     run of the build's values holds a range of query points, and the check
     reads the runs, never a row: an exhausted run raises at the first query
-    point that reaches it, as ``grid_values(depth)`` does.  A drop lies at a
+    point that reaches it, as ``value`` does there.  A drop lies at a
     run boundary, by cross-multiplying the two value pairs there, or inside
     a falling run, at each step to the next index.  h is read as its
     ``grid_progressions(depth)``, so on each overlap of a value run, an h

@@ -92,10 +92,12 @@ def _override(args, flag: str, default: int, doc: dict | None = None, key: str =
     return value
 
 
-# The largest martingale --depth.  A table martingale's fairness check and
-# savings search read rows of 2^depth entries: at 20, on a 2-vCPU host, about
-# 1 s and 40 MB, and each step above doubles both.
-MARTINGALE_MAX_DEPTH = 20
+# The largest --depth of the two commands that build rows of 2^depth entries.
+# A table martingale's fairness check and savings search read such rows: at
+# 20, on a 2-vCPU host, about 1 s and 40 MB, and each step above doubles both.
+# density's prefix-mass oracle sweeps the 2^-depth grid: at 20 about 1.5 s and
+# 138 MB in process, against 0.08 s and 25 MB at 16.
+ROW_MAX_DEPTH = 20
 # The largest extend --depth, and the largest internal grid depth of extend.
 # The extension keeps its rows as runs, so neither its time nor its memory
 # grows with either depth: on a 2-vCPU host a six-hole document takes about
@@ -142,6 +144,8 @@ def run_covering(args, doc, rep: Report) -> None:
 
 
 def run_density(args, doc, rep: Report) -> None:
+    grid_depth = rep.meta["grid_depth"] = _at_most(_override(args, "depth", 8), ROW_MAX_DEPTH,
+                                                   "--depth")
     if doc is None:
         c, eps = oracle_match_instance(args.seed, 0)
         docs = [{
@@ -150,7 +154,6 @@ def run_density(args, doc, rep: Report) -> None:
         }]
     else:
         docs = _as_docs(doc)
-    grid_depth = rep.meta["grid_depth"] = _override(args, "depth", 8)
     for i, d in enumerate(docs):
         c = FULL_SET.subtract_open(_holes(d))
         eps = parse_rational(d.get("epsilon", "1/2"))
@@ -213,7 +216,7 @@ def run_tests(args, doc, rep: Report) -> None:
     for i, d in enumerate(_list(doc.get("domination", []), "domination", "objects")):
         if not isinstance(d, dict):
             raise SchemaError(f"domination entry {i} must be an object, got {d!r}")
-        words = tuple(str(w) for w in _list(_require(d, "words"), "words", "bit strings"))
+        words = tuple(_list(_require(d, "words"), "words", "bit strings"))
         scenario = DominationScenario(
             words, parse_rational(_require(d, "z")),
             parse_rational(_require(d, "eps")), _int_field(d, "depth", 12),
@@ -236,12 +239,11 @@ def run_martingale(args, doc, rep: Report) -> None:
     if not isinstance(doc, dict):
         raise SchemaError("martingale instance must be an object")
     m = TableMartingale.from_json(_require(doc, "martingale"))
-    depth = rep.meta["depth"] = _at_most(_override(args, "depth", 12), MARTINGALE_MAX_DEPTH,
-                                         "--depth")
+    depth = rep.meta["depth"] = _at_most(_override(args, "depth", 12), ROW_MAX_DEPTH, "--depth")
     rep.checks.append(fairness_row(m, depth))
     q = parse_rational(_require(doc, "q"))
     eps = parse_rational(doc.get("eps", "1/2"))
-    sigma = str(doc.get("sigma", ""))
+    sigma = doc.get("sigma", "")
     cond = Condition(sigma, m, q)
     try:
         ext = savings_extension(cond, eps, depth)

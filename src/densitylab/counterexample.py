@@ -21,6 +21,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import DomainError, EnumerationOverlapError
 from .bits import ONE, ZERO, format_rational
@@ -155,19 +156,8 @@ def leftmost_uncovered(cover: IntervalSet) -> Fraction:
     return comp.parts[0].lo if comp.parts else ONE
 
 
-def _normalize_enumeration(enumeration) -> list[Interval]:
-    out = []
-    for item in enumeration:
-        if isinstance(item, Interval):
-            out.append(item)
-        else:
-            lo, hi = item
-            out.append(Interval(Fraction(lo), Fraction(hi)))
-    return out
-
-
 def build_counterexample(
-    enumeration, overlap_policy: str = "reject"
+    enumeration: Sequence[Interval], overlap_policy: str = "reject"
 ) -> tuple[SpikePlan, AlphaTrace]:
     """Assign flat/spike per stage; the plan is the function it defines.
 
@@ -178,14 +168,13 @@ def build_counterexample(
     """
     if overlap_policy not in OVERLAP_POLICIES:
         raise DomainError(f"overlap_policy must be one of {OVERLAP_POLICIES}")
-    pending = _normalize_enumeration(enumeration)
 
     stages: list[SpikeStage] = []
     alphas: list[Fraction] = [ZERO]
     covered = IntervalSet(())
     increases: list[int] = []  # indices of spike stages
 
-    queue = list(reversed(pending))
+    queue = list(reversed(enumeration))
     while queue:
         iv = queue.pop()
         clash = covered.intersect_interval(iv)

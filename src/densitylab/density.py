@@ -65,7 +65,6 @@ def dyadic_intervals_containing(z: Fraction, n: int) -> list[Interval]:
 class DensityEstimate:
     estimate: Fraction
     witness: Interval
-    mode: str
     scale_depth: int
     family_size: int
 
@@ -114,35 +113,28 @@ class _MassRow:
             yield u, hi, i & 1 == 1
 
 
-def lower_density_estimate(
-    c: IntervalSet, z: Fraction, scale_depth: int, mode: str = "general"
-) -> DensityEstimate:
+def lower_density_estimate(c: IntervalSet, z: Fraction, scale_depth: int) -> DensityEstimate:
     """Exact minimum of the window density over the declared finite family.
 
-    mode "general" uses windows [z-gamma, z+delta] with dyadic radii up to
-    2^-scale_depth, signed distances from z to part endpoints within 1/2, and
-    the basic dyadic intervals through z (so the dyadic estimate can never
-    fall below the general one).  mode "dyadic" uses basic dyadic intervals
-    of depth <= scale_depth only.  Both are upper bounds on the true lower
-    density that shrink as scale_depth grows.  The first window of least
-    density, in the order listed, is the witness.
+    The windows are [z-gamma, z+delta] with dyadic radii up to
+    2^-scale_depth and signed distances from z to part endpoints within 1/2,
+    and the basic dyadic intervals through z of depth <= scale_depth.  The
+    minimum is an upper bound on the true lower density that shrinks as
+    scale_depth grows.  The first window of least density, in the order
+    listed, is the witness.
     """
     require_unit(z, "z")
     if scale_depth < 0:
         raise DomainError(f"negative scale_depth {scale_depth}")
-    if mode not in ("general", "dyadic"):
-        raise DomainError(f"unknown mode {mode!r}")
     row = _MassRow(c, (z, Fraction(1, 1 << scale_depth)))
     den, zi = row.den, row.scaled(z)
-    windows: list[tuple[int, int]] = []
-    if mode == "general":
-        radii = [den >> k for k in range(scale_depth + 1)]
-        left = set(radii)
-        left.update(zi - e for e in row.ends if 0 < 2 * (zi - e) <= den)
-        right = set(radii)
-        right.update(e - zi for e in row.ends if 0 < 2 * (e - zi) <= den)
-        his = [min(den, zi + d) for d in sorted(right)]
-        windows += [(max(0, zi - g), hi) for g in sorted(left) for hi in his]
+    radii = [den >> k for k in range(scale_depth + 1)]
+    left = set(radii)
+    left.update(zi - e for e in row.ends if 0 < 2 * (zi - e) <= den)
+    right = set(radii)
+    right.update(e - zi for e in row.ends if 0 < 2 * (e - zi) <= den)
+    his = [min(den, zi + d) for d in sorted(right)]
+    windows = [(max(0, zi - g), hi) for g in sorted(left) for hi in his]
     for n in range(scale_depth + 1):
         windows += [
             (row.scaled(w.lo), row.scaled(w.hi))
@@ -159,7 +151,6 @@ def lower_density_estimate(
     return DensityEstimate(
         Fraction(best_m, best_len),
         Interval(Fraction(witness[0], den), Fraction(witness[1], den)),
-        mode,
         scale_depth,
         len(set(windows)),
     )
@@ -246,9 +237,6 @@ class FatCover:
             ("size lambda(U) <= 2(1 - lambda C)/(1 - eps)", size, size_bound,
              size <= size_bound),
         ]
-
-    def holds(self) -> bool:
-        return all(ok for *_x, ok in self.inequalities())
 
 
 def low_density_open_set(c: IntervalSet, eps: Fraction) -> FatCover:

@@ -45,14 +45,15 @@ def battery_rng(seed: int, battery: str, index: int = 0) -> random.Random:
 
 
 def random_holes(
-    rng: random.Random, count: int, max_denominator: int, width_divisor: int = 8
+    rng: random.Random, count: int, max_denominator: int
 ) -> tuple[Interval, ...]:
-    """Open holes with both endpoints on a common denominator <= the cap."""
+    """Open holes with both endpoints on a common denominator q, 8 <= q <= the
+    cap, each at most q // 8 steps of 1/q wide."""
     holes = []
     for _ in range(count):
-        q = rng.randint(width_divisor, max_denominator)
+        q = rng.randint(8, max_denominator)
         p = rng.randint(0, q - 1)
-        d = rng.randint(1, max(1, q // width_divisor))
+        d = rng.randint(1, q // 8)
         holes.append(Interval(Fraction(p, q), Fraction(min(p + d, q), q)))
     return tuple(holes)
 
@@ -62,13 +63,14 @@ def dyadic_holes(
     count: int,
     depth_lo: int = 4,
     depth_hi: int = 7,
-    width_divisor: int = 16,
 ) -> tuple[Interval, ...]:
+    """Open holes on the 2^-k grid, depth_lo <= k <= depth_hi, each at most
+    2^k // 16 (and at least one) grid steps wide."""
     holes = []
     for _ in range(count):
         scale = 1 << rng.randint(depth_lo, depth_hi)
         p = rng.randint(0, scale - 1)
-        d = rng.randint(1, max(1, scale // width_divisor))
+        d = rng.randint(1, max(1, scale // 16))
         holes.append(Interval(Fraction(p, scale), Fraction(min(p + d, scale), scale)))
     return tuple(holes)
 
@@ -269,15 +271,12 @@ def domination_instance(seed: int, index: int) -> tuple[DominationScenario, int,
     return scenario, 1 + index % 2, len(depths) - 2
 
 
-def random_fair_table(
-    rng: random.Random, depth: int, unit: int = 8, ceiling: int = 48
-) -> TableMartingale:
-    """Fair nonnegative table from random leaf capital, averaged upward."""
+def random_fair_table(rng: random.Random, depth: int) -> TableMartingale:
+    """Fair nonnegative table from random leaf capital in {0, 1/8, ..., 6},
+    averaged upward."""
     table: dict[str, Fraction] = {}
     for j in range(1 << depth):
-        table[format(j, f"0{depth}b") if depth else ""] = Fraction(
-            rng.randint(0, ceiling), unit
-        )
+        table[format(j, f"0{depth}b") if depth else ""] = Fraction(rng.randint(0, 48), 8)
     for k in range(depth - 1, -1, -1):
         for j in range(1 << k):
             s = format(j, f"0{k}b") if k else ""

@@ -58,9 +58,6 @@ class Interval:
     def is_degenerate(self) -> bool:
         return self.lo == self.hi
 
-    def contains(self, x: Fraction) -> bool:
-        return self.lo <= x <= self.hi
-
     def intersection(self, other: "Interval") -> "Interval | None":
         lo = max(self.lo, other.lo)
         hi = min(self.hi, other.hi)

@@ -103,11 +103,6 @@ class Martingale:
                 )
         return e, got
 
-    def approx(self, tau: str, n: int) -> Fraction:
-        """M(tau)_n with error at most 2^-n; exact when no adapter is set."""
-        e, (num,) = self.approx_level(tau, 0, n)
-        return Fraction(num, e)
-
 
 def with_floor_adapter(m: Martingale) -> Martingale:
     """m with its approximants rounded down to the 2^-n grid (error < 2^-n)."""
@@ -119,8 +114,8 @@ def with_floor_adapter(m: Martingale) -> Martingale:
     return Martingale(m.level, floor_rows)
 
 
-def fairness_violations(m: Martingale, depth: int, base: str = "") -> list[str]:
-    """Strings sigma (with base <= sigma, |sigma| < base+depth) breaking fairness.
+def fairness_violations(m: Martingale, depth: int) -> list[str]:
+    """Strings sigma, |sigma| < depth, breaking fairness.
 
     Checked on consecutive integer rows of ``Martingale.level``: with the
     parent row over d and the child row over e, node i is fair iff
@@ -129,12 +124,12 @@ def fairness_violations(m: Martingale, depth: int, base: str = "") -> list[str]:
     bad: list[str] = []
     if depth <= 0:
         return bad
-    d, parents = m.level(base, 0)
+    d, parents = m.level("", 0)
     for k in range(depth):
-        e, kids = m.level(base, k + 1)
+        e, kids = m.level("", k + 1)
         e2 = 2 * e
         bad.extend(
-            _string(base, i, k)
+            _string("", i, k)
             for i, (a, b, c) in enumerate(zip(parents, kids[::2], kids[1::2]))
             if a * e2 != d * (b + c)
         )
@@ -584,24 +579,21 @@ def claim5_density_records(
     s: Fraction,
     eps: Fraction,
     depth: int,
-    window_depth: int,
 ) -> list[tuple[str, Fraction, Fraction, bool]]:
     """Exact window checks for the savings claim.
 
-    D is the union of minimal cylinders above tau where M reaches q; for each
-    basic dyadic window inside Cyl tau of depth at most window_depth whose
-    slope of the integrated function stays below s, the relative measure of D
-    in the window must stay within eps.
+    D is the union of minimal cylinders above tau, to length depth, where M
+    reaches q; for each basic dyadic window inside Cyl tau of depth at most
+    depth whose slope of the integrated function stays below s, the relative
+    measure of D in the window must stay within eps.
     """
-    if window_depth > depth:
-        raise DomainError("windows cannot be finer than the integration depth")
     f = martingale_to_function(m, tau, depth)
     dset = canonicalize(
         [Interval(*cylinder_bounds(rho)) for rho in threshold_cylinders(m, tau, q, depth)]
     )
     lo, hi = cylinder_bounds(tau)
     records = []
-    for j in range(len(tau), window_depth + 1):
+    for j in range(len(tau), depth + 1):
         step = Fraction(1, 1 << j)
         k = lo / step
         while k * step < hi:

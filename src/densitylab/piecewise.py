@@ -160,9 +160,6 @@ class PiecewiseLinear:
     def _outside(self, x: Fraction) -> DomainError:
         return DomainError(f"{x} outside domain [{self.lo}, {self.hi}]")
 
-    def is_nondecreasing(self) -> bool:
-        return all(y0 <= y1 for y0, y1 in zip(self.ys, self.ys[1:]))
-
     def lipschitz_bound(self) -> Fraction:
         return max(
             abs(y1 - y0) / (x1 - x0)

@@ -24,8 +24,6 @@ from .bits import cylinder_bounds, is_antichain, over_common_denominator, valida
 from .errors import DomainError, InvariantError
 from .intervals import Interval, IntervalSet, StagedOpenEnumeration, canonicalize
 
-_SCAN_SAFETY = 400
-
 
 def cylinder_meets_class(gaps: ClassGaps, tau: str) -> bool:
     """Does the open cylinder of tau meet the class whose gaps are given?  It
@@ -89,14 +87,13 @@ def _string_at(index: int, level: int) -> str:
 
 @dataclass(frozen=True)
 class PorousExtensions:
-    """N_t(sigma): minimal qualifying extensions plus scan bookkeeping."""
+    """N_t(sigma): the minimal qualifying extensions, and the level one past
+    the last gap activation, to which the scan ran."""
 
     base: str
     constant: int
     elements: tuple[str, ...]
-    scan_depth: int
     completion_depth: int
-    truncated: bool
 
 
 class ClassGaps:
@@ -137,15 +134,14 @@ class ClassGaps:
         )
 
 
-def minimal_porous_extensions(
-    gaps: ClassGaps, sigma: str, c: int, depth_cap: int | None = None
-) -> PorousExtensions:
+def minimal_porous_extensions(gaps: ClassGaps, sigma: str, c: int) -> PorousExtensions:
     """Antichain of minimal rho >= sigma reached by an empty cylinder of the
-    class whose gaps are given.
+    class whose gaps are given: the full N(sigma), scanned to the completion
+    depth.
 
-    With depth_cap None the scan runs to the exact completion depth and the
-    result is the full N(sigma); a lower cap is honest truncation and is
-    flagged in the output.
+    Each gap that meets the open cylinder of sigma meets it in an interval of
+    positive length, so it holds a whole cylinder inside sigma at some level
+    and its activation loop ends.
     """
     validate_bits(sigma)
     if c < 0:
@@ -154,7 +150,7 @@ def minimal_porous_extensions(
     s_idx = int(sigma, 2) if sigma else 0
     meeting = gaps.meeting(s_idx, s_len)
     if not meeting:
-        return PorousExtensions(sigma, c, (), s_len, s_len, False)
+        return PorousExtensions(sigma, c, (), s_len)
 
     activations = []
     for i in meeting:
@@ -167,22 +163,12 @@ def minimal_porous_extensions(
                 activations.append(level)
                 break
             level += 1
-            if level > s_len + _SCAN_SAFETY:
-                raise InvariantError(
-                    f"gap {gaps.gaps[i].to_json()} never activates below {sigma!r}"
-                )
     completion = max(activations) + 1
-    if depth_cap is None:
-        scan_to = completion
-        truncated = False
-    else:
-        scan_to = min(depth_cap, completion)
-        truncated = depth_cap < completion
 
     reach = 1 << c
     covered: list[tuple[int, int]] = []
     found: list[str] = []
-    for level in range(s_len, scan_to + 1):
+    for level in range(s_len, completion + 1):
         if level > s_len:
             covered = [(2 * a, 2 * b + 1) for a, b in covered]
         lo_idx = s_idx << (level - s_len)
@@ -196,7 +182,7 @@ def minimal_porous_extensions(
                 continue
             qualifying.append((max(e1 - reach, lo_idx), min(e2 + reach, hi_idx)))
         fresh = _subtract_ranges(_merge_ranges(qualifying), covered)
-        if level == completion and not truncated:
+        if level == completion:
             # shrinkage of the qualifying value regions past the last
             # activation level makes this a checked no-op
             if fresh:
@@ -204,7 +190,7 @@ def minimal_porous_extensions(
         for a, b in fresh:
             found.extend(_string_at(j, level) for j in range(a, b + 1))
         covered = _merge_ranges(covered + fresh)
-    return PorousExtensions(sigma, c, tuple(sorted(found)), scan_to, completion, truncated)
+    return PorousExtensions(sigma, c, tuple(sorted(found)), completion)
 
 
 @dataclass(frozen=True)
@@ -287,9 +273,6 @@ class PorosityTest:
                  lhs <= bound)
             )
         return out
-
-    def holds(self) -> bool:
-        return all(ok for *_x, ok in self.bound_checks())
 
 
 def porosity_test(

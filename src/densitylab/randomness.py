@@ -71,9 +71,6 @@ class TestFamily:
             recs.append((f"lambda(V_{n} cap C_final)", lhs, rhs, lhs <= rhs))
         return recs
 
-    def holds(self) -> bool:
-        return all(ok for *_r, ok in self.measure_records())
-
 
 @dataclass(frozen=True)
 class CaptureReport:
@@ -221,18 +218,6 @@ class EscapeSets:
     witness_sigma: str | None
     records: tuple[tuple[str, Fraction, Fraction, bool], ...]
 
-    @property
-    def shrink(self) -> Fraction:
-        return 1 - Fraction(1, 1 << (self.r + 1))
-
-    def box_measure(self, m: int) -> Fraction:
-        return sum(
-            (Fraction(1, 1 << len(s)) for s in self.boxes[m]), Fraction(0)
-        )
-
-    def holds(self) -> bool:
-        return all(ok for *_r, ok in self.records)
-
 
 def build_escape_sets(
     dtest: CylinderDifferenceTest, r: int, m_max: int, z: Fraction
@@ -365,9 +350,7 @@ class DominationScenario:
         return FULL_SET.subtract_open(holes)
 
     def density_at(self, s: int, t: int) -> Fraction:
-        return lower_density_estimate(
-            self.word_class(s, t), self.z, self.depth, "general"
-        ).estimate
+        return lower_density_estimate(self.word_class(s, t), self.z, self.depth).estimate
 
 
 def least_density_drop(scenario: DominationScenario, s: int) -> int:
@@ -416,9 +399,6 @@ class DominationTests:
     captured: tuple[bool, ...]
     expected_capture: tuple[bool, ...]
     records: tuple[tuple[str, Fraction, Fraction, bool], ...]
-
-    def holds(self) -> bool:
-        return all(ok for *_r, ok in self.records)
 
 
 def build_domination_tests(

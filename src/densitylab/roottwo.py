@@ -29,15 +29,6 @@ class QuadValue:
         object.__setattr__(self, "a", Fraction(self.a))
         object.__setattr__(self, "b", Fraction(self.b))
 
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise DomainError(f"{self} is irrational")
-        return self.a
-
     def sign(self) -> int:
         """Exact sign of a + b sqrt(2) via squared comparison."""
         a, b = self.a, self.b

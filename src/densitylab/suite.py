@@ -154,7 +154,7 @@ def window_rows(cond: Condition, ext: SavingsExtension, depth: int) -> list[Chec
     q = cond.q
     eps_claim = (ext.s - ext.reachable_min) / (q - ext.reachable_min)
     return check_rows(claim5_density_records(cond.martingale, ext.tau, q, ext.s,
-                                             eps_claim, depth, depth))
+                                             eps_claim, depth))
 
 
 def extension_rows(h, enum: StagedOpenEnumeration, n: int, grid_depth: int) -> list[Check]:

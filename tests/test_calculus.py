@@ -29,7 +29,7 @@ from densitylab.calculus import (
 from densitylab.counterexample import build_counterexample, default_enumeration
 from densitylab.errors import BudgetExhausted, DomainError
 from densitylab.instances import extension_instance
-from densitylab.intervals import enumeration
+from densitylab.intervals import StagedOpenEnumeration, enumeration
 from densitylab.piecewise import PiecewiseLinear, progression_row
 
 VEE = PiecewiseLinear((F(0), F(1, 2), F(1)), (F(1, 2), F(0), F(1, 2)))  # |x - 1/2|
@@ -186,7 +186,7 @@ def test_monotone_extension_off_grid_endpoints_pinned():
         F(1): F(771, 1024),
     }
     assert {x: ext.value(x) for x in expected} == expected
-    first = MonotoneExtension(OFF_GRID_H, OFF_GRID_ENUM, 6, ExtensionBudget(max_stage=1))
+    first = MonotoneExtension(OFF_GRID_H, StagedOpenEnumeration(OFF_GRID_ENUM.items[:1]), 6)
     assert first.value(F(1, 7)) == F(19, 256)
     assert first.value(F(2, 3)) == F(471, 1024)
 
@@ -234,7 +234,7 @@ def plant(ext, i, p, q):
 
 
 def per_point_values(ext, depth):
-    """The reference for grid_values: one value query per grid point."""
+    """One value query per point of the 2^-depth grid."""
     return [ext.value(F(k, 1 << depth)) for k in range((1 << depth) + 1)]
 
 
@@ -250,28 +250,6 @@ def per_point_grid_check(ext, depth):
         if cls.contains_point(x):
             worst = max(worst, abs(v - ext.h.exact(x)))
     return drops, worst
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(1, 50), st.integers(0, 19), st.integers(2, 6), st.integers(-4, 3))
-def test_grid_values_match_per_point_values(seed, index, n, offset):
-    h, enum = extension_instance(seed, index)
-    ext = MonotoneExtension(h, enum, n)
-    depth = max(ext.grid_depth + offset, 0)
-    got = ext.grid_values(depth)
-    assert got == per_point_values(MonotoneExtension(h, enum, n), depth)
-    assert all(type(v) is F for v in got)
-
-
-@pytest.mark.parametrize("depth", [4, 9, 10, 11, 12])
-def test_grid_values_exhaustion_matches_per_point(depth):
-    budget = ExtensionBudget(precision=5)
-    with pytest.raises(BudgetExhausted) as expected:
-        per_point_values(MonotoneExtension(OFF_GRID_H, OFF_GRID_ENUM, 6, budget), depth)
-    with pytest.raises(BudgetExhausted) as got:
-        MonotoneExtension(OFF_GRID_H, OFF_GRID_ENUM, 6, budget).grid_values(depth)
-    assert str(got.value) == str(expected.value)
-    assert got.value.achieved == expected.value.achieved
 
 
 def test_grid_check_matches_per_point_loop_on_battery_instances():
@@ -530,7 +508,7 @@ def full_sweep_values(h, enum, n, budget):
     margin = lip / scale + F(1, 1 << prec)
     mid = h.value(F(1, 2))
     hi_bound, lo_bound = mid + lip + 1, mid - lip - 1
-    final = len(enum) if budget.max_stage is None else min(len(enum), budget.max_stage)
+    final = len(enum)
     stages = sorted({1 << e for e in range(final.bit_length()) if 1 << e < final} | {final})
     f_env, g_env = [hi_bound] * len(grid), [lo_bound] * len(grid)
     solved = {}
@@ -575,8 +553,8 @@ def staged_extensions(draw):
     checks, and rises across the holes so that envelopes cross at every
     stage; inside a hole it may peak above h to its right, so that the
     running max must be swept past the window of the stage that removes the
-    peak.  Some budgets stop at a stage, or starve the precision so that
-    indices stay exhausted."""
+    peak.  Some enumerations stop short of the holes h is drawn for, and some
+    budgets starve the precision so that indices stay exhausted."""
     n = draw(st.integers(1, 3))
     ends = st.sampled_from(STAGE_POINTS)
     holes = []
@@ -584,14 +562,12 @@ def staged_extensions(draw):
         lo = holes[-1][1] if holes and draw(st.booleans()) else draw(ends)
         hi = draw(ends.filter(lambda x: x > lo)) if lo < 1 else F(1)
         holes.append((min(lo, hi), hi))
-    enum = enumeration(*holes)
     budget = ExtensionBudget(
         grid_depth=draw(st.integers(5, 7)),
         precision=draw(st.none() | st.none() | st.integers(1, 3)),
-        max_stage=draw(st.none() | st.integers(0, len(holes))),
     )
-    final = len(holes) if budget.max_stage is None else budget.max_stage
-    checked = enum.stage_class(final)
+    enum = enumeration(*holes[:draw(st.none() | st.integers(0, len(holes)))])
+    checked = enum.final_class()
     xs = sorted({F(0), F(1), *(x for hole in holes for x in hole),
                  *((lo + hi) / 2 for lo, hi in holes), *draw(st.lists(ends, max_size=4))})
     ys, peak = [], F(0)
@@ -657,7 +633,7 @@ def per_index_build(h, enum, n, budget):
     margin = lip / scale + F(1, 1 << prec)
     mid = h.value(F(1, 2))
     hi_bound, lo_bound = mid + lip + 1, mid - lip - 1
-    final = len(enum) if budget.max_stage is None else min(len(enum), budget.max_stage)
+    final = len(enum)
     stages = sorted({1 << e for e in range(final.bit_length()) if 1 << e < final} | {final})
     classes = [enum.stage_class(t) for t in stages]
     off = {x: h.value(x) for c_set in classes for part in c_set for x in (part.lo, part.hi)
@@ -749,8 +725,7 @@ def build_cases(draw):
         if lo == 1:
             lo = draw(ends.filter(lambda x: x < 1))
         holes.append((lo, draw(ends.filter(lambda x: x > lo))))
-    budget = ExtensionBudget(budget.grid_depth, budget.precision,
-                             draw(st.none() | st.integers(0, len(holes))))
+    stop = draw(st.none() | st.integers(0, len(holes)))
     xs = sorted({F(0), F(1), *draw(st.lists(ends, max_size=6)),
                  *draw(st.lists(st.sampled_from([x for hole in holes for x in hole] or [F(0)]),
                                 max_size=4))})
@@ -759,7 +734,7 @@ def build_cases(draw):
     ys = [draw(st.integers(0, 8)) * F(1, 16)]
     for _ in xs[1:]:
         ys.append(ys[-1] + draw(steps))
-    return PiecewiseLinear(xs, ys), enumeration(*holes), n, budget
+    return PiecewiseLinear(xs, ys), enumeration(*holes[:stop]), n, budget
 
 
 def build_outcome(h, enum, n, budget):

@@ -178,6 +178,16 @@ def test_extend_runs_at_n_40_with_hole_ends_off_every_dyadic_grid(tmp_path):
     assert Fraction(worst["lhs"]) <= 2 * Fraction(1, 1 << 40) and worst["ok"]
 
 
+def test_porosity_scans_a_hole_that_first_holds_a_cylinder_past_level_400(tmp_path):
+    # the hole [1/D, 2/D], D = 2^420, holds a whole cylinder from level 421
+    d = 1 << 420
+    doc = {"holes": [[f"1/{d}", f"2/{d}"]], "levels": 1}
+    code, blob = run(tmp_path, "porosity", "--instance", write_instance(tmp_path, doc))
+    assert code == 0
+    checks = json.loads(blob)["checks"]
+    assert len(checks) == 7 and all(c["ok"] for c in checks)
+
+
 DOMINATION = {"words": ["1"], "z": "1/3", "eps": "2/3"}
 TABLE = {"depth": 1, "values": {"": "1", "0": "1/2", "1": "3/2"}}
 
@@ -228,6 +238,10 @@ TABLE = {"depth": 1, "values": {"": "1", "0": "1/2", "1": "3/2"}}
     ("tests", {"domination": [{**DOMINATION, "case": 3}]}, "DomainError"),
     ("tests", {"domination": [{**DOMINATION, "case": 0}]}, "DomainError"),
     ("tests", {"domination": [{**DOMINATION, "case": 7}]}, "DomainError"),
+    ("density --depth 21", {"holes": [], "epsilon": "1/2"}, "SchemaError"),
+    # bit strings are JSON strings; numbers are refused, not coerced
+    ("martingale", {"martingale": TABLE, "q": "2", "sigma": 0}, "SchemaError"),
+    ("tests", {"domination": [{**DOMINATION, "words": [1, 0]}]}, "SchemaError"),
 ], ids=["depth", "case", "n_blocks", "k_max", "table", "full-cover", "escape-r", "h-xs",
         "intervals", "escape-key", "escape-components", "h-domain", "density-depth",
         "porosity-levels", "counterexample-stages", "counterexample-depth",
@@ -235,7 +249,8 @@ TABLE = {"depth": 1, "values": {"": "1", "0": "1/2", "1": "3/2"}}
         "domination-entry", "domination-words", "covering-epsilons", "escape-z",
         "extend-n-cap", "extend-lipschitz-cap", "extend-depth-cap", "martingale-depth-cap",
         "martingale-depth-21", "table-stray-key", "domination-case-3", "domination-case-0",
-        "domination-case-7"])
+        "domination-case-7", "density-depth-21", "martingale-sigma-number",
+        "domination-word-numbers"])
 def test_bad_documents_exit_2_with_json_on_stderr(tmp_path, capfd, command, doc, kind):
     # a command may carry flags: "density --depth -1"
     code, blob = run(tmp_path, *command.split(), "--instance", write_instance(tmp_path, doc))

@@ -54,6 +54,11 @@ def naive_minexp(lo: F, hi: F):
         n += 1
 
 
+def stages(pairs):
+    """The stage intervals of (lo, hi) pairs."""
+    return [interval(lo, hi) for lo, hi in pairs]
+
+
 DELTA = F(1, 1024)
 E246 = [
     (F(0), F(1, 4) + DELTA),
@@ -64,7 +69,7 @@ E246 = [
 
 
 def test_height_rule_on_spec_single_interval():
-    plan, trace = build_counterexample([(F(0), F(1, 2))])
+    plan, trace = build_counterexample([interval(0, F(1, 2))])
     assert trace.alphas == (F(0), F(1, 2))
     (stage,) = plan.stages
     assert stage.kind == "spike"
@@ -77,7 +82,7 @@ def test_height_rule_on_spec_single_interval():
 
 
 def test_flat_stage_keeps_alpha_and_zero_values():
-    plan, trace = build_counterexample([(F(1, 4), F(1, 2))])
+    plan, trace = build_counterexample([interval(F(1, 4), F(1, 2))])
     assert trace.alphas == (F(0), F(0))
     assert plan.stages[0].kind == "flat"
     for q in (F(1, 4), F(3, 8), F(1, 2), F(7, 8)):
@@ -111,7 +116,7 @@ def test_largest_dyadic_multiple():
 
 
 def test_e246_exponents_and_trace():
-    plan, trace = build_counterexample(E246)
+    plan, trace = build_counterexample(stages(E246))
     assert [s.kind for s in plan.stages] == ["spike"] * 4
     assert [s.height_exponent for s in plan.stages] == [2, 2, 4, 6]
     assert trace.alphas == (
@@ -123,7 +128,7 @@ def test_e246_exponents_and_trace():
 
 
 def test_e246_certificates_frozen():
-    plan, trace = build_counterexample(E246)
+    plan, trace = build_counterexample(stages(E246))
     report = verify_denjoy_failure(plan, trace, k_max=6)
     assert report.unrealized == (1, 3, 5)
     by_k = {c.k: c for c in report.certificates}
@@ -138,7 +143,7 @@ def test_e246_certificates_frozen():
 
 
 def test_flat_only_report_states_zero_estimates():
-    plan, trace = build_counterexample([(F(1, 4), F(1, 2))])
+    plan, trace = build_counterexample([interval(F(1, 4), F(1, 2))])
     report = verify_denjoy_failure(plan, trace, k_max=3)
     assert report.certificates == ()
     assert report.unrealized == (1, 2, 3)
@@ -150,12 +155,12 @@ def test_flat_only_report_states_zero_estimates():
 
 def test_overlap_reject_raises():
     with pytest.raises(EnumerationOverlapError):
-        build_counterexample([(F(0), F(1, 2)), (F(1, 4), F(3, 4))])
+        build_counterexample([interval(0, F(1, 2)), interval(F(1, 4), F(3, 4))])
 
 
 def test_overlap_split_clips_to_uncovered():
     plan, trace = build_counterexample(
-        [(F(0), F(1, 2)), (F(1, 4), F(3, 4))], overlap_policy="split"
+        [interval(0, F(1, 2)), interval(F(1, 4), F(3, 4))], overlap_policy="split"
     )
     assert [ (s.interval.lo, s.interval.hi) for s in plan.stages ] == [
         (F(0), F(1, 2)), (F(1, 2), F(3, 4)),
@@ -163,13 +168,13 @@ def test_overlap_split_clips_to_uncovered():
     assert trace.final == F(3, 4)
     # a fully covered interval vanishes instead of becoming a stage
     plan2, _ = build_counterexample(
-        [(F(0), F(1, 2)), (F(1, 8), F(1, 4))], overlap_policy="split"
+        [interval(0, F(1, 2)), interval(F(1, 8), F(1, 4))], overlap_policy="split"
     )
     assert len(plan2.stages) == 1
 
 
 def test_touching_endpoints_are_not_overlap():
-    plan, trace = build_counterexample([(F(0), F(1, 4)), (F(1, 4), F(1, 2))])
+    plan, trace = build_counterexample([interval(0, F(1, 4)), interval(F(1, 4), F(1, 2))])
     assert len(plan.stages) == 2
     assert trace.final == F(1, 2)
 
@@ -230,7 +235,7 @@ def test_tail_bounds_hold_on_default_plan():
 
 
 def test_spike_slopes_and_lipschitz():
-    plan, _ = build_counterexample(E246)
+    plan, _ = build_counterexample(stages(E246))
     for s in plan.spike_stages:
         iv = s.interval
         mid = (iv.lo + iv.hi) / 2
@@ -266,7 +271,7 @@ def touching_chains(draw):
 @given(touching_chains())
 @settings(max_examples=60, deadline=None)
 def test_trace_matches_naive_oracle(pairs):
-    plan, trace = build_counterexample(pairs)
+    plan, trace = build_counterexample(stages(pairs))
     for s in range(len(pairs) + 1):
         assert trace.alphas[s] == naive_alpha(pairs[:s])
     for st_, a, b in zip(plan.stages, trace.alphas, trace.alphas[1:]):
@@ -276,7 +281,7 @@ def test_trace_matches_naive_oracle(pairs):
 @given(touching_chains())
 @settings(max_examples=40, deadline=None)
 def test_spike_geometry_properties(pairs):
-    plan, trace = build_counterexample(pairs)
+    plan, trace = build_counterexample(stages(pairs))
     for s in plan.stages:
         iv = s.interval
         assert plan.exact(iv.lo) >= 0
@@ -293,7 +298,7 @@ def test_alpha_trace_rejects_decrease():
 
 def test_bad_overlap_policy():
     with pytest.raises(DomainError):
-        build_counterexample([(F(0), F(1, 2))], overlap_policy="ignore")
+        build_counterexample([interval(0, F(1, 2))], overlap_policy="ignore")
 
 
 def scanned_value(plan, q):
@@ -332,7 +337,7 @@ def test_exact_matches_the_stage_scan_on_default_prefixes():
 @settings(max_examples=60, deadline=None)
 def test_exact_matches_the_stage_scan_on_touching_chains(pairs):
     # in any stage order, so that a later stage may lie left of an earlier one
-    assert_exact_matches_the_scan(build_counterexample(pairs)[0])
+    assert_exact_matches_the_scan(build_counterexample(stages(pairs))[0])
 
 
 @given(st.lists(st.tuples(st.fractions(0, 1, max_denominator=32),
@@ -341,7 +346,7 @@ def test_exact_matches_the_stage_scan_on_touching_chains(pairs):
 @settings(max_examples=60, deadline=None)
 def test_exact_matches_the_stage_scan_on_split_plans(pairs):
     # overlapping intervals, clipped into stages that share at most their ends
-    assert_exact_matches_the_scan(build_counterexample(pairs, overlap_policy="split")[0])
+    assert_exact_matches_the_scan(build_counterexample(stages(pairs), overlap_policy="split")[0])
 
 
 def test_hand_built_spike_plans():

@@ -36,33 +36,27 @@ def test_dyadic_intervals_containing_boundary_gives_both():
     assert [i.to_json() for i in dyadic_intervals_containing(F(1, 3), 1)] == [["0/1", "1/2"]]
 
 
-def test_dyadic_estimate_spec_point():
-    # boundary z sees the empty side: estimate 0 with witness [1/4, 1/2]
-    est = lower_density_estimate(C_SPEC, F(1, 2), 3, "dyadic")
-    assert est.estimate == 0
-    assert est.witness.to_json() == ["1/4", "1/2"]
-
-
 def test_general_estimate_never_exceeds_dyadic():
+    # the family holds the basic dyadic intervals through z
     for z in (F(1, 2), F(1, 3), F(7, 8), F(0), F(1)):
         for depth in range(5):
-            gen = lower_density_estimate(C_SPEC, z, depth, "general")
-            dy = lower_density_estimate(C_SPEC, z, depth, "dyadic")
-            assert gen.estimate <= dy.estimate
+            gen = lower_density_estimate(C_SPEC, z, depth)
+            dy = min(C_SPEC.intersect_interval(w).measure / w.length
+                     for n in range(depth + 1) for w in dyadic_intervals_containing(z, n))
+            assert gen.estimate <= dy
 
 
 def test_estimates_antitone_in_depth():
-    for mode in ("general", "dyadic"):
-        prev = None
-        for depth in range(7):
-            est = lower_density_estimate(C_ONE_HOLE, F(1, 3), depth, mode).estimate
-            if prev is not None:
-                assert est <= prev
-            prev = est
+    prev = None
+    for depth in range(7):
+        est = lower_density_estimate(C_ONE_HOLE, F(1, 3), depth).estimate
+        if prev is not None:
+            assert est <= prev
+        prev = est
 
 
 def test_estimate_interior_point_of_full_set_is_one():
-    est = lower_density_estimate(FULL_SET, F(1, 3), 6, "general")
+    est = lower_density_estimate(FULL_SET, F(1, 3), 6)
     assert est.estimate == 1
 
 
@@ -73,7 +67,7 @@ def test_fat_cover_one_hole_worked_values():
     assert fc.U.to_json() == [["1/8", "5/8"]]
     assert fc.overlap_measure == F(1, 4)
     assert fc.size_measure == F(1, 2)
-    assert fc.holds()
+    assert all(ok for *_, ok in fc.inequalities())
 
 
 def test_fat_cover_edge_classes():
@@ -173,20 +167,19 @@ def test_oracle_matches_fraction_scan(holes, extras):
 
 # The Fraction implementations the integer mass row replaced, kept as
 # references: every window density and every cover segment in Fractions.
-def reference_estimate(c, z, scale_depth, mode):
+def reference_estimate(c, z, scale_depth):
     windows = []
-    if mode == "general":
-        radii = [F(1, 1 << k) for k in range(scale_depth + 1)]
-        left, right = list(radii), list(radii)
-        for part in c.parts:
-            for e in (part.lo, part.hi):
-                if 0 < z - e <= F(1, 2):
-                    left.append(z - e)
-                if 0 < e - z <= F(1, 2):
-                    right.append(e - z)
-        for g in sorted(set(left)):
-            for d in sorted(set(right)):
-                windows.append(Interval(max(F(0), z - g), min(F(1), z + d)))
+    radii = [F(1, 1 << k) for k in range(scale_depth + 1)]
+    left, right = list(radii), list(radii)
+    for part in c.parts:
+        for e in (part.lo, part.hi):
+            if 0 < z - e <= F(1, 2):
+                left.append(z - e)
+            if 0 < e - z <= F(1, 2):
+                right.append(e - z)
+    for g in sorted(set(left)):
+        for d in sorted(set(right)):
+            windows.append(Interval(max(F(0), z - g), min(F(1), z + d)))
     for n in range(scale_depth + 1):
         windows.extend(dyadic_intervals_containing(z, n))
     best, witness, seen = None, None, set()
@@ -290,11 +283,8 @@ def test_estimate_matches_fraction_windows(c, z, depth):
     # z on part endpoints, at 0 and 1, and 1/2 from an endpoint, as well as anywhere
     halfway = [e + F(1, 2) for e in ends[:2] if e <= F(1, 2)]
     for point in [z, F(0), F(1)] + ends[:4] + halfway:
-        for mode in ("general", "dyadic"):
-            est = lower_density_estimate(c, point, depth, mode)
-            assert (est.estimate, est.witness, est.family_size) == reference_estimate(
-                c, point, depth, mode
-            )
+        est = lower_density_estimate(c, point, depth)
+        assert (est.estimate, est.witness, est.family_size) == reference_estimate(c, point, depth)
 
 
 @settings(max_examples=40, deadline=None)
