@@ -74,10 +74,8 @@ def all_strings(length: int) -> list[str]:
 
 
 def is_antichain(strings) -> bool:
-    """No member is a proper prefix of another."""
-    items = sorted(set(strings), key=len)
-    for i, s in enumerate(items):
-        for t in items[i + 1 :]:
-            if s != t and t.startswith(s):
-                return False
-    return True
+    """No member is a proper prefix of another.  In lexicographic order every
+    extension of s sorts after s and before any string that does not extend
+    it, so when some member extends s, the next member does."""
+    items = sorted(set(strings))
+    return not any(t.startswith(s) for s, t in zip(items, items[1:]))

@@ -181,7 +181,7 @@ def run_porosity(args, doc, rep: Report) -> None:
         levels = _override(args, "depth", 3, d, "levels")
         pt = porosity_test(enum, c, levels, _override(args, "stages", 200, d, "stages"))
         prefix = f"instance {i} (c={c}, levels={levels})"
-        rep.checks.extend(check_rows(pt.node_records, f"{prefix}: node"))
+        rep.checks.extend(check_rows(map(pt.node_row, pt.nodes), f"{prefix}: node"))
         rep.checks.extend(check_rows([*pt.bound_checks(), NESTING_ROW], prefix))
 
 

@@ -39,10 +39,8 @@ def smallest_dyadic_exponent(lo: Fraction, hi: Fraction) -> tuple[int, Fraction]
         raise DomainError(f"empty interval [{lo}, {hi}]")
     for n in range(MAX_HEIGHT_EXPONENT + 1):
         scale = 1 << n
-        k = -((-lo * scale).numerator // (-lo * scale).denominator)  # ceil
-        if k < 1:
-            k = 1
-        if Fraction(k, scale) <= hi:
+        k = max(1, -(-lo.numerator * scale // lo.denominator))  # ceil(lo 2^n), positive
+        if k * hi.denominator <= hi.numerator * scale:
             return n, Fraction(k, scale)
     raise DomainError(
         f"no positive dyadic multiple up to 2^-{MAX_HEIGHT_EXPONENT} in [{lo}, {hi}]"
@@ -52,8 +50,8 @@ def smallest_dyadic_exponent(lo: Fraction, hi: Fraction) -> tuple[int, Fraction]
 def largest_dyadic_multiple(lo: Fraction, hi: Fraction, n: int) -> Fraction | None:
     """Largest positive multiple of 2^-n in [lo, hi], if any."""
     scale = 1 << n
-    k = (hi * scale).numerator // (hi * scale).denominator  # floor
-    if k < 1 or Fraction(k, scale) < lo:
+    k = hi.numerator * scale // hi.denominator  # floor(hi 2^n)
+    if k < 1 or k * lo.denominator < lo.numerator * scale:
         return None
     return Fraction(k, scale)
 
@@ -367,12 +365,13 @@ def verify_denjoy_failure(
     straddle_bound = ZERO  # f >= 0 and f = 0 beyond the region force slope <= 0
     straddle_max = None
     straddle_ok = True
+    left_values = [(a, plan.exact(a)) for a in sorted(lefts)]  # f once per left point
     for b in sorted(rights):
         f_b = plan.exact(b)
-        for a in sorted(lefts):
+        for a, f_a in left_values:
             if a >= b:
                 continue
-            s = (f_b - plan.exact(a)) / (b - a)
+            s = (f_b - f_a) / (b - a)
             if straddle_max is None or s > straddle_max:
                 straddle_max = s
             if s > straddle_bound:
@@ -393,8 +392,7 @@ def verify_denjoy_failure(
     for m in range(len(groups) + 1):
         tail = groups[m:]
         tail_sup = half_power(tail[0][0]) if tail else ZERO
-        tail_sum = sum((QuadValue(ZERO, ZERO) + half_power(n) for n, _ in tail),
-                       QuadValue(ZERO, ZERO))
+        tail_sum = sum((half_power(n) for n, _ in tail), QuadValue(ZERO, ZERO))
         cutoff = groups[m - 1][0] if m > 0 else 0
         bound = half_power(cutoff + 1) * series_scale
         holds = tail_sup <= bound and tail_sum <= bound

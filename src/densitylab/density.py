@@ -17,11 +17,13 @@ the part endpoints as integer numerators over one denominator, each with the
 mass of C on [0, endpoint], so lambda(C cap [0, x]) is one bisect away.  The
 estimate puts z and its radii over the same denominator, compares window
 densities by cross-multiplication, and builds one Fraction estimate and one
-witness Interval.  The cover cuts [0, b] and [a, 1] at the part endpoints,
-takes slope 1 or 0 from whether a piece lies inside a part, solves each
-piece's condition with eps = p/q in integers, and builds one Fraction per
-returned endpoint.  The overlap lambda(C cap U) is the class's mass summed over
-the parts of U, on one mass row that holds U's endpoints too.
+witness Interval.  The cover's row is scaled by q - p for eps = p/q, so
+every solved end is an integer on it: the cover cuts [0, b] and [a, 1] at
+the part endpoints, takes slope 1 or 0 from whether a piece lies inside a
+part, solves each piece's condition, and keeps the candidates, the maximal
+ones, their chain and U as integer pairs.  Both bounds, the overlap
+lambda(C cap U) summed over the parts of U and the size lambda(U), are
+decided on that row; a Fraction is built only for a reported value.
 
 The prefix-mass oracle checks U from outside the cover: it takes every
 interval between two candidate points (a dyadic grid, the part endpoints and
@@ -38,13 +40,14 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import lcm
 from typing import Iterator, Sequence
 
 from .bits import ONE, ZERO, require_unit
 from .errors import DomainError
-from .intervals import Interval, IntervalSet, canonicalize
+from .intervals import Interval, IntervalSet
 
 
 def dyadic_intervals_containing(z: Fraction, n: int) -> list[Interval]:
@@ -72,12 +75,13 @@ class DensityEstimate:
 class _MassRow:
     """The parts of a class as integers over one denominator ``den``, flattened
     to ``ends`` = [lo_0, hi_0, lo_1, hi_1, ...], with ``masses[i]`` the mass of
-    the class on [0, ends[i]], also over ``den``.  ``den`` is the lcm of the
-    endpoints' denominators and of ``extra``'s."""
+    the class on [0, ends[i]], also over ``den``.  ``den`` is ``factor`` times
+    the lcm of the endpoints' denominators and of ``extra``'s."""
 
-    def __init__(self, c: IntervalSet, extra: Sequence[Fraction] = ()):
+    def __init__(self, c: IntervalSet, extra: Sequence[Fraction] = (), factor: int = 1):
         ends = [x for p in c.parts for x in (p.lo, p.hi)]
-        self.den = lcm(*(x.denominator for x in ends), *(x.denominator for x in extra))
+        self.den = factor * lcm(*(x.denominator for x in ends),
+                                *(x.denominator for x in extra))
         self.ends = [self.scaled(x) for x in ends]
         self.masses: list[int] = []
         acc = 0
@@ -156,8 +160,9 @@ def lower_density_estimate(c: IntervalSet, z: Fraction, scale_depth: int) -> Den
     )
 
 
-def _extend_left(row: _MassRow, b: int, p: int, q: int) -> Fraction:
-    """Least x in [0, b] with lambda(C cap [x, b]) <= (p/q) (b - x)."""
+def _extend_left(row: _MassRow, b: int, p: int, q: int) -> int:
+    """Least x in [0, b] with lambda(C cap [x, b]) <= (p/q) (b - x).  Every
+    end and mass of the row is a multiple of q - p, so x is an integer."""
     rest = row.mass(b)  # the mass of C on [0, b]
     for u, v, inside in row.pieces(0, b):
         mv = rest - row.mass(v)  # the mass of C on [v, b]
@@ -165,13 +170,13 @@ def _extend_left(row: _MassRow, b: int, p: int, q: int) -> Fraction:
             # mass(x) = mv + (v - x) qualifies iff x >= x* = num / (q - p)
             num = q * (mv + v) - p * b
             if num <= v * (q - p):
-                return Fraction(max(num, u * (q - p)), (q - p) * row.den)
+                return max(num // (q - p), u)
         elif p * (b - u) >= q * mv:  # constant mass, qualifies iff at u
-            return Fraction(u, row.den)
-    return Fraction(b, row.den)  # only for b == 0: x = b always qualifies
+            return u
+    return b  # only for b == 0: x = b always qualifies
 
 
-def _extend_right(row: _MassRow, a: int, p: int, q: int) -> Fraction:
+def _extend_right(row: _MassRow, a: int, p: int, q: int) -> int:
     """Greatest x in [a, 1] with lambda(C cap [a, x]) <= (p/q) (x - a)."""
     base = row.mass(a)
     for u, v, inside in reversed(list(row.pieces(a, row.den))):
@@ -180,108 +185,98 @@ def _extend_right(row: _MassRow, a: int, p: int, q: int) -> Fraction:
             # mass(x) = mu + (x - u) qualifies iff x <= x* = num / (q - p)
             num = q * (u - mu) - p * a
             if num >= u * (q - p):
-                return Fraction(min(num, v * (q - p)), (q - p) * row.den)
+                return min(num // (q - p), v)
         elif p * (v - a) >= q * mu:
-            return Fraction(v, row.den)
-    return Fraction(a, row.den)
-
-
-def _maximal(intervals: list[Interval]) -> list[Interval]:
-    out: list[Interval] = []
-    best_hi: Fraction | None = None
-    for iv in sorted(intervals, key=lambda i: (i.lo, -i.hi)):
-        if best_hi is None or iv.hi > best_hi:
-            out.append(iv)
-            best_hi = iv.hi
-    return out
+            return v
+    return a
 
 
 @dataclass(frozen=True)
 class FatCover:
-    """Fat-interval covering of the low-density set at threshold epsilon."""
+    """Fat-interval covering of the low-density set at threshold epsilon.
+
+    The fat intervals, their chain and the parts of U are (lo, hi) integer
+    pairs over the mass row's denominator; their Intervals are built when
+    read, and the bounds are decided on the pairs."""
 
     epsilon: Fraction
     class_set: IntervalSet
-    fat_intervals: tuple[Interval, ...]
-    chain: tuple[Interval, ...]
-    U: IntervalSet
+    row: _MassRow
+    fats: tuple[tuple[int, int], ...]
+    links: tuple[tuple[int, int], ...]
+    parts: tuple[tuple[int, int], ...]
+
+    def _intervals(self, pairs) -> tuple[Interval, ...]:
+        den = self.row.den
+        return tuple(Interval(Fraction(lo, den), Fraction(hi, den)) for lo, hi in pairs)
+
+    @cached_property
+    def fat_intervals(self) -> tuple[Interval, ...]:
+        return self._intervals(self.fats)
 
     @property
-    def overlap_measure(self) -> Fraction:
-        """lambda(C cap U), as the class's mass summed over the parts of U."""
-        row = _MassRow(self.class_set, [x for part in self.U for x in (part.lo, part.hi)])
-        return Fraction(
-            sum(row.mass(row.scaled(part.hi)) - row.mass(row.scaled(part.lo))
-                for part in self.U),
-            row.den,
-        )
+    def chain(self) -> tuple[Interval, ...]:
+        return self._intervals(self.links)
 
-    @property
-    def overlap_bound(self) -> Fraction:
-        return 2 * self.epsilon
-
-    @property
-    def size_measure(self) -> Fraction:
-        return self.U.measure
-
-    @property
-    def size_bound(self) -> Fraction:
-        return 2 * (ONE - self.class_set.measure) / (ONE - self.epsilon)
+    @cached_property
+    def U(self) -> IntervalSet:
+        return IntervalSet(self._intervals(self.parts))
 
     def inequalities(self) -> list[tuple[str, Fraction, Fraction, bool]]:
-        overlap, overlap_bound = self.overlap_measure, self.overlap_bound
-        size, size_bound = self.size_measure, self.size_bound
+        """The overlap lambda(C cap U), the class's mass summed over the parts
+        of U, and the size lambda(U), against their bounds: each decided over
+        the row's denominator d, with eps = p/q and lambda(C) = mass(d)/d."""
+        row, p, q = self.row, self.epsilon.numerator, self.epsilon.denominator
+        d = row.den
+        overlap = sum(row.mass(hi) - row.mass(lo) for lo, hi in self.parts)
+        size = sum(hi - lo for lo, hi in self.parts)
+        rest = d - row.mass(d)  # d (1 - lambda(C))
         return [
-            ("overlap lambda(C cap U) <= 2 eps", overlap, overlap_bound,
-             overlap <= overlap_bound),
-            ("size lambda(U) <= 2(1 - lambda C)/(1 - eps)", size, size_bound,
-             size <= size_bound),
+            ("overlap lambda(C cap U) <= 2 eps", Fraction(overlap, d), 2 * self.epsilon,
+             q * overlap <= 2 * p * d),
+            ("size lambda(U) <= 2(1 - lambda C)/(1 - eps)", Fraction(size, d),
+             Fraction(2 * q * rest, (q - p) * d), (q - p) * size <= 2 * q * rest),
         ]
 
 
 def low_density_open_set(c: IntervalSet, eps: Fraction) -> FatCover:
     """Fat intervals, their chain, and the covered set U for threshold eps.
 
-    U is exactly the union of the maximal anchored intervals; both covering
-    bounds are recomputed by the caller from the returned exact sets.
+    U is exactly the union of the maximal anchored intervals, and
+    ``inequalities()`` decides both covering bounds.  The gaps, the
+    candidates, the maximal ones, their chain and U are integer pairs over
+    the class's mass row, scaled by q - p so that every solved end is an
+    integer.
     """
     if not ZERO < eps < ONE:
         raise DomainError(f"eps must be in (0,1), got {eps}")
-    row = _MassRow(c)
     p, q = eps.numerator, eps.denominator
-    fat_candidates: list[Interval] = []
-    for gap in c.gaps():
-        if gap.is_degenerate:
-            continue
-        a, b = gap.lo, gap.hi
-        fat_candidates.append(Interval(_extend_left(row, row.scaled(b), p, q), b))
-        fat_candidates.append(Interval(a, _extend_right(row, row.scaled(a), p, q)))
-    fats = _maximal(fat_candidates)
+    row = _MassRow(c, factor=q - p)
+    bounds = [0, *row.ends, row.den]
+    candidates = []
+    for a, b in zip(bounds[::2], bounds[1::2]):
+        if a < b:  # a nondegenerate gap [a, b]
+            candidates += ((_extend_left(row, b, p, q), b), (a, _extend_right(row, a, p, q)))
+    fats = []  # the maximal candidates: both ends strictly increase
+    for lo, neg_hi in sorted((lo, -hi) for lo, hi in candidates):
+        if not fats or -neg_hi > fats[-1][1]:
+            fats.append((lo, -neg_hi))
 
-    chain: list[Interval] = []
-    if fats:
-        i = 0
-        chain.append(fats[0])
-        while True:
-            nxt = None
-            for j in range(len(fats) - 1, i, -1):
-                if fats[j].lo <= fats[i].hi:
-                    nxt = j
-                    break
-            if nxt is None and i + 1 < len(fats):
-                nxt = i + 1
-            if nxt is None:
-                break
-            i = nxt
-            chain.append(fats[i])
+    # the chain: from each fat interval, the last one starting inside it, or
+    # else the next one
+    los = [lo for lo, _ in fats]
+    chain, i = fats[:1], 0
+    while i + 1 < len(fats):
+        i = max(i + 1, bisect_right(los, fats[i][1]) - 1)
+        chain.append(fats[i])
 
-    return FatCover(
-        epsilon=eps,
-        class_set=c,
-        fat_intervals=tuple(fats),
-        chain=tuple(chain),
-        U=canonicalize(fats),
-    )
+    parts = []  # U: the fats merged where they overlap or touch
+    for lo, hi in fats:
+        if parts and lo <= parts[-1][1]:
+            parts[-1] = (parts[-1][0], hi)
+        else:
+            parts.append((lo, hi))
+    return FatCover(eps, c, row, tuple(fats), tuple(chain), tuple(parts))
 
 
 def brute_force_low_density_oracle(

@@ -20,9 +20,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .bits import cylinder_bounds, is_antichain, over_common_denominator, validate_bits
+from .bits import is_antichain, over_common_denominator, validate_bits
 from .errors import DomainError, InvariantError
-from .intervals import Interval, IntervalSet, StagedOpenEnumeration, canonicalize
+from .intervals import IntervalSet, StagedOpenEnumeration
 
 
 def cylinder_meets_class(gaps: ClassGaps, tau: str) -> bool:
@@ -38,14 +38,30 @@ def cylinder_meets_class(gaps: ClassGaps, tau: str) -> bool:
     return i < 0 or j > lasts[i]
 
 
-def _meeting_mass(gaps: ClassGaps, rhos) -> Fraction:
-    """The total length of the cylinders of rhos that meet the class, summed
-    in integers over the finest cylinder's denominator."""
+def _meeting_mass(gaps: ClassGaps, rhos) -> tuple[int, int]:
+    """The total length of the cylinders of rhos that meet the class, as
+    (num, top) for num 2^-top, with top the finest cylinder's length."""
     top = max((len(rho) for rho in rhos), default=0)
-    return Fraction(
-        sum(1 << (top - len(rho)) for rho in rhos if cylinder_meets_class(gaps, rho)),
-        1 << top,
-    )
+    return sum(1 << (top - len(rho)) for rho in rhos if cylinder_meets_class(gaps, rho)), top
+
+
+def _class_mass(gaps: ClassGaps, rhos) -> tuple[int, int]:
+    """lambda(C cap U) for the union U of the cylinders of the antichain rhos,
+    as (num, den): each cylinder's length less its overlaps with the gaps of
+    C, in integers over the gaps' denominator times 2^top."""
+    top = max((len(rho) for rho in rhos), default=0)
+    num = 0
+    for rho in rhos:
+        j, shift = int(rho, 2) if rho else 0, top - len(rho)
+        lo, hi = (j << shift) * gaps.den, ((j + 1) << shift) * gaps.den
+        num += hi - lo - sum(min(hi, gaps.his[i] << top) - max(lo, gaps.los[i] << top)
+                             for i in gaps.meeting(j, len(rho)))
+    return num, gaps.den << top
+
+
+def _row(name: str, a: int, da: int, b: int, db: int) -> tuple[str, Fraction, Fraction, bool]:
+    """The row a/da <= b/db, decided by cross-multiplication."""
+    return name, Fraction(a, da), Fraction(b, db), a * db <= b * da
 
 
 def _merge_ranges(ranges: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -106,10 +122,8 @@ class ClassGaps:
     """
 
     def __init__(self, class_set: IntervalSet):
-        self.class_set = class_set
-        self.gaps = [g for g in class_set.gaps() if not g.is_degenerate]
         self.den, ends = over_common_denominator(
-            [x for g in self.gaps for x in (g.lo, g.hi)]
+            [x for g in class_set.gaps() if not g.is_degenerate for x in (g.lo, g.hi)]
         )
         self.los, self.his = ends[0::2], ends[1::2]
         self._inner: dict[int, tuple[list[int], list[int]]] = {}
@@ -234,15 +248,17 @@ def porosity_witness(
 
 @dataclass(frozen=True)
 class PorosityTest:
-    """Staged boxes B_{n,t}, their cylinder unions, and the decay bounds."""
+    """Staged boxes B_{n,t} and the decay bounds, decided in integers over
+    powers of 2; a Fraction is built only for a reported side."""
 
     enum: StagedOpenEnumeration
     constant: int
     levels: int
     stages: int
     boxes: dict[tuple[int, int], tuple[str, ...]] = field(repr=False)
-    components: tuple[IntervalSet, ...] = field(repr=False)
-    node_records: tuple[tuple[str, Fraction, Fraction, bool], ...] = field(repr=False)
+    # per node (t, sigma): the meeting mass num 2^-top of N_t(sigma) as
+    # (t, sigma, num, top, num 2^-top <= decay 2^-|sigma|)
+    nodes: tuple[tuple[int, str, int, int, bool], ...] = field(repr=False)
     # the gaps of the stage classes for t <= stages, each class built once
     class_gaps: tuple[ClassGaps, ...] = field(repr=False)
 
@@ -250,29 +266,36 @@ class PorosityTest:
     def decay(self) -> Fraction:
         return 1 - Fraction(1, 1 << (self.constant + 2))
 
-    def meeting_mass(self, n: int, t: int) -> Fraction:
-        return _meeting_mass(self.class_gaps[t], self.boxes[(n, t)])
+    def node_row(self, node) -> tuple[str, Fraction, Fraction, bool]:
+        t, sigma, num, top, ok = node
+        k = self.constant + 2
+        return (f"node t={t} sigma={sigma!r}", Fraction(num, 1 << top),
+                Fraction((1 << k) - 1, 1 << (k + len(sigma))), ok)
+
+    def tightest_node(self):
+        """The first node of largest lhs/rhs, num 2^-top over decay 2^-|sigma|,
+        ordered by num 2^(|sigma| - top) scaled to an integer."""
+        top = max(node[3] for node in self.nodes)
+        return max(self.nodes, key=lambda node: node[2] << (top - node[3] + len(node[1])))
 
     def bound_checks(self) -> list[tuple[str, Fraction, Fraction, bool]]:
-        out = []
+        """Per level n: the largest meeting mass over the stages, and
+        lambda(U_n cap C_final) for U_n the union of B_{n,stages}, each
+        against decay^n = (2^k - 1)^n / 2^(k n), k = c + 2."""
+        k = self.constant + 2
+        maxima, finals = [], []
         for n in range(self.levels + 1):
-            worst_lhs = Fraction(0)
-            bound = self.decay**n
-            for t in range(self.stages + 1):
-                worst_lhs = max(worst_lhs, self.meeting_mass(n, t))
-            out.append(
-                (f"level {n}: max_t meeting mass <= decay^n", worst_lhs, bound,
-                 worst_lhs <= bound)
-            )
-        final = self.class_gaps[self.stages].class_set
-        for n in range(self.levels + 1):
-            lhs = self.components[n].intersect(final).measure
-            bound = self.decay**n
-            out.append(
-                (f"level {n}: lambda(U_n cap C_final) <= decay^n", lhs, bound,
-                 lhs <= bound)
-            )
-        return out
+            bound = ((1 << k) - 1) ** n, 1 << (k * n)
+            masses = [_meeting_mass(self.class_gaps[t], self.boxes[(n, t)])
+                      for t in range(self.stages + 1)]
+            top = max(m[1] for m in masses)
+            num, m_top = max(masses, key=lambda m: m[0] << (top - m[1]))
+            maxima.append(_row(f"level {n}: max_t meeting mass <= decay^n",
+                               num, 1 << m_top, *bound))
+            finals.append(_row(f"level {n}: lambda(U_n cap C_final) <= decay^n",
+                               *_class_mass(self.class_gaps[self.stages],
+                                            self.boxes[(n, self.stages)]), *bound))
+        return maxima + finals
 
 
 def porosity_test(
@@ -290,8 +313,8 @@ def porosity_test(
     stages = min(stages, len(enum.items))
     boxes: dict[tuple[int, int], tuple[str, ...]] = {}
     extension_cache: dict[tuple[int, str], PorousExtensions] = {}
-    node_records: list[tuple[str, Fraction, Fraction, bool]] = []
-    decay = 1 - Fraction(1, 1 << (c + 2))
+    nodes: list[tuple[int, str, int, int, bool]] = []
+    k = c + 2
 
     class_gaps = tuple(ClassGaps(enum.stage_class(t)) for t in range(stages + 1))
     for t, gaps in enumerate(class_gaps):
@@ -303,11 +326,9 @@ def porosity_test(
                 if key not in extension_cache:
                     ext = minimal_porous_extensions(gaps, sigma, c)
                     extension_cache[key] = ext
-                    lhs = _meeting_mass(gaps, ext.elements)
-                    bound = decay * Fraction(1, 1 << len(sigma))
-                    node_records.append(
-                        (f"node t={t} sigma={sigma!r}", lhs, bound, lhs <= bound)
-                    )
+                    num, top = _meeting_mass(gaps, ext.elements)
+                    ok = num << (k + len(sigma)) <= ((1 << k) - 1) << top
+                    nodes.append((t, sigma, num, top, ok))
                 collected.extend(extension_cache[key].elements)
             members = tuple(sorted(set(collected)))
             if not is_antichain(members):
@@ -323,12 +344,4 @@ def porosity_test(
                         f"{rho!r} in B_({n},{t}) has no prefix in B_({n},{t + 1})"
                     )
 
-    components = tuple(
-        canonicalize(
-            [Interval(*cylinder_bounds(rho)) for rho in boxes[(n, stages)]]
-        )
-        for n in range(levels + 1)
-    )
-    return PorosityTest(
-        enum, c, levels, stages, boxes, components, tuple(node_records), class_gaps
-    )
+    return PorosityTest(enum, c, levels, stages, boxes, tuple(nodes), class_gaps)

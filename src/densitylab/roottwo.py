@@ -10,14 +10,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bits import format_rational, parse_rational
+from .bits import ZERO, format_rational, parse_rational
 from .errors import DomainError
 
 
-def _coerce(x) -> "QuadValue":
-    if isinstance(x, QuadValue):
-        return x
-    return QuadValue(Fraction(x), Fraction(0))
+def _rational(x) -> Fraction:
+    """x as a Fraction; only ints and Fractions are exact rationals here, so a
+    float never enters Q(sqrt 2) arithmetic."""
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"Q(sqrt 2) takes ints and Fractions, not {type(x).__name__}")
+    return x if type(x) is Fraction else Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -26,30 +28,23 @@ class QuadValue:
     b: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+        object.__setattr__(self, "a", _rational(self.a))
+        object.__setattr__(self, "b", _rational(self.b))
 
     def sign(self) -> int:
-        """Exact sign of a + b sqrt(2) via squared comparison."""
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return (b > 0) - (b < 0)
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a^2 with 2 b^2, the larger magnitude wins
-        lhs, rhs = a * a, 2 * b * b
-        if lhs == rhs:
-            return 0  # impossible for rational nonzero a, b; kept for safety
-        bigger_is_rational = lhs > rhs
-        return (a > 0) - (a < 0) if bigger_is_rational else (b > 0) - (b < 0)
+        """Exact sign of a + b sqrt(2) from the numerators: the sign a and b
+        share unless they are opposite, else the sign of the larger of a^2
+        and 2 b^2, compared over the squared denominators."""
+        a, b = self.a.numerator, self.b.numerator
+        sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+        if sa * sb >= 0:
+            return sa or sb
+        return sa if (a * self.b.denominator) ** 2 > 2 * (b * self.a.denominator) ** 2 else sb
 
     def __add__(self, other):
-        o = _coerce(other)
-        return QuadValue(self.a + o.a, self.b + o.b)
+        if isinstance(other, QuadValue):
+            return QuadValue(self.a + other.a, self.b + other.b)
+        return QuadValue(self.a + _rational(other), self.b)
 
     __radd__ = __add__
 
@@ -57,49 +52,59 @@ class QuadValue:
         return QuadValue(-self.a, -self.b)
 
     def __sub__(self, other):
-        return self + (-_coerce(other))
+        return self + -other
 
     def __rsub__(self, other):
-        return _coerce(other) + (-self)
+        return -self + other
 
     def __mul__(self, other):
-        o = _coerce(other)
-        return QuadValue(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
+        if not isinstance(other, QuadValue):
+            r = _rational(other)
+            return QuadValue(self.a * r, self.b * r)
+        return QuadValue(self.a * other.a + 2 * self.b * other.b,
+                         self.a * other.b + self.b * other.a)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = _coerce(other)
-        norm = o.a * o.a - 2 * o.b * o.b
-        if norm == 0:
-            raise ZeroDivisionError("division by zero QuadValue")
-        inv = QuadValue(o.a / norm, -o.b / norm)
-        return self * inv
+        if isinstance(other, QuadValue) and other.b:
+            # multiply by the conjugate over the norm a^2 - 2 b^2, nonzero
+            # for rational a, b not both zero
+            norm = other.a * other.a - 2 * other.b * other.b
+            return self * QuadValue(other.a / norm, -other.b / norm)
+        r = other.a if isinstance(other, QuadValue) else _rational(other)
+        if r == 0:
+            raise ZeroDivisionError("division by zero in Q(sqrt 2)")
+        return QuadValue(self.a / r, self.b / r)
 
     def __rtruediv__(self, other):
-        return _coerce(other) / self
+        return QuadValue(_rational(other), ZERO) / self
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
 
     def __eq__(self, other):
-        o = _coerce(other)
-        return self.a == o.a and self.b == o.b
+        if isinstance(other, QuadValue):
+            return self.a == other.a and self.b == other.b
+        if isinstance(other, (int, Fraction)):
+            return self.b == 0 and self.a == other
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.a, self.b))
+        # a rational value hashes as its Fraction, which it equals
+        return hash(self.a) if self.b == 0 else hash((self.a, self.b))
 
     def __lt__(self, other):
-        return (self - _coerce(other)).sign() < 0
+        return (self - other).sign() < 0
 
     def __le__(self, other):
-        return (self - _coerce(other)).sign() <= 0
+        return (self - other).sign() <= 0
 
     def __gt__(self, other):
-        return (self - _coerce(other)).sign() > 0
+        return (self - other).sign() > 0
 
     def __ge__(self, other):
-        return (self - _coerce(other)).sign() >= 0
+        return (self - other).sign() >= 0
 
     def __repr__(self):
         return f"QuadValue({self.a} + {self.b}*sqrt2)"

@@ -206,19 +206,12 @@ def criterion_porosity(seed: int) -> list[Check]:
         pt = porosity_test(enum, c, levels, 200)
         prefix = f"instance {index} (c={c}, levels={levels})"
         checks.extend(check_rows(pt.bound_checks(), prefix))
-        bad = [r for r in pt.node_records if not r[3]]
-        checks.append(
-            Check(
-                f"{prefix}: all {len(pt.node_records)} per-node bounds hold, "
-                "violations",
-                Fraction(len(bad)),
-                ZERO,
-                not bad,
-            )
-        )
-        if pt.node_records:
-            worst = max(pt.node_records, key=lambda r: r[1] / r[2])
-            checks.extend(check_rows([worst], f"{prefix}: tightest node"))
+        bad = sum(not ok for *_, ok in pt.nodes)
+        checks.append(Check(f"{prefix}: all {len(pt.nodes)} per-node bounds hold, violations",
+                            Fraction(bad), ZERO, not bad))
+        if pt.nodes:
+            checks.extend(check_rows([pt.node_row(pt.tightest_node())],
+                                     f"{prefix}: tightest node"))
         checks.extend(check_rows([NESTING_ROW], prefix))
     return checks
 
@@ -356,9 +349,7 @@ def denjoy_check_rows(rep) -> list[Check]:
     carries plain rational sides."""
     rows: list[Check] = []
     for cert in rep.certificates:
-        slope = cert.slope if isinstance(cert.slope, QuadValue) else QuadValue(
-            Fraction(cert.slope), ZERO
-        )
+        slope = QuadValue(ZERO, ZERO) + cert.slope
         name = f"scale k={cert.k}: certified slope <= -2^(k/2)"
         if slope.b == 0:
             rows.append(

@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from densitylab.bits import (
     all_strings,
@@ -52,3 +54,19 @@ def test_is_antichain():
     assert is_antichain(["00", "01", "1"])
     assert not is_antichain(["0", "01"])
     assert is_antichain([])
+
+
+def all_pairs_antichain(strings):
+    """The definition: no member is a proper prefix of another, over all pairs."""
+    return not any(s != t and t.startswith(s) for s in strings for t in strings)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text("01", max_size=6), max_size=12))
+@example(["0", "00", "1"])  # an extension right after its prefix
+@example(["00", "01", "1", "10"])  # the last pair is the only one
+@example(["0", "10", "11"])  # siblings and cousins
+@example(["", "1"])  # the root extends to everything
+@example(["01", "01"])  # a repeat is no proper prefix
+def test_is_antichain_matches_all_pairs(strings):
+    assert is_antichain(strings) == all_pairs_antichain(strings)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -34,6 +35,17 @@ def test_covering_on_the_full_interval_reports_an_empty_cover(tmp_path):
     assert doc["all_hold"] is True
     size = next(c for c in doc["checks"] if "lambda(U)" in c["name"])
     assert size["lhs"] == "0/1" and size["rhs"] == "0/1"
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+
+
+def test_verify_all_bytes_match_the_benchmark_reference(tmp_path):
+    # a change that keeps the reports keeps these bytes; the file is only read
+    want = json.loads(REFERENCE.read_text())["workloads"]["verify-all"]["1"]
+    code, blob = run(tmp_path, "verify-all", "--json", "--seed", "1")
+    assert code == 0
+    assert [hashlib.sha256(blob).hexdigest()] == want
 
 
 def test_reports_are_byte_identical_for_fixed_instance_and_seed(tmp_path):

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from densitylab.density import (
@@ -65,8 +65,8 @@ def test_fat_cover_one_hole_worked_values():
     assert [i.to_json() for i in fc.fat_intervals] == [["1/8", "1/2"], ["1/4", "5/8"]]
     assert [i.to_json() for i in fc.chain] == [["1/8", "1/2"], ["1/4", "5/8"]]
     assert fc.U.to_json() == [["1/8", "5/8"]]
-    assert fc.overlap_measure == F(1, 4)
-    assert fc.size_measure == F(1, 2)
+    (_, overlap, overlap_bound, _), (_, size, size_bound, _) = fc.inequalities()
+    assert (overlap, overlap_bound, size, size_bound) == (F(1, 4), F(2, 3), F(1, 2), F(3, 4))
     assert all(ok for *_, ok in fc.inequalities())
 
 
@@ -110,8 +110,9 @@ hole_lists = st.lists(
 def test_fat_cover_bounds_property(holes, eps):
     c = FULL_SET.subtract_open(holes)
     fc = low_density_open_set(c, eps)
-    assert fc.overlap_measure <= 2 * eps
-    assert fc.size_measure <= 2 * (1 - c.measure) / (1 - eps)
+    assert c.intersect(fc.U).measure <= 2 * eps
+    assert fc.U.measure <= 2 * (1 - c.measure) / (1 - eps)
+    assert all(ok for *_, ok in fc.inequalities())
     # every gap of C lies inside U
     for gap in c.gaps():
         assert fc.U.intersect_interval(gap).measure == gap.length
@@ -365,6 +366,13 @@ def test_oracle_rejects_a_negative_grid_depth():
 
 @settings(max_examples=60, deadline=None)
 @given(point_classes, oracle_epsilons)
+@example(FULL_SET, F(1, 2))  # U is empty: both sides of the size row are 0
+@example(EMPTY_SET, F(1, 3))  # U is [0, 1], and the size bound is 3
 def test_overlap_measure_matches_the_intersection(c, eps):
+    # both rows, decided on the cover's integer pairs, against the definitions:
+    # IntervalSet intersection and measure, and the Fraction comparison
     fc = low_density_open_set(c, eps)
-    assert fc.overlap_measure == c.intersect(fc.U).measure
+    overlap, size = fc.inequalities()
+    assert overlap[1:] == (c.intersect(fc.U).measure, 2 * eps, overlap[1] <= 2 * eps)
+    size_bound = 2 * (1 - c.measure) / (1 - eps)
+    assert size[1:] == (fc.U.measure, size_bound, size[1] <= size_bound)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from densitylab.bits import all_strings, cylinder_bounds, is_antichain
 from densitylab.errors import DomainError
+from densitylab.instances import porosity_instance
 from densitylab.intervals import (
     FULL_SET,
     StagedOpenEnumeration,
@@ -60,10 +61,10 @@ def test_porosity_test_one_hole_boxes():
     assert tst.boxes[(1, 1)] == ("00", "01", "10", "11")
     assert tst.boxes[(2, 1)] == ("10",)
     assert tst.boxes[(3, 1)] == ("10",)
-    assert tst.meeting_mass(1, 1) == F(3, 4)
-    assert tst.meeting_mass(2, 1) == 0
+    # the most that levels 1 and 2 meet of a stage class: 3/4 at stage 1, and 0
+    assert [row[1] for row in tst.bound_checks()[1:3]] == [F(3, 4), 0]
     assert all(ok for *_, ok in tst.bound_checks())
-    assert all(ok for *_r, ok in tst.node_records)
+    assert all(ok for *_, ok in tst.nodes)
 
 
 def test_porosity_witness_found_and_absent():
@@ -80,8 +81,70 @@ def test_component_measures_decay():
     tst = porosity_test(w, 2, 4, 3)
     final = w.stage_class(3)
     for n in range(5):
-        lhs = tst.components[n].intersect(final).measure
+        lhs = union_of_cylinders(tst.boxes[(n, 3)]).intersect(final).measure
         assert lhs <= tst.decay**n
+
+
+def union_of_cylinders(rhos):
+    return canonicalize([interval(*cylinder_bounds(rho)) for rho in rhos])
+
+
+def check_against_definitions(tst):
+    """Every node row and bound row of tst, recomputed in Fractions from the
+    definitions: cylinder_meets_class hits, IntervalSet intersection and
+    measure, and the Fraction comparison of the two sides."""
+    decay = tst.decay
+    rows = []
+    for t in range(tst.stages + 1):
+        gaps = ClassGaps(tst.enum.stage_class(t))
+        for name, lhs, rhs, ok in map(tst.node_row, tst.nodes):
+            if name.startswith(f"node t={t} "):
+                sigma = name.split("sigma=")[1][1:-1]
+                ext = minimal_porous_extensions(gaps, sigma, tst.constant)
+                want = sum((F(1, 1 << len(rho)) for rho in ext.elements
+                            if cylinder_meets_class(gaps, rho)), F(0))
+                bound = decay * F(1, 1 << len(sigma))
+                assert (lhs, rhs, ok) == (want, bound, want <= bound)
+                rows.append((name, lhs, rhs, ok))
+    assert len(rows) == len(tst.nodes)
+    tightest = max(map(tst.node_row, tst.nodes), key=lambda r: r[1] / r[2], default=None)
+    assert tst.node_row(tst.tightest_node()) == tightest if tst.nodes else tightest is None
+
+    final = tst.enum.stage_class(tst.stages)
+    checks = tst.bound_checks()
+    for n in range(tst.levels + 1):
+        bound = decay**n
+        worst = max(
+            sum((F(1, 1 << len(rho)) for rho in tst.boxes[(n, t)]
+                 if cylinder_meets_class(ClassGaps(tst.enum.stage_class(t)), rho)), F(0))
+            for t in range(tst.stages + 1)
+        )
+        assert checks[n][1:] == (worst, bound, worst <= bound)
+        lhs = union_of_cylinders(tst.boxes[(n, tst.stages)]).intersect(final).measure
+        assert checks[tst.levels + 1 + n][1:] == (lhs, bound, lhs <= bound)
+    assert len(checks) == 2 * (tst.levels + 1)
+
+
+def test_rows_match_the_definitions_on_battery_instances():
+    for index in (0, 1, 2, 3, 7):
+        enum, c, levels = porosity_instance(1, index)
+        check_against_definitions(porosity_test(enum, c, levels, 200))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from([3, 5, 12, 64]), st.integers(0, 64), st.integers(1, 20)),
+             min_size=1, max_size=5),
+    st.integers(0, 3),
+    st.integers(0, 4),
+    st.integers(0, 5),
+)
+def test_rows_match_the_definitions_on_any_holes(raw, c, levels, stages):
+    # holes over denominators that are not powers of 2 make C_final's mass
+    # non-dyadic
+    holes = [interval(F(min(a, d), d), F(min(a + w, d), d)) for d, a, w in raw]
+    enum = StagedOpenEnumeration(tuple(h for h in holes if not h.is_degenerate))
+    check_against_definitions(porosity_test(enum, c, levels, stages))
 
 
 hole_strategy = st.tuples(st.integers(0, 62), st.integers(1, 12)).map(
@@ -102,7 +165,7 @@ def test_porosity_test_invariants_random(holes, c, levels):
         for t in range(tst.stages + 1):
             assert is_antichain(tst.boxes[(n, t)])
     assert all(ok for *_, ok in tst.bound_checks())
-    assert all(ok for *_r, ok in tst.node_records)
+    assert all(ok for *_, ok in tst.nodes)
 
 
 @settings(max_examples=15, deadline=None)

@@ -84,3 +84,48 @@ def test_sign_agrees_with_squared_comparison(a, b):
 def test_json_round_trip():
     payload = QuadValue(F(1, 3), F(-2, 7)).to_json()
     assert QuadValue.from_json(payload) == QuadValue(F(1, 3), F(-2, 7))
+
+
+def test_a_rational_quad_value_equals_and_hashes_as_its_fraction():
+    half = QuadValue(F(1, 2), F(0))
+    assert half == F(1, 2) and F(1, 2) == half
+    assert hash(half) == hash(F(1, 2))
+    assert half in {F(1, 2)} and F(1, 2) in {half}
+    assert QuadValue(F(3), F(0)) in {3} and QuadValue(F(3), F(0)) == 3
+    assert len({half, F(1, 2), QuadValue(F(1, 2), F(0))}) == 1
+    assert SQRT2 not in {F(0), F(1)} and hash(SQRT2) == hash(QuadValue(F(0), F(1)))
+
+
+def test_comparing_with_a_non_number_is_unequal_not_an_error():
+    q = QuadValue(F(1, 2), F(0))
+    assert (q == None) is False and q != None  # noqa: E711
+    assert (q == "x") is False and q != "x"
+    assert (q == 0.5) is False  # a float is not a value of Q(sqrt 2)
+
+
+@pytest.mark.parametrize("op", [
+    lambda q: q + 0.5, lambda q: 0.5 + q, lambda q: q - 0.5, lambda q: 0.5 - q,
+    lambda q: q * 0.5, lambda q: 0.5 * q, lambda q: q / 0.5, lambda q: 0.5 / q,
+    lambda q: q < 0.5, lambda q: q >= 0.5, lambda q: QuadValue(0.5, F(0)),
+    lambda q: QuadValue(F(0), 0.5), lambda q: q + None, lambda q: q < "x",
+])
+def test_no_float_or_other_type_enters_the_arithmetic(op):
+    with pytest.raises(TypeError):
+        op(SQRT2 + 1)
+
+
+@given(a=rationals, b=rationals, r=rationals.filter(lambda r: r != 0))
+@settings(max_examples=80, deadline=None)
+def test_division_by_a_rational_divides_each_coordinate(a, b, r):
+    x = QuadValue(a, b)
+    assert x / r == QuadValue(a / r, b / r)
+    assert x / QuadValue(r, F(0)) == QuadValue(a / r, b / r)
+    # the same quotient as through the norm of a general divisor
+    assert (x / r) * r == x and (x / (r * SQRT2)) * (r * SQRT2) == x
+
+
+def test_division_by_a_zero_rational():
+    with pytest.raises(ZeroDivisionError):
+        SQRT2 / F(0)
+    with pytest.raises(ZeroDivisionError):
+        SQRT2 / 0
