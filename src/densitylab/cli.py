@@ -19,7 +19,12 @@ from fractions import Fraction
 
 from .bits import ZERO, format_rational, parse_rational
 from .calculus import extension_grid_depth
-from .counterexample import build_counterexample, default_enumeration, verify_denjoy_failure
+from .counterexample import (
+    MAX_HEIGHT_EXPONENT,
+    build_counterexample,
+    default_enumeration,
+    verify_denjoy_failure,
+)
 from .density import low_density_open_set, oracle_difference
 from .errors import BudgetExhausted, DomainError, SchemaError
 from .instances import (
@@ -104,6 +109,15 @@ ROW_MAX_DEPTH = 20
 # 4 ms and 18 MB in process at n = 10 and --depth 16 and at the cap alike,
 # where n = 57.
 EXTEND_MAX_DEPTH = 60
+# The largest escape 'r' and 'm_max' of tests.  Box m's bound (1 - 2^-(r+1))^m
+# has a numerator of about m (r + 1) bits, and Python prints no integer over
+# 4300 digits; at both caps it has 1,252.  A document whose boxes stay nonempty
+# for all 64 rounds takes about 0.01 s in process on a 2-vCPU host.
+ESCAPE_MAX_R = ESCAPE_MAX_ROUNDS = 64
+# The largest domination 'depth' of tests, each density estimate's scale depth:
+# an eight-word scenario takes about 0.08 s in process on a 2-vCPU host at 64,
+# 0.25 s at 128 and 1.4 s at 256.
+DOMINATION_MAX_DEPTH = 64
 
 
 def _at_most(value: int, cap: int, what: str) -> int:
@@ -210,6 +224,8 @@ def run_tests(args, doc, rep: Report) -> None:
                           "and/or 'domination' lists")
     for i, d in enumerate(_list(doc.get("escape", []), "escape", "objects")):
         inst = EscapeInstance.from_json(d)
+        _at_most(inst.r, ESCAPE_MAX_R, "escape 'r'")
+        _at_most(inst.m_max, ESCAPE_MAX_ROUNDS, "escape 'm_max'")
         verdict, rows = escape_rows(inst)
         prefix = f"escape {i} (r={inst.r}, m_max={inst.m_max}, verdict {verdict})"
         rep.checks.extend(check_rows(rows, prefix))
@@ -219,7 +235,8 @@ def run_tests(args, doc, rep: Report) -> None:
         words = tuple(_list(_require(d, "words"), "words", "bit strings"))
         scenario = DominationScenario(
             words, parse_rational(_require(d, "z")),
-            parse_rational(_require(d, "eps")), _int_field(d, "depth", 12),
+            parse_rational(_require(d, "eps")),
+            _at_most(_int_field(d, "depth", 12), DOMINATION_MAX_DEPTH, "domination 'depth'"),
         )
         case = _int_field(d, "case", 1)
         n_blocks = _int_field(d, "n_blocks", 2)
@@ -288,7 +305,9 @@ def run_counterexample(args, doc, rep: Report) -> None:
     items = _holes(doc, "intervals")
     items = items[: _override(args, "stages", len(items))]
     policy = str(doc.get("overlap_policy", "reject"))
-    k_max = _override(args, "depth", 16, doc, "k_max")
+    # no spike height exponent above MAX_HEIGHT_EXPONENT can be realized
+    k_max = _at_most(_override(args, "depth", 16, doc, "k_max"), MAX_HEIGHT_EXPONENT,
+                     "k_max (--depth)")
     plan, trace = build_counterexample(items, policy)
     failure = verify_denjoy_failure(plan, trace, k_max)
     rep.meta.update(plan=plan.to_json(), trace=trace.to_json(), k_max=k_max)

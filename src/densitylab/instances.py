@@ -171,15 +171,18 @@ class EscapeInstance:
 
 
 def _components(raw) -> dict[int, tuple[str, ...]]:
-    """The component table: an object from integer keys to lists of bit strings."""
+    """The component table: an object from keys, non-negative integers in
+    canonical decimal so that no two name one component, to bit string lists."""
     if not isinstance(raw, dict):
         raise SchemaError(f"escape instance 'components' must be an object, got {raw!r}")
     comps = {}
     for n, ws in raw.items():
         try:
             key = int(n)
-        except ValueError:
-            raise SchemaError(f"escape component key must be an integer, got {n!r}") from None
+        except ValueError:  # not a decimal, or more digits than int() reads
+            key = -1
+        if key < 0 or str(key) != n:
+            raise SchemaError(f"escape component key must be a canonical decimal, got {n!r}")
         if not isinstance(ws, list):
             raise SchemaError(f"escape component {n} must be a list of bit strings")
         comps[key] = tuple(validate_bits(w) for w in ws)
@@ -187,10 +190,10 @@ def _components(raw) -> dict[int, tuple[str, ...]]:
 
 
 def _json_int(obj: dict, key: str) -> int:
-    """A JSON integer field; strings, floats and booleans are refused."""
+    """A JSON integer field >= 0; strings, floats and booleans are refused."""
     v = obj[key]
-    if type(v) is not int:
-        raise SchemaError(f"escape instance field '{key}' must be an integer, got {v!r}")
+    if type(v) is not int or v < 0:
+        raise SchemaError(f"escape field '{key}' must be a non-negative integer, got {v!r}")
     return v
 
 

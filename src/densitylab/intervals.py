@@ -7,14 +7,14 @@ open intervals are subtracted.  Open sets are represented by their closures
 with the openness documented at the operation that produced them; all measure
 arithmetic is exact, so null boundaries never change a verdict.
 
-Point queries bisect the sorted part starts to the one part that can answer:
-``contains_point`` to the last part starting at or before x, ``meets_open``
-to the last part starting before v, so neither scans the parts.
+A point query bisects the sorted part starts: ``contains_point`` reads only
+the last part starting at or before x.  Whether a dyadic cylinder meets a
+class is decided on its bit string, by ``porosity.cylinder_meets_class``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -118,15 +118,6 @@ class IntervalSet:
                   p.hi.numerator * scale // p.hi.denominator + 1)
             for p in self.parts
         ]
-
-    def meets_open(self, u: Fraction, v: Fraction) -> bool:
-        """Does the set intersect the open interval (u,v)?  Only the last part
-        starting before v can: the parts' right ends increase with their
-        starts, so it has the largest right end of all parts with lo < v."""
-        if u >= v:
-            return False
-        i = bisect_left(self._los, v)
-        return i > 0 and self.parts[i - 1].hi > u
 
     def complement(self) -> "IntervalSet":
         """Closed representation of [0,1] minus the set (boundaries are null);

@@ -15,8 +15,9 @@ strategies are built level by level from S_g's rows, none with a Fraction per
 string.  Fairness, integration, the forcing extension certificate
 (``condition_extension_violations``) and the savings search
 (``savings_extension``) compare rows with a threshold q by integer
-cross-multiplication.  Only the walks (``diagonalize_against``,
-``threshold_cylinders``) go string by string, through ``value``.
+cross-multiplication, and claim 5's windows (``claim5_density_records``) are
+read from one leaf row and a mask of the leaves where M has reached q.  Only
+the walk ``diagonalize_against`` goes string by string, through ``value``.
 
 The approximation adapter is a row kernel too: adapter(base, k, n) gives the
 index-n Cauchy approximants M(t)_n, with |M(t)_n - M(t)| <= 2^-n, of the
@@ -37,7 +38,6 @@ from .bits import (
     ONE,
     ZERO,
     all_strings,
-    cylinder_bounds,
     format_rational,
     is_prefix,
     over_common_denominator,
@@ -45,7 +45,6 @@ from .bits import (
     validate_bits,
 )
 from .errors import BudgetExhausted, DomainError, SchemaError
-from .intervals import Interval, canonicalize
 from .piecewise import PiecewiseLinear
 
 
@@ -249,13 +248,8 @@ def slope_martingale(g: PiecewiseLinear, depth: int) -> Martingale:
     return Martingale(rows)
 
 
-def martingale_to_function(m: Martingale, tau0: str, depth: int) -> PiecewiseLinear:
-    """Integrate M over Cyl tau0: slope of the result over Cyl rho is M(rho).
-
-    The base value is 0 at 0.tau0 and each leaf rho of length depth
-    contributes M(rho) 2^-depth.  Rejects negative values: the result is
-    promised nondecreasing and Lipschitz with constant max M.
-    """
+def _leaf_row(m: Martingale, tau0: str, depth: int) -> Row:
+    """M's row at the extensions of tau0 of length depth; no entry negative."""
     validate_bits(tau0)
     if depth < len(tau0):
         raise DomainError(f"depth {depth} shallower than |tau0| = {len(tau0)}")
@@ -266,6 +260,18 @@ def martingale_to_function(m: Martingale, tau0: str, depth: int) -> PiecewiseLin
         raise DomainError(
             f"negative martingale value {Fraction(leaves[i], den)} at {_string(tau0, i, k)!r}"
         )
+    return den, leaves
+
+
+def martingale_to_function(m: Martingale, tau0: str, depth: int) -> PiecewiseLinear:
+    """Integrate M over Cyl tau0: slope of the result over Cyl rho is M(rho).
+
+    The base value is 0 at 0.tau0 and each leaf rho of length depth
+    contributes M(rho) 2^-depth.  Rejects negative values: the result is
+    promised nondecreasing and Lipschitz with constant max M.
+    """
+    den, leaves = _leaf_row(m, tau0, depth)
+    k = depth - len(tau0)
     # breakpoints on the 2^-depth grid; values the prefix sums of the leaves
     k0 = int(tau0, 2) << k if tau0 else 0
     return PiecewiseLinear.from_numerators(
@@ -555,23 +561,6 @@ def savings_extension(cond: Condition, eps: Fraction, search_depth: int) -> Savi
     )
 
 
-def threshold_cylinders(m: Martingale, base: str, q: Fraction, depth: int) -> tuple[str, ...]:
-    """Minimal extensions of base (to depth) where M first reaches q."""
-    out: list[str] = []
-
-    def walk(tau: str):
-        if m.value(tau) >= q:
-            out.append(tau)
-            return
-        if len(tau) >= depth:
-            return
-        walk(tau + "0")
-        walk(tau + "1")
-
-    walk(validate_bits(base))
-    return tuple(out)
-
-
 def claim5_density_records(
     m: Martingale,
     tau: str,
@@ -586,24 +575,36 @@ def claim5_density_records(
     reaches q; for each basic dyadic window inside Cyl tau of depth at most
     depth whose slope of the integrated function stays below s, the relative
     measure of D in the window must stay within eps.
+
+    A window's slope is the mean of its leaves, the extensions of tau of
+    length depth.  D is a union of leaves: those below a node of some level
+    row where M >= q.  Both are read from prefix sums over the leaves.
     """
-    f = martingale_to_function(m, tau, depth)
-    dset = canonicalize(
-        [Interval(*cylinder_bounds(rho)) for rho in threshold_cylinders(m, tau, q, depth)]
-    )
-    lo, hi = cylinder_bounds(tau)
+    den, leaves = _leaf_row(m, tau, depth)
+    k = depth - len(tau)
+    qn, qd = q.as_integer_ratio()
+    marked = bytearray(1 << k)
+    for j in range(k + 1):
+        (d, row), width = m.level(tau, j), 1 << (k - j)
+        t = qn * d  # x / d >= q iff x qd >= t
+        for i in [i for i, x in enumerate(row) if x * qd >= t]:
+            marked[i * width : (i + 1) * width] = b"\x01" * width
+    sums, counts = [0, *accumulate(leaves)], [0, *accumulate(marked)]
+    sn, sd = s.as_integer_ratio()
+    start = int(tau, 2) if tau else 0
     records = []
-    for j in range(len(tau), depth + 1):
-        step = Fraction(1, 1 << j)
-        k = lo / step
-        while k * step < hi:
-            a = k * step
-            b = a + step
-            k += 1
-            slope = (f.value(b) - f.value(a)) / step
-            if slope >= s:
+    for j in range(k + 1):
+        width = 1 << (k - j)  # leaves per window
+        for i in range(1 << j):
+            lo, hi = i * width, (i + 1) * width
+            total = sums[hi] - sums[lo]
+            # slope = total / (den width) < s, cross-multiplied
+            if total * sd >= sn * den * width:
                 continue
-            rel = dset.intersect_interval(Interval(a, b)).measure / step
+            a = Fraction((start << j) + i, 1 << (len(tau) + j))
+            b = a + Fraction(1, 1 << (len(tau) + j))
+            slope = Fraction(total, den * width)
+            rel = Fraction(counts[hi] - counts[lo], width)
             records.append(
                 (f"window [{a},{b}] slope {slope} < s", rel, eps, rel <= eps)
             )

@@ -12,6 +12,9 @@ from the stage class.  N_t(sigma) is the antichain of minimal qualifying rho.
 Scanning stops one level past the point where every relevant gap has produced
 an empty cylinder inside sigma: beyond that the qualifying value regions only
 shrink, so no new minimal elements can appear.
+
+``cylinder_meets_class`` and ``class_mass`` decide a class against dyadic
+cylinders kept as bit strings, on its ``ClassGaps``; ``randomness`` shares them.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ def _meeting_mass(gaps: ClassGaps, rhos) -> tuple[int, int]:
     return sum(1 << (top - len(rho)) for rho in rhos if cylinder_meets_class(gaps, rho)), top
 
 
-def _class_mass(gaps: ClassGaps, rhos) -> tuple[int, int]:
+def class_mass(gaps: ClassGaps, rhos) -> tuple[int, int]:
     """lambda(C cap U) for the union U of the cylinders of the antichain rhos,
     as (num, den): each cylinder's length less its overlaps with the gaps of
     C, in integers over the gaps' denominator times 2^top."""
@@ -219,17 +222,17 @@ def porosity_witness(
 ) -> PorosityWitness | None:
     """First qualifying pair below sigma: lowest level, leftmost rho, nearest tau."""
     validate_bits(sigma)
+    gaps = ClassGaps(class_set)
     s_len = len(sigma)
     s_idx = int(sigma, 2) if sigma else 0
     reach = 1 << c
     for level in range(s_len, max_level + 1):
         lo_idx = s_idx << (level - s_len)
         hi_idx = ((s_idx + 1) << (level - s_len)) - 1
-        width = Fraction(1, 1 << level)
         empties = [
             j
             for j in range(lo_idx, hi_idx + 1)
-            if not class_set.meets_open(j * width, (j + 1) * width)
+            if not cylinder_meets_class(gaps, _string_at(j, level))
         ]
         if not empties:
             continue
@@ -293,7 +296,7 @@ class PorosityTest:
             maxima.append(_row(f"level {n}: max_t meeting mass <= decay^n",
                                num, 1 << m_top, *bound))
             finals.append(_row(f"level {n}: lambda(U_n cap C_final) <= decay^n",
-                               *_class_mass(self.class_gaps[self.stages],
+                               *class_mass(self.class_gaps[self.stages],
                                             self.boxes[(n, self.stages)]), *bound))
         return maxima + finals
 

@@ -5,6 +5,10 @@ the final stage is what the measure bounds talk about.  Escape sets need
 components that enumerate prefix-free dyadic cylinders, because the kept
 items of a truncation must again be cylinders one level of the construction
 deeper.  Boundary points of items are null and never affect a bound.
+
+Cylinder components stay bit strings: a prefix-free set's union has measure
+the sum of 2^-|rho| over its strings, and its measure inside the final class
+comes from porosity's integer kernel ``class_mass``.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .intervals import (
     StagedOpenEnumeration,
     canonicalize,
 )
+from .porosity import ClassGaps, class_mass
 
 
 def cylinder_items(s: IntervalSet) -> list[str]:
@@ -125,7 +130,8 @@ class CylinderDifferenceTest:
 
     component_fn(n) must return cylinder strings in enumeration order with
     lambda(Cyl cap C_final) <= 2^-n; certify() checks that bound exactly for
-    every component that has been materialized.
+    every component that has been materialized, on the strings through the
+    final class's gaps.
     """
 
     def __init__(
@@ -135,6 +141,7 @@ class CylinderDifferenceTest:
     ):
         self.closed_enum = closed_enum
         self.component_fn = component_fn
+        self.gaps = ClassGaps(closed_enum.final_class())
         self._cache: dict[int, tuple[str, ...]] = {}
 
     def component_strings(self, n: int) -> tuple[str, ...]:
@@ -145,18 +152,12 @@ class CylinderDifferenceTest:
             self._cache[n] = strings
         return self._cache[n]
 
-    def component_union(self, n: int) -> IntervalSet:
-        return canonicalize(
-            [Interval(*cylinder_bounds(s)) for s in self.component_strings(n)]
-        )
-
     def certify(self) -> list[tuple[str, Fraction, Fraction, bool]]:
         recs = []
-        final = self.closed_enum.final_class()
         for n in sorted(self._cache):
-            lhs = self.component_union(n).intersect(final).measure
-            rhs = Fraction(1, 1 << n)
-            recs.append((f"lambda(V_{n} cap C_final)", lhs, rhs, lhs <= rhs))
+            num, den = class_mass(self.gaps, self._cache[n])
+            recs.append((f"lambda(V_{n} cap C_final)", Fraction(num, den),
+                         Fraction(1, 1 << n), num << n <= den))
         return recs
 
 
@@ -225,9 +226,12 @@ def build_escape_sets(
     """Iterated truncation of component slices inside each surviving cylinder.
 
     Inside sigma the component of index |sigma| + r + 1 is replayed with
-    budget 2^-|sigma| (1 - 2^-(r+1)); items below sigma survive, an item at
-    or above sigma can never fit the budget.  The kept cylinders form the
-    next box.  The verdict explains how z left (or failed to leave) the sets:
+    budget 2^-|sigma| (1 - 2^-(r+1)): items strictly below sigma are kept, in
+    enumeration order, while their summed lengths fit it; an item at or above
+    sigma covers Cyl(sigma), which exceeds the budget, so it is never kept.
+    The kept cylinders, strict extensions of an antichain's members taken
+    from an antichain, form the next box, again an antichain.  The verdict
+    explains how z left (or failed to leave) the sets:
     "certificate" means z's covering item was truncated, which forces the
     class to be thin in sigma; "uncaptured" means the component never covered
     z inside sigma and nothing is asserted about the class there.
@@ -239,26 +243,19 @@ def build_escape_sets(
     for m in range(m_max):
         new: list[str] = []
         for sigma in boxes[m]:
-            comp = dtest.component_strings(len(sigma) + r + 1)
-            budget = Fraction(1, 1 << len(sigma)) * shrink
-            union = EMPTY_SET
-            for tau in comp:
-                if is_prefix(sigma, tau):
-                    piece = Interval(*cylinder_bounds(tau))
-                elif is_prefix(tau, sigma):
-                    piece = Interval(*cylinder_bounds(sigma))
-                else:
-                    continue
-                cand = union.union(IntervalSet((piece,)))
-                if cand.measure <= budget:
-                    if not is_prefix(sigma, tau) or tau == sigma:
-                        raise InvariantError("kept an item not strictly below sigma")
+            n = len(sigma) + r + 1
+            below = [tau for tau in dtest.component_strings(n)
+                     if len(tau) > len(sigma) and tau.startswith(sigma)]
+            # the budget (2^(r+1) - 1) 2^-n in units of 2^-top, spent on
+            # disjoint cylinders
+            top = max([n, *map(len, below)])
+            room = ((1 << (r + 1)) - 1) << (top - n)
+            for tau in below:
+                size = 1 << (top - len(tau))
+                if size <= room:
+                    room -= size
                     new.append(tau)
-                    union = cand
-        members = tuple(sorted(set(new)))
-        if not is_antichain(members):
-            raise EnumerationOverlapError(f"B_{m + 1} is not prefix-free")
-        boxes.append(members)
+        boxes.append(tuple(sorted(new)))
 
     records: list[tuple[str, Fraction, Fraction, bool]] = []
     for m, box in enumerate(boxes):
@@ -282,39 +279,23 @@ def build_escape_sets(
         witness = sigma
         n = len(sigma) + r + 1
         comp = dtest.component_strings(n)
-        pieces = []
-        covered = False
-        for tau in comp:
-            if is_prefix(sigma, tau):
-                piece = Interval(*cylinder_bounds(tau))
-            elif is_prefix(tau, sigma):
-                piece = Interval(*cylinder_bounds(sigma))
-            else:
-                continue
-            pieces.append(piece)
-            if _point_in_cylinder(z, tau) or is_prefix(tau, sigma):
-                covered = True
-        slice_measure = canonicalize(pieces).measure
+        # the component is an antichain: an item at or above sigma is its
+        # only item meeting Cyl(sigma), and the items below sigma are disjoint
+        above = any(is_prefix(tau, sigma) for tau in comp)
+        below = [tau for tau in comp if is_prefix(sigma, tau)]
+        covered = above or any(_point_in_cylinder(z, tau) for tau in below)
         sigma_width = Fraction(1, 1 << len(sigma))
+        slice_measure = sigma_width if above else sum(
+            (Fraction(1, 1 << len(tau)) for tau in below), Fraction(0))
         if covered:
             verdict = "certificate"
             budget = sigma_width * shrink
-            records.append(
-                (
-                    f"slice of V_{n} in {sigma!r} overflows the budget",
-                    slice_measure,
-                    budget,
-                    slice_measure > budget,
-                )
-            )
-            final = dtest.closed_enum.final_class()
-            lhs = final.intersect(
-                IntervalSet((Interval(*cylinder_bounds(sigma)),))
-            ).measure / sigma_width
-            rhs = Fraction(1, 1 << r)
-            records.append(
-                (f"relative class measure in {sigma!r}", lhs, rhs, lhs <= rhs)
-            )
+            records.append((f"slice of V_{n} in {sigma!r} overflows the budget",
+                            slice_measure, budget, slice_measure > budget))
+            num, den = class_mass(dtest.gaps, (sigma,))
+            records.append((f"relative class measure in {sigma!r}",
+                            Fraction(num << len(sigma), den), Fraction(1, 1 << r),
+                            num << (len(sigma) + r) <= den))
         else:
             verdict = "uncaptured"
     return EscapeSets(
@@ -469,14 +450,11 @@ def build_domination_tests(
     total = sum((c.U.measure for c in covers), Fraction(0))
     budget = 2 / (1 - scenario.eps)
     records.append(("sum of lambda(S_n)", total, budget, total <= budget))
-    used = canonicalize(
-        [
-            Interval(*cylinder_bounds(w))
-            for s, t in blocks
-            for w in scenario.words[s:t]
-        ]
-    )
-    scaled = 2 * used.measure / (1 - scenario.eps)
+    # the words are prefix-free, so the used cylinders' union has measure the
+    # sum of their lengths; the identity row below checks that sum
+    used = sum((Fraction(1, 1 << len(w)) for s, t in blocks for w in scenario.words[s:t]),
+               Fraction(0))
+    scaled = 2 * used / (1 - scenario.eps)
     records.append(("sum against used-cylinder budget", total, scaled, total <= scaled))
     all_cyls = canonicalize([Interval(*cylinder_bounds(w)) for w in scenario.words])
     flat = sum((Fraction(1, 1 << len(w)) for w in scenario.words), Fraction(0))

@@ -1,6 +1,8 @@
 import hashlib
+import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 from fractions import Fraction
@@ -46,6 +48,22 @@ def test_verify_all_bytes_match_the_benchmark_reference(tmp_path):
     code, blob = run(tmp_path, "verify-all", "--json", "--seed", "1")
     assert code == 0
     assert [hashlib.sha256(blob).hexdigest()] == want
+
+
+@pytest.mark.parametrize("workload", ["cli-stream", "extend-query"])
+def test_stream_and_extend_bytes_match_the_benchmark_reference(tmp_path, monkeypatch, workload):
+    # every op's report bytes, against the digests the benchmark counts a
+    # failure by; both files are only read
+    reference = json.loads(REFERENCE.read_text())
+    seed = reference["default_seed"]
+    ops = runpy.run_path(str(REFERENCE.parent / "workloads.py"))["ops_for"](workload, seed)
+    got = []
+    for op in ops:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(op.doc or ""))
+        code, blob = run(tmp_path, *op.argv)
+        assert code == 0, op.argv
+        got.append(hashlib.sha256(blob).hexdigest())
+    assert got == reference["workloads"][workload][str(seed)]
 
 
 def test_reports_are_byte_identical_for_fixed_instance_and_seed(tmp_path):
@@ -202,6 +220,7 @@ def test_porosity_scans_a_hole_that_first_holds_a_cylinder_past_level_400(tmp_pa
 
 DOMINATION = {"words": ["1"], "z": "1/3", "eps": "2/3"}
 TABLE = {"depth": 1, "values": {"": "1", "0": "1/2", "1": "3/2"}}
+ESCAPE = {"components": {"0": ["0"]}, "r": 0, "m_max": 1, "z": "1/3"}
 
 
 @pytest.mark.parametrize("command, doc, kind", [
@@ -254,6 +273,19 @@ TABLE = {"depth": 1, "values": {"": "1", "0": "1/2", "1": "3/2"}}
     # bit strings are JSON strings; numbers are refused, not coerced
     ("martingale", {"martingale": TABLE, "q": "2", "sigma": 0}, "SchemaError"),
     ("tests", {"domination": [{**DOMINATION, "words": [1, 0]}]}, "SchemaError"),
+    # each unbounded integer field has a cap, checked before anything is built
+    ("tests", {"escape": [{**ESCAPE, "r": 65}]}, "SchemaError"),
+    ("tests", {"escape": [{**ESCAPE, "m_max": -1}]}, "SchemaError"),
+    ("tests", {"escape": [{**ESCAPE, "m_max": 65}]}, "SchemaError"),
+    ("tests", {"domination": [{**DOMINATION, "depth": 65}]}, "SchemaError"),
+    ("counterexample", {"intervals": [["0", "1/2"]], "k_max": 129}, "SchemaError"),
+    ("counterexample --depth 129", {"intervals": [["0", "1/2"]]}, "SchemaError"),
+    # a component key is a canonical non-negative decimal; "01" would
+    # collide with "1" and drop one of the two components
+    ("tests", {"escape": [{**ESCAPE, "components": {"1": ["0"], "01": ["1"]}}]},
+     "SchemaError"),
+    ("tests", {"escape": [{**ESCAPE, "components": {"1_0": ["0"]}}]}, "SchemaError"),
+    ("tests", {"escape": [{**ESCAPE, "components": {"-1": ["0"]}}]}, "SchemaError"),
 ], ids=["depth", "case", "n_blocks", "k_max", "table", "full-cover", "escape-r", "h-xs",
         "intervals", "escape-key", "escape-components", "h-domain", "density-depth",
         "porosity-levels", "counterexample-stages", "counterexample-depth",
@@ -262,13 +294,28 @@ TABLE = {"depth": 1, "values": {"": "1", "0": "1/2", "1": "3/2"}}
         "extend-n-cap", "extend-lipschitz-cap", "extend-depth-cap", "martingale-depth-cap",
         "martingale-depth-21", "table-stray-key", "domination-case-3", "domination-case-0",
         "domination-case-7", "density-depth-21", "martingale-sigma-number",
-        "domination-word-numbers"])
+        "domination-word-numbers", "escape-r-cap", "escape-m-max-negative", "escape-m-max-cap",
+        "domination-depth-cap", "counterexample-k-max-cap", "counterexample-depth-cap",
+        "escape-key-collision", "escape-key-underscore", "escape-key-negative"])
 def test_bad_documents_exit_2_with_json_on_stderr(tmp_path, capfd, command, doc, kind):
     # a command may carry flags: "density --depth -1"
     code, blob = run(tmp_path, *command.split(), "--instance", write_instance(tmp_path, doc))
     assert code == 2
     assert blob == b""
     assert json.loads(capfd.readouterr().err)["kind"] == kind
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("tests", {"escape": [{**ESCAPE, "r": 64, "m_max": 64}]}),
+    ("tests", {"domination": [{**DOMINATION, "depth": 64}]}),
+    ("counterexample", {"intervals": [["0", "1/2"], ["1/2", "3/4"]], "k_max": 128}),
+    ("counterexample --depth 128", {"intervals": [["0", "1/2"], ["1/2", "3/4"]]}),
+], ids=["escape-r-and-m-max", "domination-depth", "counterexample-k-max",
+        "counterexample-depth"])
+def test_integer_fields_at_their_caps_run(tmp_path, command, doc):
+    code, blob = run(tmp_path, *command.split(), "--instance", write_instance(tmp_path, doc))
+    assert code == 0
+    assert json.loads(blob)["all_hold"] is True
 
 
 @pytest.mark.parametrize("argv", [

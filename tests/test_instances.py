@@ -92,6 +92,18 @@ def test_escape_instance_round_trips_through_json():
         EscapeInstance.from_json({"holes": []})
 
 
+@pytest.mark.parametrize("key", ["01", "1_0", "-1", "+1", " 1", "1.0", "\u0661", "1" * 5000],
+                         ids=["leading-zero", "underscore", "negative", "plus", "space",
+                              "point", "arabic-digit", "too-many-digits"])
+def test_escape_component_keys_are_canonical_decimals(key):
+    # "01" and "1" would name one component and drop the other
+    doc = {"components": {"1": ["0"], key: ["1"]}, "r": 0, "m_max": 1, "z": "1/3"}
+    with pytest.raises(SchemaError, match="canonical decimal"):
+        EscapeInstance.from_json(doc)
+    doc["components"] = {"0": ["0"], "10": ["1"]}
+    assert EscapeInstance.from_json(doc).components == {0: ("0",), 10: ("1",)}
+
+
 def test_domination_instance_drops_density_in_every_block():
     for index in range(4):
         scenario, case, n_blocks = domination_instance(1, index)

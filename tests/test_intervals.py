@@ -103,9 +103,6 @@ def test_subtract_open_retains_endpoints():
     assert c.measure == F(5, 8)
     assert c.contains_point(F(0)) and c.contains_point(F(1, 2))
     assert not c.contains_point(F(1, 16))
-    assert not c.meets_open(F(0), F(1, 8))
-    assert not c.meets_open(F(1, 2), F(3, 4))
-    assert c.meets_open(F(1, 2), F(25, 32))
 
 
 def test_gaps_are_closures_of_complement():
@@ -211,13 +208,3 @@ def test_grid_ranges_are_the_grid_points_inside(s, depth):
     assert len(ranges) == len(s.parts)
     got = [k for r in ranges for k in r]
     assert got == [k for k in range(scale + 1) if s.contains_point(F(k, scale))]
-
-
-@given(parts_with_points, st.lists(endpoints, min_size=2, max_size=6))
-def test_meets_open_matches_a_scan_of_the_parts(s, extra):
-    ends = [x for p in s.parts for x in (p.lo, p.hi)]
-    points = ends + extra + [F(0), F(1)]
-    for u in points:
-        for v in points:  # u >= v included: the open interval is empty
-            scan = u < v and any(p.lo < v and p.hi > u for p in s.parts)
-            assert s.meets_open(u, v) == scan

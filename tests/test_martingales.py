@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from densitylab import suite
 from densitylab.bits import all_strings, cylinder_bounds, over_common_denominator
 from densitylab.errors import BudgetExhausted, DomainError
+from densitylab.intervals import Interval, canonicalize
 from densitylab.martingales import (
     Condition,
     Martingale,
@@ -28,7 +29,6 @@ from densitylab.martingales import (
     negativity_witnesses,
     savings_extension,
     slope_martingale,
-    threshold_cylinders,
     with_floor_adapter,
 )
 from densitylab.piecewise import PiecewiseLinear
@@ -383,9 +383,16 @@ def test_table_refuses_keys_that_are_not_its_strings(stray):
         TableMartingale(table, 1)
 
 
-def test_threshold_cylinders_and_claim5_records():
+def test_claim5_records_on_the_savings_instance():
     m = savings_instance()
-    assert threshold_cylinders(m, "", F(2), 3) == ("10",)
+    # with s above every slope each window is examined, and its relative
+    # measure of D shows D = Cyl "10", the one minimal string reaching q = 2
+    wide = claim5_density_records(m, "", q=F(2), s=F(10), eps=F(1, 2), depth=3)
+    assert [rel for _, rel, _, _ in wide] == [
+        F(1, 4), 0, F(1, 2), 0, 0, 1, 0, 0, 0, 0, 0, 1, 1, 0, 0,
+    ]
+    assert wide[0][0] == "window [0,1] slope 1 < s"
+    assert wide[5][0] == "window [1/2,3/4] slope 5/2 < s"
     records = claim5_density_records(
         m, "", q=F(2), s=F(2, 3), eps=F(1, 2), depth=3
     )
@@ -620,6 +627,54 @@ def test_negativity_witnesses_match_a_per_string_scan(m, base, depth):
         return negativity_witnesses(m, depth, base)
 
     assert outcome(read, m, base, depth) == outcome(scan, m, base, depth)
+
+
+def reference_claim5(m: Martingale, tau: str, q: F, s: F, eps: F, depth: int) -> list:
+    """Claim 5's rows string by string: D from every string to depth where M
+    reaches q, a window's slope from the sum of its leaves' values, and the
+    relative measures from IntervalSet."""
+    leaves = [tau + x for x in all_strings(depth - len(tau))]
+    for leaf in leaves:
+        if m(leaf) < 0:
+            raise DomainError(f"negative martingale value {m(leaf)} at {leaf!r}")
+    dset = canonicalize([
+        Interval(*cylinder_bounds(tau + x))
+        for n in range(depth - len(tau) + 1)
+        for x in all_strings(n)
+        if m(tau + x) >= q
+    ])
+    records = []
+    for j in range(depth - len(tau) + 1):
+        for x in all_strings(j):
+            a, b = cylinder_bounds(tau + x)
+            mass = sum((m(leaf) for leaf in leaves if leaf.startswith(tau + x)), F(0))
+            slope = mass * F(1, 1 << depth) / (b - a)
+            if slope < s:
+                rel = dset.intersect_interval(Interval(a, b)).measure / (b - a)
+                records.append((f"window [{a},{b}] slope {slope} < s", rel, eps, rel <= eps))
+    return records
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(defined_martingales().map(lambda pair: pair[0]), fair_tables(least=-4)),
+    st.text("01", max_size=2),
+    st.integers(0, 3),
+    st.builds(F, st.integers(0, 80), st.just(16)),
+    st.builds(F, st.integers(0, 80), st.just(16)),
+    st.builds(F, st.integers(0, 8), st.just(8)),
+)
+@example(savings_instance(), "", 3, F(2), F(10), F(1, 4))  # D = Cyl "10"
+@example(savings_instance(), "1", 3, F(1), F(3), F(1, 2))  # tau itself reaches q
+def test_claim5_records_match_the_per_string_definition(m, tau, extra, q, s, eps):
+    def read(m, tau, depth):
+        return claim5_density_records(m, tau, q, s, eps, depth)
+
+    def scan(m, tau, depth):
+        return reference_claim5(m, tau, q, s, eps, depth)
+
+    depth = len(tau) + extra
+    assert outcome(read, m, tau, depth) == outcome(scan, m, tau, depth)
 
 
 def test_level_past_the_certified_depth_raises_the_evaluators_error():

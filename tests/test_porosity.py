@@ -245,10 +245,12 @@ def test_minimal_extensions_match_fraction_scan(cls, c):
 
 @settings(max_examples=60, deadline=None)
 @given(mixed_classes)
-def test_cylinder_test_from_gaps_matches_meets_open(cls):
+def test_cylinder_test_from_gaps_matches_a_scan_of_the_parts(cls):
     gaps = ClassGaps(cls)
     for tau in [s for n in range(6) for s in all_strings(n)]:
-        assert cylinder_meets_class(gaps, tau) == cls.meets_open(*cylinder_bounds(tau))
+        u, v = cylinder_bounds(tau)
+        # the open cylinder (u, v) meets a closed part [lo, hi] iff lo < v and hi > u
+        assert cylinder_meets_class(gaps, tau) == any(p.lo < v and p.hi > u for p in cls.parts)
 
 
 def test_a_point_isolated_between_two_holes_meets_its_cylinder():
