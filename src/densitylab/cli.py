@@ -97,11 +97,10 @@ def _override(args, flag: str, default: int, doc: dict | None = None, key: str =
     return value
 
 
-# The largest --depth of the two commands that build rows of 2^depth entries.
-# A table martingale's fairness check and savings search read such rows: at
-# 20, on a 2-vCPU host, about 1 s and 40 MB, and each step above doubles both.
-# density's prefix-mass oracle sweeps the 2^-depth grid: at 20 about 1.5 s and
-# 138 MB in process, against 0.08 s and 25 MB at 16.
+# The largest --depth of density and martingale.  density's prefix-mass
+# oracle sweeps the 2^-depth grid: at 20, on a 2-vCPU host, about 1.5 s and
+# 138 MB in process, against 0.08 s and 25 MB at 16.  martingale keeps its
+# rows as runs and takes about 0.01 s at 20; it shares the cap.
 ROW_MAX_DEPTH = 20
 # The largest extend --depth, and the largest internal grid depth of extend.
 # The extension keeps its rows as runs, so neither its time nor its memory

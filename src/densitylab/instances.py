@@ -170,9 +170,19 @@ class EscapeInstance:
             raise SchemaError(f"escape instance missing field {exc}") from None
 
 
+# The longest bit string of an escape component.  A string of length L puts
+# 2^-L into the box masses and the component caps, and 2^-(L + r + 1) into
+# the budget row, whose denominator at r = 64 and L = 4096 prints with 1,253
+# digits.  Python prints no integer of more than 4300 digits, about 14,280
+# bits, and the class-mass rows multiply the holes' denominators into the
+# same sides, so the cap leaves most of that room to them.
+ESCAPE_MAX_COMPONENT_LENGTH = 4096
+
+
 def _components(raw) -> dict[int, tuple[str, ...]]:
     """The component table: an object from keys, non-negative integers in
-    canonical decimal so that no two name one component, to bit string lists."""
+    canonical decimal so that no two name one component, to bit string lists
+    of strings at most ``ESCAPE_MAX_COMPONENT_LENGTH`` long."""
     if not isinstance(raw, dict):
         raise SchemaError(f"escape instance 'components' must be an object, got {raw!r}")
     comps = {}
@@ -186,6 +196,12 @@ def _components(raw) -> dict[int, tuple[str, ...]]:
         if not isinstance(ws, list):
             raise SchemaError(f"escape component {n} must be a list of bit strings")
         comps[key] = tuple(validate_bits(w) for w in ws)
+        longest = max(map(len, comps[key]), default=0)
+        if longest > ESCAPE_MAX_COMPONENT_LENGTH:
+            raise SchemaError(
+                f"escape component {n} holds a bit string of length {longest}; "
+                f"the longest allowed is {ESCAPE_MAX_COMPONENT_LENGTH}"
+            )
     return comps
 
 

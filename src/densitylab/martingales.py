@@ -5,34 +5,42 @@ fairness identity M(s) = (M(s0) + M(s1))/2, checked exactly to whatever depth
 a caller cares about.  Values may be negative for slope martingales (betting
 with debt); every construction that promises nonnegativity gets it checked.
 
-Each martingale is defined once, by its level rows: rows(base, k) returns
-(d, nums) with nums[i] / d the value at base + s for the i-th string s of
-length k in lexicographic order, and ``Martingale.value`` reads the row at
-k = 0.  Table martingales slice their tabulated rows, ``combine_scaled`` and
-``cap_at`` build theirs from their operands' rows, the slope martingale of a
-PiecewiseLinear on [0,1] takes differences of one grid row, and the anti-debt
-strategies are built level by level from S_g's rows, none with a Fraction per
-string.  Fairness, integration, the forcing extension certificate
+Each martingale is defined once, by its level rows, kept as runs:
+rows(base, k) returns (d, runs), each run (first, last, num) meaning the
+value num / d at base + s for the i-th string s of length k in lexicographic
+order, first <= i <= last.  The runs cover 0..2^k - 1 in order, and no two
+neighbours share a value, so a row costs its number of constant stretches,
+not 2^k.  ``Martingale.value`` reads the row at k = 0.  Table martingales
+window their tabulated runs, a martingale that stops betting scales its last
+betting row's runs, ``combine_scaled`` and ``cap_at`` walk the overlaps of
+their operands' runs, and the slope martingale of a PiecewiseLinear on [0,1]
+has one run per stretch of cylinders inside one of its segments, with only
+the cylinders across a breakpoint worked out one by one.  Fairness,
+integration, the forcing extension certificate
 (``condition_extension_violations``) and the savings search
-(``savings_extension``) compare rows with a threshold q by integer
-cross-multiplication, and claim 5's windows (``claim5_density_records``) are
-read from one leaf row and a mask of the leaves where M has reached q.  Only
-the walk ``diagonalize_against`` goes string by string, through ``value``.
+(``savings_extension``) compare runs with a threshold q by integer
+cross-multiplication.  Output with one item per string reads the dense
+expansion ``Martingale.level``: claim 5's windows
+(``claim5_density_records``), ``negativity_witnesses`` and the anti-debt
+capitals table.  Only the walk ``diagonalize_against`` goes string by
+string, through ``value``.
 
-The approximation adapter is a row kernel too: adapter(base, k, n) gives the
-index-n Cauchy approximants M(t)_n, with |M(t)_n - M(t)| <= 2^-n, of the
-strings of ``level(base, k)``.  Without one the approximant is the exact
-value; ``with_floor_adapter`` gives a genuinely rounded one so the index-0
-tests exercise the approximation path.
+The approximation adapter is a row kernel too: adapter(base, k, n) gives, as
+runs, the index-n Cauchy approximants M(t)_n, with |M(t)_n - M(t)| <= 2^-n,
+of the strings of ``runs(base, k)``.  Without one the approximant is the
+exact value; ``with_floor_adapter`` gives a genuinely rounded one so the
+index-0 tests exercise the approximation path.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
-from typing import Callable
+from operator import itemgetter
+from typing import Callable, Iterable
 
 from .bits import (
     ONE,
@@ -48,7 +56,8 @@ from .errors import BudgetExhausted, DomainError, SchemaError
 from .piecewise import PiecewiseLinear
 
 
-Row = tuple[int, list[int]]
+Run = tuple[int, int, int]  # (first, last, num): num / d at indices first..last
+Row = tuple[int, list[Run]]
 Rows = Callable[[str, int], Row]
 
 
@@ -57,81 +66,151 @@ def _string(base: str, i: int, k: int) -> str:
     return base + format(i, f"0{k}b") if k else base
 
 
-class Martingale:
-    """A martingale given by its level rows, plus an optional approximation
-    adapter; immutable.
+def _merged(pieces: Iterable[tuple]) -> list[tuple]:
+    """Consecutive pieces (first, last, value) as runs: neighbours with equal
+    values joined."""
+    out: list[tuple] = []
+    for first, last, v in pieces:
+        if out and out[-1][2] == v:
+            out[-1] = (out[-1][0], last, v)
+        else:
+            out.append((first, last, v))
+    return out
 
-    rows(base, k) returns (d, nums), d > 0, with nums[i] / d the value at
-    base + s for the i-th string s of length k in lexicographic order, and
-    raises ``DomainError`` where the martingale is not defined.
-    adapter(base, k, n) returns the index-n approximants of the same strings
-    as a row.
+
+def _runs_of(nums: list[int]) -> list[Run]:
+    """The runs of a written-out row."""
+    return _merged((i, i, x) for i, x in enumerate(nums))
+
+
+def _scaled(runs: list[tuple], shift: int) -> list[tuple]:
+    """Runs at a level shift deeper: every index stands for its 2^shift
+    extensions."""
+    return [(first << shift, ((last + 1) << shift) - 1, v) for first, last, v in runs]
+
+
+def _window(runs: list[tuple], start: int, count: int) -> list[tuple]:
+    """The runs of indices start..start + count - 1, counted from start."""
+    end = start + count - 1
+    i = bisect_right(runs, start, key=itemgetter(0)) - 1
+    out = []
+    while i < len(runs) and runs[i][0] <= end:
+        first, last, v = runs[i]
+        out.append((max(first, start) - start, min(last, end) - start, v))
+        i += 1
+    return out
+
+
+def run_overlaps(a: list[tuple], b: list[tuple]):
+    """(first, last, x, y) for each stretch on which runs a hold x and runs b
+    hold y, in index order; a and b cover the same indices."""
+    i = j = 0
+    while i < len(a) and j < len(b):
+        fa, la, x = a[i]
+        fb, lb, y = b[j]
+        last = min(la, lb)
+        yield max(fa, fb), last, x, y
+        i += la == last
+        j += lb == last
+
+
+def _dense(row: Row) -> tuple[int, list[int]]:
+    """A run row written out, one entry per string."""
+    d, runs = row
+    nums: list[int] = []
+    for first, last, num in runs:
+        nums += [num] * (last - first + 1)
+    return d, nums
+
+
+class Martingale:
+    """A martingale given by its level rows as runs, plus an optional
+    approximation adapter; immutable.
+
+    rows(base, k) returns (d, runs), d > 0, each run (first, last, num)
+    giving the value num / d at base + s for the i-th string s of length k in
+    lexicographic order, first <= i <= last; the runs cover 0..2^k - 1 in
+    order and neighbours differ.  It raises ``DomainError`` where the
+    martingale is not defined.  adapter(base, k, n) returns the index-n
+    approximants of the same strings as such a row.
     """
 
     def __init__(self, rows: Rows, adapter: Callable[[str, int, int], Row] | None = None):
         self._rows = rows
         self._adapter = adapter
 
-    def level(self, base: str, k: int) -> Row:
-        """(d, nums) with nums[i] / d == value(base + s), s the i-th string of
-        length k in lexicographic order; d > 0."""
+    def runs(self, base: str, k: int) -> Row:
+        """(d, runs): the values at the extensions of base of length k."""
         validate_bits(base)
         if k < 0:
             raise DomainError(f"negative length {k}")
         return self._rows(base, k)
 
+    def level(self, base: str, k: int) -> tuple[int, list[int]]:
+        """(d, nums) with nums[i] / d == value(base + s), s the i-th string of
+        length k in lexicographic order: ``runs`` written out, for output
+        with one item per string."""
+        return _dense(self.runs(base, k))
+
     def value(self, tau: str) -> Fraction:
-        d, (num,) = self.level(tau, 0)
+        d, [(_, _, num)] = self.runs(tau, 0)
         return Fraction(num, d)
 
     def __call__(self, tau: str) -> Fraction:
         return self.value(tau)
 
-    def approx_level(self, base: str, k: int, n: int) -> Row:
+    def approx_level(self, base: str, k: int, n: int) -> tuple[int, list[int]]:
         """The index-n approximants of ``level(base, k)``, each within 2^-n of
         its value; the exact row when no adapter is set."""
-        d, exact = self.level(base, k)
+        exact = self.runs(base, k)
         if self._adapter is None:
-            return d, exact
-        e, got = self._adapter(base, k, n)
+            return _dense(exact)
+        (d, want), (e, got) = exact, self._adapter(base, k, n)
         # |x / e - y / d| <= 2^-n, cross-multiplied
-        for i, (x, y) in enumerate(zip(got, exact)):
+        for first, _, x, y in run_overlaps(got, want):
             if abs(x * d - y * e) << n > d * e:
                 raise DomainError(
-                    f"adapter broke its 2^-{n} error bound at {_string(base, i, k)!r}"
+                    f"adapter broke its 2^-{n} error bound at {_string(base, first, k)!r}"
                 )
-        return e, got
+        return _dense((e, got))
 
 
 def with_floor_adapter(m: Martingale) -> Martingale:
     """m with its approximants rounded down to the 2^-n grid (error < 2^-n)."""
 
     def floor_rows(base: str, k: int, n: int) -> Row:
-        d, nums = m.level(base, k)
-        return 1 << n, [(x << n) // d for x in nums]
+        d, runs = m.runs(base, k)
+        return 1 << n, _merged((first, last, (x << n) // d) for first, last, x in runs)
 
-    return Martingale(m.level, floor_rows)
+    return Martingale(m.runs, floor_rows)
 
 
 def fairness_violations(m: Martingale, depth: int) -> list[str]:
     """Strings sigma, |sigma| < depth, breaking fairness.
 
-    Checked on consecutive integer rows of ``Martingale.level``: with the
-    parent row over d and the child row over e, node i is fair iff
-    2 A[i] e == d (B[2i] + B[2i+1]).  Only a bad node gets its string built.
+    Checked on consecutive run rows: with the parent row over d and the
+    child row over e, node i is fair iff 2 A[i] e == d (B[2i] + B[2i+1]).
+    The parent runs, doubled, are walked against the child runs: on each
+    overlap, parent value a and child value b, the nodes with both children
+    inside it share one check, a e == d b; a node whose two children lie in
+    different child runs is checked alone.  Only a bad node gets its string
+    built.
     """
     bad: list[str] = []
     if depth <= 0:
         return bad
-    d, parents = m.level("", 0)
+    d, parents = m.runs("", 0)
     for k in range(depth):
-        e, kids = m.level("", k + 1)
-        e2 = 2 * e
-        bad.extend(
-            _string("", i, k)
-            for i, (a, b, c) in enumerate(zip(parents, kids[::2], kids[1::2]))
-            if a * e2 != d * (b + c)
-        )
+        e, kids = m.runs("", k + 1)
+        prev = 0
+        for first, last, a, b in run_overlaps(_scaled(parents, 1), kids):
+            if first & 1:  # node first // 2 has its children on both sides
+                if 2 * a * e != d * (prev + b):
+                    bad.append(_string("", first >> 1, k))
+            lo, hi = (first + 1) >> 1, (last + 1) >> 1  # nodes with both children here
+            if lo < hi and a * e != d * b:
+                bad.extend(_string("", i, k) for i in range(lo, hi))
+            prev = b
         d, parents = e, kids
     return bad
 
@@ -152,14 +231,25 @@ def _held_past(depth: int, rows: Rows) -> Rows:
 
     def held(base: str, k: int) -> Row:
         if len(base) >= depth:
-            d, row = rows(base[:depth], 0)
-            return d, row * (1 << k)
+            d, [(_, _, num)] = rows(base[:depth], 0)
+            return d, [(0, (1 << k) - 1, num)]
         j = min(k, depth - len(base))
-        d, row = rows(base, j)
-        repeat = 1 << (k - j)
-        return d, row if repeat == 1 else [v for v in row for _ in range(repeat)]
+        d, runs = rows(base, j)
+        return d, _scaled(runs, k - j)
 
     return held
+
+
+def _tabulated(levels: list[Row], skip: int) -> Rows:
+    """The rows of a table of run levels: levels[j] holds the strings of
+    length j below a prefix of length skip, which every base carries."""
+
+    def rows(base: str, k: int) -> Row:
+        below = base[skip:]
+        den, runs = levels[len(below) + k]
+        return den, _window(runs, int(below, 2) << k if below else 0, 1 << k)
+
+    return rows
 
 
 class TableMartingale(Martingale):
@@ -191,18 +281,12 @@ class TableMartingale(Martingale):
             raise DomainError(f"table is not fair at {bad[:3]}")
         self.table = {s: Fraction(v) for s, v in table.items()}
         self.depth = depth
-        # row j of the table: its 2^j values over one denominator
-        levels = [
-            over_common_denominator([self.table[s] for s in all_strings(j)])
-            for j in range(depth + 1)
-        ]
-
-        def tabulated(base: str, k: int) -> Row:
-            den, row = levels[len(base) + k]
-            start = int(base, 2) << k if base else 0
-            return den, row[start : start + (1 << k)]
-
-        super().__init__(_held_past(depth, tabulated))
+        # level j of the table: its 2^j values over one denominator, as runs
+        levels = []
+        for j in range(depth + 1):
+            den, nums = over_common_denominator([self.table[s] for s in all_strings(j)])
+            levels.append((den, _runs_of(nums)))
+        super().__init__(_held_past(depth, _tabulated(levels, 0)))
 
     def to_json(self) -> dict:
         return {
@@ -224,42 +308,65 @@ def slope_martingale(g: PiecewiseLinear, depth: int) -> Martingale:
     """tau -> slope of g over Cyl tau for |tau| <= depth; exact, fair,
     possibly negative.
 
-    g is a PiecewiseLinear whose domain covers [0,1].  Levels are differences
-    of one ``grid_numerators(depth)`` row (2^depth + 1 integers, built on
-    first use).
+    g is a PiecewiseLinear whose domain covers [0,1].  Rows are read from
+    ``g.grid_progressions(depth)``, built on first use: the cylinders whose
+    both ends lie on one piece (first, last, start, step) form one run of
+    slope step 2^depth, and only a cylinder across the gap between two
+    pieces is worked out from its two ends, so a row costs the pieces it
+    meets, not 2^depth.
     """
     if not (isinstance(g, PiecewiseLinear) and g.lo <= 0 and g.hi >= 1):
         raise DomainError("slope martingale needs a PiecewiseLinear covering [0,1]")
-    grid: list[Row] = []
+    grid: list[tuple[int, list[tuple[int, int, int, int]], list[int]]] = []
 
     def rows(base: str, k: int) -> Row:
         n = len(base) + k
         if n > depth:
             raise DomainError(f"slope oracle only certified to depth {depth}")
         if not grid:
-            grid.append(g.grid_numerators(depth))
-        den, row = grid[0]
-        # Cyl(base + s) spans 2^(depth - n) grid steps; its slope is the
-        # rise over them times 2^n
-        start = int(base, 2) << (depth - len(base)) if base else 0
-        ends = row[start : start + (1 << (depth - len(base))) + 1 : 1 << (depth - n)]
-        return den, [(b - a) << n for a, b in zip(ends, ends[1:])]
+            den, pieces = g.grid_progressions(depth)
+            grid.append((den, pieces, [piece[0] for piece in pieces]))
+        den, pieces, firsts = grid[0]
+
+        def at(x: int) -> int:
+            """g at grid point x, times den."""
+            first, _, start, step = pieces[bisect_right(firsts, x) - 1]
+            return start + step * (x - first)
+
+        # Cyl of the i-th string of length n spans grid points i 2^shift to
+        # (i + 1) 2^shift; its slope is the rise over them times 2^n
+        shift = depth - n
+        lo = int(base, 2) << k if base else 0
+        end = lo + (1 << k)
+        runs: list[Run] = []
+        i, p = lo, bisect_right(firsts, lo << shift) - 1
+        while i < end:
+            _, last, _, step = pieces[p]
+            inside = min(last >> shift, end)  # strings i..inside - 1 lie on piece p
+            if inside > i:
+                runs.append((i - lo, inside - 1 - lo, step << depth))
+                i = inside
+            if i < end:  # i's cylinder starts on piece p and ends past it
+                runs.append((i - lo, i - lo, (at((i + 1) << shift) - at(i << shift)) << n))
+                i += 1
+                p = bisect_right(firsts, i << shift, lo=p) - 1
+        return den, _merged(runs)
 
     return Martingale(rows)
 
 
-def _leaf_row(m: Martingale, tau0: str, depth: int) -> Row:
+def _leaf_runs(m: Martingale, tau0: str, depth: int) -> Row:
     """M's row at the extensions of tau0 of length depth; no entry negative."""
     validate_bits(tau0)
     if depth < len(tau0):
         raise DomainError(f"depth {depth} shallower than |tau0| = {len(tau0)}")
     k = depth - len(tau0)
-    den, leaves = m.level(tau0, k)
-    if min(leaves) < 0:
-        i = next(i for i, v in enumerate(leaves) if v < 0)
-        raise DomainError(
-            f"negative martingale value {Fraction(leaves[i], den)} at {_string(tau0, i, k)!r}"
-        )
+    den, leaves = m.runs(tau0, k)
+    for first, _, num in leaves:
+        if num < 0:
+            raise DomainError(
+                f"negative martingale value {Fraction(num, den)} at {_string(tau0, first, k)!r}"
+            )
     return den, leaves
 
 
@@ -268,15 +375,14 @@ def martingale_to_function(m: Martingale, tau0: str, depth: int) -> PiecewiseLin
 
     The base value is 0 at 0.tau0 and each leaf rho of length depth
     contributes M(rho) 2^-depth.  Rejects negative values: the result is
-    promised nondecreasing and Lipschitz with constant max M.
+    promised nondecreasing and Lipschitz with constant max M.  Breakpoints
+    sit at the ends of the leaf row's runs, the values their running sums.
     """
-    den, leaves = _leaf_row(m, tau0, depth)
-    k = depth - len(tau0)
-    # breakpoints on the 2^-depth grid; values the prefix sums of the leaves
-    k0 = int(tau0, 2) << k if tau0 else 0
-    return PiecewiseLinear.from_numerators(
-        1 << depth, list(range(k0, k0 + len(leaves) + 1)), den << depth, [0, *accumulate(leaves)]
-    )
+    den, leaves = _leaf_runs(m, tau0, depth)
+    k0 = int(tau0, 2) << (depth - len(tau0)) if tau0 else 0
+    ks = [k0 + first for first, _, _ in leaves] + [k0 + leaves[-1][1] + 1]
+    js = [0, *accumulate(num * (last - first + 1) for first, last, num in leaves)]
+    return PiecewiseLinear.from_numerators(1 << depth, ks, den << depth, js)
 
 
 def combine_scaled(m: Martingale, n: Martingale, sigma: str, delta: Fraction) -> Martingale:
@@ -290,11 +396,12 @@ def combine_scaled(m: Martingale, n: Martingale, sigma: str, delta: Fraction) ->
     sn, sd = scale.numerator, scale.denominator
 
     def rows(base: str, k: int) -> Row:
-        (da, a), (db, b) = m.level(base, k), n.level(base, k)
+        (da, a), (db, b) = m.runs(base, k), n.runs(base, k)
         # a / da + scale * b / db over den = lcm(da, sd db)
         den = lcm(da, sd * db)
         fa, fb = den // da, sn * (den // (sd * db))
-        return den, [x * fa + y * fb for x, y in zip(a, b)]
+        return den, _merged((first, last, x * fa + y * fb)
+                            for first, last, x, y in run_overlaps(a, b))
 
     return Martingale(rows)
 
@@ -335,26 +442,23 @@ def cap_at(m: Martingale, q: Fraction) -> Martingale:
         for i in range(len(base)):
             v = m.value(base[:i])
             if v > cap:
-                return v.denominator, [v.numerator] * (1 << k)
-        # each node above the cap with no such prefix freezes its subtree,
-        # a range of the level-k row; held marks the frozen nodes of a level
-        firsts: list[tuple[int, int, int, int]] = []  # (level, index, num, den)
-        held = bytearray(1)
+                return v.denominator, [(0, (1 << k) - 1, v.numerator)]
+        # each node above the cap with no such prefix freezes its subtree:
+        # held is a level's runs of the frozen value (num, den), None where
+        # nothing above has frozen
+        held: list[tuple] = [(0, 0, None)]
         for j in range(k + 1):
-            e, row = m.level(base, j)
+            e, row = m.runs(base, j)
             t = cap.numerator * e // cap.denominator  # x / e > cap iff x > t
-            for i in [i for i, x in enumerate(row) if x > t and not held[i]]:
-                firsts.append((j, i, row[i], e))
-                held[i] = 1
+            held = _merged((first, last, (x, e) if v is None and x > t else v)
+                           for first, last, v, x in run_overlaps(held, row))
             if j < k:
-                kids = bytearray(2 * len(held))
-                kids[::2] = kids[1::2] = held
-                held = kids
-        den = lcm(e, *(d for *_, d in firsts))
-        vals = row if den == e else [x * (den // e) for x in row]
-        for j, i, v, d in firsts:
-            vals[i << (k - j) : (i + 1) << (k - j)] = [v * (den // d)] * (1 << (k - j))
-        return den, vals
+                held = _scaled(held, 1)
+        den = lcm(e, *(v[1] for *_, v in held if v is not None))
+        return den, _merged(
+            (first, last, x * (den // e) if v is None else v[0] * (den // v[1]))
+            for first, last, v, x in run_overlaps(held, row)
+        )
 
     return Martingale(rows)
 
@@ -369,15 +473,19 @@ def _on_cone(sigma: str, outside: Fraction, rows: Rows) -> Rows:
             return rows(base, k)
         n = len(base) + k
         if n < len(sigma) or not is_prefix(base, sigma):
-            return od, [on] * (1 << k)
+            return od, [(0, (1 << k) - 1, on)]
         # base is a proper prefix of sigma: the extensions of sigma fill one
         # stretch of the row
         d, inner = rows(sigma, n - len(sigma))
         den = lcm(d, od)
-        out = [on * (den // od)] * (1 << k)
+        out = on * (den // od)
         start = int(sigma[len(base) :], 2) << (n - len(sigma))
-        out[start : start + len(inner)] = [x * (den // d) for x in inner]
-        return den, out
+        end = start + (1 << (n - len(sigma)))
+        runs = [(0, start - 1, out)] if start else []
+        runs += [(first + start, last + start, x * (den // d)) for first, last, x in inner]
+        if end < 1 << k:
+            runs.append((end, (1 << k) - 1, out))
+        return den, _merged(runs)
 
     return kernel
 
@@ -422,11 +530,7 @@ def anti_debt_strategy(sg: Martingale, sigma: str, mode: int, depth: int) -> Mar
         )
 
     if mode == 1:
-        def capitals(base: str, k: int) -> Row:
-            j = len(base) - len(sigma)
-            start = int(base[len(sigma) :], 2) << k if j else 0
-            return 1, caps[j + k][start : start + (1 << k)]
-
+        capitals = _tabulated([(1, _runs_of(row)) for row in caps], len(sigma))
         return Martingale(_on_cone(sigma, ONE, _held_past(depth, capitals)))
 
     start = sg.value(sigma)
@@ -434,7 +538,7 @@ def anti_debt_strategy(sg: Martingale, sigma: str, mode: int, depth: int) -> Mar
         raise DomainError(
             f"mode 2 needs S_g(sigma) >= 0, got {start}: pattern mismatch"
         )
-    return Martingale(_on_cone(sigma, start, _held_past(depth, sg.level)))
+    return Martingale(_on_cone(sigma, start, _held_past(depth, sg.runs)))
 
 
 @dataclass(frozen=True)
@@ -456,7 +560,7 @@ def condition_extension_violations(c2: Condition, c1: Condition, depth: int) -> 
     """Reasons c2 fails to extend c1, checked exhaustively to depth.
 
     The implication M2(tau) < q2 => M1(tau) < q1 is checked below sigma2 on
-    the integer rows of ``Martingale.level``, one row of each martingale per
+    the overlaps of the two martingales' run rows, one row of each per
     length: x / e < q iff x q.den < q.num e.  Only the first tau where it
     fails gets its string built.
     """
@@ -473,9 +577,9 @@ def condition_extension_violations(c2: Condition, c1: Condition, depth: int) -> 
     sigma = c2.sigma
     (n2, d2), (n1, d1) = c2.q.as_integer_ratio(), c1.q.as_integer_ratio()
     for k in range(depth - len(sigma) + 1):
-        (e2, row2), (e1, row1) = c2.martingale.level(sigma, k), c1.martingale.level(sigma, k)
+        (e2, row2), (e1, row1) = c2.martingale.runs(sigma, k), c1.martingale.runs(sigma, k)
         t2, t1 = n2 * e2, n1 * e1
-        bad = next((i for i, (x, y) in enumerate(zip(row2, row1))
+        bad = next((first for first, _, x, y in run_overlaps(row2, row1)
                     if x * d2 < t2 and y * d1 >= t1), None)
         if bad is not None:
             problems.append(f"implication fails at {_string(sigma, bad, k)!r}")
@@ -511,9 +615,10 @@ def savings_extension(cond: Condition, eps: Fraction, search_depth: int) -> Savi
     does not qualify (the true argmin hides behind a q-wall), that is
     reported as exhaustion with the achieved minimum, not papered over.
 
-    Both minima are read from the integer rows of ``Martingale.level``, one
-    Fraction per level.  A live mask marks the reachable nodes of a level: a
-    node is live when its parent is live and its value is below q.
+    Both minima are read from the run rows of ``Martingale.runs``, one
+    Fraction per level.  A live mask, itself runs of flags, marks the
+    reachable nodes of a level: a node is live when its parent is live and
+    its value is below q.
     """
     if not ZERO < eps < 1:
         raise DomainError(f"eps must be in (0,1), got {eps}")
@@ -524,24 +629,22 @@ def savings_extension(cond: Condition, eps: Fraction, search_depth: int) -> Savi
     d_hat: Fraction | None = None
     reach_min: Fraction | None = None
     best_tau: str | None = None
-    live = bytearray(b"\x01")  # the parent flags of the current level
+    live = [(0, 0, True)]  # the parent flags of the current level
     for k in range(search_depth - len(sigma) + 1):
-        d, row = m.level(sigma, k)
-        low = Fraction(min(row), d)
+        d, row = m.runs(sigma, k)
+        low = Fraction(min(x for *_, x in row), d)
         if d_hat is None or low < d_hat:
             d_hat = low
-        if not any(live):
-            continue
         t = qn * d  # x / d < q iff x qd < t
-        live = bytearray(1 if p and x * qd < t else 0 for p, x in zip(live, row))
-        if any(live):
-            x, i = min((x, i) for i, x in enumerate(row) if live[i])
+        pieces = [(first, last, p and x * qd < t, x)
+                  for first, last, p, x in run_overlaps(live, row)]
+        live = _scaled(_merged((first, last, p) for first, last, p, _ in pieces), 1)
+        reached = [(x, first) for first, _, p, x in pieces if p]
+        if reached:
+            x, i = min(reached)
             v = Fraction(x, d)
             if reach_min is None or v < reach_min:
                 reach_min, best_tau = v, _string(sigma, i, k)
-            kids = bytearray(2 * len(live))
-            kids[::2] = kids[1::2] = live
-            live = kids
     if reach_min is None or best_tau is None:
         raise BudgetExhausted(
             f"no extension of {sigma!r} stays below q = {q}", achieved=None
@@ -577,18 +680,20 @@ def claim5_density_records(
     measure of D in the window must stay within eps.
 
     A window's slope is the mean of its leaves, the extensions of tau of
-    length depth.  D is a union of leaves: those below a node of some level
-    row where M >= q.  Both are read from prefix sums over the leaves.
+    length depth, written out one per string.  D is a union of leaves: those
+    below a run of some level row where M >= q.  Both are read from prefix
+    sums over the leaves.
     """
-    den, leaves = _leaf_row(m, tau, depth)
+    den, leaves = _dense(_leaf_runs(m, tau, depth))
     k = depth - len(tau)
     qn, qd = q.as_integer_ratio()
     marked = bytearray(1 << k)
     for j in range(k + 1):
-        (d, row), width = m.level(tau, j), 1 << (k - j)
+        d, row = m.runs(tau, j)
         t = qn * d  # x / d >= q iff x qd >= t
-        for i in [i for i, x in enumerate(row) if x * qd >= t]:
-            marked[i * width : (i + 1) * width] = b"\x01" * width
+        for first, last, x in _scaled(row, k - j):
+            if x * qd >= t:
+                marked[first : last + 1] = b"\x01" * (last + 1 - first)
     sums, counts = [0, *accumulate(leaves)], [0, *accumulate(marked)]
     sn, sd = s.as_integer_ratio()
     start = int(tau, 2) if tau else 0

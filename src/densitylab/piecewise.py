@@ -17,16 +17,6 @@ from .bits import format_rational, over_common_denominator, parse_rational
 from .errors import DomainError, SchemaError
 
 
-def progression_row(pieces) -> list[int]:
-    """The row of a ``grid_progressions`` piece list: start + step (k - first)
-    at each k from first to last, piece by piece."""
-    row: list[int] = []
-    for first, last, start, step in pieces:
-        count = last - first + 1
-        row += range(start, start + step * count, step) if step else [start] * count
-    return row
-
-
 class PiecewiseLinear:
     """Breakpoints with values, linearly interpolated in between, exact.
 
@@ -142,17 +132,6 @@ class PiecewiseLinear:
             first = last + 1
         return den, pieces
 
-    def grid_numerators(self, depth: int) -> tuple[int, list[int]]:
-        """(d, nums) with nums[k] / d == value(k / 2^depth) for k = 0..2^depth:
-        the ``grid_progressions(depth)`` row written out."""
-        ks, xden = self._ks, self._xden
-        scale = 1 << depth
-        if xden == scale and ks[0] == 0 and ks[-1] == scale and len(ks) == scale + 1:
-            # the breakpoints are exactly the grid points
-            return self._yden, list(self._js)
-        den, pieces = self.grid_progressions(depth)
-        return den, progression_row(pieces)
-
     def exact(self, x: Fraction) -> Fraction:
         """f(x), the function protocol of ``calculus``."""
         return self.value(x)
@@ -161,10 +140,14 @@ class PiecewiseLinear:
         return DomainError(f"{x} outside domain [{self.lo}, {self.hi}]")
 
     def lipschitz_bound(self) -> Fraction:
-        return max(
-            abs(y1 - y0) / (x1 - x0)
-            for x0, x1, y0, y1 in zip(self.xs, self.xs[1:], self.ys, self.ys[1:])
-        )
+        """The steepest segment's |slope|: the largest |dj| / dk over the
+        segments, found by cross-multiplication, times xden / yden."""
+        rise, run = 0, 1
+        for k0, k1, j0, j1 in zip(self._ks, self._ks[1:], self._js, self._js[1:]):
+            dj, dk = abs(j1 - j0), k1 - k0
+            if dj * run > rise * dk:
+                rise, run = dj, dk
+        return Fraction(rise * self._xden, run * self._yden)
 
     def to_json(self) -> dict:
         return {

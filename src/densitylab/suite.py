@@ -64,6 +64,7 @@ from .martingales import (
     condition_extends,
     fairness_violations,
     martingale_to_function,
+    run_overlaps,
     slope_martingale,
 )
 from .piecewise import PiecewiseLinear
@@ -267,12 +268,15 @@ def criterion_domination(seed: int) -> list[Check]:
 
 
 def _roundtrip_mismatches(m, depth: int) -> int:
+    """The strings of length at most depth where the slope martingale of
+    m's integral differs from m, counted over the overlaps of their runs."""
     g = martingale_to_function(m, "", depth)
     sm = slope_martingale(g, depth)
     mismatches = 0
     for k in range(depth + 1):
-        (d, back), (e, orig) = sm.level("", k), m.level("", k)
-        mismatches += sum(1 for x, y in zip(back, orig) if x * e != y * d)
+        (d, back), (e, orig) = sm.runs("", k), m.runs("", k)
+        mismatches += sum(last + 1 - first for first, last, x, y in run_overlaps(back, orig)
+                          if x * e != y * d)
     return mismatches
 
 

@@ -30,7 +30,7 @@ from densitylab.counterexample import build_counterexample, default_enumeration
 from densitylab.errors import BudgetExhausted, DomainError
 from densitylab.instances import extension_instance
 from densitylab.intervals import StagedOpenEnumeration, enumeration
-from densitylab.piecewise import PiecewiseLinear, progression_row
+from densitylab.piecewise import PiecewiseLinear
 
 VEE = PiecewiseLinear((F(0), F(1, 2), F(1)), (F(1, 2), F(0), F(1, 2)))  # |x - 1/2|
 IDENTITY = Polynomial((0, 1))
@@ -203,6 +203,21 @@ def test_monotone_extension_off_grid_exhaustion_pinned():
     assert err.value.achieved == F(17, 256)
 
 
+def progression_row(pieces) -> list[int]:
+    """The row of a ``grid_progressions`` piece list written out: start +
+    step (k - first) at each k from first to last, piece by piece."""
+    row: list[int] = []
+    for first, last, start, step in pieces:
+        row += [start + step * (k - first) for k in range(first, last + 1)]
+    return row
+
+
+def grid_row(g: PiecewiseLinear, depth: int) -> tuple[int, list[int]]:
+    """(d, nums) with nums[k] / d == g(k / 2^depth) for k = 0..2^depth."""
+    den, pieces = g.grid_progressions(depth)
+    return den, progression_row(pieces)
+
+
 def rows_of(ext):
     """The build's runs written out as (ps, qs, hs) rows over its denominator:
     p / q the value at each internal grid index, or the gap with q == 0, and
@@ -214,7 +229,7 @@ def rows_of(ext):
         qs += [q] * (last - first + 1)
         k = last + 1
     assert k == (1 << ext.grid_depth) + 1
-    row_den, row = ext.h.grid_numerators(ext.grid_depth)
+    row_den, row = grid_row(ext.h, ext.grid_depth)
     return ps, qs, [v * (ext._den // row_den) for v in row]
 
 
@@ -275,7 +290,7 @@ def test_grid_check_matches_per_point_loop_on_extend_documents():
 
 
 def test_grid_check_needs_a_piecewise_h():
-    # the build samples h from one grid_numerators row, so h must cover [0,1]
+    # the build samples h from its grid_progressions, so h must cover [0,1]
     with pytest.raises(DomainError):
         MonotoneExtension(PiecewiseLinear((F(0), F(3, 4)), (F(0), F(3, 4))), enumeration(), 6)
     ext = MonotoneExtension(LINE, enumeration((F(1, 4), F(1, 2))), 6)
@@ -629,7 +644,7 @@ def per_index_build(h, enum, n, budget):
     prec = n + 4 if budget.precision is None else budget.precision
     scale = 1 << gd
     size = scale + 1
-    row_den, row = h.grid_numerators(gd)
+    row_den, row = grid_row(h, gd)
     margin = lip / scale + F(1, 1 << prec)
     mid = h.value(F(1, 2))
     hi_bound, lo_bound = mid + lip + 1, mid - lip - 1

@@ -161,6 +161,29 @@ def test_martingale_default_run_reports_fairness_and_windows(tmp_path):
     assert any("s - d_hat" in n for n in names)
 
 
+# martingale --json report bytes at depths 12, 16 and 20; a change to the
+# martingale row kernels must keep them
+MARTINGALE_DIGESTS = [
+    (12, 1, "998df7a8b24c8ee69581e2eed61aaea730a46467edc8028288331b47c5e22714"),
+    (12, 2, "5c0f4c139f545680a0fefa301318a78bc27a8318a309a7339ffdc220f54090f8"),
+    (12, 3, "da5efb82e9d0d4ebaac20f5a7d23b0013e317f8b2e98d4aae5b03348a6dc411e"),
+    (16, 1, "85a7a52721fbe1cd5deee8820fb396836926e07a3100471ae85a1267155b0271"),
+    (16, 2, "0cb6184d02b3912a2963cfe0a1fd4f3e85a5c5bc81e5a75191c7af0acfbaef33"),
+    (16, 3, "c8a008406fbabe82f198ac6e3e53b47c6e23e642b73bdda45d18be27a8667e69"),
+    (20, 1, "24cfdc79b2dfd554a0f38447b59a68a73c6d650268f05bfd45157149ed9e4976"),
+    (20, 2, "087cdd43976209c07e4f7cfffcf869af513f1e7f90ddaddece987db3f0f73283"),
+    (20, 3, "d0ffb8ad341de6604a264993ee5df542c89bad45e86554380adbaee43b74fa24"),
+]
+
+
+@pytest.mark.parametrize("depth, seed, digest", MARTINGALE_DIGESTS,
+                         ids=[f"depth{d}-seed{s}" for d, s, _ in MARTINGALE_DIGESTS])
+def test_martingale_report_bytes_are_pinned(tmp_path, depth, seed, digest):
+    code, blob = run(tmp_path, "martingale", "--json", "--depth", str(depth), "--seed", str(seed))
+    assert code == 0
+    assert hashlib.sha256(blob).hexdigest() == digest
+
+
 def test_counterexample_report_carries_the_plan(tmp_path):
     code, blob = run(tmp_path, "counterexample", "--depth", "6")
     assert code == 0
@@ -286,6 +309,10 @@ ESCAPE = {"components": {"0": ["0"]}, "r": 0, "m_max": 1, "z": "1/3"}
      "SchemaError"),
     ("tests", {"escape": [{**ESCAPE, "components": {"1_0": ["0"]}}]}, "SchemaError"),
     ("tests", {"escape": [{**ESCAPE, "components": {"-1": ["0"]}}]}, "SchemaError"),
+    # a string of 2^-15000 would print a side of more than 4300 digits
+    ("tests", {"escape": [{"holes": [], "components": {"3": ["0" * 15000]}, "r": 2,
+                           "m_max": 3, "z": "0/1"}]}, "SchemaError"),
+    ("tests", {"escape": [{**ESCAPE, "components": {"1": ["1" * 4097]}}]}, "SchemaError"),
 ], ids=["depth", "case", "n_blocks", "k_max", "table", "full-cover", "escape-r", "h-xs",
         "intervals", "escape-key", "escape-components", "h-domain", "density-depth",
         "porosity-levels", "counterexample-stages", "counterexample-depth",
@@ -296,7 +323,8 @@ ESCAPE = {"components": {"0": ["0"]}, "r": 0, "m_max": 1, "z": "1/3"}
         "domination-case-7", "density-depth-21", "martingale-sigma-number",
         "domination-word-numbers", "escape-r-cap", "escape-m-max-negative", "escape-m-max-cap",
         "domination-depth-cap", "counterexample-k-max-cap", "counterexample-depth-cap",
-        "escape-key-collision", "escape-key-underscore", "escape-key-negative"])
+        "escape-key-collision", "escape-key-underscore", "escape-key-negative",
+        "escape-component-length", "escape-component-length-cap"])
 def test_bad_documents_exit_2_with_json_on_stderr(tmp_path, capfd, command, doc, kind):
     # a command may carry flags: "density --depth -1"
     code, blob = run(tmp_path, *command.split(), "--instance", write_instance(tmp_path, doc))
@@ -310,8 +338,12 @@ def test_bad_documents_exit_2_with_json_on_stderr(tmp_path, capfd, command, doc,
     ("tests", {"domination": [{**DOMINATION, "depth": 64}]}),
     ("counterexample", {"intervals": [["0", "1/2"], ["1/2", "3/4"]], "k_max": 128}),
     ("counterexample --depth 128", {"intervals": [["0", "1/2"], ["1/2", "3/4"]]}),
+    # a certificate inside the longest string: its budget row's denominator
+    # is 2^(4096 + 65)
+    ("tests", {"escape": [{"holes": [["0", "1/2"]], "r": 64, "m_max": 2, "z": "0/1",
+                           "components": {"65": ["0" * 4096], "4161": ["0"]}}]}),
 ], ids=["escape-r-and-m-max", "domination-depth", "counterexample-k-max",
-        "counterexample-depth"])
+        "counterexample-depth", "escape-component-length"])
 def test_integer_fields_at_their_caps_run(tmp_path, command, doc):
     code, blob = run(tmp_path, *command.split(), "--instance", write_instance(tmp_path, doc))
     assert code == 0

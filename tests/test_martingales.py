@@ -2,6 +2,7 @@
 
 from fractions import Fraction as F
 from itertools import accumulate
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from densitylab import suite
 from densitylab.bits import all_strings, cylinder_bounds, over_common_denominator
 from densitylab.errors import BudgetExhausted, DomainError
+from densitylab.instances import battery_rng, normalized_fair_table, random_fair_table
 from densitylab.intervals import Interval, canonicalize
 from densitylab.martingales import (
     Condition,
@@ -34,9 +36,25 @@ from densitylab.martingales import (
 from densitylab.piecewise import PiecewiseLinear
 
 
+def runs_of(nums: list[int]) -> list[tuple[int, int, int]]:
+    """A written-out row as runs (first, last, num), equal neighbours joined."""
+    runs = []
+    for i, x in enumerate(nums):
+        if runs and runs[-1][2] == x:
+            runs[-1] = (runs[-1][0], i, x)
+        else:
+            runs.append((i, i, x))
+    return runs
+
+
 def per_string(fn):
     """The rows kernel of the martingale whose value at tau is fn(tau)."""
-    return lambda base, k: over_common_denominator([F(fn(base + s)) for s in all_strings(k)])
+
+    def rows(base, k):
+        den, nums = over_common_denominator([F(fn(base + s)) for s in all_strings(k)])
+        return den, runs_of(nums)
+
+    return rows
 
 
 def interpolated(fn, depth: int) -> PiecewiseLinear:
@@ -335,8 +353,8 @@ def test_a_floored_approximant_of_one_makes_a_low_child():
 
 def test_an_adapter_beyond_its_error_bound_is_refused():
     def off_by(units):
-        # approximants 1 + units 2^-n of the constant 1
-        return lambda base, k, n: (1 << n, [(1 << n) + units] * (1 << k))
+        # approximants 1 + units 2^-n of the constant 1, one run per row
+        return lambda base, k, n: (1 << n, [(0, (1 << k) - 1, (1 << n) + units)])
 
     one = per_string(lambda tau: F(1))
     assert approximant(Martingale(one, off_by(1)), "01", 3) == F(9, 8)  # on the bound
@@ -465,7 +483,17 @@ def per_string_row(m: Martingale, base: str, k: int) -> list[F]:
     return [m.value(base + s) for s in all_strings(k)]
 
 
+def assert_run_row(row, k: int) -> None:
+    """A run row covers 0..2^k - 1 in order, and no two neighbours agree."""
+    den, runs = row
+    assert den > 0 and runs
+    assert runs[0][0] == 0 and runs[-1][1] == (1 << k) - 1
+    assert all(first <= last for first, last, _ in runs)
+    assert all(a[1] + 1 == b[0] and a[2] != b[2] for a, b in zip(runs, runs[1:]))
+
+
 def level_row(m: Martingale, base: str, k: int) -> list[F]:
+    assert_run_row(m.runs(base, k), k)
     den, nums = m.level(base, k)
     assert den > 0
     return [F(v, den) for v in nums]
@@ -718,19 +746,68 @@ def test_fairness_of_unfair_constructions_matches_per_string_reference(values, n
         assert fairness_violations(m, 5) == reference_fairness(m, 5)
 
 
+def test_run_rows_stay_small_and_fair_at_depth_40():
+    # a table stops betting at its depth d, so no row has more than 2^d runs,
+    # and neither has its cap or its capital injection; a slope martingale
+    # has at most one run per piece of g and one per cylinder across a
+    # breakpoint
+    t4 = random_fair_table(battery_rng(1, "martingale-table", 1), 4)
+    t5 = random_fair_table(battery_rng(1, "martingale-table", 2), 5)
+    n1 = normalized_fair_table(battery_rng(1, "martingale-aux", 0), 3)
+    g = PiecewiseLinear((F(0), F(1, 3), F(1, 2), F(5, 7), F(1)),
+                        (F(0), F(1), F(-1, 2), F(2), F(3)))
+    bounded = [
+        (t5, 1 << 5),
+        (cap_at(t5, t5("")), 1 << 5),
+        (combine_scaled(t4, n1, "01", F(1, 3)), 1 << 4),
+        (slope_martingale(g, 40), 2 * 4 - 1),
+    ]
+    for m, most in bounded:
+        for k in (0, 5, 20, 40):
+            row = m.runs("", k)
+            assert_run_row(row, k)
+            assert len(row[1]) <= most
+        assert fairness_violations(m, 40) == []
+
+
+def perturbed(integrate, x: F, bump: F, ramp: F = F(0)):
+    """integrate with its result moved by bump at x and tilted by ramp from x
+    on: x and its neighbours on the 2^-depth grid become breakpoints, so
+    without a ramp the integral is unchanged at every other grid point, and
+    a ramp adds to the slope of every cylinder right of x."""
+
+    def moved(m, tau0, depth):
+        g = integrate(m, tau0, depth)
+        step = F(1, 1 << depth)
+        xs = sorted({*g.xs, *(t for t in (x - step, x, x + step) if g.lo <= t <= g.hi)})
+        return PiecewiseLinear(xs, [g.value(t) + (bump if t == x else 0) + ramp * max(t - x, 0)
+                                    for t in xs])
+
+    return moved
+
+
 def test_round_trip_count_sees_a_perturbed_integral(monkeypatch):
     m = savings_instance()
     assert suite._roundtrip_mismatches(m, 6) == 0
-    integrate = suite.martingale_to_function
-
-    def bumped(m, tau0, depth):
-        g = integrate(m, tau0, depth)
-        ys = list(g.ys)
-        ys[4] += F(1, 1 << 20)  # g(4/64) moves: two slopes each at depths 6, 5 and 4
-        return PiecewiseLinear(g.xs, ys)
-
+    # g(4/64) moves: two slopes each at depths 6, 5 and 4
+    bumped = perturbed(suite.martingale_to_function, F(4, 64), F(1, 1 << 20))
     monkeypatch.setattr(suite, "martingale_to_function", bumped)
     assert suite._roundtrip_mismatches(m, 6) == 6
+
+
+@settings(max_examples=80, deadline=None)
+@given(fair_tables(), st.integers(0, 8), st.integers(0, 256), st.integers(-3, 3),
+       st.integers(-2, 2))
+def test_round_trip_count_matches_a_per_string_count(m, depth, point, units, tilt):
+    # the integral is bumped by units 2^-20 at a point of the 2^-8 grid and
+    # tilted by tilt/4 right of it, or left alone; every string to depth is
+    # compared on its own
+    x = F(point, 256)
+    moved = perturbed(suite.martingale_to_function, x, F(units, 1 << 20), F(tilt, 4))
+    back = slope_martingale(moved(m, "", depth), depth)
+    expected = sum(back(s) != m(s) for k in range(depth + 1) for s in all_strings(k))
+    with patch.object(suite, "martingale_to_function", moved):
+        assert suite._roundtrip_mismatches(m, depth) == expected
 
 
 # The forcing certificate and the savings search against the string-by-string

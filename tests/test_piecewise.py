@@ -8,7 +8,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from densitylab.errors import DomainError
-from densitylab.piecewise import PiecewiseLinear, progression_row
+from densitylab.piecewise import PiecewiseLinear
+
+
+def progression_row(pieces) -> list[int]:
+    """The row of a ``grid_progressions`` piece list written out: start +
+    step (k - first) at each k from first to last, piece by piece."""
+    row: list[int] = []
+    for first, last, start, step in pieces:
+        row += [start + step * (k - first) for k in range(first, last + 1)]
+    return row
+
+
+def grid_row(g: PiecewiseLinear, depth: int) -> tuple[int, list[int]]:
+    """(d, nums) with nums[k] / d == g(k / 2^depth) for k = 0..2^depth."""
+    den, pieces = g.grid_progressions(depth)
+    return den, progression_row(pieces)
 
 
 def reference_value(xs, ys, x):
@@ -94,12 +109,12 @@ def test_from_numerators_matches_the_fraction_constructor():
     assert rows.xs == fractions.xs and rows.ys == fractions.ys
     for x in (F(-1, 3), F(0), F(1, 6), F(2, 7), F(1, 2), F(1)):
         assert rows.value(x) == fractions.value(x)
-    assert rows.grid_numerators(3)[1] == fractions.grid_numerators(3)[1]
+    assert grid_row(rows, 3) == grid_row(fractions, 3)
 
 
 @settings(max_examples=200, deadline=None)
 @given(functions(), st.integers(0, 6))
-def test_grid_numerators_match_value(fn, depth):
+def test_grid_progressions_match_value(fn, depth):
     xs, ys = fn
     g = PiecewiseLinear(xs, ys)
     scale = 1 << depth
@@ -108,33 +123,38 @@ def test_grid_numerators_match_value(fn, depth):
     except DomainError as exc:
         # a domain short of [0,1]: the first grid point outside it is named
         with pytest.raises(DomainError) as err:
-            g.grid_numerators(depth)
+            g.grid_progressions(depth)
         assert str(err.value) == str(exc)
         return
-    den, nums = g.grid_numerators(depth)
+    den, nums = grid_row(g, depth)
     assert [F(v, den) for v in nums] == expected
 
 
-def test_grid_numerators_dyadic_and_non_dyadic_breakpoints():
+@settings(max_examples=200, deadline=None)
+@given(functions())
+def test_lipschitz_bound_is_the_steepest_segment(fn):
+    xs, ys = fn
+    expected = max(abs(y1 - y0) / (x1 - x0) for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]))
+    got = PiecewiseLinear(xs, ys).lipschitz_bound()
+    assert type(got) is F and got == expected
+
+
+def test_grid_progressions_dyadic_and_non_dyadic_breakpoints():
     thirds = PiecewiseLinear((F(-1, 3), F(1, 3), F(5, 7), F(4, 3)),
                              (F(1, 2), F(-1, 7), F(2), F(3, 5)))
     dyadic = PiecewiseLinear(tuple(F(k, 8) for k in range(9)),
                              tuple(F(k * k, 64) for k in range(9)))
     for g in (thirds, dyadic):
         for depth in (0, 3, 9):
-            den, nums = g.grid_numerators(depth)
+            den, nums = grid_row(g, depth)
             assert [F(v, den) for v in nums] == [
                 g.value(F(k, 1 << depth)) for k in range((1 << depth) + 1)
             ]
-            # at depth 3 the dyadic breakpoints are the grid, where
-            # grid_numerators returns the values without its progressions
-            pden, pieces = g.grid_progressions(depth)
-            assert [F(v, pden) for v in progression_row(pieces)] == [F(v, den) for v in nums]
     short = PiecewiseLinear((F(0), F(3, 5)), (F(0), F(1)))
     with pytest.raises(DomainError, match="5/8 outside domain"):
-        short.grid_numerators(3)
+        short.grid_progressions(3)
     with pytest.raises(DomainError, match="^0 outside domain"):
-        PiecewiseLinear((F(1, 9), F(1)), (F(0), F(1))).grid_numerators(3)
+        PiecewiseLinear((F(1, 9), F(1)), (F(0), F(1))).grid_progressions(3)
 
 
 @settings(max_examples=200, deadline=None)
