@@ -15,17 +15,25 @@ shrink, so no new minimal elements can appear.
 
 ``cylinder_meets_class`` and ``class_mass`` decide a class against dyadic
 cylinders kept as bit strings, on its ``ClassGaps``; ``randomness`` shares them.
+
+The staged test builds its classes stage by stage: ``stage_gaps`` keeps one
+integer gap row and inserts one hole per stage by bisection, so no stage class
+is rebuilt from the enumeration.  N_t(sigma) depends only on the class inside
+the open cylinder of sigma, so it is found once and reused at later stages
+until a hole that meets that cylinder is inserted; the meeting mass of a level
+is the sum of its nodes' masses.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterator, Sequence
 
 from .bits import is_antichain, over_common_denominator, validate_bits
 from .errors import DomainError, InvariantError
-from .intervals import IntervalSet, StagedOpenEnumeration
+from .intervals import Interval, IntervalSet, StagedOpenEnumeration
 
 
 def cylinder_meets_class(gaps: ClassGaps, tau: str) -> bool:
@@ -118,18 +126,24 @@ class PorousExtensions:
 class ClassGaps:
     """The nondegenerate gaps of one class, for scanning many sigmas against it.
 
-    The gap endpoints are integer numerators over one denominator.  Per level
-    L, ``inner(L)`` gives for each gap the first and last index j whose
-    cylinder [j 2^-L, (j+1) 2^-L] lies inside the gap, ceil(lo 2^L) and
-    floor(hi 2^L) - 1; each level is computed once per class.
+    The gap endpoints are integer numerators ``los``/``his`` over one
+    denominator ``den``.  Per level L, ``inner(L)`` gives for each gap the
+    first and last index j whose cylinder [j 2^-L, (j+1) 2^-L] lies inside
+    the gap, ceil(lo 2^L) and floor(hi 2^L) - 1; each level is computed once
+    per class.
     """
 
-    def __init__(self, class_set: IntervalSet):
-        self.den, ends = over_common_denominator(
+    def __init__(self, den: int, los: list[int], his: list[int]):
+        self.den, self.los, self.his = den, los, his
+        self._inner: dict[int, tuple[list[int], list[int]]] = {}
+
+    @classmethod
+    def of(cls, class_set: IntervalSet) -> ClassGaps:
+        """The gaps of a class, over the lcm of their endpoints' denominators."""
+        den, ends = over_common_denominator(
             [x for g in class_set.gaps() if not g.is_degenerate for x in (g.lo, g.hi)]
         )
-        self.los, self.his = ends[0::2], ends[1::2]
-        self._inner: dict[int, tuple[list[int], list[int]]] = {}
+        return cls(den, ends[0::2], ends[1::2])
 
     def inner(self, level: int) -> tuple[list[int], list[int]]:
         if level not in self._inner:
@@ -151,14 +165,43 @@ class ClassGaps:
         )
 
 
+def stage_gaps(holes: Sequence[Interval]) -> Iterator[ClassGaps]:
+    """The gaps of the stage classes [0,1] minus the first t holes, for
+    t = 0 .. len(holes), all over the lcm of the holes' denominators.
+
+    One gap row is kept and hole t - 1 is inserted into it by bisection: the
+    gaps are the components of the union of the open holes, so the hole
+    merges with the gaps it overlaps, and a gap that only touches it keeps
+    the shared endpoint as a point of the class.  A degenerate hole is empty.
+    Each stage gets its own copy of the row.
+    """
+    den, ends = over_common_denominator(
+        [x for h in holes if not h.is_degenerate for x in (h.lo, h.hi)]
+    )
+    pairs = iter(zip(ends[0::2], ends[1::2]))
+    los: list[int] = []
+    his: list[int] = []
+    yield ClassGaps(den, [], [])
+    for hole in holes:
+        if not hole.is_degenerate:
+            a, b = next(pairs)
+            i, j = bisect_right(his, a), bisect_left(los, b)
+            if i < j:
+                a, b = min(a, los[i]), max(b, his[j - 1])
+            los[i:j], his[i:j] = [a], [b]
+        yield ClassGaps(den, los.copy(), his.copy())
+
+
 def minimal_porous_extensions(gaps: ClassGaps, sigma: str, c: int) -> PorousExtensions:
     """Antichain of minimal rho >= sigma reached by an empty cylinder of the
     class whose gaps are given: the full N(sigma), scanned to the completion
     depth.
 
     Each gap that meets the open cylinder of sigma meets it in an interval of
-    positive length, so it holds a whole cylinder inside sigma at some level
-    and its activation loop ends.
+    positive length W, so it holds a whole cylinder inside sigma from some
+    level on: the first level whose cylinders are no longer than W, or the
+    next one, whose cylinders are at most W / 2.  Below that activation level
+    the gap adds nothing, so each level scans only the gaps active there.
     """
     validate_bits(sigma)
     if c < 0:
@@ -169,35 +212,32 @@ def minimal_porous_extensions(gaps: ClassGaps, sigma: str, c: int) -> PorousExte
     if not meeting:
         return PorousExtensions(sigma, c, (), s_len)
 
-    activations = []
+    # in units of 2^-s_len / den, sigma's cylinder is [s_idx den, (s_idx + 1) den]
+    d = gaps.den
+    activated: dict[int, list[int]] = {}
     for i in meeting:
-        level = s_len
-        while True:
-            firsts, lasts = gaps.inner(level)
-            e1 = max(firsts[i], s_idx << (level - s_len))
-            e2 = min(lasts[i], ((s_idx + 1) << (level - s_len)) - 1)
-            if e1 <= e2:
-                activations.append(level)
-                break
+        width = min(gaps.his[i] << s_len, (s_idx + 1) * d) - max(gaps.los[i] << s_len, s_idx * d)
+        shift = (-(-d // width) - 1).bit_length()
+        level = s_len + shift
+        firsts, lasts = gaps.inner(level)
+        if max(firsts[i], s_idx << shift) > min(lasts[i], ((s_idx + 1) << shift) - 1):
             level += 1
-    completion = max(activations) + 1
+        activated.setdefault(level, []).append(i)
+    completion = max(activated) + 1
 
     reach = 1 << c
     covered: list[tuple[int, int]] = []
     found: list[str] = []
+    active: list[int] = []
     for level in range(s_len, completion + 1):
         if level > s_len:
             covered = [(2 * a, 2 * b + 1) for a, b in covered]
+        active += activated.get(level, ())
         lo_idx = s_idx << (level - s_len)
         hi_idx = ((s_idx + 1) << (level - s_len)) - 1
         firsts, lasts = gaps.inner(level)
-        qualifying = []
-        for i in meeting:
-            e1 = max(firsts[i], lo_idx)
-            e2 = min(lasts[i], hi_idx)
-            if e1 > e2:
-                continue
-            qualifying.append((max(e1 - reach, lo_idx), min(e2 + reach, hi_idx)))
+        qualifying = [(max(max(firsts[i], lo_idx) - reach, lo_idx),
+                       min(min(lasts[i], hi_idx) + reach, hi_idx)) for i in active]
         fresh = _subtract_ranges(_merge_ranges(qualifying), covered)
         if level == completion:
             # shrinkage of the qualifying value regions past the last
@@ -222,7 +262,7 @@ def porosity_witness(
 ) -> PorosityWitness | None:
     """First qualifying pair below sigma: lowest level, leftmost rho, nearest tau."""
     validate_bits(sigma)
-    gaps = ClassGaps(class_set)
+    gaps = ClassGaps.of(class_set)
     s_len = len(sigma)
     s_idx = int(sigma, 2) if sigma else 0
     reach = 1 << c
@@ -262,8 +302,11 @@ class PorosityTest:
     # per node (t, sigma): the meeting mass num 2^-top of N_t(sigma) as
     # (t, sigma, num, top, num 2^-top <= decay 2^-|sigma|)
     nodes: tuple[tuple[int, str, int, int, bool], ...] = field(repr=False)
-    # the gaps of the stage classes for t <= stages, each class built once
-    class_gaps: tuple[ClassGaps, ...] = field(repr=False)
+    # per level n: the largest meeting mass of B_{n,t} over t <= stages, as
+    # (num, top) for num 2^-top
+    max_masses: tuple[tuple[int, int], ...] = field(repr=False)
+    # the gaps of the last stage class
+    final_gaps: ClassGaps = field(repr=False)
 
     @property
     def decay(self) -> Fraction:
@@ -287,18 +330,34 @@ class PorosityTest:
         against decay^n = (2^k - 1)^n / 2^(k n), k = c + 2."""
         k = self.constant + 2
         maxima, finals = [], []
-        for n in range(self.levels + 1):
+        for n, (num, top) in enumerate(self.max_masses):
             bound = ((1 << k) - 1) ** n, 1 << (k * n)
-            masses = [_meeting_mass(self.class_gaps[t], self.boxes[(n, t)])
-                      for t in range(self.stages + 1)]
-            top = max(m[1] for m in masses)
-            num, m_top = max(masses, key=lambda m: m[0] << (top - m[1]))
             maxima.append(_row(f"level {n}: max_t meeting mass <= decay^n",
-                               num, 1 << m_top, *bound))
+                               num, 1 << top, *bound))
             finals.append(_row(f"level {n}: lambda(U_n cap C_final) <= decay^n",
-                               *class_mass(self.class_gaps[self.stages],
-                                            self.boxes[(n, self.stages)]), *bound))
+                               *class_mass(self.final_gaps, self.boxes[(n, self.stages)]),
+                               *bound))
         return maxima + finals
+
+
+def _add_mass(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """num 2^-top + num' 2^-top' over the finer of the two."""
+    top = max(a[1], b[1])
+    return (a[0] << (top - a[1])) + (b[0] << (top - b[1])), top
+
+
+def _forget_met(known: dict, indices: dict[int, list[int]], hole: Interval, d: int) -> None:
+    """Drop from known, and from its per-length sorted indices, every sigma
+    whose open cylinder meets the open hole (a, b) / d: at length L, those
+    with floor(a 2^L / d) <= index < ceil(b 2^L / d)."""
+    a = hole.lo.numerator * (d // hole.lo.denominator)
+    b = hole.hi.numerator * (d // hole.hi.denominator)
+    for length, row in indices.items():
+        i = bisect_left(row, (a << length) // d)
+        j = bisect_left(row, -((-b << length) // d))
+        for idx in row[i:j]:
+            del known[_string_at(idx, length)]
+        del row[i:j]
 
 
 def porosity_test(
@@ -310,41 +369,75 @@ def porosity_test(
     classes are constant beyond it.  Stage-to-stage nesting (each member of
     B_{n,t} extends a member of B_{n,t+1}) is verified here, which makes the
     last-stage union equal to the union over all stages.
+
+    N_t(sigma) and its meeting mass depend only on the class inside the open
+    cylinder of sigma, so they are kept from the stage they were found at
+    until a hole that meets that cylinder is inserted.  The meeting mass of
+    B_{n,t} is the sum of its nodes' masses: B_{n,t} is the disjoint union of
+    N_t(sigma) over the antichain B_{n-1,t}.
     """
     if levels < 0 or stages < 0:
         raise DomainError("levels and stages must be nonnegative")
     stages = min(stages, len(enum.items))
     boxes: dict[tuple[int, int], tuple[str, ...]] = {}
-    extension_cache: dict[tuple[int, str], PorousExtensions] = {}
     nodes: list[tuple[int, str, int, int, bool]] = []
     k = c + 2
+    # N(sigma) as (elements, num, top, ok) for each sigma whose open cylinder
+    # no hole has met since it was found, and those sigmas' indices, sorted,
+    # per length
+    known: dict[str, tuple[tuple[str, ...], int, int, bool]] = {}
+    indices: dict[int, list[int]] = {}
+    max_masses: list[tuple[int, int]] = [(0, 0)] * (levels + 1)
 
-    class_gaps = tuple(ClassGaps(enum.stage_class(t)) for t in range(stages + 1))
-    for t, gaps in enumerate(class_gaps):
+    for t, gaps in enumerate(stage_gaps(enum.items[:stages])):
+        if t and not enum.items[t - 1].is_degenerate:
+            _forget_met(known, indices, enum.items[t - 1], gaps.den)
         boxes[(0, t)] = ("",)
+        masses = [(int(cylinder_meets_class(gaps, "")), 0)]
+        done: set[str] = set()
         for n in range(1, levels + 1):
             collected: list[str] = []
+            mass = (0, 0)
             for sigma in boxes[(n - 1, t)]:
-                key = (t, sigma)
-                if key not in extension_cache:
-                    ext = minimal_porous_extensions(gaps, sigma, c)
-                    extension_cache[key] = ext
-                    num, top = _meeting_mass(gaps, ext.elements)
+                entry = known.get(sigma)
+                if entry is None:
+                    elements = minimal_porous_extensions(gaps, sigma, c).elements
+                    num, top = _meeting_mass(gaps, elements)
                     ok = num << (k + len(sigma)) <= ((1 << k) - 1) << top
+                    entry = known[sigma] = elements, num, top, ok
+                    insort(indices.setdefault(len(sigma), []), int(sigma, 2) if sigma else 0)
+                elements, num, top, ok = entry
+                if sigma not in done:
+                    done.add(sigma)
                     nodes.append((t, sigma, num, top, ok))
-                collected.extend(extension_cache[key].elements)
+                mass = _add_mass(mass, (num, top))
+                collected.extend(elements)
             members = tuple(sorted(set(collected)))
-            if not is_antichain(members):
-                raise InvariantError(f"B_({n},{t}) is not an antichain")
+            # a repeated member would count twice in the summed mass
+            if len(members) != len(collected) or not is_antichain(members):
+                raise InvariantError(f"B_({n},{t}) is not an antichain of disjoint N(sigma)")
             boxes[(n, t)] = members
+            masses.append(mass)
+        for n, (num, top) in enumerate(masses):
+            best, best_top = max_masses[n]
+            if num << best_top > best << top:
+                max_masses[n] = num, top
+        final_gaps = gaps
 
+    # a prefix of rho in the sorted antichain B_{n,t+1} is its last member
+    # sorting at or before rho: every string between the prefix and rho
+    # extends the prefix
     for n in range(levels + 1):
         for t in range(stages):
-            later = set(boxes[(n, t + 1)])
+            later = boxes[(n, t + 1)]
+            if later == boxes[(n, t)]:
+                continue
             for rho in boxes[(n, t)]:
-                if not any(rho[:k] in later for k in range(len(rho) + 1)):
+                i = bisect_right(later, rho)
+                if not (i and rho.startswith(later[i - 1])):
                     raise InvariantError(
                         f"{rho!r} in B_({n},{t}) has no prefix in B_({n},{t + 1})"
                     )
 
-    return PorosityTest(enum, c, levels, stages, boxes, tuple(nodes), class_gaps)
+    return PorosityTest(enum, c, levels, stages, boxes, tuple(nodes),
+                        tuple(max_masses), final_gaps)

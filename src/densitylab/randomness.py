@@ -141,7 +141,7 @@ class CylinderDifferenceTest:
     ):
         self.closed_enum = closed_enum
         self.component_fn = component_fn
-        self.gaps = ClassGaps(closed_enum.final_class())
+        self.gaps = ClassGaps.of(closed_enum.final_class())
         self._cache: dict[int, tuple[str, ...]] = {}
 
     def component_strings(self, n: int) -> tuple[str, ...]:

@@ -16,6 +16,7 @@ import io
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .bits import format_rational
 from .errors import SchemaError
@@ -104,11 +105,40 @@ class Report:
         }
 
 
+def _json_text(v) -> str:
+    """A check field as json.dumps(v, sort_keys=True, indent=2,
+    ensure_ascii=True) writes it at a row's indent; strings and bools, all
+    but a few fields, skip the encoder."""
+    if type(v) is str:
+        return encode_basestring_ascii(v)
+    if v is True or v is False:
+        return "true" if v else "false"
+    return json.dumps(v, sort_keys=True, indent=2, ensure_ascii=True).replace("\n", "\n      ")
+
+
 def to_json_bytes(report: Report) -> bytes:
-    return (
-        json.dumps(report.to_dict(), sort_keys=True, indent=2, ensure_ascii=True)
-        + "\n"
-    ).encode("ascii")
+    """The bytes of json.dumps(report.to_dict(), sort_keys=True, indent=2,
+    ensure_ascii=True) and a newline.  Python's indenting encoder is pure
+    Python, so the check rows, nearly all of a report, are laid out here and
+    put in place of the encoder's empty list.  That list's line is the only
+    match: only top-level keys sit two spaces in, and no encoded string holds
+    a raw newline."""
+    doc = report.to_dict()
+    rows = [
+        "    {\n"
+        f'      "lhs": {_json_text(row["lhs"])},\n'
+        f'      "name": {_json_text(row["name"])},\n'
+        f'      "note": {_json_text(row["note"])},\n'
+        f'      "ok": {_json_text(row["ok"])},\n'
+        f'      "rhs": {_json_text(row["rhs"])}\n'
+        "    }"
+        for row in doc["checks"]
+    ]
+    doc["checks"] = []
+    text = json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True)
+    if rows:
+        text = text.replace('\n  "checks": []', '\n  "checks": [\n' + ",\n".join(rows) + "\n  ]", 1)
+    return (text + "\n").encode("ascii")
 
 
 def to_csv_bytes(report: Report) -> bytes:

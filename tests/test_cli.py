@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import runpy
 import subprocess
 import sys
@@ -182,6 +183,26 @@ def test_martingale_report_bytes_are_pinned(tmp_path, depth, seed, digest):
     code, blob = run(tmp_path, "martingale", "--json", "--depth", str(depth), "--seed", str(seed))
     assert code == 0
     assert hashlib.sha256(blob).hexdigest() == digest
+
+
+def many_stage_porosity_doc(seed: int, count: int) -> dict:
+    """count random holes on the 2^-12 grid, each 1 to 8 steps wide."""
+    rng = random.Random(seed)
+    holes = []
+    for _ in range(count):
+        p, w = rng.randrange(1 << 12), rng.randint(1, 8)
+        holes.append([str(Fraction(p, 1 << 12)), str(Fraction(min(p + w, 1 << 12), 1 << 12))])
+    return {"holes": holes, "constant": 1, "levels": 2, "stages": count}
+
+
+def test_a_many_stage_porosity_report_is_pinned(tmp_path):
+    # 60 stages, where the benchmark's porosity documents have 20 holes or
+    # fewer; a change to how the stages are built must keep these bytes
+    inst = write_instance(tmp_path, many_stage_porosity_doc(22, 60))
+    code, blob = run(tmp_path, "porosity", "--json", "--instance", inst)
+    assert code == 0
+    assert hashlib.sha256(blob).hexdigest() == (
+        "d88499846a8e899c795a256c08754383492bb5e924be91ec863f198e87a29402")
 
 
 def test_counterexample_report_carries_the_plan(tmp_path):

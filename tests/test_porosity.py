@@ -1,15 +1,20 @@
 import math
+import random
+import time
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from densitylab import porosity
 from densitylab.bits import all_strings, cylinder_bounds, is_antichain
 from densitylab.errors import DomainError
 from densitylab.instances import porosity_instance
 from densitylab.intervals import (
     FULL_SET,
+    Interval,
+    IntervalSet,
     StagedOpenEnumeration,
     canonicalize,
     enumeration,
@@ -24,6 +29,7 @@ from densitylab.porosity import (
     minimal_porous_extensions,
     porosity_test,
     porosity_witness,
+    stage_gaps,
 )
 
 ONE_HOLE = enumeration((F(1, 2), F(3, 4)))
@@ -33,7 +39,7 @@ def test_open_cylinder_emptiness_at_removed_hole():
     c1 = ONE_HOLE.stage_class(1)
     # the hole's endpoints stay in the class but the open cylinder is vacated
     assert c1.contains_point(F(1, 2)) and c1.contains_point(F(3, 4))
-    gaps = ClassGaps(c1)
+    gaps = ClassGaps.of(c1)
     assert not cylinder_meets_class(gaps, "10")
     assert cylinder_meets_class(gaps, "1")
     assert cylinder_meets_class(gaps, "0")
@@ -41,18 +47,18 @@ def test_open_cylinder_emptiness_at_removed_hole():
 
 def test_minimal_extensions_one_hole():
     c1 = ONE_HOLE.stage_class(1)
-    ext = minimal_porous_extensions(ClassGaps(c1), "", 1)
+    ext = minimal_porous_extensions(ClassGaps.of(c1), "", 1)
     assert ext.elements == ("00", "01", "10", "11")
     assert ext.completion_depth == 3
     # a subtree with no gap overlap is a dead end
-    assert minimal_porous_extensions(ClassGaps(c1), "00", 1).elements == ()
+    assert minimal_porous_extensions(ClassGaps.of(c1), "00", 1).elements == ()
     # an empty cylinder is its own minimal extension
-    assert minimal_porous_extensions(ClassGaps(c1), "10", 1).elements == ("10",)
+    assert minimal_porous_extensions(ClassGaps.of(c1), "10", 1).elements == ("10",)
 
 
 def test_minimal_extensions_rejects_negative_constant():
     with pytest.raises(DomainError):
-        minimal_porous_extensions(ClassGaps(FULL_SET), "", -1)
+        minimal_porous_extensions(ClassGaps.of(FULL_SET), "", -1)
 
 
 def test_porosity_test_one_hole_boxes():
@@ -96,7 +102,7 @@ def check_against_definitions(tst):
     decay = tst.decay
     rows = []
     for t in range(tst.stages + 1):
-        gaps = ClassGaps(tst.enum.stage_class(t))
+        gaps = ClassGaps.of(tst.enum.stage_class(t))
         for name, lhs, rhs, ok in map(tst.node_row, tst.nodes):
             if name.startswith(f"node t={t} "):
                 sigma = name.split("sigma=")[1][1:-1]
@@ -116,7 +122,7 @@ def check_against_definitions(tst):
         bound = decay**n
         worst = max(
             sum((F(1, 1 << len(rho)) for rho in tst.boxes[(n, t)]
-                 if cylinder_meets_class(ClassGaps(tst.enum.stage_class(t)), rho)), F(0))
+                 if cylinder_meets_class(ClassGaps.of(tst.enum.stage_class(t)), rho)), F(0))
             for t in range(tst.stages + 1)
         )
         assert checks[n][1:] == (worst, bound, worst <= bound)
@@ -147,6 +153,107 @@ def test_rows_match_the_definitions_on_any_holes(raw, c, levels, stages):
     check_against_definitions(porosity_test(enum, c, levels, stages))
 
 
+# holes with both ends on one small grid of dyadic and non-dyadic points:
+# degenerate, touching, nested and overlapping holes are all common
+grid_points = sorted({F(k, 8) for k in range(9)} | {F(k, 6) for k in range(7)})
+grid_holes = st.lists(
+    st.tuples(st.sampled_from(grid_points), st.sampled_from(grid_points)).map(
+        lambda p: interval(min(p), max(p))),
+    max_size=7,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid_holes, st.integers(0, 3), st.integers(0, 4), st.integers(0, 8))
+def test_rows_match_the_definitions_with_degenerate_and_touching_holes(holes, c, levels, stages):
+    check_against_definitions(porosity_test(StagedOpenEnumeration(tuple(holes)), c, levels, stages))
+
+
+def gap_fractions(gaps):
+    return [(F(lo, gaps.den), F(hi, gaps.den)) for lo, hi in zip(gaps.los, gaps.his)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(
+    grid_holes,
+    st.lists(st.tuples(st.sampled_from([3, 5, 12, 64]), st.integers(0, 64), st.integers(0, 20)).map(
+        lambda p: interval(F(min(p[1], p[0]), p[0]), F(min(p[1] + p[2], p[0]), p[0]))), max_size=8),
+))
+def test_stage_gaps_are_the_gaps_of_each_stage_class(holes):
+    enum = StagedOpenEnumeration(tuple(holes))
+    rows = list(stage_gaps(enum.items))
+    assert len(rows) == len(holes) + 1
+    for t, gaps in enumerate(rows):
+        assert gap_fractions(gaps) == gap_fractions(ClassGaps.of(enum.stage_class(t)))
+
+
+def test_stage_gaps_keep_a_point_between_touching_holes_until_a_hole_covers_it():
+    holes = enumeration((F(1, 4), F(1, 2)), (F(1, 3), F(1, 3)), (F(1, 2), F(3, 4)),
+                        (F(5, 16), F(3, 8)), (F(3, 8), F(5, 8))).items
+    assert [gap_fractions(g) for g in stage_gaps(holes)] == [
+        [],
+        [(F(1, 4), F(1, 2))],
+        [(F(1, 4), F(1, 2))],
+        [(F(1, 4), F(1, 2)), (F(1, 2), F(3, 4))],
+        [(F(1, 4), F(1, 2)), (F(1, 2), F(3, 4))],
+        [(F(1, 4), F(3, 4))],
+    ]
+
+
+def test_gaps_of_every_stage_of_400_holes_build_within_a_tenth_of_a_second():
+    rng = random.Random(14)
+    holes = []
+    for _ in range(400):
+        p, w = rng.randrange(1 << 12), rng.randint(1, 8)
+        holes.append(Interval(F(p, 1 << 12), F(min(p + w, 1 << 12), 1 << 12)))
+    start = time.perf_counter()
+    rows = list(stage_gaps(holes))
+    assert time.perf_counter() - start <= 0.1
+    assert len(rows) == 401
+
+
+def last_meeting_stage(enum, t, sigma):
+    """1 + the index of the last of the first t holes that meets the open
+    cylinder of sigma, or 0 if none does."""
+    u, v = cylinder_bounds(sigma)
+    return max((i + 1 for i, h in enumerate(enum.items[:t])
+                if not h.is_degenerate and h.lo < v and h.hi > u), default=0)
+
+
+def forbidden(*args):
+    raise AssertionError("porosity_test rebuilt a stage class")
+
+
+def test_extensions_run_once_per_sigma_until_a_hole_meets_its_cylinder(monkeypatch):
+    # N_t(sigma) depends only on the class inside the open cylinder of
+    # sigma, which changes only where a hole that meets the cylinder goes in
+    calls = []
+    run = porosity.minimal_porous_extensions
+    monkeypatch.setattr(porosity, "minimal_porous_extensions",
+                        lambda gaps, sigma, c: calls.append(sigma) or run(gaps, sigma, c))
+    monkeypatch.setattr(IntervalSet, "subtract_open", forbidden)
+    monkeypatch.setattr(StagedOpenEnumeration, "stage_class", forbidden)
+    touching = enumeration((F(1, 4), F(1, 2)), (F(1, 3), F(1, 3)), (F(1, 2), F(3, 4)),
+                           (F(5, 16), F(3, 8)), (F(1, 8), F(3, 16)), (F(3, 8), F(5, 8)))
+    counts = []
+    for enum, c, levels in [(touching, 1, 3)] + [porosity_instance(1, i) for i in range(50)]:
+        calls.clear()
+        pt = porosity_test(enum, c, levels, 200)
+        want, seen = [], set()
+        for t, sigma, *_ in pt.nodes:
+            key = last_meeting_stage(enum, t, sigma), sigma
+            if key not in seen:
+                seen.add(key)
+                want.append(sigma)
+        assert calls == want
+        assert pt.nodes[0][:2] == (0, "") and calls[0] == ""
+        counts.append((len(pt.nodes), len(calls)))
+    # the degenerate hole at stage 2 reruns nothing; battery 3 at seed 1
+    # reruns 2,014 of its 5,414 nodes
+    assert counts[0] == (39, 19)
+    assert tuple(map(sum, zip(*counts[1:]))) == (5414, 2014)
+
+
 hole_strategy = st.tuples(st.integers(0, 62), st.integers(1, 12)).map(
     lambda p: interval(F(p[0], 64), F(min(64, p[0] + p[1]), 64))
 )
@@ -172,11 +279,11 @@ def test_porosity_test_invariants_random(holes, c, levels):
 @given(st.lists(hole_strategy, min_size=1, max_size=5), st.integers(1, 3))
 def test_minimal_extensions_are_minimal_antichains(holes, c):
     cls = FULL_SET.subtract_open(holes)
-    ext = minimal_porous_extensions(ClassGaps(cls), "", c)
+    ext = minimal_porous_extensions(ClassGaps.of(cls), "", c)
     assert is_antichain(ext.elements)
     # rerunning below any member finds the member itself as qualifying root
     for rho in ext.elements[:4]:
-        sub = minimal_porous_extensions(ClassGaps(cls), rho, c)
+        sub = minimal_porous_extensions(ClassGaps.of(cls), rho, c)
         assert sub.elements == (rho,) or rho not in sub.elements
 
 
@@ -238,7 +345,7 @@ mixed_classes = st.lists(
 @settings(max_examples=40, deadline=None)
 @given(mixed_classes, st.integers(0, 2))
 def test_minimal_extensions_match_fraction_scan(cls, c):
-    gaps = ClassGaps(cls)
+    gaps = ClassGaps.of(cls)
     for sigma in [s for n in range(4) for s in all_strings(n)]:
         assert minimal_porous_extensions(gaps, sigma, c) == reference_extensions(cls, sigma, c)
 
@@ -246,7 +353,7 @@ def test_minimal_extensions_match_fraction_scan(cls, c):
 @settings(max_examples=60, deadline=None)
 @given(mixed_classes)
 def test_cylinder_test_from_gaps_matches_a_scan_of_the_parts(cls):
-    gaps = ClassGaps(cls)
+    gaps = ClassGaps.of(cls)
     for tau in [s for n in range(6) for s in all_strings(n)]:
         u, v = cylinder_bounds(tau)
         # the open cylinder (u, v) meets a closed part [lo, hi] iff lo < v and hi > u
@@ -256,7 +363,7 @@ def test_cylinder_test_from_gaps_matches_a_scan_of_the_parts(cls):
 def test_a_point_isolated_between_two_holes_meets_its_cylinder():
     cls = enumeration((F(1, 4), F(1, 2)), (F(1, 2), F(3, 4))).stage_class(2)
     assert cls.contains_point(F(1, 2))
-    gaps = ClassGaps(cls)
+    gaps = ClassGaps.of(cls)
     assert cylinder_meets_class(gaps, "")
     assert not cylinder_meets_class(gaps, "01")
     assert not cylinder_meets_class(gaps, "10")

@@ -3,6 +3,8 @@ from fractions import Fraction as F
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from densitylab.errors import SchemaError
 from densitylab.report import (
@@ -82,3 +84,35 @@ def test_csv_renders_quadratic_values_inline():
     )
     lines = to_csv_bytes(rep).decode("ascii").splitlines()
     assert "0/1+-2/1*sqrt2" in lines[5]
+
+
+texts = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(["checks", '"', "\\", 'x "q" \\ y', "\u00e9\u221e", "\U0001d538", "\n\t", ""]),
+)
+fractions = st.builds(F, st.integers(-50, 50), st.integers(1, 50))
+values = st.one_of(
+    fractions,
+    st.integers(-10**30, 10**30),
+    st.booleans(),
+    st.builds(QuadValue, fractions, fractions),
+)
+metas = st.dictionaries(texts, st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), texts),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(texts, inner, max_size=3),
+    max_leaves=8,
+), max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    texts,
+    st.integers(0, 10**6),
+    st.lists(st.builds(Check, texts, values, values, st.booleans(), texts), max_size=6),
+    st.lists(texts, max_size=3),
+    metas,
+)
+def test_json_bytes_are_the_indenting_encoders_bytes(command, seed, checks, exhausted, meta):
+    rep = Report(command, seed, checks, exhausted, meta)
+    want = json.dumps(rep.to_dict(), sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    assert to_json_bytes(rep) == want.encode("ascii")
