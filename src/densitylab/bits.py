@@ -38,6 +38,18 @@ def over_common_denominator(values) -> tuple[int, list[int]]:
     return den, [v.numerator * (den // v.denominator) for v in values]
 
 
+def denominator_lcm_bits(values, cap: int) -> int:
+    """The bit length of the lcm of the values' denominators, built one value
+    at a time and no further once it has more than cap bits, so that the
+    work stays bounded when the lcm is large."""
+    den = 1
+    for v in values:
+        den = lcm(den, v.denominator)
+        if den.bit_length() > cap:
+            break
+    return den.bit_length()
+
+
 def require_unit(q: Fraction, what: str = "value") -> Fraction:
     if not ZERO <= q <= ONE:
         raise DomainError(f"{what} {q} outside [0,1]")

@@ -17,7 +17,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .bits import ZERO, format_rational, parse_rational
+from .bits import ZERO, denominator_lcm_bits, format_rational, parse_rational
 from .calculus import extension_grid_depth
 from .counterexample import (
     MAX_HEIGHT_EXPONENT,
@@ -44,7 +44,7 @@ from .martingales import Condition, TableMartingale, condition_extends, savings_
 from .piecewise import PiecewiseLinear
 from .porosity import porosity_test
 from .randomness import DominationScenario
-from .report import SCHEMA_VERSION, Check, Report, check_rows, to_csv_bytes, to_json_bytes
+from .report import SCHEMA_VERSION, Report, to_csv_bytes, to_json_bytes
 from .suite import (
     DEFAULT_SEED,
     NESTING_ROW,
@@ -68,7 +68,16 @@ def _list(items, key: str, what: str) -> list:
 
 
 def _holes(doc, key: str = "holes") -> tuple[Interval, ...]:
-    return tuple(Interval.from_json(i) for i in _list(doc.get(key, []), key, "[lo, hi] pairs"))
+    holes = tuple(Interval.from_json(i) for i in _list(doc.get(key, []), key, "[lo, hi] pairs"))
+    _small_denominators((x for h in holes for x in (h.lo, h.hi)),
+                        f"the lcm of the '{key}' endpoints' denominators")
+    return holes
+
+
+def _epsilon(text) -> Fraction:
+    eps = parse_rational(text)
+    _small_denominators([eps], "the denominator of epsilon")
+    return eps
 
 
 def _require(doc: dict, key: str):
@@ -119,6 +128,22 @@ ESCAPE_MAX_R = ESCAPE_MAX_ROUNDS = 64
 DOMINATION_MAX_DEPTH = 64
 
 
+# The largest bit length of the lcm of a document's hole (or interval)
+# denominators, and of an epsilon's denominator.  Reported sides are built over
+# their products, the covering size bound over lcm (q - p)^2 with eps = p/q, so
+# under this cap no such side has more than about 1,850 digits; Python prints
+# no integer over 4,300.  The default, benchmark and test documents have at
+# most 421 bits.
+DENOMINATOR_MAX_BITS = 2048
+
+
+def _small_denominators(values, what: str) -> None:
+    """Refuse values whose denominators' lcm has more than
+    DENOMINATOR_MAX_BITS bits."""
+    if denominator_lcm_bits(values, DENOMINATOR_MAX_BITS) > DENOMINATOR_MAX_BITS:
+        raise SchemaError(f"{what} must have at most {DENOMINATOR_MAX_BITS} bits")
+
+
 def _at_most(value: int, cap: int, what: str) -> int:
     """value, which must not exceed cap; checked before anything is built."""
     if value > cap:
@@ -151,9 +176,9 @@ def run_covering(args, doc, rep: Report) -> None:
         if eps_list is None:
             eps_list = [d.get("epsilon", "1/2")]
         for e_text in _list(eps_list, "epsilons", "rationals"):
-            eps = parse_rational(e_text)
+            eps = _epsilon(e_text)
             fc = low_density_open_set(c, eps)
-            rep.checks.extend(check_rows(fc.inequalities(), f"instance {i} eps {eps}"))
+            rep.add(fc.inequalities(), f"instance {i} eps {eps}")
 
 
 def run_density(args, doc, rep: Report) -> None:
@@ -169,16 +194,13 @@ def run_density(args, doc, rep: Report) -> None:
         docs = _as_docs(doc)
     for i, d in enumerate(docs):
         c = FULL_SET.subtract_open(_holes(d))
-        eps = parse_rational(d.get("epsilon", "1/2"))
+        eps = _epsilon(d.get("epsilon", "1/2"))
         fc = low_density_open_set(c, eps)
         prefix = f"instance {i}"
-        rep.checks.extend(check_rows(fc.inequalities(), prefix))
+        rep.add(fc.inequalities(), prefix)
         diff, equal = oracle_difference(fc, grid_depth)
-        rep.checks.append(Check(
-            f"{prefix}: U equals the prefix-mass oracle after boundary "
-            "normalization, symmetric difference",
-            diff, ZERO, equal,
-        ))
+        rep.add([(f"{prefix}: U equals the prefix-mass oracle after boundary "
+                  "normalization, symmetric difference", diff, ZERO, equal)])
 
 
 def run_porosity(args, doc, rep: Report) -> None:
@@ -194,8 +216,8 @@ def run_porosity(args, doc, rep: Report) -> None:
         levels = _override(args, "depth", 3, d, "levels")
         pt = porosity_test(enum, c, levels, _override(args, "stages", 200, d, "stages"))
         prefix = f"instance {i} (c={c}, levels={levels})"
-        rep.checks.extend(check_rows(map(pt.node_row, pt.nodes), f"{prefix}: node"))
-        rep.checks.extend(check_rows([*pt.bound_checks(), NESTING_ROW], prefix))
+        rep.add(map(pt.node_row, pt.nodes), f"{prefix}: node")
+        rep.add([*pt.bound_checks(), NESTING_ROW], prefix)
 
 
 def _domination_doc(scenario: DominationScenario, case: int, n_blocks: int) -> dict:
@@ -227,7 +249,7 @@ def run_tests(args, doc, rep: Report) -> None:
         _at_most(inst.m_max, ESCAPE_MAX_ROUNDS, "escape 'm_max'")
         verdict, rows = escape_rows(inst)
         prefix = f"escape {i} (r={inst.r}, m_max={inst.m_max}, verdict {verdict})"
-        rep.checks.extend(check_rows(rows, prefix))
+        rep.add(rows, prefix)
     for i, d in enumerate(_list(doc.get("domination", []), "domination", "objects")):
         if not isinstance(d, dict):
             raise SchemaError(f"domination entry {i} must be an object, got {d!r}")
@@ -242,7 +264,7 @@ def run_tests(args, doc, rep: Report) -> None:
         prefix = f"domination {i} (case {case})"
         try:
             dom = domination_tests(scenario, case, n_blocks)
-            rep.checks.extend(check_rows(dom.records, prefix))
+            rep.add(dom.records, prefix)
         except BudgetExhausted as exc:
             rep.budget_exhausted.append(f"{prefix}: {exc}")
 
@@ -256,7 +278,7 @@ def run_martingale(args, doc, rep: Report) -> None:
         raise SchemaError("martingale instance must be an object")
     m = TableMartingale.from_json(_require(doc, "martingale"))
     depth = rep.meta["depth"] = _at_most(_override(args, "depth", 12), ROW_MAX_DEPTH, "--depth")
-    rep.checks.append(fairness_row(m, depth))
+    rep.add([fairness_row(m, depth)])
     q = parse_rational(_require(doc, "q"))
     eps = parse_rational(doc.get("eps", "1/2"))
     sigma = doc.get("sigma", "")
@@ -266,12 +288,12 @@ def run_martingale(args, doc, rep: Report) -> None:
     except BudgetExhausted as exc:
         rep.budget_exhausted.append(f"savings extension: {exc}")
         return
-    rep.checks.append(flag_check(f"savings extension is a forcing extension (depth {depth})",
-                                 condition_extends(ext.condition, cond, depth)))
-    rep.checks.extend(savings_rows(cond, eps, ext))
+    rep.add([flag_check(f"savings extension is a forcing extension (depth {depth})",
+                        condition_extends(ext.condition, cond, depth)),
+             *savings_rows(cond, eps, ext)])
     window_depth = min(10, depth)
     if len(ext.tau) <= window_depth:
-        rep.checks.extend(check_rows(window_rows(cond, ext, window_depth), "window"))
+        rep.add(window_rows(cond, ext, window_depth), "window")
 
 
 def run_extend(args, doc, rep: Report) -> None:
@@ -289,7 +311,7 @@ def run_extend(args, doc, rep: Report) -> None:
     grid_depth = rep.meta["grid_depth"] = _at_most(_override(args, "depth", 12),
                                                    EXTEND_MAX_DEPTH, "--depth")
     try:
-        rep.checks.extend(extension_rows(h, enum, n, grid_depth))
+        rep.add(extension_rows(h, enum, n, grid_depth))
     except BudgetExhausted as exc:
         rep.budget_exhausted.append(f"extension query: {exc}")
 
@@ -310,27 +332,26 @@ def run_counterexample(args, doc, rep: Report) -> None:
     plan, trace = build_counterexample(items, policy)
     failure = verify_denjoy_failure(plan, trace, k_max)
     rep.meta.update(plan=plan.to_json(), trace=trace.to_json(), k_max=k_max)
-    rep.checks.extend(denjoy_check_rows(failure))
+    rep.add(denjoy_check_rows(failure))
 
 
 def run_verify_all(args, doc, rep: Report) -> None:
     if doc is not None:
         raise SchemaError("verify-all takes no instance document")
     summary = []
-    for outcome in run_all(args.seed):
-        rep.checks.append(Check(
-            f"criterion {outcome.number}: {outcome.title}, violations",
-            Fraction(len(outcome.violations())), ZERO, outcome.passed,
-        ))
-        rep.checks.extend(check_rows(outcome.checks, f"[{outcome.number}]"))
+    for battery in run_all(args.seed, rep.as_csv):
+        passed = not battery.failed
+        rep.add([(f"criterion {battery.number}: {battery.title}, violations",
+                  Fraction(battery.failed), ZERO, passed)])
+        rep.add_laid_out(battery.rows, battery.failed)
         rep.budget_exhausted.extend(
-            f"criterion {outcome.number}: {note}" for note in outcome.notes
+            f"criterion {battery.number}: {note}" for note in battery.notes
         )
         summary.append({
-            "number": outcome.number,
-            "title": outcome.title,
-            "checks": len(outcome.checks),
-            "passed": outcome.passed,
+            "number": battery.number,
+            "title": battery.title,
+            "checks": len(battery.rows),
+            "passed": passed,
         })
     rep.meta["criteria"] = summary
 
@@ -392,7 +413,7 @@ def _load_doc(args):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    report = Report(args.command, args.seed)
+    report = Report(args.command, args.seed, args.csv)
     try:
         RUNNERS[args.command](args, _load_doc(args), report)
     except (SchemaError, DomainError) as exc:

@@ -43,3 +43,7 @@ class BudgetExhausted(VerifierError):
 
 class InvariantError(RuntimeError):
     """A construction broke one of its own invariants: a bug, not bad input."""
+
+
+class BatteriesLost(RuntimeError):
+    """A verify-all child process ended without a result for some batteries."""

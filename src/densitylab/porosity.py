@@ -90,19 +90,23 @@ def _merge_ranges(ranges: list[tuple[int, int]]) -> list[tuple[int, int]]:
 def _subtract_ranges(
     ranges: list[tuple[int, int]], covered: list[tuple[int, int]]
 ) -> list[tuple[int, int]]:
+    """The integers of ranges outside covered, as ranges; both lists are
+    merged and sorted, so one pass walks each once."""
     out: list[tuple[int, int]] = []
+    i, n = 0, len(covered)
     for a, b in ranges:
+        while i < n and covered[i][1] < a:
+            i += 1
         cur = a
-        for ca, cb in covered:
-            if cb < cur:
-                continue
-            if ca > b:
-                break
+        # a covered range reaching past b is left for the next range
+        while i < n and covered[i][0] <= b:
+            ca, cb = covered[i]
             if ca > cur:
-                out.append((cur, min(b, ca - 1)))
-            cur = max(cur, cb + 1)
-            if cur > b:
+                out.append((cur, ca - 1))
+            cur = cb + 1
+            if cb > b:
                 break
+            i += 1
         if cur <= b:
             out.append((cur, b))
     return out

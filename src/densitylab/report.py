@@ -5,8 +5,15 @@ its inequality exactly.  Rational sides serialize as "p/q"; values in
 Q(sqrt 2) serialize as their coordinate pair {"a": "p/q", "b": "p/q"}, which
 still carries the exact content (certificates over irrational thresholds are
 additionally broken into sign and squared comparisons upstream, so their
-rows are plain rationals).  JSON output is sorted and newline-terminated, so
-identical (instance, seed) pairs produce byte-identical files.
+rows are plain rationals).  ``render_value`` is the one serializer of exact
+values; a CSV side is its JSON value in one field.  JSON output is sorted and
+newline-terminated, so identical (instance, seed) pairs produce
+byte-identical files.
+
+A row is laid out as report text, by ``lay_out``, when it is added to a
+``Report``, and the report keeps only that text and its failure count.
+verify-all lays out each battery's rows in the child process that ran it
+(``suite.run_all``), so its parent only joins text.
 """
 
 from __future__ import annotations
@@ -61,50 +68,6 @@ def render_value(v) -> object:
     raise SchemaError(f"cannot serialize report value {v!r}")
 
 
-def _csv_value(v) -> str:
-    if isinstance(v, QuadValue):
-        return f"{format_rational(v.a)}+{format_rational(v.b)}*sqrt2"
-    if isinstance(v, bool):
-        return str(v).lower()
-    return format_rational(Fraction(v))
-
-
-@dataclass
-class Report:
-    command: str
-    seed: int
-    checks: list[Check] = field(default_factory=list)
-    budget_exhausted: list[str] = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
-
-    def all_hold(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def violations(self) -> list[Check]:
-        return [c for c in self.checks if not c.ok]
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "command": self.command,
-            "seed": self.seed,
-            "generator": GENERATOR_NOTE,
-            "meta": self.meta,
-            "checks": [
-                {
-                    "name": c.name,
-                    "lhs": render_value(c.lhs),
-                    "rhs": render_value(c.rhs),
-                    "ok": c.ok,
-                    "note": c.note,
-                }
-                for c in self.checks
-            ],
-            "budget_exhausted": list(self.budget_exhausted),
-            "all_hold": self.all_hold(),
-        }
-
-
 def _json_text(v) -> str:
     """A check field as json.dumps(v, sort_keys=True, indent=2,
     ensure_ascii=True) writes it at a row's indent; strings and bools, all
@@ -116,28 +79,110 @@ def _json_text(v) -> str:
     return json.dumps(v, sort_keys=True, indent=2, ensure_ascii=True).replace("\n", "\n      ")
 
 
-def to_json_bytes(report: Report) -> bytes:
-    """The bytes of json.dumps(report.to_dict(), sort_keys=True, indent=2,
-    ensure_ascii=True) and a newline.  Python's indenting encoder is pure
-    Python, so the check rows, nearly all of a report, are laid out here and
-    put in place of the encoder's empty list.  That list's line is the only
-    match: only top-level keys sit two spaces in, and no encoded string holds
-    a raw newline."""
-    doc = report.to_dict()
-    rows = [
+def _json_row(name: str, lhs, rhs, ok: bool, note: str) -> str:
+    """A check row as the indenting encoder writes it inside the report's
+    "checks" list, keys sorted, without the separating comma."""
+    return (
         "    {\n"
-        f'      "lhs": {_json_text(row["lhs"])},\n'
-        f'      "name": {_json_text(row["name"])},\n'
-        f'      "note": {_json_text(row["note"])},\n'
-        f'      "ok": {_json_text(row["ok"])},\n'
-        f'      "rhs": {_json_text(row["rhs"])}\n'
+        f'      "lhs": {_json_text(render_value(lhs))},\n'
+        f'      "name": {_json_text(name)},\n'
+        f'      "note": {_json_text(note)},\n'
+        f'      "ok": {_json_text(ok)},\n'
+        f'      "rhs": {_json_text(render_value(rhs))}\n'
         "    }"
-        for row in doc["checks"]
-    ]
-    doc["checks"] = []
+    )
+
+
+def _csv_side(v) -> str:
+    """A side's JSON value in one CSV field; a value in Q(sqrt 2) is spelled
+    "a+b*sqrt2"."""
+    r = render_value(v)
+    if type(r) is dict:
+        return f"{r['a']}+{r['b']}*sqrt2"
+    return r if type(r) is str else _json_text(r)
+
+
+class _Line:
+    """A file whose write hands back the text: a csv writer's writerow over it
+    returns the row's line."""
+
+    write = staticmethod(str)
+
+
+_csv_line = csv.writer(_Line(), lineterminator="\n").writerow
+
+
+def _csv_row(name: str, lhs, rhs, ok: bool, note: str) -> str:
+    """A check row as the report's CSV writer writes it, newline included."""
+    return _csv_line((name, _csv_side(lhs), _csv_side(rhs), str(ok).lower(), note))
+
+
+def lay_out(rows, prefix: str, as_csv: bool) -> tuple[list[str], int]:
+    """The report text of each row, in JSON or, with as_csv, in CSV, and the
+    count of rows that fail.  Rows are Checks, which keep their note, or the
+    modules' (name, lhs, rhs, ok) tuples; a nonempty prefix is put before
+    each name as "prefix: "."""
+    row_text = _csv_row if as_csv else _json_row
+    head = f"{prefix}: " if prefix else ""
+    texts, failed = [], 0
+    for row in rows:
+        if isinstance(row, Check):
+            name, lhs, rhs, ok, note = row.name, row.lhs, row.rhs, row.ok, row.note
+        else:
+            name, lhs, rhs, ok, note = *row[:3], bool(row[3]), ""
+        texts.append(row_text(head + name, lhs, rhs, ok, note))
+        failed += not ok
+    return texts, failed
+
+
+@dataclass
+class Report:
+    """A report being written: each check row is laid out in the report's
+    format, JSON or, with as_csv, CSV, when it is added."""
+
+    command: str
+    seed: int
+    as_csv: bool = False
+    rows: list[str] = field(default_factory=list)
+    failed: int = 0
+    budget_exhausted: list[str] = field(default_factory=list)
+    meta: dict = field(default_factory=dict)
+
+    def add(self, rows, prefix: str = "") -> None:
+        """Lay out rows as lay_out does and append them."""
+        self.add_laid_out(*lay_out(rows, prefix, self.as_csv))
+
+    def add_laid_out(self, texts: list[str], failed: int) -> None:
+        """Append rows that lay_out gave in this report's format, failed of
+        them failing."""
+        self.rows += texts
+        self.failed += failed
+
+    def all_hold(self) -> bool:
+        return not self.failed
+
+
+def to_json_bytes(report: Report) -> bytes:
+    """The bytes of json.dumps(doc, sort_keys=True, indent=2,
+    ensure_ascii=True) and a newline, for the report's document doc.  Python's
+    indenting encoder is pure Python, so the check rows, nearly all of a
+    report, are laid out by _json_row and put in place of the encoder's empty
+    list.  That list's line is the only match: only top-level keys sit two
+    spaces in, and no encoded string holds a raw newline."""
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "command": report.command,
+        "seed": report.seed,
+        "generator": GENERATOR_NOTE,
+        "meta": report.meta,
+        "checks": [],
+        "budget_exhausted": list(report.budget_exhausted),
+        "all_hold": report.all_hold(),
+    }
     text = json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True)
-    if rows:
-        text = text.replace('\n  "checks": []', '\n  "checks": [\n' + ",\n".join(rows) + "\n  ]", 1)
+    if report.rows:
+        text = text.replace('\n  "checks": []',
+                            '\n  "checks": [\n' + ",\n".join(report.rows) + "\n  ]", 1)
     return (text + "\n").encode("ascii")
 
 
@@ -149,9 +194,7 @@ def to_csv_bytes(report: Report) -> bytes:
     writer.writerow(["seed", report.seed])
     writer.writerow(["generator", GENERATOR_NOTE])
     writer.writerow(["name", "lhs", "rhs", "ok", "note"])
-    for c in report.checks:
-        writer.writerow([c.name, _csv_value(c.lhs), _csv_value(c.rhs),
-                         str(c.ok).lower(), c.note])
+    buf.writelines(report.rows)
     for msg in report.budget_exhausted:
         writer.writerow(["budget_exhausted", msg, "", "", ""])
     writer.writerow(["all_hold", str(report.all_hold()).lower(), "", "", ""])

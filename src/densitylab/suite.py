@@ -9,6 +9,11 @@ enter serialized reports.
 The checks of one instance that a CLI command also reports are stated once,
 in the per-instance functions below; they return unprefixed rows, and the
 battery and the command each put their own prefix before them.
+
+``run_criterion`` runs one battery in process and returns its Checks.
+``run_all`` runs every battery in forked children, which send back only the
+report text of each battery's rows (``BatteryRows``), laid out where the
+battery ran.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from .density import (
     low_density_open_set,
     oracle_difference,
 )
-from .errors import BudgetExhausted, InvariantError
+from .errors import BatteriesLost, BudgetExhausted, InvariantError
 from .instances import (
     COVERING_EPSILONS,
     EscapeInstance,
@@ -77,7 +82,7 @@ from .randomness import (
     build_escape_sets,
     least_drop_h,
 )
-from .report import Check, check_rows
+from .report import Check, check_rows, lay_out
 from .roottwo import QuadValue
 
 DEFAULT_SEED = 1
@@ -91,12 +96,18 @@ class CriterionOutcome:
     notes: list[str] = field(default_factory=list)
     seconds: float = 0.0
 
-    @property
-    def passed(self) -> bool:
-        return all(c.ok for c in self.checks)
 
-    def violations(self) -> list[Check]:
-        return [c for c in self.checks if not c.ok]
+@dataclass
+class BatteryRows:
+    """A battery's outcome as it reaches the report: its check rows laid out
+    under the prefix "[number]", one text per check, and how many of them
+    fail."""
+
+    number: int
+    title: str
+    failed: int
+    notes: list[str]
+    rows: list[str]
 
 
 def _count_check(name: str, count: int) -> Check:
@@ -540,25 +551,106 @@ def run_criterion(number: int, seed: int = DEFAULT_SEED) -> CriterionOutcome:
     raise ValueError(f"no criterion numbered {number}")
 
 
-def run_all(seed: int = DEFAULT_SEED) -> list[CriterionOutcome]:
-    """Every battery's outcome, in CRITERIA order, from a fork pool.
+def _battery_child(tasks: int, out: int, seed: int, as_csv: bool) -> None:
+    """A forked child's whole life: take battery numbers from the pipe tasks,
+    one byte each, until it is empty; run each battery, lay out its rows
+    under the prefix "[number]", and write (number, BatteryRows) or, if the
+    battery raised, (number, exception) to the pipe out, pickled.  The child
+    ends with os._exit whatever happens, so no parent code runs in it after
+    its work."""
+    from pickle import dumps  # loaded by run_all before the fork
 
-    The batteries are independent, so they run side by side, one worker per
-    usable CPU up to one per battery; the outcomes do not depend on how many
-    workers there are.  When batteries raise, the first in CRITERIA order
-    raises here, as it would in a loop, and the batteries not yet started
-    are cancelled.  Forked workers inherit the loaded modules instead of
-    importing them again.
+    code = 1
+    try:
+        with open(out, "wb") as sink:
+            while task := os.read(tasks, 1):
+                number = task[0]
+                try:
+                    outcome = run_criterion(number, seed)
+                    texts, failed = lay_out(outcome.checks, f"[{number}]", as_csv)
+                    record = BatteryRows(number, outcome.title, failed, outcome.notes, texts)
+                except Exception as exc:  # the parent raises it, in CRITERIA order
+                    record = exc
+                sink.write(dumps((number, record)))
+                sink.flush()
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def run_all(seed: int = DEFAULT_SEED, as_csv: bool = False) -> list[BatteryRows]:
+    """Every battery's laid-out rows, in CRITERIA order, from forked children.
+
+    The batteries are independent, so they run side by side in one child per
+    usable CPU, up to one per battery.  The battery numbers wait in one pipe,
+    and each child takes the next one when it is free; it sends back each
+    battery's rows already laid out (``report.lay_out``, JSON or, with
+    as_csv, CSV), so only text crosses between processes.  The records do
+    not depend on how many children there are.  When batteries raise, the
+    first in CRITERIA order raises here, as it would in a loop.  A child that
+    ends without sending a record for each battery it took makes this raise
+    ``BatteriesLost``.  Every child has been reaped when this returns.
     """
     # imported here: loading them would add to every CLI command's start-up
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    import io
+    import pickle
+    import select
 
     numbers = [num for num, _t, _f in CRITERIA]
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:  # macOS has fork but no affinity mask
         cpus = os.cpu_count() or 1
-    context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(min(len(numbers), cpus), mp_context=context) as pool:
-        return list(pool.map(run_criterion, numbers, [seed] * len(numbers)))
+    tasks, queue = os.pipe()
+    os.write(queue, bytes(numbers))  # ten bytes, well inside a pipe's buffer
+    os.close(queue)
+    received: dict[int, bytearray] = {}  # result pipe -> bytes read so far
+    pids = []
+    try:
+        for _ in range(min(len(numbers), cpus)):
+            r, w = os.pipe()
+            received[r] = bytearray()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    os.close(r)
+                    _battery_child(tasks, w, seed, as_csv)
+            finally:
+                os.close(w)
+            pids.append(pid)
+        # read every pipe as it fills: a child whose pipe is full waits for
+        # the parent and takes no further battery
+        poller = select.poll()
+        for r in received:
+            poller.register(r, select.POLLIN)
+        open_pipes = set(received)
+        while open_pipes:
+            for r, _event in poller.poll():
+                chunk = os.read(r, 1 << 16)
+                if chunk:
+                    received[r] += chunk
+                else:
+                    poller.unregister(r)
+                    open_pipes.discard(r)
+    finally:
+        os.close(tasks)
+        for r in received:
+            os.close(r)
+        for pid in pids:
+            os.waitpid(pid, 0)
+    results = {}
+    for data in received.values():
+        stream = io.BytesIO(data)
+        try:
+            while stream.tell() < len(data):
+                number, record = pickle.load(stream)
+                results[number] = record
+        except (EOFError, pickle.UnpicklingError):
+            pass  # a child killed part-way through a record; its battery is lost
+    for num in numbers:
+        if num not in results:
+            lost = [n for n in numbers if n not in results]
+            raise BatteriesLost(f"verify-all children ended without a result for batteries {lost}")
+        if isinstance(results[num], Exception):
+            raise results[num]
+    return [results[num] for num in numbers]

@@ -14,7 +14,7 @@ import pytest
 import densitylab
 from densitylab.cli import COMMANDS, build_parser, main
 from densitylab.instances import escape_instance, extension_instance
-from densitylab.report import Report
+from densitylab.report import Report, to_json_bytes
 from densitylab.suite import DEFAULT_SEED, criterion_escape, criterion_extension
 
 
@@ -49,6 +49,15 @@ def test_verify_all_bytes_match_the_benchmark_reference(tmp_path):
     code, blob = run(tmp_path, "verify-all", "--json", "--seed", "1")
     assert code == 0
     assert [hashlib.sha256(blob).hexdigest()] == want
+
+
+def test_verify_all_csv_bytes_are_pinned(tmp_path):
+    # the CSV report, whose rows the battery children lay out as they do the
+    # JSON rows; pinned from the CSV written row by row from Checks
+    code, blob = run(tmp_path, "verify-all", "--csv", "--seed", "1")
+    assert code == 0
+    assert hashlib.sha256(blob).hexdigest() == (
+        "7067396b220bbc6318869a8f11b6dcd96fef1559acb0061e31a372f9c4bf2636")
 
 
 @pytest.mark.parametrize("workload", ["cli-stream", "extend-query"])
@@ -262,6 +271,17 @@ def test_porosity_scans_a_hole_that_first_holds_a_cylinder_past_level_400(tmp_pa
     assert len(checks) == 7 and all(c["ok"] for c in checks)
 
 
+def test_hole_denominators_may_reach_the_cap(tmp_path):
+    # an lcm of 2,048 bits is taken; 2,049 bits is a SchemaError
+    d = 1 << 2047
+    doc = {"holes": [[f"1/{d}", f"2/{d}"], ["1/4", "1/2"]], "epsilons": [f"1/{d}"]}
+    code, blob = run(tmp_path, "covering", "--instance", write_instance(tmp_path, doc))
+    assert code == 0 and json.loads(blob)["all_hold"]
+    doc["holes"][1] = ["1/3", "1/2"]
+    code, _blob = run(tmp_path, "covering", "--instance", write_instance(tmp_path, doc))
+    assert code == 2
+
+
 DOMINATION = {"words": ["1"], "z": "1/3", "eps": "2/3"}
 TABLE = {"depth": 1, "values": {"": "1", "0": "1/2", "1": "3/2"}}
 ESCAPE = {"components": {"0": ["0"]}, "r": 0, "m_max": 1, "z": "1/3"}
@@ -334,6 +354,15 @@ ESCAPE = {"components": {"0": ["0"]}, "r": 0, "m_max": 1, "z": "1/3"}
     ("tests", {"escape": [{"holes": [], "components": {"3": ["0" * 15000]}, "r": 2,
                            "m_max": 3, "z": "0/1"}]}, "SchemaError"),
     ("tests", {"escape": [{**ESCAPE, "components": {"1": ["1" * 4097]}}]}, "SchemaError"),
+    # endpoints that parse, over denominators of 3,817 and 3,845 digits whose
+    # lcm would print sides of more than 4,300 digits
+    ("covering", {"holes": [["0", f"1/{3 ** 8000}"],
+                            ["1/2", f"{(5 ** 5500 + 1) // 2 + 1}/{5 ** 5500}"]]}, "SchemaError"),
+    # a small lcm, but an epsilon whose q - p multiplies it past the limit
+    ("covering", {"holes": [[f"1/{3 ** 600}", f"2/{3 ** 600}"]], "epsilons": [f"1/{7 ** 5080}"]},
+     "SchemaError"),
+    ("density", {"holes": [], "epsilon": f"1/{1 << 2048}"}, "SchemaError"),
+    ("counterexample", {"intervals": [[f"1/{1 << 2048}", "1/2"]]}, "SchemaError"),
 ], ids=["depth", "case", "n_blocks", "k_max", "table", "full-cover", "escape-r", "h-xs",
         "intervals", "escape-key", "escape-components", "h-domain", "density-depth",
         "porosity-levels", "counterexample-stages", "counterexample-depth",
@@ -345,7 +374,9 @@ ESCAPE = {"components": {"0": ["0"]}, "r": 0, "m_max": 1, "z": "1/3"}
         "domination-word-numbers", "escape-r-cap", "escape-m-max-negative", "escape-m-max-cap",
         "domination-depth-cap", "counterexample-k-max-cap", "counterexample-depth-cap",
         "escape-key-collision", "escape-key-underscore", "escape-key-negative",
-        "escape-component-length", "escape-component-length-cap"])
+        "escape-component-length", "escape-component-length-cap", "covering-hole-lcm",
+        "covering-epsilon-denominator", "density-epsilon-denominator",
+        "counterexample-interval-lcm"])
 def test_bad_documents_exit_2_with_json_on_stderr(tmp_path, capfd, command, doc, kind):
     # a command may carry flags: "density --depth -1"
     code, blob = run(tmp_path, *command.split(), "--instance", write_instance(tmp_path, doc))
@@ -395,7 +426,9 @@ def test_martingale_report_is_the_same_with_asserts_stripped(tmp_path, argv):
 
 
 def _rendered(checks) -> list[dict]:
-    return Report("battery", 1, checks=list(checks)).to_dict()["checks"]
+    rep = Report("battery", 1)
+    rep.add(checks)
+    return json.loads(to_json_bytes(rep))["checks"]
 
 
 def _swap_prefix(rows: list[dict], old: str, new: str) -> list[dict]:

@@ -23,7 +23,6 @@ from densitylab.intervals import (
 from densitylab.porosity import (
     ClassGaps,
     PorousExtensions,
-    _merge_ranges,
     _subtract_ranges,
     cylinder_meets_class,
     minimal_porous_extensions,
@@ -288,7 +287,8 @@ def test_minimal_extensions_are_minimal_antichains(holes, c):
 
 
 def reference_extensions(class_set, sigma, c):
-    """The scan in Fractions, gaps and their ceil/floor taken per call."""
+    """The scan in Fractions, gaps and their ceil/floor taken per call, and
+    strings kept as sets of indices, not ranges."""
     s_len = len(sigma)
     s_idx = int(sigma, 2) if sigma else 0
     slo, shi = cylinder_bounds(sigma)
@@ -311,19 +311,19 @@ def reference_extensions(class_set, sigma, c):
             level += 1
         activations.append(level)
     completion = max(activations) + 1
-    reach, covered, found = 1 << c, [], []
+    # the covered and qualifying strings of each level as sets of indices
+    reach, covered, found = 1 << c, set(), []
     for level in range(s_len, completion + 1):
         if level > s_len:
-            covered = [(2 * a, 2 * b + 1) for a, b in covered]
-        qualifying = []
+            covered = {2 * j + bit for j in covered for bit in (0, 1)}
+        qualifying = set()
         for g in gaps:
             e1, e2, lo_idx, hi_idx = inner(g, level)
             if e1 <= e2:
-                qualifying.append((max(e1 - reach, lo_idx), min(e2 + reach, hi_idx)))
-        fresh = _subtract_ranges(_merge_ranges(qualifying), covered)
-        found.extend(format(j, f"0{level}b") if level else ""
-                     for a, b in fresh for j in range(a, b + 1))
-        covered = _merge_ranges(covered + fresh)
+                qualifying.update(range(max(e1 - reach, lo_idx), min(e2 + reach, hi_idx) + 1))
+        fresh = qualifying - covered
+        found.extend(format(j, f"0{level}b") if level else "" for j in fresh)
+        covered |= fresh
     return PorousExtensions(sigma, c, tuple(sorted(found)), completion)
 
 
@@ -368,3 +368,20 @@ def test_a_point_isolated_between_two_holes_meets_its_cylinder():
     assert not cylinder_meets_class(gaps, "01")
     assert not cylinder_meets_class(gaps, "10")
     assert cylinder_meets_class(gaps, "00")
+
+
+def runs(points) -> list[tuple[int, int]]:
+    """The maximal runs of consecutive integers in points, in order."""
+    out = []
+    for j in sorted(points):
+        if out and out[-1][1] == j - 1:
+            out[-1] = (out[-1][0], j)
+        else:
+            out.append((j, j))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sets(st.integers(0, 40)), st.sets(st.integers(0, 40)))
+def test_subtract_ranges_is_a_set_difference(points, covered):
+    assert _subtract_ranges(runs(points), runs(covered)) == runs(points - covered)

@@ -1,16 +1,22 @@
 from fractions import Fraction as F
 
+import csv
+import io
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from densitylab.bits import format_rational
 from densitylab.errors import SchemaError
+from densitylab.instances import GENERATOR_NOTE
 from densitylab.report import (
+    SCHEMA_VERSION,
     Check,
     Report,
     check_rows,
+    lay_out,
     render_value,
     to_csv_bytes,
     to_json_bytes,
@@ -32,12 +38,17 @@ def test_render_value_covers_the_wire_types():
 def test_check_rows_adapts_module_tuples():
     rows = check_rows([("x <= y", F(1, 3), F(1, 2), True)])
     assert rows == [Check("x <= y", F(1, 3), F(1, 2), True)]
+    # lay_out reads the tuples as the Checks check_rows makes of them
+    for as_csv in (False, True):
+        tuples = [("x <= y", F(1, 3), F(1, 2), 1), ("y <= x", F(1, 2), F(1, 3), 0)]
+        assert lay_out(tuples, "p", as_csv) == lay_out(check_rows(tuples), "p", as_csv)
+        assert lay_out(tuples, "p", as_csv)[1] == 1
 
 
-def sample_report() -> Report:
-    rep = Report("covering", 9)
-    rep.checks.append(Check("a <= b", F(1, 4), F(1, 2), True))
-    rep.checks.append(Check("c <= d", F(2, 3), F(1, 3), False, note="tight"))
+def sample_report(as_csv: bool = False) -> Report:
+    rep = Report("covering", 9, as_csv)
+    rep.add([Check("a <= b", F(1, 4), F(1, 2), True)])
+    rep.add([Check("c <= d", F(2, 3), F(1, 3), False, note="tight")])
     rep.budget_exhausted.append("window search stopped at depth 8")
     rep.meta["grid_depth"] = 8
     return rep
@@ -46,7 +57,9 @@ def sample_report() -> Report:
 def test_report_verdicts():
     rep = sample_report()
     assert not rep.all_hold()
-    assert [c.name for c in rep.violations()] == ["c <= d"]
+    assert rep.failed == 1
+    rows = json.loads(to_json_bytes(rep))["checks"]
+    assert [row["name"] for row in rows if not row["ok"]] == ["c <= d"]
 
 
 def test_json_bytes_are_deterministic_and_versioned():
@@ -66,7 +79,7 @@ def test_json_bytes_are_deterministic_and_versioned():
 
 
 def test_csv_bytes_spell_out_every_row():
-    lines = to_csv_bytes(sample_report()).decode("ascii").splitlines()
+    lines = to_csv_bytes(sample_report(as_csv=True)).decode("ascii").splitlines()
     assert lines[0] == "schema_version,1"
     assert lines[1] == "command,covering"
     assert lines[2] == "seed,9"
@@ -78,10 +91,8 @@ def test_csv_bytes_spell_out_every_row():
 
 
 def test_csv_renders_quadratic_values_inline():
-    rep = Report("counterexample", 1)
-    rep.checks.append(
-        Check("slope at scale 3", QuadValue(F(0), F(-2)), F(0), True)
-    )
+    rep = Report("counterexample", 1, as_csv=True)
+    rep.add([Check("slope at scale 3", QuadValue(F(0), F(-2)), F(0), True)])
     lines = to_csv_bytes(rep).decode("ascii").splitlines()
     assert "0/1+-2/1*sqrt2" in lines[5]
 
@@ -104,15 +115,50 @@ metas = st.dictionaries(texts, st.recursive(
 ), max_size=4)
 
 
+checks_lists = st.lists(st.builds(Check, texts, values, values, st.booleans(), texts),
+                       max_size=6)
+
+
 @settings(max_examples=200, deadline=None)
-@given(
-    texts,
-    st.integers(0, 10**6),
-    st.lists(st.builds(Check, texts, values, values, st.booleans(), texts), max_size=6),
-    st.lists(texts, max_size=3),
-    metas,
-)
+@given(texts, st.integers(0, 10**6), checks_lists, st.lists(texts, max_size=3), metas)
 def test_json_bytes_are_the_indenting_encoders_bytes(command, seed, checks, exhausted, meta):
-    rep = Report(command, seed, checks, exhausted, meta)
-    want = json.dumps(rep.to_dict(), sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    rep = Report(command, seed, budget_exhausted=exhausted, meta=meta)
+    rep.add(checks)
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "command": command,
+        "seed": seed,
+        "generator": GENERATOR_NOTE,
+        "meta": meta,
+        "checks": [{"name": c.name, "lhs": render_value(c.lhs), "rhs": render_value(c.rhs),
+                    "ok": c.ok, "note": c.note} for c in checks],
+        "budget_exhausted": exhausted,
+        "all_hold": all(c.ok for c in checks),
+    }
+    want = json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
     assert to_json_bytes(rep) == want.encode("ascii")
+
+
+def reference_csv_value(v) -> str:
+    """A CSV side as each type spells itself, apart from render_value."""
+    if isinstance(v, QuadValue):
+        return f"{format_rational(v.a)}+{format_rational(v.b)}*sqrt2"
+    if isinstance(v, bool):
+        return str(v).lower()
+    return format_rational(F(v))
+
+
+@settings(max_examples=200, deadline=None)
+@given(texts, st.integers(0, 10**6), checks_lists, st.lists(texts, max_size=3))
+def test_csv_bytes_are_the_csv_writers_bytes(command, seed, checks, exhausted):
+    rep = Report(command, seed, as_csv=True, budget_exhausted=exhausted)
+    rep.add(checks, "p")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerows([["schema_version", SCHEMA_VERSION], ["command", command], ["seed", seed],
+                      ["generator", GENERATOR_NOTE], ["name", "lhs", "rhs", "ok", "note"]])
+    writer.writerows([f"p: {c.name}", reference_csv_value(c.lhs), reference_csv_value(c.rhs),
+                      str(c.ok).lower(), c.note] for c in checks)
+    writer.writerows(["budget_exhausted", msg, "", "", ""] for msg in exhausted)
+    writer.writerow(["all_hold", str(all(c.ok for c in checks)).lower(), "", "", ""])
+    assert to_csv_bytes(rep) == buf.getvalue().encode("ascii", errors="backslashreplace")

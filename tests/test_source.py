@@ -97,7 +97,6 @@ def test_every_method_is_used_by_the_library():
 # class's __init__ is called through the class name.
 UNPASSED_DEFAULTS = frozenset({
     ("main", "argv"),  # the entry point the tests and the benchmark call
-    ("run_criterion", "seed"),  # passed by pool.map, which the scan cannot see
     ("MonotoneExtension", "budget"),  # the tests' way to the build's exhaustion path
     ("negativity_witnesses", "base"),  # NOT_YET_WIRED
 })
@@ -197,10 +196,24 @@ def test_cli_builds_one_parser():
 
 
 def test_importing_the_cli_loads_no_process_pool():
-    # verify-all imports its pool when it runs; every command pays the import
+    # verify-all forks its children itself and imports what it sends their
+    # records with when it runs; every command would pay for these imports
+    imported = {
+        alias.name
+        for tree in _trees()
+        for node in ast.walk(tree)
+        for alias in (node.names if isinstance(node, ast.Import) else ())
+    } | {
+        node.module
+        for tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module
+    }
+    assert sorted(m for m in imported
+                  if m.split(".")[0] in ("multiprocessing", "concurrent")) == []
     probe = (
         "import sys; import densitylab.cli; "
-        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures', 'pickle', 'select') "
         "if m in sys.modules))"
     )
     src = str(Path(densitylab.__file__).resolve().parent.parent)
