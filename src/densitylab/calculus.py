@@ -17,12 +17,12 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import ceil, floor, gcd, lcm
 from operator import itemgetter
 
 from .bits import ONE, ZERO
 from .errors import BudgetExhausted, DomainError
-from .intervals import IntervalSet, StagedOpenEnumeration
+from .intervals import ClassGaps, StagedOpenEnumeration, stage_gaps
 from .piecewise import PiecewiseLinear
 
 
@@ -43,24 +43,12 @@ class Polynomial:
         return sum((i * abs(c) for i, c in enumerate(self.coefficients)), ZERO)
 
 
-def _dyadic_points(lo: Fraction, hi: Fraction, depth: int) -> list[Fraction]:
-    scale = 1 << depth
-    first = (lo * scale).numerator // (lo * scale).denominator
-    if Fraction(first, scale) < lo:
-        first += 1
-    out = []
-    k = first
-    while Fraction(k, scale) <= hi:
-        out.append(Fraction(k, scale))
-        k += 1
-    return out
-
-
 def _straddling_candidates(x: Fraction, h: Fraction, depth: int) -> list[Fraction]:
-    """x and the 2^-depth grid points of [x - h, x + h] within [0,1], sorted."""
-    pts = set(_dyadic_points(max(x - h, ZERO), min(x + h, ONE), depth))
-    pts.add(x)
-    return sorted(pts)
+    """x and the 2^-depth grid points of [x - h, x + h] within [0,1], sorted:
+    the indices ceil(lo 2^depth) .. floor(hi 2^depth) for that interval."""
+    scale = 1 << depth
+    lo, hi = max(x - h, ZERO) * scale, min(x + h, ONE) * scale
+    return sorted({x, *(Fraction(k, scale) for k in range(ceil(lo), floor(hi) + 1))})
 
 
 @dataclass(frozen=True)
@@ -175,14 +163,6 @@ def interval_extremum(
 class ExtensionBudget:
     grid_depth: int | None = None
     precision: int | None = None
-
-
-def _floor_ceil(x: Fraction, scale: int) -> tuple[int, int]:
-    """Floor and ceiling of x * scale."""
-    q, r = divmod(x.numerator * scale, x.denominator)
-    return q, q + (r > 0)
-
-
 
 
 # A row over the internal grid indices is a list of runs (first, last, start,
@@ -380,9 +360,12 @@ class MonotoneExtension:
     ``grid_progressions(grid_depth)``, one run per segment, and the
     monotonicity check reads h as its ``progressions`` along the refined
     grid of each part of the final class, so only the part ends off the
-    grid are evaluated one at a time, whatever the depth.  A candidate
-    enters the F row at its ceiling grid index and the G row at its floor
-    grid index.
+    grid are evaluated one at a time, whatever the depth.  The stage classes
+    are the integer rows ``intervals.stage_gaps`` builds hole by hole, read
+    at the stages 1, 2, 4, ... and the last; the final one is kept as
+    ``final_row`` for ``extension_grid_check``.  A candidate enters the F row
+    at its ceiling grid index and the G row at its floor grid index, both
+    found by integer division of a part end over the rows' denominator.
     Stage t's F row is F_t = min(F_(t-1), rm_t), with rm_t the running max
     of its candidates from the left, and its G row G_t = max(G_(t-1),
     rmin_t), with rmin_t the running min from the right; the two bounds
@@ -448,26 +431,25 @@ class MonotoneExtension:
         hi_bound = mid + lip + 1
         lo_bound = mid - lip - 1
         final = len(enum)
-        self.stages = []
-        step = 1
-        while step < final:
-            self.stages.append(step)
-            step *= 2
-        self.stages.append(final)
-        self.stages = sorted(set(self.stages))
-        classes = [enum.stage_class(t) for t in self.stages]
+        # the stages 1, 2, 4, ... below the last one, and the last one
+        self.stages = [t for t in range(1, final) if t & (t - 1) == 0] + [final]
+        rows = [row for t, row in enumerate(stage_gaps(enum.items)) if t in self.stages]
+        self.final_row = rows[-1]
 
-        scale = 1 << gd
-        ends = {x for c_set in classes for part in c_set for x in (part.lo, part.hi)}
-        off_vals = {x: h.value(x) for x in ends if scale % x.denominator}
+        # the part ends of every stage's class, integers over the rows' one
+        # denominator rden; h's value at each end off the internal grid
+        scale, rden = 1 << gd, rows[0].den
+        off_vals = {x: h.value(Fraction(x, rden))
+                    for x in {e for row in rows for e in row.ends} if (x << gd) % rden}
         # h's progressions along the refined grid of each part of the final
         # class, the fewest equal steps of at most 2^-gd from its lo to its
         # hi: on a grid-aligned part, the internal grid itself
         refined = []
-        for part in classes[-1]:
-            count, delta = (_grid_step(part.lo, part.hi, Fraction(1, scale))
-                            if part.lo < part.hi else (0, Fraction(1, scale)))
-            refined.append((part.lo, delta, *h.progressions(part.lo, delta, count)))
+        for lo, hi in self.final_row.parts:
+            count = -(-((hi - lo) << gd) // rden)
+            delta = Fraction(hi - lo, rden * count) if count else Fraction(1, scale)
+            refined.append((Fraction(lo, rden), delta,
+                            *h.progressions(Fraction(lo, rden), delta, count)))
         # the values (start + step j) / d along a piece have the lcm of their
         # denominators d / gcd(d, start, step), or d / gcd(d, start) for one
         den = lcm(row_den, margin.denominator, hi_bound.denominator, lo_bound.denominator,
@@ -487,35 +469,36 @@ class MonotoneExtension:
         margin, hi_bound, lo_bound = scaled(margin), scaled(hi_bound), scaled(lo_bound)
         self._check_monotone_on_class(refined, lo_bound)
 
-        def candidates(c_set: IntervalSet) -> tuple[list, list]:
+        def candidates(row: ClassGaps) -> tuple[list, list]:
             """The class's candidates as pieces (first, last, start, step) in
             the order of their points: for F, h + margin at each point's
             ceiling grid index, for G, h - margin at its floor index.  A grid
             point of a part lies on one of h's progressions, a part end off
             the grid is a one-index piece."""
             fp, gp = [], []
-            for part in c_set:
-                lo_k, lo_up = _floor_ceil(part.lo, scale)
-                hi_k, hi_up = _floor_ceil(part.hi, scale)
-                if lo_k < lo_up:
-                    v = off_ints[part.lo]
+            for lo, hi in row.parts:
+                lo_k, lo_off = divmod(lo << gd, rden)  # floor index, and off the grid
+                hi_k, hi_off = divmod(hi << gd, rden)
+                lo_up = lo_k + 1 if lo_off else lo_k
+                if lo_off:
+                    v = off_ints[lo]
                     fp.append((lo_up, lo_up, v + margin, 0))
                     gp.append((lo_k, lo_k, v - margin, 0))
                 if lo_up <= hi_k:
                     for a, b, v, s in _clip(hp, hp_lasts, lo_up, hi_k):
                         fp.append((a, b, v + margin, s))
                         gp.append((a, b, v - margin, s))
-                if hi_k < hi_up:
-                    v = off_ints[part.hi]
-                    fp.append((hi_up, hi_up, v + margin, 0))
+                if hi_off:
+                    v = off_ints[hi]
+                    fp.append((hi_k + 1, hi_k + 1, v + margin, 0))
                     gp.append((hi_k, hi_k, v - margin, 0))
             return fp, gp
 
         # stage 0: F and G are the bounds, F > G everywhere; G is kept flipped
         f_env, g_flip = [(0, scale, hi_bound, 0)], [(0, scale, -lo_bound, 0)]
         values = []  # the runs of p / q, the indices closed so far
-        for c_set in classes:
-            fp, gp = candidates(c_set)
+        for row in rows:
+            fp, gp = candidates(row)
             f_new = _lower(f_env, _sweep_max(fp, scale, lo_bound))
             g_new = _lower(g_flip, _sweep_max(_flip(gp, scale), scale, -hi_bound))
             # F falls and G rises along the stages, so an index closes for
@@ -642,7 +625,7 @@ def extension_grid_check(ext: MonotoneExtension, depth: int) -> tuple[int, Fract
         prev_p, prev_q = _at(run, index(kb)), q
         reached.append((ka, kb, run))
     h_den, h_pieces = ext.h.grid_progressions(depth)
-    in_class = [(ks.start, ks.stop - 1) for ks in ext.enum.final_class().grid_ranges(depth) if ks]
+    in_class = [(a, b) for a, b in ext.final_row.grid_ranges(depth) if a <= b]
     # the worst |value - h| is worst_e / (worst_q h_den)
     worst_e, worst_q = 0, 1
     for lo, hi, ((_, _, run), piece, _) in _overlaps(reached, h_pieces, in_class):

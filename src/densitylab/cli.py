@@ -39,7 +39,7 @@ from .instances import (
     porosity_instance,
     random_fair_table,
 )
-from .intervals import FULL_SET, Interval, StagedOpenEnumeration
+from .intervals import FULL_SET, Interval, StagedOpenEnumeration, class_gaps
 from .martingales import Condition, TableMartingale, condition_extends, savings_extension
 from .piecewise import PiecewiseLinear
 from .porosity import porosity_test
@@ -127,6 +127,15 @@ ESCAPE_MAX_R = ESCAPE_MAX_ROUNDS = 64
 # 0.25 s at 128 and 1.4 s at 256.
 DOMINATION_MAX_DEPTH = 64
 
+# The largest porosity 'constant' c and 'levels' (or --depth) n.  The level
+# bound (2^k - 1)^n / 2^(k n), k = c + 2, has 771 digits at both caps; Python
+# prints no integer over 4,300.  On a 2-vCPU host, in process: N(sigma) holds
+# up to 2^(c+1) strings per gap, so the hole [2^-2047, 2^-2046] takes 0.05 s
+# and 21 MB at c = 8 (0.6 s and 83 MB at 12), and a 60-hole, 60-stage document
+# on the 2^-12 grid 2 s and 92 MB at c = 8 and n = 256.
+POROSITY_MAX_CONSTANT = 8
+POROSITY_MAX_LEVELS = 256
+
 
 # The largest bit length of the lcm of a document's hole (or interval)
 # denominators, and of an epsilon's denominator.  Reported sides are built over
@@ -171,13 +180,13 @@ def run_covering(args, doc, rep: Report) -> None:
     else:
         docs = _as_docs(doc)
     for i, d in enumerate(docs):
-        c = FULL_SET.subtract_open(_holes(d))
+        row = class_gaps(_holes(d))
         eps_list = d.get("epsilons")
         if eps_list is None:
             eps_list = [d.get("epsilon", "1/2")]
         for e_text in _list(eps_list, "epsilons", "rationals"):
             eps = _epsilon(e_text)
-            fc = low_density_open_set(c, eps)
+            fc = low_density_open_set(row, eps)
             rep.add(fc.inequalities(), f"instance {i} eps {eps}")
 
 
@@ -193,12 +202,12 @@ def run_density(args, doc, rep: Report) -> None:
     else:
         docs = _as_docs(doc)
     for i, d in enumerate(docs):
-        c = FULL_SET.subtract_open(_holes(d))
+        holes = _holes(d)
         eps = _epsilon(d.get("epsilon", "1/2"))
-        fc = low_density_open_set(c, eps)
+        fc = low_density_open_set(class_gaps(holes), eps)
         prefix = f"instance {i}"
         rep.add(fc.inequalities(), prefix)
-        diff, equal = oracle_difference(fc, grid_depth)
+        diff, equal = oracle_difference(FULL_SET.subtract_open(holes), fc, grid_depth)
         rep.add([(f"{prefix}: U equals the prefix-mass oracle after boundary "
                   "normalization, symmetric difference", diff, ZERO, equal)])
 
@@ -212,8 +221,9 @@ def run_porosity(args, doc, rep: Report) -> None:
         docs = _as_docs(doc)
     for i, d in enumerate(docs):
         enum = StagedOpenEnumeration(_holes(d))
-        c = int(d.get("constant", 1))
-        levels = _override(args, "depth", 3, d, "levels")
+        c = _at_most(int(d.get("constant", 1)), POROSITY_MAX_CONSTANT, "porosity 'constant'")
+        levels = _at_most(_override(args, "depth", 3, d, "levels"), POROSITY_MAX_LEVELS,
+                          "porosity 'levels' (or --depth)")
         pt = porosity_test(enum, c, levels, _override(args, "stages", 200, d, "stages"))
         prefix = f"instance {i} (c={c}, levels={levels})"
         rep.add(map(pt.node_row, pt.nodes), f"{prefix}: node")

@@ -12,18 +12,20 @@ intervals of the family and chains them left to right.  The union U of the
 family is returned closed; the set of the covering lemma (strict inequality,
 open windows) differs from it only on a null set of boundary points.
 
-Both the estimate and the cover read the class through one integer mass row:
-the part endpoints as integer numerators over one denominator, each with the
-mass of C on [0, endpoint], so lambda(C cap [0, x]) is one bisect away.  The
-estimate puts z and its radii over the same denominator, compares window
-densities by cross-multiplication, and builds one Fraction estimate and one
-witness Interval.  The cover's row is scaled by q - p for eps = p/q, so
-every solved end is an integer on it: the cover cuts [0, b] and [a, 1] at
-the part endpoints, takes slope 1 or 0 from whether a piece lies inside a
-part, solves each piece's condition, and keeps the candidates, the maximal
-ones, their chain and U as integer pairs.  Both bounds, the overlap
-lambda(C cap U) summed over the parts of U and the size lambda(U), are
-decided on that row; a Fraction is built only for a reported value.
+Both the estimate and the cover read the class as its integer row,
+``intervals.ClassGaps``: the gaps and the part endpoints as integer numerators
+over one denominator, each end with the mass of C on [0, end], so
+lambda(C cap [0, x]) is one bisect away.  The estimate puts the row over a
+denominator that also holds z and its radii, compares window densities by
+cross-multiplication, and builds one Fraction estimate and one witness
+Interval.  The cover puts the row over q - p times its denominator for
+eps = p/q, so every solved end is an integer on it: the cover cuts [0, b]
+and [a, 1] at the part endpoints, takes slope 1 or 0 from whether a piece
+lies inside a part, solves each piece's condition, and keeps the
+candidates, the maximal ones, their chain and U as integer pairs.  Both
+bounds, the overlap lambda(C cap U) summed over the parts of U and the size
+lambda(U), are decided on that row; a Fraction is built only for a reported
+value.
 
 The prefix-mass oracle checks U from outside the cover: it takes every
 interval between two candidate points (a dyadic grid, the part endpoints and
@@ -43,11 +45,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import lcm
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .bits import ONE, ZERO, require_unit
 from .errors import DomainError
-from .intervals import Interval, IntervalSet
+from .intervals import ClassGaps, Interval, IntervalSet
 
 
 def dyadic_intervals_containing(z: Fraction, n: int) -> list[Interval]:
@@ -72,52 +74,7 @@ class DensityEstimate:
     family_size: int
 
 
-class _MassRow:
-    """The parts of a class as integers over one denominator ``den``, flattened
-    to ``ends`` = [lo_0, hi_0, lo_1, hi_1, ...], with ``masses[i]`` the mass of
-    the class on [0, ends[i]], also over ``den``.  ``den`` is ``factor`` times
-    the lcm of the endpoints' denominators and of ``extra``'s."""
-
-    def __init__(self, c: IntervalSet, extra: Sequence[Fraction] = (), factor: int = 1):
-        ends = [x for p in c.parts for x in (p.lo, p.hi)]
-        self.den = factor * lcm(*(x.denominator for x in ends),
-                                *(x.denominator for x in extra))
-        self.ends = [self.scaled(x) for x in ends]
-        self.masses: list[int] = []
-        acc = 0
-        for lo, hi in zip(self.ends[::2], self.ends[1::2]):
-            self.masses += (acc, acc + hi - lo)
-            acc += hi - lo
-
-    def scaled(self, x: Fraction) -> int:
-        return x.numerator * (self.den // x.denominator)
-
-    def mass(self, x: int) -> int:
-        """The mass of the class on [0, x / den], over den."""
-        i = bisect_right(self.ends, x)
-        if i == 0:
-            return 0
-        # an odd count of ends at or before x leaves x inside a part
-        return self.masses[i - 1] + (x - self.ends[i - 1] if i & 1 else 0)
-
-    def pieces(self, lo: int, hi: int) -> Iterator[tuple[int, int, bool]]:
-        """[lo, hi] cut at the part endpoints, left to right: (u, v, inside)
-        per piece, inside when the piece lies in a part (mass slope 1), not
-        in a gap (slope 0).  A piece is inside exactly when the next end
-        after u is a part's hi, which sits at an odd index of ends."""
-        ends = self.ends
-        i = bisect_right(ends, lo)
-        u = lo
-        while i < len(ends) and ends[i] < hi:
-            if ends[i] > u:
-                yield u, ends[i], i & 1 == 1
-                u = ends[i]
-            i += 1
-        if u < hi:
-            yield u, hi, i & 1 == 1
-
-
-def lower_density_estimate(c: IntervalSet, z: Fraction, scale_depth: int) -> DensityEstimate:
+def lower_density_estimate(row: ClassGaps, z: Fraction, scale_depth: int) -> DensityEstimate:
     """Exact minimum of the window density over the declared finite family.
 
     The windows are [z-gamma, z+delta] with dyadic radii up to
@@ -125,12 +82,14 @@ def lower_density_estimate(c: IntervalSet, z: Fraction, scale_depth: int) -> Den
     and the basic dyadic intervals through z of depth <= scale_depth.  The
     minimum is an upper bound on the true lower density that shrinks as
     scale_depth grows.  The first window of least density, in the order
-    listed, is the witness.
+    listed, is the witness.  The row's parts hold 0 and 1, which the class
+    it was read from may lack; the windows (0, hi) and (lo, 1) that those
+    ends give, radius 1 gives too, at the same place in the order.
     """
     require_unit(z, "z")
     if scale_depth < 0:
         raise DomainError(f"negative scale_depth {scale_depth}")
-    row = _MassRow(c, (z, Fraction(1, 1 << scale_depth)))
+    row = row.over(lcm(row.den, z.denominator, 1 << scale_depth))
     den, zi = row.den, row.scaled(z)
     radii = [den >> k for k in range(scale_depth + 1)]
     left = set(radii)
@@ -160,7 +119,7 @@ def lower_density_estimate(c: IntervalSet, z: Fraction, scale_depth: int) -> Den
     )
 
 
-def _extend_left(row: _MassRow, b: int, p: int, q: int) -> int:
+def _extend_left(row: ClassGaps, b: int, p: int, q: int) -> int:
     """Least x in [0, b] with lambda(C cap [x, b]) <= (p/q) (b - x).  Every
     end and mass of the row is a multiple of q - p, so x is an integer."""
     rest = row.mass(b)  # the mass of C on [0, b]
@@ -176,7 +135,7 @@ def _extend_left(row: _MassRow, b: int, p: int, q: int) -> int:
     return b  # only for b == 0: x = b always qualifies
 
 
-def _extend_right(row: _MassRow, a: int, p: int, q: int) -> int:
+def _extend_right(row: ClassGaps, a: int, p: int, q: int) -> int:
     """Greatest x in [a, 1] with lambda(C cap [a, x]) <= (p/q) (x - a)."""
     base = row.mass(a)
     for u, v, inside in reversed(list(row.pieces(a, row.den))):
@@ -196,12 +155,11 @@ class FatCover:
     """Fat-interval covering of the low-density set at threshold epsilon.
 
     The fat intervals, their chain and the parts of U are (lo, hi) integer
-    pairs over the mass row's denominator; their Intervals are built when
+    pairs over the row's denominator; their Intervals are built when
     read, and the bounds are decided on the pairs."""
 
     epsilon: Fraction
-    class_set: IntervalSet
-    row: _MassRow
+    row: ClassGaps
     fats: tuple[tuple[int, int], ...]
     links: tuple[tuple[int, int], ...]
     parts: tuple[tuple[int, int], ...]
@@ -239,24 +197,22 @@ class FatCover:
         ]
 
 
-def low_density_open_set(c: IntervalSet, eps: Fraction) -> FatCover:
+def low_density_open_set(row: ClassGaps, eps: Fraction) -> FatCover:
     """Fat intervals, their chain, and the covered set U for threshold eps.
 
     U is exactly the union of the maximal anchored intervals, and
     ``inequalities()`` decides both covering bounds.  The gaps, the
     candidates, the maximal ones, their chain and U are integer pairs over
-    the class's mass row, scaled by q - p so that every solved end is an
-    integer.
+    the class's row, put over q - p times its denominator so that every
+    solved end is an integer.
     """
     if not ZERO < eps < ONE:
         raise DomainError(f"eps must be in (0,1), got {eps}")
     p, q = eps.numerator, eps.denominator
-    row = _MassRow(c, factor=q - p)
-    bounds = [0, *row.ends, row.den]
+    row = row.over(row.den * (q - p))
     candidates = []
-    for a, b in zip(bounds[::2], bounds[1::2]):
-        if a < b:  # a nondegenerate gap [a, b]
-            candidates += ((_extend_left(row, b, p, q), b), (a, _extend_right(row, a, p, q)))
+    for a, b in zip(row.los, row.his):
+        candidates += ((_extend_left(row, b, p, q), b), (a, _extend_right(row, a, p, q)))
     fats = []  # the maximal candidates: both ends strictly increase
     for lo, neg_hi in sorted((lo, -hi) for lo, hi in candidates):
         if not fats or -neg_hi > fats[-1][1]:
@@ -276,7 +232,7 @@ def low_density_open_set(c: IntervalSet, eps: Fraction) -> FatCover:
             parts[-1] = (parts[-1][0], hi)
         else:
             parts.append((lo, hi))
-    return FatCover(eps, c, row, tuple(fats), tuple(chain), tuple(parts))
+    return FatCover(eps, row, tuple(fats), tuple(chain), tuple(parts))
 
 
 def brute_force_low_density_oracle(
@@ -343,12 +299,12 @@ def brute_force_low_density_oracle(
     ))
 
 
-def oracle_difference(fc: FatCover, grid_depth: int) -> tuple[Fraction, bool]:
-    """(diff, equal) between the cover's U and the prefix-mass oracle on the
-    2^-grid_depth grid plus the fat-interval endpoints, degenerate parts
-    dropped from both: the measure of their symmetric difference, and
-    whether the two sets are equal."""
+def oracle_difference(c: IntervalSet, fc: FatCover, grid_depth: int) -> tuple[Fraction, bool]:
+    """(diff, equal) between the cover fc of the class c and the prefix-mass
+    oracle on c, on the 2^-grid_depth grid plus the fat-interval endpoints,
+    degenerate parts dropped from both: the measure of their symmetric
+    difference, and whether the two sets are equal."""
     extras = [x for iv in fc.fat_intervals for x in (iv.lo, iv.hi)]
-    oracle = brute_force_low_density_oracle(fc.class_set, fc.epsilon, grid_depth, extras)
+    oracle = brute_force_low_density_oracle(c, fc.epsilon, grid_depth, extras)
     a, b = fc.U.drop_degenerate(), oracle.drop_degenerate()
     return a.subtract(b).measure + b.subtract(a).measure, a == b

@@ -8,18 +8,27 @@ with the openness documented at the operation that produced them; all measure
 arithmetic is exact, so null boundaries never change a verdict.
 
 A point query bisects the sorted part starts: ``contains_point`` reads only
-the last part starting at or before x.  Whether a dyadic cylinder meets a
-class is decided on its bit string, by ``porosity.cylinder_meets_class``.
+the last part starting at or before x.
+
+``ClassGaps`` is the one integer form of an effectively closed class: its
+gaps over one denominator, with the part ends and their prefix masses, the
+grid indices inside each part and, per level, the cylinders inside each gap.
+The cover, the density estimate, the monotone extension and the porosity and
+difference tests read classes through it; ``stage_gaps`` builds the rows of
+all stages of an enumeration hole by hole, and ``class_gaps`` the last one.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
-from .bits import ONE, ZERO, format_rational, parse_rational, require_unit
+from .bits import ONE, ZERO, format_rational, over_common_denominator, parse_rational, require_unit
 from .errors import DomainError, SchemaError, StageError
 
 
@@ -109,31 +118,13 @@ class IntervalSet:
         i = bisect_right(self._los, x)
         return i > 0 and x <= self.parts[i - 1].hi
 
-    def grid_ranges(self, depth: int) -> list[range]:
-        """Per part, the indices k with k / 2^depth in the part:
-        ceil(lo 2^depth) .. floor(hi 2^depth), empty when none is."""
-        scale = 1 << depth
-        return [
-            range(-(-p.lo.numerator * scale // p.lo.denominator),
-                  p.hi.numerator * scale // p.hi.denominator + 1)
-            for p in self.parts
-        ]
-
     def complement(self) -> "IntervalSet":
         """Closed representation of [0,1] minus the set (boundaries are null);
         canonicalize merges two gaps that touch at a degenerate part."""
         return canonicalize(self.gaps())
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        pieces = []
-        for a in self.parts:
-            for b in other.parts:
-                if b.lo > a.hi:
-                    break
-                cut = a.intersection(b)
-                if cut is not None:
-                    pieces.append(cut)
-        return canonicalize(pieces)
+        return canonicalize(p for w in other.parts for p in self.intersect_interval(w))
 
     def intersect_interval(self, window: Interval) -> "IntervalSet":
         pieces = []
@@ -248,6 +239,135 @@ class StagedOpenEnumeration:
         if not isinstance(items, list):
             raise SchemaError("'holes' must be a list of [lo, hi] pairs")
         return StagedOpenEnumeration(tuple(Interval.from_json(i) for i in items))
+
+
+class ClassGaps:
+    """A class [0,1] minus open intervals, as the integer row of its gaps.
+
+    The gaps (nondegenerate, sorted, disjoint but for a shared endpoint,
+    which is a point of the class) have integer endpoints ``los``/``his``
+    over one denominator ``den``.  The parts of the class are the complement
+    of the gaps, endpoints kept, so a part may be a point and the class
+    holds 0 and 1.  ``ends`` flattens them to [0, los[0], his[0], ..., den],
+    with ``masses[i]`` the mass of the class on [0, ends[i]], over den.  Per
+    level L, ``inner(L)`` gives for each gap the first and last index j whose
+    cylinder [j 2^-L, (j+1) 2^-L] lies inside the gap, ceil(lo 2^L) and
+    floor(hi 2^L) - 1; each level is computed once per class.
+    """
+
+    def __init__(self, den: int, los: list[int], his: list[int]):
+        self.den, self.los, self.his = den, los, his
+        self._inner: dict[int, tuple[list[int], list[int]]] = {}
+
+    @classmethod
+    def of(cls, class_set: IntervalSet) -> ClassGaps:
+        """The gaps of a class, over the lcm of their endpoints' denominators."""
+        den, ends = over_common_denominator([x for g in class_set.gaps() for x in (g.lo, g.hi)])
+        return cls(den, ends[0::2], ends[1::2])
+
+    def over(self, den: int) -> ClassGaps:
+        """The same class over den, a multiple of its denominator."""
+        f = den // self.den
+        return ClassGaps(den, [x * f for x in self.los], [x * f for x in self.his])
+
+    def scaled(self, x: Fraction) -> int:
+        """x over den, which x's denominator must divide."""
+        return x.numerator * (self.den // x.denominator)
+
+    @property
+    def parts(self) -> Iterator[tuple[int, int]]:
+        return zip([0, *self.his], [*self.los, self.den])
+
+    @cached_property
+    def ends(self) -> list[int]:
+        return [x for part in self.parts for x in part]
+
+    @cached_property
+    def masses(self) -> list[int]:
+        # the mass grows along a part, from an even index of ends to an odd one
+        return list(accumulate(e - self.ends[i - 1] if i & 1 else 0
+                               for i, e in enumerate(self.ends)))
+
+    def mass(self, x: int) -> int:
+        """The mass of the class on [0, x / den], over den."""
+        i = bisect_right(self.ends, x)
+        if i == 0:
+            return 0
+        # an odd count of ends at or before x leaves x inside a part
+        return self.masses[i - 1] + (x - self.ends[i - 1] if i & 1 else 0)
+
+    def pieces(self, lo: int, hi: int) -> Iterator[tuple[int, int, bool]]:
+        """[lo, hi] cut at the part endpoints, left to right: (u, v, inside)
+        per piece, inside when the piece lies in a part (mass slope 1), not
+        in a gap (slope 0).  A piece is inside exactly when the next end
+        after u is a part's hi, which sits at an odd index of ends."""
+        ends = self.ends
+        i = bisect_right(ends, lo)
+        u = lo
+        while i < len(ends) and ends[i] < hi:
+            if ends[i] > u:
+                yield u, ends[i], i & 1 == 1
+                u = ends[i]
+            i += 1
+        if u < hi:
+            yield u, hi, i & 1 == 1
+
+    def grid_ranges(self, depth: int) -> list[tuple[int, int]]:
+        """Per part, the first and last index k with k 2^-depth in the part,
+        ceil(lo 2^depth) and floor(hi 2^depth); first > last when none is."""
+        d = self.den
+        return [(-(-(lo << depth) // d), (hi << depth) // d) for lo, hi in self.parts]
+
+    def inner(self, level: int) -> tuple[list[int], list[int]]:
+        if level not in self._inner:
+            d = self.den
+            self._inner[level] = (
+                [-(-(lo << level) // d) for lo in self.los],
+                [(hi << level) // d - 1 for hi in self.his],
+            )
+        return self._inner[level]
+
+    def meeting(self, s_idx: int, s_len: int) -> range:
+        """The gaps that meet the open cylinder (s_idx, s_idx + 1) 2^-s_len:
+        those with hi > s_idx 2^-s_len and lo < (s_idx + 1) 2^-s_len, one
+        run of the sorted, disjoint gaps."""
+        d = self.den
+        return range(
+            bisect_right(self.his, (s_idx * d) >> s_len),
+            bisect_left(self.los, -((-(s_idx + 1) * d) >> s_len)),
+        )
+
+
+def stage_gaps(holes: Sequence[Interval]) -> Iterator[ClassGaps]:
+    """The gaps of the stage classes [0,1] minus the first t holes, for
+    t = 0 .. len(holes), all over the lcm of the holes' denominators.
+
+    One gap row is kept and hole t - 1 is inserted into it by bisection: the
+    gaps are the components of the union of the open holes, so the hole
+    merges with the gaps it overlaps, and a gap that only touches it keeps
+    the shared endpoint as a point of the class.  A degenerate hole is empty.
+    Each stage gets its own copy of the row.
+    """
+    den, ends = over_common_denominator(
+        [x for h in holes if not h.is_degenerate for x in (h.lo, h.hi)]
+    )
+    pairs = iter(zip(ends[0::2], ends[1::2]))
+    los: list[int] = []
+    his: list[int] = []
+    yield ClassGaps(den, [], [])
+    for hole in holes:
+        if not hole.is_degenerate:
+            a, b = next(pairs)
+            i, j = bisect_right(his, a), bisect_left(los, b)
+            if i < j:
+                a, b = min(a, los[i]), max(b, his[j - 1])
+            los[i:j], his[i:j] = [a], [b]
+        yield ClassGaps(den, los.copy(), his.copy())
+
+
+def class_gaps(holes: Sequence[Interval]) -> ClassGaps:
+    """The gaps of [0,1] minus the open holes: the last row of stage_gaps."""
+    return deque(stage_gaps(holes), maxlen=1).pop()
 
 
 def enumeration(*pairs) -> StagedOpenEnumeration:

@@ -14,11 +14,12 @@ an empty cylinder inside sigma: beyond that the qualifying value regions only
 shrink, so no new minimal elements can appear.
 
 ``cylinder_meets_class`` and ``class_mass`` decide a class against dyadic
-cylinders kept as bit strings, on its ``ClassGaps``; ``randomness`` shares them.
+cylinders kept as bit strings, on its integer gap row ``intervals.ClassGaps``;
+``randomness`` shares them.
 
-The staged test builds its classes stage by stage: ``stage_gaps`` keeps one
-integer gap row and inserts one hole per stage by bisection, so no stage class
-is rebuilt from the enumeration.  N_t(sigma) depends only on the class inside
+The staged test reads its classes stage by stage from ``intervals.stage_gaps``,
+which inserts one hole per stage into one gap row, so no stage class is
+rebuilt from the enumeration.  N_t(sigma) depends only on the class inside
 the open cylinder of sigma, so it is found once and reused at later stages
 until a hole that meets that cylinder is inserted; the meeting mass of a level
 is the sum of its nodes' masses.
@@ -29,11 +30,10 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Sequence
 
-from .bits import is_antichain, over_common_denominator, validate_bits
+from .bits import is_antichain, validate_bits
 from .errors import DomainError, InvariantError
-from .intervals import Interval, IntervalSet, StagedOpenEnumeration
+from .intervals import ClassGaps, Interval, IntervalSet, StagedOpenEnumeration, stage_gaps
 
 
 def cylinder_meets_class(gaps: ClassGaps, tau: str) -> bool:
@@ -125,75 +125,6 @@ class PorousExtensions:
     constant: int
     elements: tuple[str, ...]
     completion_depth: int
-
-
-class ClassGaps:
-    """The nondegenerate gaps of one class, for scanning many sigmas against it.
-
-    The gap endpoints are integer numerators ``los``/``his`` over one
-    denominator ``den``.  Per level L, ``inner(L)`` gives for each gap the
-    first and last index j whose cylinder [j 2^-L, (j+1) 2^-L] lies inside
-    the gap, ceil(lo 2^L) and floor(hi 2^L) - 1; each level is computed once
-    per class.
-    """
-
-    def __init__(self, den: int, los: list[int], his: list[int]):
-        self.den, self.los, self.his = den, los, his
-        self._inner: dict[int, tuple[list[int], list[int]]] = {}
-
-    @classmethod
-    def of(cls, class_set: IntervalSet) -> ClassGaps:
-        """The gaps of a class, over the lcm of their endpoints' denominators."""
-        den, ends = over_common_denominator(
-            [x for g in class_set.gaps() if not g.is_degenerate for x in (g.lo, g.hi)]
-        )
-        return cls(den, ends[0::2], ends[1::2])
-
-    def inner(self, level: int) -> tuple[list[int], list[int]]:
-        if level not in self._inner:
-            d = self.den
-            self._inner[level] = (
-                [-(-(lo << level) // d) for lo in self.los],
-                [(hi << level) // d - 1 for hi in self.his],
-            )
-        return self._inner[level]
-
-    def meeting(self, s_idx: int, s_len: int) -> range:
-        """The gaps that meet the open cylinder (s_idx, s_idx + 1) 2^-s_len:
-        those with hi > s_idx 2^-s_len and lo < (s_idx + 1) 2^-s_len, one
-        run of the sorted, disjoint gaps."""
-        d = self.den
-        return range(
-            bisect_right(self.his, (s_idx * d) >> s_len),
-            bisect_left(self.los, -((-(s_idx + 1) * d) >> s_len)),
-        )
-
-
-def stage_gaps(holes: Sequence[Interval]) -> Iterator[ClassGaps]:
-    """The gaps of the stage classes [0,1] minus the first t holes, for
-    t = 0 .. len(holes), all over the lcm of the holes' denominators.
-
-    One gap row is kept and hole t - 1 is inserted into it by bisection: the
-    gaps are the components of the union of the open holes, so the hole
-    merges with the gaps it overlaps, and a gap that only touches it keeps
-    the shared endpoint as a point of the class.  A degenerate hole is empty.
-    Each stage gets its own copy of the row.
-    """
-    den, ends = over_common_denominator(
-        [x for h in holes if not h.is_degenerate for x in (h.lo, h.hi)]
-    )
-    pairs = iter(zip(ends[0::2], ends[1::2]))
-    los: list[int] = []
-    his: list[int] = []
-    yield ClassGaps(den, [], [])
-    for hole in holes:
-        if not hole.is_degenerate:
-            a, b = next(pairs)
-            i, j = bisect_right(his, a), bisect_left(los, b)
-            if i < j:
-                a, b = min(a, los[i]), max(b, his[j - 1])
-            los[i:j], his[i:j] = [a], [b]
-        yield ClassGaps(den, los.copy(), his.copy())
 
 
 def minimal_porous_extensions(gaps: ClassGaps, sigma: str, c: int) -> PorousExtensions:

@@ -22,13 +22,14 @@ from .density import FatCover, low_density_open_set, lower_density_estimate
 from .errors import BudgetExhausted, DomainError, EnumerationOverlapError, InvariantError
 from .intervals import (
     EMPTY_SET,
-    FULL_SET,
     Interval,
     IntervalSet,
     StagedOpenEnumeration,
     canonicalize,
+    class_gaps,
+    stage_gaps,
 )
-from .porosity import ClassGaps, class_mass
+from .porosity import class_mass
 
 
 def cylinder_items(s: IntervalSet) -> list[str]:
@@ -105,7 +106,7 @@ def density_difference_test(enum: StagedOpenEnumeration, n_max: int) -> TestFami
     """
     if n_max < 0:
         raise DomainError(f"negative component count {n_max}")
-    stages = len(enum.items)
+    rows = list(stage_gaps(enum.items))
     components = []
     marks = []
     for n in range(n_max + 1):
@@ -113,11 +114,11 @@ def density_difference_test(enum: StagedOpenEnumeration, n_max: int) -> TestFami
         items: list[Interval] = []
         counts: list[int] = []
         prev = EMPTY_SET
-        for t in range(stages + 1):
-            cover = low_density_open_set(enum.stage_class(t), eps).U
+        for row in rows:
+            cover = low_density_open_set(row, eps).U
             if prev.intersect(cover) != prev:
                 raise InvariantError("covered set shrank between stages")
-            items.extend(cover.subtract(prev).drop_degenerate().parts)
+            items.extend(cover.intersect(prev.complement()).drop_degenerate().parts)
             counts.append(len(items))
             prev = cover
         components.append(StagedOpenEnumeration(tuple(items)))
@@ -141,7 +142,7 @@ class CylinderDifferenceTest:
     ):
         self.closed_enum = closed_enum
         self.component_fn = component_fn
-        self.gaps = ClassGaps.of(closed_enum.final_class())
+        self.gaps = class_gaps(closed_enum.items)
         self._cache: dict[int, tuple[str, ...]] = {}
 
     def component_strings(self, n: int) -> tuple[str, ...]:
@@ -324,14 +325,15 @@ class DominationScenario:
         if not ZERO < self.eps < ONE:
             raise DomainError(f"eps must be in (0,1), got {self.eps}")
 
-    def word_class(self, s: int, t: int) -> IntervalSet:
+    def word_holes(self, s: int, t: int) -> list[Interval]:
+        """The cylinders of words s .. t - 1, the holes of the window's class."""
         if not 0 <= s <= t <= len(self.words):
             raise DomainError(f"bad window [{s},{t})")
-        holes = [Interval(*cylinder_bounds(w)) for w in self.words[s:t]]
-        return FULL_SET.subtract_open(holes)
+        return [Interval(*cylinder_bounds(w)) for w in self.words[s:t]]
 
     def density_at(self, s: int, t: int) -> Fraction:
-        return lower_density_estimate(self.word_class(s, t), self.z, self.depth).estimate
+        row = class_gaps(self.word_holes(s, t))
+        return lower_density_estimate(row, self.z, self.depth).estimate
 
 
 def least_density_drop(scenario: DominationScenario, s: int) -> int:
@@ -432,8 +434,7 @@ def build_domination_tests(
         except BudgetExhausted:
             pass
     for i, (s, t) in enumerate(blocks):
-        cls = scenario.word_class(s, t)
-        cover = low_density_open_set(cls, scenario.eps)
+        cover = low_density_open_set(class_gaps(scenario.word_holes(s, t)), scenario.eps)
         covers.append(cover)
         captured.append(cover.U.contains_point(scenario.z))
         if case == 1:

@@ -58,7 +58,7 @@ from .instances import (
     porosity_instance,
     random_fair_table,
 )
-from .intervals import StagedOpenEnumeration
+from .intervals import FULL_SET, ClassGaps, StagedOpenEnumeration
 from .martingales import (
     Condition,
     Martingale,
@@ -185,9 +185,9 @@ def criterion_covering(seed: int) -> list[Check]:
     """200 instances x 3 thresholds: both covering bounds, exact."""
     checks: list[Check] = []
     for index in range(200):
-        c = covering_instance(seed, index)
+        row = ClassGaps.of(covering_instance(seed, index))
         for eps in COVERING_EPSILONS:
-            fc = low_density_open_set(c, eps)
+            fc = low_density_open_set(row, eps)
             checks.extend(check_rows(fc.inequalities(), f"instance {index} eps {eps}"))
     return checks
 
@@ -197,7 +197,7 @@ def criterion_oracle_match(seed: int) -> list[Check]:
     checks: list[Check] = []
     for index in range(50):
         c, eps = oracle_match_instance(seed, index)
-        diff, equal = oracle_difference(low_density_open_set(c, eps), 8)
+        diff, equal = oracle_difference(c, low_density_open_set(ClassGaps.of(c), eps), 8)
         checks.append(
             Check(
                 f"instance {index}: U equals the oracle after boundary "
@@ -256,14 +256,11 @@ def criterion_domination(seed: int) -> list[Check]:
         ):
             if not want:
                 continue
-            s, t = block
-            cls = scenario.word_class(s, t)
-            extras = [
-                x for iv in dom.covers[i].fat_intervals for x in (iv.lo, iv.hi)
-            ] + [scenario.z]
+            # the oracle, the cover's independent reference, reads an interval set
+            cls = FULL_SET.subtract_open(scenario.word_holes(*block))
+            extras = [x for iv in dom.covers[i].fat_intervals for x in (iv.lo, iv.hi)]
             member = brute_force_low_density_oracle(
-                cls, scenario.eps, 6, extras
-            ).contains_point(scenario.z)
+                cls, scenario.eps, 6, [*extras, scenario.z]).contains_point(scenario.z)
             checks.append(
                 flag_check(f"{prefix}: block {i} capture recomputed from prefix masses", member)
             )

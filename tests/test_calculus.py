@@ -3,7 +3,7 @@
 import tracemalloc
 from fractions import Fraction as F
 from itertools import accumulate
-from math import lcm
+from math import ceil, floor, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +16,6 @@ from densitylab.calculus import (
     _at_most,
     _crossings,
     _flip,
-    _floor_ceil,
     _grid_step,
     _lower,
     _straddling_candidates,
@@ -613,6 +612,11 @@ def test_build_matches_a_full_sweep_of_every_stage(case):
             assert err.value.achieved == value[1]
         else:
             assert qs[i] > 0 and F(ps[i], qs[i]) == value
+
+
+def _floor_ceil(x, scale):
+    """Floor and ceiling of x * scale, through Fraction's own."""
+    return floor(x * scale), ceil(x * scale)
 
 
 def _inner_grid(part, scale):

@@ -60,6 +60,18 @@ def test_verify_all_csv_bytes_are_pinned(tmp_path):
         "7067396b220bbc6318869a8f11b6dcd96fef1559acb0061e31a372f9c4bf2636")
 
 
+@pytest.mark.parametrize("seed, digest", [
+    (2, "acbb79f999cb14d195c42c56929774f52f0d78359fa2485e6a02797197ea0265"),
+    (3, "24b22960a172181e78c89e741021245e2c4a011997a3fb6c14a392d54231a03f"),
+])
+def test_verify_all_bytes_are_pinned_at_more_seeds(tmp_path, seed, digest):
+    # the reference pins seed 1 only; these pin the JSON report at two more
+    # seeds, taken before the class row replaced the batteries' own forms
+    code, blob = run(tmp_path, "verify-all", "--json", "--seed", str(seed))
+    assert code == 0
+    assert hashlib.sha256(blob).hexdigest() == digest
+
+
 @pytest.mark.parametrize("workload", ["cli-stream", "extend-query"])
 def test_stream_and_extend_bytes_match_the_benchmark_reference(tmp_path, monkeypatch, workload):
     # every op's report bytes, against the digests the benchmark counts a
@@ -363,6 +375,13 @@ ESCAPE = {"components": {"0": ["0"]}, "r": 0, "m_max": 1, "z": "1/3"}
      "SchemaError"),
     ("density", {"holes": [], "epsilon": f"1/{1 << 2048}"}, "SchemaError"),
     ("counterexample", {"intervals": [[f"1/{1 << 2048}", "1/2"]]}, "SchemaError"),
+    # a constant of 20,000 or 7,000 levels printed a side of more than 4,300
+    # digits; both are capped, checked before anything is built
+    ("porosity", {"holes": [["1/4", "1/2"]], "constant": 9}, "SchemaError"),
+    ("porosity", {"holes": [["1/4", "1/2"]], "constant": 20000}, "SchemaError"),
+    ("porosity", {"holes": [["1/4", "1/2"]], "levels": 257}, "SchemaError"),
+    ("porosity", {"holes": [["1/4", "1/2"]], "levels": 7000}, "SchemaError"),
+    ("porosity --depth 257", {"holes": [["1/4", "1/2"]]}, "SchemaError"),
 ], ids=["depth", "case", "n_blocks", "k_max", "table", "full-cover", "escape-r", "h-xs",
         "intervals", "escape-key", "escape-components", "h-domain", "density-depth",
         "porosity-levels", "counterexample-stages", "counterexample-depth",
@@ -376,7 +395,8 @@ ESCAPE = {"components": {"0": ["0"]}, "r": 0, "m_max": 1, "z": "1/3"}
         "escape-key-collision", "escape-key-underscore", "escape-key-negative",
         "escape-component-length", "escape-component-length-cap", "covering-hole-lcm",
         "covering-epsilon-denominator", "density-epsilon-denominator",
-        "counterexample-interval-lcm"])
+        "counterexample-interval-lcm", "porosity-constant-cap", "porosity-constant-20000",
+        "porosity-levels-cap", "porosity-levels-7000", "porosity-depth-cap"])
 def test_bad_documents_exit_2_with_json_on_stderr(tmp_path, capfd, command, doc, kind):
     # a command may carry flags: "density --depth -1"
     code, blob = run(tmp_path, *command.split(), "--instance", write_instance(tmp_path, doc))
@@ -394,8 +414,11 @@ def test_bad_documents_exit_2_with_json_on_stderr(tmp_path, capfd, command, doc,
     # is 2^(4096 + 65)
     ("tests", {"escape": [{"holes": [["0", "1/2"]], "r": 64, "m_max": 2, "z": "0/1",
                            "components": {"65": ["0" * 4096], "4161": ["0"]}}]}),
+    ("porosity", {"holes": [["1/4", "1/2"]], "constant": 8, "levels": 256}),
+    ("porosity --depth 256", {"holes": [["1/4", "1/2"]], "constant": 8}),
 ], ids=["escape-r-and-m-max", "domination-depth", "counterexample-k-max",
-        "counterexample-depth", "escape-component-length"])
+        "counterexample-depth", "escape-component-length", "porosity-constant-and-levels",
+        "porosity-depth"])
 def test_integer_fields_at_their_caps_run(tmp_path, command, doc):
     code, blob = run(tmp_path, *command.split(), "--instance", write_instance(tmp_path, doc))
     assert code == 0

@@ -16,6 +16,7 @@ from densitylab.instances import COVERING_EPSILONS
 from densitylab.intervals import (
     EMPTY_SET,
     FULL_SET,
+    ClassGaps,
     Interval,
     IntervalSet,
     canonicalize,
@@ -40,7 +41,7 @@ def test_general_estimate_never_exceeds_dyadic():
     # the family holds the basic dyadic intervals through z
     for z in (F(1, 2), F(1, 3), F(7, 8), F(0), F(1)):
         for depth in range(5):
-            gen = lower_density_estimate(C_SPEC, z, depth)
+            gen = lower_density_estimate(ClassGaps.of(C_SPEC), z, depth)
             dy = min(C_SPEC.intersect_interval(w).measure / w.length
                      for n in range(depth + 1) for w in dyadic_intervals_containing(z, n))
             assert gen.estimate <= dy
@@ -49,19 +50,19 @@ def test_general_estimate_never_exceeds_dyadic():
 def test_estimates_antitone_in_depth():
     prev = None
     for depth in range(7):
-        est = lower_density_estimate(C_ONE_HOLE, F(1, 3), depth).estimate
+        est = lower_density_estimate(ClassGaps.of(C_ONE_HOLE), F(1, 3), depth).estimate
         if prev is not None:
             assert est <= prev
         prev = est
 
 
 def test_estimate_interior_point_of_full_set_is_one():
-    est = lower_density_estimate(FULL_SET, F(1, 3), 6)
+    est = lower_density_estimate(ClassGaps.of(FULL_SET), F(1, 3), 6)
     assert est.estimate == 1
 
 
 def test_fat_cover_one_hole_worked_values():
-    fc = low_density_open_set(C_ONE_HOLE, F(1, 3))
+    fc = low_density_open_set(ClassGaps.of(C_ONE_HOLE), F(1, 3))
     assert [i.to_json() for i in fc.fat_intervals] == [["1/8", "1/2"], ["1/4", "5/8"]]
     assert [i.to_json() for i in fc.chain] == [["1/8", "1/2"], ["1/4", "5/8"]]
     assert fc.U.to_json() == [["1/8", "5/8"]]
@@ -71,22 +72,22 @@ def test_fat_cover_one_hole_worked_values():
 
 
 def test_fat_cover_edge_classes():
-    assert low_density_open_set(EMPTY_SET, F(1, 2)).U == FULL_SET
-    assert low_density_open_set(FULL_SET, F(1, 2)).U == EMPTY_SET
+    assert low_density_open_set(ClassGaps.of(EMPTY_SET), F(1, 2)).U == FULL_SET
+    assert low_density_open_set(ClassGaps.of(FULL_SET), F(1, 2)).U == EMPTY_SET
     with pytest.raises(DomainError):
-        low_density_open_set(C_ONE_HOLE, F(1))
+        low_density_open_set(ClassGaps.of(C_ONE_HOLE), F(1))
 
 
 def test_fat_cover_matches_oracle_one_hole():
     for eps in (F(1, 4), F(1, 2), F(3, 4)):
-        fc = low_density_open_set(C_ONE_HOLE, eps)
+        fc = low_density_open_set(ClassGaps.of(C_ONE_HOLE), eps)
         extras = [x for i in fc.fat_intervals for x in (i.lo, i.hi)]
         oracle = brute_force_low_density_oracle(C_ONE_HOLE, eps, 6, extras)
         assert oracle.drop_degenerate() == fc.U.drop_degenerate()
 
 
 def test_chain_skips_one():
-    fc = low_density_open_set(C_ONE_HOLE, F(1, 3))
+    fc = low_density_open_set(ClassGaps.of(C_ONE_HOLE), F(1, 3))
     chain = fc.chain
     for i in range(len(chain) - 2):
         assert chain[i].intersection(chain[i + 2]) is None
@@ -109,7 +110,7 @@ hole_lists = st.lists(
 @given(hole_lists, st.sampled_from([F(1, 4), F(1, 2), F(3, 4)]))
 def test_fat_cover_bounds_property(holes, eps):
     c = FULL_SET.subtract_open(holes)
-    fc = low_density_open_set(c, eps)
+    fc = low_density_open_set(ClassGaps.of(c), eps)
     assert c.intersect(fc.U).measure <= 2 * eps
     assert fc.U.measure <= 2 * (1 - c.measure) / (1 - eps)
     assert all(ok for *_, ok in fc.inequalities())
@@ -122,7 +123,7 @@ def test_fat_cover_bounds_property(holes, eps):
 @given(hole_lists, st.sampled_from([F(1, 4), F(1, 2), F(3, 4)]))
 def test_fat_cover_matches_oracle_property(holes, eps):
     c = FULL_SET.subtract_open(holes)
-    fc = low_density_open_set(c, eps)
+    fc = low_density_open_set(ClassGaps.of(c), eps)
     extras = [x for i in fc.fat_intervals for x in (i.lo, i.hi)]
     oracle = brute_force_low_density_oracle(c, eps, 6, extras)
     assert oracle.drop_degenerate() == fc.U.drop_degenerate()
@@ -284,7 +285,7 @@ def test_estimate_matches_fraction_windows(c, z, depth):
     # z on part endpoints, at 0 and 1, and 1/2 from an endpoint, as well as anywhere
     halfway = [e + F(1, 2) for e in ends[:2] if e <= F(1, 2)]
     for point in [z, F(0), F(1)] + ends[:4] + halfway:
-        est = lower_density_estimate(c, point, depth)
+        est = lower_density_estimate(ClassGaps.of(c), point, depth)
         assert (est.estimate, est.witness, est.family_size) == reference_estimate(c, point, depth)
 
 
@@ -292,7 +293,7 @@ def test_estimate_matches_fraction_windows(c, z, depth):
 @given(classes)
 def test_cover_matches_fraction_segments(c):
     for eps in COVERING_EPSILONS + (F(2, 7),):
-        fc = low_density_open_set(c, eps)
+        fc = low_density_open_set(ClassGaps.of(c), eps)
         assert (fc.fat_intervals, fc.chain, fc.U) == reference_cover(c, eps)
 
 
@@ -371,7 +372,7 @@ def test_oracle_rejects_a_negative_grid_depth():
 def test_overlap_measure_matches_the_intersection(c, eps):
     # both rows, decided on the cover's integer pairs, against the definitions:
     # IntervalSet intersection and measure, and the Fraction comparison
-    fc = low_density_open_set(c, eps)
+    fc = low_density_open_set(ClassGaps.of(c), eps)
     overlap, size = fc.inequalities()
     assert overlap[1:] == (c.intersect(fc.U).measure, 2 * eps, overlap[1] <= 2 * eps)
     size_bound = 2 * (1 - c.measure) / (1 - eps)

@@ -1,4 +1,6 @@
 from fractions import Fraction as F
+from itertools import combinations
+from math import lcm
 
 import pytest
 from hypothesis import given
@@ -9,6 +11,7 @@ from densitylab.errors import DomainError, StageError
 from densitylab.intervals import (
     EMPTY_SET,
     FULL_SET,
+    ClassGaps,
     Interval,
     IntervalSet,
     StagedOpenEnumeration,
@@ -201,10 +204,36 @@ def test_contains_point_matches_a_scan_of_the_parts(s, extra):
         assert s.contains_point(x) == any(p.lo <= x <= p.hi for p in s.parts)
 
 
-@given(parts_with_points, st.integers(0, 8))
-def test_grid_ranges_are_the_grid_points_inside(s, depth):
+# classes as subtract_open leaves them, with 0 and 1 kept
+hole_classes = st.lists(raw_intervals, max_size=6).map(FULL_SET.subtract_open)
+
+
+@given(st.one_of(parts_with_points, hole_classes), st.integers(0, 8),
+       st.lists(endpoints, max_size=6))
+def test_row_reads_match_the_class(s, depth, extra):
+    # the row of a set is [0,1] minus the set's open gaps: the set, with 0
+    # and 1, which no open gap holds
+    edges = [interval(x, x) for x in (F(0), F(1)) if not s.contains_point(x)]
+    ends = [x for p in s.parts for x in (p.lo, p.hi)]
+    points = sorted({*ends, *((a + b) / 2 for a, b in zip(ends, ends[1:])), *extra, F(0), F(1)})
+    row = ClassGaps.of(s)
+    row = row.over(lcm(row.den, *(x.denominator for x in points)))
+    den = row.den
+    assert [(F(lo, den), F(hi, den)) for lo, hi in row.parts] == sorted(
+        (p.lo, p.hi) for p in (*s.parts, *edges))
+    for x in points:
+        assert F(row.mass(row.scaled(x)), den) == s.intersect_interval(interval(0, x)).measure
+    for lo, hi in combinations(sorted({*ends[:4], *extra, F(0), F(1)}), 2):
+        pieces = list(row.pieces(row.scaled(lo), row.scaled(hi)))
+        cuts = sorted({lo, hi, *(e for e in ends if lo < e < hi)})
+        assert [F(u, den) for u, _, _ in pieces] + [F(pieces[-1][1], den)] == cuts
+        assert all(inside == s.contains_point(F(u + v, 2 * den)) for u, v, inside in pieces)
+        assert F(sum(v - u for u, v, inside in pieces if inside), den) == s.intersect_interval(
+            interval(lo, hi)).measure
+
     scale = 1 << depth
-    ranges = s.grid_ranges(depth)
-    assert len(ranges) == len(s.parts)
-    got = [k for r in ranges for k in r]
-    assert got == [k for k in range(scale + 1) if s.contains_point(F(k, scale))]
+    ranges = row.grid_ranges(depth)
+    assert len(ranges) == len(s.parts) + len(edges)
+    got = [k for a, b in ranges for k in range(a, b + 1)]
+    assert got == [k for k in range(scale + 1)
+                   if s.contains_point(F(k, scale)) or k in (0, scale)]

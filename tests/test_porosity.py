@@ -9,27 +9,31 @@ from hypothesis import strategies as st
 
 from densitylab import porosity
 from densitylab.bits import all_strings, cylinder_bounds, is_antichain
+from densitylab.calculus import MonotoneExtension, extension_grid_check
+from densitylab.density import low_density_open_set, lower_density_estimate
 from densitylab.errors import DomainError
-from densitylab.instances import porosity_instance
+from densitylab.instances import extension_instance, porosity_instance
 from densitylab.intervals import (
     FULL_SET,
+    ClassGaps,
     Interval,
     IntervalSet,
     StagedOpenEnumeration,
     canonicalize,
+    class_gaps,
     enumeration,
     interval,
+    stage_gaps,
 )
 from densitylab.porosity import (
-    ClassGaps,
     PorousExtensions,
     _subtract_ranges,
     cylinder_meets_class,
     minimal_porous_extensions,
     porosity_test,
     porosity_witness,
-    stage_gaps,
 )
+from densitylab.randomness import CylinderDifferenceTest, density_difference_test
 
 ONE_HOLE = enumeration((F(1, 2), F(3, 4)))
 
@@ -220,7 +224,12 @@ def last_meeting_stage(enum, t, sigma):
 
 
 def forbidden(*args):
-    raise AssertionError("porosity_test rebuilt a stage class")
+    raise AssertionError("a stage class was rebuilt")
+
+
+def forbid_stage_classes(monkeypatch):
+    monkeypatch.setattr(IntervalSet, "subtract_open", forbidden)
+    monkeypatch.setattr(StagedOpenEnumeration, "stage_class", forbidden)
 
 
 def test_extensions_run_once_per_sigma_until_a_hole_meets_its_cylinder(monkeypatch):
@@ -230,8 +239,7 @@ def test_extensions_run_once_per_sigma_until_a_hole_meets_its_cylinder(monkeypat
     run = porosity.minimal_porous_extensions
     monkeypatch.setattr(porosity, "minimal_porous_extensions",
                         lambda gaps, sigma, c: calls.append(sigma) or run(gaps, sigma, c))
-    monkeypatch.setattr(IntervalSet, "subtract_open", forbidden)
-    monkeypatch.setattr(StagedOpenEnumeration, "stage_class", forbidden)
+    forbid_stage_classes(monkeypatch)
     touching = enumeration((F(1, 4), F(1, 2)), (F(1, 3), F(1, 3)), (F(1, 2), F(3, 4)),
                            (F(5, 16), F(3, 8)), (F(1, 8), F(3, 16)), (F(3, 8), F(5, 8)))
     counts = []
@@ -251,6 +259,58 @@ def test_extensions_run_once_per_sigma_until_a_hole_meets_its_cylinder(monkeypat
     # reruns 2,014 of its 5,414 nodes
     assert counts[0] == (39, 19)
     assert tuple(map(sum, zip(*counts[1:]))) == (5414, 2014)
+
+
+# The extension, the cover, the estimate and both difference tests read their
+# classes as integer rows built from the holes, and rebuild no stage class
+def test_the_extension_and_its_grid_check_build_no_stage_class(monkeypatch):
+    cases = [extension_instance(1, index) for index in range(6)]
+    forbid_stage_classes(monkeypatch)
+    for h, enum in cases:
+        drops, worst = extension_grid_check(MonotoneExtension(h, enum, 10), 12)
+        assert drops == 0 and worst <= F(2, 1 << 10)
+
+
+def test_the_cover_and_the_estimate_read_a_row_built_from_holes(monkeypatch):
+    holes = [interval(F(1, 4), F(1, 2)), interval(F(1, 2), F(5, 8)), interval(F(0), F(1, 16)),
+             interval(F(2, 3), F(7, 8))]
+    c = FULL_SET.subtract_open(holes)
+    want = [(fc.fat_intervals, fc.chain, fc.U, fc.inequalities())
+            for fc in (low_density_open_set(ClassGaps.of(c), eps) for eps in (F(1, 4), F(1, 3)))]
+    estimates = [lower_density_estimate(ClassGaps.of(c), z, 6) for z in (F(1, 2), F(1, 3))]
+    forbid_stage_classes(monkeypatch)
+    row = class_gaps(holes)
+    assert [(fc.fat_intervals, fc.chain, fc.U, fc.inequalities())
+            for fc in (low_density_open_set(row, eps) for eps in (F(1, 4), F(1, 3)))] == want
+    assert [lower_density_estimate(row, z, 6) for z in (F(1, 2), F(1, 3))] == estimates
+
+
+def test_density_difference_test_builds_no_stage_class(monkeypatch):
+    enum = enumeration((F(1, 4), F(1, 2)), (F(5, 8), F(3, 4)), (F(1, 2), F(5, 8)))
+    forbid_stage_classes(monkeypatch)
+    fam = density_difference_test(enum, 2)
+    monkeypatch.undo()
+    # each component enumerates the growth of the stage classes' covers
+    for n, component in enumerate(fam.components):
+        covers = [low_density_open_set(ClassGaps.of(enum.stage_class(t)), F(1, 2 << n)).U
+                  for t in range(4)]
+        assert component.items == tuple(
+            part for prev, cover in zip([IntervalSet(())] + covers, covers)
+            for part in cover.subtract(prev).drop_degenerate().parts)
+    assert all(ok for *_, ok in fam.measure_records())
+
+
+def test_cylinder_difference_test_certifies_on_a_row_from_holes(monkeypatch):
+    enum = enumeration((F(1, 4), F(1, 2)), (F(1, 2), F(9, 16)))
+    forbid_stage_classes(monkeypatch)
+    dt = CylinderDifferenceTest(enum, {0: ("0",), 1: ("01", "100")}.get)
+    for n in (0, 1):
+        dt.component_strings(n)
+    # each cylinder's length less its overlap with the holes (1/4, 9/16)
+    assert dt.certify() == [
+        ("lambda(V_0 cap C_final)", F(1, 4), F(1), True),
+        ("lambda(V_1 cap C_final)", F(1, 16), F(1, 2), True),
+    ]
 
 
 hole_strategy = st.tuples(st.integers(0, 62), st.integers(1, 12)).map(
