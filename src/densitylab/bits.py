@@ -8,6 +8,7 @@ the root.  ``cylinder_interval`` ties a string sigma to the closed interval
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import lcm
 
@@ -28,8 +29,21 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(q: Fraction) -> str:
-    """Serialize exactly, always with an explicit denominator."""
-    return f"{q.numerator}/{q.denominator}"
+    """Serialize exactly, always with an explicit denominator.
+
+    An int longer than the interpreter's limit on decimal digits (4,300 by
+    default) raises ValueError when printed; such a side is printed again
+    with the limit lifted for that one conversion.
+    """
+    try:
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return f"{q.numerator}/{q.denominator}"
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def over_common_denominator(values) -> tuple[int, list[int]]:

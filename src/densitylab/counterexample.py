@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DomainError, EnumerationOverlapError
+from .errors import DomainError, EnumerationOverlapError, InvariantError
 from .bits import ONE, ZERO, format_rational
 from .intervals import Interval, IntervalSet
 from .roottwo import QuadValue, half_power, sqrt2_power
@@ -181,7 +181,7 @@ def build_counterexample(
                 raise EnumerationOverlapError(
                     f"stage interval {iv} overlaps earlier coverage beyond endpoints"
                 )
-            pieces = IntervalSet((iv,)).subtract_open(covered).drop_degenerate()
+            pieces = IntervalSet((iv,)).subtract(covered).drop_degenerate()
             queue.extend(reversed(pieces.parts))
             continue
 
@@ -307,8 +307,8 @@ def verify_denjoy_failure(
         x_k = (iv.lo + iv.hi) / 2
         step = Fraction(1, 1 << k)
         b_k = largest_dyadic_multiple(stage.source.lo, stage.source.hi, k)
-        if b_k is None:  # cannot happen when the exponent rule chose k
-            b_k = stage.anchor
+        if b_k is None:  # the exponent rule chose k for a multiple of 2^-k there
+            raise InvariantError(f"no positive multiple of 2^-{k} in the source of spike k = {k}")
         room = b_k + step
         if room <= alpha:
             certificates.append(

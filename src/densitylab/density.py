@@ -8,9 +8,9 @@ solving, segment by segment, the linear condition
 
 for the extreme qualifying x (the window mass is affine in x between part
 endpoints, with slope 0 in gaps and 1 inside parts), then keeps the maximal
-intervals of the family and chains them left to right.  The union U of the
-family is returned closed; the set of the covering lemma (strict inequality,
-open windows) differs from it only on a null set of boundary points.
+intervals of the family.  The union U of the family is returned closed;
+the set of the covering lemma (strict inequality, open windows) differs from
+it only on a null set of boundary points.
 
 Both the estimate and the cover read the class as its integer row,
 ``intervals.ClassGaps``: the gaps and the part endpoints as integer numerators
@@ -22,7 +22,7 @@ Interval.  The cover puts the row over q - p times its denominator for
 eps = p/q, so every solved end is an integer on it: the cover cuts [0, b]
 and [a, 1] at the part endpoints, takes slope 1 or 0 from whether a piece
 lies inside a part, solves each piece's condition, and keeps the
-candidates, the maximal ones, their chain and U as integer pairs.  Both
+candidates, the maximal ones and U as integer pairs.  Both
 bounds, the overlap lambda(C cap U) summed over the parts of U and the size
 lambda(U), are decided on that row; a Fraction is built only for a reported
 value.
@@ -154,14 +154,13 @@ def _extend_right(row: ClassGaps, a: int, p: int, q: int) -> int:
 class FatCover:
     """Fat-interval covering of the low-density set at threshold epsilon.
 
-    The fat intervals, their chain and the parts of U are (lo, hi) integer
-    pairs over the row's denominator; their Intervals are built when
-    read, and the bounds are decided on the pairs."""
+    The fat intervals and the parts of U are (lo, hi) integer pairs over
+    the row's denominator; their Intervals are built when read, and the
+    bounds are decided on the pairs."""
 
     epsilon: Fraction
     row: ClassGaps
     fats: tuple[tuple[int, int], ...]
-    links: tuple[tuple[int, int], ...]
     parts: tuple[tuple[int, int], ...]
 
     def _intervals(self, pairs) -> tuple[Interval, ...]:
@@ -171,10 +170,6 @@ class FatCover:
     @cached_property
     def fat_intervals(self) -> tuple[Interval, ...]:
         return self._intervals(self.fats)
-
-    @property
-    def chain(self) -> tuple[Interval, ...]:
-        return self._intervals(self.links)
 
     @cached_property
     def U(self) -> IntervalSet:
@@ -198,13 +193,13 @@ class FatCover:
 
 
 def low_density_open_set(row: ClassGaps, eps: Fraction) -> FatCover:
-    """Fat intervals, their chain, and the covered set U for threshold eps.
+    """Fat intervals and the covered set U for threshold eps.
 
     U is exactly the union of the maximal anchored intervals, and
     ``inequalities()`` decides both covering bounds.  The gaps, the
-    candidates, the maximal ones, their chain and U are integer pairs over
-    the class's row, put over q - p times its denominator so that every
-    solved end is an integer.
+    candidates, the maximal ones and U are integer pairs over the class's
+    row, put over q - p times its denominator so that every solved end is
+    an integer.
     """
     if not ZERO < eps < ONE:
         raise DomainError(f"eps must be in (0,1), got {eps}")
@@ -218,21 +213,13 @@ def low_density_open_set(row: ClassGaps, eps: Fraction) -> FatCover:
         if not fats or -neg_hi > fats[-1][1]:
             fats.append((lo, -neg_hi))
 
-    # the chain: from each fat interval, the last one starting inside it, or
-    # else the next one
-    los = [lo for lo, _ in fats]
-    chain, i = fats[:1], 0
-    while i + 1 < len(fats):
-        i = max(i + 1, bisect_right(los, fats[i][1]) - 1)
-        chain.append(fats[i])
-
     parts = []  # U: the fats merged where they overlap or touch
     for lo, hi in fats:
         if parts and lo <= parts[-1][1]:
             parts[-1] = (parts[-1][0], hi)
         else:
             parts.append((lo, hi))
-    return FatCover(eps, row, tuple(fats), tuple(chain), tuple(parts))
+    return FatCover(eps, row, tuple(fats), tuple(parts))
 
 
 def brute_force_low_density_oracle(

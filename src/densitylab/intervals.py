@@ -82,11 +82,6 @@ class Interval:
         return Interval(parse_rational(obj[0]), parse_rational(obj[1]))
 
 
-def interval(lo, hi) -> Interval:
-    """Convenience constructor accepting ints/strings/Fractions."""
-    return Interval(Fraction(lo), Fraction(hi))
-
-
 @dataclass(frozen=True)
 class IntervalSet:
     """Canonical finite union of closed intervals; equality is part-list equality."""
@@ -104,12 +99,6 @@ class IntervalSet:
         # sorted part starts, for bisecting a point into its one candidate part
         object.__setattr__(self, "_los", tuple(p.lo for p in self.parts))
 
-    def __iter__(self) -> Iterator[Interval]:
-        return iter(self.parts)
-
-    def __bool__(self) -> bool:
-        return bool(self.parts)
-
     @property
     def measure(self) -> Fraction:
         return sum((p.length for p in self.parts), ZERO)
@@ -124,7 +113,7 @@ class IntervalSet:
         return canonicalize(self.gaps())
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        return canonicalize(p for w in other.parts for p in self.intersect_interval(w))
+        return canonicalize(p for w in other.parts for p in self.intersect_interval(w).parts)
 
     def intersect_interval(self, window: Interval) -> "IntervalSet":
         pieces = []
@@ -177,9 +166,6 @@ class IntervalSet:
     def drop_degenerate(self) -> "IntervalSet":
         return IntervalSet(tuple(p for p in self.parts if not p.is_degenerate))
 
-    def to_json(self) -> list[list[str]]:
-        return [p.to_json() for p in self.parts]
-
 
 EMPTY_SET = IntervalSet(())
 FULL_SET = IntervalSet((Interval(ZERO, ONE),))
@@ -227,9 +213,6 @@ class StagedOpenEnumeration:
 
     def final_class(self) -> IntervalSet:
         return self.stage_class(len(self.items))
-
-    def to_json(self) -> dict:
-        return {"holes": [i.to_json() for i in self.items]}
 
     @staticmethod
     def from_json(obj) -> "StagedOpenEnumeration":
@@ -368,7 +351,3 @@ def stage_gaps(holes: Sequence[Interval]) -> Iterator[ClassGaps]:
 def class_gaps(holes: Sequence[Interval]) -> ClassGaps:
     """The gaps of [0,1] minus the open holes: the last row of stage_gaps."""
     return deque(stage_gaps(holes), maxlen=1).pop()
-
-
-def enumeration(*pairs) -> StagedOpenEnumeration:
-    return StagedOpenEnumeration(tuple(interval(a, b) for a, b in pairs))

@@ -156,9 +156,6 @@ class Martingale:
         d, [(_, _, num)] = self.runs(tau, 0)
         return Fraction(num, d)
 
-    def __call__(self, tau: str) -> Fraction:
-        return self.value(tau)
-
     def approx_level(self, base: str, k: int, n: int) -> tuple[int, list[int]]:
         """The index-n approximants of ``level(base, k)``, each within 2^-n of
         its value; the exact row when no adapter is set."""

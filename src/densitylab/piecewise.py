@@ -25,7 +25,6 @@ class PiecewiseLinear:
 
     def __init__(self, xs, ys):
         self._set_rows(*over_common_denominator(xs), *over_common_denominator(ys))
-        self.xs, self.ys = tuple(xs), tuple(ys)
 
     @classmethod
     def from_numerators(

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bits import ZERO, format_rational, parse_rational
+from .bits import format_rational
 from .errors import DomainError
 
 
@@ -77,12 +77,6 @@ class QuadValue:
             raise ZeroDivisionError("division by zero in Q(sqrt 2)")
         return QuadValue(self.a / r, self.b / r)
 
-    def __rtruediv__(self, other):
-        return QuadValue(_rational(other), ZERO) / self
-
-    def __abs__(self):
-        return -self if self.sign() < 0 else self
-
     def __eq__(self, other):
         if isinstance(other, QuadValue):
             return self.a == other.a and self.b == other.b
@@ -106,15 +100,8 @@ class QuadValue:
     def __ge__(self, other):
         return (self - other).sign() >= 0
 
-    def __repr__(self):
-        return f"QuadValue({self.a} + {self.b}*sqrt2)"
-
     def to_json(self) -> dict:
         return {"a": format_rational(self.a), "b": format_rational(self.b)}
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "QuadValue":
-        return cls(parse_rational(payload["a"]), parse_rational(payload["b"]))
 
 
 SQRT2 = QuadValue(Fraction(0), Fraction(1))

@@ -22,6 +22,11 @@ def test_parse_format_roundtrip():
         assert parse_rational(format_rational(q)) == q
 
 
+def test_format_rational_prints_past_the_digit_limit():
+    # 5,001 digits, past the interpreter's default limit of 4,300
+    assert format_rational(F(10**5000 + 1, 3)) == "1" + "0" * 4999 + "1/3"
+
+
 def test_parse_rejects_junk():
     for bad in ["", "one", "1/0", "--2", "1.5e3x"]:
         with pytest.raises(SchemaError):

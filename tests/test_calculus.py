@@ -28,8 +28,10 @@ from densitylab.calculus import (
 from densitylab.counterexample import build_counterexample, default_enumeration
 from densitylab.errors import BudgetExhausted, DomainError
 from densitylab.instances import extension_instance
-from densitylab.intervals import StagedOpenEnumeration, enumeration
+from densitylab.intervals import StagedOpenEnumeration
 from densitylab.piecewise import PiecewiseLinear
+
+from helpers import enumeration
 
 VEE = PiecewiseLinear((F(0), F(1, 2), F(1)), (F(1, 2), F(0), F(1, 2)))  # |x - 1/2|
 IDENTITY = Polynomial((0, 1))
@@ -529,7 +531,7 @@ def full_sweep_values(h, enum, n, budget):
     for t in stages:
         # a candidate enters F at its ceiling index and G at its floor index
         f_best, g_best = [lo_bound] * len(grid), [hi_bound] * len(grid)
-        for part in enum.stage_class(t):
+        for part in enum.stage_class(t).parts:
             inside = [(i, x) for i, x in enumerate(grid) if part.lo < x < part.hi]
             for i, x in inside + [(None, part.lo), (None, part.hi)]:
                 y = h.value(x)
@@ -654,7 +656,7 @@ def per_index_build(h, enum, n, budget):
     hi_bound, lo_bound = mid + lip + 1, mid - lip - 1
     final = len(enum)
     stages = sorted({1 << e for e in range(final.bit_length()) if 1 << e < final} | {final})
-    classes = [enum.stage_class(t) for t in stages]
+    classes = [enum.stage_class(t).parts for t in stages]
     off = {x: h.value(x) for c_set in classes for part in c_set for x in (part.lo, part.hi)
            if scale % x.denominator}
     refined = {part: _refined_grid(part.lo, part.hi, F(1, scale))

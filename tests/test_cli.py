@@ -283,6 +283,24 @@ def test_porosity_scans_a_hole_that_first_holds_a_cylinder_past_level_400(tmp_pa
     assert len(checks) == 7 and all(c["ok"] for c in checks)
 
 
+def test_porosity_prints_sides_past_the_interpreters_digit_limit(tmp_path):
+    # N(sigma) follows D's 2,040-bit binary period, so |sigma| grows by about
+    # 2,040 bits a level and a node side outgrows 4,300 decimal digits
+    d = (1 << 2040) - 1
+    doc = {"holes": [[f"1/{d}", f"2/{d}"]], "levels": 8}
+    inst = write_instance(tmp_path, doc)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)  # 0: no limit
+    before = limit()
+    code, blob = run(tmp_path, "porosity", "--instance", inst)
+    assert code == 0
+    report = json.loads(blob)
+    assert report["all_hold"] and len(report["checks"]) == 56
+    assert max(len(c["lhs"]) for c in report["checks"]) > 4300
+    code, csv_blob = run(tmp_path, "porosity", "--csv", "--instance", inst)
+    assert code == 0 and csv_blob.rstrip().endswith(b"all_hold,true,,,")
+    assert limit() == before  # lifted for one conversion at a time only
+
+
 def test_hole_denominators_may_reach_the_cap(tmp_path):
     # an lcm of 2,048 bits is taken; 2,049 bits is a SchemaError
     d = 1 << 2047

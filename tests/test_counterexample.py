@@ -23,10 +23,11 @@ from densitylab.counterexample import (
     verify_denjoy_failure,
 )
 from densitylab.errors import DomainError, EnumerationOverlapError
-from densitylab.intervals import interval
 from densitylab.report import Report, to_json_bytes
 from densitylab.roottwo import QuadValue, half_power, sqrt2_power
 from densitylab.suite import denjoy_check_rows
+
+from helpers import interval
 
 
 def naive_alpha(pairs) -> F:

@@ -20,8 +20,9 @@ from densitylab.intervals import (
     Interval,
     IntervalSet,
     canonicalize,
-    interval,
 )
+
+from helpers import interval
 
 C_ONE_HOLE = FULL_SET.subtract_open([interval(F(1, 4), F(1, 2))])
 C_SPEC = IntervalSet((interval(F(0), F(1, 4)), interval(F(1, 2), F(1))))
@@ -64,8 +65,7 @@ def test_estimate_interior_point_of_full_set_is_one():
 def test_fat_cover_one_hole_worked_values():
     fc = low_density_open_set(ClassGaps.of(C_ONE_HOLE), F(1, 3))
     assert [i.to_json() for i in fc.fat_intervals] == [["1/8", "1/2"], ["1/4", "5/8"]]
-    assert [i.to_json() for i in fc.chain] == [["1/8", "1/2"], ["1/4", "5/8"]]
-    assert fc.U.to_json() == [["1/8", "5/8"]]
+    assert [i.to_json() for i in fc.U.parts] == [["1/8", "5/8"]]
     (_, overlap, overlap_bound, _), (_, size, size_bound, _) = fc.inequalities()
     assert (overlap, overlap_bound, size, size_bound) == (F(1, 4), F(2, 3), F(1, 2), F(3, 4))
     assert all(ok for *_, ok in fc.inequalities())
@@ -84,17 +84,6 @@ def test_fat_cover_matches_oracle_one_hole():
         extras = [x for i in fc.fat_intervals for x in (i.lo, i.hi)]
         oracle = brute_force_low_density_oracle(C_ONE_HOLE, eps, 6, extras)
         assert oracle.drop_degenerate() == fc.U.drop_degenerate()
-
-
-def test_chain_skips_one():
-    fc = low_density_open_set(ClassGaps.of(C_ONE_HOLE), F(1, 3))
-    chain = fc.chain
-    for i in range(len(chain) - 2):
-        assert chain[i].intersection(chain[i + 2]) is None
-    # chain covers exactly the fat union
-    from densitylab.intervals import canonicalize
-
-    assert canonicalize(chain) == fc.U
 
 
 hole_lists = st.lists(
@@ -237,7 +226,7 @@ def reference_extend_right(c, a, eps):
 
 
 def reference_cover(c, eps):
-    """(fat_intervals, chain, U) as the Fraction route built them."""
+    """(fat_intervals, U) as the Fraction route built them."""
     candidates = []
     for gap in c.gaps():
         if not gap.is_degenerate:
@@ -248,20 +237,7 @@ def reference_cover(c, eps):
         if best_hi is None or iv.hi > best_hi:
             fats.append(iv)
             best_hi = iv.hi
-    chain = []
-    if fats:
-        i = 0
-        chain.append(fats[0])
-        while True:
-            nxt = next((j for j in range(len(fats) - 1, i, -1) if fats[j].lo <= fats[i].hi),
-                       None)
-            if nxt is None and i + 1 < len(fats):
-                nxt = i + 1
-            if nxt is None:
-                break
-            i = nxt
-            chain.append(fats[i])
-    return tuple(fats), tuple(chain), canonicalize(fats)
+    return tuple(fats), canonicalize(fats)
 
 
 # classes with dyadic and non-dyadic endpoints and degenerate parts [a, a]
@@ -294,7 +270,7 @@ def test_estimate_matches_fraction_windows(c, z, depth):
 def test_cover_matches_fraction_segments(c):
     for eps in COVERING_EPSILONS + (F(2, 7),):
         fc = low_density_open_set(ClassGaps.of(c), eps)
-        assert (fc.fat_intervals, fc.chain, fc.U) == reference_cover(c, eps)
+        assert (fc.fat_intervals, fc.U) == reference_cover(c, eps)
 
 
 def quadratic_oracle(c, eps, grid_depth, extra_points):

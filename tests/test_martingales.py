@@ -101,24 +101,24 @@ def savings_instance() -> TableMartingale:
 def test_identity_slope_martingale_is_constant_one():
     m = slope_martingale(interpolated(lambda x: x, 6), 6)
     for tau in ("", "0", "01", "110", "0101"):
-        assert m(tau) == 1
+        assert m.value(tau) == 1
     assert not fairness_violations(m, 4)
 
 
 def test_square_slope_martingale_closed_form():
     m = slope_martingale(interpolated(lambda x: x * x, 6), 6)
     # slope over Cyl tau is (hi^2 - lo^2)/(hi - lo) = lo + hi = 2*0.tau + 2^-|tau|
-    assert m("") == 1
-    assert m("01") == F(3, 4)
-    assert m("111") == 2 * F(7, 8) + F(1, 8)
+    assert m.value("") == 1
+    assert m.value("01") == F(3, 4)
+    assert m.value("111") == 2 * F(7, 8) + F(1, 8)
     assert not fairness_violations(m, 5)
     with pytest.raises(DomainError):
-        m("0101010")
+        m.value("0101010")
 
 
 def test_slope_martingale_allows_negative_values():
     m = slope_martingale(interpolated(lambda x: x * (1 - x), 5), 5)
-    assert m("1") == F(-1, 2)
+    assert m.value("1") == F(-1, 2)
     assert not fairness_violations(m, 4)
     assert "1" in negativity_witnesses(m, 1)
 
@@ -126,9 +126,9 @@ def test_slope_martingale_allows_negative_values():
 def test_slope_martingale_accepts_piecewise_linear():
     g = PiecewiseLinear((F(0), F(1, 2), F(1)), (F(0), F(1), F(1)))
     m = slope_martingale(g, 8)
-    assert m("0") == 2
-    assert m("1") == 0
-    assert m("") == 1
+    assert m.value("0") == 2
+    assert m.value("1") == 0
+    assert m.value("") == 1
 
 
 def test_slope_martingale_needs_a_piecewise_linear_on_the_unit_interval():
@@ -180,7 +180,7 @@ def test_round_trip_is_identity_even_past_table_depth(m):
     back = slope_martingale(f, m.depth + 2)
     for k in range(m.depth + 3):
         for s in all_strings(k):
-            assert back(s) == m(s)
+            assert back.value(s) == m.value(s)
 
 
 def test_combine_scaled_values_and_fairness():
@@ -189,7 +189,7 @@ def test_combine_scaled_values_and_fairness():
     c = combine_scaled(m, n, "00", F(2, 5))
     scale = F(1, 4) * F(2, 5)
     for tau in ("", "0", "00", "101", "110"):
-        assert c(tau) == m(tau) + scale * n(tau)
+        assert c.value(tau) == m.value(tau) + scale * n.value(tau)
     assert not fairness_violations(c, 4)
 
 
@@ -219,29 +219,29 @@ def test_diagonalize_requires_valid_start():
 @settings(max_examples=40, deadline=None)
 @given(fair_tables(), st.integers(min_value=0, max_value=6))
 def test_diagonalize_replay(m, extra):
-    q = m("") + 1
+    q = m.value("") + 1
     tau = diagonalize_against(m, "", q, extra)
     assert len(tau) == extra
     for i in range(len(tau)):
         rho = tau[:i]
-        assert m(tau[: i + 1]) == min(m(rho + "0"), m(rho + "1"))
-        assert m(tau[: i + 1]) < q
+        assert m.value(tau[: i + 1]) == min(m.value(rho + "0"), m.value(rho + "1"))
+        assert m.value(tau[: i + 1]) < q
 
 
 def test_cap_freezes_at_first_exceed_and_stays_fair():
     m = table_from_leaves({"00": F(5), "01": F(2), "10": F(1, 2), "11": F(1, 2)})
     capped = cap_at(m, F(2))  # threshold q+1 = 3; M("0") = 7/2 trips it
-    assert m("0") == F(7, 2)
-    assert capped("0") == F(7, 2)
-    assert capped("00") == F(7, 2) == capped("01")
-    assert capped("000") == F(7, 2)
-    assert capped("1") == m("1")
-    assert capped("10") == m("10")
+    assert m.value("0") == F(7, 2)
+    assert capped.value("0") == F(7, 2)
+    assert capped.value("00") == F(7, 2) == capped.value("01")
+    assert capped.value("000") == F(7, 2)
+    assert capped.value("1") == m.value("1")
+    assert capped.value("10") == m.value("10")
     assert not fairness_violations(capped, 4)
     # frozen subtree never exceeds the freeze value
     for s in all_strings(3):
         if s.startswith("0"):
-            assert capped(s) == capped("0")
+            assert capped.value(s) == capped.value("0")
 
 
 def test_savings_extension_frozen_instance():
@@ -318,13 +318,13 @@ def anti_debt_case1_oracle() -> Martingale:
 def test_anti_debt_case1_doubles_once():
     sg = anti_debt_case1_oracle()
     m = anti_debt_strategy(sg, "", 1, 2)
-    assert m("") == 1
-    assert m("0") == 1
-    assert m("1") == 1
-    assert m("00") == 2
-    assert m("01") == 0
-    assert m("000") == 2 and m("001") == 2
-    assert m("010") == 0
+    assert m.value("") == 1
+    assert m.value("0") == 1
+    assert m.value("1") == 1
+    assert m.value("00") == 2
+    assert m.value("01") == 0
+    assert m.value("000") == 2 and m.value("001") == 2
+    assert m.value("010") == 0
     assert not fairness_violations(m, 4)
     assert not negativity_witnesses(m, 4)
 
@@ -334,21 +334,21 @@ def test_anti_debt_case2_copies_the_slope_martingale():
     m = anti_debt_strategy(sg, "", 2, 3)
     for k in range(4):
         for s in all_strings(k):
-            assert m(s) == sg(s) == 3
-    assert m("0000") == sg("000")  # frozen past depth
+            assert m.value(s) == sg.value(s) == 3
+    assert m.value("0000") == sg.value("000")  # frozen past depth
     assert not fairness_violations(m, 5)
 
 
 def test_a_floored_approximant_of_one_makes_a_low_child():
     # every cylinder's slope is 3/2: above 1, but its index-0 floor is 1
     sg = slope_martingale(interpolated(lambda x: 3 * x / 2, 4), 4)
-    assert anti_debt_strategy(sg, "", 2, 3)("010") == F(3, 2)
+    assert anti_debt_strategy(sg, "", 2, 3).value("010") == F(3, 2)
     floored = with_floor_adapter(sg)
     assert approximant(floored, "01", 0) == 1
-    assert approximant(floored, "01", 3) == floored("01") == F(3, 2)
+    assert approximant(floored, "01", 3) == floored.value("01") == F(3, 2)
     # the low child is always "0", so everything rides on "111"
     m = anti_debt_strategy(floored, "", 1, 3)
-    assert [m(s) for s in all_strings(3)] == [0] * 7 + [8]
+    assert [m.value(s) for s in all_strings(3)] == [0] * 7 + [8]
 
 
 def test_an_adapter_beyond_its_error_bound_is_refused():
@@ -373,7 +373,7 @@ def test_anti_debt_mode_mismatch_reported():
 def test_anti_debt_off_subtree_keeps_global_fairness():
     sg = anti_debt_case1_oracle()
     m = anti_debt_strategy(sg, "0", 1, 3)
-    assert m("1") == 1 and m("11") == 1 and m("") == 1
+    assert m.value("1") == 1 and m.value("11") == 1 and m.value("") == 1
     assert not fairness_violations(m, 4)
 
 
@@ -382,9 +382,9 @@ def test_table_and_condition_serialization_roundtrip():
     again = TableMartingale.from_json(m.to_json())
     for k in range(4):
         for s in all_strings(k):
-            assert again(s) == m(s)
+            assert again.value(s) == m.value(s)
     c2 = Condition("01", again, F(7, 8))
-    assert c2.martingale("010") == m("010")
+    assert c2.martingale.value("010") == m.value("010")
 
 
 def test_table_validation_rejects_holes_and_unfairness():
@@ -516,7 +516,8 @@ def prefixes(tau: str) -> list[str]:
 
 def capped(m: Martingale, q: F):
     """cap_at(m, q) and its definition: M frozen at the first prefix above q + 1."""
-    return cap_at(m, q), lambda tau: next((v for v in map(m, prefixes(tau)) if v > q + 1), m(tau))
+    return cap_at(m, q), lambda tau: next(
+        (v for v in map(m.value, prefixes(tau)) if v > q + 1), m.value(tau))
 
 
 def slope_definition(g: PiecewiseLinear, depth: int):
@@ -541,7 +542,7 @@ def anti_debt_definition(sg: Martingale, sigma: str, mode: int, depth: int):
         return next((b for b in "01" if approximant(sg, tau + b, 0) <= 1), None)
 
     def value(rho: str) -> F:
-        val = F(1) if mode == 1 else sg(sigma)
+        val = F(1) if mode == 1 else sg.value(sigma)
         if not rho.startswith(sigma):
             return val
         for i in range(len(sigma), min(len(rho), depth)):
@@ -553,7 +554,7 @@ def anti_debt_definition(sg: Martingale, sigma: str, mode: int, depth: int):
                 if low is not None:
                     val *= 2
             elif approximant(sg, tau + "0", 0) > 1 and approximant(sg, tau + "1", 0) > 1:
-                val = sg(rho[: i + 1])
+                val = sg.value(rho[: i + 1])
             else:
                 break
         return val
@@ -596,11 +597,12 @@ def defined_martingales(draw):
         delta = draw(st.builds(F, st.integers(1, 9), st.integers(1, 9)))
         m, n = draw(fair_tables()), draw(unit_tables())
         scale = F(1, 1 << len(sigma)) * delta
-        return combine_scaled(m, n, sigma, delta), lambda tau: m(tau) + scale * n(tau)
+        return combine_scaled(m, n, sigma, delta), lambda tau: m.value(tau) + scale * n.value(tau)
     if kind == "cap":
         m = draw(fair_tables())
         # q + 1 below M("") freezes the root; otherwise nodes freeze deeper
-        q = draw(st.one_of(st.just(m("") - 2), st.builds(F, st.integers(-16, 64), st.just(16))))
+        q = draw(st.one_of(st.just(m.value("") - 2),
+                           st.builds(F, st.integers(-16, 64), st.just(16))))
         return capped(m, q)
     if kind == "slope":
         g, depth = draw(piecewise_on_unit_interval()), draw(st.integers(0, 6))
@@ -649,7 +651,8 @@ def test_level_rows_match_the_per_string_values(defined, base, k):
 @example(slope_martingale(interpolated(lambda x: x * (1 - x), 5), 5), "1", 3)
 def test_negativity_witnesses_match_a_per_string_scan(m, base, depth):
     def scan(m, base, depth):
-        return [base + s for k in range(depth + 1) for s in all_strings(k) if m(base + s) < 0]
+        return [base + s for k in range(depth + 1) for s in all_strings(k)
+                if m.value(base + s) < 0]
 
     def read(m, base, depth):
         return negativity_witnesses(m, depth, base)
@@ -663,19 +666,19 @@ def reference_claim5(m: Martingale, tau: str, q: F, s: F, eps: F, depth: int) ->
     relative measures from IntervalSet."""
     leaves = [tau + x for x in all_strings(depth - len(tau))]
     for leaf in leaves:
-        if m(leaf) < 0:
-            raise DomainError(f"negative martingale value {m(leaf)} at {leaf!r}")
+        if m.value(leaf) < 0:
+            raise DomainError(f"negative martingale value {m.value(leaf)} at {leaf!r}")
     dset = canonicalize([
         Interval(*cylinder_bounds(tau + x))
         for n in range(depth - len(tau) + 1)
         for x in all_strings(n)
-        if m(tau + x) >= q
+        if m.value(tau + x) >= q
     ])
     records = []
     for j in range(depth - len(tau) + 1):
         for x in all_strings(j):
             a, b = cylinder_bounds(tau + x)
-            mass = sum((m(leaf) for leaf in leaves if leaf.startswith(tau + x)), F(0))
+            mass = sum((m.value(leaf) for leaf in leaves if leaf.startswith(tau + x)), F(0))
             slope = mass * F(1, 1 << depth) / (b - a)
             if slope < s:
                 rel = dset.intersect_interval(Interval(a, b)).measure / (b - a)
@@ -724,7 +727,7 @@ def reference_fairness(m: Martingale, depth: int) -> list[str]:
         s
         for k in range(depth)
         for s in all_strings(k)
-        if 2 * m(s) != m(s + "0") + m(s + "1")
+        if 2 * m.value(s) != m.value(s + "0") + m.value(s + "1")
     ]
 
 
@@ -758,7 +761,7 @@ def test_run_rows_stay_small_and_fair_at_depth_40():
                         (F(0), F(1), F(-1, 2), F(2), F(3)))
     bounded = [
         (t5, 1 << 5),
-        (cap_at(t5, t5("")), 1 << 5),
+        (cap_at(t5, t5.value("")), 1 << 5),
         (combine_scaled(t4, n1, "01", F(1, 3)), 1 << 4),
         (slope_martingale(g, 40), 2 * 4 - 1),
     ]
@@ -805,7 +808,7 @@ def test_round_trip_count_matches_a_per_string_count(m, depth, point, units, til
     x = F(point, 256)
     moved = perturbed(suite.martingale_to_function, x, F(units, 1 << 20), F(tilt, 4))
     back = slope_martingale(moved(m, "", depth), depth)
-    expected = sum(back(s) != m(s) for k in range(depth + 1) for s in all_strings(k))
+    expected = sum(back.value(s) != m.value(s) for k in range(depth + 1) for s in all_strings(k))
     with patch.object(suite, "martingale_to_function", moved):
         assert suite._roundtrip_mismatches(m, depth) == expected
 
@@ -891,8 +894,8 @@ def forcing_martingales(draw):
 def conditions(draw, m, sigma):
     """A valid condition <sigma, m, q>: q above M(sigma), often a value M
     takes a few levels further down, so that M(tau) = q ties occur."""
-    v = m(sigma)
-    higher = sorted({m(sigma + s) for k in range(1, 4) for s in all_strings(k)} - {v})
+    v = m.value(sigma)
+    higher = sorted({m.value(sigma + s) for k in range(1, 4) for s in all_strings(k)} - {v})
     higher = [w for w in higher if w > v]
     if higher and draw(st.booleans()):
         return Condition(sigma, m, draw(st.sampled_from(higher)))
@@ -966,7 +969,7 @@ def test_savings_matches_the_per_string_reference(start, frac, eps, extra):
     m, sigma = start
     # q at a fraction of the way from M(sigma) to its higher child walls
     # that child off whenever the two differ
-    v, hi = m(sigma), max(m(sigma + "0"), m(sigma + "1"))
+    v, hi = m.value(sigma), max(m.value(sigma + "0"), m.value(sigma + "1"))
     cond = Condition(sigma, m, v + (hi - v) * frac if hi > v else v + frac)
     depth = len(sigma) + extra
     got = savings_outcome(savings_extension, cond, eps, depth)
@@ -977,8 +980,8 @@ def test_savings_reports_a_start_at_q_like_the_reference():
     # only a condition whose q was lowered after validation starts at q
     m = savings_instance()
     cond = Condition("0", m, F(2))
-    object.__setattr__(cond, "q", m("0"))
+    object.__setattr__(cond, "q", m.value("0"))
     got = savings_outcome(savings_extension, cond, F(1, 2), 3)
     assert got == savings_outcome(reference_savings, cond, F(1, 2), 3)
-    assert got == ("BudgetExhausted", f"no extension of '0' stays below q = {m('0')}", None)
+    assert got == ("BudgetExhausted", f"no extension of '0' stays below q = {m.value('0')}", None)
 

@@ -21,8 +21,6 @@ from densitylab.intervals import (
     StagedOpenEnumeration,
     canonicalize,
     class_gaps,
-    enumeration,
-    interval,
     stage_gaps,
 )
 from densitylab.porosity import (
@@ -34,6 +32,8 @@ from densitylab.porosity import (
     porosity_witness,
 )
 from densitylab.randomness import CylinderDifferenceTest, density_difference_test
+
+from helpers import enumeration, interval
 
 ONE_HOLE = enumeration((F(1, 2), F(3, 4)))
 
@@ -275,12 +275,12 @@ def test_the_cover_and_the_estimate_read_a_row_built_from_holes(monkeypatch):
     holes = [interval(F(1, 4), F(1, 2)), interval(F(1, 2), F(5, 8)), interval(F(0), F(1, 16)),
              interval(F(2, 3), F(7, 8))]
     c = FULL_SET.subtract_open(holes)
-    want = [(fc.fat_intervals, fc.chain, fc.U, fc.inequalities())
+    want = [(fc.fat_intervals, fc.U, fc.inequalities())
             for fc in (low_density_open_set(ClassGaps.of(c), eps) for eps in (F(1, 4), F(1, 3)))]
     estimates = [lower_density_estimate(ClassGaps.of(c), z, 6) for z in (F(1, 2), F(1, 3))]
     forbid_stage_classes(monkeypatch)
     row = class_gaps(holes)
-    assert [(fc.fat_intervals, fc.chain, fc.U, fc.inequalities())
+    assert [(fc.fat_intervals, fc.U, fc.inequalities())
             for fc in (low_density_open_set(row, eps) for eps in (F(1, 4), F(1, 3)))] == want
     assert [lower_density_estimate(row, z, 6) for z in (F(1, 2), F(1, 3))] == estimates
 

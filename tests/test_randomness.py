@@ -12,8 +12,6 @@ from densitylab.intervals import (
     IntervalSet,
     StagedOpenEnumeration,
     canonicalize,
-    enumeration,
-    interval,
 )
 from densitylab.porosity import porosity_test
 from densitylab.randomness import (
@@ -29,6 +27,8 @@ from densitylab.randomness import (
     least_density_drop,
     least_drop_h,
 )
+
+from helpers import enumeration, interval
 
 PINCH = enumeration((F(1, 4), F(1, 3)), (F(1, 3), F(1, 2)))
 

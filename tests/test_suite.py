@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from densitylab import suite
+from densitylab import counterexample, suite
 from densitylab.cli import main
 from densitylab.counterexample import (
     build_counterexample,
@@ -166,6 +166,17 @@ def test_a_broken_invariant_is_a_failed_row_not_a_crash(monkeypatch, capfd):
     assert report["budget_exhausted"] == []
     assert [c["number"] for c in report["meta"]["criteria"] if not c["passed"]] == [3]
     assert_no_child_process()
+
+
+def test_a_spike_without_a_dyadic_anchor_breaks_battery_8(monkeypatch):
+    # the exponent rule chose each spike's k for a multiple of 2^-k in its
+    # source, so a certificate without one is a bug: a failed row, no guess
+    monkeypatch.setattr(counterexample, "largest_dyadic_multiple", lambda lo, hi, n: None)
+    out = run_criterion(8)
+    assert out.checks == [Check(
+        "battery aborted: no positive multiple of 2^-1 in the source of spike k = 1",
+        F(0), F(1), False)]
+    assert out.notes == []
 
 
 def test_an_exhausted_budget_is_a_failed_row_and_listed_as_exhausted(monkeypatch, capfd):
