@@ -21,7 +21,7 @@ from math import ceil, floor, gcd, lcm
 from operator import itemgetter
 
 from .bits import ONE, ZERO
-from .errors import BudgetExhausted, DomainError
+from .errors import BudgetExhausted, DomainError, InvariantError
 from .intervals import ClassGaps, StagedOpenEnumeration, stage_gaps
 from .piecewise import PiecewiseLinear
 
@@ -166,8 +166,9 @@ class ExtensionBudget:
 
 
 # A row over the internal grid indices is a list of runs (first, last, start,
-# step, ...) in index order: start + step (k - first) at each k from first to
-# last.  Runs of a row are disjoint and, except where said, cover 0..end.
+# step) in index order: start + step (k - first) at each k from first to last;
+# the value row's runs are ratios (see MonotoneExtension).  Runs of a row are
+# disjoint and, except where said, cover 0..end.
 
 
 def _at(run: tuple, k: int) -> int:
@@ -283,18 +284,13 @@ def _lower(a: list, b: list) -> list:
     return out
 
 
-# The most indices of one run that the build solves one by one; a longer run
-# raises BudgetExhausted.  A grid of depth 20 or less never holds that many
-# indices inside its holes.
-POINTWISE_LIMIT = 1 << 20
-
-
 def _crossings(f0: list, g0: list, f1: list, g1: list, den: int) -> list:
-    """The values (first, last, p, step, q) of the indices that close at this
-    stage, F_(t-1) > G_(t-1) and F_t <= G_t: F at the linear crossing between
-    the two stages, p / q.  On each overlap of the four rows' runs those
-    indices are one range, and p and q are progressions along it where the
-    gap's and the rise's steps allow; elsewhere each index is its own run."""
+    """The value runs (first, last, p0, p1, p2, q0, q1) of the indices that
+    close at this stage, F_(t-1) > G_(t-1) and F_t <= G_t: F at the linear
+    crossing between the two stages.  On each overlap of the four rows' runs
+    they are one range, along which F_(t-1), the gap F_(t-1) - G_(t-1), the
+    fall F_t - F_(t-1) and the rise gap + G_t - F_t are progressions in
+    m = k - first: p = F_(t-1) rise + gap fall is quadratic, q = rise den."""
     out = []
     for lo, hi, runs in _overlaps(f0, g0, f1, g1):
         pf, pg, nf, ng = (_at(r, lo) for r in runs)
@@ -302,31 +298,46 @@ def _crossings(f0: list, g0: list, f1: list, g1: list, den: int) -> list:
         a, b = _at_most(pg - pf + 1, sg - sf, lo, hi)  # F_(t-1) - G_(t-1) >= 1
         c, d = _at_most(nf - ng, snf - sng, lo, hi)
         a, b = max(a, c), min(b, d)
-
-        def solved(k: int) -> tuple[int, int]:
-            m = k - lo
-            prev_f, f_v = pf + sf * m, nf + snf * m
-            gap = prev_f - pg - sg * m
-            rise = gap + ng + sng * m - f_v
-            return prev_f * rise + gap * (f_v - prev_f), rise * den
-
         if a > b:
             continue
-        # p = prev_f rise + gap (f_v - prev_f) is linear in k when the rise
-        # is constant and gap or f_v - prev_f is
-        if sf - sg + sng - snf == 0 and (sf - sg) * (snf - sf) == 0:
-            p, q = solved(a)
-            out.append((a, b, p, solved(a + 1)[0] - p, q))
-        elif b - a >= POINTWISE_LIMIT:
-            raise BudgetExhausted(
-                f"the envelopes cross index by index on {b - a + 1} internal grid "
-                f"indices; at most {POINTWISE_LIMIT} are solved one by one"
-            )
-        else:
-            for k in range(a, b + 1):
-                p, q = solved(k)
-                out.append((k, k, p, 0, q))
+        x = a - lo
+        f, gap, fall = pf + sf * x, pf - pg + (sf - sg) * x, nf - pf + (snf - sf) * x
+        rise = gap + ng - nf + (sng - snf) * x
+        s_gap, s_fall, s_rise = sf - sg, snf - sf, sf - sg + sng - snf
+        out.append((a, b, f * rise + gap * fall,
+                    f * s_rise + sf * rise + gap * s_fall + s_gap * fall,
+                    sf * s_rise + s_gap * s_fall, rise * den, s_rise * den))
     return out
+
+
+def _pq(run: tuple, k: int) -> tuple[int, int]:
+    """A value run's (p, q) at index k."""
+    first, _, p0, p1, p2, q0, q1 = run
+    m = k - first
+    return p0 + (p1 + p2 * m) * m, q0 + q1 * m
+
+
+def _drops(run: tuple, i: int, count: int, s: int) -> int:
+    """How many of the count steps i + j s -> i + (j + 1) s a value run falls
+    at.  The step from m = k - first falls when p(m + s) q(m) - p(m) q(m + s),
+    over s the quadratic a2 m^2 + a1 m + a0 below, is negative: on each side
+    of its vertex a prefix or a suffix of the steps: one bisect at most."""
+    first, _, p0, p1, p2, q0, q1 = run
+    a2, a1, a0 = p2 * q1, p2 * (s * q1 + 2 * q0), q0 * (p1 + p2 * s) - q1 * p0
+    steps = range(i - first, i - first + count * s, s)
+    cut = bisect_left(steps, -(a1 // (2 * a2))) if a2 else 0  # the vertex -a1 / (2 a2)
+
+    def falls(m: int) -> bool:
+        return (a2 * m + a1) * m + a0 < 0
+
+    def side(part: range) -> int:
+        head = bool(part) and falls(part[0])
+        if not part or head == falls(part[-1]):
+            return len(part) if head else 0
+        n = bisect_left(part, True, key=lambda m: falls(m) != head)
+        return n if head else len(part) - n
+
+    return side(steps[:cut]) + side(steps[cut:])
 
 
 def extension_grid_depth(lip: Fraction, n: int) -> int:
@@ -384,20 +395,17 @@ class MonotoneExtension:
     An index is solved at the first stage where F <= G, by the linear
     crossing with the stage before.  A grid point x of stage t's class has
     F_t >= h(x) + margin > h(x) - margin >= G_t at its index, so it cannot
-    close at stage t: only the indices inside its holes can.  A hole holds
-    no candidate, and an off-grid end's candidate sits at the hole's first
-    index for F and its last for G, so rm_t and rmin_t are constant across
-    the hole.  The crossing is then a progression along a run wherever the
-    gap F_(t-1) - G_(t-1) and the rise are constant too, as they are where
-    h is nondecreasing; where they vary the run is solved index by index,
-    as one-index runs, by the same code, and a run of more than
-    ``POINTWISE_LIMIT`` such indices raises BudgetExhausted.  Such a run
-    lies where h falls and climbs back on an earlier stage's class, inside
-    a later hole.  The solved values are one row of
-    runs (first, last, p, step, q): p / q at each index, or the gap with
-    q == 0 where it never closed below 2^-n, which raises BudgetExhausted
-    when first queried.  ``value`` bisects it, and ``extension_grid_check``
-    reads it run by run.
+    close at stage t, and a grid point of the final class never closes: only
+    indices inside holes do.  A hole holds no candidate, and an off-grid
+    end's candidate sits at the hole's first index for F and its last for
+    G, so rm_t and rmin_t are constant across the hole, and on each overlap
+    of the four envelope rows' runs the crossing is p(m) / q(m), with p
+    quadratic and q linear in m (``_crossings``).  The solved values are
+    one row of runs (first, last, p0, p1, p2, q0, q1), the value
+    (p0 + p1 m + p2 m^2) / (q0 + q1 m) at m = k - first: p2 = q1 = 0 where
+    the final F stands, and q0 = q1 = 0 marks the gap where it never closed
+    below 2^-n, which raises BudgetExhausted when first queried.  ``value``
+    bisects the row, and ``extension_grid_check`` reads it run by run.
     """
 
     def __init__(
@@ -516,10 +524,10 @@ class MonotoneExtension:
             u, v = _at_most(gap - wide, sgap, lo, hi)
             for a, b in ((u, min(v, x - 1)), (max(u, y + 1), v)):
                 if a <= b:
-                    values.append((a, b, f0 + sf * (a - lo), sf, den))
+                    values.append((a, b, f0 + sf * (a - lo), sf, 0, den, 0))
             for a, b in ((lo, u - 1), (v + 1, hi)):
                 if a <= b:
-                    values.append((a, b, gap + sgap * (a - lo), sgap, 0))
+                    values.append((a, b, gap + sgap * (a - lo), sgap, 0, 0, 0))
         self._runs = sorted(values)
 
     def _check_monotone_on_class(self, refined: list, floor: int) -> None:
@@ -566,8 +574,7 @@ class MonotoneExtension:
     def _value_at(self, i: int, x_num: int, x_den: int) -> Fraction:
         """The value at internal grid index i; x_num / x_den is the query
         point named if the envelope gap never closed there."""
-        run = self._runs[bisect_right(self._runs, i, key=itemgetter(0)) - 1]
-        p, q = _at(run, i), run[4]
+        p, q = _pq(self._runs[bisect_right(self._runs, i, key=itemgetter(0)) - 1], i)
         if not q:
             raise BudgetExhausted(
                 f"envelope gap never closed at {Fraction(x_num, x_den)}",
@@ -584,17 +591,20 @@ def extension_grid_check(ext: MonotoneExtension, depth: int) -> tuple[int, Fract
     Query k lies on internal grid index (k << grid_depth) >> depth, so each
     run of the build's values holds a range of query points, and the check
     reads the runs, never a row: an exhausted run raises at the first query
-    point that reaches it, as ``value`` does there.  A drop lies at a
-    run boundary, by cross-multiplying the two value pairs there, or inside
-    a falling run, at each step to the next index.  h is read as its
+    point that reaches it, as ``value`` does there.  A drop lies at a run
+    boundary, found by cross-multiplying, or between two reached indices of
+    one run, counted by ``_drops``.  h is read as its
     ``grid_progressions(depth)``, so on each overlap of a value run, an h
-    piece and a class range, value and h are progressions over the indices
-    and the query points.  On a grid finer than the internal one the 2^s
-    query points of one index share its value, with s = depth - grid_depth.
-    |value - h| is then linear along each such block, along the blocks'
-    first points and along their last points, so it is convex along each:
-    the worst lies among the overlap's ends and the points on either side
-    of its first and last block edges.  One Fraction is built, at the end.
+    piece and a class range, h is a progression over the query points, and so
+    is the value over the indices where p2 = q1 = 0.  On a grid finer than the
+    internal one the 2^s query points of one index share its value, with s =
+    depth - grid_depth.  |value - h| is then linear along each such block,
+    along the blocks' first points and along their last points, so it is
+    convex along each: the worst lies among the overlap's ends and the points
+    on either side of its first and last block edges.  A run with p2 or q1
+    nonzero holds crossings, and no grid point of the final class ever closes,
+    so such an overlap lies on one index, where the value is constant; one
+    over more raises InvariantError.  One Fraction is built, at the end.
     """
     if depth < 0:
         raise DomainError(f"grid depth {depth} is negative")
@@ -610,30 +620,32 @@ def extension_grid_check(ext: MonotoneExtension, depth: int) -> tuple[int, Fract
         return -((-i << depth) >> gd)
 
     reached = []  # each value run with the query points ka .. kb on its indices
-    drops, prev_p, prev_q = 0, None, 1
+    drops, prev = 0, None
     for run in ext._runs:
         ka, kb = least_k(run[0]), min(least_k(run[1] + 1) - 1, points)
         if ka > kb:
             continue
-        p, q = _at(run, index(ka)), run[4]
+        i = index(ka)
+        p, q = _pq(run, i)
         if not q:
-            ext._value_at(index(ka), ka, points)  # raises BudgetExhausted
-        if prev_p is not None and prev_p * q > p * prev_q:
+            ext._value_at(i, ka, points)  # raises BudgetExhausted
+        if prev is not None and prev[0] * q > p * prev[1]:
             drops += 1
-        if run[3] < 0:
-            drops += (index(kb) - index(ka)) >> spacing
-        prev_p, prev_q = _at(run, index(kb)), q
+        drops += _drops(run, i, (index(kb) - i) >> spacing, 1 << spacing)
+        prev = _pq(run, index(kb))
         reached.append((ka, kb, run))
     h_den, h_pieces = ext.h.grid_progressions(depth)
     in_class = [(a, b) for a, b in ext.final_row.grid_ranges(depth) if a <= b]
     # the worst |value - h| is worst_e / (worst_q h_den)
     worst_e, worst_q = 0, 1
     for lo, hi, ((_, _, run), piece, _) in _overlaps(reached, h_pieces, in_class):
-        q = run[4]
+        if (run[4] or run[6]) and index(lo) != index(hi):
+            raise InvariantError(f"query points {lo} to {hi} of the class span a crossing run")
         lo_end, hi_start = lo | (block - 1), hi & -block
         for k in {lo, hi, lo_end, lo_end + 1, hi_start - 1, hi_start}:
             if lo <= k <= hi:
-                e = abs(_at(run, index(k)) * h_den - _at(piece, k) * q)
+                p, q = _pq(run, index(k))
+                e = abs(p * h_den - _at(piece, k) * q)
                 if e * worst_q > worst_e * q:
                     worst_e, worst_q = e, q
     return drops, Fraction(worst_e, worst_q * h_den)

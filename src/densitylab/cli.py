@@ -112,10 +112,11 @@ def _override(args, flag: str, default: int, doc: dict | None = None, key: str =
 # rows as runs and takes about 0.01 s at 20; it shares the cap.
 ROW_MAX_DEPTH = 20
 # The largest extend --depth, and the largest internal grid depth of extend.
-# The extension keeps its rows as runs, so neither its time nor its memory
-# grows with either depth: on a 2-vCPU host a six-hole document takes about
-# 4 ms and 18 MB in process at n = 10 and --depth 16 and at the cap alike,
-# where n = 57.
+# The extension keeps its rows as runs, its crossings where h dips inside a
+# hole included, so neither its time nor its memory grows with either depth:
+# on a 2-vCPU host a six-hole document takes about 4 ms and 18 MB in process
+# at n = 10 and --depth 16 and at the cap alike, where n = 57, and one whose
+# h dips inside its second hole about 3.5 ms at n = 17 and at n = 56.
 EXTEND_MAX_DEPTH = 60
 # The largest escape 'r' and 'm_max' of tests.  Box m's bound (1 - 2^-(r+1))^m
 # has a numerator of about m (r + 1) bits, and Python prints no integer over

@@ -1,5 +1,6 @@
 """Exact functions, pseudo-derivatives, extrema, monotone extension."""
 
+import time
 import tracemalloc
 from fractions import Fraction as F
 from itertools import accumulate
@@ -15,9 +16,11 @@ from densitylab.calculus import (
     Polynomial,
     _at_most,
     _crossings,
+    _drops,
     _flip,
     _grid_step,
     _lower,
+    _pq,
     _straddling_candidates,
     _sweep_max,
     extension_grid_check,
@@ -26,7 +29,7 @@ from densitylab.calculus import (
     pseudo_derivative_estimate,
 )
 from densitylab.counterexample import build_counterexample, default_enumeration
-from densitylab.errors import BudgetExhausted, DomainError
+from densitylab.errors import BudgetExhausted, DomainError, InvariantError
 from densitylab.instances import extension_instance
 from densitylab.intervals import StagedOpenEnumeration
 from densitylab.piecewise import PiecewiseLinear
@@ -219,17 +222,28 @@ def grid_row(g: PiecewiseLinear, depth: int) -> tuple[int, list[int]]:
     return den, progression_row(pieces)
 
 
+def written_values(runs, size):
+    """The (p, q) of value runs (first, last, p0, p1, p2, q0, q1) index by
+    index, (p0 + p1 m + p2 m^2, q0 + q1 m) at m = k - first; None where no
+    run lies."""
+    out = [None] * size
+    for first, last, p0, p1, p2, q0, q1 in runs:
+        for k in range(first, last + 1):
+            m = k - first
+            out[k] = (p0 + p1 * m + p2 * m * m, q0 + q1 * m)
+    return out
+
+
 def rows_of(ext):
     """The build's runs written out as (ps, qs, hs) rows over its denominator:
     p / q the value at each internal grid index, or the gap with q == 0, and
     h's sample there."""
-    ps, qs, k = [], [], 0
-    for first, last, start, step, q in ext._runs:
+    k = 0
+    for first, last, *_ in ext._runs:
         assert first == k  # the runs cover the grid in order
-        ps += progression_row([(first, last, start, step)])
-        qs += [q] * (last - first + 1)
         k = last + 1
     assert k == (1 << ext.grid_depth) + 1
+    ps, qs = (list(row) for row in zip(*written_values(ext._runs, k)))
     row_den, row = grid_row(ext.h, ext.grid_depth)
     return ps, qs, [v * (ext._den // row_den) for v in row]
 
@@ -237,15 +251,17 @@ def rows_of(ext):
 def plant(ext, i, p, q):
     """Put the value p / q at internal grid index i, as a one-index run."""
     runs = []
-    for first, last, start, step, rq in ext._runs:
+    for run in ext._runs:
+        first, last, p0, p1, p2, q0, q1 = run
         if not first <= i <= last:
-            runs.append((first, last, start, step, rq))
+            runs.append(run)
             continue
         if first < i:
-            runs.append((first, i - 1, start, step, rq))
-        runs.append((i, i, p, 0, q))
+            runs.append((first, i - 1, p0, p1, p2, q0, q1))
+        runs.append((i, i, p, 0, 0, q, 0))
         if i < last:
-            runs.append((i + 1, last, start + step * (i + 1 - first), step, rq))
+            p_d, q_d = _pq(run, i + 1)  # the same polynomials from m = i + 1 - first
+            runs.append((i + 1, last, p_d, p1 + 2 * p2 * (i + 1 - first), p2, q_d, q1))
     ext._runs = runs
 
 
@@ -409,10 +425,11 @@ def test_grid_check_reads_breakpoints_inside_runs_like_the_per_point_loop(case, 
 
 
 @st.composite
-def runs_over(draw, end, width=4):
+def runs_over(draw, end, width=4, edges=()):
     """A row over 0..end: runs (first, last, start, step, *extra) with
-    `width` fields, at random cuts, starts and steps."""
-    cuts = sorted(draw(st.sets(st.integers(1, end), max_size=6))) if end else []
+    `width` fields, at random cuts and at the given edges, starts and
+    steps."""
+    cuts = sorted(draw(st.sets(st.integers(1, end), max_size=6)) | set(edges)) if end else []
     runs = []
     for first, stop in zip([0, *cuts], [*cuts, end + 1]):
         run = (first, stop - 1, draw(st.integers(-40, 40)), draw(st.integers(-5, 5)))
@@ -470,7 +487,7 @@ def test_row_kernels_match_index_by_index(case):
             rise = gap + ng - nf
             want[k] = (pf * rise + gap * (nf - pf), rise * 3)
     got = _crossings(a, b, c, d, 3)
-    assert written(got, end + 1) == want
+    assert written_values(got, end + 1) == want
     assert got == sorted(got)
 
 
@@ -478,16 +495,28 @@ def test_row_kernels_match_index_by_index(case):
 def planted_runs(draw):
     """(ext, depth): an extension with h kinked off every dyadic grid and its
     values replaced by any runs: rising, flat or falling, over a few
-    denominators, or the marker q == 0."""
+    denominators, or the marker q == 0.  A run whose indices hold no grid
+    point of the final class, as a crossing run's never do, may also be
+    quadratic over linear.  The runs are cut at random and where the class
+    begins or ends on the grid, so that some lie inside a hole."""
     h, enum, n = draw(kinked_extensions())
     ext = MonotoneExtension(h, enum, n)
-    den = ext._den
+    den, gd = ext._den, ext.grid_depth
+    cls = enum.final_class()
+    in_class = [cls.contains_point(F(k, 1 << gd)) for k in range((1 << gd) + 1)]
+    edges = {k for k in range(1, 1 << gd) if in_class[k] != in_class[k - 1]}
     # steps of up to 5/32 an index, or of the order of h's own
-    unit = den // 64 if draw(st.booleans()) else den >> ext.grid_depth
-    ext._runs = [(first, last, start * den // 4, step * unit,
-                  0 if q == 0 and draw(st.integers(0, 9)) == 0 else (q or 1) * den // 2)
-                 for first, last, start, step, q in draw(runs_over(1 << ext.grid_depth, 5))]
-    return ext, ext.grid_depth + draw(st.integers(-3, 4))
+    unit = den // 64 if draw(st.booleans()) else den >> gd
+    runs = []
+    for first, last, start, step, q, c2, c1 in draw(runs_over(1 << gd, 7, edges)):
+        q0 = 0 if q == 0 and draw(st.integers(0, 9)) == 0 else (q or 1) * den // 2
+        if not q0 or any(in_class[first:last + 1]):
+            c2 = c1 = 1  # the run is linear
+        # q stays above q0 / 2 along the run
+        runs.append((first, last, start * den // 4, step * unit,
+                     (c2 - 1) * max(unit >> gd, 1), q0, (c1 - 1) * (den >> (gd + 2))))
+    ext._runs = runs
+    return ext, gd + draw(st.integers(-3, 4))
 
 
 @settings(max_examples=100, deadline=None)
@@ -495,6 +524,27 @@ def planted_runs(draw):
 def test_grid_check_reads_any_runs_like_the_per_point_loop(case):
     ext, depth = case
     assert outcome(extension_grid_check, ext, depth) == outcome(per_point_grid_check, ext, depth)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-60, 60), st.integers(-20, 20), st.integers(-6, 6), st.integers(1, 40),
+       st.integers(-3, 8), st.integers(0, 6), st.integers(0, 12), st.sampled_from([1, 2, 4]))
+def test_drops_match_a_step_by_step_count(p0, p1, p2, q0, q1, i0, count, s):
+    # quadratic over linear runs with q > 0 at every index they reach
+    last = i0 + count * s
+    run = (0, last, p0, p1, p2, q0 + max(-q1, 0) * last, q1)
+    values = [F(*_pq(run, i0 + j * s)) for j in range(count + 1)]
+    assert _drops(run, i0, count, s) == sum(a > b for a, b in zip(values, values[1:]))
+
+
+def test_grid_check_refuses_a_crossing_run_over_class_indices():
+    # a quadratic run over internal indices whose grid points lie in the
+    # class, which no build writes: its worst would need more than the ends
+    ext = MonotoneExtension(LINE, enumeration((F(1, 4), F(1, 2))), 2)
+    gd, den = ext.grid_depth, ext._den
+    ext._runs = [(0, 1 << gd, 0, den >> gd, 1, den, 0)]
+    with pytest.raises(InvariantError, match="of the class span a crossing run"):
+        extension_grid_check(ext, gd)
 
 
 @pytest.mark.parametrize("s", [1, 2, 3])
@@ -507,7 +557,7 @@ def test_grid_check_finds_the_worst_next_to_a_block_edge(s):
     ext = MonotoneExtension(h, enumeration(), 2)
     gd, den = ext.grid_depth, ext._den
     for num in range(1, 13):
-        ext._runs = [(0, 1 << gd, 0, num * den >> (gd + 3), den)]
+        ext._runs = [(0, 1 << gd, 0, num * den >> (gd + 3), 0, den, 0)]
         assert extension_grid_check(ext, gd + s) == per_point_grid_check(ext, gd + s)
 
 
@@ -864,19 +914,63 @@ def test_off_grid_parts_evaluate_h_as_often_at_any_grid_depth(monkeypatch):
     assert counts[0] == counts[1]
 
 
-def test_a_long_run_of_index_by_index_crossings_exhausts_the_build():
-    # h peaks at 1/4, dips and climbs back to the peak at 1/2, so on the
-    # first stage's class F holds the peak while G follows h up from 3/8,
-    # and the second stage's hole closes over a gap that varies index by
-    # index
-    h = PiecewiseLinear((F(0), F(1, 4), F(3, 8), F(5, 8), F(1)),
+# h peaks at 1/4, dips and climbs back to the peak at 1/2, so on the first
+# stage's class F holds the peak while G follows h up from 3/8, and the second
+# stage's hole closes over a gap that varies along it
+DIP_H = PiecewiseLinear((F(0), F(1, 4), F(3, 8), F(5, 8), F(1)),
                         (F(0), F(1, 2), F(1, 4), F(3, 4), F(1)))
-    enum = enumeration((F(3, 4), F(7, 8)), (F(1, 4), F(9, 16)))
-    ext = MonotoneExtension(h, enum, 10)
-    assert len(ext._runs) > 1 << 8  # the crossings one index each
-    assert extension_grid_check(ext, 12) == per_point_grid_check(ext, 12)
-    with pytest.raises(BudgetExhausted, match="at most 1048576 are solved one by one"):
-        MonotoneExtension(h, enum, 40)
+DIP_ENUM = enumeration((F(3, 4), F(7, 8)), (F(1, 4), F(9, 16)))
+
+
+def test_a_long_run_of_dipping_crossings_builds_in_closed_form():
+    # each such run is one quadratic over linear run, at any depth
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        ext = MonotoneExtension(DIP_H, DIP_ENUM, 57)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.01
+    assert len(ext._runs) < 1 << 8
+    assert any(run[4] or run[6] for run in ext._runs)
+    ext = MonotoneExtension(DIP_H, DIP_ENUM, 10)
+    assert extension_grid_check(ext, 12) == per_point_grid_check(ext, 12) == (0, F(3, 16384))
+
+
+@st.composite
+def dipping_extensions(draw):
+    """(h, enum, n) after DIP_H and DIP_ENUM: h rises to a peak at a hole's
+    left end a, dips inside the hole and climbs past the peak by its right
+    end b, then keeps rising.  Hole ends lie on the grid or off every dyadic
+    grid.  The dipping hole never comes first, and one or two other holes lie
+    left of a or right of b, in any order around it, so that a stage before
+    it holds the dip in its class and the gap closes along a varying run."""
+    n = draw(st.integers(1, 3))
+    a = draw(st.sampled_from([F(3, 16), F(1, 4), F(1, 3), F(5, 16)]))
+    b = draw(st.sampled_from([F(9, 16), F(4, 7), F(3, 5), F(5, 8)]))
+    dip = a + (b - a) * draw(st.sampled_from([F(1, 3), F(1, 2)]))
+    peak = draw(st.sampled_from([F(3, 8), F(1, 2), F(5, 8)]))
+    low = peak - draw(st.sampled_from([F(1, 8), F(1, 4), F(3, 8)]))
+    top = peak + draw(st.sampled_from([F(1, 4), F(3, 8)]))
+    h = PiecewiseLinear((F(0), a, dip, b, F(1)),
+                        (F(0), peak, low, top, top + draw(st.integers(0, 2)) * F(1, 8)))
+    others = draw(st.lists(st.sampled_from([(F(1, 16), F(1, 8)), (F(1, 10), F(1, 7)),
+                                            (F(2, 3), F(5, 7)), (F(3, 4), F(7, 8)),
+                                            (F(13, 16), F(15, 16))]),
+                           min_size=1, max_size=2, unique=True))
+    holes = [others[0], *draw(st.permutations([(a, b), *others[1:]]))]
+    return h, enumeration(*holes), n
+
+
+@settings(max_examples=40, deadline=None)
+@given(dipping_extensions())
+def test_dipping_h_builds_crossing_runs_like_the_per_index_reference(case):
+    h, enum, n = case
+    ext = MonotoneExtension(h, enum, n)
+    assert any(run[4] or run[6] for run in ext._runs)  # p2 or q1 nonzero
+    assert rows_of(ext) == per_index_build(h, enum, n, ExtensionBudget())
+    for offset in range(-3, 4):
+        depth = ext.grid_depth + offset
+        assert extension_grid_check(ext, depth) == per_point_grid_check(ext, depth)
 
 
 def per_point_extremum(p, a, b, n, which):

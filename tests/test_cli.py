@@ -273,6 +273,23 @@ def test_extend_runs_at_n_40_with_hole_ends_off_every_dyadic_grid(tmp_path):
     assert Fraction(worst["lhs"]) <= 2 * Fraction(1, 1 << 40) and worst["ok"]
 
 
+def test_extend_runs_a_dipping_h_at_the_internal_grid_depth_cap(tmp_path):
+    # h peaks at 1/4 and dips inside the hole (1/4, 9/16), which a stage
+    # after the first removes, so its indices close along quadratic over
+    # linear runs; Lipschitz bound 2 puts the internal grid depth at 60
+    doc = {"holes": [["3/4", "7/8"], ["1/4", "9/16"]],
+           "h": {"xs": ["0", "1/4", "3/8", "5/8", "1"], "ys": ["0", "1/2", "1/4", "3/4", "1"]},
+           "n": 56}
+    code, blob = run(tmp_path, "extend", "--depth", "16", "--instance",
+                     write_instance(tmp_path, doc))
+    assert code == 0
+    report = json.loads(blob)
+    assert report["budget_exhausted"] == []
+    drops, worst = report["checks"]
+    assert drops["lhs"] == "0/1" and drops["ok"]
+    assert Fraction(worst["lhs"]) <= 2 * Fraction(1, 1 << 56) and worst["ok"]
+
+
 def test_porosity_scans_a_hole_that_first_holds_a_cylinder_past_level_400(tmp_path):
     # the hole [1/D, 2/D], D = 2^420, holds a whole cylinder from level 421
     d = 1 << 420
