@@ -23,7 +23,7 @@ from operator import itemgetter
 from .bits import ONE, ZERO
 from .errors import BudgetExhausted, DomainError, InvariantError
 from .intervals import ClassGaps, StagedOpenEnumeration, stage_gaps
-from .piecewise import PiecewiseLinear
+from .piecewise import PiecewiseLinear, overlaps
 
 
 class Polynomial:
@@ -192,20 +192,6 @@ def _put(out: list, first: int, last: int, start: int, step: int) -> None:
     out.append((first, last, start, step))
 
 
-def _overlaps(*rows):
-    """(lo, hi, runs) for each maximal index range lo..hi that lies in one run
-    of every row, with those runs; the rows need not cover the same indices."""
-    pos = [0] * len(rows)
-    while all(p < len(row) for p, row in zip(pos, rows)):
-        runs = [row[p] for p, row in zip(pos, rows)]
-        lo, hi = max(r[0] for r in runs), min(r[1] for r in runs)
-        if lo <= hi:
-            yield lo, hi, runs
-        for j, r in enumerate(runs):
-            if r[1] == hi:
-                pos[j] += 1
-
-
 def _at_most(d0: int, ds: int, lo: int, hi: int) -> tuple[int, int]:
     """The indices k in lo..hi with d0 + ds (k - lo) <= 0.  A progression
     changes sign at most once, so they are one range a..b, which is a prefix
@@ -274,7 +260,7 @@ def _lower(a: list, b: list) -> list:
     """The pointwise min of two rows.  On each overlap of their runs a - b is
     a progression, so a is the lower one on a prefix or a suffix of it."""
     out: list = []
-    for lo, hi, (ra, rb) in _overlaps(a, b):
+    for lo, hi, ra, rb in overlaps(a, b):
         a0, b0 = _at(ra, lo), _at(rb, lo)
         x, y = _at_most(a0 - b0, ra[3] - rb[3], lo, hi)
         for first, last, v0, step in ((lo, x - 1, b0, rb[3]), (x, y, a0, ra[3]),
@@ -287,14 +273,17 @@ def _lower(a: list, b: list) -> list:
 def _crossings(f0: list, g0: list, f1: list, g1: list, den: int) -> list:
     """The value runs (first, last, p0, p1, p2, q0, q1) of the indices that
     close at this stage, F_(t-1) > G_(t-1) and F_t <= G_t: F at the linear
-    crossing between the two stages.  On each overlap of the four rows' runs
-    they are one range, along which F_(t-1), the gap F_(t-1) - G_(t-1), the
-    fall F_t - F_(t-1) and the rise gap + G_t - F_t are progressions in
-    m = k - first: p = F_(t-1) rise + gap fall is quadratic, q = rise den."""
+    crossing between the two stages.  The four rows are walked as the
+    overlaps of the (F_(t-1), G_(t-1)) overlaps with the (F_t, G_t) ones.
+    On each overlap of the four rows' runs they are one range, along which
+    F_(t-1), the gap F_(t-1) - G_(t-1), the fall F_t - F_(t-1) and the rise
+    gap + G_t - F_t are progressions in m = k - first: p = F_(t-1) rise +
+    gap fall is quadratic, q = rise den."""
     out = []
-    for lo, hi, runs in _overlaps(f0, g0, f1, g1):
-        pf, pg, nf, ng = (_at(r, lo) for r in runs)
-        sf, sg, snf, sng = (r[3] for r in runs)
+    for lo, hi, (_, _, rf0, rg0), (_, _, rf1, rg1) in overlaps(list(overlaps(f0, g0)),
+                                                               list(overlaps(f1, g1))):
+        pf, pg, nf, ng = _at(rf0, lo), _at(rg0, lo), _at(rf1, lo), _at(rg1, lo)
+        sf, sg, snf, sng = rf0[3], rg0[3], rf1[3], rg1[3]
         a, b = _at_most(pg - pf + 1, sg - sf, lo, hi)  # F_(t-1) - G_(t-1) >= 1
         c, d = _at_most(nf - ng, snf - sng, lo, hi)
         a, b = max(a, c), min(b, d)
@@ -390,7 +379,10 @@ class MonotoneExtension:
     itself from there on; along a flat or falling piece it holds a
     constant.  So rm_t and rmin_t take a few runs per piece, and each
     envelope is a merge of two rows: on each overlap of their runs two
-    progressions cross at most once, at one integer-division index.
+    progressions cross at most once, at one integer-division index.  Rows
+    are read together through ``piecewise.overlaps``, one two-row walk of
+    their runs, and walks of more rows are walks of walks.  G_t is flipped
+    back once, and serves as G_(t-1) at the next stage.
 
     An index is solved at the first stage where F <= G, by the linear
     crossing with the stage before.  A grid point x of stage t's class has
@@ -504,20 +496,22 @@ class MonotoneExtension:
 
         # stage 0: F and G are the bounds, F > G everywhere; G is kept flipped
         f_env, g_flip = [(0, scale, hi_bound, 0)], [(0, scale, -lo_bound, 0)]
+        g_env = [(0, scale, lo_bound, 0)]  # G itself, the flip of g_flip
         values = []  # the runs of p / q, the indices closed so far
         for row in rows:
             fp, gp = candidates(row)
             f_new = _lower(f_env, _sweep_max(fp, scale, lo_bound))
-            g_new = _lower(g_flip, _sweep_max(_flip(gp, scale), scale, -hi_bound))
+            g_flip = _lower(g_flip, _sweep_max(_flip(gp, scale), scale, -hi_bound))
+            g_new = _flip(g_flip, scale)
             # F falls and G rises along the stages, so an index closes for
             # good at the first stage with F <= G
-            values += _crossings(f_env, _flip(g_flip, scale), f_new, _flip(g_new, scale), den)
-            f_env, g_flip = f_new, g_new
+            values += _crossings(f_env, g_env, f_new, g_new, den)
+            f_env, g_env = f_new, g_new
         # where the curves never crossed, the value is the final F while its
         # gap to G is below 2^-n; a gap with gap << n >= den, that is one above
         # (den - 1) >> n, is kept as p with the marker q == 0
         wide = (den - 1) >> n
-        for lo, hi, (rf, rg) in _overlaps(f_env, _flip(g_flip, scale)):
+        for lo, hi, rf, rg in overlaps(f_env, g_env):
             f0, sf = _at(rf, lo), rf[3]
             gap, sgap = f0 - _at(rg, lo), sf - rg[3]
             x, y = _at_most(gap, sgap, lo, hi)  # closed, already in values
@@ -638,7 +632,8 @@ def extension_grid_check(ext: MonotoneExtension, depth: int) -> tuple[int, Fract
     in_class = [(a, b) for a, b in ext.final_row.grid_ranges(depth) if a <= b]
     # the worst |value - h| is worst_e / (worst_q h_den)
     worst_e, worst_q = 0, 1
-    for lo, hi, ((_, _, run), piece, _) in _overlaps(reached, h_pieces, in_class):
+    for lo, hi, (_, _, (_, _, run), piece), _ in overlaps(list(overlaps(reached, h_pieces)),
+                                                          in_class):
         if (run[4] or run[6]) and index(lo) != index(hi):
             raise InvariantError(f"query points {lo} to {hi} of the class span a crossing run")
         lo_end, hi_start = lo | (block - 1), hi & -block

@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .bits import ZERO, denominator_lcm_bits, format_rational, parse_rational
 from .calculus import extension_grid_depth
@@ -114,9 +115,10 @@ ROW_MAX_DEPTH = 20
 # The largest extend --depth, and the largest internal grid depth of extend.
 # The extension keeps its rows as runs, its crossings where h dips inside a
 # hole included, so neither its time nor its memory grows with either depth:
-# on a 2-vCPU host a six-hole document takes about 4 ms and 18 MB in process
-# at n = 10 and --depth 16 and at the cap alike, where n = 57, and one whose
-# h dips inside its second hole about 3.5 ms at n = 17 and at n = 56.
+# on a 2-vCPU host, once the parser is built, a six-hole document takes about
+# 1 ms and 19 MB in process at n = 10 and --depth 16 and at the cap alike,
+# where n = 57, and one whose h dips inside its second hole about 0.5 ms at
+# n = 17 and at n = 56.
 EXTEND_MAX_DEPTH = 60
 # The largest escape 'r' and 'm_max' of tests.  Box m's bound (1 - 2^-(r+1))^m
 # has a numerator of about m (r + 1) bits, and Python prints no integer over
@@ -380,8 +382,12 @@ COMMANDS = (
 RUNNERS = {name: run for name, run, _help in COMMANDS}
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
-    """One parser for every command: the commands share one option set."""
+    """One parser for every command: the commands share one option set.  It
+    is built once per process and shared, so callers only parse with it;
+    each parse makes a fresh namespace, and usage errors and help go to the
+    sys.stderr and sys.stdout of that call."""
     parser = argparse.ArgumentParser(
         prog="densitylab",
         description="Exact-rational verification of density, porosity,\n"

@@ -53,7 +53,7 @@ from .bits import (
     validate_bits,
 )
 from .errors import BudgetExhausted, DomainError, SchemaError
-from .piecewise import PiecewiseLinear
+from .piecewise import PiecewiseLinear, overlaps
 
 
 Run = tuple[int, int, int]  # (first, last, num): num / d at indices first..last
@@ -99,19 +99,6 @@ def _window(runs: list[tuple], start: int, count: int) -> list[tuple]:
         out.append((max(first, start) - start, min(last, end) - start, v))
         i += 1
     return out
-
-
-def run_overlaps(a: list[tuple], b: list[tuple]):
-    """(first, last, x, y) for each stretch on which runs a hold x and runs b
-    hold y, in index order; a and b cover the same indices."""
-    i = j = 0
-    while i < len(a) and j < len(b):
-        fa, la, x = a[i]
-        fb, lb, y = b[j]
-        last = min(la, lb)
-        yield max(fa, fb), last, x, y
-        i += la == last
-        j += lb == last
 
 
 def _dense(row: Row) -> tuple[int, list[int]]:
@@ -164,7 +151,7 @@ class Martingale:
             return _dense(exact)
         (d, want), (e, got) = exact, self._adapter(base, k, n)
         # |x / e - y / d| <= 2^-n, cross-multiplied
-        for first, _, x, y in run_overlaps(got, want):
+        for first, _, (_, _, x), (_, _, y) in overlaps(got, want):
             if abs(x * d - y * e) << n > d * e:
                 raise DomainError(
                     f"adapter broke its 2^-{n} error bound at {_string(base, first, k)!r}"
@@ -200,7 +187,7 @@ def fairness_violations(m: Martingale, depth: int) -> list[str]:
     for k in range(depth):
         e, kids = m.runs("", k + 1)
         prev = 0
-        for first, last, a, b in run_overlaps(_scaled(parents, 1), kids):
+        for first, last, (_, _, a), (_, _, b) in overlaps(_scaled(parents, 1), kids):
             if first & 1:  # node first // 2 has its children on both sides
                 if 2 * a * e != d * (prev + b):
                     bad.append(_string("", first >> 1, k))
@@ -398,7 +385,7 @@ def combine_scaled(m: Martingale, n: Martingale, sigma: str, delta: Fraction) ->
         den = lcm(da, sd * db)
         fa, fb = den // da, sn * (den // (sd * db))
         return den, _merged((first, last, x * fa + y * fb)
-                            for first, last, x, y in run_overlaps(a, b))
+                            for first, last, (_, _, x), (_, _, y) in overlaps(a, b))
 
     return Martingale(rows)
 
@@ -448,13 +435,13 @@ def cap_at(m: Martingale, q: Fraction) -> Martingale:
             e, row = m.runs(base, j)
             t = cap.numerator * e // cap.denominator  # x / e > cap iff x > t
             held = _merged((first, last, (x, e) if v is None and x > t else v)
-                           for first, last, v, x in run_overlaps(held, row))
+                           for first, last, (_, _, v), (_, _, x) in overlaps(held, row))
             if j < k:
                 held = _scaled(held, 1)
         den = lcm(e, *(v[1] for *_, v in held if v is not None))
         return den, _merged(
             (first, last, x * (den // e) if v is None else v[0] * (den // v[1]))
-            for first, last, v, x in run_overlaps(held, row)
+            for first, last, (_, _, v), (_, _, x) in overlaps(held, row)
         )
 
     return Martingale(rows)
@@ -576,7 +563,7 @@ def condition_extension_violations(c2: Condition, c1: Condition, depth: int) -> 
     for k in range(depth - len(sigma) + 1):
         (e2, row2), (e1, row1) = c2.martingale.runs(sigma, k), c1.martingale.runs(sigma, k)
         t2, t1 = n2 * e2, n1 * e1
-        bad = next((first for first, _, x, y in run_overlaps(row2, row1)
+        bad = next((first for first, _, (_, _, x), (_, _, y) in overlaps(row2, row1)
                     if x * d2 < t2 and y * d1 >= t1), None)
         if bad is not None:
             problems.append(f"implication fails at {_string(sigma, bad, k)!r}")
@@ -634,7 +621,7 @@ def savings_extension(cond: Condition, eps: Fraction, search_depth: int) -> Savi
             d_hat = low
         t = qn * d  # x / d < q iff x qd < t
         pieces = [(first, last, p and x * qd < t, x)
-                  for first, last, p, x in run_overlaps(live, row)]
+                  for first, last, (_, _, p), (_, _, x) in overlaps(live, row)]
         live = _scaled(_merged((first, last, p) for first, last, p, _ in pieces), 1)
         reached = [(x, first) for first, _, p, x in pieces if p]
         if reached:

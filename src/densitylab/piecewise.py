@@ -17,6 +17,31 @@ from .bits import format_rational, over_common_denominator, parse_rational
 from .errors import DomainError, SchemaError
 
 
+def overlaps(a: list, b: list):
+    """(lo, hi, ra, rb) for each maximal index range lo..hi that lies in one
+    run ra of a and one run rb of b, in index order.  A run is any tuple that
+    starts with its first and last index, and the runs of a row are disjoint
+    and in index order; the rows need not cover the same indices.  A yielded
+    tuple starts with lo, hi, so it is a run itself, and walks of more rows
+    compose: overlaps(list(overlaps(a, b)), c)."""
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        ra, rb = a[i], b[j]
+        fa, la = ra[0], ra[1]
+        fb, lb = rb[0], rb[1]
+        lo = fa if fa > fb else fb
+        if la <= lb:
+            i += 1
+            j += la == lb
+            if lo <= la:
+                yield lo, la, ra, rb
+        else:
+            j += 1
+            if lo <= lb:
+                yield lo, lb, ra, rb
+
+
 class PiecewiseLinear:
     """Breakpoints with values, linearly interpolated in between, exact.
 

@@ -69,10 +69,9 @@ from .martingales import (
     condition_extends,
     fairness_violations,
     martingale_to_function,
-    run_overlaps,
     slope_martingale,
 )
-from .piecewise import PiecewiseLinear
+from .piecewise import PiecewiseLinear, overlaps
 from .porosity import porosity_test
 from .randomness import (
     CylinderDifferenceTest,
@@ -283,7 +282,8 @@ def _roundtrip_mismatches(m, depth: int) -> int:
     mismatches = 0
     for k in range(depth + 1):
         (d, back), (e, orig) = sm.runs("", k), m.runs("", k)
-        mismatches += sum(last + 1 - first for first, last, x, y in run_overlaps(back, orig)
+        mismatches += sum(last + 1 - first
+                          for first, last, (_, _, x), (_, _, y) in overlaps(back, orig)
                           if x * e != y * d)
     return mismatches
 

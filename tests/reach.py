@@ -18,10 +18,12 @@ may stay never entered, each with a tag and a reason.
 
 from __future__ import annotations
 
-import ast
+import importlib
 import os
+import pkgutil
 import sys
 from pathlib import Path
+from types import CodeType, FunctionType
 
 import densitylab
 from densitylab import cli
@@ -44,29 +46,45 @@ NOT_YET_WIRED = frozenset({
 })
 
 
+def _functions(obj):
+    """The plain functions obj stands for: itself, or the function of a
+    static or class method, cached function, cached property or property."""
+    inner = (getattr(obj, name, None) for name in ("__func__", "__wrapped__", "func", "fget"))
+    return [f for f in (obj, *inner) if isinstance(f, FunctionType)]
+
+
 def library_functions() -> dict[tuple[str, int], str]:
     """(source file, first line of its code) -> "module:qualname" for every
-    function in the package, methods and nested functions included.  A
-    decorated function's code starts at its first decorator."""
+    function in the package, methods and nested functions included.  Both
+    come from the imported code objects, which the tracer sees, so an edit
+    to a source file after import changes neither.  A decorated function's
+    code starts at its first decorator."""
     found = {}
 
-    def walk(body, filename: str, module: str, prefix: str) -> None:
-        for node in body:
-            if isinstance(node, ast.ClassDef):
-                walk(node.body, filename, module, f"{prefix}{node.name}.")
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                first = min([node.lineno, *(d.lineno for d in node.decorator_list)])
-                found[(filename, first)] = f"{module}:{prefix}{node.name}"
-                walk(node.body, filename, module, f"{prefix}{node.name}.<locals>.")
+    def add(code: CodeType, module: str, qualname: str) -> None:
+        found[(code.co_filename, code.co_firstlineno)] = f"{module}:{qualname}"
+        for inner in code.co_consts:
+            # lambdas and comprehensions are named <lambda>, <genexpr>, ...
+            if isinstance(inner, CodeType) and not inner.co_name.startswith("<"):
+                add(inner, module, f"{qualname}.<locals>.{inner.co_name}")
 
-    for path in sorted(PACKAGE.glob("*.py")):
-        walk(ast.parse(path.read_text(), filename=str(path)).body, str(path), path.stem, "")
+    for info in pkgutil.iter_modules([str(PACKAGE)]):
+        module = importlib.import_module(f"densitylab.{info.name}")
+        for obj in vars(module).values():
+            members = vars(obj).values() if isinstance(obj, type) else (obj,)
+            for f in (f for member in members for f in _functions(member)):
+                # imported functions and dataclass-made methods have other files
+                if f.__code__.co_filename == module.__file__:
+                    add(f.__code__, info.name, f.__qualname__)
     return found
 
 
 def _inputs() -> None:
     """Every battery, every command's default report in JSON and CSV, and one
-    verify-all JSON report, with the reports written to the null device."""
+    verify-all JSON report, with the reports written to the null device.  The
+    parser cache is cleared first, so the first command builds the parser
+    here, whatever ran before in this process."""
+    cli.build_parser.cache_clear()
     for number, _title, _fn in CRITERIA:
         run_criterion(number, DEFAULT_SEED)
     for name, _run, _help in cli.COMMANDS:

@@ -552,6 +552,19 @@ def test_bad_command_lines_exit_2(argv, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_one_parser_per_process_keeps_no_state_between_calls(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    inst = write_instance(tmp_path, {"holes": [], "epsilons": ["1/2"]})
+    code, blob = run(tmp_path, "covering", "--instance", inst, "--csv")
+    assert code == 0 and blob.startswith(b"schema_version,")
+    with pytest.raises(SystemExit) as exc:
+        main(["covering", "--instance", inst, "--json", "--csv"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: densitylab")
+    code, blob = run(tmp_path, "covering", "--instance", inst)
+    assert code == 0 and json.loads(blob)["all_hold"] is True
+
+
 def test_help_names_every_command_with_its_help(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from densitylab.errors import DomainError
-from densitylab.piecewise import PiecewiseLinear
+from densitylab.piecewise import PiecewiseLinear, overlaps
 
 
 def progression_row(pieces) -> list[int]:
@@ -176,3 +176,48 @@ def test_progressions_match_value_on_any_arithmetic_grid(fn, lo, delta, count):
     assert [p[0] for p in pieces] == [0, *(p[1] + 1 for p in pieces[:-1])]
     assert pieces[-1][1] == count
     assert [F(v, den) for v in progression_row(pieces)] == expected
+
+
+@st.composite
+def run_rows(draw, end):
+    """Disjoint runs (first, last, tag) in index order over part of 0..end,
+    at random cuts; a run with tag 0 is left out, so a row may leave indices
+    uncovered, as a class's grid ranges do."""
+    cuts = sorted(draw(st.sets(st.integers(1, end), max_size=8))) if end else []
+    runs = [(first, stop - 1, draw(st.integers(0, 3)))
+            for first, stop in zip([0, *cuts], [*cuts, end + 1])]
+    return [run for run in runs if run[2]]
+
+
+def stretches(rows, end):
+    """(lo, hi, runs) for each maximal stretch of 0..end on which every row
+    has a run, and the same one all along, read index by index."""
+    at = []
+    for row in rows:
+        cover = [None] * (end + 1)
+        for run in row:
+            cover[run[0]:run[1] + 1] = [run] * (run[1] + 1 - run[0])
+        at.append(cover)
+    out = []
+    for k in range(end + 1):
+        runs = tuple(cover[k] for cover in at)
+        if None in runs:
+            continue
+        if out and out[-1][1] == k - 1 and out[-1][2] == runs:
+            out[-1] = (out[-1][0], k, runs)
+        else:
+            out.append((k, k, runs))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 40).flatmap(lambda end: st.tuples(
+    st.just(end), *(run_rows(end) for _ in range(4)))))
+def test_overlaps_and_their_compositions_match_index_by_index(case):
+    end, a, b, c, d = case
+    assert [(lo, hi, (ra, rb)) for lo, hi, ra, rb in overlaps(a, b)] == stretches((a, b), end)
+    assert [(lo, hi, (ra, rb, rc)) for lo, hi, (_, _, ra, rb), rc
+            in overlaps(list(overlaps(a, b)), c)] == stretches((a, b, c), end)
+    four = overlaps(list(overlaps(a, b)), list(overlaps(c, d)))
+    assert [(lo, hi, (ra, rb, rc, rd)) for lo, hi, (_, _, ra, rb), (_, _, rc, rd)
+            in four] == stretches((a, b, c, d), end)

@@ -6,7 +6,9 @@ function it never enters and that is not listed is dead code, and an entry
 for a function it enters is stale.
 """
 
-from reach import NOT_YET_WIRED, library_functions, never_entered
+import ast
+
+from reach import NOT_YET_WIRED, PACKAGE, library_functions, never_entered
 
 TAGS = {
     "unwired": "a NOT_YET_WIRED function of ROADMAP item 2, or what only they call",
@@ -91,6 +93,25 @@ def problems(never: set[str], listed: dict[str, tuple[str, str]]) -> list[str]:
 def test_every_never_entered_function_is_listed():
     listed = {**LISTED, **unwired(library_functions().values())}
     assert problems(never_entered(), listed) == []
+
+
+def test_the_code_objects_name_every_function_the_source_defines():
+    """library_functions reads the imported code objects; a function it
+    missed would escape the audit.  Names only, so that an edit that shifts
+    lines does not matter here."""
+    defined = set()
+
+    def walk(body, module: str, prefix: str) -> None:
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                walk(node.body, module, f"{prefix}{node.name}.")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.add(f"{module}:{prefix}{node.name}")
+                walk(node.body, module, f"{prefix}{node.name}.<locals>.")
+
+    for path in PACKAGE.glob("*.py"):
+        walk(ast.parse(path.read_text()).body, path.stem, "")
+    assert set(library_functions().values()) == defined
 
 
 def test_the_gate_reports_an_unlisted_function():
