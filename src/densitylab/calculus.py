@@ -21,7 +21,7 @@ from math import ceil, floor, gcd, lcm
 from operator import itemgetter
 
 from .bits import ONE, ZERO
-from .errors import BudgetExhausted, DomainError, InvariantError
+from .errors import DomainError, InvariantError
 from .intervals import ClassGaps, StagedOpenEnumeration, stage_gaps
 from .piecewise import PiecewiseLinear, overlaps
 
@@ -157,12 +157,6 @@ def interval_extremum(
     count, delta = _grid_step(a, b, Fraction(1, 1 << n) / lip)
     den, nums = _polynomial_row(p.coefficients, a, delta, count)
     return Fraction(max(nums) if which == "sup" else min(nums), den)
-
-
-@dataclass(frozen=True)
-class ExtensionBudget:
-    grid_depth: int | None = None
-    precision: int | None = None
 
 
 # A row over the internal grid indices is a list of runs (first, last, start,
@@ -345,17 +339,17 @@ class MonotoneExtension:
     in the stage), G approximates g from below (rising), both regularized to
     be monotone in x (running max / running min over the internal grid) and
     in the stage index.  The stage axis is interpolated linearly, the value
-    at x is F at the first F = G crossing; where the curves never cross the
-    final F is returned once its gap to G is below 2^-n, else the achieved
-    gap is reported.  Queries snap down to the internal grid, so outputs are
-    exactly nondecreasing and C-grid points (depth <= grid_depth) are exact
-    queries.
+    at x is F at the first F = G crossing; where the curves never cross it
+    is the final F, within 3/4 2^-n of G.  Queries snap down to the internal
+    grid, so outputs are exactly nondecreasing and C-grid points (depth <=
+    grid_depth) are exact queries.
 
     h is a ``PiecewiseLinear`` defined on all of [0,1], and its
-    ``lipschitz_bound()`` sets the grid depth (``extension_grid_depth``) and
-    the margins.  Every row the build keeps is a list of runs (first, last,
-    start, step) over the internal grid indices, integers over one
-    denominator den: the lcm of the denominators of h's samples, of the
+    ``lipschitz_bound()`` lip sets the grid depth gd =
+    ``extension_grid_depth(lip, n)``, at which lip 2^-gd <= 2^-(n+3), and the
+    margin lip 2^-gd + 2^-(n+4).  Every row the build keeps is a list of
+    runs (first, last, start, step) over the internal grid indices, integers
+    over one denominator den: the lcm of the denominators of h's samples, of the
     margin and of the two bounds.  h's samples are its
     ``grid_progressions(grid_depth)``, one run per segment, and the
     monotonicity check reads h as its ``progressions`` along the refined
@@ -394,34 +388,27 @@ class MonotoneExtension:
     of the four envelope rows' runs the crossing is p(m) / q(m), with p
     quadratic and q linear in m (``_crossings``).  The solved values are
     one row of runs (first, last, p0, p1, p2, q0, q1), the value
-    (p0 + p1 m + p2 m^2) / (q0 + q1 m) at m = k - first: p2 = q1 = 0 where
-    the final F stands, and q0 = q1 = 0 marks the gap where it never closed
-    below 2^-n, which raises BudgetExhausted when first queried.  ``value``
-    bisects the row, and ``extension_grid_check`` reads it run by run.
+    (p0 + p1 m + p2 m^2) / (q0 + q1 m) at m = k - first, with p2 = q1 = 0
+    where the final F stands.  ``value`` bisects the row, and
+    ``extension_grid_check`` reads it run by run.
+
+    An index k that never closes has F - G <= 3/4 2^-n at the last stage.
+    The build checks that h drops by at most 2^-(n+3) between any two points
+    x <= y of the refined grids of the final class.  0 and 1 lie in every
+    class, so k has a final candidate at or left of k 2^-gd and one at or
+    right of it, each at most 2^-gd from a refined point of its part, and F -
+    G is at most 2^-(n+3) + 2 lip 2^-gd + 2 margin <= 2^-(n+2) + 2^-(n+1).
+    A gap of 2^-n or more is a broken invariant and raises InvariantError.
     """
 
-    def __init__(
-        self,
-        h: PiecewiseLinear,
-        enum: StagedOpenEnumeration,
-        n: int,
-        budget: ExtensionBudget | None = None,
-    ):
-        budget = budget or ExtensionBudget()
+    def __init__(self, h: PiecewiseLinear, enum: StagedOpenEnumeration, n: int):
         lip = h.lipschitz_bound()
-        gd = budget.grid_depth
-        if gd is None:
-            gd = extension_grid_depth(lip, n)
-        prec = budget.precision if budget.precision is not None else n + 4
-        if prec < 1:
-            raise DomainError(f"extension precision must be at least 1, got {prec}")
-        self.h, self.enum, self.n = h, enum, n
-        self.grid_depth, self.precision = gd, prec
-        self.epsilon = Fraction(1, 1 << n)
+        gd = extension_grid_depth(lip, n)
+        self.h, self.enum, self.n, self.grid_depth = h, enum, n, gd
         # every internal grid sample, as one progression per segment of h; a
         # domain short of [0,1] raises here, at the first grid point outside it
         row_den, hp = h.grid_progressions(gd)
-        margin = lip * Fraction(1, 1 << gd) + Fraction(1, 1 << prec)
+        margin = lip * Fraction(1, 1 << gd) + Fraction(1, 1 << (n + 4))
         mid = h.value(Fraction(1, 2))
         # Every sample is h(x) for some x in [0,1], so it lies within lip / 2
         # of h(1/2) == mid, while the bounds lie lip + 1 away from mid: no
@@ -507,25 +494,26 @@ class MonotoneExtension:
             # good at the first stage with F <= G
             values += _crossings(f_env, g_env, f_new, g_new, den)
             f_env, g_env = f_new, g_new
-        # where the curves never crossed, the value is the final F while its
-        # gap to G is below 2^-n; a gap with gap << n >= den, that is one above
-        # (den - 1) >> n, is kept as p with the marker q == 0
+        # where the curves never crossed, the value is the final F, whose gap
+        # to G is at most 3/4 2^-n (see the class docstring); a gap of 2^-n
+        # or more, gap << n >= den, is one above (den - 1) >> n
         wide = (den - 1) >> n
         for lo, hi, rf, rg in overlaps(f_env, g_env):
             f0, sf = _at(rf, lo), rf[3]
             gap, sgap = f0 - _at(rg, lo), sf - rg[3]
-            x, y = _at_most(gap, sgap, lo, hi)  # closed, already in values
             u, v = _at_most(gap - wide, sgap, lo, hi)
-            for a, b in ((u, min(v, x - 1)), (max(u, y + 1), v)):
+            if (u, v) != (lo, hi):
+                k = lo if u > lo else v + 1
+                raise InvariantError(
+                    f"the envelope gap at internal grid index {k} never closed below 2^-{n}")
+            x, y = _at_most(gap, sgap, lo, hi)  # closed, already in values
+            for a, b in ((lo, x - 1), (y + 1, hi)):
                 if a <= b:
                     values.append((a, b, f0 + sf * (a - lo), sf, 0, den, 0))
-            for a, b in ((lo, u - 1), (v + 1, hi)):
-                if a <= b:
-                    values.append((a, b, gap + sgap * (a - lo), sgap, 0, 0, 0))
         self._runs = sorted(values)
 
     def _check_monotone_on_class(self, refined: list, floor: int) -> None:
-        """h must stay within 2^-(precision-1) of nondecreasing along the
+        """h must stay within 2^-(n+3) of nondecreasing along the
         refined grid lo + k delta of each part of the final class, read as
         its progressions (lo, delta, d, pieces) over d.  The samples, integers
         over den, are checked in one pass of the running max, which floor,
@@ -534,8 +522,8 @@ class MonotoneExtension:
         the peak's tolerance is one integer division away.  Fractions are
         built only to name the peak and the failing point."""
         den = self._den
-        # a drop e fails when e << (precision - 1) > den, that is when e > tol
-        tol = den >> (self.precision - 1)
+        # a drop e fails when e << (n + 3) > den, that is when e > tol
+        tol = den >> (self.n + 3)
         peak, top = floor, None  # the running max and the point where it was first reached
 
         def fail(x: Fraction) -> DomainError:
@@ -563,18 +551,7 @@ class MonotoneExtension:
         if not 0 <= x.numerator <= x.denominator:
             raise DomainError(f"{x} outside [0,1]")
         i = (x.numerator << self.grid_depth) // x.denominator
-        return self._value_at(i, x.numerator, x.denominator)
-
-    def _value_at(self, i: int, x_num: int, x_den: int) -> Fraction:
-        """The value at internal grid index i; x_num / x_den is the query
-        point named if the envelope gap never closed there."""
-        p, q = _pq(self._runs[bisect_right(self._runs, i, key=itemgetter(0)) - 1], i)
-        if not q:
-            raise BudgetExhausted(
-                f"envelope gap never closed at {Fraction(x_num, x_den)}",
-                achieved=Fraction(p, self._den),
-            )
-        return Fraction(p, q)
+        return Fraction(*_pq(self._runs[bisect_right(self._runs, i, key=itemgetter(0)) - 1], i))
 
 
 def extension_grid_check(ext: MonotoneExtension, depth: int) -> tuple[int, Fraction]:
@@ -584,21 +561,20 @@ def extension_grid_check(ext: MonotoneExtension, depth: int) -> tuple[int, Fract
 
     Query k lies on internal grid index (k << grid_depth) >> depth, so each
     run of the build's values holds a range of query points, and the check
-    reads the runs, never a row: an exhausted run raises at the first query
-    point that reaches it, as ``value`` does there.  A drop lies at a run
-    boundary, found by cross-multiplying, or between two reached indices of
-    one run, counted by ``_drops``.  h is read as its
-    ``grid_progressions(depth)``, so on each overlap of a value run, an h
-    piece and a class range, h is a progression over the query points, and so
-    is the value over the indices where p2 = q1 = 0.  On a grid finer than the
-    internal one the 2^s query points of one index share its value, with s =
-    depth - grid_depth.  |value - h| is then linear along each such block,
-    along the blocks' first points and along their last points, so it is
-    convex along each: the worst lies among the overlap's ends and the points
-    on either side of its first and last block edges.  A run with p2 or q1
-    nonzero holds crossings, and no grid point of the final class ever closes,
-    so such an overlap lies on one index, where the value is constant; one
-    over more raises InvariantError.  One Fraction is built, at the end.
+    reads the runs, never a row.  A drop lies at a run boundary, found by
+    cross-multiplying, or between two reached indices of one run, counted by
+    ``_drops``.  h is read as its ``grid_progressions(depth)``, so on each
+    overlap of a value run, an h piece and a class range, h is a progression
+    over the query points, and so is the value over the indices where
+    p2 = q1 = 0.  On a grid finer than the internal one the 2^s query points
+    of one index share its value, with s = depth - grid_depth.  |value - h| is then
+    linear along each such block, along the blocks' first points and along
+    their last points, so it is convex along each: the worst lies among the
+    overlap's ends and the points on either side of its first and last block
+    edges.  A run with p2 or q1 nonzero holds crossings, and no grid point of
+    the final class ever closes, so such an overlap lies on one index, where
+    the value is constant; one over more raises InvariantError.  One Fraction
+    is built, at the end.
     """
     if depth < 0:
         raise DomainError(f"grid depth {depth} is negative")
@@ -621,8 +597,6 @@ def extension_grid_check(ext: MonotoneExtension, depth: int) -> tuple[int, Fract
             continue
         i = index(ka)
         p, q = _pq(run, i)
-        if not q:
-            ext._value_at(i, ka, points)  # raises BudgetExhausted
         if prev is not None and prev[0] * q > p * prev[1]:
             drops += 1
         drops += _drops(run, i, (index(kb) - i) >> spacing, 1 << spacing)

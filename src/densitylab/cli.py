@@ -323,10 +323,7 @@ def run_extend(args, doc, rep: Report) -> None:
              "the internal grid depth (n + 3, raised by h's Lipschitz bound)")
     grid_depth = rep.meta["grid_depth"] = _at_most(_override(args, "depth", 12),
                                                    EXTEND_MAX_DEPTH, "--depth")
-    try:
-        rep.add(extension_rows(h, enum, n, grid_depth))
-    except BudgetExhausted as exc:
-        rep.budget_exhausted.append(f"extension query: {exc}")
+    rep.add(extension_rows(h, enum, n, grid_depth))
 
 
 def run_counterexample(args, doc, rep: Report) -> None:

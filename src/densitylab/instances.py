@@ -348,7 +348,7 @@ def forcing_instance(seed: int, index: int):
         cond = Condition("", m, q)
         steps = (
             ("length", rng.randint(1, 3)),
-            ("claim3", n, None),
+            ("claim3", n),
             ("savings", Fraction(1, 2), 12),
         )
         try:

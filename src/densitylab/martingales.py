@@ -711,7 +711,7 @@ class ForcingStep:
 def forcing_chain(start: Condition, steps, check_depth: int) -> list[ForcingStep]:
     """Meet a finite list of dense-set targets, verifying each extension.
 
-    steps is a sequence of ("length", n), ("claim3", N, delta-or-None) or
+    steps is a sequence of ("length", n), ("claim3", N) or
     ("savings", eps, search_depth); each produced condition is checked
     against its predecessor with the depth-bounded extension certificate.
     """
@@ -726,11 +726,9 @@ def forcing_chain(start: Condition, steps, check_depth: int) -> list[ForcingStep
             payload = {"length": n}
         elif kind == "claim3":
             n_mart = spec[1]
-            delta = spec[2] if len(spec) > 2 and spec[2] is not None else None
             gap = cur.q - cur.martingale.value(cur.sigma)
-            if delta is None:
-                weight = Fraction(1, 1 << len(cur.sigma)) * n_mart.value(cur.sigma)
-                delta = gap / (2 * (1 + weight))
+            weight = Fraction(1, 1 << len(cur.sigma)) * n_mart.value(cur.sigma)
+            delta = gap / (2 * (1 + weight))
             combined = combine_scaled(cur.martingale, n_mart, cur.sigma, delta)
             new = Condition(cur.sigma, combined, cur.q)
             payload = {"delta": delta}

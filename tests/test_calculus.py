@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from densitylab import calculus
 from densitylab.calculus import (
-    ExtensionBudget,
     MonotoneExtension,
     Polynomial,
     _at_most,
@@ -29,7 +29,7 @@ from densitylab.calculus import (
     pseudo_derivative_estimate,
 )
 from densitylab.counterexample import build_counterexample, default_enumeration
-from densitylab.errors import BudgetExhausted, DomainError, InvariantError
+from densitylab.errors import DomainError, InvariantError
 from densitylab.instances import extension_instance
 from densitylab.intervals import StagedOpenEnumeration
 from densitylab.piecewise import PiecewiseLinear
@@ -147,20 +147,26 @@ def test_monotone_extension_rejects_decreasing_h():
         MonotoneExtension(VEE, enumeration(), 6)
 
 
-def test_monotone_extension_budget_exhaustion_reported():
-    enum = enumeration((F(1, 4), F(1, 2)))
-    tight = ExtensionBudget(grid_depth=4, precision=4)
-    with pytest.raises(BudgetExhausted) as err:
-        MonotoneExtension(LINE, enum, 8, tight).value(F(1, 8))
-    assert err.value.achieved is not None and err.value.achieved >= F(1, 1 << 8)
+# h dips by the tolerance 1/8 from 1/2 to 5/8 and climbs with slope 3 to 1
+DIP_BY_THE_TOLERANCE = PiecewiseLinear((F(0), F(1, 2), F(5, 8), F(1)),
+                                       (F(0), F(1, 8), F(0), F(9, 8)))
 
 
-@pytest.mark.parametrize("precision", [0, -1])
-def test_monotone_extension_rejects_precision_below_one(precision):
-    enum = enumeration((F(1, 4), F(1, 2)))
-    with pytest.raises(DomainError):
-        MonotoneExtension(LINE, enum, 6, ExtensionBudget(precision=precision))
-    MonotoneExtension(LINE, enum, 6, ExtensionBudget(precision=1))
+@pytest.mark.parametrize("h, holes, n, depth, index", [
+    (LINE, [(F(1, 4), F(1, 2))], 8, 4, 0),
+    (DIP_BY_THE_TOLERANCE, [], 0, 3, 4),
+])
+def test_a_gap_that_never_closes_below_2_to_the_minus_n_is_a_broken_invariant(
+        monkeypatch, h, holes, n, depth, index):
+    # below the depth extension_grid_depth sets, the margin lip 2^-depth +
+    # 2^-(n+4) is wide enough that F - G stays at 2^-n or more: on the 2^-4
+    # grid at n = 8 at every index of the class, and on the 2^-3 grid at
+    # n = 0 where the dip adds 1/8 to 2 (3/8 + 1/16), from index 4 on
+    MonotoneExtension(h, enumeration(*holes), n)
+    monkeypatch.setattr(calculus, "extension_grid_depth", lambda lip, n: depth)
+    with pytest.raises(InvariantError,
+                       match=rf"at internal grid index {index} never closed below 2\^-{n}$"):
+        MonotoneExtension(h, enumeration(*holes), n)
 
 
 # Holes with denominators 3, 5 and 10 put part endpoints off the internal
@@ -195,18 +201,6 @@ def test_monotone_extension_off_grid_endpoints_pinned():
     assert first.value(F(2, 3)) == F(471, 1024)
 
 
-def test_monotone_extension_off_grid_exhaustion_pinned():
-    ext = MonotoneExtension(OFF_GRID_H, OFF_GRID_ENUM, 6, ExtensionBudget(precision=5))
-    assert ext.value(F(5, 8)) == F(785, 2048)
-    with pytest.raises(BudgetExhausted) as err:
-        ext.value(F(1, 7))
-    assert type(err.value.achieved) is F
-    assert err.value.achieved == F(127, 3840)
-    with pytest.raises(BudgetExhausted) as err:
-        ext.value(F(1, 2))
-    assert err.value.achieved == F(17, 256)
-
-
 def progression_row(pieces) -> list[int]:
     """The row of a ``grid_progressions`` piece list written out: start +
     step (k - first) at each k from first to last, piece by piece."""
@@ -236,8 +230,7 @@ def written_values(runs, size):
 
 def rows_of(ext):
     """The build's runs written out as (ps, qs, hs) rows over its denominator:
-    p / q the value at each internal grid index, or the gap with q == 0, and
-    h's sample there."""
+    p / q the value at each internal grid index, and h's sample there."""
     k = 0
     for first, last, *_ in ext._runs:
         assert first == k  # the runs cover the grid in order
@@ -314,14 +307,6 @@ def test_grid_check_needs_a_piecewise_h():
     assert extension_grid_check(ext, 8) == per_point_grid_check(ext, 8)
 
 
-def outcome(check, ext, depth):
-    """check(ext, depth), or the message and achieved gap it stopped with."""
-    try:
-        return check(ext, depth)
-    except BudgetExhausted as exc:
-        return str(exc), exc.achieved
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 50), st.integers(0, 19), st.integers(2, 10), st.integers(-4, 4))
 def test_grid_check_matches_per_point_loop(seed, index, n, offset):
@@ -329,9 +314,8 @@ def test_grid_check_matches_per_point_loop(seed, index, n, offset):
     h, enum = extension_instance(seed, index)
     ext = MonotoneExtension(h, enum, n)
     depth = max(ext.grid_depth + offset, 0)
-    assert outcome(extension_grid_check, ext, depth) == outcome(
-        per_point_grid_check, MonotoneExtension(h, enum, n), depth
-    )
+    assert extension_grid_check(ext, depth) == per_point_grid_check(
+        MonotoneExtension(h, enum, n), depth)
 
 
 @pytest.mark.parametrize("offset", [-2, 0, 3])
@@ -373,17 +357,6 @@ def test_grid_check_reads_a_dip_over_the_builds_denominator_like_the_per_point_l
     assert worst > F(1, 8) if offset > 0 else worst == F(1, 8)
 
 
-@pytest.mark.parametrize("offset", [-2, -1, 0, 1, 2, 3])
-def test_grid_check_exhaustion_matches_per_point(offset):
-    budget = ExtensionBudget(precision=5)
-    ext = MonotoneExtension(OFF_GRID_H, OFF_GRID_ENUM, 6, budget)
-    depth = ext.grid_depth + offset
-    got = outcome(extension_grid_check, ext, depth)
-    want = outcome(per_point_grid_check, MonotoneExtension(OFF_GRID_H, OFF_GRID_ENUM, 6, budget),
-                   depth)
-    assert type(got[0]) is str and got == want
-
-
 # Points k/3, k/5 and k/7 never lie on a dyadic grid, so a breakpoint there sits
 # strictly inside a run of query points whenever the check's grid is finer
 # than the internal one.
@@ -419,9 +392,8 @@ def test_grid_check_reads_breakpoints_inside_runs_like_the_per_point_loop(case, 
     h, enum, n = case
     ext = MonotoneExtension(h, enum, n)
     depth = ext.grid_depth + offset
-    assert outcome(extension_grid_check, ext, depth) == outcome(
-        per_point_grid_check, MonotoneExtension(h, enum, n), depth
-    )
+    assert extension_grid_check(ext, depth) == per_point_grid_check(
+        MonotoneExtension(h, enum, n), depth)
 
 
 @st.composite
@@ -495,9 +467,9 @@ def test_row_kernels_match_index_by_index(case):
 def planted_runs(draw):
     """(ext, depth): an extension with h kinked off every dyadic grid and its
     values replaced by any runs: rising, flat or falling, over a few
-    denominators, or the marker q == 0.  A run whose indices hold no grid
-    point of the final class, as a crossing run's never do, may also be
-    quadratic over linear.  The runs are cut at random and where the class
+    denominators.  A run whose indices hold no grid point of the final
+    class, as a crossing run's never do, may also be quadratic over
+    linear.  The runs are cut at random and where the class
     begins or ends on the grid, so that some lie inside a hole."""
     h, enum, n = draw(kinked_extensions())
     ext = MonotoneExtension(h, enum, n)
@@ -509,8 +481,8 @@ def planted_runs(draw):
     unit = den // 64 if draw(st.booleans()) else den >> gd
     runs = []
     for first, last, start, step, q, c2, c1 in draw(runs_over(1 << gd, 7, edges)):
-        q0 = 0 if q == 0 and draw(st.integers(0, 9)) == 0 else (q or 1) * den // 2
-        if not q0 or any(in_class[first:last + 1]):
+        q0 = (q or 1) * den // 2
+        if any(in_class[first:last + 1]):
             c2 = c1 = 1  # the run is linear
         # q stays above q0 / 2 along the run
         runs.append((first, last, start * den // 4, step * unit,
@@ -523,7 +495,7 @@ def planted_runs(draw):
 @given(planted_runs())
 def test_grid_check_reads_any_runs_like_the_per_point_loop(case):
     ext, depth = case
-    assert outcome(extension_grid_check, ext, depth) == outcome(per_point_grid_check, ext, depth)
+    assert extension_grid_check(ext, depth) == per_point_grid_check(ext, depth)
 
 
 @settings(max_examples=300, deadline=None)
@@ -561,17 +533,15 @@ def test_grid_check_finds_the_worst_next_to_a_block_edge(s):
         assert extension_grid_check(ext, gd + s) == per_point_grid_check(ext, gd + s)
 
 
-def full_sweep_values(h, enum, n, budget):
+def full_sweep_values(h, enum, n):
     """(grid depth, values): the extension at every internal grid index with
     every stage swept in full over the whole grid, in Fractions, from the
-    MonotoneExtension docstring's recipe.  A value is a Fraction, or
-    ("gap", g) where the envelope gap g never closed below 2^-n."""
+    MonotoneExtension docstring's recipe."""
     lip = h.lipschitz_bound()
-    gd = extension_grid_depth(lip, n) if budget.grid_depth is None else budget.grid_depth
-    prec = n + 4 if budget.precision is None else budget.precision
+    gd = extension_grid_depth(lip, n)
     scale = 1 << gd
     grid = [F(i, scale) for i in range(scale + 1)]
-    margin = lip / scale + F(1, 1 << prec)
+    margin = lip / scale + F(1, 1 << (n + 4))
     mid = h.value(F(1, 2))
     hi_bound, lo_bound = mid + lip + 1, mid - lip - 1
     final = len(enum)
@@ -598,14 +568,7 @@ def full_sweep_values(h, enum, n, budget):
                 gap = f_env[i] - g_env[i]
                 solved[i] = f_env[i] + gap * (f_new[i] - f_env[i]) / (gap + g_new[i] - f_new[i])
         f_env, g_env = f_new, g_new
-    values = []
-    for i in range(len(grid)):
-        gap = f_env[i] - g_env[i]
-        if i in solved:
-            values.append(solved[i])
-        else:
-            values.append(f_env[i] if gap < F(1, 1 << n) else ("gap", gap))
-    return gd, values
+    return gd, [solved.get(i, f) for i, f in enumerate(f_env)]
 
 
 # hole ends and breakpoints: the 2^-3 grid, and points off every dyadic grid
@@ -614,56 +577,45 @@ STAGE_POINTS = sorted({F(k, 8) for k in range(9)} | {F(k, d) for d in (3, 5) for
 
 @st.composite
 def staged_extensions(draw):
-    """(h, enum, n, budget) at internal grid depth 5 to 7.  Holes overlap,
+    """(h, enum, n), mostly at internal grid depth 3 to 7.  Holes overlap,
     share ends or sit off the grid.  h is nondecreasing on the class the build
     checks, and rises across the holes so that envelopes cross at every
     stage; inside a hole it may peak above h to its right, so that the
     running max must be swept past the window of the stage that removes the
-    peak.  Some enumerations stop short of the holes h is drawn for, and some
-    budgets starve the precision so that indices stay exhausted."""
-    n = draw(st.integers(1, 3))
+    peak.  Some enumerations stop short of the holes h is drawn for.  h's
+    steps are multiples of a unit 2^-(n+4) to 2^-(n+8), so that its slopes,
+    and with them the grid depth, vary at each n."""
+    n = draw(st.integers(0, 4))
     ends = st.sampled_from(STAGE_POINTS)
     holes = []
     for _ in range(draw(st.integers(1, 6))):
         lo = holes[-1][1] if holes and draw(st.booleans()) else draw(ends)
         hi = draw(ends.filter(lambda x: x > lo)) if lo < 1 else F(1)
         holes.append((min(lo, hi), hi))
-    budget = ExtensionBudget(
-        grid_depth=draw(st.integers(5, 7)),
-        precision=draw(st.none() | st.none() | st.integers(1, 3)),
-    )
     enum = enumeration(*holes[:draw(st.none() | st.integers(0, len(holes)))])
     checked = enum.final_class()
     xs = sorted({F(0), F(1), *(x for hole in holes for x in hole),
                  *((lo + hi) / 2 for lo, hi in holes), *draw(st.lists(ends, max_size=4))})
+    unit = F(1, 1 << (n + draw(st.integers(4, 8))))
     ys, peak = [], F(0)
     for x in xs:
         if checked.contains_point(x):
-            peak += draw(st.integers(0, 8)) * F(1, 16)
+            peak += draw(st.integers(0, 8)) * unit
             ys.append(peak)
         else:
-            ys.append(peak + draw(st.integers(-2, 4)) * F(1, 16))
-    return PiecewiseLinear(xs, ys), enum, n, budget
+            ys.append(peak + draw(st.integers(-2, 4)) * unit)
+    return PiecewiseLinear(xs, ys), enum, n
 
 
 @settings(max_examples=60, deadline=None)
 @given(staged_extensions())
 def test_build_matches_a_full_sweep_of_every_stage(case):
-    h, enum, n, budget = case
-    ext = MonotoneExtension(h, enum, n, budget)
-    gd, want = full_sweep_values(h, enum, n, budget)
+    h, enum, n = case
+    ext = MonotoneExtension(h, enum, n)
+    gd, want = full_sweep_values(h, enum, n)
     assert ext.grid_depth == gd
     ps, qs, _ = rows_of(ext)
-    for i, value in enumerate(want):
-        x = F(i, 1 << gd)
-        if isinstance(value, tuple):
-            assert qs[i] == 0
-            with pytest.raises(BudgetExhausted) as err:
-                ext.value(x)
-            assert str(err.value) == f"envelope gap never closed at {x}"
-            assert err.value.achieved == value[1]
-        else:
-            assert qs[i] > 0 and F(ps[i], qs[i]) == value
+    assert [F(p, q) for p, q in zip(ps, qs)] == want
 
 
 def _floor_ceil(x, scale):
@@ -689,19 +641,19 @@ def _refined_grid(lo, hi, max_step):
     return [lo + k * delta for k in range(count + 1)]
 
 
-def per_index_build(h, enum, n, budget):
+def per_index_build(h, enum, n):
     """The reference for the build's integer rows: (ps, qs, hs) over the
     build's denominator, with each stage's candidates placed index by index
     and its running max and min swept index by index over the whole grid,
     and h's monotonicity checked point by point.  Raises the build's
-    DomainError."""
+    DomainError.  Every index that never closes has its gap F - G within
+    3/4 2^-n, as the MonotoneExtension docstring shows."""
     lip = h.lipschitz_bound()
-    gd = extension_grid_depth(lip, n) if budget.grid_depth is None else budget.grid_depth
-    prec = n + 4 if budget.precision is None else budget.precision
+    gd = extension_grid_depth(lip, n)
     scale = 1 << gd
     size = scale + 1
     row_den, row = grid_row(h, gd)
-    margin = lip / scale + F(1, 1 << prec)
+    margin = lip / scale + F(1, 1 << (n + 4))
     mid = h.value(F(1, 2))
     hi_bound, lo_bound = mid + lip + 1, mid - lip - 1
     final = len(enum)
@@ -726,7 +678,7 @@ def per_index_build(h, enum, n, budget):
         else:
             ks = range(_floor_ceil(part.lo, scale)[0], _floor_ceil(part.hi, scale)[0] + 1)
             samples += [(F(k, scale), hs[k]) for k in ks]
-    tol = den >> (prec - 1)
+    tol = den >> (n + 3)
     peak = top = None
     for x, v in samples:
         if peak is not None and peak - v > tol:
@@ -766,8 +718,9 @@ def per_index_build(h, enum, n, budget):
         f_env, g_env = f_new, g_new
     ps, qs = [], []
     for i in range(size):
-        gap = f_env[i] - g_env[i]
-        p, q = solved.get(i, (gap, 0) if gap > (den - 1) >> n else (f_env[i], den))
+        if i not in solved:
+            assert (f_env[i] - g_env[i]) << (n + 2) <= 3 * den
+        p, q = solved.get(i, (f_env[i], den))
         ps.append(p)
         qs.append(q)
     return ps, qs, hs
@@ -779,16 +732,16 @@ BUILD_POINTS = sorted(set(STAGE_POINTS) | set(ODD_POINTS))
 
 @st.composite
 def build_cases(draw):
-    """(h, enum, n, budget) at internal grid depth 4 to 7.  Hole ends and h's
+    """(h, enum, n) at internal grid depth 3 to 7.  Hole ends and h's
     breakpoints lie on the 2^-3 grid or off every dyadic grid; holes overlap,
-    share ends, or leave a single point of the class.  Each step of h rises,
-    stays flat, or falls by a quarter, a half, one or two times the build's
-    tolerance 2^-(precision-1), or by a sixteenth, so that some h stay within
-    the tolerance on the class and others fail the build."""
-    n = draw(st.integers(1, 4))
-    budget = ExtensionBudget(grid_depth=draw(st.integers(4, 7)),
-                             precision=draw(st.none() | st.integers(1, 6)))
-    tol = F(1, 1 << ((n + 4 if budget.precision is None else budget.precision) - 1))
+    share ends, or leave a single point of the class.  Each step of h rises
+    by up to four units of 2^-(n+4) to 2^-(n+6), stays flat, or falls by a
+    quarter, a half, one or two times the build's tolerance 2^-(n+3), so
+    that some h stay within the tolerance on the class and others fail the
+    build.  Over the 1/56 between the closest points, no step is steeper
+    than 14 2^-n, which puts the grid depth at n + 3 to 7."""
+    n = draw(st.integers(0, 4))
+    unit, tol = F(1, 1 << (n + draw(st.integers(4, 6)))), F(1, 1 << (n + 3))
     ends = st.sampled_from(BUILD_POINTS)
     holes = []
     for _ in range(draw(st.integers(0, 5))):
@@ -800,18 +753,18 @@ def build_cases(draw):
     xs = sorted({F(0), F(1), *draw(st.lists(ends, max_size=6)),
                  *draw(st.lists(st.sampled_from([x for hole in holes for x in hole] or [F(0)]),
                                 max_size=4))})
-    steps = st.integers(0, 4).map(lambda k: k * F(1, 16)) | st.sampled_from(
-        [-tol / 4, -tol / 2, -tol, -2 * tol, F(-1, 16)])
+    steps = st.integers(0, 4).map(lambda k: k * unit) | st.sampled_from(
+        [-tol / 4, -tol / 2, -tol, -2 * tol])
     ys = [draw(st.integers(0, 8)) * F(1, 16)]
     for _ in xs[1:]:
         ys.append(ys[-1] + draw(steps))
-    return PiecewiseLinear(xs, ys), enumeration(*holes[:stop]), n, budget
+    return PiecewiseLinear(xs, ys), enumeration(*holes[:stop]), n
 
 
-def build_outcome(h, enum, n, budget):
+def build_outcome(h, enum, n):
     """The build's rows, or the text of the DomainError it stopped with."""
     try:
-        ext = MonotoneExtension(h, enum, n, budget)
+        ext = MonotoneExtension(h, enum, n)
     except DomainError as exc:
         return str(exc)
     return rows_of(ext)
@@ -829,10 +782,11 @@ def test_build_matches_the_per_index_reference(case):
 
 def test_monotone_error_names_where_the_peak_was_first_reached():
     # h falls by half the tolerance 1/8 after 1/4, climbs back to the same
-    # peak at 1/2, then falls beyond the tolerance
+    # peak at 1/2, then falls beyond the tolerance; its Lipschitz bound 4 puts
+    # the grid depth at 5 for n = 0
     h = PiecewiseLinear((F(0), F(1, 4), F(3, 8), F(1, 2), F(5, 8), F(1)),
                         (F(0), F(1, 2), F(7, 16), F(1, 2), F(0), F(1)))
-    case = (h, enumeration(), 3, ExtensionBudget(grid_depth=5, precision=4))
+    case = (h, enumeration(), 0)
     with pytest.raises(DomainError) as err:
         per_index_build(*case)
     assert str(err.value) == build_outcome(*case) == (
@@ -967,7 +921,7 @@ def test_dipping_h_builds_crossing_runs_like_the_per_index_reference(case):
     h, enum, n = case
     ext = MonotoneExtension(h, enum, n)
     assert any(run[4] or run[6] for run in ext._runs)  # p2 or q1 nonzero
-    assert rows_of(ext) == per_index_build(h, enum, n, ExtensionBudget())
+    assert rows_of(ext) == per_index_build(h, enum, n)
     for offset in range(-3, 4):
         depth = ext.grid_depth + offset
         assert extension_grid_check(ext, depth) == per_point_grid_check(ext, depth)

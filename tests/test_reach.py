@@ -50,8 +50,6 @@ LISTED = {
         "unwired", "difference_test_from_porosity's level for component n"),
     "calculus:MonotoneExtension.value": (
         "reference", "the extension at one point, which tests compare the grid check against"),
-    "calculus:MonotoneExtension._value_at": (
-        "failure", "the grid check names the point where the envelope gap never closed"),
     "calculus:MonotoneExtension._check_monotone_on_class.<locals>.fail": (
         "failure", "names the point where h decreases on the class"),
     "errors:BudgetExhausted.__init__": ("failure", "a search runs out of its budget"),

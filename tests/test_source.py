@@ -58,7 +58,6 @@ def test_every_public_name_is_used_by_the_library():
 # see a default that no call passes, so this stays a scan of the source.
 UNPASSED_DEFAULTS = frozenset({
     ("main", "argv"),  # the entry point the tests and the benchmark call
-    ("MonotoneExtension", "budget"),  # the tests' grid depth and starved precision
     ("negativity_witnesses", "base"),  # NOT_YET_WIRED
 })
 
