@@ -2,7 +2,7 @@
 
 Rationals are stdlib ``fractions.Fraction`` and serialize as ``"p/q"``.
 Bit strings are plain ASCII strings over ``'0'``/``'1'``; the empty string is
-the root.  ``cylinder_interval`` ties a string sigma to the closed interval
+the root.  ``cylinder_bounds`` ties a string sigma to the closed interval
 [0.sigma, 0.sigma + 2^-|sigma|].
 """
 
@@ -26,6 +26,14 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad rational {text!r}: {exc}") from None
+
+
+def parse_nonnegative_int(value, what: str) -> int:
+    """value, which must be a JSON integer >= 0; strings, floats and booleans
+    are refused, not coerced.  what names the field in the error."""
+    if type(value) is not int or value < 0:
+        raise SchemaError(f"{what} must be a non-negative integer, got {value!r}")
+    return value
 
 
 def format_rational(q: Fraction) -> str:

@@ -18,7 +18,13 @@ import sys
 from fractions import Fraction
 from functools import cache
 
-from .bits import ZERO, denominator_lcm_bits, format_rational, parse_rational
+from .bits import (
+    ZERO,
+    denominator_lcm_bits,
+    format_rational,
+    parse_nonnegative_int,
+    parse_rational,
+)
 from .calculus import extension_grid_depth
 from .counterexample import (
     MAX_HEIGHT_EXPONENT,
@@ -88,12 +94,8 @@ def _require(doc: dict, key: str):
 
 
 def _int_field(doc: dict, key: str, default: int) -> int:
-    """An optional field that must be a JSON integer >= 0; strings, floats
-    and booleans are refused, not coerced."""
-    v = doc.get(key, default)
-    if type(v) is not int or v < 0:
-        raise SchemaError(f"'{key}' must be a non-negative integer, got {v!r}")
-    return v
+    """An optional field that must be a JSON integer >= 0."""
+    return parse_nonnegative_int(doc.get(key, default), f"'{key}'")
 
 
 def _override(args, flag: str, default: int, doc: dict | None = None, key: str = "") -> int:
@@ -258,6 +260,8 @@ def run_tests(args, doc, rep: Report) -> None:
                           "and/or 'domination' lists")
     for i, d in enumerate(_list(doc.get("escape", []), "escape", "objects")):
         inst = EscapeInstance.from_json(d)
+        _small_denominators((x for h in inst.enum.items for x in (h.lo, h.hi)),
+                            "the lcm of the escape 'holes' endpoints' denominators")
         _at_most(inst.r, ESCAPE_MAX_R, "escape 'r'")
         _at_most(inst.m_max, ESCAPE_MAX_ROUNDS, "escape 'm_max'")
         verdict, rows = escape_rows(inst)
@@ -423,6 +427,8 @@ def _load_doc(args):
         raise SchemaError(f"cannot read instance file: {exc}") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"instance file is not valid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"instance file is not UTF-8: {exc}") from None
 
 
 def main(argv=None) -> int:

@@ -18,7 +18,15 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bits import ONE, ZERO, format_rational, parse_rational, require_unit, validate_bits
+from .bits import (
+    ONE,
+    ZERO,
+    format_rational,
+    parse_nonnegative_int,
+    parse_rational,
+    require_unit,
+    validate_bits,
+)
 from .calculus import Polynomial
 from .errors import BudgetExhausted, InvariantError, SchemaError
 from .intervals import FULL_SET, Interval, IntervalSet, StagedOpenEnumeration
@@ -161,8 +169,8 @@ class EscapeInstance:
             return EscapeInstance(
                 StagedOpenEnumeration.from_json({"holes": obj.get("holes", [])}),
                 comps,
-                _json_int(obj, "r"),
-                _json_int(obj, "m_max"),
+                parse_nonnegative_int(obj["r"], "escape field 'r'"),
+                parse_nonnegative_int(obj["m_max"], "escape field 'm_max'"),
                 require_unit(parse_rational(obj["z"]), "escape z"),
                 str(obj.get("flavor", "custom")),
             )
@@ -203,14 +211,6 @@ def _components(raw) -> dict[int, tuple[str, ...]]:
                 f"the longest allowed is {ESCAPE_MAX_COMPONENT_LENGTH}"
             )
     return comps
-
-
-def _json_int(obj: dict, key: str) -> int:
-    """A JSON integer field >= 0; strings, floats and booleans are refused."""
-    v = obj[key]
-    if type(v) is not int or v < 0:
-        raise SchemaError(f"escape field '{key}' must be a non-negative integer, got {v!r}")
-    return v
 
 
 def escape_instance(seed: int, index: int) -> EscapeInstance:

@@ -49,6 +49,7 @@ from .bits import (
     format_rational,
     is_prefix,
     over_common_denominator,
+    parse_nonnegative_int,
     parse_rational,
     validate_bits,
 )
@@ -282,9 +283,7 @@ class TableMartingale(Martingale):
     def from_json(cls, payload) -> "TableMartingale":
         if not isinstance(payload, dict) or not isinstance(payload.get("values"), dict):
             raise SchemaError("martingale must be an object with a 'values' table")
-        depth = payload.get("depth")
-        if type(depth) is not int or depth < 0:
-            raise SchemaError(f"martingale 'depth' must be a non-negative integer, got {depth!r}")
+        depth = parse_nonnegative_int(payload.get("depth"), "martingale 'depth'")
         return cls({s: parse_rational(v) for s, v in payload["values"].items()}, depth)
 
 

@@ -13,7 +13,8 @@ battery and the command each put their own prefix before them.
 ``run_criterion`` runs one battery in process and returns its Checks.
 ``run_all`` runs every battery in forked children, which send back only the
 report text of each battery's rows (``BatteryRows``), laid out where the
-battery ran.
+battery ran; each child sends all of its batteries at once, when none is
+left to take.
 """
 
 from __future__ import annotations
@@ -550,26 +551,27 @@ def run_criterion(number: int, seed: int = DEFAULT_SEED) -> CriterionOutcome:
 
 def _battery_child(tasks: int, out: int, seed: int, as_csv: bool) -> None:
     """A forked child's whole life: take battery numbers from the pipe tasks,
-    one byte each, until it is empty; run each battery, lay out its rows
-    under the prefix "[number]", and write (number, BatteryRows) or, if the
-    battery raised, (number, exception) to the pipe out, pickled.  The child
-    ends with os._exit whatever happens, so no parent code runs in it after
-    its work."""
+    one byte each, until it is empty; run each battery and lay out its rows
+    under the prefix "[number]", keeping its BatteryRows or, if the battery
+    raised, its exception; then write all it kept to the pipe out once, as
+    one pickled {number: record}.  The child ends with os._exit whatever
+    happens, so no parent code runs in it after its work."""
     from pickle import dumps  # loaded by run_all before the fork
 
     code = 1
     try:
+        records = {}
+        while task := os.read(tasks, 1):
+            number = task[0]
+            try:
+                outcome = run_criterion(number, seed)
+                texts, failed = lay_out(outcome.checks, f"[{number}]", as_csv)
+                record = BatteryRows(number, outcome.title, failed, outcome.notes, texts)
+            except Exception as exc:  # the parent raises it, in CRITERIA order
+                record = exc
+            records[number] = record
         with open(out, "wb") as sink:
-            while task := os.read(tasks, 1):
-                number = task[0]
-                try:
-                    outcome = run_criterion(number, seed)
-                    texts, failed = lay_out(outcome.checks, f"[{number}]", as_csv)
-                    record = BatteryRows(number, outcome.title, failed, outcome.notes, texts)
-                except Exception as exc:  # the parent raises it, in CRITERIA order
-                    record = exc
-                sink.write(dumps((number, record)))
-                sink.flush()
+            sink.write(dumps(records))
         code = 0
     finally:
         os._exit(code)
@@ -580,18 +582,17 @@ def run_all(seed: int = DEFAULT_SEED, as_csv: bool = False) -> list[BatteryRows]
 
     The batteries are independent, so they run side by side in one child per
     usable CPU, up to one per battery.  The battery numbers wait in one pipe,
-    and each child takes the next one when it is free; it sends back each
+    and each child takes the next one when it is free.  A child keeps each
     battery's rows already laid out (``report.lay_out``, JSON or, with
-    as_csv, CSV), so only text crosses between processes.  The records do
-    not depend on how many children there are.  When batteries raise, the
-    first in CRITERIA order raises here, as it would in a loop.  A child that
-    ends without sending a record for each battery it took makes this raise
+    as_csv, CSV), so only text crosses between processes, and sends them all
+    at once when no battery is left.  The records do not depend on how many
+    children there are.  When batteries raise, the first in CRITERIA order
+    raises here, as it would in a loop.  A child that ends without sending
+    its records (killed, say) loses every battery it took, and this raises
     ``BatteriesLost``.  Every child has been reaped when this returns.
     """
-    # imported here: loading them would add to every CLI command's start-up
-    import io
+    # imported here: loading it would add to every CLI command's start-up
     import pickle
-    import select
 
     numbers = [num for num, _t, _f in CRITERIA]
     if hasattr(os, "sched_getaffinity"):
@@ -601,12 +602,12 @@ def run_all(seed: int = DEFAULT_SEED, as_csv: bool = False) -> list[BatteryRows]
     tasks, queue = os.pipe()
     os.write(queue, bytes(numbers))  # ten bytes, well inside a pipe's buffer
     os.close(queue)
-    received: dict[int, bytearray] = {}  # result pipe -> bytes read so far
-    pids = []
+    results = {}
+    sources, pids = [], []
     try:
         for _ in range(min(len(numbers), cpus)):
             r, w = os.pipe()
-            received[r] = bytearray()
+            sources.append(open(r, "rb"))
             try:
                 pid = os.fork()
                 if pid == 0:
@@ -615,35 +616,20 @@ def run_all(seed: int = DEFAULT_SEED, as_csv: bool = False) -> list[BatteryRows]
             finally:
                 os.close(w)
             pids.append(pid)
-        # read every pipe as it fills: a child whose pipe is full waits for
-        # the parent and takes no further battery
-        poller = select.poll()
-        for r in received:
-            poller.register(r, select.POLLIN)
-        open_pipes = set(received)
-        while open_pipes:
-            for r, _event in poller.poll():
-                chunk = os.read(r, 1 << 16)
-                if chunk:
-                    received[r] += chunk
-                else:
-                    poller.unregister(r)
-                    open_pipes.discard(r)
+        # a child writes only once the task pipe is empty, so while the parent
+        # reads another pipe a full one holds back that child's exit, never a
+        # battery: the pipes can be read one after another
+        for source in sources:
+            try:
+                results.update(pickle.load(source))
+            except (EOFError, pickle.UnpicklingError):
+                pass  # a child killed before or while writing; its batteries are lost
     finally:
         os.close(tasks)
-        for r in received:
-            os.close(r)
+        for source in sources:
+            source.close()
         for pid in pids:
             os.waitpid(pid, 0)
-    results = {}
-    for data in received.values():
-        stream = io.BytesIO(data)
-        try:
-            while stream.tell() < len(data):
-                number, record = pickle.load(stream)
-                results[number] = record
-        except (EOFError, pickle.UnpicklingError):
-            pass  # a child killed part-way through a record; its battery is lost
     for num in numbers:
         if num not in results:
             lost = [n for n in numbers if n not in results]

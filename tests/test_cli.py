@@ -120,9 +120,15 @@ def test_instance_dash_reads_stdin(tmp_path, monkeypatch):
     assert json.loads(blob)["all_hold"] is True
 
 
-def test_missing_instance_file_is_a_schema_error(tmp_path, capfd):
-    code, _ = run(tmp_path, "porosity", "--instance", str(tmp_path / "nope"))
+@pytest.mark.parametrize("content", [None, b'{"holes": [', b'\xff\xfe{"holes": []}'],
+                         ids=["missing", "not-json", "not-utf-8"])
+def test_unreadable_instance_files_exit_2_with_json_on_stderr(tmp_path, capfd, content):
+    path = tmp_path / "instance.json"
+    if content is not None:
+        path.write_bytes(content)
+    code, blob = run(tmp_path, "porosity", "--instance", str(path))
     assert code == 2
+    assert blob == b""
     assert json.loads(capfd.readouterr().err)["kind"] == "SchemaError"
 
 
@@ -417,6 +423,9 @@ ESCAPE = {"components": {"0": ["0"]}, "r": 0, "m_max": 1, "z": "1/3"}
     ("porosity", {"holes": [["1/4", "1/2"]], "levels": 257}, "SchemaError"),
     ("porosity", {"holes": [["1/4", "1/2"]], "levels": 7000}, "SchemaError"),
     ("porosity --depth 257", {"holes": [["1/4", "1/2"]]}, "SchemaError"),
+    # escape holes take the same lcm cap as every other hole list
+    ("tests", {"escape": [{**ESCAPE, "holes": [[f"1/{3 ** 8000}", f"2/{3 ** 8000}"]]}]},
+     "SchemaError"),
 ], ids=["depth", "case", "n_blocks", "k_max", "table", "full-cover", "escape-r", "h-xs",
         "intervals", "escape-key", "escape-components", "h-domain", "density-depth",
         "porosity-levels", "counterexample-stages", "counterexample-depth",
@@ -431,7 +440,8 @@ ESCAPE = {"components": {"0": ["0"]}, "r": 0, "m_max": 1, "z": "1/3"}
         "escape-component-length", "escape-component-length-cap", "covering-hole-lcm",
         "covering-epsilon-denominator", "density-epsilon-denominator",
         "counterexample-interval-lcm", "porosity-constant-cap", "porosity-constant-20000",
-        "porosity-levels-cap", "porosity-levels-7000", "porosity-depth-cap"])
+        "porosity-levels-cap", "porosity-levels-7000", "porosity-depth-cap",
+        "escape-hole-lcm"])
 def test_bad_documents_exit_2_with_json_on_stderr(tmp_path, capfd, command, doc, kind):
     # a command may carry flags: "density --depth -1"
     code, blob = run(tmp_path, *command.split(), "--instance", write_instance(tmp_path, doc))

@@ -75,7 +75,7 @@ def test_run_criterion_times_and_labels_the_battery():
 
 
 @pytest.mark.parametrize("seed", [1, 2])
-def test_pooled_outcomes_equal_the_serial_ones(seed):
+def test_the_childrens_outcomes_equal_the_serial_ones(seed):
     # the children's laid-out rows, in JSON and in CSV, against laying out
     # each battery's outcome in this process
     serial = [run_criterion(num, seed) for num, _t, _f in CRITERIA]
@@ -128,16 +128,39 @@ def test_the_lowest_numbered_raising_battery_wins(monkeypatch, capfd):
 
 
 def test_a_worker_that_dies_breaks_the_run(monkeypatch, capfd):
-    # batteries 1 to 5 have sent their rows; on a one-CPU host the child that
-    # died had also yet to take 7 to 10
+    # the child that died loses every battery it took, 6 among them; which
+    # others it took depends on the CPU count
     _with_batteries(monkeypatch, {6: lambda seed: os._exit(3)})
-    with pytest.raises(BatteriesLost, match=r"without a result for batteries \[6\b"):
+    with pytest.raises(BatteriesLost, match=r"without a result for batteries") as lost:
         main(["verify-all"])
+    assert 6 in json.loads(str(lost.value).split("batteries ")[-1])
     assert capfd.readouterr().out == ""
     assert_no_child_process()
 
 
-def test_without_an_affinity_mask_the_pool_is_sized_from_the_cpu_count(monkeypatch):
+def test_a_record_larger_than_a_pipe_waits_for_the_parent(monkeypatch):
+    # battery 2's child fills its pipe while the parent may still be reading
+    # the pipe of battery 1's sleeping child; every record still arrives
+    def sleeping(seed):
+        time.sleep(0.3)
+        return []
+
+    def many_rows(seed):
+        return [Check(f"row {i} of many", F(i), F(i), True) for i in range(5000)]
+
+    batteries = {num: lambda seed: [] for num, _t, _f in CRITERIA}
+    _with_batteries(monkeypatch, {**batteries, 1: sleeping, 2: many_rows})
+    want = []
+    for num, _t, _f in CRITERIA:
+        out = run_criterion(num)
+        rows, failed = lay_out(out.checks, f"[{num}]", False)
+        want.append(BatteryRows(num, out.title, failed, out.notes, rows))
+    assert sum(len(row) for row in want[1].rows) > 1 << 16
+    assert run_all() == want
+    assert_no_child_process()
+
+
+def test_without_an_affinity_mask_the_children_are_counted_from_the_cpu_count(monkeypatch):
     asked = []
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: asked.append(1) or 1)
