@@ -7,7 +7,9 @@ wall-clock, environment, or ordering nondeterminism enters them.
 
 Exit status: 0 when every asserted inequality holds (budget-exhausted
 analyses are reported separately and do not fail the run), 1 when a check is
-violated (the report carries the violation records), 2 on schema errors.
+violated (the report carries the violation records), 2 on bad input: a bad
+command line, or, each as one JSON object on stderr, a schema error, a
+DomainError, an unreadable instance or an unwritable --output path.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from .martingales import Condition, TableMartingale, condition_extends, savings_
 from .piecewise import PiecewiseLinear
 from .porosity import porosity_test
 from .randomness import DominationScenario
-from .report import SCHEMA_VERSION, Report, to_csv_bytes, to_json_bytes
+from .report import SCHEMA_VERSION, Check, Report, to_csv_bytes, to_json_bytes
 from .suite import (
     DEFAULT_SEED,
     NESTING_ROW,
@@ -122,32 +124,32 @@ ROW_MAX_DEPTH = 20
 # where n = 57, and one whose h dips inside its second hole about 0.5 ms at
 # n = 17 and at n = 56.
 EXTEND_MAX_DEPTH = 60
-# The largest escape 'r' and 'm_max' of tests.  Box m's bound (1 - 2^-(r+1))^m
-# has a numerator of about m (r + 1) bits, and Python prints no integer over
-# 4300 digits; at both caps it has 1,252.  A document whose boxes stay nonempty
-# for all 64 rounds takes about 0.01 s in process on a 2-vCPU host.
+# The largest escape 'r' and 'm_max' of tests: box m's bound (1 - 2^-(r+1))^m
+# has about m (r + 1) bits.  In process on a 2-vCPU host, 63 nonempty boxes
+# take about 0.015 s and 19 MB at both caps; the box rows alone take 1.2 s
+# and 46 MB with both at 256, and 36 s and 211 MB with both at 512.
 ESCAPE_MAX_R = ESCAPE_MAX_ROUNDS = 64
 # The largest domination 'depth' of tests, each density estimate's scale depth:
 # an eight-word scenario takes about 0.08 s in process on a 2-vCPU host at 64,
 # 0.25 s at 128 and 1.4 s at 256.
 DOMINATION_MAX_DEPTH = 64
 
-# The largest porosity 'constant' c and 'levels' (or --depth) n.  The level
-# bound (2^k - 1)^n / 2^(k n), k = c + 2, has 771 digits at both caps; Python
-# prints no integer over 4,300.  On a 2-vCPU host, in process: N(sigma) holds
-# up to 2^(c+1) strings per gap, so the hole [2^-2047, 2^-2046] takes 0.05 s
-# and 21 MB at c = 8 (0.6 s and 83 MB at 12), and a 60-hole, 60-stage document
-# on the 2^-12 grid 2 s and 92 MB at c = 8 and n = 256.
+# The largest porosity 'constant' c and 'levels' (or --depth) n: N(sigma)
+# holds up to 2^(c+1) strings per gap, over n levels.  On a 2-vCPU host, in
+# process, a 60-hole, 60-stage document on the 2^-12 grid takes 3 s and 92 MB
+# at both caps.  They do not bound a hole of long binary period: [1/D, 2/D],
+# D = 2^2040 - 1, at c = 8 takes 2.4 s and 161 MB at n = 8, and 49 s and
+# 2.1 GB at n = 32.
 POROSITY_MAX_CONSTANT = 8
 POROSITY_MAX_LEVELS = 256
 
 
 # The largest bit length of the lcm of a document's hole (or interval)
 # denominators, and of an epsilon's denominator.  Reported sides are built over
-# their products, the covering size bound over lcm (q - p)^2 with eps = p/q, so
-# under this cap no such side has more than about 1,850 digits; Python prints
-# no integer over 4,300.  The default, benchmark and test documents have at
-# most 421 bits.
+# their products; a covering or density document at the cap takes under 0.01 s
+# and 19 MB in process on a 2-vCPU host (0.02 s at 14,000 bits), and porosity's
+# scan, which follows a hole's binary expansion, far more (see above).  The
+# default, benchmark and test documents have at most 421 bits.
 DENOMINATOR_MAX_BITS = 2048
 
 
@@ -213,8 +215,8 @@ def run_density(args, doc, rep: Report) -> None:
         prefix = f"instance {i}"
         rep.add(fc.inequalities(), prefix)
         diff, equal = oracle_difference(FULL_SET.subtract_open(holes), fc, grid_depth)
-        rep.add([(f"{prefix}: U equals the prefix-mass oracle after boundary "
-                  "normalization, symmetric difference", diff, ZERO, equal)])
+        rep.add([Check(f"{prefix}: U equals the prefix-mass oracle after boundary "
+                       "normalization, symmetric difference", diff, ZERO, equal)])
 
 
 def run_porosity(args, doc, rep: Report) -> None:
@@ -355,8 +357,8 @@ def run_verify_all(args, doc, rep: Report) -> None:
     summary = []
     for battery in run_all(args.seed, rep.as_csv):
         passed = not battery.failed
-        rep.add([(f"criterion {battery.number}: {battery.title}, violations",
-                  Fraction(battery.failed), ZERO, passed)])
+        rep.add([Check(f"criterion {battery.number}: {battery.title}, violations",
+                       Fraction(battery.failed), ZERO, passed)])
         rep.add_laid_out(battery.rows, battery.failed)
         rep.budget_exhausted.extend(
             f"criterion {battery.number}: {note}" for note in battery.notes
@@ -431,11 +433,24 @@ def _load_doc(args):
         raise SchemaError(f"instance file is not UTF-8: {exc}") from None
 
 
+def _write_report(output: str, payload: bytes) -> None:
+    if output == "-":
+        sys.stdout.buffer.write(payload)
+        sys.stdout.buffer.flush()
+        return
+    try:
+        with open(output, "wb") as fh:
+            fh.write(payload)
+    except OSError as exc:
+        raise SchemaError(f"cannot write report file: {exc}") from None
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     report = Report(args.command, args.seed, args.csv)
     try:
         RUNNERS[args.command](args, _load_doc(args), report)
+        _write_report(args.output, to_csv_bytes(report) if args.csv else to_json_bytes(report))
     except (SchemaError, DomainError) as exc:
         error = {
             "schema_version": SCHEMA_VERSION,
@@ -445,13 +460,6 @@ def main(argv=None) -> int:
         }
         sys.stderr.write(json.dumps(error, sort_keys=True) + "\n")
         return 2
-    payload = to_csv_bytes(report) if args.csv else to_json_bytes(report)
-    if args.output == "-":
-        sys.stdout.buffer.write(payload)
-        sys.stdout.buffer.flush()
-    else:
-        with open(args.output, "wb") as fh:
-            fh.write(payload)
     return 0 if report.all_hold() else 1
 
 

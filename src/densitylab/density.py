@@ -50,6 +50,7 @@ from typing import Sequence
 from .bits import ONE, ZERO, require_unit
 from .errors import DomainError
 from .intervals import ClassGaps, Interval, IntervalSet
+from .report import Check
 
 
 def dyadic_intervals_containing(z: Fraction, n: int) -> list[Interval]:
@@ -175,7 +176,7 @@ class FatCover:
     def U(self) -> IntervalSet:
         return IntervalSet(self._intervals(self.parts))
 
-    def inequalities(self) -> list[tuple[str, Fraction, Fraction, bool]]:
+    def inequalities(self) -> list[Check]:
         """The overlap lambda(C cap U), the class's mass summed over the parts
         of U, and the size lambda(U), against their bounds: each decided over
         the row's denominator d, with eps = p/q and lambda(C) = mass(d)/d."""
@@ -185,10 +186,10 @@ class FatCover:
         size = sum(hi - lo for lo, hi in self.parts)
         rest = d - row.mass(d)  # d (1 - lambda(C))
         return [
-            ("overlap lambda(C cap U) <= 2 eps", Fraction(overlap, d), 2 * self.epsilon,
-             q * overlap <= 2 * p * d),
-            ("size lambda(U) <= 2(1 - lambda C)/(1 - eps)", Fraction(size, d),
-             Fraction(2 * q * rest, (q - p) * d), (q - p) * size <= 2 * q * rest),
+            Check("overlap lambda(C cap U) <= 2 eps", Fraction(overlap, d), 2 * self.epsilon,
+                  q * overlap <= 2 * p * d),
+            Check("size lambda(U) <= 2(1 - lambda C)/(1 - eps)", Fraction(size, d),
+                  Fraction(2 * q * rest, (q - p) * d), (q - p) * size <= 2 * q * rest),
         ]
 
 

@@ -19,11 +19,12 @@ the cylinders across a breakpoint worked out one by one.  Fairness,
 integration, the forcing extension certificate
 (``condition_extension_violations``) and the savings search
 (``savings_extension``) compare runs with a threshold q by integer
-cross-multiplication.  Output with one item per string reads the dense
-expansion ``Martingale.level``: claim 5's windows
-(``claim5_density_records``), ``negativity_witnesses`` and the anti-debt
-capitals table.  Only the walk ``diagonalize_against`` goes string by
-string, through ``value``.
+cross-multiplication.  Output with one item per string writes a row out
+densely: claim 5's windows (``claim5_density_records``) write out M's row at
+their leaves, the anti-debt capitals table reads ``Martingale.approx_level``,
+and only the unwired ``negativity_witnesses`` reads ``Martingale.level``.
+Only the walk ``diagonalize_against`` goes string by string, through
+``value``.
 
 The approximation adapter is a row kernel too: adapter(base, k, n) gives, as
 runs, the index-n Cauchy approximants M(t)_n, with |M(t)_n - M(t)| <= 2^-n,
@@ -55,6 +56,7 @@ from .bits import (
 )
 from .errors import BudgetExhausted, DomainError, SchemaError
 from .piecewise import PiecewiseLinear, overlaps
+from .report import Check
 
 
 Run = tuple[int, int, int]  # (first, last, num): num / d at indices first..last
@@ -654,7 +656,7 @@ def claim5_density_records(
     s: Fraction,
     eps: Fraction,
     depth: int,
-) -> list[tuple[str, Fraction, Fraction, bool]]:
+) -> list[Check]:
     """Exact window checks for the savings claim.
 
     D is the union of minimal cylinders above tau, to length depth, where M
@@ -693,9 +695,7 @@ def claim5_density_records(
             b = a + Fraction(1, 1 << (len(tau) + j))
             slope = Fraction(total, den * width)
             rel = Fraction(counts[hi] - counts[lo], width)
-            records.append(
-                (f"window [{a},{b}] slope {slope} < s", rel, eps, rel <= eps)
-            )
+            records.append(Check(f"window [{a},{b}] slope {slope} < s", rel, eps, rel <= eps))
     return records
 
 

@@ -34,6 +34,7 @@ from fractions import Fraction
 from .bits import is_antichain, validate_bits
 from .errors import DomainError, InvariantError
 from .intervals import ClassGaps, Interval, IntervalSet, StagedOpenEnumeration, stage_gaps
+from .report import Check
 
 
 def cylinder_meets_class(gaps: ClassGaps, tau: str) -> bool:
@@ -70,9 +71,9 @@ def class_mass(gaps: ClassGaps, rhos) -> tuple[int, int]:
     return num, gaps.den << top
 
 
-def _row(name: str, a: int, da: int, b: int, db: int) -> tuple[str, Fraction, Fraction, bool]:
+def _row(name: str, a: int, da: int, b: int, db: int) -> Check:
     """The row a/da <= b/db, decided by cross-multiplication."""
-    return name, Fraction(a, da), Fraction(b, db), a * db <= b * da
+    return Check(name, Fraction(a, da), Fraction(b, db), a * db <= b * da)
 
 
 def _merge_ranges(ranges: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -247,11 +248,11 @@ class PorosityTest:
     def decay(self) -> Fraction:
         return 1 - Fraction(1, 1 << (self.constant + 2))
 
-    def node_row(self, node) -> tuple[str, Fraction, Fraction, bool]:
+    def node_row(self, node) -> Check:
         t, sigma, num, top, ok = node
         k = self.constant + 2
-        return (f"node t={t} sigma={sigma!r}", Fraction(num, 1 << top),
-                Fraction((1 << k) - 1, 1 << (k + len(sigma))), ok)
+        return Check(f"node t={t} sigma={sigma!r}", Fraction(num, 1 << top),
+                     Fraction((1 << k) - 1, 1 << (k + len(sigma))), ok)
 
     def tightest_node(self):
         """The first node of largest lhs/rhs, num 2^-top over decay 2^-|sigma|,
@@ -259,7 +260,7 @@ class PorosityTest:
         top = max(node[3] for node in self.nodes)
         return max(self.nodes, key=lambda node: node[2] << (top - node[3] + len(node[1])))
 
-    def bound_checks(self) -> list[tuple[str, Fraction, Fraction, bool]]:
+    def bound_checks(self) -> list[Check]:
         """Per level n: the largest meeting mass over the stages, and
         lambda(U_n cap C_final) for U_n the union of B_{n,stages}, each
         against decay^n = (2^k - 1)^n / 2^(k n), k = c + 2."""

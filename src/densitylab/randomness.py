@@ -30,6 +30,7 @@ from .intervals import (
     stage_gaps,
 )
 from .porosity import class_mass
+from .report import Check
 
 
 def cylinder_items(s: IntervalSet) -> list[str]:
@@ -68,13 +69,13 @@ class TestFamily:
         comp = self.components[n]
         return comp.union_at(len(comp.items))
 
-    def measure_records(self) -> list[tuple[str, Fraction, Fraction, bool]]:
+    def measure_records(self) -> list[Check]:
         final = self.closed_enum.final_class()
         recs = []
         for n in range(len(self.components)):
             lhs = self.component_union(n).intersect(final).measure
             rhs = Fraction(1, 1 << n)
-            recs.append((f"lambda(V_{n} cap C_final)", lhs, rhs, lhs <= rhs))
+            recs.append(Check(f"lambda(V_{n} cap C_final)", lhs, rhs, lhs <= rhs))
         return recs
 
 
@@ -153,12 +154,12 @@ class CylinderDifferenceTest:
             self._cache[n] = strings
         return self._cache[n]
 
-    def certify(self) -> list[tuple[str, Fraction, Fraction, bool]]:
+    def certify(self) -> list[Check]:
         recs = []
         for n in sorted(self._cache):
             num, den = class_mass(self.gaps, self._cache[n])
-            recs.append((f"lambda(V_{n} cap C_final)", Fraction(num, den),
-                         Fraction(1, 1 << n), num << n <= den))
+            recs.append(Check(f"lambda(V_{n} cap C_final)", Fraction(num, den),
+                              Fraction(1, 1 << n), num << n <= den))
         return recs
 
 
@@ -218,7 +219,7 @@ class EscapeSets:
     verdict: str  # "captured" | "certificate" | "uncaptured"
     escape_level: int | None
     witness_sigma: str | None
-    records: tuple[tuple[str, Fraction, Fraction, bool], ...]
+    records: tuple[Check, ...]
 
 
 def build_escape_sets(
@@ -258,11 +259,11 @@ def build_escape_sets(
                     new.append(tau)
         boxes.append(tuple(sorted(new)))
 
-    records: list[tuple[str, Fraction, Fraction, bool]] = []
+    records: list[Check] = []
     for m, box in enumerate(boxes):
         mass = sum((Fraction(1, 1 << len(s)) for s in box), Fraction(0))
         bound = shrink**m
-        records.append((f"lambda(G_{m}) <= shrink^{m}", mass, bound, mass <= bound))
+        records.append(Check(f"lambda(G_{m}) <= shrink^{m}", mass, bound, mass <= bound))
 
     # walk z down the boxes
     verdict = "captured"
@@ -291,12 +292,12 @@ def build_escape_sets(
         if covered:
             verdict = "certificate"
             budget = sigma_width * shrink
-            records.append((f"slice of V_{n} in {sigma!r} overflows the budget",
-                            slice_measure, budget, slice_measure > budget))
+            records.append(Check(f"slice of V_{n} in {sigma!r} overflows the budget",
+                                 slice_measure, budget, slice_measure > budget))
             num, den = class_mass(dtest.gaps, (sigma,))
-            records.append((f"relative class measure in {sigma!r}",
-                            Fraction(num << len(sigma), den), Fraction(1, 1 << r),
-                            num << (len(sigma) + r) <= den))
+            records.append(Check(f"relative class measure in {sigma!r}",
+                                 Fraction(num << len(sigma), den), Fraction(1, 1 << r),
+                                 num << (len(sigma) + r) <= den))
         else:
             verdict = "uncaptured"
     return EscapeSets(
@@ -381,7 +382,7 @@ class DominationTests:
     covers: tuple[FatCover, ...]
     captured: tuple[bool, ...]
     expected_capture: tuple[bool, ...]
-    records: tuple[tuple[str, Fraction, Fraction, bool], ...]
+    records: tuple[Check, ...]
 
 
 def build_domination_tests(
@@ -447,28 +448,23 @@ def build_domination_tests(
                 i + 1 < len(f_vals) and s <= f_vals[i] and t >= f_vals[i + 1]
             )
 
-    records: list[tuple[str, Fraction, Fraction, bool]] = []
+    records: list[Check] = []
     total = sum((c.U.measure for c in covers), Fraction(0))
     budget = 2 / (1 - scenario.eps)
-    records.append(("sum of lambda(S_n)", total, budget, total <= budget))
+    records.append(Check("sum of lambda(S_n)", total, budget, total <= budget))
     # the words are prefix-free, so the used cylinders' union has measure the
     # sum of their lengths; the identity row below checks that sum
     used = sum((Fraction(1, 1 << len(w)) for s, t in blocks for w in scenario.words[s:t]),
                Fraction(0))
     scaled = 2 * used / (1 - scenario.eps)
-    records.append(("sum against used-cylinder budget", total, scaled, total <= scaled))
+    records.append(Check("sum against used-cylinder budget", total, scaled, total <= scaled))
     all_cyls = canonicalize([Interval(*cylinder_bounds(w)) for w in scenario.words])
     flat = sum((Fraction(1, 1 << len(w)) for w in scenario.words), Fraction(0))
-    records.append(
-        ("prefix-free decomposition identity", all_cyls.measure, flat,
-         all_cyls.measure == flat)
-    )
+    records.append(Check("prefix-free decomposition identity", all_cyls.measure, flat,
+                         all_cyls.measure == flat))
     for i, (got, want) in enumerate(zip(captured, expected)):
         if want:
-            records.append(
-                (f"expected capture in block {i}", Fraction(int(got)), Fraction(1),
-                 got)
-            )
+            records.append(Check(f"expected capture in block {i}", Fraction(int(got)), ONE, got))
     return DominationTests(
         scenario, case, blocks, tuple(covers), tuple(captured), tuple(expected),
         tuple(records)

@@ -10,6 +10,7 @@ values; a CSV side is its JSON value in one field.  JSON output is sorted and
 newline-terminated, so identical (instance, seed) pairs produce
 byte-identical files.
 
+Every row is a ``Check``, from the kernel that decides it to the report.
 A row is laid out as report text, by ``lay_out``, when it is added to a
 ``Report``, and the report keeps only that text and its failure count.
 verify-all lays out each battery's rows in the child process that ran it
@@ -27,15 +28,21 @@ from json.encoder import encode_basestring_ascii
 
 from .bits import format_rational
 from .errors import SchemaError
-from .instances import GENERATOR_NOTE
 from .roottwo import QuadValue
 
 SCHEMA_VERSION = 1
 
+# how instances.battery_rng seeds every generated batch
+GENERATOR_NOTE = (
+    "instances derive from random.Random('<seed>:<battery>:<index>'); string "
+    "seeding is SHA-512 based, so batches are identical across runs and hosts"
+)
+
 
 @dataclass(frozen=True)
 class Check:
-    """One asserted inequality: the relation is spelled out in the name."""
+    """One asserted inequality, the one row type of every report: the
+    relation is spelled out in the name."""
 
     name: str
     lhs: object
@@ -44,16 +51,9 @@ class Check:
     note: str = ""
 
 
-def check_rows(rows, prefix: str = "") -> list[Check]:
-    """Checks from the modules' (name, lhs, rhs, ok) tuples or from Checks,
-    which keep their note; a prefix is put before each name as "prefix: "."""
-    out = []
-    for row in rows:
-        c = row if isinstance(row, Check) else Check(*row[:3], bool(row[3]))
-        if prefix:
-            c = Check(f"{prefix}: {c.name}", c.lhs, c.rhs, c.ok, c.note)
-        out.append(c)
-    return out
+def check_rows(rows, prefix: str) -> list[Check]:
+    """The checks rows with prefix put before each name as "prefix: "."""
+    return [Check(f"{prefix}: {c.name}", c.lhs, c.rhs, c.ok, c.note) for c in rows]
 
 
 def render_value(v) -> object:
@@ -118,20 +118,15 @@ def _csv_row(name: str, lhs, rhs, ok: bool, note: str) -> str:
 
 
 def lay_out(rows, prefix: str, as_csv: bool) -> tuple[list[str], int]:
-    """The report text of each row, in JSON or, with as_csv, in CSV, and the
-    count of rows that fail.  Rows are Checks, which keep their note, or the
-    modules' (name, lhs, rhs, ok) tuples; a nonempty prefix is put before
+    """The report text of each Check in rows, in JSON or, with as_csv, in
+    CSV, and the count of rows that fail; a nonempty prefix is put before
     each name as "prefix: "."""
     row_text = _csv_row if as_csv else _json_row
     head = f"{prefix}: " if prefix else ""
     texts, failed = [], 0
-    for row in rows:
-        if isinstance(row, Check):
-            name, lhs, rhs, ok, note = row.name, row.lhs, row.rhs, row.ok, row.note
-        else:
-            name, lhs, rhs, ok, note = *row[:3], bool(row[3]), ""
-        texts.append(row_text(head + name, lhs, rhs, ok, note))
-        failed += not ok
+    for c in rows:
+        texts.append(row_text(head + c.name, c.lhs, c.rhs, c.ok, c.note))
+        failed += not c.ok
     return texts, failed
 
 

@@ -131,7 +131,7 @@ def escape_rows(inst: EscapeInstance) -> tuple[str, list[Check]]:
     decay and escape certificates, then the component caps."""
     dt = CylinderDifferenceTest(inst.enum, inst.component_fn())
     esc = build_escape_sets(dt, inst.r, inst.m_max, inst.z)
-    return esc.verdict, check_rows(esc.records) + check_rows(dt.certify(), "component cap")
+    return esc.verdict, [*esc.records, *check_rows(dt.certify(), "component cap")]
 
 
 def domination_tests(scenario: DominationScenario, case: int,
@@ -165,8 +165,7 @@ def window_rows(cond: Condition, ext: SavingsExtension, depth: int) -> list[Chec
     (s - reachable_min)/(q - reachable_min)."""
     q = cond.q
     eps_claim = (ext.s - ext.reachable_min) / (q - ext.reachable_min)
-    return check_rows(claim5_density_records(cond.martingale, ext.tau, q, ext.s,
-                                             eps_claim, depth))
+    return claim5_density_records(cond.martingale, ext.tau, q, ext.s, eps_claim, depth)
 
 
 def extension_rows(h, enum: StagedOpenEnumeration, n: int, grid_depth: int) -> list[Check]:

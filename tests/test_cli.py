@@ -132,6 +132,18 @@ def test_unreadable_instance_files_exit_2_with_json_on_stderr(tmp_path, capfd, c
     assert json.loads(capfd.readouterr().err)["kind"] == "SchemaError"
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
+def test_unwritable_output_exits_2_with_json_on_stderr(tmp_path, capfd, where):
+    output = tmp_path / "no" / "such" / "x.json" if where == "missing-dir" else tmp_path
+    code = main(["covering", "--output", str(output)])
+    assert code == 2
+    err = capfd.readouterr().err
+    assert "Traceback" not in err
+    doc = json.loads(err)
+    assert doc["kind"] == "SchemaError"
+    assert doc["error"].startswith("cannot write report file")
+
+
 def test_csv_switch_changes_the_wire_format(tmp_path):
     inst = write_instance(
         tmp_path, {"holes": [["1/4", "1/2"]], "epsilons": ["1/4"]}

@@ -66,9 +66,9 @@ def test_fat_cover_one_hole_worked_values():
     fc = low_density_open_set(ClassGaps.of(C_ONE_HOLE), F(1, 3))
     assert [i.to_json() for i in fc.fat_intervals] == [["1/8", "1/2"], ["1/4", "5/8"]]
     assert [i.to_json() for i in fc.U.parts] == [["1/8", "5/8"]]
-    (_, overlap, overlap_bound, _), (_, size, size_bound, _) = fc.inequalities()
-    assert (overlap, overlap_bound, size, size_bound) == (F(1, 4), F(2, 3), F(1, 2), F(3, 4))
-    assert all(ok for *_, ok in fc.inequalities())
+    overlap, size = fc.inequalities()
+    assert (overlap.lhs, overlap.rhs, size.lhs, size.rhs) == (F(1, 4), F(2, 3), F(1, 2), F(3, 4))
+    assert overlap.ok and size.ok
 
 
 def test_fat_cover_edge_classes():
@@ -102,7 +102,7 @@ def test_fat_cover_bounds_property(holes, eps):
     fc = low_density_open_set(ClassGaps.of(c), eps)
     assert c.intersect(fc.U).measure <= 2 * eps
     assert fc.U.measure <= 2 * (1 - c.measure) / (1 - eps)
-    assert all(ok for *_, ok in fc.inequalities())
+    assert all(row.ok for row in fc.inequalities())
     # every gap of C lies inside U
     for gap in c.gaps():
         assert fc.U.intersect_interval(gap).measure == gap.length
@@ -350,6 +350,8 @@ def test_overlap_measure_matches_the_intersection(c, eps):
     # IntervalSet intersection and measure, and the Fraction comparison
     fc = low_density_open_set(ClassGaps.of(c), eps)
     overlap, size = fc.inequalities()
-    assert overlap[1:] == (c.intersect(fc.U).measure, 2 * eps, overlap[1] <= 2 * eps)
+    measure = c.intersect(fc.U).measure
+    assert (overlap.lhs, overlap.rhs, overlap.ok) == (measure, 2 * eps, measure <= 2 * eps)
     size_bound = 2 * (1 - c.measure) / (1 - eps)
-    assert size[1:] == (fc.U.measure, size_bound, size[1] <= size_bound)
+    assert (size.lhs, size.rhs, size.ok) == (fc.U.measure, size_bound,
+                                             fc.U.measure <= size_bound)

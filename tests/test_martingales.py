@@ -34,6 +34,7 @@ from densitylab.martingales import (
     with_floor_adapter,
 )
 from densitylab.piecewise import PiecewiseLinear
+from densitylab.report import Check
 
 
 def runs_of(nums: list[int]) -> list[tuple[int, int, int]]:
@@ -406,19 +407,19 @@ def test_claim5_records_on_the_savings_instance():
     # with s above every slope each window is examined, and its relative
     # measure of D shows D = Cyl "10", the one minimal string reaching q = 2
     wide = claim5_density_records(m, "", q=F(2), s=F(10), eps=F(1, 2), depth=3)
-    assert [rel for _, rel, _, _ in wide] == [
+    assert [row.lhs for row in wide] == [
         F(1, 4), 0, F(1, 2), 0, 0, 1, 0, 0, 0, 0, 0, 1, 1, 0, 0,
     ]
-    assert wide[0][0] == "window [0,1] slope 1 < s"
-    assert wide[5][0] == "window [1/2,3/4] slope 5/2 < s"
+    assert wide[0].name == "window [0,1] slope 1 < s"
+    assert wide[5].name == "window [1/2,3/4] slope 5/2 < s"
     records = claim5_density_records(
         m, "", q=F(2), s=F(2, 3), eps=F(1, 2), depth=3
     )
     # every window overlapping D = Cyl "10" has slope >= s, so all checked
     # windows carry zero relative D-measure
     assert len(records) == 6
-    assert all(ok for (_, _, _, ok) in records)
-    assert all(rel == 0 for (_, rel, _, ok) in records)
+    assert all(row.ok for row in records)
+    assert all(row.lhs == 0 for row in records)
 
 
 def test_forcing_chain_meets_targets_with_verified_extensions():
@@ -682,7 +683,7 @@ def reference_claim5(m: Martingale, tau: str, q: F, s: F, eps: F, depth: int) ->
             slope = mass * F(1, 1 << depth) / (b - a)
             if slope < s:
                 rel = dset.intersect_interval(Interval(a, b)).measure / (b - a)
-                records.append((f"window [{a},{b}] slope {slope} < s", rel, eps, rel <= eps))
+                records.append(Check(f"window [{a},{b}] slope {slope} < s", rel, eps, rel <= eps))
     return records
 
 

@@ -32,6 +32,7 @@ from densitylab.porosity import (
     porosity_witness,
 )
 from densitylab.randomness import CylinderDifferenceTest, density_difference_test
+from densitylab.report import Check
 
 from helpers import enumeration, interval
 
@@ -71,8 +72,8 @@ def test_porosity_test_one_hole_boxes():
     assert tst.boxes[(2, 1)] == ("10",)
     assert tst.boxes[(3, 1)] == ("10",)
     # the most that levels 1 and 2 meet of a stage class: 3/4 at stage 1, and 0
-    assert [row[1] for row in tst.bound_checks()[1:3]] == [F(3, 4), 0]
-    assert all(ok for *_, ok in tst.bound_checks())
+    assert [row.lhs for row in tst.bound_checks()[1:3]] == [F(3, 4), 0]
+    assert all(row.ok for row in tst.bound_checks())
     assert all(ok for *_, ok in tst.nodes)
 
 
@@ -106,17 +107,17 @@ def check_against_definitions(tst):
     rows = []
     for t in range(tst.stages + 1):
         gaps = ClassGaps.of(tst.enum.stage_class(t))
-        for name, lhs, rhs, ok in map(tst.node_row, tst.nodes):
-            if name.startswith(f"node t={t} "):
-                sigma = name.split("sigma=")[1][1:-1]
+        for row in map(tst.node_row, tst.nodes):
+            if row.name.startswith(f"node t={t} "):
+                sigma = row.name.split("sigma=")[1][1:-1]
                 ext = minimal_porous_extensions(gaps, sigma, tst.constant)
                 want = sum((F(1, 1 << len(rho)) for rho in ext.elements
                             if cylinder_meets_class(gaps, rho)), F(0))
                 bound = decay * F(1, 1 << len(sigma))
-                assert (lhs, rhs, ok) == (want, bound, want <= bound)
-                rows.append((name, lhs, rhs, ok))
+                assert (row.lhs, row.rhs, row.ok) == (want, bound, want <= bound)
+                rows.append(row)
     assert len(rows) == len(tst.nodes)
-    tightest = max(map(tst.node_row, tst.nodes), key=lambda r: r[1] / r[2], default=None)
+    tightest = max(map(tst.node_row, tst.nodes), key=lambda r: r.lhs / r.rhs, default=None)
     assert tst.node_row(tst.tightest_node()) == tightest if tst.nodes else tightest is None
 
     final = tst.enum.stage_class(tst.stages)
@@ -128,9 +129,10 @@ def check_against_definitions(tst):
                  if cylinder_meets_class(ClassGaps.of(tst.enum.stage_class(t)), rho)), F(0))
             for t in range(tst.stages + 1)
         )
-        assert checks[n][1:] == (worst, bound, worst <= bound)
+        assert (checks[n].lhs, checks[n].rhs, checks[n].ok) == (worst, bound, worst <= bound)
         lhs = union_of_cylinders(tst.boxes[(n, tst.stages)]).intersect(final).measure
-        assert checks[tst.levels + 1 + n][1:] == (lhs, bound, lhs <= bound)
+        final_row = checks[tst.levels + 1 + n]
+        assert (final_row.lhs, final_row.rhs, final_row.ok) == (lhs, bound, lhs <= bound)
     assert len(checks) == 2 * (tst.levels + 1)
 
 
@@ -297,7 +299,7 @@ def test_density_difference_test_builds_no_stage_class(monkeypatch):
         assert component.items == tuple(
             part for prev, cover in zip([IntervalSet(())] + covers, covers)
             for part in cover.subtract(prev).drop_degenerate().parts)
-    assert all(ok for *_, ok in fam.measure_records())
+    assert all(row.ok for row in fam.measure_records())
 
 
 def test_cylinder_difference_test_certifies_on_a_row_from_holes(monkeypatch):
@@ -308,8 +310,8 @@ def test_cylinder_difference_test_certifies_on_a_row_from_holes(monkeypatch):
         dt.component_strings(n)
     # each cylinder's length less its overlap with the holes (1/4, 9/16)
     assert dt.certify() == [
-        ("lambda(V_0 cap C_final)", F(1, 4), F(1), True),
-        ("lambda(V_1 cap C_final)", F(1, 16), F(1, 2), True),
+        Check("lambda(V_0 cap C_final)", F(1, 4), F(1), True),
+        Check("lambda(V_1 cap C_final)", F(1, 16), F(1, 2), True),
     ]
 
 
@@ -330,7 +332,7 @@ def test_porosity_test_invariants_random(holes, c, levels):
     for n in range(levels + 1):
         for t in range(tst.stages + 1):
             assert is_antichain(tst.boxes[(n, t)])
-    assert all(ok for *_, ok in tst.bound_checks())
+    assert all(row.ok for row in tst.bound_checks())
     assert all(ok for *_, ok in tst.nodes)
 
 

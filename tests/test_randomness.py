@@ -27,6 +27,7 @@ from densitylab.randomness import (
     least_density_drop,
     least_drop_h,
 )
+from densitylab.report import Check
 
 from helpers import enumeration, interval
 
@@ -45,14 +46,14 @@ def test_density_difference_test_bounds_and_marks():
     w = enumeration((F(1, 4), F(1, 2)))
     fam = density_difference_test(w, 3)
     recs = fam.measure_records()
-    assert [(str(l), str(r), ok) for _n, l, r, ok in recs] == [
+    assert [(str(row.lhs), str(row.rhs), row.ok) for row in recs] == [
         ("1/2", "1", True),
         ("1/6", "1/2", True),
         ("1/14", "1/4", True),
         ("1/30", "1/8", True),
     ]
     assert fam.stage_marks == ((0, 1), (0, 1), (0, 1), (0, 1))
-    assert all(ok for *_, ok in recs)
+    assert all(row.ok for row in recs)
 
 
 def test_capture_check_difference():
@@ -93,11 +94,11 @@ def test_escape_sets_certificate_verdict():
     assert esc.boxes == (("",), ("0101",), ("010100", "010110", "010111"), ())
     assert cylinder_mass(esc.boxes[1]) == F(1, 16)
     assert cylinder_mass(esc.boxes[2]) == F(3, 64)
-    assert all(ok for *_, ok in esc.records)
+    assert all(row.ok for row in esc.records)
     # the overflow and class-thinness records are exact
-    names = [r[0] for r in esc.records]
+    names = [row.name for row in esc.records]
     assert "slice of V_7 in '0101' overflows the budget" in names
-    assert dt.certify() and all(ok for *_r, ok in dt.certify())
+    assert dt.certify() and all(row.ok for row in dt.certify())
 
 
 def test_escape_sets_uncaptured_verdict():
@@ -111,7 +112,7 @@ def test_escape_sets_uncaptured_verdict():
     esc = build_escape_sets(CylinderDifferenceTest(PINCH, comps), 2, 3, F(1, 3))
     assert esc.verdict == "uncaptured"
     assert esc.escape_level == 2
-    assert all(ok for *_, ok in esc.records)
+    assert all(row.ok for row in esc.records)
 
 
 def test_escape_sets_shrink_bound_every_level():
@@ -205,8 +206,9 @@ def reference_certificate(dt: CylinderDifferenceTest, r: int, z: F, sigma: str):
     budget = width * (1 - F(1, 1 << (r + 1)))
     rel = dt.closed_enum.final_class().intersect(cylinder(sigma)).measure / width
     return "certificate", [
-        (f"slice of V_{n} in {sigma!r} overflows the budget", slice_, budget, slice_ > budget),
-        (f"relative class measure in {sigma!r}", rel, F(1, 1 << r), rel <= F(1, 1 << r)),
+        Check(f"slice of V_{n} in {sigma!r} overflows the budget", slice_, budget,
+              slice_ > budget),
+        Check(f"relative class measure in {sigma!r}", rel, F(1, 1 << r), rel <= F(1, 1 << r)),
     ]
 
 
@@ -225,7 +227,7 @@ def test_escape_sets_and_caps_match_the_interval_definitions(case):
     boxes = reference_boxes(dt, r, m_max)
     assert list(esc.boxes) == boxes
     masses = [canonicalize(Interval(*cylinder_bounds(s)) for s in box).measure for box in boxes]
-    assert [lhs for _, lhs, _, _ in esc.records[: len(boxes)]] == masses
+    assert [row.lhs for row in esc.records[: len(boxes)]] == masses
     holders = [next((s for s in box if holds(z, s)), None) for box in boxes]
     if None in holders:
         level = holders.index(None)
@@ -236,11 +238,11 @@ def test_escape_sets_and_caps_match_the_interval_definitions(case):
         verdict, rows = "captured", []
     assert (esc.verdict, list(esc.records[len(boxes):])) == (verdict, rows)
     final = enum.final_class()
-    for name, lhs, rhs, ok in dt.certify():
-        n = int(name[len("lambda(V_"):].split(" ")[0])
+    for row in dt.certify():
+        n = int(row.name[len("lambda(V_"):].split(" ")[0])
         union = canonicalize(Interval(*cylinder_bounds(s)) for s in dt.component_strings(n))
         want = union.intersect(final).measure
-        assert (lhs, rhs, ok) == (want, F(1, 1 << n), want <= F(1, 1 << n))
+        assert (row.lhs, row.rhs, row.ok) == (want, F(1, 1 << n), want <= F(1, 1 << n))
 
 
 def test_difference_test_from_porosity_reindexes():
@@ -248,7 +250,7 @@ def test_difference_test_from_porosity_reindexes():
     dt = difference_test_from_porosity(pt)
     assert dt.component_strings(1) == ("10",)
     recs = dt.certify()
-    assert all(ok for *_r, ok in recs)
+    assert all(row.ok for row in recs)
     with pytest.raises(BudgetExhausted) as err:
         dt.component_strings(50)  # needs more porosity levels than built
     # the search gives up at level levels + 1, reporting the exact bound there
@@ -288,7 +290,7 @@ def test_least_density_drop_estimates_each_window_once(monkeypatch, case):
     )
     dom = build_domination_tests(sc, least_drop_h(sc, case, 1), case, 1)
     assert seen and len(seen) == len(set(seen))
-    assert all(ok for *_, ok in dom.records)
+    assert all(row.ok for row in dom.records)
     # the memo is no part of the scenario's value
     fresh = DominationScenario(WORDS, F(1, 3), F(1, 4), 6)
     assert sc == fresh and hash(sc) == hash(fresh) and repr(sc) == repr(fresh)
@@ -300,11 +302,11 @@ def test_domination_case1_capture_and_budget():
     assert dom.blocks == ((4, 8),)
     assert dom.captured == (True,)
     assert dom.expected_capture == (True,)
-    assert all(ok for *_, ok in dom.records)
+    assert all(row.ok for row in dom.records)
     # the used-cylinder budget scales the measure of the blocks' cylinders
     used = canonicalize(Interval(*cylinder_bounds(w)) for w in WORDS[4:8]).measure
-    row = next(r for r in dom.records if r[0] == "sum against used-cylinder budget")
-    assert row[2] == 2 * used / (1 - F(1, 4)) == F(5, 128)
+    row = next(r for r in dom.records if r.name == "sum against used-cylinder budget")
+    assert row.rhs == 2 * used / (1 - F(1, 4)) == F(5, 128)
 
 
 def test_domination_case2_budget_identity():
@@ -314,13 +316,13 @@ def test_domination_case2_budget_identity():
     assert dom.captured == (True, True)
     total = sum((c.U.measure for c in dom.covers), F(0))
     assert total == F(51, 128)
-    assert all(ok for *_, ok in dom.records)
-    names = {r[0]: (r[1], r[2], r[3]) for r in dom.records}
-    lhs, rhs, ok = names["prefix-free decomposition identity"]
-    assert lhs == rhs == F(255, 1024) and ok
+    assert all(row.ok for row in dom.records)
+    names = {r.name: r for r in dom.records}
+    identity = names["prefix-free decomposition identity"]
+    assert identity.lhs == identity.rhs == F(255, 1024) and identity.ok
     # the used-cylinder budget scales the measure of both blocks' cylinders
     used = canonicalize(Interval(*cylinder_bounds(w)) for w in WORDS).measure
-    assert names["sum against used-cylinder budget"][1] == 2 * used / (1 - F(1, 4))
+    assert names["sum against used-cylinder budget"].rhs == 2 * used / (1 - F(1, 4))
 
 
 def test_domination_rejects_bad_h():

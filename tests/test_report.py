@@ -10,13 +10,11 @@ from hypothesis import strategies as st
 
 from densitylab.bits import format_rational
 from densitylab.errors import SchemaError
-from densitylab.instances import GENERATOR_NOTE
 from densitylab.report import (
+    GENERATOR_NOTE,
     SCHEMA_VERSION,
     Check,
     Report,
-    check_rows,
-    lay_out,
     render_value,
     to_csv_bytes,
     to_json_bytes,
@@ -33,16 +31,6 @@ def test_render_value_covers_the_wire_types():
         render_value(0.5)
     with pytest.raises(SchemaError):
         render_value(None)
-
-
-def test_check_rows_adapts_module_tuples():
-    rows = check_rows([("x <= y", F(1, 3), F(1, 2), True)])
-    assert rows == [Check("x <= y", F(1, 3), F(1, 2), True)]
-    # lay_out reads the tuples as the Checks check_rows makes of them
-    for as_csv in (False, True):
-        tuples = [("x <= y", F(1, 3), F(1, 2), 1), ("y <= x", F(1, 2), F(1, 3), 0)]
-        assert lay_out(tuples, "p", as_csv) == lay_out(check_rows(tuples), "p", as_csv)
-        assert lay_out(tuples, "p", as_csv)[1] == 1
 
 
 def sample_report(as_csv: bool = False) -> Report:

@@ -184,6 +184,22 @@ def test_importing_the_cli_loads_no_process_pool():
     assert loaded.stdout.strip() == "[]"
 
 
+def test_importing_the_report_loads_only_its_leaf_modules():
+    # every kernel builds its rows as report.Checks, so report must not
+    # import the kernels back
+    probe = (
+        "import sys; import densitylab.report; "
+        "print(sorted(m for m in sys.modules if m.startswith('densitylab.')))"
+    )
+    src = str(Path(densitylab.__file__).resolve().parent.parent)
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True,
+    )
+    assert loaded.stdout.strip() == str(
+        ["densitylab.bits", "densitylab.errors", "densitylab.report", "densitylab.roottwo"])
+
+
 def test_martingales_define_values_once():
     # a martingale is its rows(base, k) kernel; no construction states its
     # values a second time, string by string

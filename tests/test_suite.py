@@ -43,9 +43,9 @@ def test_criteria_table_covers_all_ten():
     assert len(set(titles)) == 10
 
 
-def test_outcome_accumulates_tuples_and_checks():
+def test_outcome_accumulates_prefixed_checks():
     out = CriterionOutcome(1, "demo")
-    out.checks.extend(check_rows([("a <= b", F(1), F(2), True)]))
+    out.checks.append(Check("a <= b", F(1), F(2), True))
     out.checks.extend(
         check_rows([Check("c <= d", F(3), F(2), False, note="tight")], prefix="inner")
     )
