@@ -3,7 +3,9 @@
 Rationals are stdlib ``fractions.Fraction`` and serialize as ``"p/q"``.
 Bit strings are plain ASCII strings over ``'0'``/``'1'``; the empty string is
 the root.  ``cylinder_bounds`` ties a string sigma to the closed interval
-[0.sigma, 0.sigma + 2^-|sigma|].
+[0.sigma, 0.sigma + 2^-|sigma|].  The strings of one length k are numbered in
+lexicographic order, 0 to 2^k - 1, the empty string being 0:
+``string_at(i, k)`` is the i-th and ``string_index`` its inverse.
 """
 
 from __future__ import annotations
@@ -19,12 +21,17 @@ ONE = Fraction(1)
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" (or "p") into an exact Fraction; reject junk loudly."""
+    """Parse "p/q" (or "p") into an exact Fraction; reject junk loudly.  The
+    error echoes a bad text of up to 64 characters, and gives a longer one's
+    length and first 32 characters."""
     if not isinstance(text, str):
         raise SchemaError(f"rational must be a string, got {type(text).__name__}")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
+        if len(text) > 64:
+            raise SchemaError(f"bad rational of {len(text)} characters, "
+                              f"starting {text[:32]!r}") from None
         raise SchemaError(f"bad rational {text!r}: {exc}") from None
 
 
@@ -95,8 +102,18 @@ def is_prefix(sigma: str, tau: str) -> bool:
     return tau.startswith(sigma)
 
 
+def string_at(i: int, k: int) -> str:
+    """The i-th bit string of length k, 0 <= i < 2^k, in lexicographic order."""
+    return format(i, f"0{k}b") if k else ""
+
+
+def string_index(sigma: str) -> int:
+    """sigma's place among the strings of its length: string_at's inverse."""
+    return int(sigma, 2) if sigma else 0
+
+
 def cylinder_bounds(sigma: str) -> tuple[Fraction, Fraction]:
-    k, scale = (int(sigma, 2) if sigma else 0), 1 << len(sigma)
+    k, scale = string_index(sigma), 1 << len(sigma)
     return Fraction(k, scale), Fraction(k + 1, scale)
 
 
@@ -104,7 +121,7 @@ def all_strings(length: int) -> list[str]:
     """All bit strings of the exact given length, lexicographic."""
     if length < 0:
         raise DomainError(f"negative length {length}")
-    return [format(i, f"0{length}b") if length else "" for i in range(1 << length)]
+    return [string_at(i, length) for i in range(1 << length)]
 
 
 def is_antichain(strings) -> bool:

@@ -8,8 +8,9 @@ polynomial's Lipschitz bound on [0,1] stands in for a modulus of continuity:
 its extrema are computed by modulus-driven grid refinement with explicit
 error margins, never by assuming where the extremum sits, and the refined
 grid is read as one row of integer Horner evaluations over one denominator.
-Pseudo-derivative estimates evaluate the function once per candidate point,
-not once per pair.
+One kernel, ``slope_extremes``, gives both the least and the greatest slope
+over a set of pairs in one pass, evaluating the function once per point: the
+pseudo-derivative estimate and the spike verifier's straddle sweep use it.
 """
 
 from __future__ import annotations
@@ -53,55 +54,55 @@ def _straddling_candidates(x: Fraction, h: Fraction, depth: int) -> list[Fractio
 
 @dataclass(frozen=True)
 class DerivativeEstimate:
-    side: str
     value: Fraction
     witness: tuple[Fraction, Fraction]
-    scale: Fraction
-    grid_depth: int
+
+
+def slope_extremes(f, lefts, rights, h=None):
+    """(lower, upper), the least and the greatest slope of f over the pairs
+    a < b of a left and a right point, with b - a <= h when h is given; None
+    when there is no such pair.  f is evaluated once per point, and the
+    slopes are taken in its own value type (Fraction, or QuadValue for the
+    counterexample).  Each side's witness is its first extremal pair, with
+    the sorted lefts in the outer loop and the sorted rights in the inner.
+    """
+    lefts, rights = sorted(lefts), sorted(rights)
+    values = {q: f.exact(q) for q in (*lefts, *rights)}
+    lo = hi = None
+    for a in lefts:
+        f_a = values[a]
+        end = len(rights) if h is None else bisect_right(rights, a + h)
+        for b in rights[bisect_right(rights, a):end]:
+            v = (f_a - values[b]) / (a - b)
+            if lo is None or v < lo.value:
+                lo = DerivativeEstimate(v, (a, b))
+            if hi is None or v > hi.value:
+                hi = DerivativeEstimate(v, (a, b))
+    return None if lo is None else (lo, hi)
 
 
 def pseudo_derivative_estimate(
-    f, x: Fraction, h: Fraction, grid_depth: int, side: str
-) -> DerivativeEstimate:
-    """Extremal slope over straddling pairs a <= x <= b with 0 < b-a <= h.
+    f, x: Fraction, h: Fraction, grid_depth: int
+) -> tuple[DerivativeEstimate, DerivativeEstimate]:
+    """(lower, upper): the extremal slopes over straddling pairs a <= x <= b
+    with 0 < b-a <= h, from x and the 2^-grid_depth grid.
 
     f is any function with ``exact(q)``: a ``Polynomial``, a
-    ``PiecewiseLinear`` or a ``SpikePlan``.  The pairs are taken from x and
-    the 2^-grid_depth grid, and their slopes are exact: upper mode is a
-    certified lower bound on the upper pseudo-derivative at scale h, lower
-    mode a certified upper bound on the lower one.  Pairs must straddle x;
-    one-sided pairs are excluded by definition.  The witness is the first
-    pair, in (a, b) order, of extremal slope.
-
-    f is evaluated once per candidate point, and the slopes are taken in its
-    own value type (Fraction, or QuadValue for the counterexample).
+    ``PiecewiseLinear`` or a ``SpikePlan``.  The slopes are exact: the upper
+    estimate is a certified lower bound on the upper pseudo-derivative at
+    scale h, the lower one a certified upper bound on the lower one.
+    One-sided pairs are excluded by definition.
     """
     x, h = Fraction(x), Fraction(h)
-    if side not in ("upper", "lower"):
-        raise DomainError(f"side must be upper or lower, got {side!r}")
     if h <= 0:
         raise DomainError("scale h must be positive")
     cands = _straddling_candidates(x, h, grid_depth)
-    # the lefts a <= x are cands[:n_left], the rights b >= x cands[first_right:]
-    n_left = bisect_right(cands, x)
-    first_right = bisect_left(cands, x)
-    upper = side == "upper"
-    values = [f.exact(q) for q in cands]
-    best = None
-    witness = None
-    for i in range(n_left):
-        a = cands[i]
-        # the rights b with a < b <= a + h
-        for j in range(max(first_right, i + 1), bisect_right(cands, a + h, first_right)):
-            b = cands[j]
-            v = (values[i] - values[j]) / (a - b)
-            if best is None or (v > best if upper else v < best):
-                best, witness = v, (a, b)
-    if best is None:
-        raise DomainError(
-            f"no straddling pair around {x} at depth {grid_depth} within scale {h}"
-        )
-    return DerivativeEstimate(side, best, witness, h, grid_depth)
+    extremes = slope_extremes(f, cands[:bisect_right(cands, x)],
+                              cands[bisect_left(cands, x):], h)
+    if extremes is None:
+        raise DomainError(f"no straddling pair around {x} at depth {grid_depth} "
+                          f"within scale {h}")
+    return extremes
 
 
 def _grid_step(lo: Fraction, hi: Fraction, max_step: Fraction) -> tuple[int, Fraction]:

@@ -7,8 +7,10 @@ grid meets the previous increase interval.  The plan is the function: its
 ``exact(q)`` returns f(q), the ``calculus`` function protocol, a Fraction or
 for odd-k heights a sqrt(2)-multiple in Q(sqrt 2).  The verifier then
 certifies, per realized height parameter k, a straddling slope <= -2^(k/2) at
-the final alpha together with zero-slope witnesses on the upper side.  All
-comparisons stay exact: sqrt(2)-multiples are compared via squares.
+the final alpha together with zero-slope witnesses on the upper side, and
+bounds the straddling slopes above alpha by the upper side of
+``calculus.slope_extremes``, the kernel the pseudo-derivative estimate uses.
+All comparisons stay exact: sqrt(2)-multiples are compared via squares.
 
 Policy constants (the height rule needs two choices the prose leaves open):
 qualifying multiples of 2^-n are positive (0 never qualifies) and endpoint
@@ -25,6 +27,7 @@ from typing import Sequence
 
 from .errors import DomainError, EnumerationOverlapError, InvariantError
 from .bits import ONE, ZERO, format_rational
+from .calculus import slope_extremes
 from .intervals import Interval, IntervalSet
 from .roottwo import QuadValue, half_power, sqrt2_power
 
@@ -258,8 +261,7 @@ class DenjoyFailureReport:
     unrealized: tuple[int, ...]
     zero_witnesses: tuple[ZeroWitness, ...]
     straddle_bound: Fraction  # declared bound for beyond-region slopes
-    straddle_max: object | None  # largest slope seen in the sweep
-    straddle_ok: bool
+    straddle_max: object  # largest slope seen in the sweep
     upper_estimate: object  # best upper slope near alpha (0 when witnessed)
     lower_estimate: object  # most negative slope seen
     groups: tuple[tuple[int, int], ...]  # (exponent, spike count)
@@ -346,41 +348,22 @@ def verify_denjoy_failure(
         zero_witnesses.append(ZeroWitness(k, a, b, s == 0))
 
     region_end = max((s.interval.hi for s in plan.spike_stages), default=ZERO)
-    lefts = set(zeros)
+    lefts = set(zeros)  # alpha among them, where f is 0
     for s in plan.spike_stages:
-        iv = s.interval
-        lefts.update(
-            p for p in (
-                (iv.lo + iv.hi) / 2,
-                (3 * iv.lo + iv.hi) / 4,
-                (iv.lo + 3 * iv.hi) / 4,
-            ) if p <= alpha
-        )
+        lo, hi = s.interval.lo, s.interval.hi
+        marks = ((lo + hi) / 2, (3 * lo + hi) / 4, (lo + 3 * hi) / 4)
+        lefts.update(p for p in marks if p <= alpha)
     rights = {ONE}
-    gap = ONE - alpha
+    gap = ONE - alpha  # > 0: every right lies above alpha, so there is a pair
     for j in range(1, min(k_max, 20) + 1):
         b = alpha + gap / (1 << j)
-        if b > region_end and b > alpha:
+        if b > region_end:
             rights.add(b)
     straddle_bound = ZERO  # f >= 0 and f = 0 beyond the region force slope <= 0
-    straddle_max = None
-    straddle_ok = True
-    left_values = [(a, plan.exact(a)) for a in sorted(lefts)]  # f once per left point
-    for b in sorted(rights):
-        f_b = plan.exact(b)
-        for a, f_a in left_values:
-            if a >= b:
-                continue
-            s = (f_b - f_a) / (b - a)
-            if straddle_max is None or s > straddle_max:
-                straddle_max = s
-            if s > straddle_bound:
-                straddle_ok = False
+    straddle_max = slope_extremes(plan, lefts, rights)[1].value
 
-    slopes_seen = [c.slope for c in certificates if c.holds]
-    if straddle_max is not None:
-        slopes_seen.append(straddle_max)
-    lower_estimate = min(slopes_seen, default=ZERO)
+    slopes_seen = [c.slope for c in certificates if c.holds] + [straddle_max]
+    lower_estimate = min(slopes_seen)
     upper_estimate = ZERO if zero_witnesses or not plan.spike_stages else straddle_max
 
     counts: dict[int, int] = {}
@@ -405,7 +388,6 @@ def verify_denjoy_failure(
         zero_witnesses=tuple(zero_witnesses),
         straddle_bound=straddle_bound,
         straddle_max=straddle_max,
-        straddle_ok=straddle_ok,
         upper_estimate=upper_estimate,
         lower_estimate=lower_estimate,
         groups=groups,

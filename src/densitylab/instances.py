@@ -25,6 +25,8 @@ from .bits import (
     parse_nonnegative_int,
     parse_rational,
     require_unit,
+    string_at,
+    string_index,
     validate_bits,
 )
 from .calculus import Polynomial
@@ -238,14 +240,14 @@ def escape_instance(seed: int, index: int) -> EscapeInstance:
             # the siblings fill the truncation budget exactly, the item
             # overflows it, and the slice then covers the target.
             siblings = sorted(
-                sigma + format(j, f"0{step}b")
+                sigma + string_at(j, step)
                 for j in range(1 << step)
-                if sigma + format(j, f"0{step}b") != item
+                if sigma + string_at(j, step) != item
             )
             components[n_star] = tuple(siblings) + (item,)
             # pinch the class inside sigma down to the covering item, so the
             # thinness conclusion has exact content
-            slo, shi = Fraction(int(sigma, 2) if sigma else 0, 1 << depth), None
+            slo = Fraction(string_index(sigma), 1 << depth)
             shi = slo + Fraction(1, 1 << depth)
             ilo = Fraction(int(item, 2), 1 << n_star)
             ihi = ilo + Fraction(1, 1 << n_star)
@@ -290,10 +292,10 @@ def random_fair_table(rng: random.Random, depth: int) -> TableMartingale:
     averaged upward."""
     table: dict[str, Fraction] = {}
     for j in range(1 << depth):
-        table[format(j, f"0{depth}b") if depth else ""] = Fraction(rng.randint(0, 48), 8)
+        table[string_at(j, depth)] = Fraction(rng.randint(0, 48), 8)
     for k in range(depth - 1, -1, -1):
         for j in range(1 << k):
-            s = format(j, f"0{k}b") if k else ""
+            s = string_at(j, k)
             table[s] = (table[s + "0"] + table[s + "1"]) / 2
     return TableMartingale(table, depth)
 

@@ -52,6 +52,8 @@ from .bits import (
     over_common_denominator,
     parse_nonnegative_int,
     parse_rational,
+    string_at,
+    string_index,
     validate_bits,
 )
 from .errors import BudgetExhausted, DomainError, SchemaError
@@ -62,11 +64,6 @@ from .report import Check
 Run = tuple[int, int, int]  # (first, last, num): num / d at indices first..last
 Row = tuple[int, list[Run]]
 Rows = Callable[[str, int], Row]
-
-
-def _string(base: str, i: int, k: int) -> str:
-    """base + the i-th string of length k in lexicographic order."""
-    return base + format(i, f"0{k}b") if k else base
 
 
 def _merged(pieces: Iterable[tuple]) -> list[tuple]:
@@ -157,7 +154,7 @@ class Martingale:
         for first, _, (_, _, x), (_, _, y) in overlaps(got, want):
             if abs(x * d - y * e) << n > d * e:
                 raise DomainError(
-                    f"adapter broke its 2^-{n} error bound at {_string(base, first, k)!r}"
+                    f"adapter broke its 2^-{n} error bound at {base + string_at(first, k)!r}"
                 )
         return _dense((e, got))
 
@@ -193,10 +190,10 @@ def fairness_violations(m: Martingale, depth: int) -> list[str]:
         for first, last, (_, _, a), (_, _, b) in overlaps(_scaled(parents, 1), kids):
             if first & 1:  # node first // 2 has its children on both sides
                 if 2 * a * e != d * (prev + b):
-                    bad.append(_string("", first >> 1, k))
+                    bad.append(string_at(first >> 1, k))
             lo, hi = (first + 1) >> 1, (last + 1) >> 1  # nodes with both children here
             if lo < hi and a * e != d * b:
-                bad.extend(_string("", i, k) for i in range(lo, hi))
+                bad.extend(string_at(i, k) for i in range(lo, hi))
             prev = b
         d, parents = e, kids
     return bad
@@ -208,7 +205,7 @@ def negativity_witnesses(m: Martingale, depth: int, base: str = "") -> list[str]
     found: list[str] = []
     for k in range(depth + 1):
         _, row = m.level(base, k)
-        found.extend(_string(base, i, k) for i, x in enumerate(row) if x < 0)
+        found.extend(base + string_at(i, k) for i, x in enumerate(row) if x < 0)
     return found
 
 
@@ -234,7 +231,7 @@ def _tabulated(levels: list[Row], skip: int) -> Rows:
     def rows(base: str, k: int) -> Row:
         below = base[skip:]
         den, runs = levels[len(below) + k]
-        return den, _window(runs, int(below, 2) << k if below else 0, 1 << k)
+        return den, _window(runs, string_index(below) << k, 1 << k)
 
     return rows
 
@@ -321,7 +318,7 @@ def slope_martingale(g: PiecewiseLinear, depth: int) -> Martingale:
         # Cyl of the i-th string of length n spans grid points i 2^shift to
         # (i + 1) 2^shift; its slope is the rise over them times 2^n
         shift = depth - n
-        lo = int(base, 2) << k if base else 0
+        lo = string_index(base) << k
         end = lo + (1 << k)
         runs: list[Run] = []
         i, p = lo, bisect_right(firsts, lo << shift) - 1
@@ -350,7 +347,7 @@ def _leaf_runs(m: Martingale, tau0: str, depth: int) -> Row:
     for first, _, num in leaves:
         if num < 0:
             raise DomainError(
-                f"negative martingale value {Fraction(num, den)} at {_string(tau0, first, k)!r}"
+                f"negative martingale value {Fraction(num, den)} at {tau0 + string_at(first, k)!r}"
             )
     return den, leaves
 
@@ -364,7 +361,7 @@ def martingale_to_function(m: Martingale, tau0: str, depth: int) -> PiecewiseLin
     sit at the ends of the leaf row's runs, the values their running sums.
     """
     den, leaves = _leaf_runs(m, tau0, depth)
-    k0 = int(tau0, 2) << (depth - len(tau0)) if tau0 else 0
+    k0 = string_index(tau0) << (depth - len(tau0))
     ks = [k0 + first for first, _, _ in leaves] + [k0 + leaves[-1][1] + 1]
     js = [0, *accumulate(num * (last - first + 1) for first, last, num in leaves)]
     return PiecewiseLinear.from_numerators(1 << depth, ks, den << depth, js)
@@ -504,7 +501,7 @@ def anti_debt_strategy(sg: Martingale, sigma: str, mode: int, depth: int) -> Mar
         for i, c in enumerate(caps[-1]):
             low0, low1 = kids[2 * i] <= d, kids[2 * i + 1] <= d
             if first_low is None and (low0 or low1):
-                first_low = _string(sigma, i, j)
+                first_low = sigma + string_at(i, j)
             row += (0, 2 * c) if low0 else (2 * c, 0) if low1 else (c, c)
         caps.append(row)
     if mode == 1 and first_low is None:
@@ -567,7 +564,7 @@ def condition_extension_violations(c2: Condition, c1: Condition, depth: int) -> 
         bad = next((first for first, _, (_, _, x), (_, _, y) in overlaps(row2, row1)
                     if x * d2 < t2 and y * d1 >= t1), None)
         if bad is not None:
-            problems.append(f"implication fails at {_string(sigma, bad, k)!r}")
+            problems.append(f"implication fails at {sigma + string_at(bad, k)!r}")
             return problems
     return problems
 
@@ -629,7 +626,7 @@ def savings_extension(cond: Condition, eps: Fraction, search_depth: int) -> Savi
             x, i = min(reached)
             v = Fraction(x, d)
             if reach_min is None or v < reach_min:
-                reach_min, best_tau = v, _string(sigma, i, k)
+                reach_min, best_tau = v, sigma + string_at(i, k)
     if reach_min is None or best_tau is None:
         raise BudgetExhausted(
             f"no extension of {sigma!r} stays below q = {q}", achieved=None
@@ -681,7 +678,7 @@ def claim5_density_records(
                 marked[first : last + 1] = b"\x01" * (last + 1 - first)
     sums, counts = [0, *accumulate(leaves)], [0, *accumulate(marked)]
     sn, sd = s.as_integer_ratio()
-    start = int(tau, 2) if tau else 0
+    start = string_index(tau)
     records = []
     for j in range(k + 1):
         width = 1 << (k - j)  # leaves per window

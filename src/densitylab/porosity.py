@@ -31,7 +31,7 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .bits import is_antichain, validate_bits
+from .bits import is_antichain, string_at, string_index, validate_bits
 from .errors import DomainError, InvariantError
 from .intervals import ClassGaps, Interval, IntervalSet, StagedOpenEnumeration, stage_gaps
 from .report import Check
@@ -44,7 +44,7 @@ def cylinder_meets_class(gaps: ClassGaps, tau: str) -> bool:
     disjoint and increasing, so only the last one starting at or before the
     index can hold it."""
     level = len(validate_bits(tau))
-    j = int(tau, 2) if tau else 0
+    j = string_index(tau)
     firsts, lasts = gaps.inner(level)
     i = bisect_right(firsts, j) - 1
     return i < 0 or j > lasts[i]
@@ -64,7 +64,7 @@ def class_mass(gaps: ClassGaps, rhos) -> tuple[int, int]:
     top = max((len(rho) for rho in rhos), default=0)
     num = 0
     for rho in rhos:
-        j, shift = int(rho, 2) if rho else 0, top - len(rho)
+        j, shift = string_index(rho), top - len(rho)
         lo, hi = (j << shift) * gaps.den, ((j + 1) << shift) * gaps.den
         num += hi - lo - sum(min(hi, gaps.his[i] << top) - max(lo, gaps.los[i] << top)
                              for i in gaps.meeting(j, len(rho)))
@@ -113,10 +113,6 @@ def _subtract_ranges(
     return out
 
 
-def _string_at(index: int, level: int) -> str:
-    return format(index, f"0{level}b") if level else ""
-
-
 @dataclass(frozen=True)
 class PorousExtensions:
     """N_t(sigma): the minimal qualifying extensions, and the level one past
@@ -143,7 +139,7 @@ def minimal_porous_extensions(gaps: ClassGaps, sigma: str, c: int) -> PorousExte
     if c < 0:
         raise DomainError(f"reach constant must be nonnegative, got {c}")
     s_len = len(sigma)
-    s_idx = int(sigma, 2) if sigma else 0
+    s_idx = string_index(sigma)
     meeting = gaps.meeting(s_idx, s_len)
     if not meeting:
         return PorousExtensions(sigma, c, (), s_len)
@@ -181,7 +177,7 @@ def minimal_porous_extensions(gaps: ClassGaps, sigma: str, c: int) -> PorousExte
             if fresh:
                 raise InvariantError("qualifying region grew past completion depth")
         for a, b in fresh:
-            found.extend(_string_at(j, level) for j in range(a, b + 1))
+            found.extend(string_at(j, level) for j in range(a, b + 1))
         covered = _merge_ranges(covered + fresh)
     return PorousExtensions(sigma, c, tuple(sorted(found)), completion)
 
@@ -200,7 +196,7 @@ def porosity_witness(
     validate_bits(sigma)
     gaps = ClassGaps.of(class_set)
     s_len = len(sigma)
-    s_idx = int(sigma, 2) if sigma else 0
+    s_idx = string_index(sigma)
     reach = 1 << c
     for level in range(s_len, max_level + 1):
         lo_idx = s_idx << (level - s_len)
@@ -208,7 +204,7 @@ def porosity_witness(
         empties = [
             j
             for j in range(lo_idx, hi_idx + 1)
-            if not cylinder_meets_class(gaps, _string_at(j, level))
+            if not cylinder_meets_class(gaps, string_at(j, level))
         ]
         if not empties:
             continue
@@ -220,7 +216,7 @@ def porosity_witness(
                 break
         if best is not None:
             return PorosityWitness(
-                _string_at(best[0], level), _string_at(best[1], level), level
+                string_at(best[0], level), string_at(best[1], level), level
             )
     return None
 
@@ -292,7 +288,7 @@ def _forget_met(known: dict, indices: dict[int, list[int]], hole: Interval, d: i
         i = bisect_left(row, (a << length) // d)
         j = bisect_left(row, -((-b << length) // d))
         for idx in row[i:j]:
-            del known[_string_at(idx, length)]
+            del known[string_at(idx, length)]
         del row[i:j]
 
 
@@ -341,7 +337,7 @@ def porosity_test(
                     num, top = _meeting_mass(gaps, elements)
                     ok = num << (k + len(sigma)) <= ((1 << k) - 1) << top
                     entry = known[sigma] = elements, num, top, ok
-                    insort(indices.setdefault(len(sigma), []), int(sigma, 2) if sigma else 0)
+                    insort(indices.setdefault(len(sigma), []), string_index(sigma))
                 elements, num, top, ok = entry
                 if sigma not in done:
                     done.add(sigma)

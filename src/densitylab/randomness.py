@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .bits import ONE, ZERO, cylinder_bounds, is_antichain, is_dyadic, is_prefix, validate_bits
+from .bits import (ONE, ZERO, cylinder_bounds, is_antichain, is_dyadic, is_prefix, string_at,
+                   validate_bits)
 from .density import FatCover, low_density_open_set, lower_density_estimate
 from .errors import BudgetExhausted, DomainError, EnumerationOverlapError, InvariantError
 from .intervals import (
@@ -49,7 +50,7 @@ def cylinder_items(s: IntervalSet) -> list[str]:
             while a + Fraction(1, 1 << k) > b:
                 k += 1
             idx = a * (1 << k)
-            out.append(format(int(idx), f"0{k}b") if k else "")
+            out.append(string_at(int(idx), k))
             a += Fraction(1, 1 << k)
     return out
 

@@ -11,6 +11,8 @@ from densitylab.bits import (
     is_antichain,
     is_dyadic,
     parse_rational,
+    string_at,
+    string_index,
     validate_bits,
 )
 from densitylab.errors import SchemaError
@@ -33,6 +35,18 @@ def test_parse_rejects_junk():
             parse_rational(bad)
 
 
+def test_parse_error_names_a_long_text_by_its_length():
+    # 5,000 nines: past the interpreter's 4,300-digit limit on reading an int
+    text = "1/" + "9" * 5000
+    with pytest.raises(SchemaError) as err:
+        parse_rational(text)
+    message = str(err.value)
+    assert "5002 characters" in message and "1/999" in message and len(message) < 100
+    # a short text is still echoed whole, with the reason
+    with pytest.raises(SchemaError, match=r"bad rational 'one': Invalid literal"):
+        parse_rational("one")
+
+
 def test_is_dyadic():
     assert is_dyadic(F(3, 8)) and is_dyadic(F(0)) and is_dyadic(F(1))
     assert not is_dyadic(F(1, 3)) and not is_dyadic(F(5, 6))
@@ -53,6 +67,16 @@ def test_validate_bits():
 def test_all_strings():
     assert all_strings(0) == [""]
     assert all_strings(2) == ["00", "01", "10", "11"]
+
+
+def test_string_at_numbers_the_strings_of_one_length_lexicographically():
+    assert string_at(0, 0) == "" and string_index("") == 0
+    assert string_at(5, 4) == "0101" and string_index("0101") == 5
+    for k in range(5):
+        strings = [string_at(i, k) for i in range(1 << k)]
+        assert strings == sorted(strings) and {len(s) for s in strings} == {k}
+        assert [string_index(s) for s in strings] == list(range(1 << k))
+        assert all(cylinder_bounds(s)[0] == F(i, 1 << k) for i, s in enumerate(strings))
 
 
 def test_is_antichain():

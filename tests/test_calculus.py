@@ -27,12 +27,14 @@ from densitylab.calculus import (
     extension_grid_depth,
     interval_extremum,
     pseudo_derivative_estimate,
+    slope_extremes,
 )
 from densitylab.counterexample import build_counterexample, default_enumeration
 from densitylab.errors import DomainError, InvariantError
 from densitylab.instances import extension_instance
 from densitylab.intervals import StagedOpenEnumeration
 from densitylab.piecewise import PiecewiseLinear
+from densitylab.roottwo import QuadValue
 
 from helpers import enumeration
 
@@ -43,15 +45,13 @@ LINE = PiecewiseLinear((F(0), F(1)), (F(0), F(1)))  # the identity, piecewise-li
 
 def test_pseudo_derivative_identity():
     f = IDENTITY
-    for side in ("upper", "lower"):
-        est = pseudo_derivative_estimate(f, F(1, 3), F(1, 8), 6, side)
+    for est in pseudo_derivative_estimate(f, F(1, 3), F(1, 8), 6):
         assert est.value == 1
 
 
 def test_pseudo_derivative_vee_spec_example():
     f = VEE
-    up = pseudo_derivative_estimate(f, F(1, 2), F(1, 4), 6, "upper")
-    lo = pseudo_derivative_estimate(f, F(1, 2), F(1, 4), 6, "lower")
+    lo, up = pseudo_derivative_estimate(f, F(1, 2), F(1, 4), 6)
     assert up.value == 1
     assert lo.value == -1
     # the extremes need a pair with one endpoint at the kink itself
@@ -65,7 +65,7 @@ def test_pseudo_derivative_vee_spec_example():
 def test_pseudo_derivative_requires_straddling_pair():
     # the 2^-1 grid has no point within 1/8 of 1/3, so x pairs with nothing
     with pytest.raises(DomainError):
-        pseudo_derivative_estimate(IDENTITY, F(1, 3), F(1, 8), 1, "upper")
+        pseudo_derivative_estimate(IDENTITY, F(1, 3), F(1, 8), 1)
 
 
 @settings(max_examples=30, deadline=None)
@@ -78,18 +78,16 @@ def test_pseudo_derivative_order_and_depth_monotonicity(num, depth, k):
     f = VEE
     depth = max(depth, k)  # grid must resolve the scale
     x, h = F(num, 64), F(1, 1 << k)
-    up = pseudo_derivative_estimate(f, x, h, depth, "upper").value
-    lo = pseudo_derivative_estimate(f, x, h, depth, "lower").value
+    lo, up = (e.value for e in pseudo_derivative_estimate(f, x, h, depth))
     assert up >= lo
-    up2 = pseudo_derivative_estimate(f, x, h, depth + 1, "upper").value
-    lo2 = pseudo_derivative_estimate(f, x, h, depth + 1, "lower").value
+    lo2, up2 = (e.value for e in pseudo_derivative_estimate(f, x, h, depth + 1))
     assert up2 >= up and lo2 <= lo
 
 
 def test_nondecreasing_oracle_lower_estimate_nonnegative():
     for f in (IDENTITY, Polynomial([F(1, 3), F(1, 2), F(1, 4)])):
-        est = pseudo_derivative_estimate(f, F(3, 8), F(1, 4), 5, "lower")
-        assert est.value >= 0
+        lo, _ = pseudo_derivative_estimate(f, F(3, 8), F(1, 4), 5)
+        assert lo.value >= 0
 
 
 def test_interval_extremum_golden_cases():
@@ -957,25 +955,41 @@ def test_polynomial_extremum_matches_point_sampling(cs, window, n, which):
     assert interval_extremum(p, a, b, n, which) == per_point_extremum(p, a, b, n, which)
 
 
-def per_pair_estimate(f, x, h, grid_depth, side):
-    """pseudo_derivative_estimate as a loop over every (left, right) pair,
-    each slope from two evaluations of its own."""
-    cands = _straddling_candidates(x, h, grid_depth)
-    best = witness = None
-    for a in [a for a in cands if a <= x]:
-        for b in [b for b in cands if b >= x]:
-            if not 0 < b - a <= h:
+def per_pair_estimate(f, lefts, rights, h=None):
+    """slope_extremes as a loop over every (left, right) pair a < b with
+    b - a <= h when h is given, each slope from two evaluations of its own:
+    (lower, upper), each side (value, witness), or None for no pair."""
+    lower = upper = None
+    for a in sorted(lefts):
+        for b in sorted(rights):
+            if not a < b or (h is not None and b - a > h):
                 continue
             v = (f.exact(a) - f.exact(b)) / (a - b)
-            if best is None or (v > best if side == "upper" else v < best):
-                best, witness = v, (a, b)
-    return best, witness
+            if lower is None or v < lower[0]:
+                lower = v, (a, b)
+            if upper is None or v > upper[0]:
+                upper = v, (a, b)
+    return None if lower is None else (lower, upper)
 
 
+def typed(extremes):
+    """per_pair_estimate's (lower, upper) with the type of each value, which
+    decides how a report prints it: a QuadValue equals its Fraction."""
+    return None if extremes is None else tuple((type(v), v, w) for v, w in extremes)
+
+
+def sides(extremes):
+    """slope_extremes' (lower, upper) as typed states it."""
+    return None if extremes is None else tuple(
+        (type(e.value), e.value, e.witness) for e in extremes)
+
+
+SPIKE_PLAN, SPIKE_TRACE = build_counterexample(default_enumeration())
 ESTIMATE_FUNCTIONS = {
     "square": Polynomial([0, 0, 1]),
     "vee": VEE,
     "staircase": extension_instance(1, 0)[0],
+    "spike plan": SPIKE_PLAN,
 }
 
 
@@ -985,22 +999,54 @@ ESTIMATE_FUNCTIONS = {
     st.fractions(min_value=0, max_value=1, max_denominator=40),
     st.integers(1, 5),
     st.integers(2, 6),
-    st.sampled_from(["upper", "lower"]),
 )
-def test_pseudo_derivative_matches_the_per_pair_loop(label, x, k, depth, side):
+def test_pseudo_derivative_matches_the_per_pair_loop(label, x, k, depth):
     f, h = ESTIMATE_FUNCTIONS[label], F(1, 1 << k)
-    want = per_pair_estimate(f, x, h, depth, side)
-    if want[0] is None:  # no straddling pair on the grid
+    cands = _straddling_candidates(x, h, depth)
+    want = per_pair_estimate(f, [a for a in cands if a <= x], [b for b in cands if b >= x], h)
+    if want is None:  # no straddling pair on the grid
         with pytest.raises(DomainError):
-            pseudo_derivative_estimate(f, x, h, depth, side)
+            pseudo_derivative_estimate(f, x, h, depth)
     else:
-        est = pseudo_derivative_estimate(f, x, h, depth, side)
-        assert (est.value, est.witness) == want
+        assert sides(pseudo_derivative_estimate(f, x, h, depth)) == typed(want)
 
 
 def test_pseudo_derivative_matches_the_per_pair_loop_on_quad_values():
-    f, trace = build_counterexample(default_enumeration())
-    for x in (trace.final, F(1, 2), F(3, 4)):
-        for side in ("upper", "lower"):
-            est = pseudo_derivative_estimate(f, x, F(1, 4), 5, side)
-            assert (est.value, est.witness) == per_pair_estimate(f, x, F(1, 4), 5, side)
+    f, h = SPIKE_PLAN, F(1, 4)
+    for x in (SPIKE_TRACE.final, F(1, 2), F(3, 4)):
+        cands = _straddling_candidates(x, h, 5)
+        want = per_pair_estimate(f, [a for a in cands if a <= x], [b for b in cands if b >= x], h)
+        assert sides(pseudo_derivative_estimate(f, x, h, 5)) == typed(want)
+
+
+points = st.lists(st.fractions(min_value=0, max_value=1, max_denominator=64), max_size=8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(sorted(ESTIMATE_FUNCTIONS)),
+    points,
+    points,
+    st.none() | st.fractions(min_value=F(1, 64), max_value=1, max_denominator=64),
+)
+def test_slope_extremes_match_the_per_pair_loop_on_any_points(label, lefts, rights, h):
+    f = ESTIMATE_FUNCTIONS[label]
+    want = typed(per_pair_estimate(f, lefts, rights, h))
+    assert sides(slope_extremes(f, lefts, rights, h)) == want
+
+
+def test_slope_extremes_break_mixed_type_ties_like_the_per_pair_loop():
+    # the straddle sweep's shape: stage ends at or below the final alpha, where
+    # f is 0 as a Fraction at an even-k spike's end and as a QuadValue at an
+    # odd-k one's, against points above alpha, where f is 0: the greatest
+    # slope, 0, is a tie of both types, and the first pair decides the type
+    alpha = SPIKE_TRACE.final
+    lefts = [p for s in SPIKE_PLAN.stages for p in (s.interval.lo, s.interval.hi) if p <= alpha]
+    rights = [alpha + (1 - alpha) / (1 << j) for j in range(1, 6)]
+    first_fraction = min(a for a in lefts if type(SPIKE_PLAN.exact(a)) is F)
+    upper_types = set()
+    for ls in (lefts, [a for a in lefts if a >= first_fraction]):
+        got = sides(slope_extremes(SPIKE_PLAN, ls, rights))
+        assert got == typed(per_pair_estimate(SPIKE_PLAN, ls, rights))
+        upper_types.add(got[1][0])
+    assert upper_types == {F, QuadValue}

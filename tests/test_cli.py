@@ -109,6 +109,21 @@ def test_malformed_rational_is_a_schema_error(tmp_path, capfd):
     assert err["schema_version"] == 1
 
 
+def test_a_long_malformed_rational_is_named_by_its_length(tmp_path, capfd):
+    # 5,000 nines: the whole text on stderr would be a 5 KB error line
+    inst = write_instance(
+        tmp_path, {"holes": [["1/4", "1/" + "9" * 5000]], "epsilons": ["1/2"]}
+    )
+    code, blob = run(tmp_path, "covering", "--instance", inst)
+    assert code == 2
+    assert blob == b""
+    err = capfd.readouterr().err
+    assert err.count("\n") == 1 and len(err) < 1000
+    doc = json.loads(err)
+    assert doc["kind"] == "SchemaError"
+    assert "5002 characters" in doc["error"]
+
+
 def test_instance_dash_reads_stdin(tmp_path, monkeypatch):
     import io
 
