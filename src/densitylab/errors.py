@@ -4,7 +4,8 @@ Every reported failure is one of these; schema problems and domain violations
 are kept apart from exhausted search budgets so callers can tell a refuted
 inequality from a search that simply ran out of room.  A broken internal
 invariant is an ``InvariantError``, which is not a ``VerifierError``: it is
-not a verdict on the input, and a battery reports it as a failed row.
+not a verdict on the input.  A battery reads no user input, so whatever it
+raises, any of these included, is reported as a failed row of that battery.
 """
 
 from __future__ import annotations
@@ -43,7 +44,3 @@ class BudgetExhausted(VerifierError):
 
 class InvariantError(RuntimeError):
     """A construction broke one of its own invariants: a bug, not bad input."""
-
-
-class BatteriesLost(RuntimeError):
-    """A verify-all child process ended without a result for some batteries."""

@@ -10,11 +10,11 @@ The checks of one instance that a CLI command also reports are stated once,
 in the per-instance functions below; they return unprefixed rows, and the
 battery and the command each put their own prefix before them.
 
-``run_criterion`` runs one battery in process and returns its Checks.
-``run_all`` runs every battery in forked children, which send back only the
-report text of each battery's rows (``BatteryRows``), laid out where the
-battery ran; each child sends all of its batteries at once, when none is
-left to take.
+``run_criterion`` runs one battery in process and returns its Checks; a
+battery that raises is one failed row.  ``run_all`` runs every battery in
+forked children, which send back only the report text of each battery's
+rows (``BatteryRows``), laid out where the battery ran; each child sends all
+of its batteries at once, when none is left to take.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .density import (
     low_density_open_set,
     oracle_difference,
 )
-from .errors import BatteriesLost, BudgetExhausted, InvariantError
+from .errors import BudgetExhausted
 from .instances import (
     COVERING_EPSILONS,
     EscapeInstance,
@@ -443,10 +443,9 @@ def criterion_counterexample(seed: int) -> list[Check]:
     """Default spike plan: per-scale slope certificates, no limit claim."""
     plan, trace = build_counterexample(default_enumeration())
     rep = verify_denjoy_failure(plan, trace, 16)
-    realized = {c.k for c in rep.certificates}
-    missing = [k for k in range(2, 17, 2) if k not in realized]
+    missing = sum(k % 2 == 0 for k in rep.unrealized)
     return [
-        _count_check("even scales k <= 16 missing a certificate", len(missing)),
+        _count_check("even scales k <= 16 missing a certificate", missing),
         *denjoy_check_rows(rep),
     ]
 
@@ -530,14 +529,16 @@ CRITERIA = (
 
 
 def run_criterion(number: int, seed: int = DEFAULT_SEED) -> CriterionOutcome:
+    """Battery number, run in process.  A battery reads no user input, so
+    whatever it raises is one failed "battery aborted" row with its message;
+    an exhausted budget is also noted."""
     for num, title, fn in CRITERIA:
         if num == number:
             out = CriterionOutcome(num, title)
             start = time.perf_counter()
             try:
                 out.checks = fn(seed)
-            except (BudgetExhausted, InvariantError) as exc:
-                # a battery cut short is a failed row, never a crash
+            except Exception as exc:  # a battery cut short is a failed row, never a crash
                 out.checks = [Check(f"battery aborted: {exc}", ZERO, ONE, False)]
                 if isinstance(exc, BudgetExhausted):
                     out.notes.append(str(exc))
@@ -548,11 +549,11 @@ def run_criterion(number: int, seed: int = DEFAULT_SEED) -> CriterionOutcome:
 
 def _battery_child(tasks: int, out: int, seed: int, as_csv: bool) -> None:
     """A forked child's whole life: take battery numbers from the pipe tasks,
-    one byte each, until it is empty; run each battery and lay out its rows
-    under the prefix "[number]", keeping its BatteryRows or, if the battery
-    raised, its exception; then write all it kept to the pipe out once, as
-    one pickled {number: record}.  The child ends with os._exit whatever
-    happens, so no parent code runs in it after its work."""
+    one byte each, until it is empty; run each battery and keep its rows laid
+    out under the prefix "[number]" as its BatteryRows; then write all it
+    kept to the pipe out once, as one pickled {number: BatteryRows}.  The
+    child ends with os._exit whatever happens, so no parent code runs in it
+    after its work; if it fails before it writes, it writes nothing."""
     from pickle import dumps  # loaded by run_all before the fork
 
     code = 1
@@ -560,13 +561,9 @@ def _battery_child(tasks: int, out: int, seed: int, as_csv: bool) -> None:
         records = {}
         while task := os.read(tasks, 1):
             number = task[0]
-            try:
-                outcome = run_criterion(number, seed)
-                texts, failed = lay_out(outcome.checks, f"[{number}]", as_csv)
-                record = BatteryRows(number, outcome.title, failed, outcome.notes, texts)
-            except Exception as exc:  # the parent raises it, in CRITERIA order
-                record = exc
-            records[number] = record
+            outcome = run_criterion(number, seed)
+            texts, failed = lay_out(outcome.checks, f"[{number}]", as_csv)
+            records[number] = BatteryRows(number, outcome.title, failed, outcome.notes, texts)
         with open(out, "wb") as sink:
             sink.write(dumps(records))
         code = 0
@@ -583,10 +580,12 @@ def run_all(seed: int = DEFAULT_SEED, as_csv: bool = False) -> list[BatteryRows]
     battery's rows already laid out (``report.lay_out``, JSON or, with
     as_csv, CSV), so only text crosses between processes, and sends them all
     at once when no battery is left.  The records do not depend on how many
-    children there are.  When batteries raise, the first in CRITERIA order
-    raises here, as it would in a loop.  A child that ends without sending
-    its records (killed, say) loses every battery it took, and this raises
-    ``BatteriesLost``.  Every child has been reaped when this returns.
+    children there are.  A battery that raises is a failed row already, as
+    run_criterion makes it.  A child that ends without sending its records
+    (killed, say) loses every battery it took, and each of those is one
+    failed "battery aborted" row, laid out here.  So every battery has its
+    rows, and nothing is raised for one.  Every child has been reaped when
+    this returns.
     """
     # imported here: loading it would add to every CLI command's start-up
     import pickle
@@ -620,17 +619,16 @@ def run_all(seed: int = DEFAULT_SEED, as_csv: bool = False) -> list[BatteryRows]
             try:
                 results.update(pickle.load(source))
             except (EOFError, pickle.UnpicklingError):
-                pass  # a child killed before or while writing; its batteries are lost
+                pass  # a child ended before or while writing; its batteries are lost
     finally:
         os.close(tasks)
         for source in sources:
             source.close()
         for pid in pids:
             os.waitpid(pid, 0)
-    for num in numbers:
+    lost = [Check("battery aborted: its child process ended without a result", ZERO, ONE, False)]
+    for num, title, _fn in CRITERIA:
         if num not in results:
-            lost = [n for n in numbers if n not in results]
-            raise BatteriesLost(f"verify-all children ended without a result for batteries {lost}")
-        if isinstance(results[num], Exception):
-            raise results[num]
+            texts, failed = lay_out(lost, f"[{num}]", as_csv)
+            results[num] = BatteryRows(num, title, failed, [], texts)
     return [results[num] for num in numbers]

@@ -1,5 +1,4 @@
 from fractions import Fraction as F
-from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -273,31 +272,6 @@ def test_cover_matches_fraction_segments(c):
         assert (fc.fat_intervals, fc.U) == reference_cover(c, eps)
 
 
-def quadratic_oracle(c, eps, grid_depth, extra_points):
-    """The prefix-mass oracle as an O(n^2) scan over pairs of grid points, in
-    integers over one denominator: for each i, the farthest j > i with
-    q (M_j - M_i) <= p (G_j - G_i)."""
-    points = {F(k, 1 << grid_depth) for k in range((1 << grid_depth) + 1)}
-    points.update(x for p in c.parts for x in (p.lo, p.hi))
-    points.update(extra_points)
-    grid = sorted(points)
-    den = lcm(*(g.denominator for g in grid))
-    ints = [g.numerator * (den // g.denominator) for g in grid]
-    index = dict(zip(grid, ints))
-    parts = [(index[p.lo], index[p.hi]) for p in c.parts]
-    masses = []
-    for g in ints:
-        masses.append(sum(max(0, min(hi, g) - lo) for lo, hi in parts))
-    p, q = eps.numerator, eps.denominator
-    covered = []
-    for i in range(len(grid) - 1):
-        for j in range(len(grid) - 1, i, -1):
-            if q * (masses[j] - masses[i]) <= p * (ints[j] - ints[i]):
-                covered.append(Interval(grid[i], grid[j]))
-                break
-    return canonicalize(covered)
-
-
 oracle_points = st.one_of(
     st.integers(0, 64).map(lambda k: F(k, 64)),
     st.builds(lambda d, k: F(k % (d + 1), d), st.sampled_from([3, 5, 7, 12, 60]),
@@ -320,7 +294,7 @@ oracle_epsilons = st.one_of(
 @settings(max_examples=80, deadline=None)
 @given(point_classes, oracle_epsilons, st.integers(0, 5), st.lists(oracle_points, max_size=4))
 def test_oracle_matches_the_quadratic_scan(c, eps, grid_depth, extras):
-    assert brute_force_low_density_oracle(c, eps, grid_depth, extras) == quadratic_oracle(
+    assert brute_force_low_density_oracle(c, eps, grid_depth, extras) == reference_oracle(
         c, eps, grid_depth, extras
     )
 
@@ -333,7 +307,7 @@ def test_oracle_edge_cases_match_the_quadratic_scan():
                 for extras in ([], [F(1, 3), F(2, 7)], [F(3, 8)]):
                     assert brute_force_low_density_oracle(
                         c, eps, grid_depth, extras
-                    ) == quadratic_oracle(c, eps, grid_depth, extras)
+                    ) == reference_oracle(c, eps, grid_depth, extras)
 
 
 def test_oracle_rejects_a_negative_grid_depth():

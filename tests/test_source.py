@@ -218,3 +218,22 @@ def test_martingales_define_values_once():
         for node in ast.walk(tree)
         if isinstance(node, ast.FunctionDef) and node.name == "evaluator"
     ] == []
+
+
+def test_the_only_catch_all_handler_is_the_batterys():
+    # run_criterion turns whatever a battery raises into a failed row; any
+    # other handler that catches everything would hide a bug as a verdict
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ExceptHandler)
+        and (node.type is None or _names_in(node.type) & {"Exception", "BaseException"})
+    ]
+    suite = next(path for path in SOURCES if path.name == "suite.py")
+    run_criterion = next(
+        node for node in ast.parse(suite.read_text(), filename=str(suite)).body
+        if isinstance(node, ast.FunctionDef) and node.name == "run_criterion"
+    )
+    handler = next(n for n in ast.walk(run_criterion) if isinstance(n, ast.ExceptHandler))
+    assert found == [f"suite.py:{handler.lineno}"]

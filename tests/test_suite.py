@@ -13,13 +13,12 @@ from densitylab.counterexample import (
     verify_denjoy_failure,
 )
 from densitylab.errors import (
-    BatteriesLost,
     BudgetExhausted,
     DomainError,
     InvariantError,
     VerifierError,
 )
-from densitylab.report import SCHEMA_VERSION, Check, check_rows, lay_out
+from densitylab.report import Check, check_rows, lay_out
 from densitylab.suite import (
     CRITERIA,
     BatteryRows,
@@ -88,10 +87,10 @@ def test_the_childrens_outcomes_equal_the_serial_ones(seed):
         assert_no_child_process()
 
 
-def _raising(message, delay=0.0):
+def _raising(message, delay=0.0, kind=DomainError):
     def battery(seed):
         time.sleep(delay)
-        raise DomainError(message)
+        raise kind(message)
     return battery
 
 
@@ -102,39 +101,66 @@ def _with_batteries(monkeypatch, replacements):
     ))
 
 
-def test_a_raising_battery_exits_2_with_the_usual_error(monkeypatch, capfd):
-    _with_batteries(monkeypatch, {4: _raising("battery 4 broke")})
-    assert main(["verify-all"]) == 2
+def _verify_all_rows(capfd, number):
+    """verify-all's exit status, its JSON report and the report's rows of
+    battery number; stderr must stay empty."""
+    code = main(["verify-all", "--json", "--seed", "1"])
     out, err = capfd.readouterr()
-    assert out == ""
-    assert json.loads(err) == {
-        "schema_version": SCHEMA_VERSION,
-        "command": "verify-all",
-        "error": "battery 4 broke",
-        "kind": "DomainError",
-    }
+    assert err == ""
+    report = json.loads(out)
+    return code, report, [row for row in report["checks"]
+                          if row["name"].startswith(f"[{number}]:")]
+
+
+def _aborted_row(number, message):
+    return {"name": f"[{number}]: battery aborted: {message}",
+            "lhs": "0/1", "rhs": "1/1", "ok": False, "note": ""}
+
+
+def _failed_criteria(report):
+    return [c["number"] for c in report["meta"]["criteria"] if not c["passed"]]
+
+
+@pytest.mark.parametrize("kind", [DomainError, TypeError, InvariantError])
+def test_a_raising_battery_is_a_failed_row(monkeypatch, capfd, kind):
+    # a battery reads no user input, so what it raises is a bug: exit 1, not 2
+    batteries = {num: lambda seed: [] for num, _t, _f in CRITERIA}
+    _with_batteries(monkeypatch, {**batteries, 4: _raising("battery 4 broke", kind=kind)})
+    code, report, rows = _verify_all_rows(capfd, 4)
+    assert code == 1
+    assert rows == [_aborted_row(4, "battery 4 broke")]
+    assert report["all_hold"] is False
+    assert report["budget_exhausted"] == []
+    assert _failed_criteria(report) == [4]
     assert_no_child_process()
 
 
-def test_the_lowest_numbered_raising_battery_wins(monkeypatch, capfd):
+def test_each_raising_battery_is_its_own_failed_row(monkeypatch, capfd):
     # with two children or more, battery 2 raises while battery 1 still sleeps
+    batteries = {num: lambda seed: [] for num, _t, _f in CRITERIA}
     _with_batteries(monkeypatch, {
+        **batteries,
         1: _raising("battery 1 broke", delay=0.5),
         2: _raising("battery 2 broke"),
     })
-    assert main(["verify-all"]) == 2
-    assert json.loads(capfd.readouterr().err)["error"] == "battery 1 broke"
+    code, report, rows = _verify_all_rows(capfd, 1)
+    assert code == 1
+    assert rows == [_aborted_row(1, "battery 1 broke")]
+    assert [row for row in report["checks"] if row["name"].startswith("[2]:")] == [
+        _aborted_row(2, "battery 2 broke")]
+    assert _failed_criteria(report) == [1, 2]
     assert_no_child_process()
 
 
-def test_a_worker_that_dies_breaks_the_run(monkeypatch, capfd):
+def test_a_worker_that_dies_leaves_failed_rows(monkeypatch, capfd):
     # the child that died loses every battery it took, 6 among them; which
-    # others it took depends on the CPU count
+    # others it took depends on the CPU count, and each is a failed row
     _with_batteries(monkeypatch, {6: lambda seed: os._exit(3)})
-    with pytest.raises(BatteriesLost, match=r"without a result for batteries") as lost:
-        main(["verify-all"])
-    assert 6 in json.loads(str(lost.value).split("batteries ")[-1])
-    assert capfd.readouterr().out == ""
+    code, report, rows = _verify_all_rows(capfd, 6)
+    assert code == 1
+    assert rows == [_aborted_row(6, "its child process ended without a result")]
+    assert 6 in _failed_criteria(report)
+    assert len(report["meta"]["criteria"]) == 10
     assert_no_child_process()
 
 
@@ -176,18 +202,13 @@ def test_a_broken_invariant_is_a_failed_row_not_a_crash(monkeypatch, capfd):
 
     # the children are forked, so they see the patched module attribute
     monkeypatch.setattr(suite, "porosity_test", broken)
-    assert main(["verify-all", "--json", "--seed", "1"]) == 1
-    out, err = capfd.readouterr()
-    assert err == ""
-    report = json.loads(out)
+    code, report, rows = _verify_all_rows(capfd, 3)
+    assert code == 1
     assert report["all_hold"] is False
-    assert [row for row in report["checks"] if row["name"].startswith("[3]")] == [{
-        "name": "[3]: battery aborted: B_(0,0) is not an antichain",
-        "lhs": "0/1", "rhs": "1/1", "ok": False, "note": "",
-    }]
+    assert rows == [_aborted_row(3, "B_(0,0) is not an antichain")]
     # a bug is no exhausted search budget
     assert report["budget_exhausted"] == []
-    assert [c["number"] for c in report["meta"]["criteria"] if not c["passed"]] == [3]
+    assert _failed_criteria(report) == [3]
     assert_no_child_process()
 
 
@@ -208,14 +229,9 @@ def test_an_exhausted_budget_is_a_failed_row_and_listed_as_exhausted(monkeypatch
 
     batteries = {num: lambda seed: [] for num, _t, _f in CRITERIA}
     _with_batteries(monkeypatch, {**batteries, 7: exhausted})
-    assert main(["verify-all", "--json", "--seed", "1"]) == 1
-    out, err = capfd.readouterr()
-    assert err == ""
-    report = json.loads(out)
-    assert [row for row in report["checks"] if row["name"].startswith("[7]")] == [{
-        "name": "[7]: battery aborted: no qualifying tau within depth 12",
-        "lhs": "0/1", "rhs": "1/1", "ok": False, "note": "",
-    }]
+    code, report, rows = _verify_all_rows(capfd, 7)
+    assert code == 1
+    assert rows == [_aborted_row(7, "no qualifying tau within depth 12")]
     assert report["budget_exhausted"] == ["criterion 7: no qualifying tau within depth 12"]
     assert_no_child_process()
 
