@@ -11,6 +11,8 @@ grid is read as one row of integer Horner evaluations over one denominator.
 One kernel, ``slope_extremes``, gives both the least and the greatest slope
 over a set of pairs in one pass, evaluating the function once per point: the
 pseudo-derivative estimate and the spike verifier's straddle sweep use it.
+It compares slopes as integers, rises over runs put over common
+denominators, and builds one value per side, from that side's witness pair.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .bits import ONE, ZERO
 from .errors import DomainError, InvariantError
 from .intervals import ClassGaps, StagedOpenEnumeration, stage_gaps
 from .piecewise import PiecewiseLinear, overlaps
+from .roottwo import QuadValue, sign
 
 
 class Polynomial:
@@ -61,24 +64,46 @@ class DerivativeEstimate:
 def slope_extremes(f, lefts, rights, h=None):
     """(lower, upper), the least and the greatest slope of f over the pairs
     a < b of a left and a right point, with b - a <= h when h is given; None
-    when there is no such pair.  f is evaluated once per point, and the
-    slopes are taken in its own value type (Fraction, or QuadValue for the
-    counterexample).  Each side's witness is its first extremal pair, with
-    the sorted lefts in the outer loop and the sorted rights in the inner.
+    when there is no such pair.  f is evaluated once per distinct point.
+    Each side's witness is its first extremal pair, with the sorted lefts in
+    the outer loop and the sorted rights in the inner, and its value is the
+    one slope built, in f's own value type (Fraction, or QuadValue for the
+    counterexample).
+
+    The points are put over one denominator and the coordinates (a, b) of
+    each value a + b sqrt(2) over another.  Up to one positive factor, a
+    slope is then an integer rise p + q sqrt(2) over a positive integer run,
+    and two slopes compare by cross-multiplying: as integers when the
+    cross-products' sqrt(2) parts cancel, else by ``roottwo.sign``.
     """
     lefts, rights = sorted(lefts), sorted(rights)
-    values = {q: f.exact(q) for q in (*lefts, *rights)}
+    values = {z: f.exact(z) for z in {*lefts, *rights}}
+    den = lcm(*(z.denominator for z in values), 1 if h is None else h.denominator)
+    coords = {z: (v.a, v.b) if isinstance(v, QuadValue) else (v, 0) for z, v in values.items()}
+    vden = lcm(*(c.denominator for ab in coords.values() for c in ab))
+    at = {z: (z.numerator * (den // z.denominator), a.numerator * (vden // a.denominator),
+              b.numerator * (vden // b.denominator)) for z, (a, b) in coords.items()}
+    xs = [at[b][0] for b in rights]
+    rows = [(*at[b], b) for b in rights]
+    span = None if h is None else h.numerator * (den // h.denominator)
+    # each extreme so far as its (run, p, q) and its pair, from +infinity
+    # and -infinity: the first pair is below the one and above the other
     lo = hi = None
+    lo_run, lo_p, lo_q, hi_run, hi_p, hi_q = 0, 1, 0, 0, -1, 0
     for a in lefts:
-        f_a = values[a]
-        end = len(rights) if h is None else bisect_right(rights, a + h)
-        for b in rights[bisect_right(rights, a):end]:
-            v = (f_a - values[b]) / (a - b)
-            if lo is None or v < lo.value:
-                lo = DerivativeEstimate(v, (a, b))
-            if hi is None or v > hi.value:
-                hi = DerivativeEstimate(v, (a, b))
-    return None if lo is None else (lo, hi)
+        xa, pa, qa = at[a]
+        end = len(rows) if span is None else bisect_right(xs, xa + span)
+        for xb, pb, qb, b in rows[bisect_right(xs, xa):end]:
+            run, p, q = xb - xa, pb - pa, qb - qa
+            s, t = p * lo_run - lo_p * run, q * lo_run - lo_q * run
+            if (sign(s, t) if t else s) < 0:
+                lo_run, lo_p, lo_q, lo = run, p, q, (a, b)
+            s, t = p * hi_run - hi_p * run, q * hi_run - hi_q * run
+            if (sign(s, t) if t else s) > 0:
+                hi_run, hi_p, hi_q, hi = run, p, q, (a, b)
+    if lo is None:
+        return None
+    return tuple(DerivativeEstimate((values[a] - values[b]) / (a - b), (a, b)) for a, b in (lo, hi))
 
 
 def pseudo_derivative_estimate(

@@ -9,8 +9,10 @@ for odd-k heights a sqrt(2)-multiple in Q(sqrt 2).  The verifier then
 certifies, per realized height parameter k, a straddling slope <= -2^(k/2) at
 the final alpha together with zero-slope witnesses on the upper side, and
 bounds the straddling slopes above alpha by the upper side of
-``calculus.slope_extremes``, the kernel the pseudo-derivative estimate uses.
-All comparisons stay exact: sqrt(2)-multiples are compared via squares.
+``calculus.slope_extremes``, the kernel the pseudo-derivative estimate uses:
+it compares the sweep's slopes as integers and builds only the greatest.
+All comparisons stay exact: sqrt(2)-multiples are compared via squares
+(``roottwo.sign``).
 
 Policy constants (the height rule needs two choices the prose leaves open):
 qualifying multiples of 2^-n are positive (0 never qualifies) and endpoint

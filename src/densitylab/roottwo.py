@@ -1,8 +1,10 @@
 """Exact arithmetic in Q(sqrt 2) for the irrational spike heights 2^(-n/2).
 
 A QuadValue is a + b sqrt(2) with rational a, b.  Heights with odd exponent
-are sqrt(2)-multiples; comparisons go through exact sign evaluation on
-squares, so no floating point enters anywhere.
+are sqrt(2)-multiples.  One integer function, ``sign(p, q)``, gives the
+exact sign of p + q sqrt(2) by comparing squares; QuadValue comparisons and
+``calculus.slope_extremes`` both go through it, so no floating point enters
+anywhere.
 """
 
 from __future__ import annotations
@@ -22,6 +24,16 @@ def _rational(x) -> Fraction:
     return x if type(x) is Fraction else Fraction(x)
 
 
+def sign(p: int, q: int) -> int:
+    """Exact sign of p + q sqrt(2) for integers p and q: the sign they share
+    unless they are opposite, else the sign of the larger of p^2 and 2 q^2,
+    which are never equal then, sqrt(2) being irrational."""
+    sp, sq = (p > 0) - (p < 0), (q > 0) - (q < 0)
+    if sp * sq >= 0:
+        return sp or sq
+    return sp if p * p > 2 * q * q else sq
+
+
 @dataclass(frozen=True)
 class QuadValue:
     a: Fraction
@@ -32,14 +44,10 @@ class QuadValue:
         object.__setattr__(self, "b", _rational(self.b))
 
     def sign(self) -> int:
-        """Exact sign of a + b sqrt(2) from the numerators: the sign a and b
-        share unless they are opposite, else the sign of the larger of a^2
-        and 2 b^2, compared over the squared denominators."""
-        a, b = self.a.numerator, self.b.numerator
-        sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
-        if sa * sb >= 0:
-            return sa or sb
-        return sa if (a * self.b.denominator) ** 2 > 2 * (b * self.a.denominator) ** 2 else sb
+        """Exact sign of a + b sqrt(2), from the integers it becomes when
+        multiplied by the denominators of a and b."""
+        a, b = self.a, self.b
+        return sign(a.numerator * b.denominator, b.numerator * a.denominator)
 
     def __add__(self, other):
         if isinstance(other, QuadValue):

@@ -42,7 +42,7 @@ from .density import (
     low_density_open_set,
     oracle_difference,
 )
-from .errors import BudgetExhausted
+from .errors import BudgetExhausted, SchemaError
 from .instances import (
     COVERING_EPSILONS,
     EscapeInstance,
@@ -528,6 +528,11 @@ CRITERIA = (
 )
 
 
+def _aborted(reason) -> list[Check]:
+    """The rows of a battery cut short: one failed row that names reason."""
+    return [Check(f"battery aborted: {reason}", ZERO, ONE, False)]
+
+
 def run_criterion(number: int, seed: int = DEFAULT_SEED) -> CriterionOutcome:
     """Battery number, run in process.  A battery reads no user input, so
     whatever it raises is one failed "battery aborted" row with its message;
@@ -539,7 +544,7 @@ def run_criterion(number: int, seed: int = DEFAULT_SEED) -> CriterionOutcome:
             try:
                 out.checks = fn(seed)
             except Exception as exc:  # a battery cut short is a failed row, never a crash
-                out.checks = [Check(f"battery aborted: {exc}", ZERO, ONE, False)]
+                out.checks = _aborted(exc)
                 if isinstance(exc, BudgetExhausted):
                     out.notes.append(str(exc))
             out.seconds = time.perf_counter() - start
@@ -551,9 +556,11 @@ def _battery_child(tasks: int, out: int, seed: int, as_csv: bool) -> None:
     """A forked child's whole life: take battery numbers from the pipe tasks,
     one byte each, until it is empty; run each battery and keep its rows laid
     out under the prefix "[number]" as its BatteryRows; then write all it
-    kept to the pipe out once, as one pickled {number: BatteryRows}.  The
-    child ends with os._exit whatever happens, so no parent code runs in it
-    after its work; if it fails before it writes, it writes nothing."""
+    kept to the pipe out once, as one pickled {number: BatteryRows}.  A
+    battery with a row that no report can hold (a float side, say) is one
+    failed "battery aborted" row, as a raising battery is.  The child ends
+    with os._exit whatever happens, so no parent code runs in it after its
+    work; if it fails before it writes, it writes nothing."""
     from pickle import dumps  # loaded by run_all before the fork
 
     code = 1
@@ -562,7 +569,10 @@ def _battery_child(tasks: int, out: int, seed: int, as_csv: bool) -> None:
         while task := os.read(tasks, 1):
             number = task[0]
             outcome = run_criterion(number, seed)
-            texts, failed = lay_out(outcome.checks, f"[{number}]", as_csv)
+            try:
+                texts, failed = lay_out(outcome.checks, f"[{number}]", as_csv)
+            except SchemaError as exc:
+                texts, failed = lay_out(_aborted(exc), f"[{number}]", as_csv)
             records[number] = BatteryRows(number, outcome.title, failed, outcome.notes, texts)
         with open(out, "wb") as sink:
             sink.write(dumps(records))
@@ -626,7 +636,7 @@ def run_all(seed: int = DEFAULT_SEED, as_csv: bool = False) -> list[BatteryRows]
             source.close()
         for pid in pids:
             os.waitpid(pid, 0)
-    lost = [Check("battery aborted: its child process ended without a result", ZERO, ONE, False)]
+    lost = _aborted("its child process ended without a result")
     for num, title, _fn in CRITERIA:
         if num not in results:
             texts, failed = lay_out(lost, f"[{num}]", as_csv)

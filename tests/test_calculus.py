@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from densitylab import calculus
 from densitylab.calculus import (
+    DerivativeEstimate,
     MonotoneExtension,
     Polynomial,
     _at_most,
@@ -1033,6 +1034,39 @@ def test_slope_extremes_match_the_per_pair_loop_on_any_points(label, lefts, righ
     f = ESTIMATE_FUNCTIONS[label]
     want = typed(per_pair_estimate(f, lefts, rights, h))
     assert sides(slope_extremes(f, lefts, rights, h)) == want
+
+
+def test_slope_extremes_match_the_per_pair_loop_on_denominators_near_2_to_the_40():
+    # the points' common denominator passes 2^150 and so do the values', so
+    # every cross-multiplication is a product of big integers
+    dens = [(1 << 40) - 87, (1 << 40) - 1, (1 << 40) + 15, 1 << 40]
+    points = [F(d // k + i, d) for d in dens for k, i in ((7, 0), (3, 1), (2, 0), (2, 1))]
+    lefts, rights = points[::2], points[1::2]
+    for label, f in ESTIMATE_FUNCTIONS.items():
+        for h in (None, F(1, 4), F((1 << 40) + 1, 1 << 42)):
+            want = typed(per_pair_estimate(f, lefts, rights, h))
+            assert sides(slope_extremes(f, lefts, rights, h)) == want, label
+
+
+@pytest.mark.parametrize("depth", [4, 8])
+def test_estimate_builds_one_value_per_side_and_evaluates_each_point_once(monkeypatch, depth):
+    # the kernel compares slopes as integers: neither the estimates it
+    # builds nor the evaluations of f grow with the number of pairs
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return DerivativeEstimate(*args)
+
+    monkeypatch.setattr(calculus, "DerivativeEstimate", counted)
+    asked = []
+    square = Polynomial([0, 0, 1])
+    monkeypatch.setattr(square, "exact", lambda q: asked.append(q) or Polynomial.exact(square, q))
+    x, h = F(1, 3), F(1, 4)
+    lower, upper = pseudo_derivative_estimate(square, x, h, depth)
+    cands = _straddling_candidates(x, h, depth)
+    assert len(built) == 2 and [lower.witness, upper.witness] == [w for _v, w in built]
+    assert sorted(asked) == cands
 
 
 def test_slope_extremes_break_mixed_type_ties_like_the_per_pair_loop():

@@ -61,6 +61,16 @@ def test_verify_all_csv_bytes_are_pinned(tmp_path):
 
 
 @pytest.mark.parametrize("seed, digest", [
+    (2, "5c6202a079441607c326c71002451190c02b2cd2dc75891d702abfba9ae6da8f"),
+    (3, "1d96a44b2eade2962c888a97d4cab4c39a4f1c57ae2029593ce13fad17b4d527"),
+])
+def test_verify_all_csv_bytes_are_pinned_at_more_seeds(tmp_path, seed, digest):
+    code, blob = run(tmp_path, "verify-all", "--csv", "--seed", str(seed))
+    assert code == 0
+    assert hashlib.sha256(blob).hexdigest() == digest
+
+
+@pytest.mark.parametrize("seed, digest", [
     (2, "acbb79f999cb14d195c42c56929774f52f0d78359fa2485e6a02797197ea0265"),
     (3, "24b22960a172181e78c89e741021245e2c4a011997a3fb6c14a392d54231a03f"),
 ])
@@ -257,6 +267,14 @@ def test_a_many_stage_porosity_report_is_pinned(tmp_path):
     assert code == 0
     assert hashlib.sha256(blob).hexdigest() == (
         "d88499846a8e899c795a256c08754383492bb5e924be91ec863f198e87a29402")
+
+
+def test_a_deep_counterexample_report_is_pinned(tmp_path):
+    # depth 40 is past the straddle sweep's cap of 20 scales, so it tries them all
+    code, blob = run(tmp_path, "counterexample", "--json", "--depth", "40")
+    assert code == 0
+    assert hashlib.sha256(blob).hexdigest() == (
+        "13a74ba3509f6c872308d81769dc2201fd717c1fe985f18c943717500e9f4b53")
 
 
 def test_counterexample_report_carries_the_plan(tmp_path):

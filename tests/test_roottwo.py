@@ -1,13 +1,14 @@
 """Exact Q(sqrt 2) arithmetic: signs, ordering, powers, approximation."""
 
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from densitylab.errors import DomainError
-from densitylab.roottwo import SQRT2, QuadValue, half_power, sqrt2_power
+from densitylab.roottwo import SQRT2, QuadValue, half_power, sign, sqrt2_power
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=32)
 
@@ -20,6 +21,42 @@ def test_sign_cases():
     assert QuadValue(F(0), F(0)).sign() == 0
     assert QuadValue(F(5), F(1)).sign() == 1
     assert QuadValue(F(-5), F(-1)).sign() == -1
+
+
+def reference_sign(p, q):
+    """The sign of p + q sqrt(2) from integer square roots: for q != 0,
+    |q| sqrt(2) lies strictly between r = isqrt(2 q^2) and r + 1, so p + q
+    sqrt(2) is positive for q > 0 iff p >= -r, and for q < 0 iff p > r."""
+    if q == 0:
+        return (p > 0) - (p < 0)
+    r = isqrt(2 * q * q)
+    return 1 if (p >= -r if q > 0 else p > r) else -1
+
+
+# Pell pairs, p^2 - 2 q^2 = +-1: p is the integer nearest |q| sqrt(2), so
+# p - q sqrt(2) is as close to 0 as any pair of their size can bring it
+PELL = [(1, 1), (3, 2), (7, 5), (17, 12), (41, 29), (99, 70), (239, 169), (577, 408),
+        (1393, 985), (3363, 2378), (8119, 5741), (19601, 13860)]
+
+
+@pytest.mark.parametrize("p, q", PELL)
+def test_sign_on_pell_pairs_at_every_sign_combination(p, q):
+    assert abs(p * p - 2 * q * q) == 1
+    for sp in (1, -1):
+        for sq in (1, -1):
+            want = reference_sign(sp * p, sq * q)
+            assert sign(sp * p, sq * q) == want
+            # over any positive denominators the sign is that of the integers
+            assert QuadValue(F(sp * p, 3), F(sq * q, 3)).sign() == want
+    assert sign(p, -q) == (1 if p * p > 2 * q * q else -1)
+    assert {sign(p, -q), sign(-p, q)} == {1, -1}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-10**30, 10**30), st.integers(-10**30, 10**30))
+def test_sign_matches_the_integer_square_root_reference(p, q):
+    assert sign(p, q) == reference_sign(p, q)
+    assert sign(p, 0) == (p > 0) - (p < 0) and sign(0, q) == (q > 0) - (q < 0)
 
 
 def test_ordering_against_rationals():

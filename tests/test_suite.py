@@ -164,6 +164,28 @@ def test_a_worker_that_dies_leaves_failed_rows(monkeypatch, capfd):
     assert_no_child_process()
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_row_no_report_can_hold_fails_only_its_battery(monkeypatch, capfd, cpus):
+    # a float side cannot be laid out; the battery with it is one failed row,
+    # and the other batteries its child took keep their rows
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+    def holding(num):
+        return lambda seed: [Check(f"battery {num} holds", F(num), F(num), True)]
+
+    batteries = {num: holding(num) for num, _t, _f in CRITERIA}
+    _with_batteries(monkeypatch, {
+        **batteries, 5: lambda seed: [Check("a float side", 0.5, 1, True)]})
+    code, report, rows = _verify_all_rows(capfd, 5)
+    assert code == 1
+    assert rows == [_aborted_row(5, "cannot serialize report value 0.5")]
+    assert _failed_criteria(report) == [5]
+    assert [row["name"] for row in report["checks"] if row["name"].startswith("[")] == [
+        f"[{num}]: battery {num} holds" if num != 5 else rows[0]["name"]
+        for num, _t, _f in CRITERIA]
+    assert_no_child_process()
+
+
 def test_a_record_larger_than_a_pipe_waits_for_the_parent(monkeypatch):
     # battery 2's child fills its pipe while the parent may still be reading
     # the pipe of battery 1's sleeping child; every record still arrives
