@@ -57,7 +57,6 @@ from .report import SCHEMA_VERSION, Check, Report, to_csv_bytes, to_json_bytes
 from .suite import (
     DEFAULT_SEED,
     NESTING_ROW,
-    denjoy_check_rows,
     domination_tests,
     escape_rows,
     extension_rows,
@@ -346,9 +345,8 @@ def run_counterexample(args, doc, rep: Report) -> None:
     k_max = _at_most(_override(args, "depth", 16, doc, "k_max"), MAX_HEIGHT_EXPONENT,
                      "k_max (--depth)")
     plan, trace = build_counterexample(items, policy)
-    failure = verify_denjoy_failure(plan, trace, k_max)
     rep.meta.update(plan=plan.to_json(), trace=trace.to_json(), k_max=k_max)
-    rep.add(denjoy_check_rows(failure))
+    rep.add(verify_denjoy_failure(plan, trace, k_max).rows)
 
 
 def run_verify_all(args, doc, rep: Report) -> None:

@@ -12,7 +12,10 @@ bounds the straddling slopes above alpha by the upper side of
 ``calculus.slope_extremes``, the kernel the pseudo-derivative estimate uses:
 it compares the sweep's slopes as integers and builds only the greatest.
 All comparisons stay exact: sqrt(2)-multiples are compared via squares
-(``roottwo.sign``).
+(``roottwo.sign``).  The verifier builds each verdict as a ``report.Check``
+where it decides it; battery 8 and the ``counterexample`` command report
+those rows as they are, and a certificate over an irrational threshold is
+split there into its sign and squared comparison, so its rows are rational.
 
 Policy constants (the height rule needs two choices the prose leaves open):
 qualifying multiples of 2^-n are positive (0 never qualifies) and endpoint
@@ -31,6 +34,7 @@ from .errors import DomainError, EnumerationOverlapError, InvariantError
 from .bits import ONE, ZERO, format_rational
 from .calculus import slope_extremes
 from .intervals import Interval, IntervalSet
+from .report import Check
 from .roottwo import QuadValue, half_power, sqrt2_power
 
 MAX_HEIGHT_EXPONENT = 128
@@ -240,35 +244,10 @@ class SlopeCertificate:
 
 
 @dataclass(frozen=True)
-class ZeroWitness:
-    k: int
-    a: Fraction
-    b: Fraction
-    slope_is_zero: bool
-
-
-@dataclass(frozen=True)
-class TailBound:
-    prefix_groups: int
-    tail_sup: object  # max height past the prefix
-    tail_sum: object  # exact sum of group sup-norms past the prefix
-    series_bound: object  # closed-form sum_{n > m} 2^(-n/2)
-    holds: bool
-
-
-@dataclass(frozen=True)
 class DenjoyFailureReport:
-    alpha_final: Fraction
     certificates: tuple[SlopeCertificate, ...]
     unrealized: tuple[int, ...]
-    zero_witnesses: tuple[ZeroWitness, ...]
-    straddle_bound: Fraction  # declared bound for beyond-region slopes
-    straddle_max: object  # largest slope seen in the sweep
-    upper_estimate: object  # best upper slope near alpha (0 when witnessed)
-    lower_estimate: object  # most negative slope seen
-    groups: tuple[tuple[int, int], ...]  # (exponent, spike count)
-    tail_bounds: tuple[TailBound, ...]
-    limit_claim: str  # finite-stage disclaimer; never an infinity claim
+    rows: tuple[Check, ...]
 
 
 def _plan_zeros(plan: SpikePlan, alpha_final: Fraction) -> list[Fraction]:
@@ -279,12 +258,32 @@ def _plan_zeros(plan: SpikePlan, alpha_final: Fraction) -> list[Fraction]:
     return sorted(z for z in zeros if z <= alpha_final and plan.exact(z) == 0)
 
 
+def _certificate_rows(c: SlopeCertificate) -> list[Check]:
+    """A certificate's rows, each with its note.  A rational slope a at even
+    k is one row against -2^(k/2); a slope b sqrt(2) is split into the sign
+    of b and the squared comparison 2^k <= 2 b^2, so both rows carry plain
+    rationals; mixed components, which triangular spikes never give, are
+    one row against the threshold itself."""
+    slope = QuadValue(ZERO, ZERO) + c.slope
+    name = f"scale k={c.k}: certified slope <= -2^(k/2)"
+    if slope.b == 0 and c.k % 2 == 0:
+        return [Check(name, slope.a, c.threshold, c.holds, c.note)]
+    if slope.a == 0:
+        return [
+            Check(f"{name} (sqrt2 coefficient < 0)", slope.b, ZERO, slope.b < 0, c.note),
+            Check(f"{name} (squared comparison)", Fraction(1 << c.k),
+                  2 * slope.b * slope.b, c.holds, c.note),
+        ]
+    return [Check(name, slope, c.threshold, c.holds, c.note)]
+
+
 def verify_denjoy_failure(
     plan: SpikePlan,
     trace: AlphaTrace,
     k_max: int,
 ) -> DenjoyFailureReport:
-    """Certify lower-slope blowup and upper-slope vanishing at the final alpha.
+    """Certify lower-slope blowup and upper-slope vanishing at the final alpha,
+    each verdict a report row built where it is decided.
 
     Requested k without a spike of that height parameter are reported, not
     raised.  Every inequality in the report is exact; slopes at odd k are
@@ -302,6 +301,7 @@ def verify_denjoy_failure(
 
     certificates = []
     unrealized = []
+    rows: list[Check] = []
     for k in range(1, k_max + 1):
         stage = by_exponent.get(k)
         if stage is None:
@@ -314,32 +314,29 @@ def verify_denjoy_failure(
         if b_k is None:  # the exponent rule chose k for a multiple of 2^-k there
             raise InvariantError(f"no positive multiple of 2^-{k} in the source of spike k = {k}")
         room = b_k + step
-        if room <= alpha:
-            certificates.append(
-                SlopeCertificate(
-                    k, x_k, alpha, b_k, ZERO, -sqrt2_power(k), False,
-                    note="no rational beyond alpha within 2^-k of b_k",
-                )
-            )
-            continue
-        q = (max(alpha, b_k) + room) / 2
-        f_q = plan.exact(q)
-        f_x = plan.exact(x_k)
-        slope_val = (f_q - f_x) / (q - x_k)
         threshold = -sqrt2_power(k)
-        holds = (
-            q > alpha
-            and q - b_k < step
-            and b_k <= x_k
-            and f_q == 0
-            and slope_val <= threshold
-        )
-        certificates.append(
-            SlopeCertificate(k, x_k, q, b_k, slope_val, threshold, holds)
-        )
+        if room <= alpha:
+            cert = SlopeCertificate(
+                k, x_k, alpha, b_k, ZERO, threshold, False,
+                note="no rational beyond alpha within 2^-k of b_k",
+            )
+        else:
+            q = (max(alpha, b_k) + room) / 2
+            f_q = plan.exact(q)
+            slope_val = (f_q - plan.exact(x_k)) / (q - x_k)
+            holds = (
+                q > alpha
+                and q - b_k < step
+                and b_k <= x_k
+                and f_q == 0
+                and slope_val <= threshold
+            )
+            cert = SlopeCertificate(k, x_k, q, b_k, slope_val, threshold, holds)
+        certificates.append(cert)
+        rows += _certificate_rows(cert)
 
     zeros = _plan_zeros(plan, alpha)
-    zero_witnesses = []
+    witnessed = False
     for k in range(1, k_max + 1):
         half = Fraction(1, 1 << (k + 1))
         a_cands = [z for z in zeros if alpha - z <= half]
@@ -347,7 +344,9 @@ def verify_denjoy_failure(
             continue
         a, b = a_cands[-1], min(alpha + half, ONE)
         s = (plan.exact(b) - plan.exact(a)) / (b - a)
-        zero_witnesses.append(ZeroWitness(k, a, b, s == 0))
+        rows.append(Check(f"scale k={k}: upper-side zero-slope witness on [{a},{b}]",
+                          ZERO, ZERO, s == 0))
+        witnessed = True
 
     region_end = max((s.interval.hi for s in plan.spike_stages), default=ZERO)
     lefts = set(zeros)  # alpha among them, where f is 0
@@ -361,38 +360,35 @@ def verify_denjoy_failure(
         b = alpha + gap / (1 << j)
         if b > region_end:
             rights.add(b)
-    straddle_bound = ZERO  # f >= 0 and f = 0 beyond the region force slope <= 0
+    # the declared bound is 0: f >= 0 and f = 0 beyond the region force slope <= 0
     straddle_max = slope_extremes(plan, lefts, rights)[1].value
+    rows.append(Check("straddling pairs above alpha never exceed the declared bound",
+                      straddle_max, ZERO, straddle_max <= ZERO))
+    upper = ZERO if witnessed or not plan.spike_stages else straddle_max
+    rows.append(Check("upper estimate over flat stretches is exactly 0",
+                      upper, ZERO, upper == 0))
+    # The lower estimate is the steepest certified slope, so it must sit at
+    # or below the deepest even-scale threshold; it is finite by design.
+    even_ks = [c.k for c in certificates if c.k % 2 == 0 and c.holds]
+    if even_ks:
+        lower = min([c.slope for c in certificates if c.holds] + [straddle_max])
+        e = max(even_ks) // 2
+        steepest = -Fraction(1 << e)
+        rows.append(Check(f"lower estimate <= -2^{e} (steepest certified even scale)",
+                          lower, steepest, lower <= steepest))
 
-    slopes_seen = [c.slope for c in certificates if c.holds] + [straddle_max]
-    lower_estimate = min(slopes_seen)
-    upper_estimate = ZERO if zero_witnesses or not plan.spike_stages else straddle_max
-
-    counts: dict[int, int] = {}
-    for s in plan.spike_stages:
-        counts[s.height_exponent] = counts.get(s.height_exponent, 0) + 1
-    groups = tuple(sorted(counts.items()))
+    exponents = sorted({s.height_exponent for s in plan.spike_stages})
     series_scale = 2 + sqrt2_power(1)  # sum_{j>=0} 2^(-j/2) = 2 + sqrt(2)
-    tail_bounds = []
-    for m in range(len(groups) + 1):
-        tail = groups[m:]
-        tail_sup = half_power(tail[0][0]) if tail else ZERO
-        tail_sum = sum((half_power(n) for n, _ in tail), QuadValue(ZERO, ZERO))
-        cutoff = groups[m - 1][0] if m > 0 else 0
-        bound = half_power(cutoff + 1) * series_scale
-        holds = tail_sup <= bound and tail_sum <= bound
-        tail_bounds.append(TailBound(m, tail_sup, tail_sum, bound, holds))
-
-    return DenjoyFailureReport(
-        alpha_final=alpha,
-        certificates=tuple(certificates),
-        unrealized=tuple(unrealized),
-        zero_witnesses=tuple(zero_witnesses),
-        straddle_bound=straddle_bound,
-        straddle_max=straddle_max,
-        upper_estimate=upper_estimate,
-        lower_estimate=lower_estimate,
-        groups=groups,
-        tail_bounds=tuple(tail_bounds),
-        limit_claim="finite-stage certificates only; no claim about the limit",
-    )
+    for m in range(len(exponents) + 1):
+        tail = exponents[m:]
+        tail_sup = half_power(tail[0]) if tail else ZERO
+        tail_sum = sum((half_power(n) for n in tail), QuadValue(ZERO, ZERO))
+        cutoff = exponents[m - 1] if m > 0 else 0
+        bound = half_power(cutoff + 1) * series_scale  # sum_{n > cutoff} 2^(-n/2)
+        rows.append(Check(
+            f"tail of heights past exponent {m} stays below the geometric bound (sup)",
+            tail_sup, bound, tail_sup <= bound and tail_sum <= bound))
+    # finite stages certify no limit, so the report states that it claims none
+    rows.append(Check("the report does not claim the limit derivative", ZERO, ZERO, True,
+                      note="finite-stage certificates only; no claim about the limit"))
+    return DenjoyFailureReport(tuple(certificates), tuple(unrealized), tuple(rows))

@@ -3,9 +3,10 @@
 A report is a flat list of named checks; every check carries both sides of
 its inequality exactly.  Rational sides serialize as "p/q"; values in
 Q(sqrt 2) serialize as their coordinate pair {"a": "p/q", "b": "p/q"}, which
-still carries the exact content (certificates over irrational thresholds are
-additionally broken into sign and squared comparisons upstream, so their
-rows are plain rationals).  ``render_value`` is the one serializer of exact
+still carries the exact content (the spike verifier,
+``counterexample.verify_denjoy_failure``, also splits a certificate over an
+irrational threshold into its sign and squared comparison, so those rows are
+plain rationals).  ``render_value`` is the one serializer of exact
 values; a CSV side is its JSON value in one field.  JSON output is sorted and
 newline-terminated, so identical (instance, seed) pairs produce
 byte-identical files.

@@ -7,7 +7,8 @@ Wall-clock seconds are tracked for the runtime budget line only and never
 enter serialized reports.
 
 The checks of one instance that a CLI command also reports are stated once,
-in the per-instance functions below; they return unprefixed rows, and the
+in the per-instance functions below or, for the spike plan, in
+``counterexample.verify_denjoy_failure``; they return unprefixed rows, and the
 battery and the command each put their own prefix before them.
 
 ``run_criterion`` runs one battery in process and returns its Checks; a
@@ -83,7 +84,6 @@ from .randomness import (
     least_drop_h,
 )
 from .report import Check, check_rows, lay_out
-from .roottwo import QuadValue
 
 DEFAULT_SEED = 1
 
@@ -355,90 +355,6 @@ def criterion_forcing(seed: int) -> list[Check]:
     return checks
 
 
-def denjoy_check_rows(rep) -> list[Check]:
-    """Check rows for a spike-plan failure report; irrational-threshold
-    certificates are split into sign and squared comparisons so every row
-    carries plain rational sides."""
-    rows: list[Check] = []
-    for cert in rep.certificates:
-        slope = QuadValue(ZERO, ZERO) + cert.slope
-        name = f"scale k={cert.k}: certified slope <= -2^(k/2)"
-        if slope.b == 0:
-            rows.append(
-                Check(name, slope.a, -Fraction(1 << (cert.k // 2)), cert.holds)
-            )
-        elif slope.a == 0:
-            rows.append(
-                Check(f"{name} (sqrt2 coefficient < 0)", slope.b, ZERO,
-                      slope.b < 0)
-            )
-            rows.append(
-                Check(
-                    f"{name} (squared comparison)",
-                    Fraction(1 << cert.k),
-                    2 * slope.b * slope.b,
-                    cert.holds,
-                )
-            )
-        else:  # mixed components never arise from triangular spikes
-            rows.append(Check(name, slope, cert.threshold, cert.holds))
-    for w in rep.zero_witnesses:
-        rows.append(
-            Check(
-                f"scale k={w.k}: upper-side zero-slope witness on "
-                f"[{w.a},{w.b}]",
-                ZERO,
-                ZERO,
-                w.slope_is_zero,
-            )
-        )
-    rows.append(
-        Check(
-            "straddling pairs above alpha never exceed the declared bound",
-            rep.straddle_max,
-            rep.straddle_bound,
-            rep.straddle_max <= rep.straddle_bound,
-        )
-    )
-    rows.append(
-        Check("upper estimate over flat stretches is exactly 0",
-              rep.upper_estimate, ZERO, rep.upper_estimate == 0)
-    )
-    # The lower estimate is the steepest certified slope, so it must sit at
-    # or below the deepest even-scale threshold; it is finite by design.
-    even_ks = [c.k for c in rep.certificates if c.k % 2 == 0 and c.holds]
-    if even_ks:
-        steepest = -Fraction(1 << (max(even_ks) // 2))
-        rows.append(
-            Check(
-                f"lower estimate <= -2^{max(even_ks) // 2} "
-                "(steepest certified even scale)",
-                rep.lower_estimate, steepest, rep.lower_estimate <= steepest,
-            )
-        )
-    for tb in rep.tail_bounds:
-        rows.append(
-            Check(
-                f"tail of heights past exponent {tb.prefix_groups} stays below "
-                "the geometric bound (sup)",
-                tb.tail_sup,
-                tb.series_bound,
-                tb.holds,
-            )
-        )
-    claims_limit = "no claim" not in rep.limit_claim
-    rows.append(
-        Check(
-            "the report does not claim the limit derivative",
-            Fraction(int(claims_limit)),
-            ZERO,
-            not claims_limit,
-            note=rep.limit_claim,
-        )
-    )
-    return rows
-
-
 def criterion_counterexample(seed: int) -> list[Check]:
     """Default spike plan: per-scale slope certificates, no limit claim."""
     plan, trace = build_counterexample(default_enumeration())
@@ -446,7 +362,7 @@ def criterion_counterexample(seed: int) -> list[Check]:
     missing = sum(k % 2 == 0 for k in rep.unrealized)
     return [
         _count_check("even scales k <= 16 missing a certificate", missing),
-        *denjoy_check_rows(rep),
+        *rep.rows,
     ]
 
 

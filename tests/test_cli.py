@@ -277,6 +277,52 @@ def test_a_deep_counterexample_report_is_pinned(tmp_path):
         "13a74ba3509f6c872308d81769dc2201fd717c1fe985f18c943717500e9f4b53")
 
 
+COUNTEREXAMPLE_DIGESTS = [
+    # the split overlap policy, which neither verify-all nor the default takes
+    ({"intervals": [["0", "1/2"], ["1/4", "3/4"]], "overlap_policy": "split"}, 0,
+     "9c45d8b042626cdddde6bd1e9690c3f7781c7d9b2f49cdf7704801389d592f88",
+     "7d5c20af40080b124d387a53d9f12e2d760ed7f37f1101847459d780ef4d68e2"),
+    # its k = 1 squared comparison fails with no note
+    ({"intervals": [["4/7", "6/7"], ["3/7", "4/7"], ["2/7", "3/7"], ["1/7", "2/7"],
+                    ["0", "1/7"]]}, 1,
+     "7a00e7ea32d2d7a5190a8d1ba02206a5f99dc11bfb7fa543680ff4b1b90104dd",
+     "685b42610bfc5edb98936c61990de87019500a709c18b3b869b17992cd179aab"),
+    # no rational beyond alpha lies within 2^-k of b_k at k = 2 and 3: the
+    # k = 3 rows compare 2^3 with the squared slope and carry the reason
+    ({"intervals": [["0", "1/6"], ["1/6", "3/8"], ["13/24", "17/24"], ["3/8", "13/24"]]}, 1,
+     "4106904d6cab2da8c3ad3935645be9963f0864452c4402aefc9ea1b6e4352136",
+     "314767d2e69221e0bae8a92d3a566ad6edbc063428226f3d83d5cfde3d9dc934"),
+    # the same at k = 6, whose row compares with -2^3 and carries the reason
+    ({"intervals": [["1/2", "13/24"], ["23/48", "1/2"], ["0", "1/48"], ["13/24", "35/48"],
+                    ["1/48", "23/48"], ["35/48", "37/48"]]}, 1,
+     "446d4e4014e331ac5c27f9b585245ef7ba34cd5a1d0c5debd3368925191c480f",
+     "1cc60ebc07c5ae12beeb254424e650b327dd624af101dc313de1b61f4eb8ae62"),
+]
+
+
+@pytest.mark.parametrize("doc, code, json_digest, csv_digest", COUNTEREXAMPLE_DIGESTS)
+def test_counterexample_reports_of_documents_are_pinned(tmp_path, doc, code, json_digest,
+                                                        csv_digest):
+    inst = write_instance(tmp_path, doc)
+    for fmt, digest in (("--json", json_digest), ("--csv", csv_digest)):
+        got, blob = run(tmp_path, "counterexample", fmt, "--instance", inst)
+        assert got == code
+        assert hashlib.sha256(blob).hexdigest() == digest
+
+
+def test_counterexample_rows_are_battery_8s(tmp_path):
+    # one verifier builds both: the command's rows are battery 8's without
+    # its prefix and its missing-scale count
+    code, blob = run(tmp_path, "counterexample", "--json")
+    assert code == 0
+    command = json.loads(blob)["checks"]
+    code, blob = run(tmp_path, "verify-all", "--json", "--seed", "1")
+    assert code == 0
+    battery = _swap_prefix(json.loads(blob)["checks"], "[8]: ", "")
+    assert battery[0]["name"] == "even scales k <= 16 missing a certificate == 0"
+    assert command == battery[1:]
+
+
 def test_counterexample_report_carries_the_plan(tmp_path):
     code, blob = run(tmp_path, "counterexample", "--depth", "6")
     assert code == 0

@@ -8,7 +8,7 @@ brute-force dyadic scan for the height rule.
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from densitylab.calculus import pseudo_derivative_estimate
@@ -23,9 +23,8 @@ from densitylab.counterexample import (
     verify_denjoy_failure,
 )
 from densitylab.errors import DomainError, EnumerationOverlapError
-from densitylab.report import Report, to_json_bytes
+from densitylab.report import Check, Report, to_json_bytes
 from densitylab.roottwo import QuadValue, half_power, sqrt2_power
-from densitylab.suite import denjoy_check_rows
 
 from helpers import interval
 
@@ -58,6 +57,11 @@ def naive_minexp(lo: F, hi: F):
 def stages(pairs):
     """The stage intervals of (lo, hi) pairs."""
     return [interval(lo, hi) for lo, hi in pairs]
+
+
+def rows_named(report, *parts) -> list[Check]:
+    """The report's rows whose names hold one of parts, in report order."""
+    return [r for r in report.rows if any(p in r.name for p in parts)]
 
 
 DELTA = F(1, 1024)
@@ -140,7 +144,7 @@ def test_e246_certificates_frozen():
     assert by_k[6].slope == F(-256, 15) and by_k[6].slope <= -8
     assert by_k[4].x_k == F(329, 1024) and by_k[4].q == F(361, 1024)
     assert by_k[4].b_k == F(5, 16)
-    assert all(row.ok for row in denjoy_check_rows(report))
+    assert all(row.ok for row in report.rows)
 
 
 def test_flat_only_report_states_zero_estimates():
@@ -148,10 +152,14 @@ def test_flat_only_report_states_zero_estimates():
     report = verify_denjoy_failure(plan, trace, k_max=3)
     assert report.certificates == ()
     assert report.unrealized == (1, 2, 3)
-    assert report.upper_estimate == 0
-    assert report.lower_estimate == 0
-    assert report.straddle_max <= report.straddle_bound
-    assert all(w.slope_is_zero for w in report.zero_witnesses)
+    straddle, upper = rows_named(report, "straddling pairs", "upper estimate")
+    assert upper.lhs == 0 and upper.ok
+    # the lower estimate is the least of the held certificates' slopes and
+    # the straddle maximum; with no certificate it is the straddle row's lhs
+    assert straddle.lhs == 0
+    assert straddle.lhs <= straddle.rhs and straddle.ok
+    witnesses = rows_named(report, "zero-slope witness")
+    assert witnesses and all(w.ok for w in witnesses)
 
 
 def test_overlap_reject_raises():
@@ -211,30 +219,36 @@ def test_default_enumeration_certificates_all_even_k():
     assert by_k[2].x_k == F(107, 128)
     assert by_k[2].slope == F(-262144, 86015)
     assert by_k[1].slope == QuadValue(0, F(-262144, 172031))
-    assert all(row.ok for row in denjoy_check_rows(report))
-    assert report.straddle_max == 0 and report.straddle_max <= report.straddle_bound
-    assert all(w.slope_is_zero for w in report.zero_witnesses)
-    assert len(report.zero_witnesses) == 16
+    assert all(row.ok for row in report.rows)
+    (straddle,) = rows_named(report, "straddling pairs")
+    assert straddle.lhs == 0 and straddle.lhs <= straddle.rhs
+    witnesses = rows_named(report, "zero-slope witness")
+    assert all(w.ok for w in witnesses)
+    assert len(witnesses) == 16
 
 
 def test_default_report_makes_no_limit_claim():
     plan, trace = build_counterexample(default_enumeration())
     report = verify_denjoy_failure(plan, trace, k_max=4)
     rep = Report("counterexample", 1)
-    rep.add(denjoy_check_rows(report))
+    rep.add(report.rows)
     dump = to_json_bytes(rep).decode()
     assert "infinity" not in dump and "-inf" not in dump.lower()
-    assert "no claim about the limit" in report.limit_claim
+    (limit,) = rows_named(report, "claim the limit")
+    assert "no claim about the limit" in limit.note
 
 
 def test_tail_bounds_hold_on_default_plan():
     plan, trace = build_counterexample(default_enumeration())
     report = verify_denjoy_failure(plan, trace, k_max=4)
-    assert report.groups[0] == (1, 2)  # exponent 1 realized twice
-    assert all(t.holds for t in report.tail_bounds)
-    assert len(report.tail_bounds) == len(report.groups) + 1
+    exponents = [s.height_exponent for s in plan.spike_stages]
+    groups = sorted((n, exponents.count(n)) for n in set(exponents))
+    assert groups[0] == (1, 2)  # exponent 1 realized twice
+    tails = rows_named(report, "tail of heights")
+    assert all(t.ok for t in tails)
+    assert len(tails) == len(groups) + 1
     # first tail bound is the full M-test series bound 1 + sqrt(2)
-    assert report.tail_bounds[0].series_bound == QuadValue(F(1), F(1))
+    assert tails[0].rhs == QuadValue(F(1), F(1))
 
 
 def test_spike_slopes_and_lipschitz():
@@ -332,6 +346,37 @@ def test_exact_matches_the_stage_scan_on_default_prefixes():
     items = default_enumeration()
     for k in range(len(items) + 1):
         assert_exact_matches_the_scan(build_counterexample(items[:k])[0])
+
+
+# touching chains in an order that leaves no rational beyond alpha within
+# 2^-k of b_k at k = 2 and 3, and at k = 6
+NO_ROOM_K3 = [(F(0), F(1, 6)), (F(1, 6), F(3, 8)), (F(13, 24), F(17, 24)), (F(3, 8), F(13, 24))]
+NO_ROOM_K6 = [(F(1, 2), F(13, 24)), (F(23, 48), F(1, 2)), (F(0), F(1, 48)),
+              (F(13, 24), F(35, 48)), (F(1, 48), F(23, 48)), (F(35, 48), F(37, 48))]
+
+
+@given(touching_chains().flatmap(st.permutations))
+@example(NO_ROOM_K3)
+@example(NO_ROOM_K6)
+@settings(max_examples=60, deadline=None)
+def test_certificate_rows_state_the_threshold_the_verdict_used(pairs):
+    # -2^(k/2) at even k, 2^k on the squared side at odd k, whether the
+    # certificate holds or not, and the certificate's note on each of its rows
+    plan, trace = build_counterexample(stages(pairs))
+    if trace.final == 1:
+        return  # no point right of alpha; the verifier refuses such a plan
+    report = verify_denjoy_failure(plan, trace, k_max=8)
+    for c in report.certificates:
+        rows = rows_named(report, f"scale k={c.k}: certified slope")
+        assert rows and all(r.note == c.note for r in rows)
+        assert rows[-1].ok == c.holds
+        if c.k % 2 == 0:
+            assert [r.rhs for r in rows] == [-F(1 << (c.k // 2))]
+        else:
+            sign, squared = rows
+            assert sign.name.endswith("(sqrt2 coefficient < 0)") and sign.rhs == 0
+            assert squared.name.endswith("(squared comparison)")
+            assert squared.lhs == 1 << c.k
 
 
 @given(touching_chains().flatmap(st.permutations))

@@ -23,7 +23,6 @@ from densitylab.suite import (
     CRITERIA,
     BatteryRows,
     CriterionOutcome,
-    denjoy_check_rows,
     run_all,
     run_criterion,
 )
@@ -55,7 +54,7 @@ def test_outcome_accumulates_prefixed_checks():
 
 def test_denjoy_rows_split_irrational_thresholds():
     plan, trace = build_counterexample(default_enumeration())
-    rows = denjoy_check_rows(verify_denjoy_failure(plan, trace, 9))
+    rows = verify_denjoy_failure(plan, trace, 9).rows
     names = [r.name for r in rows]
     assert any("sqrt2 coefficient" in n for n in names)
     assert any("squared comparison" in n for n in names)
