@@ -129,8 +129,8 @@ EXTEND_MAX_DEPTH = 60
 # and 46 MB with both at 256, and 36 s and 211 MB with both at 512.
 ESCAPE_MAX_R = ESCAPE_MAX_ROUNDS = 64
 # The largest domination 'depth' of tests, each density estimate's scale depth:
-# an eight-word scenario takes about 0.08 s in process on a 2-vCPU host at 64,
-# 0.25 s at 128 and 1.4 s at 256.
+# an eight-word scenario takes about 0.025 s in process on a 2-vCPU host at 64,
+# 0.12 s at 128 and 0.7 s at 256.
 DOMINATION_MAX_DEPTH = 64
 
 # The largest porosity 'constant' c and 'levels' (or --depth) n: N(sigma)

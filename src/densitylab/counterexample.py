@@ -386,7 +386,7 @@ def verify_denjoy_failure(
         cutoff = exponents[m - 1] if m > 0 else 0
         bound = half_power(cutoff + 1) * series_scale  # sum_{n > cutoff} 2^(-n/2)
         rows.append(Check(
-            f"tail of heights past exponent {m} stays below the geometric bound (sup)",
+            f"tail of heights past exponent {cutoff} stays below the geometric bound (sup)",
             tail_sup, bound, tail_sup <= bound and tail_sum <= bound))
     # finite stages certify no limit, so the report states that it claims none
     rows.append(Check("the report does not claim the limit derivative", ZERO, ZERO, True,

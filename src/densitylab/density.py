@@ -1,31 +1,26 @@
 """Lower-density estimates and the fat-interval low-density covering.
 
 Everything is exact.  The covering route turns each maximal complement gap
-[a_i, b_i] of an effectively closed C into at most two anchored intervals by
-solving, segment by segment, the linear condition
-
-    lambda(C cap [x, b_i]) <= eps * (b_i - x)
-
-for the extreme qualifying x (the window mass is affine in x between part
-endpoints, with slope 0 in gaps and 1 inside parts), then keeps the maximal
+[a_i, b_i] of an effectively closed C into at most two anchored intervals,
+the least x with lambda(C cap [x, b_i]) <= eps (b_i - x) and the greatest y
+with lambda(C cap [a_i, y]) <= eps (y - a_i), then keeps the maximal
 intervals of the family.  The union U of the family is returned closed;
 the set of the covering lemma (strict inequality, open windows) differs from
 it only on a null set of boundary points.
 
 Both the estimate and the cover read the class as its integer row,
 ``intervals.ClassGaps``: the gaps and the part endpoints as integer numerators
-over one denominator, each end with the mass of C on [0, end], so
-lambda(C cap [0, x]) is one bisect away.  The estimate puts the row over a
-denominator that also holds z and its radii, compares window densities by
-cross-multiplication, and builds one Fraction estimate and one witness
-Interval.  The cover puts the row over q - p times its denominator for
-eps = p/q, so every solved end is an integer on it: the cover cuts [0, b]
-and [a, 1] at the part endpoints, takes slope 1 or 0 from whether a piece
-lies inside a part, solves each piece's condition, and keeps the
-candidates, the maximal ones and U as integer pairs.  Both
-bounds, the overlap lambda(C cap U) summed over the parts of U and the size
-lambda(U), are decided on that row; a Fraction is built only for a reported
-value.
+over one denominator, each end with the mass M of C on [0, end].  The
+estimate puts the row over a denominator that also holds z, its radii and
+its dyadic windows, takes one mass per distinct window end, compares window
+densities by cross-multiplication, and builds one Fraction estimate and one
+witness Interval.  The cover sweeps D = q M - p x at the row's ends for
+eps = p/q: a window qualifies iff D at its right end is at most D at its
+left, so each solved end is one bisection into the prefix maxima or the
+suffix minima of D and one linear solve, an integer over q - p times the
+row's denominator that carries its mass.  Both bounds, the overlap
+lambda(C cap U) summed from those masses and the size lambda(U), are
+decided in integers; a Fraction is built only for a reported value.
 
 The prefix-mass oracle checks U from outside the cover: it takes every
 interval between two candidate points (a dyadic grid, the part endpoints and
@@ -40,10 +35,11 @@ without the quadratic loop.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate, product
 from math import lcm
 from typing import Sequence
 
@@ -51,20 +47,6 @@ from .bits import ONE, ZERO, require_unit
 from .errors import DomainError
 from .intervals import ClassGaps, Interval, IntervalSet
 from .report import Check
-
-
-def dyadic_intervals_containing(z: Fraction, n: int) -> list[Interval]:
-    """Basic dyadic intervals [r 2^-n, (r+1) 2^-n] containing z (two on a boundary)."""
-    require_unit(z, "z")
-    if n < 0:
-        raise DomainError(f"negative depth {n}")
-    scaled = z * (1 << n)
-    base = scaled.numerator // scaled.denominator
-    indices = {min(base, (1 << n) - 1)}
-    if scaled.denominator == 1 and 0 < scaled.numerator < (1 << n):
-        indices.add(scaled.numerator - 1)
-    step = Fraction(1, 1 << n)
-    return [Interval(i * step, (i + 1) * step) for i in sorted(indices)]
 
 
 @dataclass(frozen=True)
@@ -80,12 +62,13 @@ def lower_density_estimate(row: ClassGaps, z: Fraction, scale_depth: int) -> Den
 
     The windows are [z-gamma, z+delta] with dyadic radii up to
     2^-scale_depth and signed distances from z to part endpoints within 1/2,
-    and the basic dyadic intervals through z of depth <= scale_depth.  The
-    minimum is an upper bound on the true lower density that shrinks as
-    scale_depth grows.  The first window of least density, in the order
-    listed, is the witness.  The row's parts hold 0 and 1, which the class
-    it was read from may lack; the windows (0, hi) and (lo, 1) that those
-    ends give, radius 1 gives too, at the same place in the order.
+    and the basic dyadic intervals [r 2^-n, (r+1) 2^-n] through z of depth
+    n <= scale_depth, two when z is on their grid.  The minimum is an upper
+    bound on the true lower density that shrinks as scale_depth grows.  The
+    first window of least density, in the order listed, is the witness.  The
+    row's parts hold 0 and 1, which the class it was read from may lack; the
+    windows (0, hi) and (lo, 1) that those ends give, radius 1 gives too, at
+    the same place in the order.
     """
     require_unit(z, "z")
     if scale_depth < 0:
@@ -97,16 +80,20 @@ def lower_density_estimate(row: ClassGaps, z: Fraction, scale_depth: int) -> Den
     left.update(zi - e for e in row.ends if 0 < 2 * (zi - e) <= den)
     right = set(radii)
     right.update(e - zi for e in row.ends if 0 < 2 * (e - zi) <= den)
-    his = [min(den, zi + d) for d in sorted(right)]
-    windows = [(max(0, zi - g), hi) for g in sorted(left) for hi in his]
+    # the window ends in the order listed, with repeats (the clamped ones)
+    # dropped: a repeat is never the first window of least density
+    los = sorted({max(0, zi - g) for g in left}, reverse=True)
+    his = sorted({min(den, zi + d) for d in right})
+    windows = list(product(los, his))
     for n in range(scale_depth + 1):
-        windows += [
-            (row.scaled(w.lo), row.scaled(w.hi))
-            for w in dyadic_intervals_containing(z, n)
-        ]
+        step = den >> n
+        if 0 < zi < den and zi % step == 0:  # z on the grid: the window below it too
+            windows.append((zi - step, zi))
+        lo = min(zi // step, (1 << n) - 1) * step
+        windows.append((lo, lo + step))
     # every window holds z and reaches a positive distance past it on a side
     # inside [0, 1], so none is degenerate
-    mass = {x: row.mass(x) for w in windows for x in w}
+    mass = {x: row.mass(x) for x in {x for w in windows for x in w}}
     best_m, best_len, witness = 1, 0, windows[0]  # 1/0: no window yet
     for lo, hi in windows:
         m, length = mass[hi] - mass[lo], hi - lo
@@ -120,52 +107,24 @@ def lower_density_estimate(row: ClassGaps, z: Fraction, scale_depth: int) -> Den
     )
 
 
-def _extend_left(row: ClassGaps, b: int, p: int, q: int) -> int:
-    """Least x in [0, b] with lambda(C cap [x, b]) <= (p/q) (b - x).  Every
-    end and mass of the row is a multiple of q - p, so x is an integer."""
-    rest = row.mass(b)  # the mass of C on [0, b]
-    for u, v, inside in row.pieces(0, b):
-        mv = rest - row.mass(v)  # the mass of C on [v, b]
-        if inside:
-            # mass(x) = mv + (v - x) qualifies iff x >= x* = num / (q - p)
-            num = q * (mv + v) - p * b
-            if num <= v * (q - p):
-                return max(num // (q - p), u)
-        elif p * (b - u) >= q * mv:  # constant mass, qualifies iff at u
-            return u
-    return b  # only for b == 0: x = b always qualifies
-
-
-def _extend_right(row: ClassGaps, a: int, p: int, q: int) -> int:
-    """Greatest x in [a, 1] with lambda(C cap [a, x]) <= (p/q) (x - a)."""
-    base = row.mass(a)
-    for u, v, inside in reversed(list(row.pieces(a, row.den))):
-        mu = row.mass(u) - base  # the mass of C on [a, u]
-        if inside:
-            # mass(x) = mu + (x - u) qualifies iff x <= x* = num / (q - p)
-            num = q * (u - mu) - p * a
-            if num >= u * (q - p):
-                return min(num // (q - p), v)
-        elif p * (v - a) >= q * mu:
-            return v
-    return a
-
-
 @dataclass(frozen=True)
 class FatCover:
     """Fat-interval covering of the low-density set at threshold epsilon.
 
     The fat intervals and the parts of U are (lo, hi) integer pairs over
-    the row's denominator; their Intervals are built when read, and the
-    bounds are decided on the pairs."""
+    ``den``; their Intervals are built when read.  ``overlap`` and ``rest``
+    are lambda(C cap U) and 1 - lambda(C) over den, so the bounds are
+    decided on integers."""
 
     epsilon: Fraction
-    row: ClassGaps
+    den: int
     fats: tuple[tuple[int, int], ...]
     parts: tuple[tuple[int, int], ...]
+    overlap: int
+    rest: int
 
     def _intervals(self, pairs) -> tuple[Interval, ...]:
-        den = self.row.den
+        den = self.den
         return tuple(Interval(Fraction(lo, den), Fraction(hi, den)) for lo, hi in pairs)
 
     @cached_property
@@ -177,14 +136,11 @@ class FatCover:
         return IntervalSet(self._intervals(self.parts))
 
     def inequalities(self) -> list[Check]:
-        """The overlap lambda(C cap U), the class's mass summed over the parts
-        of U, and the size lambda(U), against their bounds: each decided over
-        the row's denominator d, with eps = p/q and lambda(C) = mass(d)/d."""
-        row, p, q = self.row, self.epsilon.numerator, self.epsilon.denominator
-        d = row.den
-        overlap = sum(row.mass(hi) - row.mass(lo) for lo, hi in self.parts)
+        """The overlap lambda(C cap U) and the size lambda(U) against their
+        bounds, with eps = p/q, each decided over den d."""
+        p, q, d = self.epsilon.numerator, self.epsilon.denominator, self.den
+        overlap, rest = self.overlap, self.rest
         size = sum(hi - lo for lo, hi in self.parts)
-        rest = d - row.mass(d)  # d (1 - lambda(C))
         return [
             Check("overlap lambda(C cap U) <= 2 eps", Fraction(overlap, d), 2 * self.epsilon,
                   q * overlap <= 2 * p * d),
@@ -197,30 +153,52 @@ def low_density_open_set(row: ClassGaps, eps: Fraction) -> FatCover:
     """Fat intervals and the covered set U for threshold eps.
 
     U is exactly the union of the maximal anchored intervals, and
-    ``inequalities()`` decides both covering bounds.  The gaps, the
-    candidates, the maximal ones and U are integer pairs over the class's
-    row, put over q - p times its denominator so that every solved end is
-    an integer.
+    ``inequalities()`` decides both covering bounds.  With eps = p/q and
+    D(x) = q M(x) - p x over the row's denominator, M the class's mass on
+    [0, x], the window [x, y] qualifies iff D(y) <= D(x).  D rises with slope
+    f = q - p along a part and falls along a gap, so for the gap [a, b] the
+    least qualifying x below b is one bisection into the prefix maxima of D
+    at the row's ends, and the greatest above a one into the suffix minima;
+    each is solved on the rising piece that bisection finds, as an integer
+    over f times the row's denominator, with its mass.
     """
     if not ZERO < eps < ONE:
         raise DomainError(f"eps must be in (0,1), got {eps}")
     p, q = eps.numerator, eps.denominator
-    row = row.over(row.den * (q - p))
-    candidates = []
-    for a, b in zip(row.los, row.his):
-        candidates += ((_extend_left(row, b, p, q), b), (a, _extend_right(row, a, p, q)))
+    f = q - p
+    ends, masses = row.ends, row.masses
+    ds = [q * m - p * e for e, m in zip(ends, masses)]
+    rise = list(accumulate(ds, max))
+    fall = list(accumulate(reversed(ds), min))[::-1]
+    last = len(ends) - 1
+
+    def solve(i: int, t: int) -> tuple[int, int]:
+        # the x on the piece rising from ends[i] with D(x) = t, and its mass
+        return f * ends[i] + t - ds[i], f * masses[i] + t - ds[i]
+
+    candidates = []  # (lo, -hi, mass at lo, mass at hi)
+    for k in range(1, last, 2):  # the gap [a, b] = [ends[k], ends[k + 1]]
+        a, m_a, b, m_b = f * ends[k], f * masses[k], f * ends[k + 1], f * masses[k + 1]
+        i = bisect_left(rise, ds[k + 1])  # the least x with D(x) >= D(b)
+        lo, m_lo = solve(i - 1, ds[k + 1]) if i else (0, 0)
+        j = bisect_right(fall, ds[k]) - 1  # the greatest x with D(x) <= D(a)
+        # j is the last end when D(1) <= D(a): then all of [a, 1] qualifies
+        hi, m_hi = solve(j, ds[k]) if j < last else (f * row.den, f * masses[last])
+        candidates += ((lo, -b, m_lo, m_b), (a, -hi, m_a, m_hi))
     fats = []  # the maximal candidates: both ends strictly increase
-    for lo, neg_hi in sorted((lo, -hi) for lo, hi in candidates):
+    for lo, neg_hi, m_lo, m_hi in sorted(candidates):
         if not fats or -neg_hi > fats[-1][1]:
-            fats.append((lo, -neg_hi))
+            fats.append((lo, -neg_hi, m_lo, m_hi))
 
     parts = []  # U: the fats merged where they overlap or touch
-    for lo, hi in fats:
-        if parts and lo <= parts[-1][1]:
-            parts[-1] = (parts[-1][0], hi)
+    for fat in fats:
+        if parts and fat[0] <= parts[-1][1]:
+            parts[-1] = (parts[-1][0], fat[1], parts[-1][2], fat[3])
         else:
-            parts.append((lo, hi))
-    return FatCover(eps, row, tuple(fats), tuple(parts))
+            parts.append(fat)
+    den = f * row.den
+    return FatCover(eps, den, tuple(fat[:2] for fat in fats), tuple(part[:2] for part in parts),
+                    sum(m_hi - m_lo for _, _, m_lo, m_hi in parts), den - f * masses[last])
 
 
 def brute_force_low_density_oracle(

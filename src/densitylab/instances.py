@@ -80,10 +80,15 @@ def dyadic_holes(
     return tuple(holes)
 
 
-def covering_instance(seed: int, index: int) -> IntervalSet:
-    """Class with <= 12 holes, endpoint denominators <= 2^16."""
+def covering_holes(seed: int, index: int) -> tuple[Interval, ...]:
+    """The <= 12 holes of a covering class, endpoint denominators <= 2^16."""
     rng = battery_rng(seed, "covering", index)
-    return FULL_SET.subtract_open(random_holes(rng, rng.randint(0, 12), 1 << 16))
+    return random_holes(rng, rng.randint(0, 12), 1 << 16)
+
+
+def covering_instance(seed: int, index: int) -> IntervalSet:
+    """The covering class: [0, 1] minus covering_holes."""
+    return FULL_SET.subtract_open(covering_holes(seed, index))
 
 
 def oracle_match_instance(seed: int, index: int) -> tuple[IntervalSet, Fraction]:

@@ -279,22 +279,6 @@ class ClassGaps:
         # an odd count of ends at or before x leaves x inside a part
         return self.masses[i - 1] + (x - self.ends[i - 1] if i & 1 else 0)
 
-    def pieces(self, lo: int, hi: int) -> Iterator[tuple[int, int, bool]]:
-        """[lo, hi] cut at the part endpoints, left to right: (u, v, inside)
-        per piece, inside when the piece lies in a part (mass slope 1), not
-        in a gap (slope 0).  A piece is inside exactly when the next end
-        after u is a part's hi, which sits at an odd index of ends."""
-        ends = self.ends
-        i = bisect_right(ends, lo)
-        u = lo
-        while i < len(ends) and ends[i] < hi:
-            if ends[i] > u:
-                yield u, ends[i], i & 1 == 1
-                u = ends[i]
-            i += 1
-        if u < hi:
-            yield u, hi, i & 1 == 1
-
     def grid_ranges(self, depth: int) -> list[tuple[int, int]]:
         """Per part, the first and last index k with k 2^-depth in the part,
         ceil(lo 2^depth) and floor(hi 2^depth); first > last when none is."""

@@ -49,7 +49,7 @@ from .instances import (
     EscapeInstance,
     battery_rng,
     claim5_instance,
-    covering_instance,
+    covering_holes,
     domination_instance,
     escape_instance,
     extension_instance,
@@ -60,7 +60,7 @@ from .instances import (
     porosity_instance,
     random_fair_table,
 )
-from .intervals import FULL_SET, ClassGaps, StagedOpenEnumeration
+from .intervals import FULL_SET, ClassGaps, StagedOpenEnumeration, class_gaps
 from .martingales import (
     Condition,
     Martingale,
@@ -184,7 +184,7 @@ def criterion_covering(seed: int) -> list[Check]:
     """200 instances x 3 thresholds: both covering bounds, exact."""
     checks: list[Check] = []
     for index in range(200):
-        row = ClassGaps.of(covering_instance(seed, index))
+        row = class_gaps(covering_holes(seed, index))
         for eps in COVERING_EPSILONS:
             fc = low_density_open_set(row, eps)
             checks.extend(check_rows(fc.inequalities(), f"instance {index} eps {eps}"))

@@ -290,13 +290,13 @@ COUNTEREXAMPLE_DIGESTS = [
     # no rational beyond alpha lies within 2^-k of b_k at k = 2 and 3: the
     # k = 3 rows compare 2^3 with the squared slope and carry the reason
     ({"intervals": [["0", "1/6"], ["1/6", "3/8"], ["13/24", "17/24"], ["3/8", "13/24"]]}, 1,
-     "4106904d6cab2da8c3ad3935645be9963f0864452c4402aefc9ea1b6e4352136",
-     "314767d2e69221e0bae8a92d3a566ad6edbc063428226f3d83d5cfde3d9dc934"),
+     "82848fb9ab5c19e933cd88cbfd62f0a3c7ce76cf1070a9280cd850879a9bb155",
+     "32927b2a6eda37f660df6e8432b1a064f613920a13c6108c14361243fa383bbb"),
     # the same at k = 6, whose row compares with -2^3 and carries the reason
     ({"intervals": [["1/2", "13/24"], ["23/48", "1/2"], ["0", "1/48"], ["13/24", "35/48"],
                     ["1/48", "23/48"], ["35/48", "37/48"]]}, 1,
-     "446d4e4014e331ac5c27f9b585245ef7ba34cd5a1d0c5debd3368925191c480f",
-     "1cc60ebc07c5ae12beeb254424e650b327dd624af101dc313de1b61f4eb8ae62"),
+     "148df8de5fd7a8dfc2c6efdececbdf98e52c512bbbb462009c3946b2386ed344",
+     "6a00fbe24373de535d8b2d085a8385edde714cd273dc9f603d202a04d365a119"),
 ]
 
 
@@ -308,6 +308,21 @@ def test_counterexample_reports_of_documents_are_pinned(tmp_path, doc, code, jso
         got, blob = run(tmp_path, "counterexample", fmt, "--instance", inst)
         assert got == code
         assert hashlib.sha256(blob).hexdigest() == digest
+
+
+def test_counterexample_tail_rows_are_named_by_their_cutoff_exponent(tmp_path):
+    # the plan realizes exponents 1 and 6, so the last tail row bounds the
+    # heights past exponent 6 by sum_{n > 6} 2^(-n/2) = 1/8 + 1/8 sqrt 2
+    inst = write_instance(tmp_path, COUNTEREXAMPLE_DIGESTS[3][0])
+    code, blob = run(tmp_path, "counterexample", "--csv", "--instance", inst)
+    assert code == 1
+    tails = [line.split(",") for line in blob.decode().splitlines()
+             if line.startswith("tail of heights")]
+    assert [(name.split(" stays")[0], rhs) for name, _lhs, rhs, _ok, _note in tails] == [
+        ("tail of heights past exponent 0", "1/1+1/1*sqrt2"),
+        ("tail of heights past exponent 1", "1/1+1/2*sqrt2"),
+        ("tail of heights past exponent 6", "1/8+1/8*sqrt2"),
+    ]
 
 
 def test_counterexample_rows_are_battery_8s(tmp_path):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from densitylab.density import (
     brute_force_low_density_oracle,
-    dyadic_intervals_containing,
     low_density_open_set,
     lower_density_estimate,
 )
@@ -25,6 +24,19 @@ from helpers import interval
 
 C_ONE_HOLE = FULL_SET.subtract_open([interval(F(1, 4), F(1, 2))])
 C_SPEC = IntervalSet((interval(F(0), F(1, 4)), interval(F(1, 2), F(1))))
+
+
+def dyadic_intervals_containing(z, n):
+    """The basic dyadic intervals [r 2^-n, (r+1) 2^-n] containing z, two when
+    z is on the grid inside (0, 1), in Fractions: the reference for the
+    estimate's integer windows."""
+    scaled = z * (1 << n)
+    base = scaled.numerator // scaled.denominator
+    indices = {min(base, (1 << n) - 1)}
+    if scaled.denominator == 1 and 0 < scaled.numerator < (1 << n):
+        indices.add(scaled.numerator - 1)
+    step = F(1, 1 << n)
+    return [Interval(i * step, (i + 1) * step) for i in sorted(indices)]
 
 
 def test_dyadic_intervals_containing_boundary_gives_both():
@@ -270,6 +282,10 @@ def test_cover_matches_fraction_segments(c):
     for eps in COVERING_EPSILONS + (F(2, 7),):
         fc = low_density_open_set(ClassGaps.of(c), eps)
         assert (fc.fat_intervals, fc.U) == reference_cover(c, eps)
+        # the masses the sweep carries to its solved ends add up to the
+        # measures of the sets themselves
+        overlap, size = fc.inequalities()
+        assert (overlap.lhs, size.lhs) == (c.intersect(fc.U).measure, fc.U.measure)
 
 
 oracle_points = st.one_of(

@@ -10,6 +10,7 @@ from densitylab.instances import (
     battery_rng,
     bits_of_point,
     claim5_instance,
+    covering_holes,
     covering_instance,
     domination_instance,
     escape_instance,
@@ -21,6 +22,7 @@ from densitylab.instances import (
     porosity_instance,
     random_fair_table,
 )
+from densitylab.intervals import ClassGaps, class_gaps
 from densitylab.martingales import fairness_violations
 from densitylab.randomness import (
     CylinderDifferenceTest,
@@ -49,6 +51,18 @@ def test_covering_instances_fit_the_stated_caps():
         assert max_denominator(c) <= 1 << 16
     assert covering_instance(1, 7) == covering_instance(1, 7)
     assert COVERING_EPSILONS == (F(1, 4), F(1, 2), F(3, 4))
+
+
+def test_covering_rows_built_from_the_holes_are_the_classes_rows():
+    # battery 1 reads its classes hole by hole; the gaps are those of the
+    # class that subtract_open builds, whatever the two denominators
+    def gap_fractions(row):
+        return [(F(lo, row.den), F(hi, row.den)) for lo, hi in zip(row.los, row.his)]
+
+    for seed in (1, 2, 3):
+        for index in range(200):
+            assert gap_fractions(class_gaps(covering_holes(seed, index))) == gap_fractions(
+                ClassGaps.of(covering_instance(seed, index)))
 
 
 def test_oracle_match_instances_fit_the_stated_caps():

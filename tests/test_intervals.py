@@ -1,5 +1,4 @@
 from fractions import Fraction as F
-from itertools import combinations
 from math import lcm
 
 import pytest
@@ -224,13 +223,6 @@ def test_row_reads_match_the_class(s, depth, extra):
         (p.lo, p.hi) for p in (*s.parts, *edges))
     for x in points:
         assert F(row.mass(row.scaled(x)), den) == s.intersect_interval(interval(0, x)).measure
-    for lo, hi in combinations(sorted({*ends[:4], *extra, F(0), F(1)}), 2):
-        pieces = list(row.pieces(row.scaled(lo), row.scaled(hi)))
-        cuts = sorted({lo, hi, *(e for e in ends if lo < e < hi)})
-        assert [F(u, den) for u, _, _ in pieces] + [F(pieces[-1][1], den)] == cuts
-        assert all(inside == s.contains_point(F(u + v, 2 * den)) for u, v, inside in pieces)
-        assert F(sum(v - u for u, v, inside in pieces if inside), den) == s.intersect_interval(
-            interval(lo, hi)).measure
 
     scale = 1 << depth
     ranges = row.grid_ranges(depth)
