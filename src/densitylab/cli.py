@@ -265,9 +265,10 @@ def run_tests(args, doc, rep: Report) -> None:
                             "the lcm of the escape 'holes' endpoints' denominators")
         _at_most(inst.r, ESCAPE_MAX_R, "escape 'r'")
         _at_most(inst.m_max, ESCAPE_MAX_ROUNDS, "escape 'm_max'")
-        verdict, rows = escape_rows(inst)
+        verdict, records, caps = escape_rows(inst)
         prefix = f"escape {i} (r={inst.r}, m_max={inst.m_max}, verdict {verdict})"
-        rep.add(rows, prefix)
+        rep.add(records, prefix)
+        rep.add(caps, f"{prefix}: component cap")
     for i, d in enumerate(_list(doc.get("domination", []), "domination", "objects")):
         if not isinstance(d, dict):
             raise SchemaError(f"domination entry {i} must be an object, got {d!r}")

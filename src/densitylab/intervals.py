@@ -15,13 +15,13 @@ gaps over one denominator, with the part ends and their prefix masses, the
 grid indices inside each part and, per level, the cylinders inside each gap.
 The cover, the density estimate, the monotone extension and the porosity and
 difference tests read classes through it; ``stage_gaps`` builds the rows of
-all stages of an enumeration hole by hole, and ``class_gaps`` the last one.
+all stages of an enumeration hole by hole, and ``class_gaps`` the last one
+alone, inserting every hole into one row.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -305,33 +305,49 @@ class ClassGaps:
         )
 
 
+def _hole_ends(holes: Sequence[Interval]) -> tuple[int, Iterator[tuple[int, int]]]:
+    """The lcm of the denominators of the nondegenerate holes' endpoints, and
+    their ends over it, hole by hole; a degenerate hole is empty."""
+    den, ends = over_common_denominator(
+        [x for h in holes if not h.is_degenerate for x in (h.lo, h.hi)]
+    )
+    return den, zip(ends[0::2], ends[1::2])
+
+
+def _insert_hole(los: list[int], his: list[int], a: int, b: int) -> None:
+    """Insert the open hole (a, b) into the sorted gap row los, his by
+    bisection: the gaps are the components of the union of the open holes,
+    so the hole merges with the gaps it overlaps, and a gap that only touches
+    it keeps the shared endpoint as a point of the class."""
+    i, j = bisect_right(his, a), bisect_left(los, b)
+    if i < j:
+        a, b = min(a, los[i]), max(b, his[j - 1])
+    los[i:j], his[i:j] = [a], [b]
+
+
 def stage_gaps(holes: Sequence[Interval]) -> Iterator[ClassGaps]:
     """The gaps of the stage classes [0,1] minus the first t holes, for
     t = 0 .. len(holes), all over the lcm of the holes' denominators.
 
-    One gap row is kept and hole t - 1 is inserted into it by bisection: the
-    gaps are the components of the union of the open holes, so the hole
-    merges with the gaps it overlaps, and a gap that only touches it keeps
-    the shared endpoint as a point of the class.  A degenerate hole is empty.
-    Each stage gets its own copy of the row.
+    One gap row is kept and hole t - 1 is inserted into it; each stage gets
+    its own copy of the row.
     """
-    den, ends = over_common_denominator(
-        [x for h in holes if not h.is_degenerate for x in (h.lo, h.hi)]
-    )
-    pairs = iter(zip(ends[0::2], ends[1::2]))
+    den, pairs = _hole_ends(holes)
     los: list[int] = []
     his: list[int] = []
     yield ClassGaps(den, [], [])
     for hole in holes:
         if not hole.is_degenerate:
-            a, b = next(pairs)
-            i, j = bisect_right(his, a), bisect_left(los, b)
-            if i < j:
-                a, b = min(a, los[i]), max(b, his[j - 1])
-            los[i:j], his[i:j] = [a], [b]
+            _insert_hole(los, his, *next(pairs))
         yield ClassGaps(den, los.copy(), his.copy())
 
 
 def class_gaps(holes: Sequence[Interval]) -> ClassGaps:
-    """The gaps of [0,1] minus the open holes: the last row of stage_gaps."""
-    return deque(stage_gaps(holes), maxlen=1).pop()
+    """The gaps of [0,1] minus the open holes, the last row of stage_gaps,
+    built in one row with no copy per stage."""
+    den, pairs = _hole_ends(holes)
+    los: list[int] = []
+    his: list[int] = []
+    for a, b in pairs:
+        _insert_hole(los, his, a, b)
+    return ClassGaps(den, los, his)

@@ -13,9 +13,10 @@ byte-identical files.
 
 Every row is a ``Check``, from the kernel that decides it to the report.
 A row is laid out as report text, by ``lay_out``, when it is added to a
-``Report``, and the report keeps only that text and its failure count.
-verify-all lays out each battery's rows in the child process that ran it
-(``suite.run_all``), so its parent only joins text.
+``Report`` with ``add(rows, prefix)``, and the report keeps only that text
+and its failure count.  A battery adds its rows to its ``suite.BatteryRows``
+the same way, so verify-all's batteries lay out their rows in the child
+processes that run them (``suite.run_all``), and the parent only joins text.
 """
 
 from __future__ import annotations
@@ -50,11 +51,6 @@ class Check:
     rhs: object
     ok: bool
     note: str = ""
-
-
-def check_rows(rows, prefix: str) -> list[Check]:
-    """The checks rows with prefix put before each name as "prefix: "."""
-    return [Check(f"{prefix}: {c.name}", c.lhs, c.rhs, c.ok, c.note) for c in rows]
 
 
 def render_value(v) -> object:

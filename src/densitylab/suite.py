@@ -1,27 +1,27 @@
 """The ten-battery verification suite over seeded instance batches.
 
 Each battery checks one family of inequalities at its stated tolerance;
-"exact" batteries compare rationals with no slack anywhere.  Outcomes carry
-the full check list so reports can show both sides of every inequality.
-Wall-clock seconds are tracked for the runtime budget line only and never
-enter serialized reports.
+"exact" batteries compare rationals with no slack anywhere.  Reports show
+both sides of every inequality.
 
 The checks of one instance that a CLI command also reports are stated once,
 in the per-instance functions below or, for the spike plan, in
 ``counterexample.verify_denjoy_failure``; they return unprefixed rows, and the
 battery and the command each put their own prefix before them.
 
-``run_criterion`` runs one battery in process and returns its Checks; a
+A battery writes its rows as a command does: each ``criterion_*(seed, out)``
+adds them to its ``BatteryRows`` with ``add(rows, prefix)``, which lays them
+out as report text at once, as ``report.Report.add`` does.
+``run_criterion`` runs one battery in process and returns that record; a
 battery that raises is one failed row.  ``run_all`` runs every battery in
-forked children, which send back only the report text of each battery's
-rows (``BatteryRows``), laid out where the battery ran; each child sends all
-of its batteries at once, when none is left to take.
+forked children, which send back the records of ``run_criterion``, so only
+report text crosses between processes; each child sends all of its
+batteries at once, when none is left to take.
 """
 
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -43,7 +43,7 @@ from .density import (
     low_density_open_set,
     oracle_difference,
 )
-from .errors import BudgetExhausted, SchemaError
+from .errors import BudgetExhausted
 from .instances import (
     COVERING_EPSILONS,
     EscapeInstance,
@@ -83,31 +83,31 @@ from .randomness import (
     build_escape_sets,
     least_drop_h,
 )
-from .report import Check, check_rows, lay_out
+from .report import Check, lay_out
 
 DEFAULT_SEED = 1
 
 
 @dataclass
-class CriterionOutcome:
-    number: int
-    title: str
-    checks: list[Check] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-    seconds: float = 0.0
-
-
-@dataclass
 class BatteryRows:
     """A battery's outcome as it reaches the report: its check rows laid out
-    under the prefix "[number]", one text per check, and how many of them
-    fail."""
+    under the prefix "[number]", one text per check, in JSON or, with
+    as_csv, in CSV, and how many of them fail."""
 
     number: int
     title: str
-    failed: int
-    notes: list[str]
-    rows: list[str]
+    as_csv: bool = False
+    failed: int = 0
+    notes: list[str] = field(default_factory=list)
+    rows: list[str] = field(default_factory=list)
+
+    def add(self, rows, prefix: str = "") -> None:
+        """Lay out rows under "[number]", or "[number]: prefix" for a
+        nonempty prefix, as lay_out does, and append them."""
+        head = f"[{self.number}]: {prefix}" if prefix else f"[{self.number}]"
+        texts, failed = lay_out(rows, head, self.as_csv)
+        self.rows += texts
+        self.failed += failed
 
 
 def _count_check(name: str, count: int) -> Check:
@@ -126,12 +126,12 @@ NESTING_ROW = Check("antichain and stage-nesting verified during construction",
                     ONE, ONE, True)
 
 
-def escape_rows(inst: EscapeInstance) -> tuple[str, list[Check]]:
-    """The escape verdict of one difference-test instance, and its rows: box
-    decay and escape certificates, then the component caps."""
+def escape_rows(inst: EscapeInstance) -> tuple[str, list[Check], list[Check]]:
+    """The escape verdict of one difference-test instance, its box decay and
+    escape certificate rows, and its component caps."""
     dt = CylinderDifferenceTest(inst.enum, inst.component_fn())
     esc = build_escape_sets(dt, inst.r, inst.m_max, inst.z)
-    return esc.verdict, [*esc.records, *check_rows(dt.certify(), "component cap")]
+    return esc.verdict, esc.records, dt.certify()
 
 
 def domination_tests(scenario: DominationScenario, case: int,
@@ -180,76 +180,58 @@ def extension_rows(h, enum: StagedOpenEnumeration, n: int, grid_depth: int) -> l
     ]
 
 
-def criterion_covering(seed: int) -> list[Check]:
+def criterion_covering(seed: int, out: BatteryRows) -> None:
     """200 instances x 3 thresholds: both covering bounds, exact."""
-    checks: list[Check] = []
     for index in range(200):
         row = class_gaps(covering_holes(seed, index))
         for eps in COVERING_EPSILONS:
             fc = low_density_open_set(row, eps)
-            checks.extend(check_rows(fc.inequalities(), f"instance {index} eps {eps}"))
-    return checks
+            out.add(fc.inequalities(), f"instance {index} eps {eps}")
 
 
-def criterion_oracle_match(seed: int) -> list[Check]:
+def criterion_oracle_match(seed: int, out: BatteryRows) -> None:
     """50 instances: fat-interval U equals the prefix-mass oracle exactly."""
-    checks: list[Check] = []
     for index in range(50):
         c, eps = oracle_match_instance(seed, index)
         diff, equal = oracle_difference(c, low_density_open_set(ClassGaps.of(c), eps), 8)
-        checks.append(
-            Check(
-                f"instance {index}: U equals the oracle after boundary "
-                f"normalization (eps {eps}), symmetric difference",
-                diff,
-                ZERO,
-                equal,
-            )
-        )
-    return checks
+        out.add([Check(f"U equals the oracle after boundary normalization (eps {eps}), "
+                       "symmetric difference", diff, ZERO, equal)], f"instance {index}")
 
 
-def criterion_porosity(seed: int) -> list[Check]:
+def criterion_porosity(seed: int, out: BatteryRows) -> None:
     """50 enumerations: per-node and per-level decay bounds, exact."""
-    checks: list[Check] = []
     for index in range(50):
         enum, c, levels = porosity_instance(seed, index)
         pt = porosity_test(enum, c, levels, 200)
         prefix = f"instance {index} (c={c}, levels={levels})"
-        checks.extend(check_rows(pt.bound_checks(), prefix))
         bad = sum(not ok for *_, ok in pt.nodes)
-        checks.append(Check(f"{prefix}: all {len(pt.nodes)} per-node bounds hold, violations",
-                            Fraction(bad), ZERO, not bad))
+        out.add([*pt.bound_checks(),
+                 Check(f"all {len(pt.nodes)} per-node bounds hold, violations",
+                       Fraction(bad), ZERO, not bad)], prefix)
         if pt.nodes:
-            checks.extend(check_rows([pt.node_row(pt.tightest_node())],
-                                     f"{prefix}: tightest node"))
-        checks.extend(check_rows([NESTING_ROW], prefix))
-    return checks
+            out.add([pt.node_row(pt.tightest_node())], f"{prefix}: tightest node")
+        out.add([NESTING_ROW], prefix)
 
 
-def criterion_escape(seed: int) -> list[Check]:
+def criterion_escape(seed: int, out: BatteryRows) -> None:
     """30 difference tests: box decay, escape certificates, component caps."""
-    checks: list[Check] = []
     for index in range(30):
         inst = escape_instance(seed, index)
-        verdict, rows = escape_rows(inst)
+        verdict, records, caps = escape_rows(inst)
         prefix = f"instance {index} (r={inst.r}, m_max={inst.m_max})"
-        checks.extend(check_rows(rows, prefix))
-        checks.append(flag_check(
-            f"{prefix}: verdict matches the constructed dynamics ({inst.flavor})",
-            verdict == inst.flavor,
-        ))
-    return checks
+        out.add(records, prefix)
+        out.add(caps, f"{prefix}: component cap")
+        out.add([flag_check(f"verdict matches the constructed dynamics ({inst.flavor})",
+                            verdict == inst.flavor)], prefix)
 
 
-def criterion_domination(seed: int) -> list[Check]:
+def criterion_domination(seed: int, out: BatteryRows) -> None:
     """12 scenarios: Solovay budget plus independently recomputed captures."""
-    checks: list[Check] = []
     for index in range(12):
         scenario, case, n_blocks = domination_instance(seed, index)
         dom = domination_tests(scenario, case, n_blocks)
         prefix = f"instance {index} (case {case})"
-        checks.extend(check_rows(dom.records, prefix))
+        out.add(dom.records, prefix)
         for i, (block, want, got) in enumerate(
             zip(dom.blocks, dom.expected_capture, dom.captured)
         ):
@@ -260,18 +242,11 @@ def criterion_domination(seed: int) -> list[Check]:
             extras = [x for iv in dom.covers[i].fat_intervals for x in (iv.lo, iv.hi)]
             member = brute_force_low_density_oracle(
                 cls, scenario.eps, 6, [*extras, scenario.z]).contains_point(scenario.z)
-            checks.append(
-                flag_check(f"{prefix}: block {i} capture recomputed from prefix masses", member)
-            )
-            checks.append(
-                Check(
-                    f"{prefix}: block {i} driver flag agrees with recomputation",
-                    Fraction(int(got)),
-                    Fraction(int(member)),
-                    got == member,
-                )
-            )
-    return checks
+            out.add([
+                flag_check(f"block {i} capture recomputed from prefix masses", member),
+                Check(f"block {i} driver flag agrees with recomputation",
+                      Fraction(int(got)), Fraction(int(member)), got == member),
+            ], prefix)
 
 
 def _roundtrip_mismatches(m, depth: int) -> int:
@@ -288,9 +263,8 @@ def _roundtrip_mismatches(m, depth: int) -> int:
     return mismatches
 
 
-def criterion_martingale_algebra(seed: int) -> list[Check]:
+def criterion_martingale_algebra(seed: int, out: BatteryRows) -> None:
     """Fairness, round-trip identity, and closure under combine/cap; depth 16."""
-    checks: list[Check] = []
     t3 = random_fair_table(battery_rng(seed, "martingale-table", 0), 3)
     t4 = random_fair_table(battery_rng(seed, "martingale-table", 1), 4)
     t5 = random_fair_table(battery_rng(seed, "martingale-table", 2), 5)
@@ -305,93 +279,63 @@ def criterion_martingale_algebra(seed: int) -> list[Check]:
         ("cap_at(t5, t5(''))", capped),
     ]
     for label, m in constructed:
-        checks.extend(check_rows([fairness_row(m, 16)], label))
+        out.add([fairness_row(m, 16)], label)
     for label, m in (("random table depth 3", t3), ("random table depth 4", t4)):
-        checks.append(_count_check(
-            f"{label}: round-trip slope(integral) mismatches to depth 16",
-            _roundtrip_mismatches(m, 16),
-        ))
-    return checks
+        out.add([_count_check("round-trip slope(integral) mismatches to depth 16",
+                              _roundtrip_mismatches(m, 16))], label)
 
 
-def criterion_forcing(seed: int) -> list[Check]:
+def criterion_forcing(seed: int, out: BatteryRows) -> None:
     """Forcing chains extend at depth 12; savings gap and window density exact."""
-    checks: list[Check] = []
     for index in range(10):
         cond, steps, chain = forcing_instance(seed, index)
         prefix = f"chain {index}"
         for step in chain:
-            checks.append(flag_check(
-                f"{prefix}: {step.kind} step extends its predecessor (depth 12)",
-                step.extends_ok,
-            ))
+            out.add([flag_check(f"{step.kind} step extends its predecessor (depth 12)",
+                                step.extends_ok)], prefix)
             if step.kind == "savings":
-                gap = _gap_row(step.payload["s"], step.payload["d_hat"], steps[-1][1],
-                               cond.q)
-                checks.extend(check_rows([gap], prefix))
+                out.add([_gap_row(step.payload["s"], step.payload["d_hat"], steps[-1][1],
+                                  cond.q)], prefix)
     for index in range(10):
         cond, eps0, ext = claim5_instance(seed, index)
         prefix = f"savings {index}"
-        checks.append(flag_check(
-            f"{prefix}: extension is a forcing extension (depth 12)",
-            condition_extends(ext.condition, cond, 12),
-        ))
-        checks.extend(check_rows(savings_rows(cond, eps0, ext), prefix))
-        checks.append(
-            Check(f"{prefix}: r < s < q", ext.r, ext.s, ext.r < ext.s < cond.q)
-        )
+        out.add([
+            flag_check("extension is a forcing extension (depth 12)",
+                       condition_extends(ext.condition, cond, 12)),
+            *savings_rows(cond, eps0, ext),
+            Check("r < s < q", ext.r, ext.s, ext.r < ext.s < cond.q),
+        ], prefix)
         # the table depth sits below the search depth, so the reachable
         # minimum bounds every deeper leaf as well
         recs = window_rows(cond, ext, 10)
-        checks.append(
-            Check(
-                f"{prefix}: low-slope windows examined (depth <= 10)",
-                Fraction(len(recs)),
-                ONE,
-                len(recs) >= 1,
-            )
-        )
-        checks.extend(check_rows(recs, prefix))
-    return checks
+        out.add([Check("low-slope windows examined (depth <= 10)",
+                       Fraction(len(recs)), ONE, len(recs) >= 1), *recs], prefix)
 
 
-def criterion_counterexample(seed: int) -> list[Check]:
+def criterion_counterexample(seed: int, out: BatteryRows) -> None:
     """Default spike plan: per-scale slope certificates, no limit claim."""
     plan, trace = build_counterexample(default_enumeration())
     rep = verify_denjoy_failure(plan, trace, 16)
     missing = sum(k % 2 == 0 for k in rep.unrealized)
-    return [
-        _count_check("even scales k <= 16 missing a certificate", missing),
-        *rep.rows,
-    ]
+    out.add([_count_check("even scales k <= 16 missing a certificate", missing), *rep.rows])
 
 
-def criterion_extension(seed: int) -> list[Check]:
+def criterion_extension(seed: int, out: BatteryRows) -> None:
     """20 instances: monotone on the 2^-12 grid, close to h on the class."""
-    checks: list[Check] = []
     for index in range(20):
         h, enum = extension_instance(seed, index)
-        checks.extend(check_rows(extension_rows(h, enum, 10, 12), f"instance {index}"))
-    return checks
+        out.add(extension_rows(h, enum, 10, 12), f"instance {index}")
 
 
-def criterion_calculus(seed: int) -> list[Check]:
+def criterion_calculus(seed: int, out: BatteryRows) -> None:
     """Golden extrema; for four functions, the lower pseudo-derivative
     estimate at or below the upper one, both from one kernel call per
     (function, point, depth), and at or above 0 on the nondecreasing ones."""
-    checks: list[Check] = []
     for i, (p, a, b, which, target) in enumerate(golden_extremum_cases()):
         v = interval_extremum(p, a, b, 10, which)
         err = abs(v - target)
-        checks.append(
-            Check(
-                f"golden case {i}: {which} over [{a},{b}] within 2^-10 of "
-                f"{target}",
-                err,
-                Fraction(1, 1 << 10),
-                err <= Fraction(1, 1 << 10),
-            )
-        )
+        out.add([Check(f"golden case {i}: {which} over [{a},{b}] within 2^-10 of {target}",
+                       err, Fraction(1, 1 << 10), err <= Fraction(1, 1 << 10))])
     vee = PiecewiseLinear((ZERO, Fraction(1, 2), ONE), (ZERO, Fraction(1, 2), ZERO))
     staircase, _enum = extension_instance(seed, 0)
     identity, square = Polynomial((0, 1)), Polynomial((0, 0, 1))
@@ -407,27 +351,13 @@ def criterion_calculus(seed: int) -> list[Check]:
             for depth in (4, 6):
                 lo, up = pseudo_derivative_estimate(f, x, Fraction(1, 4), depth)
                 lowers[label, x, depth] = lo.value
-                checks.append(
-                    Check(
-                        f"{label} at {x}, grid depth {depth}: lower estimate "
-                        "<= upper estimate",
-                        lo.value,
-                        up.value,
-                        lo.value <= up.value,
-                    )
-                )
+                out.add([Check(f"{label} at {x}, grid depth {depth}: lower estimate "
+                               "<= upper estimate", lo.value, up.value, lo.value <= up.value)])
     for label in ("identity", "square", "staircase"):
         for x in (Fraction(1, 3), Fraction(5, 8)):
             lo = lowers[label, x, 6]
-            checks.append(
-                Check(
-                    f"nondecreasing {label} at {x}: lower estimate >= 0",
-                    ZERO,
-                    lo,
-                    lo >= 0,
-                )
-            )
-    return checks
+            out.add([Check(f"nondecreasing {label} at {x}: lower estimate >= 0",
+                           ZERO, lo, lo >= 0)])
 
 
 CRITERIA = (
@@ -444,52 +374,45 @@ CRITERIA = (
 )
 
 
-def _aborted(reason) -> list[Check]:
+def _aborted(number: int, title: str, as_csv: bool, reason) -> BatteryRows:
     """The rows of a battery cut short: one failed row that names reason."""
-    return [Check(f"battery aborted: {reason}", ZERO, ONE, False)]
+    out = BatteryRows(number, title, as_csv)
+    out.add([Check(f"battery aborted: {reason}", ZERO, ONE, False)])
+    return out
 
 
-def run_criterion(number: int, seed: int = DEFAULT_SEED) -> CriterionOutcome:
-    """Battery number, run in process.  A battery reads no user input, so
-    whatever it raises is one failed "battery aborted" row with its message;
-    an exhausted budget is also noted."""
+def run_criterion(number: int, seed: int = DEFAULT_SEED, as_csv: bool = False) -> BatteryRows:
+    """Battery number, run in process, with its rows laid out in JSON or,
+    with as_csv, in CSV.  A battery reads no user input, so whatever it
+    raises, a row that no report can hold included, is one failed "battery
+    aborted" row with its message; an exhausted budget is also noted."""
     for num, title, fn in CRITERIA:
         if num == number:
-            out = CriterionOutcome(num, title)
-            start = time.perf_counter()
+            out = BatteryRows(num, title, as_csv)
             try:
-                out.checks = fn(seed)
+                fn(seed, out)
             except Exception as exc:  # a battery cut short is a failed row, never a crash
-                out.checks = _aborted(exc)
+                out = _aborted(num, title, as_csv, exc)
                 if isinstance(exc, BudgetExhausted):
                     out.notes.append(str(exc))
-            out.seconds = time.perf_counter() - start
             return out
     raise ValueError(f"no criterion numbered {number}")
 
 
 def _battery_child(tasks: int, out: int, seed: int, as_csv: bool) -> None:
     """A forked child's whole life: take battery numbers from the pipe tasks,
-    one byte each, until it is empty; run each battery and keep its rows laid
-    out under the prefix "[number]" as its BatteryRows; then write all it
-    kept to the pipe out once, as one pickled {number: BatteryRows}.  A
-    battery with a row that no report can hold (a float side, say) is one
-    failed "battery aborted" row, as a raising battery is.  The child ends
-    with os._exit whatever happens, so no parent code runs in it after its
-    work; if it fails before it writes, it writes nothing."""
+    one byte each, until it is empty; keep the BatteryRows of each from
+    run_criterion; then write all it kept to the pipe out once, as one
+    pickled {number: BatteryRows}.  The child ends with os._exit whatever
+    happens, so no parent code runs in it after its work; if it fails before
+    it writes, it writes nothing."""
     from pickle import dumps  # loaded by run_all before the fork
 
     code = 1
     try:
         records = {}
         while task := os.read(tasks, 1):
-            number = task[0]
-            outcome = run_criterion(number, seed)
-            try:
-                texts, failed = lay_out(outcome.checks, f"[{number}]", as_csv)
-            except SchemaError as exc:
-                texts, failed = lay_out(_aborted(exc), f"[{number}]", as_csv)
-            records[number] = BatteryRows(number, outcome.title, failed, outcome.notes, texts)
+            records[task[0]] = run_criterion(task[0], seed, as_csv)
         with open(out, "wb") as sink:
             sink.write(dumps(records))
         code = 0
@@ -498,16 +421,17 @@ def _battery_child(tasks: int, out: int, seed: int, as_csv: bool) -> None:
 
 
 def run_all(seed: int = DEFAULT_SEED, as_csv: bool = False) -> list[BatteryRows]:
-    """Every battery's laid-out rows, in CRITERIA order, from forked children.
+    """Every battery's run_criterion(number, seed, as_csv), in CRITERIA
+    order, from forked children.
 
     The batteries are independent, so they run side by side in one child per
     usable CPU, up to one per battery.  The battery numbers wait in one pipe,
     and each child takes the next one when it is free.  A child keeps each
-    battery's rows already laid out (``report.lay_out``, JSON or, with
-    as_csv, CSV), so only text crosses between processes, and sends them all
-    at once when no battery is left.  The records do not depend on how many
-    children there are.  A battery that raises is a failed row already, as
-    run_criterion makes it.  A child that ends without sending its records
+    battery's BatteryRows, whose rows are laid out already, so only text
+    crosses between processes, and sends them all at once when no battery is
+    left.  The records do not depend on how many children there are.  A
+    battery that raises is a failed row already, as run_criterion makes it.
+    A child that ends without sending its records
     (killed, say) loses every battery it took, and each of those is one
     failed "battery aborted" row, laid out here.  So every battery has its
     rows, and nothing is raised for one.  Every child has been reaped when
@@ -552,9 +476,7 @@ def run_all(seed: int = DEFAULT_SEED, as_csv: bool = False) -> list[BatteryRows]
             source.close()
         for pid in pids:
             os.waitpid(pid, 0)
-    lost = _aborted("its child process ended without a result")
     for num, title, _fn in CRITERIA:
         if num not in results:
-            texts, failed = lay_out(lost, f"[{num}]", as_csv)
-            results[num] = BatteryRows(num, title, failed, [], texts)
+            results[num] = _aborted(num, title, as_csv, "its child process ended without a result")
     return [results[num] for num in numbers]

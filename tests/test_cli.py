@@ -14,8 +14,7 @@ import pytest
 import densitylab
 from densitylab.cli import COMMANDS, build_parser, main
 from densitylab.instances import escape_instance, extension_instance
-from densitylab.report import Report, to_json_bytes
-from densitylab.suite import DEFAULT_SEED, criterion_escape, criterion_extension
+from densitylab.suite import DEFAULT_SEED, run_criterion
 
 
 def write_instance(tmp_path, doc) -> str:
@@ -143,6 +142,42 @@ def test_instance_dash_reads_stdin(tmp_path, monkeypatch):
     code, blob = run(tmp_path, "covering", "--instance", "-")
     assert code == 0
     assert json.loads(blob)["all_hold"] is True
+
+
+LIST_DOCS = {
+    "covering": [{"holes": [["1/4", "1/2"]], "epsilons": ["1/4", "1/2"]},
+                 {"holes": [["0", "1/8"], ["3/4", "7/8"], ["1/3", "1/3"]], "epsilon": "1/3"}],
+    "density": [{"holes": [["1/4", "1/2"]], "epsilon": "1/2"},
+                {"holes": [["1/8", "3/8"], ["3/8", "5/8"]], "epsilon": "1/4"}],
+    "porosity": [{"holes": [["1/4", "1/2"]], "constant": 1, "levels": 3},
+                 {"holes": [["1/8", "3/8"], ["1/2", "9/16"]], "constant": 2, "levels": 2}],
+}
+
+
+@pytest.mark.parametrize("command", sorted(LIST_DOCS))
+def test_a_list_of_documents_reports_each_as_its_own_instance(tmp_path, command):
+    # each document's rows, as it gives them alone, renamed to its place
+    first, second = LIST_DOCS[command]
+    alone = []
+    for doc in (first, second):
+        code, blob = run(tmp_path, command, "--instance", write_instance(tmp_path, doc))
+        assert code == 0
+        alone.append(json.loads(blob)["checks"])
+    assert all(r["name"].startswith("instance 0") for rows in alone for r in rows)
+    code, blob = run(tmp_path, command, "--instance", write_instance(tmp_path, [first, second]))
+    assert code == 0
+    assert json.loads(blob)["checks"] == [
+        *alone[0], *_swap_prefix(alone[1], "instance 0", "instance 1")]
+
+
+@pytest.mark.parametrize("command", sorted(LIST_DOCS))
+def test_a_list_holding_a_non_object_is_a_schema_error(tmp_path, capfd, command):
+    inst = write_instance(tmp_path, [LIST_DOCS[command][0], 3])
+    code, blob = run(tmp_path, command, "--instance", inst)
+    assert (code, blob) == (2, b"")
+    err = json.loads(capfd.readouterr().err)
+    assert (err["kind"], err["error"]) == (
+        "SchemaError", "instance file must hold an object or a list of objects")
 
 
 @pytest.mark.parametrize("content", [None, b'{"holes": [', b'\xff\xfe{"holes": []}'],
@@ -599,10 +634,10 @@ def test_martingale_report_is_the_same_with_asserts_stripped(tmp_path, argv):
     assert stripped.stdout == plain
 
 
-def _rendered(checks) -> list[dict]:
-    rep = Report("battery", 1)
-    rep.add(checks)
-    return json.loads(to_json_bytes(rep))["checks"]
+def _battery_rows(number: int) -> list[dict]:
+    """Battery number's rows at seed 1, without the "[number]: " before each
+    name."""
+    return _swap_prefix(list(map(json.loads, run_criterion(number, 1).rows)), f"[{number}]: ", "")
 
 
 def _swap_prefix(rows: list[dict], old: str, new: str) -> list[dict]:
@@ -614,7 +649,7 @@ def _swap_prefix(rows: list[dict], old: str, new: str) -> list[dict]:
 
 def test_cli_rows_equal_the_battery_rows(tmp_path):
     # battery 9 against `extend` on each battery document; its rows carry no prefix
-    battery = _rendered(criterion_extension(1))
+    battery = _battery_rows(9)
     for i in range(20):
         h, enum = extension_instance(1, i)
         doc = {"holes": [g.to_json() for g in enum.items], "h": h.to_json(), "n": 10}
@@ -628,7 +663,7 @@ def test_cli_rows_equal_the_battery_rows(tmp_path):
     code, blob = run(tmp_path, "tests", "--instance",
                      write_instance(tmp_path, {"escape": [x.to_json() for x in instances]}))
     assert code == 0
-    battery = [r for r in _rendered(criterion_escape(1)) if "verdict matches" not in r["name"]]
+    battery = [r for r in _battery_rows(4) if "verdict matches" not in r["name"]]
     expected = []
     for i, x in enumerate(instances):
         params = f"(r={x.r}, m_max={x.m_max}"

@@ -192,6 +192,15 @@ def test_stage_gaps_are_the_gaps_of_each_stage_class(holes):
         assert gap_fractions(gaps) == gap_fractions(ClassGaps.of(enum.stage_class(t)))
 
 
+@settings(max_examples=80, deadline=None)
+@given(grid_holes)
+def test_class_gaps_is_the_last_stage_row(holes):
+    # class_gaps inserts every hole into one row, with no row per stage
+    *_, last = stage_gaps(holes)
+    row = class_gaps(holes)
+    assert (row.den, row.los, row.his) == (last.den, last.los, last.his)
+
+
 def test_stage_gaps_keep_a_point_between_touching_holes_until_a_hole_covers_it():
     holes = enumeration((F(1, 4), F(1, 2)), (F(1, 3), F(1, 3)), (F(1, 2), F(3, 4)),
                         (F(5, 16), F(3, 8)), (F(3, 8), F(5, 8))).items

@@ -56,6 +56,7 @@ LISTED = {
     "piecewise:PiecewiseLinear._outside": ("failure", "a point outside h's domain"),
     "cli:_as_docs": ("input", "a covering, density or porosity document"),
     "suite:_battery_child": ("child", "verify-all's children run the batteries"),
+    "suite:_aborted": ("failure", "a battery raises, or its child ends without its rows"),
     "roottwo:QuadValue.__hash__": ("protocol", "equal values hash alike, as __eq__ says"),
 }
 

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import densitylab
+import densitylab.suite
 from reach import NOT_YET_WIRED
 
 SOURCES = sorted(Path(densitylab.__file__).parent.glob("*.py"))
@@ -218,6 +219,33 @@ def test_martingales_define_values_once():
         for node in ast.walk(tree)
         if isinstance(node, ast.FunctionDef) and node.name == "evaluator"
     ] == []
+
+
+def test_batteries_write_their_rows_where_commands_do():
+    # a battery adds its rows to the BatteryRows it is given, as a command
+    # adds them to its Report, so no second row record or renaming helper
+    # stands between a battery and its report
+    assert [
+        node.name
+        for tree in _trees()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name in ("check_rows", "CriterionOutcome")
+    ] == []
+    suite = next(path for path in SOURCES if path.name == "suite.py")
+    batteries = {fn.__name__ for _number, _title, fn in densitylab.suite.CRITERIA}
+    defs = {
+        node.name: node
+        for node in ast.parse(suite.read_text(), filename=str(suite)).body
+        if isinstance(node, ast.FunctionDef) and node.name in batteries
+    }
+    assert sorted(defs) == sorted(batteries)
+    assert sorted(
+        f"{name}:{node.lineno}"
+        for name, fn in defs.items()
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Return) and node.value is not None
+    ) == []
 
 
 def test_the_only_catch_all_handler_is_the_batterys():

@@ -18,14 +18,8 @@ from densitylab.errors import (
     InvariantError,
     VerifierError,
 )
-from densitylab.report import Check, check_rows, lay_out
-from densitylab.suite import (
-    CRITERIA,
-    BatteryRows,
-    CriterionOutcome,
-    run_all,
-    run_criterion,
-)
+from densitylab.report import Check, Report
+from densitylab.suite import CRITERIA, BatteryRows, run_all, run_criterion
 
 
 def assert_no_child_process():
@@ -42,14 +36,18 @@ def test_criteria_table_covers_all_ten():
 
 
 def test_outcome_accumulates_prefixed_checks():
-    out = CriterionOutcome(1, "demo")
-    out.checks.append(Check("a <= b", F(1), F(2), True))
-    out.checks.extend(
-        check_rows([Check("c <= d", F(3), F(2), False, note="tight")], prefix="inner")
-    )
-    assert out.checks[1] == Check("inner: c <= d", F(3), F(2), False, note="tight")
-    assert [c.name for c in out.checks if not c.ok] == ["inner: c <= d"]
-    assert out.checks[0].name == "a <= b"
+    # a battery's add lays rows out as a Report's add does, under "[number]"
+    # or "[number]: prefix"
+    a, c = Check("a <= b", F(1), F(2), True), Check("c <= d", F(3), F(2), False, note="tight")
+    for as_csv in (True, False):
+        out, rep = BatteryRows(1, "demo", as_csv), Report("demo", 1, as_csv)
+        out.add([a])
+        out.add([c], prefix="inner")
+        rep.add([a], "[1]")
+        rep.add([c], "[1]: inner")
+        assert (out.rows, out.failed, out.notes) == (rep.rows, 1, [])
+    assert [(r["name"], r["ok"], r["note"]) for r in map(json.loads, out.rows)] == [
+        ("[1]: a <= b", True, ""), ("[1]: inner: c <= d", False, "tight")]
 
 
 def test_denjoy_rows_split_irrational_thresholds():
@@ -64,30 +62,25 @@ def test_denjoy_rows_split_irrational_thresholds():
     assert all(isinstance(r, Check) for r in rows)
 
 
-def test_run_criterion_times_and_labels_the_battery():
+def test_run_criterion_labels_the_battery():
     out = run_criterion(10)
-    assert out.number == 10
-    assert out.title == "calculus sanity"
-    assert out.checks and all(c.ok for c in out.checks)
-    assert out.seconds >= 0
+    assert (out.number, out.title, out.as_csv) == (10, "calculus sanity", False)
+    assert out.rows and out.failed == 0 and out.notes == []
+    assert all(json.loads(row)["name"].startswith("[10]: ") for row in out.rows)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_the_childrens_outcomes_equal_the_serial_ones(seed):
-    # the children's laid-out rows, in JSON and in CSV, against laying out
-    # each battery's outcome in this process
-    serial = [run_criterion(num, seed) for num, _t, _f in CRITERIA]
+    # the children's records, in JSON and in CSV, against each battery's
+    # record from this process
     for as_csv in (False, True):
-        want = []
-        for out in serial:
-            rows, failed = lay_out(out.checks, f"[{out.number}]", as_csv)
-            want.append(BatteryRows(out.number, out.title, failed, out.notes, rows))
+        want = [run_criterion(num, seed, as_csv) for num, _t, _f in CRITERIA]
         assert run_all(seed, as_csv) == want
         assert_no_child_process()
 
 
 def _raising(message, delay=0.0, kind=DomainError):
-    def battery(seed):
+    def battery(seed, out):
         time.sleep(delay)
         raise kind(message)
     return battery
@@ -123,7 +116,7 @@ def _failed_criteria(report):
 @pytest.mark.parametrize("kind", [DomainError, TypeError, InvariantError])
 def test_a_raising_battery_is_a_failed_row(monkeypatch, capfd, kind):
     # a battery reads no user input, so what it raises is a bug: exit 1, not 2
-    batteries = {num: lambda seed: [] for num, _t, _f in CRITERIA}
+    batteries = {num: lambda seed, out: None for num, _t, _f in CRITERIA}
     _with_batteries(monkeypatch, {**batteries, 4: _raising("battery 4 broke", kind=kind)})
     code, report, rows = _verify_all_rows(capfd, 4)
     assert code == 1
@@ -136,7 +129,7 @@ def test_a_raising_battery_is_a_failed_row(monkeypatch, capfd, kind):
 
 def test_each_raising_battery_is_its_own_failed_row(monkeypatch, capfd):
     # with two children or more, battery 2 raises while battery 1 still sleeps
-    batteries = {num: lambda seed: [] for num, _t, _f in CRITERIA}
+    batteries = {num: lambda seed, out: None for num, _t, _f in CRITERIA}
     _with_batteries(monkeypatch, {
         **batteries,
         1: _raising("battery 1 broke", delay=0.5),
@@ -154,7 +147,7 @@ def test_each_raising_battery_is_its_own_failed_row(monkeypatch, capfd):
 def test_a_worker_that_dies_leaves_failed_rows(monkeypatch, capfd):
     # the child that died loses every battery it took, 6 among them; which
     # others it took depends on the CPU count, and each is a failed row
-    _with_batteries(monkeypatch, {6: lambda seed: os._exit(3)})
+    _with_batteries(monkeypatch, {6: lambda seed, out: os._exit(3)})
     code, report, rows = _verify_all_rows(capfd, 6)
     assert code == 1
     assert rows == [_aborted_row(6, "its child process ended without a result")]
@@ -166,15 +159,19 @@ def test_a_worker_that_dies_leaves_failed_rows(monkeypatch, capfd):
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_a_row_no_report_can_hold_fails_only_its_battery(monkeypatch, capfd, cpus):
     # a float side cannot be laid out; the battery with it is one failed row,
-    # and the other batteries its child took keep their rows
+    # without the rows it added before, and the other batteries its child
+    # took keep their rows
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
     def holding(num):
-        return lambda seed: [Check(f"battery {num} holds", F(num), F(num), True)]
+        return lambda seed, out: out.add([Check(f"battery {num} holds", F(num), F(num), True)])
+
+    def floating(seed, out):
+        out.add([Check("battery 5 holds so far", F(5), F(5), True)])
+        out.add([Check("a float side", 0.5, 1, True)])
 
     batteries = {num: holding(num) for num, _t, _f in CRITERIA}
-    _with_batteries(monkeypatch, {
-        **batteries, 5: lambda seed: [Check("a float side", 0.5, 1, True)]})
+    _with_batteries(monkeypatch, {**batteries, 5: floating})
     code, report, rows = _verify_all_rows(capfd, 5)
     assert code == 1
     assert rows == [_aborted_row(5, "cannot serialize report value 0.5")]
@@ -188,20 +185,15 @@ def test_a_row_no_report_can_hold_fails_only_its_battery(monkeypatch, capfd, cpu
 def test_a_record_larger_than_a_pipe_waits_for_the_parent(monkeypatch):
     # battery 2's child fills its pipe while the parent may still be reading
     # the pipe of battery 1's sleeping child; every record still arrives
-    def sleeping(seed):
+    def sleeping(seed, out):
         time.sleep(0.3)
-        return []
 
-    def many_rows(seed):
-        return [Check(f"row {i} of many", F(i), F(i), True) for i in range(5000)]
+    def many_rows(seed, out):
+        out.add([Check(f"row {i} of many", F(i), F(i), True) for i in range(5000)])
 
-    batteries = {num: lambda seed: [] for num, _t, _f in CRITERIA}
+    batteries = {num: lambda seed, out: None for num, _t, _f in CRITERIA}
     _with_batteries(monkeypatch, {**batteries, 1: sleeping, 2: many_rows})
-    want = []
-    for num, _t, _f in CRITERIA:
-        out = run_criterion(num)
-        rows, failed = lay_out(out.checks, f"[{num}]", False)
-        want.append(BatteryRows(num, out.title, failed, out.notes, rows))
+    want = [run_criterion(num) for num, _t, _f in CRITERIA]
     assert sum(len(row) for row in want[1].rows) > 1 << 16
     assert run_all() == want
     assert_no_child_process()
@@ -211,7 +203,7 @@ def test_without_an_affinity_mask_the_children_are_counted_from_the_cpu_count(mo
     asked = []
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: asked.append(1) or 1)
-    _with_batteries(monkeypatch, {num: lambda seed: [] for num, _t, _f in CRITERIA})
+    _with_batteries(monkeypatch, {num: lambda seed, out: None for num, _t, _f in CRITERIA})
     assert [o.number for o in run_all()] == [num for num, _t, _f in CRITERIA]
     assert asked == [1]
     assert_no_child_process()
@@ -238,17 +230,17 @@ def test_a_spike_without_a_dyadic_anchor_breaks_battery_8(monkeypatch):
     # source, so a certificate without one is a bug: a failed row, no guess
     monkeypatch.setattr(counterexample, "largest_dyadic_multiple", lambda lo, hi, n: None)
     out = run_criterion(8)
-    assert out.checks == [Check(
-        "battery aborted: no positive multiple of 2^-1 in the source of spike k = 1",
-        F(0), F(1), False)]
+    assert [json.loads(row) for row in out.rows] == [_aborted_row(
+        8, "no positive multiple of 2^-1 in the source of spike k = 1")]
+    assert out.failed == 1
     assert out.notes == []
 
 
 def test_an_exhausted_budget_is_a_failed_row_and_listed_as_exhausted(monkeypatch, capfd):
-    def exhausted(seed):
+    def exhausted(seed, out):
         raise BudgetExhausted("no qualifying tau within depth 12", achieved=F(1, 2))
 
-    batteries = {num: lambda seed: [] for num, _t, _f in CRITERIA}
+    batteries = {num: lambda seed, out: None for num, _t, _f in CRITERIA}
     _with_batteries(monkeypatch, {**batteries, 7: exhausted})
     code, report, rows = _verify_all_rows(capfd, 7)
     assert code == 1
