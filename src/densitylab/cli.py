@@ -14,11 +14,11 @@ DomainError, an unreadable instance or an unwritable --output path.
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
 from fractions import Fraction
-from functools import cache
+from types import SimpleNamespace
 
 from .bits import (
     ZERO,
@@ -110,45 +110,27 @@ def _override(args, flag: str, default: int, doc: dict | None = None, key: str =
     return value
 
 
-# The largest --depth of density and martingale.  density's prefix-mass
-# oracle sweeps the 2^-depth grid: at 20, on a 2-vCPU host, about 1.5 s and
-# 138 MB in process, against 0.08 s and 25 MB at 16.  martingale keeps its
-# rows as runs and takes about 0.01 s at 20; it shares the cap.
+# Caps on the integers a command reads, each checked before anything is
+# built; README's size limits give the time and memory each one bounds.
+# The largest --depth of density, whose prefix-mass oracle sweeps the
+# 2^-depth grid, and of martingale.
 ROW_MAX_DEPTH = 20
-# The largest extend --depth, and the largest internal grid depth of extend.
-# The extension keeps its rows as runs, its crossings where h dips inside a
-# hole included, so neither its time nor its memory grows with either depth:
-# on a 2-vCPU host, once the parser is built, a six-hole document takes about
-# 1 ms and 19 MB in process at n = 10 and --depth 16 and at the cap alike,
-# where n = 57, and one whose h dips inside its second hole about 0.5 ms at
-# n = 17 and at n = 56.
+# The largest extend --depth and internal grid depth; extend keeps its rows
+# as runs, so its time and memory grow with neither.
 EXTEND_MAX_DEPTH = 60
-# The largest escape 'r' and 'm_max' of tests: box m's bound (1 - 2^-(r+1))^m
-# has about m (r + 1) bits.  In process on a 2-vCPU host, 63 nonempty boxes
-# take about 0.015 s and 19 MB at both caps; the box rows alone take 1.2 s
-# and 46 MB with both at 256, and 36 s and 211 MB with both at 512.
+# The largest escape 'r' and 'm_max' of tests: box m's bound
+# (1 - 2^-(r+1))^m has about m (r + 1) bits.
 ESCAPE_MAX_R = ESCAPE_MAX_ROUNDS = 64
-# The largest domination 'depth' of tests, each density estimate's scale depth:
-# an eight-word scenario takes about 0.025 s in process on a 2-vCPU host at 64,
-# 0.12 s at 128 and 0.7 s at 256.
+# The largest domination 'depth' of tests, each density estimate's scale depth.
 DOMINATION_MAX_DEPTH = 64
-
 # The largest porosity 'constant' c and 'levels' (or --depth) n: N(sigma)
-# holds up to 2^(c+1) strings per gap, over n levels.  On a 2-vCPU host, in
-# process, a 60-hole, 60-stage document on the 2^-12 grid takes 3 s and 92 MB
-# at both caps.  They do not bound a hole of long binary period: [1/D, 2/D],
-# D = 2^2040 - 1, at c = 8 takes 2.4 s and 161 MB at n = 8, and 49 s and
-# 2.1 GB at n = 32.
+# holds up to 2^(c+1) strings per gap, over n levels.  They do not bound a
+# hole of long binary period.
 POROSITY_MAX_CONSTANT = 8
 POROSITY_MAX_LEVELS = 256
-
-
 # The largest bit length of the lcm of a document's hole (or interval)
-# denominators, and of an epsilon's denominator.  Reported sides are built over
-# their products; a covering or density document at the cap takes under 0.01 s
-# and 19 MB in process on a 2-vCPU host (0.02 s at 14,000 bits), and porosity's
-# scan, which follows a hole's binary expansion, far more (see above).  The
-# default, benchmark and test documents have at most 421 bits.
+# denominators, and of an epsilon's denominator: reported sides are built
+# over their products.
 DENOMINATOR_MAX_BITS = 2048
 
 
@@ -176,24 +158,16 @@ def _as_docs(payload) -> list[dict]:
 
 def run_covering(args, doc, rep: Report) -> None:
     if doc is None:
-        docs = []
-        for index in range(10):
-            c = covering_instance(args.seed, index)
-            docs.append({
-                "holes": [g.to_json() for g in c.gaps()],
-                "epsilons": [format_rational(e) for e in COVERING_EPSILONS],
-            })
-    else:
-        docs = _as_docs(doc)
-    for i, d in enumerate(docs):
+        doc = [{"holes": [g.to_json() for g in covering_instance(args.seed, i).gaps()],
+                "epsilons": [format_rational(e) for e in COVERING_EPSILONS]} for i in range(10)]
+    for i, d in enumerate(_as_docs(doc)):
         row = class_gaps(_holes(d))
         eps_list = d.get("epsilons")
         if eps_list is None:
             eps_list = [d.get("epsilon", "1/2")]
         for e_text in _list(eps_list, "epsilons", "rationals"):
             eps = _epsilon(e_text)
-            fc = low_density_open_set(row, eps)
-            rep.add(fc.inequalities(), f"instance {i} eps {eps}")
+            rep.add(low_density_open_set(row, eps).inequalities(), f"instance {i} eps {eps}")
 
 
 def run_density(args, doc, rep: Report) -> None:
@@ -201,13 +175,8 @@ def run_density(args, doc, rep: Report) -> None:
                                                    "--depth")
     if doc is None:
         c, eps = oracle_match_instance(args.seed, 0)
-        docs = [{
-            "holes": [g.to_json() for g in c.gaps()],
-            "epsilon": format_rational(eps),
-        }]
-    else:
-        docs = _as_docs(doc)
-    for i, d in enumerate(docs):
+        doc = {"holes": [g.to_json() for g in c.gaps()], "epsilon": format_rational(eps)}
+    for i, d in enumerate(_as_docs(doc)):
         holes = _holes(d)
         eps = _epsilon(d.get("epsilon", "1/2"))
         fc = low_density_open_set(class_gaps(holes), eps)
@@ -221,11 +190,9 @@ def run_density(args, doc, rep: Report) -> None:
 def run_porosity(args, doc, rep: Report) -> None:
     if doc is None:
         enum, c, levels = porosity_instance(args.seed, 3)
-        docs = [{"holes": [i.to_json() for i in enum.items], "constant": c,
-                 "levels": levels, "stages": 200}]
-    else:
-        docs = _as_docs(doc)
-    for i, d in enumerate(docs):
+        doc = {"holes": [i.to_json() for i in enum.items], "constant": c, "levels": levels,
+               "stages": 200}
+    for i, d in enumerate(_as_docs(doc)):
         enum = StagedOpenEnumeration(_holes(d))
         c = _at_most(int(d.get("constant", 1)), POROSITY_MAX_CONSTANT, "porosity 'constant'")
         levels = _at_most(_override(args, "depth", 3, d, "levels"), POROSITY_MAX_LEVELS,
@@ -236,26 +203,13 @@ def run_porosity(args, doc, rep: Report) -> None:
         rep.add([*pt.bound_checks(), NESTING_ROW], prefix)
 
 
-def _domination_doc(scenario: DominationScenario, case: int, n_blocks: int) -> dict:
-    return {
-        "words": list(scenario.words),
-        "z": format_rational(scenario.z),
-        "eps": format_rational(scenario.eps),
-        "depth": scenario.depth,
-        "case": case,
-        "n_blocks": n_blocks,
-    }
-
-
 def run_tests(args, doc, rep: Report) -> None:
     if doc is None:
-        doc = {
-            "escape": [escape_instance(args.seed, i).to_json() for i in range(3)],
-            "domination": [
-                _domination_doc(*domination_instance(args.seed, i))
-                for i in range(2)
-            ],
-        }
+        domination = [domination_instance(args.seed, i) for i in range(2)]
+        doc = {"escape": [escape_instance(args.seed, i).to_json() for i in range(3)],
+               "domination": [{"words": list(s.words), "z": format_rational(s.z),
+                               "eps": format_rational(s.eps), "depth": s.depth, "case": case,
+                               "n_blocks": n_blocks} for s, case, n_blocks in domination]}
     if not isinstance(doc, dict):
         raise SchemaError("tests instance must be an object with 'escape' "
                           "and/or 'domination' lists")
@@ -274,16 +228,13 @@ def run_tests(args, doc, rep: Report) -> None:
             raise SchemaError(f"domination entry {i} must be an object, got {d!r}")
         words = tuple(_list(_require(d, "words"), "words", "bit strings"))
         scenario = DominationScenario(
-            words, parse_rational(_require(d, "z")),
-            parse_rational(_require(d, "eps")),
-            _at_most(_int_field(d, "depth", 12), DOMINATION_MAX_DEPTH, "domination 'depth'"),
-        )
+            words, parse_rational(_require(d, "z")), parse_rational(_require(d, "eps")),
+            _at_most(_int_field(d, "depth", 12), DOMINATION_MAX_DEPTH, "domination 'depth'"))
         case = _int_field(d, "case", 1)
         n_blocks = _int_field(d, "n_blocks", 2)
         prefix = f"domination {i} (case {case})"
         try:
-            dom = domination_tests(scenario, case, n_blocks)
-            rep.add(dom.records, prefix)
+            rep.add(domination_tests(scenario, case, n_blocks).records, prefix)
         except BudgetExhausted as exc:
             rep.budget_exhausted.append(f"{prefix}: {exc}")
 
@@ -318,8 +269,7 @@ def run_martingale(args, doc, rep: Report) -> None:
 def run_extend(args, doc, rep: Report) -> None:
     if doc is None:
         h, enum = extension_instance(args.seed, 0)
-        doc = {"holes": [i.to_json() for i in enum.items], "h": h.to_json(),
-               "n": 10}
+        doc = {"holes": [i.to_json() for i in enum.items], "h": h.to_json(), "n": 10}
     if not isinstance(doc, dict):
         raise SchemaError("extend instance must be an object")
     enum = StagedOpenEnumeration(_holes(doc))
@@ -359,15 +309,10 @@ def run_verify_all(args, doc, rep: Report) -> None:
         rep.add([Check(f"criterion {battery.number}: {battery.title}, violations",
                        Fraction(battery.failed), ZERO, passed)])
         rep.add_laid_out(battery.rows, battery.failed)
-        rep.budget_exhausted.extend(
-            f"criterion {battery.number}: {note}" for note in battery.notes
-        )
-        summary.append({
-            "number": battery.number,
-            "title": battery.title,
-            "checks": len(battery.rows),
-            "passed": passed,
-        })
+        rep.budget_exhausted.extend(f"criterion {battery.number}: {note}"
+                                    for note in battery.notes)
+        summary.append({"number": battery.number, "title": battery.title,
+                        "checks": len(battery.rows), "passed": passed})
     rep.meta["criteria"] = summary
 
 
@@ -384,36 +329,95 @@ COMMANDS = (
 RUNNERS = {name: run for name, run, _help in COMMANDS}
 
 
-@cache
-def build_parser() -> argparse.ArgumentParser:
-    """One parser for every command: the commands share one option set.  It
-    is built once per process and shared, so callers only parse with it;
-    each parse makes a fresh namespace, and usage errors and help go to the
-    sys.stderr and sys.stdout of that call."""
-    parser = argparse.ArgumentParser(
-        prog="densitylab",
-        description="Exact-rational verification of density, porosity,\n"
-        "randomness-test, martingale, and derivative inequalities.",
-        epilog="commands:\n" + "\n".join(
-            f"  {name:<16}{helptext}" for name, _run, helptext in COMMANDS),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    parser.add_argument("command", choices=RUNNERS, metavar="command",
-                        help="the check to run, one of the commands below")
-    parser.add_argument("--instance",
-                        help="JSON instance document (file path, '-' for stdin)")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="seed for generated default instances")
-    parser.add_argument("--depth", type=int, default=None,
-                        help="depth override (grid, search, or k_max)")
-    parser.add_argument("--stages", type=int, default=None,
-                        help="stage count override where applicable")
-    fmt = parser.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="emit a JSON report (default)")
-    fmt.add_argument("--csv", action="store_true", help="emit a CSV report")
-    parser.add_argument("--output", default="-",
-                        help="output path, '-' for stdout (default)")
-    return parser
+# The one option set every command takes: name -> (type, metavar, default,
+# help).  The two flags, which have no metavar, pick the report format and
+# exclude each other.
+OPTIONS = {
+    "instance": (str, "FILE", None, "JSON instance document (file path, '-' for stdin)"),
+    "seed": (int, "N", DEFAULT_SEED, "seed for generated default instances"),
+    "depth": (int, "N", None, "depth override (grid, search, or k_max)"),
+    "stages": (int, "N", None, "stage count override where applicable"),
+    "output": (str, "PATH", "-", "output path, '-' for stdout (default)"),
+    "json": (bool, None, False, "emit a JSON report (default)"),
+    "csv": (bool, None, False, "emit a CSV report"),
+}
+USAGE = "usage: densitylab [-h] {} [--json | --csv] command\n".format(
+    " ".join(f"[--{name} {spec[1]}]" for name, spec in OPTIONS.items() if spec[1]))
+
+
+def _usage_error(message: str):
+    sys.stderr.write(f"{USAGE}densitylab: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _option(arg: str):
+    """(name, the value joined by '=' or None) of the option arg names, or
+    (arg, None) if it names none; None if arg is a command or a value."""
+    if arg[:2] == "--":
+        head, eq, value = arg.partition("=")
+        names = [name for name in (*OPTIONS, "help") if f"--{name}".startswith(head)]
+        if len(names) > 1:
+            _usage_error(f"ambiguous option: {head} could match --{', --'.join(names)}")
+        if names:
+            return names[0], value if eq else None
+    elif arg[:2] == "-h":  # -hh... and -h=h... also mean -h
+        value = arg[3:] if arg[2:3] == "=" else arg[2:]
+        return "help", None if arg == "-h" or value and not value.strip("h") else value
+    if arg[:1] != "-" or arg == "-" or " " in arg or re.match(r"-\d+$|-\d*\.\d+$", arg):
+        return None
+    return arg, None
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """The command and OPTIONS of argv, read in order as argparse read them:
+    a unique prefix names a long option, a value follows its option or joins
+    it by '=', a later repeat wins, and the words after a '--' are positional.
+    -h exits 0; a usage error writes to stderr and raises SystemExit(2)."""
+    argv = list(argv)
+    cut = argv.index("--") if "--" in argv else len(argv)
+    # an argv without a "--" gets one after its last word, so a last option has no value
+    kinds = [*map(_option, argv[:cut]), ("--", None), *[None] * (len(argv) - cut - 1)]
+    values = {name: spec[2] for name, spec in OPTIONS.items()}
+    command = after = None
+    extras, i = [], 0
+    while i < len(argv):
+        arg, (name, value) = argv[i], kinds[i] or ("", None)
+        i += 1
+        if not name and command is None:
+            if arg not in RUNNERS:
+                _usage_error(f"invalid command {arg!r}")
+            command, after = arg, i
+        elif name == "help" and value is None:
+            print(USAGE, "Exact-rational verification of density, porosity, randomness-test,",
+                  "martingale, and derivative inequalities.\n\noptions:",
+                  f"  {'-h, --help':<18}show this help message and exit",
+                  *(f"  {'--' + name + ' ' + (spec[1] or ''):<18}{spec[3]}"
+                    for name, spec in OPTIONS.items()),
+                  "\ncommands:", *(f"  {name:<16}{text}" for name, _, text in COMMANDS), sep="\n")
+            raise SystemExit(0)
+        elif name not in OPTIONS and name != "help":
+            # a second word or an unknown option; argparse drops a "--" by the command
+            if name != "--" or not (after == i - 1 or command is None and i < len(argv)):
+                extras.append(arg)
+        elif name == "help" or OPTIONS[name][1] is None:
+            if value is not None:
+                _usage_error(f"--{name} takes no value")
+            if values["csv" if name == "json" else "json"]:
+                _usage_error("--json and --csv exclude each other")
+            values[name] = True
+        else:
+            if value is None:
+                if kinds[i] is not None:
+                    _usage_error(f"--{name} expects one argument")
+                value, i = argv[i], i + 1
+            try:
+                values[name] = OPTIONS[name][0](value)
+            except ValueError:
+                _usage_error(f"--{name} expects {OPTIONS[name][0].__name__}, got {value!r}")
+    if command is None or extras:
+        _usage_error(f"unrecognized arguments: {' '.join(extras)}" if command
+                     else "the command is missing")
+    return SimpleNamespace(command=command, **values)
 
 
 def _load_doc(args):
@@ -445,18 +449,14 @@ def _write_report(output: str, payload: bytes) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     report = Report(args.command, args.seed, args.csv)
     try:
         RUNNERS[args.command](args, _load_doc(args), report)
         _write_report(args.output, to_csv_bytes(report) if args.csv else to_json_bytes(report))
     except (SchemaError, DomainError) as exc:
-        error = {
-            "schema_version": SCHEMA_VERSION,
-            "command": args.command,
-            "error": str(exc),
-            "kind": type(exc).__name__,
-        }
+        error = {"schema_version": SCHEMA_VERSION, "command": args.command,
+                 "error": str(exc), "kind": type(exc).__name__}
         sys.stderr.write(json.dumps(error, sort_keys=True) + "\n")
         return 2
     return 0 if report.all_hold() else 1

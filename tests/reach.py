@@ -81,10 +81,7 @@ def library_functions() -> dict[tuple[str, int], str]:
 
 def _inputs() -> None:
     """Every battery, every command's default report in JSON and CSV, and one
-    verify-all JSON report, with the reports written to the null device.  The
-    parser cache is cleared first, so the first command builds the parser
-    here, whatever ran before in this process."""
-    cli.build_parser.cache_clear()
+    verify-all JSON report, with the reports written to the null device."""
     for number, _title, _fn in CRITERIA:
         run_criterion(number, DEFAULT_SEED)
     for name, _run, _help in cli.COMMANDS:

@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import hashlib
 import io
 import json
@@ -10,9 +12,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import densitylab
-from densitylab.cli import COMMANDS, build_parser, main
+from densitylab.cli import COMMANDS, RUNNERS, main, parse_args
 from densitylab.instances import escape_instance, extension_instance
 from densitylab.suite import DEFAULT_SEED, run_criterion
 
@@ -676,8 +680,8 @@ OPTIONS = ["--instance", "doc.json", "--seed", "7", "--depth", "5", "--stages", 
            "--csv", "--output", "out.csv"]
 
 
-def parsed(argv) -> tuple:
-    args = build_parser().parse_args(argv)
+def parsed(argv, parse=parse_args) -> tuple:
+    args = parse(argv)
     return (args.command, args.instance, args.seed, args.depth, args.stages, args.json,
             args.csv, args.output)
 
@@ -704,7 +708,6 @@ def test_bad_command_lines_exit_2(argv, capsys):
 
 
 def test_one_parser_per_process_keeps_no_state_between_calls(tmp_path, capsys):
-    assert build_parser() is build_parser()
     inst = write_instance(tmp_path, {"holes": [], "epsilons": ["1/2"]})
     code, blob = run(tmp_path, "covering", "--instance", inst, "--csv")
     assert code == 0 and blob.startswith(b"schema_version,")
@@ -723,3 +726,72 @@ def test_help_names_every_command_with_its_help(capsys):
     lines = capsys.readouterr().out.splitlines()
     for name, _run, helptext in COMMANDS:
         assert any(line.split() == [name, *helptext.split()] for line in lines), name
+
+
+def argparse_reference() -> argparse.ArgumentParser:
+    """The argparse parser the command line was read with before parse_args,
+    which parse_args must agree with."""
+    parser = argparse.ArgumentParser(prog="densitylab")
+    parser.add_argument("command", choices=RUNNERS, metavar="command")
+    parser.add_argument("--instance")
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    parser.add_argument("--depth", type=int, default=None)
+    parser.add_argument("--stages", type=int, default=None)
+    fmt = parser.add_mutually_exclusive_group()
+    fmt.add_argument("--json", action="store_true")
+    fmt.add_argument("--csv", action="store_true")
+    parser.add_argument("--output", default="-")
+    return parser
+
+
+LONG_OPTIONS = ["--instance", "--seed", "--depth", "--stages", "--json", "--csv", "--output",
+                "--help"]
+# every option in full and as each of its prefixes, "--s" (ambiguous) included
+SPELLINGS = sorted({option[:n] for option in LONG_OPTIONS for n in range(3, len(option) + 1)})
+VALUES = ["0", "7", "12", "-3", "-0", "+4", " 5", "1_0", "x", "1.5", "-1.5", "-.5", "", "-",
+          "doc.json", "a b", "-a b", "-x", "-1x"]
+STRAYS = ["-h", "--help", "-hh", "-h=h", "-hx", "-h=", "--", "frobnicate", "-x", "--bogus",
+          "--bogus=1", "a b", "-5", "--=1"]
+
+
+def _piece():
+    """A few words of a command line: a command, an option with a value
+    apart or joined by '=', an option alone, or a stray word."""
+    return st.one_of(
+        st.sampled_from(list(RUNNERS)).map(lambda name: [name]),
+        st.tuples(st.sampled_from(SPELLINGS), st.sampled_from(VALUES), st.booleans()).map(
+            lambda t: [f"{t[0]}={t[1]}"] if t[2] else [t[0], t[1]]),
+        st.sampled_from(SPELLINGS).map(lambda option: [option]),
+        st.sampled_from(STRAYS).map(lambda word: [word]),
+    )
+
+
+def _outcome(parse, argv) -> tuple:
+    """What parse makes of argv: the parsed tuple, or the exit code, whether
+    stdout is empty, and whether stderr starts with the usage line."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return parsed(argv, parse)
+    except SystemExit as exc:
+        return exc.code, out.getvalue() == "", err.getvalue().startswith("usage: densitylab")
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.lists(_piece(), max_size=6).map(lambda pieces: [w for p in pieces for w in p]))
+@example([])
+@example(["extend", "--json", "--"])  # a "--" apart from the command is a stray word
+@example(["--json", "--", "extend"])
+@example(["extend", "--"])
+@example(["extend", "--instance", "-a b", "--output", "-1.5"])  # values, not options
+@example(["--instance=", "extend", "--output=-.5"])
+@example(["extend", "--se", "-5", "--dep=3", "--seed=9", "--csv", "--csv"])
+@example(["frobnicate", "-h"])  # the command is refused before -h is read
+@example(["extend", "covering", "-h"])  # a second command only fails at the end
+@example(["-h", "--s"])  # an ambiguous option fails before -h is read
+def test_parse_args_agrees_with_argparse(argv):
+    reference = argparse_reference().parse_args
+    want = _outcome(reference, argv)
+    assert _outcome(parse_args, argv) == want
+    if isinstance(want[0], int):
+        assert want in [(0, False, False), (2, True, True)]

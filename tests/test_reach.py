@@ -54,7 +54,7 @@ LISTED = {
         "failure", "names the point where h decreases on the class"),
     "errors:BudgetExhausted.__init__": ("failure", "a search runs out of its budget"),
     "piecewise:PiecewiseLinear._outside": ("failure", "a point outside h's domain"),
-    "cli:_as_docs": ("input", "a covering, density or porosity document"),
+    "cli:_usage_error": ("input", "a bad command line"),
     "suite:_battery_child": ("child", "verify-all's children run the batteries"),
     "suite:_aborted": ("failure", "a battery raises, or its child ends without its rows"),
     "roottwo:QuadValue.__hash__": ("protocol", "equal values hash alike, as __eq__ says"),
