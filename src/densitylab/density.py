@@ -53,7 +53,6 @@ from .report import Check
 class DensityEstimate:
     estimate: Fraction
     witness: Interval
-    scale_depth: int
     family_size: int
 
 
@@ -102,7 +101,6 @@ def lower_density_estimate(row: ClassGaps, z: Fraction, scale_depth: int) -> Den
     return DensityEstimate(
         Fraction(best_m, best_len),
         Interval(Fraction(witness[0], den), Fraction(witness[1], den)),
-        scale_depth,
         len(set(windows)),
     )
 

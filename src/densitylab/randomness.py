@@ -377,8 +377,6 @@ def least_drop_h(scenario: DominationScenario, case: int, n_blocks: int) -> Call
 
 @dataclass(frozen=True)
 class DominationTests:
-    scenario: DominationScenario
-    case: int
     blocks: tuple[tuple[int, int], ...]
     covers: tuple[FatCover, ...]
     captured: tuple[bool, ...]
@@ -467,6 +465,5 @@ def build_domination_tests(
         if want:
             records.append(Check(f"expected capture in block {i}", Fraction(int(got)), ONE, got))
     return DominationTests(
-        scenario, case, blocks, tuple(covers), tuple(captured), tuple(expected),
-        tuple(records)
+        blocks, tuple(covers), tuple(captured), tuple(expected), tuple(records)
     )

@@ -14,9 +14,10 @@ byte-identical files.
 Every row is a ``Check``, from the kernel that decides it to the report.
 A row is laid out as report text, by ``lay_out``, when it is added to a
 ``Report`` with ``add(rows, prefix)``, and the report keeps only that text
-and its failure count.  A battery adds its rows to its ``suite.BatteryRows``
-the same way, so verify-all's batteries lay out their rows in the child
-processes that run them (``suite.run_all``), and the parent only joins text.
+and its failure count.  A ``Report`` is also a battery's record: its
+``head`` "[number]" goes before every row's prefix, so verify-all's batteries
+lay out their rows in the child processes that run them (``suite.run_all``),
+and the parent only joins text.
 """
 
 from __future__ import annotations
@@ -129,29 +130,27 @@ def lay_out(rows, prefix: str, as_csv: bool) -> tuple[list[str], int]:
 
 @dataclass
 class Report:
-    """A report being written: each check row is laid out in the report's
-    format, JSON or, with as_csv, CSV, when it is added."""
+    """A report being written, a command's or a battery's: each check row is
+    laid out in the report's format, JSON or, with as_csv, CSV, when it is
+    added."""
 
     command: str
     seed: int
     as_csv: bool = False
+    head: str = ""
     rows: list[str] = field(default_factory=list)
     failed: int = 0
     budget_exhausted: list[str] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
     def add(self, rows, prefix: str = "") -> None:
-        """Lay out rows as lay_out does and append them."""
-        self.add_laid_out(*lay_out(rows, prefix, self.as_csv))
-
-    def add_laid_out(self, texts: list[str], failed: int) -> None:
-        """Append rows that lay_out gave in this report's format, failed of
-        them failing."""
+        """Lay out rows as lay_out does under "head: prefix", leaving out
+        whichever part is empty, and append them."""
+        if self.head:
+            prefix = f"{self.head}: {prefix}" if prefix else self.head
+        texts, failed = lay_out(rows, prefix, self.as_csv)
         self.rows += texts
         self.failed += failed
-
-    def all_hold(self) -> bool:
-        return not self.failed
 
 
 def to_json_bytes(report: Report) -> bytes:
@@ -169,7 +168,7 @@ def to_json_bytes(report: Report) -> bytes:
         "meta": report.meta,
         "checks": [],
         "budget_exhausted": list(report.budget_exhausted),
-        "all_hold": report.all_hold(),
+        "all_hold": not report.failed,
     }
     text = json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True)
     if report.rows:
@@ -189,5 +188,5 @@ def to_csv_bytes(report: Report) -> bytes:
     buf.writelines(report.rows)
     for msg in report.budget_exhausted:
         writer.writerow(["budget_exhausted", msg, "", "", ""])
-    writer.writerow(["all_hold", str(report.all_hold()).lower(), "", "", ""])
+    writer.writerow(["all_hold", str(not report.failed).lower(), "", "", ""])
     return buf.getvalue().encode("ascii", errors="backslashreplace")

@@ -9,20 +9,19 @@ in the per-instance functions below or, for the spike plan, in
 ``counterexample.verify_denjoy_failure``; they return unprefixed rows, and the
 battery and the command each put their own prefix before them.
 
-A battery writes its rows as a command does: each ``criterion_*(seed, out)``
-adds them to its ``BatteryRows`` with ``add(rows, prefix)``, which lays them
-out as report text at once, as ``report.Report.add`` does.
-``run_criterion`` runs one battery in process and returns that record; a
-battery that raises is one failed row.  ``run_all`` runs every battery in
-forked children, which send back the records of ``run_criterion``, so only
-report text crosses between processes; each child sends all of its
-batteries at once, when none is left to take.
+A battery writes its rows into the record a command writes into: each
+``criterion_*(seed, out)`` adds them to a ``report.Report`` whose head is
+"[number]", with ``add(rows, prefix)``, which lays them out as report text at
+once.  ``run_criterion`` runs one battery in process and returns that
+record; a battery that raises is one failed row.  ``run_all`` runs every
+battery in forked children, which send back the records of
+``run_criterion``, so only report text crosses between processes; each child
+sends all of its batteries at once, when none is left to take.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bits import ONE, ZERO
@@ -83,31 +82,9 @@ from .randomness import (
     build_escape_sets,
     least_drop_h,
 )
-from .report import Check, lay_out
+from .report import Check, Report
 
 DEFAULT_SEED = 1
-
-
-@dataclass
-class BatteryRows:
-    """A battery's outcome as it reaches the report: its check rows laid out
-    under the prefix "[number]", one text per check, in JSON or, with
-    as_csv, in CSV, and how many of them fail."""
-
-    number: int
-    title: str
-    as_csv: bool = False
-    failed: int = 0
-    notes: list[str] = field(default_factory=list)
-    rows: list[str] = field(default_factory=list)
-
-    def add(self, rows, prefix: str = "") -> None:
-        """Lay out rows under "[number]", or "[number]: prefix" for a
-        nonempty prefix, as lay_out does, and append them."""
-        head = f"[{self.number}]: {prefix}" if prefix else f"[{self.number}]"
-        texts, failed = lay_out(rows, head, self.as_csv)
-        self.rows += texts
-        self.failed += failed
 
 
 def _count_check(name: str, count: int) -> Check:
@@ -180,7 +157,7 @@ def extension_rows(h, enum: StagedOpenEnumeration, n: int, grid_depth: int) -> l
     ]
 
 
-def criterion_covering(seed: int, out: BatteryRows) -> None:
+def criterion_covering(seed: int, out: Report) -> None:
     """200 instances x 3 thresholds: both covering bounds, exact."""
     for index in range(200):
         row = class_gaps(covering_holes(seed, index))
@@ -189,7 +166,7 @@ def criterion_covering(seed: int, out: BatteryRows) -> None:
             out.add(fc.inequalities(), f"instance {index} eps {eps}")
 
 
-def criterion_oracle_match(seed: int, out: BatteryRows) -> None:
+def criterion_oracle_match(seed: int, out: Report) -> None:
     """50 instances: fat-interval U equals the prefix-mass oracle exactly."""
     for index in range(50):
         c, eps = oracle_match_instance(seed, index)
@@ -198,7 +175,7 @@ def criterion_oracle_match(seed: int, out: BatteryRows) -> None:
                        "symmetric difference", diff, ZERO, equal)], f"instance {index}")
 
 
-def criterion_porosity(seed: int, out: BatteryRows) -> None:
+def criterion_porosity(seed: int, out: Report) -> None:
     """50 enumerations: per-node and per-level decay bounds, exact."""
     for index in range(50):
         enum, c, levels = porosity_instance(seed, index)
@@ -213,7 +190,7 @@ def criterion_porosity(seed: int, out: BatteryRows) -> None:
         out.add([NESTING_ROW], prefix)
 
 
-def criterion_escape(seed: int, out: BatteryRows) -> None:
+def criterion_escape(seed: int, out: Report) -> None:
     """30 difference tests: box decay, escape certificates, component caps."""
     for index in range(30):
         inst = escape_instance(seed, index)
@@ -225,7 +202,7 @@ def criterion_escape(seed: int, out: BatteryRows) -> None:
                             verdict == inst.flavor)], prefix)
 
 
-def criterion_domination(seed: int, out: BatteryRows) -> None:
+def criterion_domination(seed: int, out: Report) -> None:
     """12 scenarios: Solovay budget plus independently recomputed captures."""
     for index in range(12):
         scenario, case, n_blocks = domination_instance(seed, index)
@@ -263,7 +240,7 @@ def _roundtrip_mismatches(m, depth: int) -> int:
     return mismatches
 
 
-def criterion_martingale_algebra(seed: int, out: BatteryRows) -> None:
+def criterion_martingale_algebra(seed: int, out: Report) -> None:
     """Fairness, round-trip identity, and closure under combine/cap; depth 16."""
     t3 = random_fair_table(battery_rng(seed, "martingale-table", 0), 3)
     t4 = random_fair_table(battery_rng(seed, "martingale-table", 1), 4)
@@ -285,7 +262,7 @@ def criterion_martingale_algebra(seed: int, out: BatteryRows) -> None:
                               _roundtrip_mismatches(m, 16))], label)
 
 
-def criterion_forcing(seed: int, out: BatteryRows) -> None:
+def criterion_forcing(seed: int, out: Report) -> None:
     """Forcing chains extend at depth 12; savings gap and window density exact."""
     for index in range(10):
         cond, steps, chain = forcing_instance(seed, index)
@@ -312,7 +289,7 @@ def criterion_forcing(seed: int, out: BatteryRows) -> None:
                        Fraction(len(recs)), ONE, len(recs) >= 1), *recs], prefix)
 
 
-def criterion_counterexample(seed: int, out: BatteryRows) -> None:
+def criterion_counterexample(seed: int, out: Report) -> None:
     """Default spike plan: per-scale slope certificates, no limit claim."""
     plan, trace = build_counterexample(default_enumeration())
     rep = verify_denjoy_failure(plan, trace, 16)
@@ -320,14 +297,14 @@ def criterion_counterexample(seed: int, out: BatteryRows) -> None:
     out.add([_count_check("even scales k <= 16 missing a certificate", missing), *rep.rows])
 
 
-def criterion_extension(seed: int, out: BatteryRows) -> None:
+def criterion_extension(seed: int, out: Report) -> None:
     """20 instances: monotone on the 2^-12 grid, close to h on the class."""
     for index in range(20):
         h, enum = extension_instance(seed, index)
         out.add(extension_rows(h, enum, 10, 12), f"instance {index}")
 
 
-def criterion_calculus(seed: int, out: BatteryRows) -> None:
+def criterion_calculus(seed: int, out: Report) -> None:
     """Golden extrema; for four functions, the lower pseudo-derivative
     estimate at or below the upper one, both from one kernel call per
     (function, point, depth), and at or above 0 on the nondecreasing ones."""
@@ -374,36 +351,37 @@ CRITERIA = (
 )
 
 
-def _aborted(number: int, title: str, as_csv: bool, reason) -> BatteryRows:
+def _aborted(number: int, title: str, seed: int, as_csv: bool, reason) -> Report:
     """The rows of a battery cut short: one failed row that names reason."""
-    out = BatteryRows(number, title, as_csv)
+    out = Report(title, seed, as_csv, f"[{number}]")
     out.add([Check(f"battery aborted: {reason}", ZERO, ONE, False)])
     return out
 
 
-def run_criterion(number: int, seed: int = DEFAULT_SEED, as_csv: bool = False) -> BatteryRows:
-    """Battery number, run in process, with its rows laid out in JSON or,
-    with as_csv, in CSV.  A battery reads no user input, so whatever it
-    raises, a row that no report can hold included, is one failed "battery
-    aborted" row with its message; an exhausted budget is also noted."""
+def run_criterion(number: int, seed: int = DEFAULT_SEED, as_csv: bool = False) -> Report:
+    """Battery number, run in process: a Report titled for it, headed
+    "[number]", with its rows laid out in JSON or, with as_csv, in CSV.  A
+    battery reads no user input, so whatever it raises, a row that no report
+    can hold included, is one failed "battery aborted" row with its message;
+    an exhausted budget is also listed in budget_exhausted."""
     for num, title, fn in CRITERIA:
         if num == number:
-            out = BatteryRows(num, title, as_csv)
+            out = Report(title, seed, as_csv, f"[{num}]")
             try:
                 fn(seed, out)
             except Exception as exc:  # a battery cut short is a failed row, never a crash
-                out = _aborted(num, title, as_csv, exc)
+                out = _aborted(num, title, seed, as_csv, exc)
                 if isinstance(exc, BudgetExhausted):
-                    out.notes.append(str(exc))
+                    out.budget_exhausted.append(str(exc))
             return out
     raise ValueError(f"no criterion numbered {number}")
 
 
 def _battery_child(tasks: int, out: int, seed: int, as_csv: bool) -> None:
     """A forked child's whole life: take battery numbers from the pipe tasks,
-    one byte each, until it is empty; keep the BatteryRows of each from
+    one byte each, until it is empty; keep the Report of each from
     run_criterion; then write all it kept to the pipe out once, as one
-    pickled {number: BatteryRows}.  The child ends with os._exit whatever
+    pickled {number: Report}.  The child ends with os._exit whatever
     happens, so no parent code runs in it after its work; if it fails before
     it writes, it writes nothing."""
     from pickle import dumps  # loaded by run_all before the fork
@@ -420,14 +398,14 @@ def _battery_child(tasks: int, out: int, seed: int, as_csv: bool) -> None:
         os._exit(code)
 
 
-def run_all(seed: int = DEFAULT_SEED, as_csv: bool = False) -> list[BatteryRows]:
+def run_all(seed: int = DEFAULT_SEED, as_csv: bool = False) -> list[Report]:
     """Every battery's run_criterion(number, seed, as_csv), in CRITERIA
     order, from forked children.
 
     The batteries are independent, so they run side by side in one child per
     usable CPU, up to one per battery.  The battery numbers wait in one pipe,
     and each child takes the next one when it is free.  A child keeps each
-    battery's BatteryRows, whose rows are laid out already, so only text
+    battery's Report, whose rows are laid out already, so only text
     crosses between processes, and sends them all at once when no battery is
     left.  The records do not depend on how many children there are.  A
     battery that raises is a failed row already, as run_criterion makes it.
@@ -478,5 +456,6 @@ def run_all(seed: int = DEFAULT_SEED, as_csv: bool = False) -> list[BatteryRows]
             os.waitpid(pid, 0)
     for num, title, _fn in CRITERIA:
         if num not in results:
-            results[num] = _aborted(num, title, as_csv, "its child process ended without a result")
+            results[num] = _aborted(num, title, seed, as_csv,
+                                    "its child process ended without a result")
     return [results[num] for num in numbers]

@@ -11,16 +11,17 @@ import time
 
 import pytest
 
-from densitylab.suite import CRITERIA, DEFAULT_SEED, BatteryRows, run_criterion
+from densitylab.report import Report
+from densitylab.suite import CRITERIA, DEFAULT_SEED, run_criterion
 
 # Scale pins, each battery's row count at seed 1: a battery that silently
 # shrank is a bug even if green.
 MIN_CHECKS = {1: 1200, 2: 50, 3: 620, 4: 317, 5: 132, 6: 7, 7: 1360, 8: 63, 9: 40, 10: 33}
 
-_cache: dict[int, tuple[BatteryRows, float]] = {}
+_cache: dict[int, tuple[Report, float]] = {}
 
 
-def outcome_for(number: int) -> tuple[BatteryRows, float]:
+def outcome_for(number: int) -> tuple[Report, float]:
     """Battery number's record at the default seed, and the seconds its
     first run took."""
     if number not in _cache:
@@ -42,7 +43,7 @@ def test_criterion(number, title):
     print(f"criterion {number} ({title}): {verdict}")
     for bad in violations[:10]:
         print(f"  violated: {bad['name']}: lhs={bad['lhs']} rhs={bad['rhs']}")
-    for note in out.notes:
+    for note in out.budget_exhausted:
         print(f"  budget: {note}")
     assert len(out.rows) >= MIN_CHECKS[number]
     assert len(violations) == out.failed

@@ -255,21 +255,35 @@ def test_martingales_define_values_once():
 
 
 def test_batteries_write_their_rows_where_commands_do():
-    # a battery adds its rows to the BatteryRows it is given, as a command
-    # adds them to its Report, so no second row record or renaming helper
-    # stands between a battery and its report
+    # a battery adds its rows to the report.Report it is given, as a command
+    # adds them to its own, so no second row record, renaming helper or
+    # second way in stands between a battery and its report
     assert [
         node.name
         for tree in _trees()
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name in ("check_rows", "CriterionOutcome")
+        and node.name in ("check_rows", "CriterionOutcome", "BatteryRows")
     ] == []
+    report = next(path for path in SOURCES if path.name == "report.py")
+    record = next(
+        node for node in ast.parse(report.read_text(), filename=str(report)).body
+        if isinstance(node, ast.ClassDef) and node.name == "Report"
+    )
+    assert [node.name for node in record.body if isinstance(node, ast.FunctionDef)] == ["add"]
     suite = next(path for path in SOURCES if path.name == "suite.py")
+    suite_tree = ast.parse(suite.read_text(), filename=str(suite))
+    imported = {
+        alias.name
+        for node in suite_tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert "Report" in imported and "lay_out" not in imported
     batteries = {fn.__name__ for _number, _title, fn in densitylab.suite.CRITERIA}
     defs = {
         node.name: node
-        for node in ast.parse(suite.read_text(), filename=str(suite)).body
+        for node in suite_tree.body
         if isinstance(node, ast.FunctionDef) and node.name in batteries
     }
     assert sorted(defs) == sorted(batteries)

@@ -19,7 +19,7 @@ from densitylab.errors import (
     VerifierError,
 )
 from densitylab.report import Check, Report
-from densitylab.suite import CRITERIA, BatteryRows, run_all, run_criterion
+from densitylab.suite import CRITERIA, run_all, run_criterion
 
 
 def assert_no_child_process():
@@ -36,16 +36,16 @@ def test_criteria_table_covers_all_ten():
 
 
 def test_outcome_accumulates_prefixed_checks():
-    # a battery's add lays rows out as a Report's add does, under "[number]"
-    # or "[number]: prefix"
+    # a report headed "[1]" lays rows out under "[1]" or "[1]: prefix", as
+    # one without a head does when given those prefixes
     a, c = Check("a <= b", F(1), F(2), True), Check("c <= d", F(3), F(2), False, note="tight")
     for as_csv in (True, False):
-        out, rep = BatteryRows(1, "demo", as_csv), Report("demo", 1, as_csv)
+        out, rep = Report("demo", 1, as_csv, "[1]"), Report("demo", 1, as_csv)
         out.add([a])
         out.add([c], prefix="inner")
         rep.add([a], "[1]")
         rep.add([c], "[1]: inner")
-        assert (out.rows, out.failed, out.notes) == (rep.rows, 1, [])
+        assert (out.rows, out.failed, out.budget_exhausted) == (rep.rows, 1, [])
     assert [(r["name"], r["ok"], r["note"]) for r in map(json.loads, out.rows)] == [
         ("[1]: a <= b", True, ""), ("[1]: inner: c <= d", False, "tight")]
 
@@ -64,8 +64,8 @@ def test_denjoy_rows_split_irrational_thresholds():
 
 def test_run_criterion_labels_the_battery():
     out = run_criterion(10)
-    assert (out.number, out.title, out.as_csv) == (10, "calculus sanity", False)
-    assert out.rows and out.failed == 0 and out.notes == []
+    assert (out.head, out.command, out.as_csv) == ("[10]", "calculus sanity", False)
+    assert out.rows and out.failed == 0 and out.budget_exhausted == []
     assert all(json.loads(row)["name"].startswith("[10]: ") for row in out.rows)
 
 
@@ -204,7 +204,8 @@ def test_without_an_affinity_mask_the_children_are_counted_from_the_cpu_count(mo
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: asked.append(1) or 1)
     _with_batteries(monkeypatch, {num: lambda seed, out: None for num, _t, _f in CRITERIA})
-    assert [o.number for o in run_all()] == [num for num, _t, _f in CRITERIA]
+    assert [(o.head, o.command) for o in run_all()] == [
+        (f"[{num}]", title) for num, title, _f in CRITERIA]
     assert asked == [1]
     assert_no_child_process()
 
@@ -233,7 +234,7 @@ def test_a_spike_without_a_dyadic_anchor_breaks_battery_8(monkeypatch):
     assert [json.loads(row) for row in out.rows] == [_aborted_row(
         8, "no positive multiple of 2^-1 in the source of spike k = 1")]
     assert out.failed == 1
-    assert out.notes == []
+    assert out.budget_exhausted == []
 
 
 def test_an_exhausted_budget_is_a_failed_row_and_listed_as_exhausted(monkeypatch, capfd):
