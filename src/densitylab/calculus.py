@@ -18,13 +18,12 @@ denominators, and builds one value per side, from that side's witness pair.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd, lcm
 from operator import itemgetter
 
 from .bits import ONE, ZERO
-from .errors import DomainError, InvariantError
+from .errors import DomainError, Frozen, InvariantError
 from .intervals import ClassGaps, StagedOpenEnumeration, stage_gaps
 from .piecewise import PiecewiseLinear, overlaps
 from .roottwo import QuadValue, sign
@@ -55,10 +54,12 @@ def _straddling_candidates(x: Fraction, h: Fraction, depth: int) -> list[Fractio
     return sorted({x, *(Fraction(k, scale) for k in range(ceil(lo), floor(hi) + 1))})
 
 
-@dataclass(frozen=True)
-class DerivativeEstimate:
-    value: Fraction
-    witness: tuple[Fraction, Fraction]
+class DerivativeEstimate(Frozen):
+    __slots__ = ("value", "witness")
+
+    def __init__(self, value: Fraction, witness: tuple[Fraction, Fraction]):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "witness", witness)
 
 
 def slope_extremes(f, lefts, rights, h=None):

@@ -26,11 +26,10 @@ alpha_0 = 0 as the previous mark.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DomainError, EnumerationOverlapError, InvariantError
+from .errors import DomainError, EnumerationOverlapError, Frozen, InvariantError
 from .bits import ONE, ZERO, format_rational
 from .calculus import slope_extremes
 from .intervals import Interval, IntervalSet
@@ -65,19 +64,26 @@ def largest_dyadic_multiple(lo: Fraction, hi: Fraction, n: int) -> Fraction | No
     return Fraction(k, scale)
 
 
-@dataclass(frozen=True)
-class SpikeStage:
-    interval: Interval
-    kind: str  # "flat" | "spike"
-    height_exponent: int | None = None
-    source: Interval | None = None  # increase interval that set the exponent
-    anchor: Fraction | None = None  # its qualifying multiple of 2^-n
+class SpikeStage(Frozen):
+    __slots__ = ("interval", "kind", "height_exponent", "source", "anchor")
 
-    def __post_init__(self):
-        if self.kind not in ("flat", "spike"):
-            raise DomainError(f"stage kind must be flat or spike, got {self.kind!r}")
-        if (self.kind == "spike") != (self.height_exponent is not None):
+    def __init__(
+        self,
+        interval: Interval,
+        kind: str,  # "flat" | "spike"
+        height_exponent: int | None = None,
+        source: Interval | None = None,  # increase interval that set the exponent
+        anchor: Fraction | None = None,  # its qualifying multiple of 2^-n
+    ):
+        if kind not in ("flat", "spike"):
+            raise DomainError(f"stage kind must be flat or spike, got {kind!r}")
+        if (kind == "spike") != (height_exponent is not None):
             raise DomainError("spike stages and only they carry a height exponent")
+        object.__setattr__(self, "interval", interval)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "height_exponent", height_exponent)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "anchor", anchor)
 
     @property
     def height(self):
@@ -95,21 +101,21 @@ class SpikeStage:
         return out
 
 
-@dataclass(frozen=True)
-class SpikePlan:
-    stages: tuple[SpikeStage, ...]
+class SpikePlan(Frozen):
+    __slots__ = ("stages", "_spikes", "_spike_los")
 
-    def __post_init__(self) -> None:
+    def __init__(self, stages: tuple[SpikeStage, ...]):
         # (lo, hi, stage index) of each non-degenerate spike, by left end;
         # stage intervals share at most endpoints, so a point lies in one
         # spike or on the common end of two
         spikes = sorted(
-            (s.interval.lo, s.interval.hi, i) for i, s in enumerate(self.stages)
+            (s.interval.lo, s.interval.hi, i) for i, s in enumerate(stages)
             if s.kind == "spike" and not s.interval.is_degenerate
         )
         for (_, hi, i), (lo, _, j) in zip(spikes, spikes[1:]):
             if lo < hi:
                 raise DomainError(f"spike stages {i} and {j} overlap beyond endpoints")
+        object.__setattr__(self, "stages", stages)
         object.__setattr__(self, "_spikes", spikes)
         object.__setattr__(self, "_spike_los", [lo for lo, _, _ in spikes])
 
@@ -138,16 +144,16 @@ class SpikePlan:
         return {"stages": [s.to_json() for s in self.stages]}
 
 
-@dataclass(frozen=True)
-class AlphaTrace:
-    alphas: tuple[Fraction, ...]  # length = stage count + 1, alpha_0 = 0
+class AlphaTrace(Frozen):
+    __slots__ = ("alphas",)
 
-    def __post_init__(self):
-        if not self.alphas or self.alphas[0] != ZERO:
+    def __init__(self, alphas: tuple[Fraction, ...]):  # length = stage count + 1, alpha_0 = 0
+        if not alphas or alphas[0] != ZERO:
             raise DomainError("trace must start at alpha_0 = 0")
-        for a, b in zip(self.alphas, self.alphas[1:]):
+        for a, b in zip(alphas, alphas[1:]):
             if b < a:
                 raise DomainError(f"alpha trace decreases: {a} then {b}")
+        object.__setattr__(self, "alphas", alphas)
 
     @property
     def final(self) -> Fraction:
@@ -231,23 +237,38 @@ def default_enumeration() -> list[Interval]:
     return [Interval(a, b) for a, b in zip(cuts, cuts[1:])]
 
 
-@dataclass(frozen=True)
-class SlopeCertificate:
-    k: int
-    x_k: Fraction  # spike midpoint
-    q: Fraction  # rational beyond the final alpha
-    b_k: Fraction  # anchoring multiple of 2^-k
-    slope: object  # Fraction | QuadValue
-    threshold: object  # -2^(k/2)
-    holds: bool
-    note: str = ""
+class SlopeCertificate(Frozen):
+    __slots__ = ("k", "x_k", "q", "b_k", "slope", "threshold", "holds", "note")
+
+    def __init__(
+        self,
+        k: int,
+        x_k: Fraction,  # spike midpoint
+        q: Fraction,  # rational beyond the final alpha
+        b_k: Fraction,  # anchoring multiple of 2^-k
+        slope: object,  # Fraction | QuadValue
+        threshold: object,  # -2^(k/2)
+        holds: bool,
+        note: str = "",
+    ):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "x_k", x_k)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "b_k", b_k)
+        object.__setattr__(self, "slope", slope)
+        object.__setattr__(self, "threshold", threshold)
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "note", note)
 
 
-@dataclass(frozen=True)
-class DenjoyFailureReport:
-    certificates: tuple[SlopeCertificate, ...]
-    unrealized: tuple[int, ...]
-    rows: tuple[Check, ...]
+class DenjoyFailureReport(Frozen):
+    __slots__ = ("certificates", "unrealized", "rows")
+
+    def __init__(self, certificates: tuple[SlopeCertificate, ...], unrealized: tuple[int, ...],
+                 rows: tuple[Check, ...]):
+        object.__setattr__(self, "certificates", certificates)
+        object.__setattr__(self, "unrealized", unrealized)
+        object.__setattr__(self, "rows", rows)
 
 
 def _plan_zeros(plan: SpikePlan, alpha_final: Fraction) -> list[Fraction]:

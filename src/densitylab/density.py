@@ -36,7 +36,6 @@ without the quadratic loop.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, product
@@ -44,16 +43,24 @@ from math import lcm
 from typing import Sequence
 
 from .bits import ONE, ZERO, require_unit
-from .errors import DomainError
+from .errors import DomainError, Frozen
 from .intervals import ClassGaps, Interval, IntervalSet
 from .report import Check
 
 
-@dataclass(frozen=True)
-class DensityEstimate:
-    estimate: Fraction
-    witness: Interval
-    family_size: int
+class DensityEstimate(Frozen):
+    __slots__ = ("estimate", "witness", "family_size")
+
+    def __init__(self, estimate: Fraction, witness: Interval, family_size: int):
+        object.__setattr__(self, "estimate", estimate)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "family_size", family_size)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.estimate, self.witness, self.family_size) == (
+            other.estimate, other.witness, other.family_size)
 
 
 def lower_density_estimate(row: ClassGaps, z: Fraction, scale_depth: int) -> DensityEstimate:
@@ -105,8 +112,7 @@ def lower_density_estimate(row: ClassGaps, z: Fraction, scale_depth: int) -> Den
     )
 
 
-@dataclass(frozen=True)
-class FatCover:
+class FatCover(Frozen):
     """Fat-interval covering of the low-density set at threshold epsilon.
 
     The fat intervals and the parts of U are (lo, hi) integer pairs over
@@ -114,12 +120,17 @@ class FatCover:
     are lambda(C cap U) and 1 - lambda(C) over den, so the bounds are
     decided on integers."""
 
-    epsilon: Fraction
-    den: int
-    fats: tuple[tuple[int, int], ...]
-    parts: tuple[tuple[int, int], ...]
-    overlap: int
-    rest: int
+    # the cached properties keep their values in __dict__
+    __slots__ = ("epsilon", "den", "fats", "parts", "overlap", "rest", "__dict__")
+
+    def __init__(self, epsilon: Fraction, den: int, fats: tuple[tuple[int, int], ...],
+                 parts: tuple[tuple[int, int], ...], overlap: int, rest: int):
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "fats", fats)
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "overlap", overlap)
+        object.__setattr__(self, "rest", rest)
 
     def _intervals(self, pairs) -> tuple[Interval, ...]:
         den = self.den

@@ -6,6 +6,9 @@ inequality from a search that simply ran out of room.  A broken internal
 invariant is an ``InvariantError``, which is not a ``VerifierError``: it is
 not a verdict on the input.  A battery reads no user input, so whatever it
 raises, any of these included, is reported as a failed row of that battery.
+
+``Frozen`` is the base of the immutable records, here because every module
+that defines one imports this leaf module already.
 """
 
 from __future__ import annotations
@@ -44,3 +47,17 @@ class BudgetExhausted(VerifierError):
 
 class InvariantError(RuntimeError):
     """A construction broke one of its own invariants: a bug, not bad input."""
+
+
+class Frozen:
+    """Base of the immutable records: a record's __init__ sets each of its
+    slots once, through object.__setattr__, and nothing sets or deletes one
+    after."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

@@ -15,7 +15,6 @@ nonvacuous.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bits import (
@@ -30,7 +29,7 @@ from .bits import (
     validate_bits,
 )
 from .calculus import Polynomial
-from .errors import BudgetExhausted, InvariantError, SchemaError
+from .errors import BudgetExhausted, Frozen, InvariantError, SchemaError
 from .intervals import FULL_SET, Interval, IntervalSet, StagedOpenEnumeration
 from .martingales import (
     Condition,
@@ -131,8 +130,7 @@ def bits_of_point(z: Fraction, length: int) -> str:
     return "".join(bits)
 
 
-@dataclass(frozen=True)
-class EscapeInstance:
+class EscapeInstance(Frozen):
     """A difference-test component table plus escape-driver parameters.
 
     flavor records which dynamics the components were laid out for: the
@@ -141,12 +139,22 @@ class EscapeInstance:
     covering item ever being enumerated ("uncaptured").
     """
 
-    enum: StagedOpenEnumeration
-    components: dict[int, tuple[str, ...]]
-    r: int
-    m_max: int
-    z: Fraction
-    flavor: str
+    __slots__ = ("enum", "components", "r", "m_max", "z", "flavor")
+
+    def __init__(self, enum: StagedOpenEnumeration, components: dict[int, tuple[str, ...]],
+                 r: int, m_max: int, z: Fraction, flavor: str):
+        object.__setattr__(self, "enum", enum)
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "m_max", m_max)
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "flavor", flavor)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.enum, self.components, self.r, self.m_max, self.z, self.flavor) == (
+            other.enum, other.components, other.r, other.m_max, other.z, other.flavor)
 
     def component_fn(self):
         comps = self.components

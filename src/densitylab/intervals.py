@@ -22,30 +22,27 @@ alone, inserting every hole into one row.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 from .bits import ONE, ZERO, format_rational, over_common_denominator, parse_rational, require_unit
-from .errors import DomainError, SchemaError, StageError
+from .errors import DomainError, Frozen, SchemaError, StageError
 
 
-@dataclass(frozen=True, order=True)
-class Interval:
+class Interval(Frozen):
     """Closed rational interval [lo, hi] inside [0,1]; lo == hi is a point.
 
     The endpoints are validated on their numerators and denominators
     (0 <= n <= d, and lo n * hi d <= hi n * lo d), with no Fraction
-    comparison; Fraction subclasses are accepted.
+    comparison; Fraction subclasses are accepted.  Intervals compare,
+    hash and order as their (lo, hi) pairs.
     """
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self) -> None:
-        lo, hi = self.lo, self.hi
+    def __init__(self, lo: Fraction, hi: Fraction):
         if not (type(lo) is Fraction or isinstance(lo, Fraction)) or not (
             type(hi) is Fraction or isinstance(hi, Fraction)
         ):
@@ -58,6 +55,24 @@ class Interval:
             require_unit(hi, "interval hi")
         if ln * hd > hn * ld:
             raise DomainError(f"interval lo {lo} exceeds hi {hi}")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.lo, self.hi) == (other.lo, other.hi)
+
+    def __hash__(self):
+        return hash((self.lo, self.hi))
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.lo, self.hi) < (other.lo, other.hi)
+
+    def __repr__(self):
+        return f"Interval(lo={self.lo!r}, hi={self.hi!r})"
 
     @property
     def length(self) -> Fraction:
@@ -82,22 +97,27 @@ class Interval:
         return Interval(parse_rational(obj[0]), parse_rational(obj[1]))
 
 
-@dataclass(frozen=True)
-class IntervalSet:
+class IntervalSet(Frozen):
     """Canonical finite union of closed intervals; equality is part-list equality."""
 
-    parts: tuple[Interval, ...]
+    __slots__ = ("parts", "_los")
 
-    def __post_init__(self) -> None:
+    def __init__(self, parts: tuple[Interval, ...]):
         prev: Interval | None = None
-        for part in self.parts:
+        for part in parts:
             if prev is not None and part.lo <= prev.hi:
                 raise DomainError(
                     f"parts not canonical: {prev} then {part} (gap must be positive)"
                 )
             prev = part
+        object.__setattr__(self, "parts", parts)
         # sorted part starts, for bisecting a point into its one candidate part
-        object.__setattr__(self, "_los", tuple(p.lo for p in self.parts))
+        object.__setattr__(self, "_los", tuple(p.lo for p in parts))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.parts == other.parts
 
     @property
     def measure(self) -> Fraction:
@@ -184,8 +204,7 @@ def canonicalize(raw: Iterable[Interval]) -> IntervalSet:
     return IntervalSet(tuple(merged))
 
 
-@dataclass(frozen=True)
-class StagedOpenEnumeration:
+class StagedOpenEnumeration(Frozen):
     """Indexed enumeration of open rational intervals; stage t exposes items < t.
 
     The items are open intervals (a_i, b_i) in [0,1].  ``stage_class`` returns
@@ -193,7 +212,15 @@ class StagedOpenEnumeration:
     retained; ``union_at`` returns the closure of their union.
     """
 
-    items: tuple[Interval, ...]
+    __slots__ = ("items",)
+
+    def __init__(self, items: tuple[Interval, ...]):
+        object.__setattr__(self, "items", items)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.items == other.items
 
     def __len__(self) -> int:
         return len(self.items)

@@ -36,7 +36,6 @@ index-0 tests exercise the approximation path.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
@@ -56,7 +55,7 @@ from .bits import (
     string_index,
     validate_bits,
 )
-from .errors import BudgetExhausted, DomainError, SchemaError
+from .errors import BudgetExhausted, DomainError, Frozen, SchemaError
 from .piecewise import PiecewiseLinear, overlaps
 from .report import Check
 
@@ -523,19 +522,19 @@ def anti_debt_strategy(sg: Martingale, sigma: str, mode: int, depth: int) -> Mar
     return Martingale(_on_cone(sigma, start, _held_past(depth, sg.runs)))
 
 
-@dataclass(frozen=True)
-class Condition:
+class Condition(Frozen):
     """Forcing condition <sigma, M, q>; valid only while M(sigma) < q."""
 
-    sigma: str
-    martingale: Martingale
-    q: Fraction
+    __slots__ = ("sigma", "martingale", "q")
 
-    def __post_init__(self):
-        validate_bits(self.sigma)
-        v = self.martingale.value(self.sigma)
-        if v >= self.q:
-            raise DomainError(f"invalid condition: M({self.sigma!r}) = {v} >= q = {self.q}")
+    def __init__(self, sigma: str, martingale: Martingale, q: Fraction):
+        validate_bits(sigma)
+        v = martingale.value(sigma)
+        if v >= q:
+            raise DomainError(f"invalid condition: M({sigma!r}) = {v} >= q = {q}")
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "martingale", martingale)
+        object.__setattr__(self, "q", q)
 
 
 def condition_extension_violations(c2: Condition, c1: Condition, depth: int) -> list[str]:
@@ -574,15 +573,18 @@ def condition_extends(c2: Condition, c1: Condition, depth: int) -> bool:
     return not condition_extension_violations(c2, c1, depth)
 
 
-@dataclass(frozen=True)
-class SavingsExtension:
-    tau: str
-    r: Fraction
-    s: Fraction
-    d_hat: Fraction
-    reachable_min: Fraction
-    search_depth: int
-    condition: Condition
+class SavingsExtension(Frozen):
+    __slots__ = ("tau", "r", "s", "d_hat", "reachable_min", "search_depth", "condition")
+
+    def __init__(self, tau: str, r: Fraction, s: Fraction, d_hat: Fraction,
+                 reachable_min: Fraction, search_depth: int, condition: Condition):
+        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "d_hat", d_hat)
+        object.__setattr__(self, "reachable_min", reachable_min)
+        object.__setattr__(self, "search_depth", search_depth)
+        object.__setattr__(self, "condition", condition)
 
 
 def savings_extension(cond: Condition, eps: Fraction, search_depth: int) -> SavingsExtension:
@@ -696,12 +698,14 @@ def claim5_density_records(
     return records
 
 
-@dataclass(frozen=True)
-class ForcingStep:
-    kind: str
-    condition: Condition
-    extends_ok: bool
-    payload: dict
+class ForcingStep(Frozen):
+    __slots__ = ("kind", "condition", "extends_ok", "payload")
+
+    def __init__(self, kind: str, condition: Condition, extends_ok: bool, payload: dict):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "condition", condition)
+        object.__setattr__(self, "extends_ok", extends_ok)
+        object.__setattr__(self, "payload", payload)
 
 
 def forcing_chain(start: Condition, steps, check_depth: int) -> list[ForcingStep]:

@@ -28,11 +28,10 @@ is the sum of its nodes' masses.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bits import is_antichain, string_at, string_index, validate_bits
-from .errors import DomainError, InvariantError
+from .errors import DomainError, Frozen, InvariantError
 from .intervals import ClassGaps, Interval, IntervalSet, StagedOpenEnumeration, stage_gaps
 from .report import Check
 
@@ -113,15 +112,24 @@ def _subtract_ranges(
     return out
 
 
-@dataclass(frozen=True)
-class PorousExtensions:
+class PorousExtensions(Frozen):
     """N_t(sigma): the minimal qualifying extensions, and the level one past
     the last gap activation, to which the scan ran."""
 
-    base: str
-    constant: int
-    elements: tuple[str, ...]
-    completion_depth: int
+    __slots__ = ("base", "constant", "elements", "completion_depth")
+
+    def __init__(self, base: str, constant: int, elements: tuple[str, ...],
+                 completion_depth: int):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "constant", constant)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "completion_depth", completion_depth)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.base, self.constant, self.elements, self.completion_depth) == (
+            other.base, other.constant, other.elements, other.completion_depth)
 
 
 def minimal_porous_extensions(gaps: ClassGaps, sigma: str, c: int) -> PorousExtensions:
@@ -182,11 +190,13 @@ def minimal_porous_extensions(gaps: ClassGaps, sigma: str, c: int) -> PorousExte
     return PorousExtensions(sigma, c, tuple(sorted(found)), completion)
 
 
-@dataclass(frozen=True)
-class PorosityWitness:
-    rho: str
-    tau: str
-    level: int
+class PorosityWitness(Frozen):
+    __slots__ = ("rho", "tau", "level")
+
+    def __init__(self, rho: str, tau: str, level: int):
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "level", level)
 
 
 def porosity_witness(
@@ -221,24 +231,37 @@ def porosity_witness(
     return None
 
 
-@dataclass(frozen=True)
-class PorosityTest:
+class PorosityTest(Frozen):
     """Staged boxes B_{n,t} and the decay bounds, decided in integers over
     powers of 2; a Fraction is built only for a reported side."""
 
-    enum: StagedOpenEnumeration
-    constant: int
-    levels: int
-    stages: int
-    boxes: dict[tuple[int, int], tuple[str, ...]] = field(repr=False)
-    # per node (t, sigma): the meeting mass num 2^-top of N_t(sigma) as
-    # (t, sigma, num, top, num 2^-top <= decay 2^-|sigma|)
-    nodes: tuple[tuple[int, str, int, int, bool], ...] = field(repr=False)
-    # per level n: the largest meeting mass of B_{n,t} over t <= stages, as
-    # (num, top) for num 2^-top
-    max_masses: tuple[tuple[int, int], ...] = field(repr=False)
-    # the gaps of the last stage class
-    final_gaps: ClassGaps = field(repr=False)
+    __slots__ = ("enum", "constant", "levels", "stages", "boxes", "nodes", "max_masses",
+                 "final_gaps")
+
+    def __init__(
+        self,
+        enum: StagedOpenEnumeration,
+        constant: int,
+        levels: int,
+        stages: int,
+        boxes: dict[tuple[int, int], tuple[str, ...]],
+        # per node (t, sigma): the meeting mass num 2^-top of N_t(sigma) as
+        # (t, sigma, num, top, num 2^-top <= decay 2^-|sigma|)
+        nodes: tuple[tuple[int, str, int, int, bool], ...],
+        # per level n: the largest meeting mass of B_{n,t} over t <= stages,
+        # as (num, top) for num 2^-top
+        max_masses: tuple[tuple[int, int], ...],
+        # the gaps of the last stage class
+        final_gaps: ClassGaps,
+    ):
+        object.__setattr__(self, "enum", enum)
+        object.__setattr__(self, "constant", constant)
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "stages", stages)
+        object.__setattr__(self, "boxes", boxes)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "max_masses", max_masses)
+        object.__setattr__(self, "final_gaps", final_gaps)
 
     @property
     def decay(self) -> Fraction:

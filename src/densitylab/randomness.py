@@ -13,14 +13,13 @@ comes from porosity's integer kernel ``class_mass``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
 from .bits import (ONE, ZERO, cylinder_bounds, is_antichain, is_dyadic, is_prefix, string_at,
                    validate_bits)
 from .density import FatCover, low_density_open_set, lower_density_estimate
-from .errors import BudgetExhausted, DomainError, EnumerationOverlapError, InvariantError
+from .errors import BudgetExhausted, DomainError, EnumerationOverlapError, Frozen, InvariantError
 from .intervals import (
     EMPTY_SET,
     Interval,
@@ -55,16 +54,18 @@ def cylinder_items(s: IntervalSet) -> list[str]:
     return out
 
 
-@dataclass(frozen=True)
-class TestFamily:
+class TestFamily(Frozen):
     """A difference test: staged open components V_n with
     lambda(V_n cap C_final) <= 2^-n, C_final the final class of closed_enum."""
 
     __test__ = False  # keep pytest from collecting this as a test class
+    __slots__ = ("components", "closed_enum", "stage_marks")
 
-    components: tuple[StagedOpenEnumeration, ...]
-    closed_enum: StagedOpenEnumeration
-    stage_marks: tuple[tuple[int, ...], ...]
+    def __init__(self, components: tuple[StagedOpenEnumeration, ...],
+                 closed_enum: StagedOpenEnumeration, stage_marks: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "closed_enum", closed_enum)
+        object.__setattr__(self, "stage_marks", stage_marks)
 
     def component_union(self, n: int) -> IntervalSet:
         comp = self.components[n]
@@ -80,9 +81,11 @@ class TestFamily:
         return recs
 
 
-@dataclass(frozen=True)
-class CaptureReport:
-    levels: tuple[bool, ...]
+class CaptureReport(Frozen):
+    __slots__ = ("levels",)
+
+    def __init__(self, levels: tuple[bool, ...]):
+        object.__setattr__(self, "levels", levels)
 
     @property
     def captured(self) -> bool:
@@ -209,18 +212,31 @@ def _point_in_cylinder(z: Fraction, sigma: str) -> bool:
     return lo <= z < hi or (hi == ONE and z == ONE)
 
 
-@dataclass(frozen=True)
-class EscapeSets:
+class EscapeSets(Frozen):
     """G_m = union of Cyl(B_m) with per-round truncation budgets."""
 
-    r: int
-    m_max: int
-    z: Fraction
-    boxes: tuple[tuple[str, ...], ...]
-    verdict: str  # "captured" | "certificate" | "uncaptured"
-    escape_level: int | None
-    witness_sigma: str | None
-    records: tuple[Check, ...]
+    __slots__ = ("r", "m_max", "z", "boxes", "verdict", "escape_level", "witness_sigma",
+                 "records")
+
+    def __init__(
+        self,
+        r: int,
+        m_max: int,
+        z: Fraction,
+        boxes: tuple[tuple[str, ...], ...],
+        verdict: str,  # "captured" | "certificate" | "uncaptured"
+        escape_level: int | None,
+        witness_sigma: str | None,
+        records: tuple[Check, ...],
+    ):
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "m_max", m_max)
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "boxes", boxes)
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "escape_level", escape_level)
+        object.__setattr__(self, "witness_sigma", witness_sigma)
+        object.__setattr__(self, "records", records)
 
 
 def build_escape_sets(
@@ -306,26 +322,38 @@ def build_escape_sets(
     )
 
 
-@dataclass(frozen=True)
-class DominationScenario:
-    """A prefix-free word list, a target point, and the density threshold."""
+class DominationScenario(Frozen):
+    """A prefix-free word list, a target point, and the density threshold.
+    Scenarios compare, hash and print as their four fields."""
 
-    words: tuple[str, ...]
-    z: Fraction
-    eps: Fraction
-    depth: int
-    # g(s) by s, filled by least_density_drop; None where no window drops
-    _drops: dict[int, int | None] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    __slots__ = ("words", "z", "eps", "depth", "_drops")
 
-    def __post_init__(self):
-        for w in self.words:
+    def __init__(self, words: tuple[str, ...], z: Fraction, eps: Fraction, depth: int):
+        for w in words:
             validate_bits(w)
-        if not is_antichain(self.words) or len(set(self.words)) != len(self.words):
+        if not is_antichain(words) or len(set(words)) != len(words):
             raise EnumerationOverlapError("domination words must be prefix-free")
-        if not ZERO < self.eps < ONE:
-            raise DomainError(f"eps must be in (0,1), got {self.eps}")
+        if not ZERO < eps < ONE:
+            raise DomainError(f"eps must be in (0,1), got {eps}")
+        object.__setattr__(self, "words", words)
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "depth", depth)
+        # g(s) by s, filled by least_density_drop; None where no window drops
+        object.__setattr__(self, "_drops", {})
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.words, self.z, self.eps, self.depth) == (
+            other.words, other.z, other.eps, other.depth)
+
+    def __hash__(self):
+        return hash((self.words, self.z, self.eps, self.depth))
+
+    def __repr__(self):
+        return (f"DominationScenario(words={self.words!r}, z={self.z!r}, eps={self.eps!r}, "
+                f"depth={self.depth!r})")
 
     def word_holes(self, s: int, t: int) -> list[Interval]:
         """The cylinders of words s .. t - 1, the holes of the window's class."""
@@ -375,13 +403,17 @@ def least_drop_h(scenario: DominationScenario, case: int, n_blocks: int) -> Call
     return chain.__getitem__
 
 
-@dataclass(frozen=True)
-class DominationTests:
-    blocks: tuple[tuple[int, int], ...]
-    covers: tuple[FatCover, ...]
-    captured: tuple[bool, ...]
-    expected_capture: tuple[bool, ...]
-    records: tuple[Check, ...]
+class DominationTests(Frozen):
+    __slots__ = ("blocks", "covers", "captured", "expected_capture", "records")
+
+    def __init__(self, blocks: tuple[tuple[int, int], ...], covers: tuple[FatCover, ...],
+                 captured: tuple[bool, ...], expected_capture: tuple[bool, ...],
+                 records: tuple[Check, ...]):
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "covers", covers)
+        object.__setattr__(self, "captured", captured)
+        object.__setattr__(self, "expected_capture", expected_capture)
+        object.__setattr__(self, "records", records)
 
 
 def build_domination_tests(

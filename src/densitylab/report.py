@@ -25,12 +25,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .bits import format_rational
-from .errors import SchemaError
+from .errors import Frozen, SchemaError
 from .roottwo import QuadValue
 
 SCHEMA_VERSION = 1
@@ -42,16 +41,24 @@ GENERATOR_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(Frozen):
     """One asserted inequality, the one row type of every report: the
     relation is spelled out in the name."""
 
-    name: str
-    lhs: object
-    rhs: object
-    ok: bool
-    note: str = ""
+    __slots__ = ("name", "lhs", "rhs", "ok", "note")
+
+    def __init__(self, name: str, lhs: object, rhs: object, ok: bool, note: str = ""):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "note", note)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.lhs, self.rhs, self.ok, self.note) == (
+            other.name, other.lhs, other.rhs, other.ok, other.note)
 
 
 def render_value(v) -> object:
@@ -128,20 +135,24 @@ def lay_out(rows, prefix: str, as_csv: bool) -> tuple[list[str], int]:
     return texts, failed
 
 
-@dataclass
 class Report:
     """A report being written, a command's or a battery's: each check row is
     laid out in the report's format, JSON or, with as_csv, CSV, when it is
-    added."""
+    added.  It starts empty; rows, failed, budget_exhausted and meta are
+    filled in as it is written."""
 
-    command: str
-    seed: int
-    as_csv: bool = False
-    head: str = ""
-    rows: list[str] = field(default_factory=list)
-    failed: int = 0
-    budget_exhausted: list[str] = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
+    __slots__ = ("command", "seed", "as_csv", "head", "rows", "failed", "budget_exhausted",
+                 "meta")
+
+    def __init__(self, command: str, seed: int, as_csv: bool = False, head: str = ""):
+        self.command = command
+        self.seed = seed
+        self.as_csv = as_csv
+        self.head = head
+        self.rows: list[str] = []
+        self.failed = 0
+        self.budget_exhausted: list[str] = []
+        self.meta: dict = {}
 
     def add(self, rows, prefix: str = "") -> None:
         """Lay out rows as lay_out does under "head: prefix", leaving out

@@ -9,11 +9,10 @@ anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bits import format_rational
-from .errors import DomainError
+from .errors import DomainError, Frozen
 
 
 def _rational(x) -> Fraction:
@@ -34,14 +33,12 @@ def sign(p: int, q: int) -> int:
     return sp if p * p > 2 * q * q else sq
 
 
-@dataclass(frozen=True)
-class QuadValue:
-    a: Fraction
-    b: Fraction
+class QuadValue(Frozen):
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", _rational(self.a))
-        object.__setattr__(self, "b", _rational(self.b))
+    def __init__(self, a: Fraction, b: Fraction):
+        object.__setattr__(self, "a", _rational(a))
+        object.__setattr__(self, "b", _rational(b))
 
     def sign(self) -> int:
         """Exact sign of a + b sqrt(2), from the integers it becomes when

@@ -73,7 +73,7 @@ def library_functions() -> dict[tuple[str, int], str]:
         for obj in vars(module).values():
             members = vars(obj).values() if isinstance(obj, type) else (obj,)
             for f in (f for member in members for f in _functions(member)):
-                # imported functions and dataclass-made methods have other files
+                # imported functions have other files
                 if f.__code__.co_filename == module.__file__:
                     add(f.__code__, info.name, f.__qualname__)
     return found

@@ -48,6 +48,9 @@ LISTED = {
     "martingales:_on_cone.<locals>.kernel": ("unwired", "anti_debt_strategy's frozen strategy"),
     "porosity:PorosityTest.decay": (
         "unwired", "difference_test_from_porosity's level for component n"),
+    "porosity:PorosityWitness.__init__": ("unwired", "the witness porosity_witness returns"),
+    "randomness:TestFamily.__init__": ("unwired", "the family density_difference_test returns"),
+    "randomness:CaptureReport.__init__": ("unwired", "the verdict capture_check returns"),
     "calculus:MonotoneExtension.value": (
         "reference", "the extension at one point, which tests compare the grid check against"),
     "calculus:MonotoneExtension._check_monotone_on_class.<locals>.fail": (
@@ -58,6 +61,26 @@ LISTED = {
     "suite:_battery_child": ("child", "verify-all's children run the batteries"),
     "suite:_aborted": ("failure", "a battery raises, or its child ends without its rows"),
     "roottwo:QuadValue.__hash__": ("protocol", "equal values hash alike, as __eq__ says"),
+    "intervals:Interval.__hash__": ("protocol", "equal intervals hash alike, as __eq__ says"),
+    "intervals:Interval.__repr__": (
+        "protocol", "spells an interval in a DomainError message by the fields __init__ set"),
+    "errors:Frozen.__setattr__": ("protocol", "a record's __init__ sets its fields once"),
+    "errors:Frozen.__delattr__": ("protocol", "a record's __init__ sets its fields once"),
+    "density:DensityEstimate.__eq__": (
+        "protocol", "estimates are equal by the fields __init__ set"),
+    "instances:EscapeInstance.__eq__": (
+        "protocol", "instances are equal by the fields __init__ set"),
+    "intervals:StagedOpenEnumeration.__eq__": (
+        "protocol", "enumerations are equal by the items __init__ set"),
+    "porosity:PorousExtensions.__eq__": (
+        "protocol", "antichains are equal by the fields __init__ set"),
+    "randomness:DominationScenario.__eq__": (
+        "protocol", "scenarios are equal by the four fields __init__ takes, not the memo"),
+    "randomness:DominationScenario.__hash__": (
+        "protocol", "equal scenarios hash alike, as __eq__ says"),
+    "randomness:DominationScenario.__repr__": (
+        "protocol", "spells a scenario by the four fields __init__ takes, not the memo"),
+    "report:Check.__eq__": ("protocol", "checks are equal by the fields __init__ set"),
 }
 
 

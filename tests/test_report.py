@@ -109,7 +109,8 @@ checks_lists = st.lists(st.builds(Check, texts, values, values, st.booleans(), t
 @settings(max_examples=200, deadline=None)
 @given(texts, st.integers(0, 10**6), checks_lists, st.lists(texts, max_size=3), metas)
 def test_json_bytes_are_the_indenting_encoders_bytes(command, seed, checks, exhausted, meta):
-    rep = Report(command, seed, budget_exhausted=exhausted, meta=meta)
+    rep = Report(command, seed)
+    rep.budget_exhausted, rep.meta = exhausted, meta
     rep.add(checks)
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -138,7 +139,8 @@ def reference_csv_value(v) -> str:
 @settings(max_examples=200, deadline=None)
 @given(texts, st.integers(0, 10**6), checks_lists, st.lists(texts, max_size=3))
 def test_csv_bytes_are_the_csv_writers_bytes(command, seed, checks, exhausted):
-    rep = Report(command, seed, as_csv=True, budget_exhausted=exhausted)
+    rep = Report(command, seed, as_csv=True)
+    rep.budget_exhausted = exhausted
     rep.add(checks, "p")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

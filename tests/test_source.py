@@ -173,10 +173,9 @@ def test_cli_builds_one_parser():
     assert "depth" in read and sorted(read - options) == ["command"]
 
 
-def test_importing_the_cli_loads_no_process_pool():
-    # verify-all forks its children itself and imports what it sends their
-    # records with when it runs; every command would pay for these imports
-    imported = {
+def _imported_modules() -> set[str]:
+    """Every module a library module imports, by import or from-import."""
+    return {
         alias.name
         for tree in _trees()
         for node in ast.walk(tree)
@@ -187,7 +186,12 @@ def test_importing_the_cli_loads_no_process_pool():
         for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom) and node.module
     }
-    assert sorted(m for m in imported
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # verify-all forks its children itself and imports what it sends their
+    # records with when it runs; every command would pay for these imports
+    assert sorted(m for m in _imported_modules()
                   if m.split(".")[0] in ("multiprocessing", "concurrent")) == []
     probe = (
         "import sys; import densitylab.cli; "
@@ -216,6 +220,25 @@ def test_a_command_loads_no_argparse_gettext_or_locale():
         env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True,
     )
     assert loaded.stdout.strip() == "0 []"
+
+
+def test_importing_the_cli_loads_no_dataclasses_or_inspect():
+    # the records are plain classes: building 26 dataclasses and importing
+    # dataclasses, with inspect, dis, ast and tokenize behind it, took about
+    # two thirds of a fresh import of the cli from a bytecode cache
+    assert "dataclasses" not in _imported_modules()
+    # only what the import itself adds counts, not what site loaded before it
+    probe = (
+        "import sys; before = set(sys.modules); import densitylab.cli; "
+        "print(sorted(m for m in ('dataclasses', 'inspect') "
+        "if m in sys.modules and m not in before))"
+    )
+    src = str(Path(densitylab.__file__).resolve().parent.parent)
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True,
+    )
+    assert loaded.stdout.strip() == "[]"
 
 
 def test_importing_the_report_loads_only_its_leaf_modules():
@@ -270,7 +293,8 @@ def test_batteries_write_their_rows_where_commands_do():
         node for node in ast.parse(report.read_text(), filename=str(report)).body
         if isinstance(node, ast.ClassDef) and node.name == "Report"
     )
-    assert [node.name for node in record.body if isinstance(node, ast.FunctionDef)] == ["add"]
+    assert [node.name for node in record.body if isinstance(node, ast.FunctionDef)] == [
+        "__init__", "add"]
     suite = next(path for path in SOURCES if path.name == "suite.py")
     suite_tree = ast.parse(suite.read_text(), filename=str(suite))
     imported = {

@@ -29,6 +29,11 @@ def assert_no_child_process():
         os.waitpid(-1, os.WNOHANG)
 
 
+def fields(reports: list[Report]) -> list[tuple]:
+    """Every field of each report, which two runs must agree on."""
+    return [tuple(getattr(r, name) for name in Report.__slots__) for r in reports]
+
+
 def test_criteria_table_covers_all_ten():
     assert [num for num, _, _ in CRITERIA] == list(range(1, 11))
     titles = [title for _, title, _ in CRITERIA]
@@ -75,7 +80,7 @@ def test_the_childrens_outcomes_equal_the_serial_ones(seed):
     # record from this process
     for as_csv in (False, True):
         want = [run_criterion(num, seed, as_csv) for num, _t, _f in CRITERIA]
-        assert run_all(seed, as_csv) == want
+        assert fields(run_all(seed, as_csv)) == fields(want)
         assert_no_child_process()
 
 
@@ -195,7 +200,7 @@ def test_a_record_larger_than_a_pipe_waits_for_the_parent(monkeypatch):
     _with_batteries(monkeypatch, {**batteries, 1: sleeping, 2: many_rows})
     want = [run_criterion(num) for num, _t, _f in CRITERIA]
     assert sum(len(row) for row in want[1].rows) > 1 << 16
-    assert run_all() == want
+    assert fields(run_all()) == fields(want)
     assert_no_child_process()
 
 
